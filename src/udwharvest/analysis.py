@@ -21,13 +21,13 @@ roots satisfy much tighter certificates than the nominal 1e-10 width.
 
 :func:`sweep` evaluates the closed-form pipeline over one axis of the
 scenario; per-point failures are recorded as flags so a bad point cannot
-abort a grid.  Points are independent pure calls, so results are
-deterministic regardless of the worker count.
+abort a grid.  Points are independent pure calls, so a point's value does
+not depend on the rest of the grid: any chunking of an axis reproduces the
+whole-axis sweep bitwise.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -326,14 +326,9 @@ def sweep(
     axis_name: str,
     axis_values,
     fixed_params: DetectorPairConfig,
-    max_workers: int | None = None,
 ) -> SweepGrid:
-    """Evaluate the closed-form pipeline along one scenario axis.
-
-    Output order always matches ``axis_values``; with ``max_workers`` the
-    points are farmed out to a thread pool, which cannot change any value
-    because every point is a pure function of its scenario.
-    """
+    """Evaluate the closed-form pipeline along one scenario axis, one
+    scalar report per point, in the order of ``axis_values``."""
     if axis_name not in SWEEPABLE_AXES:
         raise ValueError(f"axis_name must be one of {SWEEPABLE_AXES}, got {axis_name!r}")
     axis_values = np.asarray(axis_values, dtype=float)
@@ -345,11 +340,7 @@ def sweep(
         except ValueError as exc:
             return None, str(exc)
 
-    if max_workers is not None and max_workers > 1 and axis_values.size > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(one, axis_values))
-    else:
-        outcomes = [one(v) for v in axis_values]
+    outcomes = [one(v) for v in axis_values]
     return SweepGrid(
         axis_name=axis_name,
         axis_values=axis_values,

@@ -27,7 +27,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -62,8 +61,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_NO_HARVEST = 4
 EXIT_NO_CROSSOVER = 5
-
-THREADS_ENV_VAR = "UDWHARVEST_THREADS"
 
 FIGURE_NAMES = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3", "fig4", "fig5")
 
@@ -194,18 +191,6 @@ def _settings_from_args(args) -> OracleSettings:
     if args.eps_schedule is not None:
         kwargs["epsilon_schedule"] = tuple(args.eps_schedule)
     return OracleSettings(**kwargs) if kwargs else DEFAULT_SETTINGS
-
-
-def _threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return None
 
 
 def _config_from_args(parser, args) -> DetectorPairConfig:
@@ -391,7 +376,7 @@ def cmd_sweep(parser, args):
     try:
         base = DetectorPairConfig(**fixed)
         values = np.linspace(args.start, args.stop, args.points)
-        grid = sweep(axis, values, base, max_workers=_threads(args))
+        grid = sweep(axis, values, base)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -658,8 +643,6 @@ def _build_parser():
     common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--format", choices=("table", "csv", "record"), default=None,
                         help="output format (default: table for single records, csv for grids)")
-    common.add_argument("--threads", type=int, default=None,
-                        help=f"worker-thread cap for sweeps (or set {THREADS_ENV_VAR})")
     common.add_argument("--quad-nodes", type=int, default=None,
                         help="Gauss-Legendre nodes per panel for the oracles")
     common.add_argument("--eps-schedule", type=lambda s: [float(x) for x in s.split(",")],

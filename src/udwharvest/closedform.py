@@ -229,7 +229,8 @@ def correlation_x_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, couplin
         pref = coupling^2 / (8 sqrt(pi) l) * exp(-(2a+d)^2/4),
 
     so every intermediate is bounded by 2 and no separation or gap causes
-    overflow.
+    overflow.  Since (-l+id)/2 = -conj((l+id)/2) and w(-conj z) = conj w(z),
+    the Faddeeva difference is -2i Im w((l+id)/2): one evaluation per point.
     """
     a = np.asarray(omega_a_sigma, dtype=float)
     d = np.asarray(delta_omega_sigma, dtype=float)
@@ -237,9 +238,10 @@ def correlation_x_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, couplin
     if np.any(l <= 0):
         raise ValueError("l_over_sigma must be > 0 (zero separation diverges)")
     pref = -1j * coupling**2 / (8.0 * _SQRT_PI * l) * np.exp(-((2.0 * a + d) ** 2) / 4.0)
-    bracket = np.exp(-d * d / 4.0) * (
-        faddeeva_w(0.5 * (-l + 1j * d)) - faddeeva_w(0.5 * (l + 1j * d))
-    ) + 2.0 * np.exp(-l * l / 4.0) * np.exp(-0.5j * l * d)
+    w = faddeeva_w(0.5 * (l + 1j * d))
+    bracket = np.exp(-d * d / 4.0) * (-2j * w.imag) + 2.0 * np.exp(-l * l / 4.0) * np.exp(
+        -0.5j * l * d
+    )
     x = pref * bracket
     if x.ndim == 0:
         return complex(x)
@@ -253,15 +255,25 @@ def correlation_x(cfg: DetectorPairConfig) -> complex:
     )
 
 
+def _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
+    """(P_A, P_B, X) for raw parameter arrays, each evaluated once."""
+    a = np.asarray(omega_a_sigma, dtype=float)
+    d = np.asarray(delta_omega_sigma, dtype=float)
+    return (
+        transition_probability(a, coupling),
+        transition_probability(a + d, coupling),
+        correlation_x_values(a, d, l_over_sigma, coupling),
+    )
+
+
 def correlation_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
     """|X| - sqrt(P_A * P_B); the concurrence is twice its positive part.
 
     Unlike the clamped concurrence this changes sign smoothly through the
     harvesting boundary, which is what root bracketing needs.
     """
-    return np.abs(
-        correlation_x_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
-    ) - geometric_mean_probability(omega_a_sigma, delta_omega_sigma, coupling)
+    p_a, p_b, x = _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
+    return np.abs(x) - np.sqrt(p_a * p_b)
 
 
 def concurrence_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
@@ -273,14 +285,12 @@ def concurrence_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
 
 def concurrence(cfg: DetectorPairConfig) -> HarvestReport:
     """Full closed-form report for a scenario."""
-    p_a = transition_probability(cfg.omega_a_sigma, cfg.coupling)
-    p_b = transition_probability(cfg.omega_b_sigma, cfg.coupling)
-    x = correlation_x(cfg)
-    # route through the same kernels as the vectorized path so scalar and
-    # grid evaluations agree bitwise
-    conc = float(
-        concurrence_values(cfg.omega_a_sigma, cfg.delta_omega_sigma, cfg.l_over_sigma, cfg.coupling)
+    p_a, p_b, x = _ingredients(
+        cfg.omega_a_sigma, cfg.delta_omega_sigma, cfg.l_over_sigma, cfg.coupling
     )
+    # the same arithmetic as the vectorized path, so scalar and grid
+    # evaluations agree bitwise
+    conc = float(2.0 * np.maximum(0.0, np.abs(x) - np.sqrt(p_a * p_b)))
     return HarvestReport(p_a=p_a, p_b=p_b, x=x, concurrence=conc, method=Method.CLOSED_FORM)
 
 

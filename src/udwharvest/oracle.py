@@ -14,7 +14,11 @@ Two kinds of evaluation live here:
   quadrature regains spectral accuracy.
 
 The double-integral routes share no algebra with the single-integral
-reduction; their mutual agreement is what certifies the closed forms.
+reduction; their mutual agreement is what certifies the closed forms.  The
+three double integrals (probability, correlation, exchange correlation)
+run through one regulated quadrature loop and differ only in kernel,
+poles, outer phase, tolerance and scale; the two single-integral routes
+share one panel-order-doubling self-check.
 
 Quadrature layout: each axis is covered by Gauss-Legendre panels.  Panels
 are geometrically refined toward the lightcone poles (which sit a distance
@@ -74,19 +78,17 @@ class OracleSettings:
     epsilon_schedule   regulator values (units of the switching duration),
                        strictly decreasing; the regulator limit is the
                        extrapolation of the sampled values to zero
-    quadrature_nodes   Gauss-Legendre nodes per panel
+    quadrature_nodes   Gauss-Legendre nodes per panel; the single-integral
+                       routes also run at twice this to self-check
     domain_halfwidth   integration cutoff (units of the switching
                        duration); the Gaussian window makes the discarded
                        tail < exp(-halfwidth^2/2) relative
-    pv_exclusion       half-width of the symmetric pole exclusion used by
-                       the debug fallback of the principal-value route
     richardson_order   polynomial order of the regulator extrapolation
     """
 
     epsilon_schedule: tuple[float, ...] = (0.05, 0.025, 0.0125)
     quadrature_nodes: int = 64
     domain_halfwidth: float = 12.0
-    pv_exclusion: float = 1e-3
     richardson_order: int = 2
 
     def __post_init__(self):
@@ -100,8 +102,6 @@ class OracleSettings:
             raise ValueError("quadrature_nodes must be >= 4")
         if self.domain_halfwidth < 8.0:
             raise ValueError("domain_halfwidth must be >= 8 to bury the Gaussian tail")
-        if self.pv_exclusion <= 0:
-            raise ValueError("pv_exclusion must be > 0")
         if self.richardson_order < 1:
             raise ValueError("richardson_order must be >= 1")
 
@@ -201,26 +201,60 @@ def _regulator_limit(settings: OracleSettings, samples, rel_tol, scale):
     return best, tuple(diag[: order + 1])
 
 
-def _outer_axis(settings: OracleSettings):
+def _regulated_double_integral(
+    settings, pole, outer_freq, terms, prefactor, rel_tol, scale, half_line=False
+):
+    """Regulator limit of the double integral behind the three direct routes,
+
+        prefactor * sum over (sign, k) in terms of
+            int dt exp(-i outer_freq t) int do exp(-(t^2 + (t + sign o)^2)/2)
+                                               exp(i k o) / ((o + i eps)^2 - pole^2),
+
+    with the inner time t + sign*o offset from the outer time t.  The offset
+    runs over the whole line, or over o > 0 with ``half_line`` (one
+    time-ordered triangle per sign), and its panels are graded toward the
+    lightcone poles at o = +-pole.  Returns the (value, extrapolants) pair
+    of :func:`_regulator_limit`.
+    """
     T = settings.domain_halfwidth
     n_panels = int(np.ceil(2.0 * T / _MAX_PANEL_WIDTH))
-    return _panelize(np.linspace(-T, T, n_panels + 1), settings.quadrature_nodes)
-
-
-def _inner_span(settings: OracleSettings):
+    t_out, w_out = _panelize(np.linspace(-T, T, n_panels + 1), settings.quadrature_nodes)
+    w_phase = w_out * np.exp(-1j * outer_freq * t_out)
     # offsets beyond this only enter through exp(-o^2/4) tails < 1e-21
-    return settings.domain_halfwidth + 2.0
+    span = T + 2.0
+    poles = [pole] if half_line else [-pole, pole]
+    samples = []
+    for eps in settings.epsilon_schedule:
+        edges = _graded_edges(0.0 if half_line else -span, span, poles, eps)
+        o, w_in = _panelize(edges, settings.quadrature_nodes)
+        window = w_in * np.exp(-o * o / 4.0)
+        denom = (o + 1j * eps) ** 2 - pole * pole
+        total = 0.0
+        for sign, k in terms:
+            q = window * np.exp(1j * k * o) / denom
+            # exp(-(t^2 + (t + s*o)^2)/2) = exp(-(t + s*o/2)^2) * exp(-o^2/4).
+            # The real cross-Gaussian matrix takes q's real and imaginary
+            # parts as two columns instead of being promoted to complex, and
+            # stays a temporary so that only one is alive at a time.
+            ri = np.exp(-((t_out[:, None] + 0.5 * sign * o[None, :]) ** 2)) @ np.column_stack(
+                [q.real, q.imag]
+            )
+            total += np.sum(w_phase * (ri[:, 0] + 1j * ri[:, 1]))
+        samples.append(prefactor * total)
+    return _regulator_limit(settings, samples, rel_tol, scale)
 
 
-def _cross_gaussian(t_outer, offsets, sign):
-    # exp(-(t^2 + (t + s*o)^2)/2) = exp(-(t + s*o/2)^2) * exp(-o^2/4)
-    return np.exp(-((t_outer[:, None] + 0.5 * sign * offsets[None, :]) ** 2))
-
-
-def _apply_real_matrix(g, q):
-    # g @ q with real g and complex q, without promoting g to complex
-    ri = g @ np.column_stack([q.real, q.imag])
-    return ri[:, 0] + 1j * ri[:, 1]
+def _order_doubled(once, cfg, settings, what):
+    """``once`` at twice the panel order, gated on the shift from the
+    nominal order: above 1e-8 relative raises :exc:`NonConvergence`."""
+    coarse = once(cfg, settings)
+    fine = once(cfg, replace(settings, quadrature_nodes=2 * settings.quadrature_nodes))
+    if abs(fine - coarse) > 1e-8 * max(abs(fine), 1e-300):
+        raise NonConvergence(
+            f"{what} quadrature not converged: order doubling moved the result "
+            f"by {abs(fine - coarse):.3e} (value {abs(fine):.3e})"
+        )
+    return fine
 
 
 def pd_double_integral(
@@ -240,31 +274,34 @@ def pd_double_integral(
     ``return_extrapolants`` the increasing-order extrapolant sequence is
     returned alongside the value, for convergence diagnostics.
     """
-    x = float(omega_sigma)
-    span = _inner_span(settings)
-    t_out, w_out = _outer_axis(settings)
-    samples = []
-    for eps in settings.epsilon_schedule:
-        edges = _graded_edges(-span, span, [0.0], eps)
-        o, w_in = _panelize(edges, settings.quadrature_nodes)
-        # inner time = outer + o; kernel depends on the offset alone
-        q = w_in * np.exp(-o * o / 4.0) * np.exp(1j * x * o) / (o + 1j * eps) ** 2
-        g = _cross_gaussian(t_out, o, +1.0)
-        row = _apply_real_matrix(g, q)
-        samples.append(-np.sum(w_out * row) / (4.0 * np.pi**2))
-    limit, diag = _regulator_limit(settings, samples, 1e-5, 1.0 / (4.0 * np.pi))
-    val = coupling**2 * limit
-    if abs(val.imag) > 1e-8 * coupling**2:
+    lam2 = coupling**2
+    # inner time = outer + o; the kernel depends on the offset alone
+    val, diag = _regulated_double_integral(
+        settings,
+        pole=0.0,
+        outer_freq=0.0,
+        terms=[(+1.0, float(omega_sigma))],
+        prefactor=-lam2 / (4.0 * np.pi**2),
+        rel_tol=1e-5,
+        scale=lam2 / (4.0 * np.pi),
+    )
+    if abs(val.imag) > 1e-8 * lam2:
         raise NonConvergence(
             f"imaginary residue {val.imag:.3e} survives the regulator limit"
         )
     if return_extrapolants:
-        return float(val.real), tuple(coupling**2 * e for e in diag)
+        return float(val.real), diag
     return float(val.real)
 
 
-def _pv_by_subtraction(kappa, l, settings):
-    """PV of exp(-v^2/4) exp(-i kappa v / 2) / (v^2 - l^2) over the line.
+def pv_gaussian_pole_integral(
+    kappa,
+    l_over_sigma,
+    settings: OracleSettings = DEFAULT_SETTINGS,
+):
+    """Principal value of the Gaussian-windowed two-pole integral
+
+        PV int exp(-v^2/4) exp(-i kappa v / 2) / (v^2 - l^2) dv.
 
     Writes g(v) for the numerator and subtracts
     [g(l)/(2l)] h(v-l) - [g(-l)/(2l)] h(v+l) with h(u) = exp(-u^2)/u, an
@@ -272,6 +309,10 @@ def _pv_by_subtraction(kappa, l, settings):
     entire function, so panel quadrature (edges pinned at the poles) is
     spectrally accurate.
     """
+    l = float(l_over_sigma)
+    if l <= 0:
+        raise ValueError("l_over_sigma must be > 0")
+    kappa = float(kappa)
     V = settings.domain_halfwidth
 
     def g(v):
@@ -291,49 +332,11 @@ def _pv_by_subtraction(kappa, l, settings):
     return np.sum(w * remainder)
 
 
-def _pv_by_exclusion(kappa, l, settings):
-    """Debug fallback: symmetric interval exclusion around each pole.
-
-    First-order accurate in the exclusion radius only; kept to make the
-    superiority of the subtraction route demonstrable.
-    """
-    V = settings.domain_halfwidth
-    r = settings.pv_exclusion
-    edges = _fill_edges([-V, -l - r, -l + r, l - r, l + r, V], max_width=1.0)
-    v, w = _panelize(edges, settings.quadrature_nodes)
-    keep = (np.abs(v - l) > r) & (np.abs(v + l) > r)
-    f = np.exp(-v * v / 4.0) * np.exp(-0.5j * kappa * v) / (v * v - l * l)
-    return np.sum(w[keep] * f[keep])
-
-
-def pv_gaussian_pole_integral(
-    kappa,
-    l_over_sigma,
-    settings: OracleSettings = DEFAULT_SETTINGS,
-    method: str = "subtraction",
-):
-    """Principal value of the Gaussian-windowed two-pole integral
-
-        PV int exp(-v^2/4) exp(-i kappa v / 2) / (v^2 - l^2) dv.
-
-    ``method="subtraction"`` (default) removes the poles analytically;
-    ``method="exclusion"`` is the linearly convergent debug fallback.
-    """
-    l = float(l_over_sigma)
-    if l <= 0:
-        raise ValueError("l_over_sigma must be > 0")
-    if method == "subtraction":
-        return _pv_by_subtraction(float(kappa), l, settings)
-    if method == "exclusion":
-        return _pv_by_exclusion(float(kappa), l, settings)
-    raise ValueError(f"unknown principal-value method {method!r}")
-
-
-def _x_pv_once(cfg, settings, method):
+def _x_pv_once(cfg, settings):
     a, d, l = cfg.omega_a_sigma, cfg.delta_omega_sigma, cfg.l_over_sigma
     lam2 = cfg.coupling**2
     pref = lam2 / (4.0 * np.pi**1.5) * np.exp(-((2.0 * a + d) ** 2) / 4.0)
-    pv = pv_gaussian_pole_integral(d, l, settings, method)
+    pv = pv_gaussian_pole_integral(d, l, settings)
     residue = (
         -1j
         * lam2
@@ -344,30 +347,15 @@ def _x_pv_once(cfg, settings, method):
     return pref * pv + residue
 
 
-def x_single_integral_pv(
-    cfg: DetectorPairConfig,
-    settings: OracleSettings = DEFAULT_SETTINGS,
-    method: str = "subtraction",
-):
+def x_single_integral_pv(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SETTINGS):
     """Pair-correlation amplitude via the single-integral reduction: the
     double integral collapses (Gaussian in the mean time, principal value
     plus a lightcone residue in the time difference).
 
     Self-checks by doubling the panel order; a relative shift above 1e-8
-    raises :exc:`NonConvergence`.  Returns the doubled-order value.  The
-    exclusion fallback carries no such guarantee (its error is set by the
-    exclusion radius, not the panel order) and skips the gate.
+    raises :exc:`NonConvergence`.  Returns the doubled-order value.
     """
-    coarse = _x_pv_once(cfg, settings, method)
-    fine = _x_pv_once(
-        cfg, replace(settings, quadrature_nodes=2 * settings.quadrature_nodes), method
-    )
-    if method == "subtraction" and abs(fine - coarse) > 1e-8 * max(abs(fine), 1e-300):
-        raise NonConvergence(
-            f"principal-value quadrature not converged: order doubling moved the "
-            f"result by {abs(fine - coarse):.3e} (value {abs(fine):.3e})"
-        )
-    return fine
+    return _order_doubled(_x_pv_once, cfg, settings, "principal-value")
 
 
 def x_double_integral(
@@ -397,21 +385,18 @@ def x_double_integral(
 def _x_double_raw(a, b, l, coupling, settings, return_extrapolants=False):
     """Time-ordered route with both gaps given explicitly; the result must
     not depend on which detector carries which gap."""
-    t_out, w_out = _outer_axis(settings)
-    w_phase = w_out * np.exp(-1j * (a + b) * t_out)
-    samples = []
-    for eps in settings.epsilon_schedule:
-        edges = _graded_edges(0.0, _inner_span(settings), [l], eps)
-        s, w_in = _panelize(edges, settings.quadrature_nodes)
-        kern = w_in * np.exp(-s * s / 4.0) / ((s + 1j * eps) ** 2 - l * l)
-        total = 0.0 + 0.0j
-        for sign in (+1.0, -1.0):
-            # inner time = outer + sign*s; sign=+1 is the later-B triangle
-            g = _cross_gaussian(t_out, s, sign)
-            total += np.sum(w_phase * _apply_real_matrix(g, kern * np.exp(-1j * sign * b * s)))
-        samples.append(coupling**2 / (4.0 * np.pi**2) * total)
-    scale = coupling**2 / (4.0 * np.pi)
-    limit, diag = _regulator_limit(settings, samples, 1e-3, scale)
+    lam2 = coupling**2
+    # inner time = outer + sign*s; sign=+1 is the later-B triangle
+    limit, diag = _regulated_double_integral(
+        settings,
+        pole=l,
+        outer_freq=a + b,
+        terms=[(+1.0, -b), (-1.0, b)],
+        prefactor=lam2 / (4.0 * np.pi**2),
+        rel_tol=1e-3,
+        scale=lam2 / (4.0 * np.pi),
+        half_line=True,
+    )
     if return_extrapolants:
         return complex(limit), diag
     return complex(limit)
@@ -442,14 +427,7 @@ def c_quadrature(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SET
     contour, so the residue enters through a sine).  Self-checks by panel
     order doubling at 1e-8.
     """
-    coarse = _c_pv_once(cfg, settings)
-    fine = _c_pv_once(cfg, replace(settings, quadrature_nodes=2 * settings.quadrature_nodes))
-    if abs(fine - coarse) > 1e-8 * max(abs(fine), 1e-300):
-        raise NonConvergence(
-            f"exchange-correlation quadrature not converged: order doubling moved "
-            f"the result by {abs(fine - coarse):.3e}"
-        )
-    return fine
+    return _order_doubled(_c_pv_once, cfg, settings, "exchange-correlation")
 
 
 def c_double_integral(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SETTINGS):
@@ -457,28 +435,20 @@ def c_double_integral(cfg: DetectorPairConfig, settings: OracleSettings = DEFAUL
     schedule; the independent cross-check of :func:`c_quadrature`.  No time
     ordering here, so the kernel's two poles are offset to the same side
     and the square is integrated in one pass."""
-    a, d, l = cfg.omega_a_sigma, cfg.delta_omega_sigma, cfg.l_over_sigma
-    b = a + d
-    span = _inner_span(settings)
-    t_out, w_out = _outer_axis(settings)
-    w_phase = w_out * np.exp(-1j * (a - b) * t_out)
-    samples = []
-    for eps in settings.epsilon_schedule:
-        edges = _graded_edges(-span, span, [-l, l], eps)
-        o, w_in = _panelize(edges, settings.quadrature_nodes)
-        # inner time = outer + o, so the kernel argument is -o
-        q = (
-            w_in
-            * np.exp(-o * o / 4.0)
-            * np.exp(1j * b * o)
-            / ((-o - 1j * eps) ** 2 - l * l)
-        )
-        g = _cross_gaussian(t_out, o, +1.0)
-        samples.append(
-            -cfg.coupling**2 / (4.0 * np.pi**2) * np.sum(w_phase * _apply_real_matrix(g, q))
-        )
-    scale = cfg.coupling**2 / (4.0 * np.pi)
-    return complex(_regulator_limit(settings, samples, 1e-3, scale)[0])
+    a, b, l = cfg.omega_a_sigma, cfg.omega_b_sigma, cfg.l_over_sigma
+    lam2 = cfg.coupling**2
+    # inner time = outer + o, so the kernel argument is -o; its square is
+    # the same, and the regulated poles sit at o = +-l - i eps
+    value, _ = _regulated_double_integral(
+        settings,
+        pole=l,
+        outer_freq=a - b,
+        terms=[(+1.0, b)],
+        prefactor=-lam2 / (4.0 * np.pi**2),
+        rel_tol=1e-3,
+        scale=lam2 / (4.0 * np.pi),
+    )
+    return complex(value)
 
 
 @dataclass

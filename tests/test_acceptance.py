@@ -237,13 +237,16 @@ def test_criterion_9_property_suites():
     ll = rng.uniform(0.2, 12.0, 300)
     assert np.all(concurrence_values(aa, dd, ll, 0.1) >= 0.0)
 
-    # sweeps are deterministic under worker-count variation
+    # sweeps are deterministic: any chunking of the axis reproduces the whole
     base = DetectorPairConfig(0.5, 0.25, 2.0, 0.1)
     axis = np.linspace(0.3, 5.0, 64)
-    seq = sweep("l_over_sigma", axis, base).concurrences()
-    for workers in (2, 3):
-        par = sweep("l_over_sigma", axis, base, max_workers=workers).concurrences()
-        assert seq.tolist() == par.tolist()
+    whole = sweep("l_over_sigma", axis, base).concurrences()
+    for n_chunks in (2, 3):
+        parts = [
+            sweep("l_over_sigma", c, base).concurrences()
+            for c in np.array_split(axis, n_chunks)
+        ]
+        assert whole.tolist() == np.concatenate(parts).tolist()
 
     # assembled joint state is Hermitian with unit trace
     for a, d, l in [(0.5, 0.25, 2.0), (1.2, 0.6, 1.0)]:

@@ -171,13 +171,44 @@ class TestSweep:
         assert grid.errors[2] is not None
         assert grid.values[0] is not None and grid.errors[0] is None
 
-    def test_thread_count_does_not_change_bits(self):
+    def test_chunked_sweep_matches_whole_bitwise(self):
         axis = np.linspace(0.3, 5.0, 101)
-        seq = sweep("l_over_sigma", axis, self.BASE, max_workers=None)
-        par2 = sweep("l_over_sigma", axis, self.BASE, max_workers=2)
-        par4 = sweep("l_over_sigma", axis, self.BASE, max_workers=4)
-        assert seq.concurrences().tolist() == par2.concurrences().tolist()
-        assert seq.concurrences().tolist() == par4.concurrences().tolist()
+        whole = sweep("l_over_sigma", axis, self.BASE).concurrences()
+        chunks = [
+            sweep("l_over_sigma", part, self.BASE).concurrences()
+            for part in np.array_split(axis, 7)
+        ]
+        assert whole.tolist() == np.concatenate(chunks).tolist()
+
+    @pytest.mark.parametrize(
+        "axis_name,axis",
+        [
+            ("l_over_sigma", np.linspace(0.3, 5.0, 101)),
+            ("delta_omega_sigma", np.linspace(0.0, 1.5, 101)),
+            ("omega_a_sigma", np.linspace(0.0, 2.0, 101)),
+        ],
+    )
+    def test_matches_scalar_concurrence_values_bitwise(self, axis_name, axis):
+        swept = sweep(axis_name, axis, self.BASE).concurrences()
+        fixed = {
+            "omega_a_sigma": self.BASE.omega_a_sigma,
+            "delta_omega_sigma": self.BASE.delta_omega_sigma,
+            "l_over_sigma": self.BASE.l_over_sigma,
+        }
+        scalar = []
+        for v in axis:
+            fixed[axis_name] = float(v)
+            scalar.append(
+                float(
+                    concurrence_values(
+                        fixed["omega_a_sigma"],
+                        fixed["delta_omega_sigma"],
+                        fixed["l_over_sigma"],
+                        self.BASE.coupling,
+                    )
+                )
+            )
+        assert swept.tolist() == scalar
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError):

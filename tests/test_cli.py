@@ -250,16 +250,3 @@ class TestSweepCommand:
             for l in data[:, 0]
         ]
         assert recomputed == data[:, 1].tolist()
-
-    def test_thread_flag_does_not_change_output(self, tmp_path):
-        f1, f2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-        assert run(self.ARGS + ["--out", str(f1)]) == 0
-        assert run(self.ARGS + ["--threads", "4", "--out", str(f2)]) == 0
-        assert manifest_and_data(f1)[1] == manifest_and_data(f2)[1]
-
-    def test_env_var_thread_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("UDWHARVEST_THREADS", "2")
-        out = tmp_path / "s.csv"
-        assert run(self.ARGS + ["--out", str(out)]) == 0
-        _, _, data = read_data_file(out)
-        assert data.shape[0] == 40

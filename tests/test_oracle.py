@@ -94,21 +94,6 @@ class TestCorrelationPVOracle:
         pv_even = pv_gaussian_pole_integral(0.0, l)
         assert abs(pv_even.imag) < 1e-14
 
-    def test_exclusion_fallback_converges_linearly(self):
-        cfg = DetectorPairConfig(0.5, 0.25, 2.0, 0.1)
-        exact = correlation_x(cfg)
-        errs = []
-        for r in (1e-2, 1e-3, 1e-4):
-            s = OracleSettings(pv_exclusion=r)
-            errs.append(abs(_x_pv_exclusion(cfg, s) - exact))
-        assert errs[0] > errs[1] > errs[2]
-        # subtraction beats the finest exclusion by orders of magnitude
-        assert abs(x_single_integral_pv(cfg) - exact) < 1e-3 * errs[2]
-
-
-def _x_pv_exclusion(cfg, settings):
-    return x_single_integral_pv(cfg, settings, method="exclusion")
-
 
 class TestCorrelationDoubleIntegralOracle:
     def test_matches_closed_form(self):
