@@ -9,12 +9,14 @@ drifts outward with separation.
 
 import numpy as np
 
-from udwharvest import find_lmax, find_optimal_gap, lmax_large_gap_estimate
+from udwharvest import find_lmax, find_lmax_many, find_optimal_gap, lmax_large_gap_estimate
 
 print("boundary separation vs gap difference")
 ratios = np.linspace(0.0, 3.0, 13)
-for a in (0.2, 0.5, 1.2):
-    vals = [find_lmax(a, a * float(r)).location for r in ratios]
+gaps = np.array([0.2, 0.5, 1.2])
+# one batched search: a row per smaller gap, a column per gap ratio
+boundaries = find_lmax_many(gaps[:, None], gaps[:, None] * ratios).location
+for a, vals in zip(gaps, boundaries):
     ref = vals[0]
     marks = "".join("+" if v > ref else ("=" if v == ref else "-") for v in vals)
     print(f"  smaller gap {a:3.1f}: {vals[0]:6.3f} -> {vals[-1]:6.3f}   vs identical: {marks}")

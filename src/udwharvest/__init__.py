@@ -57,11 +57,15 @@ from .analysis import (
     BracketingFailure,
     NoCrossover,
     NoHarvestingRegion,
+    SearchBatch,
     SearchResult,
     SweepGrid,
     find_crossover,
+    find_crossover_many,
     find_lmax,
+    find_lmax_many,
     find_optimal_gap,
+    find_optimal_gap_many,
     sweep,
 )
 from . import specfun
@@ -103,10 +107,14 @@ __all__ = [
     "BracketingFailure",
     "NoCrossover",
     "NoHarvestingRegion",
+    "SearchBatch",
     "SearchResult",
     "SweepGrid",
     "find_crossover",
+    "find_crossover_many",
     "find_lmax",
+    "find_lmax_many",
     "find_optimal_gap",
+    "find_optimal_gap_many",
     "sweep",
 ]

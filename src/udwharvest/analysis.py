@@ -19,6 +19,23 @@ Three searches cover the quantities the closed forms do not give directly:
 Bisections run the bracket down to floating-point resolution, so reported
 roots satisfy much tighter certificates than the nominal 1e-10 width.
 
+Each search has a batched form, :func:`find_lmax_many`,
+:func:`find_optimal_gap_many` and :func:`find_crossover_many`, which takes
+broadcast arrays of problems and returns a :class:`SearchBatch` of arrays
+of their shape.  Every row is scanned on its own grid (one row at a time,
+so memory stays that of one scan), then all rows are refined in lockstep:
+one closed-form array call per bisection or golden-section step, with
+each finished row frozen in place.  A row where the one-problem search
+would raise carries NaN and the exception's class name in ``error``, so
+one failing problem cannot abort a grid.  The one-problem functions run
+the same core on 0-d inputs and raise as before; they keep returning a
+:class:`SearchResult` of Python numbers, because callers (the benchmark's
+tracer among them) read its fields as scalars, so arrays get their own
+names.  A 0-d call evaluates the closed forms on scalars, which numpy
+rounds differently from arrays in a few operations (the coupling factor
+among them): rows of a batch agree with one-problem calls to rounding, and
+at unit coupling, as in the figures, almost always bitwise.
+
 :func:`sweep` evaluates the closed-form pipeline over one axis of the
 scenario; per-point failures are recorded as flags so a bad point cannot
 abort a grid.  Points are independent pure calls, so a point's value does
@@ -36,9 +53,10 @@ from .closedform import (
     DetectorPairConfig,
     HarvestReport,
     concurrence,
-    concurrence_values,
-    correlation_excess,
+    correlation_x_values,
+    geometric_mean_probability,
     lmax_large_gap_estimate,
+    transition_probability,
 )
 
 __all__ = [
@@ -46,11 +64,15 @@ __all__ = [
     "BracketingFailure",
     "NoCrossover",
     "SearchResult",
+    "SearchBatch",
     "SweepGrid",
     "SWEEPABLE_AXES",
     "find_lmax",
     "find_optimal_gap",
     "find_crossover",
+    "find_lmax_many",
+    "find_optimal_gap_many",
+    "find_crossover_many",
     "sweep",
 ]
 
@@ -94,24 +116,180 @@ class SearchResult:
     note: str = ""
 
 
+@dataclass(frozen=True)
+class SearchBatch:
+    """Row-wise outcomes of a batched search: arrays of the broadcast
+    problem shape (``bracket`` has a trailing axis of two).
+
+    A row where the one-problem search would raise carries the
+    exception's class name in ``error``, NaN ``location``, ``value`` and
+    ``bracket``, zero ``iterations`` and ``converged`` False; every other
+    row has an empty ``error`` and the fields of :class:`SearchResult`.
+    """
+
+    location: np.ndarray
+    value: np.ndarray
+    bracket: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    note: np.ndarray
+    error: np.ndarray
+
+
 def _default_scan_bound(omega_a_sigma, delta_omega_sigma):
     # four times the large-gap estimate, never less than 10 switching lengths
-    return max(10.0, 4.0 * lmax_large_gap_estimate(omega_a_sigma, delta_omega_sigma))
+    return np.maximum(10.0, 4.0 * lmax_large_gap_estimate(omega_a_sigma, delta_omega_sigma))
+
+
+def _separation_problems(omega_a_sigma, delta_omega_sigma, scan_bound, scan_step):
+    """Broadcast (a, d, scan bound) arrays of a separation search, the
+    bound defaulting per row."""
+    a, d = np.broadcast_arrays(
+        np.asarray(omega_a_sigma, dtype=float), np.asarray(delta_omega_sigma, dtype=float)
+    )
+    if scan_bound is None:
+        scan_bound = _default_scan_bound(a, d)
+    a, d, bound = np.broadcast_arrays(a, d, np.asarray(scan_bound, dtype=float))
+    if not np.all((bound > scan_step) & (scan_step > 0.0)):
+        raise ValueError("need scan_bound > scan_step > 0")
+    return a, d, bound
+
+
+# The closed forms below are evaluated with row-constant factors computed
+# once per search; each helper does the arithmetic of the closed form it
+# names, so it gives that function's bits for arguments of the same shapes.
+
+
+def _excess(gm, a, d, l, coupling):
+    """``correlation_excess`` with sqrt(P_A P_B) = gm passed in."""
+    return np.abs(correlation_x_values(a, d, l, coupling)) - gm
+
+
+def _clamp(excess):
+    """Concurrence from the excess, as in ``concurrence_values``."""
+    return 2.0 * np.maximum(0.0, excess)
+
+
+def _gap_concurrence(p_a, a, d, l, coupling):
+    """``concurrence_values`` with P_A passed in."""
+    p_b = transition_probability(a + d, coupling)
+    return _clamp(_excess(np.sqrt(p_a * p_b), a, d, l, coupling))
+
+
+def _pair_concurrences(gm, gm0, a, d, l, coupling):
+    """``concurrence_values`` of the non-identical pair and of the identical
+    pair (gap difference 0), with their sqrt(P_A P_B) passed in."""
+    return (_clamp(_excess(gm, a, d, l, coupling)),
+            _clamp(_excess(gm0, a, 0.0, l, coupling)))
 
 
 def _bisect(f, lo, hi, positive_at_lo):
-    """Bisect a sign change between lo and hi down to floating resolution."""
-    iterations = 0
+    """Bisect every row's sign change between lo and hi down to floating
+    resolution, one call of f per step for all rows.  A row is finished
+    once its midpoint rounds to an end, and is not moved again."""
+    iterations = np.zeros(np.shape(lo), dtype=int)
     while True:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        iterations += 1
-        if (f(mid) > 0.0) == positive_at_lo:
-            lo = mid
+        live = (mid != lo) & (mid != hi)
+        if not live.any():
+            return lo, hi, iterations
+        iterations += live
+        move_lo = (f(mid) > 0.0) == positive_at_lo
+        lo = np.where(live & move_lo, mid, lo)
+        hi = np.where(live & ~move_lo, mid, hi)
+
+
+def _golden(c, lo, hi):
+    """Golden-section maximization of c on every row's [lo, hi] down to
+    width 1e-8, one call of c per step for all rows.  Rows narrower than
+    that from the start keep their bracket."""
+    u = hi - _GOLDEN * (hi - lo)
+    v = lo + _GOLDEN * (hi - lo)
+    fu, fv = c(u), c(v)
+    iterations = np.zeros(np.shape(lo), dtype=int)
+    while True:
+        live = hi - lo > 1e-8
+        if not live.any():
+            return lo, hi, iterations
+        iterations += live
+        # a finished row keeps its bracket; its probes move on harmlessly
+        left = fu > fv  # the maximum lies below v
+        lo = np.where(live & ~left, u, lo)
+        hi = np.where(live & left, v, hi)
+        p = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        fp = c(p)
+        u, v = np.where(left, p, v), np.where(left, u, p)
+        fu, fv = np.where(left, fp, fv), np.where(left, fu, fp)
+
+
+def _blank(shape):
+    return np.full(shape, "", dtype=object)
+
+
+def _batch(location, value, lo, hi, iterations, note, error):
+    """Assemble a :class:`SearchBatch`, blanking the rows with an error."""
+    ok = error == ""
+    return SearchBatch(
+        location=np.where(ok, location, np.nan),
+        value=np.where(ok, value, np.nan),
+        bracket=np.stack([np.where(ok, lo, np.nan), np.where(ok, hi, np.nan)], axis=-1),
+        iterations=np.where(ok, iterations, 0),
+        converged=ok,
+        note=np.where(ok, note, ""),
+        error=error,
+    )
+
+
+def _single(batch):
+    """The one row of a 0-d batch as a :class:`SearchResult` of Python
+    scalars."""
+    return SearchResult(
+        location=float(batch.location),
+        value=float(batch.value),
+        bracket=(float(batch.bracket[0]), float(batch.bracket[1])),
+        iterations=int(batch.iterations),
+        converged=bool(batch.converged),
+        note=batch.note[()],
+    )
+
+
+def find_lmax_many(
+    omega_a_sigma,
+    delta_omega_sigma,
+    coupling=0.1,
+    scan_bound=None,
+    scan_step=0.01,
+) -> SearchBatch:
+    """:func:`find_lmax` for broadcast arrays of gaps (and scan bounds).
+    ``coupling`` and ``scan_step`` are shared by all rows.
+
+    Each row is scanned on its own grid; then all rows are bisected in
+    lockstep.  A row where :func:`find_lmax` would raise carries the
+    exception's class name in ``error``.
+    """
+    a, d, bound = _separation_problems(omega_a_sigma, delta_omega_sigma, scan_bound, scan_step)
+    gm = np.asarray(geometric_mean_probability(a, d, coupling))
+    # a failed row sits at lo = hi, where the bisection leaves it alone
+    lo = np.full(a.shape, float(scan_step))
+    hi = lo.copy()
+    error = _blank(a.shape)
+    for i in np.ndindex(a.shape):
+        grid = np.arange(bound[i], 0.5 * scan_step, -scan_step)
+        positive = _excess(gm[i], a[i], d[i], grid, coupling) > 0.0
+        if positive[0]:
+            error[i] = BracketingFailure.__name__
+        elif not positive.any():
+            error[i] = NoHarvestingRegion.__name__
         else:
-            hi = mid
-    return lo, hi, iterations
+            k = int(np.argmax(positive))  # first positive point walking downward
+            lo[i], hi[i] = grid[k], grid[k - 1]  # f(lo) > 0 >= f(hi)
+
+    def f(l):
+        return _excess(gm, a, d, l, coupling)
+
+    lo, hi, iterations = _bisect(f, lo, hi, positive_at_lo=True)
+    loc = 0.5 * (lo + hi)
+    return _batch(loc, f(loc), lo, hi, iterations, _blank(a.shape), error)
 
 
 def find_lmax(
@@ -129,43 +307,78 @@ def find_lmax(
     first bracket whose smaller-separation side still harvests; downward
     scanning is what makes the *largest* root the one found when the
     boundary oscillates.  The returned location does not depend on the
-    coupling (the excess scales globally by its square).
+    coupling (the excess scales globally by its square).  One problem per
+    call; :func:`find_lmax_many` solves arrays of them.
 
     Raises :exc:`NoHarvestingRegion` if nothing on the grid harvests and
     :exc:`BracketingFailure` if harvesting persists at the bound itself.
     """
-    if scan_bound is None:
-        scan_bound = _default_scan_bound(omega_a_sigma, delta_omega_sigma)
-    if not (scan_bound > scan_step > 0.0):
-        raise ValueError("need scan_bound > scan_step > 0")
-
-    def f(l):
-        return correlation_excess(omega_a_sigma, delta_omega_sigma, l, coupling)
-
-    grid = np.arange(scan_bound, 0.5 * scan_step, -scan_step)
-    values = f(grid)
-    if values[0] > 0.0:
+    batch = find_lmax_many(omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step)
+    error = batch.error[()]
+    if error and scan_bound is None:
+        scan_bound = float(_default_scan_bound(omega_a_sigma, delta_omega_sigma))
+    if error == BracketingFailure.__name__:
         raise BracketingFailure(
             f"excess still positive at scan bound {scan_bound}; the harvesting "
             "boundary lies above it",
             lower_bound=scan_bound,
         )
-    positive = values > 0.0
-    if not positive.any():
+    if error == NoHarvestingRegion.__name__:
         raise NoHarvestingRegion(
             f"no positive concurrence for separations up to {scan_bound}"
         )
-    k = int(np.argmax(positive))  # first positive point walking downward
-    lo, hi = float(grid[k]), float(grid[k - 1])  # f(lo) > 0 >= f(hi)
-    lo, hi, iterations = _bisect(f, lo, hi, positive_at_lo=True)
-    loc = 0.5 * (lo + hi)
-    return SearchResult(
-        location=loc,
-        value=float(f(loc)),
-        bracket=(lo, hi),
-        iterations=iterations,
-        converged=True,
+    return _single(batch)
+
+
+def find_optimal_gap_many(
+    omega_a_sigma,
+    l_over_sigma,
+    coupling=0.1,
+    gap_bound=None,
+    scan_points=256,
+) -> SearchBatch:
+    """:func:`find_optimal_gap` for broadcast arrays of smaller gaps and
+    separations (and gap bounds).  ``coupling`` and ``scan_points`` are
+    shared by all rows.
+
+    Each row is scanned on its own grid; then all interior rows are refined
+    by golden section in lockstep.  No row fails: every ``error`` is empty.
+    """
+    a, l = np.broadcast_arrays(
+        np.asarray(omega_a_sigma, dtype=float), np.asarray(l_over_sigma, dtype=float)
     )
+    if gap_bound is None:
+        gap_bound = np.maximum(4.0, l)
+    a, l, bound = np.broadcast_arrays(a, l, np.asarray(gap_bound, dtype=float))
+    if np.any(bound <= 0):
+        raise ValueError("gap_bound must be > 0")
+    p_a = np.asarray(transition_probability(a, coupling))
+    # a boundary maximum sits at lo = hi = 0, where the golden section
+    # leaves it alone
+    lo = np.zeros(a.shape)
+    hi = lo.copy()
+    value = lo.copy()
+    note = _blank(a.shape)
+    for i in np.ndindex(a.shape):
+        grid = np.linspace(0.0, bound[i], scan_points)
+        values = _gap_concurrence(p_a[i], a[i], grid, l[i], coupling)
+        k = int(np.argmax(values))
+        if k == 0:
+            value[i] = values[0]
+            note[i] = "boundary maximum at zero gap difference"
+            continue
+        if k == scan_points - 1:
+            note[i] = "maximum at the scan bound; enlarge gap_bound to be sure"
+        lo[i], hi[i] = grid[k - 1], grid[min(k + 1, scan_points - 1)]
+    iterations = np.zeros(a.shape, dtype=int)
+    interior = hi > lo
+    if interior.any():
+        lo, hi, iterations = _golden(
+            lambda d: _gap_concurrence(p_a, a, d, l, coupling), lo, hi
+        )
+        peak = _gap_concurrence(p_a, a, 0.5 * (lo + hi), l, coupling)
+        value = np.where(interior, peak, value)
+    return _batch(0.5 * (lo + hi), value, lo, hi, iterations, note, _blank(a.shape))
 
 
 def find_optimal_gap(
@@ -183,55 +396,58 @@ def find_optimal_gap(
     concurrence is decreasing from the start -- the small-separation
     regime -- and is reported as a converged boundary maximum.  The default
     bound grows with the separation, which is where the optimum migrates.
+    One problem per call; :func:`find_optimal_gap_many` solves arrays of
+    them.
     """
-    if gap_bound is None:
-        gap_bound = max(4.0, float(l_over_sigma))
-    if gap_bound <= 0:
-        raise ValueError("gap_bound must be > 0")
-
-    def c(d):
-        return concurrence_values(omega_a_sigma, d, l_over_sigma, coupling)
-
-    grid = np.linspace(0.0, gap_bound, scan_points)
-    values = c(grid)
-    k = int(np.argmax(values))
-    if k == 0:
-        return SearchResult(
-            location=0.0,
-            value=float(values[0]),
-            bracket=(0.0, 0.0),
-            iterations=0,
-            converged=True,
-            note="boundary maximum at zero gap difference",
-        )
-    note = ""
-    if k == scan_points - 1:
-        note = "maximum at the scan bound; enlarge gap_bound to be sure"
-    lo = float(grid[k - 1])
-    hi = float(grid[min(k + 1, scan_points - 1)])
-    u = hi - _GOLDEN * (hi - lo)
-    v = lo + _GOLDEN * (hi - lo)
-    fu, fv = float(c(u)), float(c(v))
-    iterations = 0
-    while hi - lo > 1e-8:
-        iterations += 1
-        if fu > fv:
-            hi, v, fv = v, u, fu
-            u = hi - _GOLDEN * (hi - lo)
-            fu = float(c(u))
-        else:
-            lo, u, fu = u, v, fv
-            v = lo + _GOLDEN * (hi - lo)
-            fv = float(c(v))
-    loc = 0.5 * (lo + hi)
-    return SearchResult(
-        location=float(loc),
-        value=float(c(loc)),
-        bracket=(float(lo), float(hi)),
-        iterations=iterations,
-        converged=True,
-        note=note,
+    return _single(
+        find_optimal_gap_many(omega_a_sigma, l_over_sigma, coupling, gap_bound, scan_points)
     )
+
+
+def find_crossover_many(
+    omega_a_sigma,
+    delta_omega_sigma,
+    coupling=0.1,
+    scan_bound=None,
+    scan_step=0.01,
+) -> SearchBatch:
+    """:func:`find_crossover` for broadcast arrays of gaps (and scan
+    bounds).  ``coupling`` and ``scan_step`` are shared by all rows.
+
+    Each row is scanned on its own grid; then all rows are bisected in
+    lockstep.  A row without a crossover carries ``"NoCrossover"`` in
+    ``error``.
+    """
+    if np.any(np.asarray(delta_omega_sigma) <= 0):
+        raise ValueError("delta_omega_sigma must be > 0 to compare against identical")
+    a, d, bound = _separation_problems(omega_a_sigma, delta_omega_sigma, scan_bound, scan_step)
+    gm = np.asarray(geometric_mean_probability(a, d, coupling))
+    gm0 = np.asarray(geometric_mean_probability(a, 0.0, coupling))
+    # a failed row sits at lo = hi, where the bisection leaves it alone
+    lo = np.full(a.shape, float(scan_step))
+    hi = lo.copy()
+    error = _blank(a.shape)
+    for i in np.ndindex(a.shape):
+        grid = np.arange(scan_step, bound[i] + 0.5 * scan_step, scan_step)
+        unequal, equal = _pair_concurrences(gm[i], gm0[i], a[i], d[i], grid, coupling)
+        positive = unequal - equal > 0.0
+        transitions = np.flatnonzero(positive[1:] & ~positive[:-1])
+        if transitions.size == 0:
+            error[i] = NoCrossover.__name__
+            continue
+        k = int(transitions[0]) + 1
+        lo[i], hi[i] = grid[k - 1], grid[k]  # g(lo) <= 0 < g(hi)
+
+    def g(l):
+        unequal, equal = _pair_concurrences(gm, gm0, a, d, l, coupling)
+        return unequal - equal
+
+    lo, hi, iterations = _bisect(g, lo, hi, positive_at_lo=False)
+    loc = 0.5 * (lo + hi)
+    unequal, equal = _pair_concurrences(gm, gm0, a, d, loc, coupling)
+    note = np.where((unequal > 0.0) & (equal > 0.0), "",
+                    "identical-pair concurrence already zero here").astype(object)
+    return _batch(loc, unequal - equal, lo, hi, iterations, note, error)
 
 
 def find_crossover(
@@ -250,45 +466,18 @@ def find_crossover(
     point, the result is flagged: it is then the point where only the
     non-identical pair still harvests, not a crossing of two positive
     curves.  Raises :exc:`NoCrossover` when the difference never turns
-    positive on the grid.
+    positive on the grid.  One problem per call;
+    :func:`find_crossover_many` solves arrays of them.
     """
-    if delta_omega_sigma <= 0:
-        raise ValueError("delta_omega_sigma must be > 0 to compare against identical")
-    if scan_bound is None:
-        scan_bound = _default_scan_bound(omega_a_sigma, delta_omega_sigma)
-    if not (scan_bound > scan_step > 0.0):
-        raise ValueError("need scan_bound > scan_step > 0")
-
-    def g(l):
-        return concurrence_values(
-            omega_a_sigma, delta_omega_sigma, l, coupling
-        ) - concurrence_values(omega_a_sigma, 0.0, l, coupling)
-
-    grid = np.arange(scan_step, scan_bound + 0.5 * scan_step, scan_step)
-    values = g(grid)
-    positive = values > 0.0
-    transitions = np.flatnonzero(positive[1:] & ~positive[:-1])
-    if transitions.size == 0:
+    batch = find_crossover_many(omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step)
+    if batch.error[()] == NoCrossover.__name__:
+        if scan_bound is None:
+            scan_bound = float(_default_scan_bound(omega_a_sigma, delta_omega_sigma))
         raise NoCrossover(
             "non-identical concurrence never exceeds identical below "
             f"separation {scan_bound}"
         )
-    k = int(transitions[0]) + 1
-    lo, hi = float(grid[k - 1]), float(grid[k])  # g(lo) <= 0 < g(hi)
-    lo, hi, iterations = _bisect(g, lo, hi, positive_at_lo=False)
-    loc = 0.5 * (lo + hi)
-    both_positive = (
-        concurrence_values(omega_a_sigma, delta_omega_sigma, loc, coupling) > 0.0
-        and concurrence_values(omega_a_sigma, 0.0, loc, coupling) > 0.0
-    )
-    return SearchResult(
-        location=loc,
-        value=float(g(loc)),
-        bracket=(lo, hi),
-        iterations=iterations,
-        converged=True,
-        note="" if both_positive else "identical-pair concurrence already zero here",
-    )
+    return _single(batch)
 
 
 SWEEPABLE_AXES = ("l_over_sigma", "delta_omega_sigma", "omega_a_sigma")

@@ -51,7 +51,9 @@ from .analysis import (
     NoHarvestingRegion,
     find_crossover,
     find_lmax,
+    find_lmax_many,
     find_optimal_gap,
+    find_optimal_gap_many,
     sweep,
 )
 
@@ -569,10 +571,11 @@ def _fig_peak_location(points):
     columns = ["l_over_sigma"]
     arrays = [ls]
     notes = ["optimal gap ratio per separation; 0 marks a boundary maximum"]
-    for a in _FIG45_GAPS:
-        locs = np.array([find_optimal_gap(a, l, 1.0).location / a for l in ls])
+    gaps = np.array(_FIG45_GAPS)[:, None]
+    locs = find_optimal_gap_many(gaps, ls, 1.0).location / gaps
+    for a, row in zip(_FIG45_GAPS, locs):
         columns.append(f"dwp_over_wa_a_{a:g}")
-        arrays.append(locs)
+        arrays.append(row)
     return {"omega_a_set": list(_FIG45_GAPS)}, notes, columns, arrays
 
 
@@ -581,14 +584,11 @@ def _fig_lmax(points):
     columns = ["dw_over_wa"]
     arrays = [ratios]
     notes = []
-    for a in _FIG45_GAPS:
-        vals = []
-        for r in ratios:
-            try:
-                vals.append(find_lmax(a, a * r, 1.0).location)
-            except (NoHarvestingRegion, BracketingFailure):
-                vals.append(np.nan)
-        vals = np.array(vals)
+    gaps = np.array(_FIG45_GAPS)[:, None]
+    # rows where the search fails (no harvesting, or none found below the
+    # scan bound) come back as NaN
+    lmax = find_lmax_many(gaps, gaps * ratios, 1.0).location
+    for a, vals in zip(_FIG45_GAPS, lmax):
         columns.append(f"lmax_a_{a:g}")
         arrays.append(vals)
         notes.append(f"identical_reference[a={a:g}]: {_fmt(float(vals[0]))}")

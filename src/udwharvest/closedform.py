@@ -288,8 +288,9 @@ def concurrence(cfg: DetectorPairConfig) -> HarvestReport:
     p_a, p_b, x = _ingredients(
         cfg.omega_a_sigma, cfg.delta_omega_sigma, cfg.l_over_sigma, cfg.coupling
     )
-    # the same arithmetic as the vectorized path, so scalar and grid
-    # evaluations agree bitwise
+    # the arithmetic of concurrence_values, so the report matches a scalar
+    # concurrence_values call bitwise; an array call can differ in the last
+    # ulp, because numpy rounds some scalar and array operations differently
     conc = float(2.0 * np.maximum(0.0, np.abs(x) - np.sqrt(p_a * p_b)))
     return HarvestReport(p_a=p_a, p_b=p_b, x=x, concurrence=conc, method=Method.CLOSED_FORM)
 

@@ -22,7 +22,9 @@ from udwharvest import (
     correlation_x,
     correlation_x_values,
     find_lmax,
+    find_lmax_many,
     find_optimal_gap,
+    find_optimal_gap_many,
     geometric_mean_probability,
     lmax_large_gap_estimate,
     pd_double_integral,
@@ -168,9 +170,10 @@ def test_criterion_7_peak_location_survey():
     # the emitted survey range; above it the harvesting window in the gap
     # difference fragments and a single drifting peak no longer exists
     ls = np.linspace(0.5, 4.1, 23)
+    gaps = (0.2, 0.5, 1.0, 1.2)
+    peaks = find_optimal_gap_many(np.array(gaps)[:, None], ls, 0.1).location
     onsets = []
-    for a in (0.2, 0.5, 1.0, 1.2):
-        locs = np.array([find_optimal_gap(a, float(l), 0.1).location for l in ls])
+    for a, locs in zip(gaps, peaks):
         interior = locs > 0.0
         assert interior.any(), a
         onset = int(np.argmax(interior))
@@ -186,10 +189,10 @@ def test_criterion_7_peak_location_survey():
 def test_criterion_8_harvesting_range_survey():
     t0 = time.perf_counter()
     ratios = np.linspace(0.0, 3.0, 25)
-    lmax = {
-        a: np.array([find_lmax(a, a * float(r), 0.1).location for r in ratios])
-        for a in (0.2, 0.5, 1.2)
-    }
+    gaps = np.array([0.2, 0.5, 1.2])[:, None]
+    batch = find_lmax_many(gaps, gaps * ratios, 0.1)
+    assert (batch.error == "").all()
+    lmax = dict(zip((0.2, 0.5, 1.2), batch.location))
     for a in (0.2, 0.5):
         assert np.all(np.diff(lmax[a]) > 0.0), a
     osc = lmax[1.2]

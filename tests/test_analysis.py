@@ -12,8 +12,11 @@ from udwharvest import (
     concurrence_values,
     correlation_excess,
     find_crossover,
+    find_crossover_many,
     find_lmax,
+    find_lmax_many,
     find_optimal_gap,
+    find_optimal_gap_many,
     geometric_mean_probability,
     lmax_large_gap_estimate,
     sweep,
@@ -135,6 +138,207 @@ class TestFindCrossover:
     def test_requires_nonidentical(self):
         with pytest.raises(ValueError):
             find_crossover(0.5, 0.0)
+
+
+def _outcome(search, *args, **kwargs):
+    """A search's result as exact bit patterns, or the name of what it raised."""
+    try:
+        r = search(*args, **kwargs)
+    except (NoHarvestingRegion, BracketingFailure, NoCrossover) as exc:
+        return type(exc).__name__
+    return (r.location.hex(), r.value.hex(), r.bracket[0].hex(), r.bracket[1].hex(),
+            r.iterations, r.converged, r.note)
+
+
+def _row(batch, i):
+    """One row of a batched search in the form of :func:`_outcome`."""
+    if batch.error[i]:
+        assert np.isnan(batch.location[i]) and np.isnan(batch.bracket[i]).all()
+        assert batch.iterations[i] == 0 and not batch.converged[i]
+        return batch.error[i]
+    return (float(batch.location[i]).hex(), float(batch.value[i]).hex(),
+            float(batch.bracket[i][0]).hex(), float(batch.bracket[i][1]).hex(),
+            int(batch.iterations[i]), bool(batch.converged[i]), batch.note[i])
+
+
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _bisect_loop(f, lo, hi, positive_at_lo):
+    iterations = 0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        iterations += 1
+        if (f(mid) > 0.0) == positive_at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, iterations
+
+
+def _as_outcome(loc, value, lo, hi, iterations, note=""):
+    return (float(loc).hex(), float(value).hex(), float(lo).hex(), float(hi).hex(),
+            iterations, True, note)
+
+
+def _lmax_loop(a, d, coupling):
+    """find_lmax as a scalar loop over correlation_excess."""
+    bound = max(10.0, 4.0 * lmax_large_gap_estimate(a, d))
+    grid = np.arange(bound, 0.005, -0.01)
+    positive = correlation_excess(a, d, grid, coupling) > 0.0
+    if positive[0]:
+        return "BracketingFailure"
+    if not positive.any():
+        return "NoHarvestingRegion"
+    k = int(np.argmax(positive))
+
+    def f(l):
+        return correlation_excess(a, d, l, coupling)
+
+    lo, hi, n = _bisect_loop(f, float(grid[k]), float(grid[k - 1]), True)
+    return _as_outcome(0.5 * (lo + hi), f(0.5 * (lo + hi)), lo, hi, n)
+
+
+def _optimal_gap_loop(a, l, coupling, gap_bound=None):
+    """find_optimal_gap as a scalar golden-section loop over
+    concurrence_values."""
+
+    def c(d):
+        return concurrence_values(a, d, l, coupling)
+
+    grid = np.linspace(0.0, gap_bound or max(4.0, l), 256)
+    values = c(grid)
+    k = int(np.argmax(values))
+    if k == 0:
+        return _as_outcome(0.0, values[0], 0.0, 0.0, 0,
+                           "boundary maximum at zero gap difference")
+    note = "maximum at the scan bound; enlarge gap_bound to be sure" if k == 255 else ""
+    lo, hi = float(grid[k - 1]), float(grid[min(k + 1, 255)])
+    u, v = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fu, fv = float(c(u)), float(c(v))
+    n = 0
+    while hi - lo > 1e-8:
+        n += 1
+        if fu > fv:
+            hi, v, fv = v, u, fu
+            u = hi - _GOLDEN * (hi - lo)
+            fu = float(c(u))
+        else:
+            lo, u, fu = u, v, fv
+            v = lo + _GOLDEN * (hi - lo)
+            fv = float(c(v))
+    return _as_outcome(0.5 * (lo + hi), c(0.5 * (lo + hi)), lo, hi, n, note)
+
+
+def _crossover_loop(a, d, coupling):
+    """find_crossover as a scalar loop over concurrence_values."""
+
+    def g(l):
+        return concurrence_values(a, d, l, coupling) - concurrence_values(a, 0.0, l, coupling)
+
+    bound = max(10.0, 4.0 * lmax_large_gap_estimate(a, d))
+    grid = np.arange(0.01, bound + 0.005, 0.01)
+    positive = g(grid) > 0.0
+    transitions = np.flatnonzero(positive[1:] & ~positive[:-1])
+    if transitions.size == 0:
+        return "NoCrossover"
+    k = int(transitions[0]) + 1
+    lo, hi, n = _bisect_loop(g, float(grid[k - 1]), float(grid[k]), False)
+    loc = 0.5 * (lo + hi)
+    both = concurrence_values(a, d, loc, coupling) > 0.0 and concurrence_values(a, 0.0, loc, coupling) > 0.0
+    return _as_outcome(loc, g(loc), lo, hi, n,
+                       "" if both else "identical-pair concurrence already zero here")
+
+
+class TestAgainstScalarLoops:
+    """The one-problem searches run the batched core on 0-d inputs; they
+    must reproduce plain scalar loops over the public closed forms bit for
+    bit, including which exception they raise."""
+
+    @pytest.mark.parametrize("a, d", [(0.2, 0.0), (0.5, 0.25), (1.2, 3.6), (4.0, 0.0),
+                                      (20.0, 0.0), (30.0, 0.0)])
+    def test_find_lmax(self, a, d):
+        assert _outcome(find_lmax, a, d) == _lmax_loop(a, d, 0.1)
+
+    @pytest.mark.parametrize("a, l, bound", [(0.5, 0.5, None), (0.5, 2.0, None), (1.2, 4.0, None),
+                                             (0.2, 6.5, None), (0.5, 2.0, 0.1)])
+    def test_find_optimal_gap(self, a, l, bound):
+        want = _optimal_gap_loop(a, l, 0.1, bound)
+        assert _outcome(find_optimal_gap, a, l, gap_bound=bound) == want
+
+    @pytest.mark.parametrize("a, d", [(0.2, 0.1), (0.5, 0.25), (1.2, 0.6), (3.0, 0.05),
+                                      (1.0, 20.0), (1.1, 2.7)])
+    def test_find_crossover(self, a, d):
+        assert _outcome(find_crossover, a, d) == _crossover_loop(a, d, 0.1)
+
+
+class TestBatchedSearches:
+    """Each ``*_many`` row is the one-problem search of that row.  At the
+    figures' unit coupling they agree bitwise on these grids; at other
+    couplings numpy's scalar and array arithmetic round a few factors of
+    the closed form differently, so the refinements agree to rounding."""
+
+    def test_lmax_rows_match_scalar_bitwise(self):
+        # (20, 0) raises BracketingFailure and (30, 0) NoHarvestingRegion:
+        # the products underflow there; the rows must only agree
+        a = np.array([0.2, 0.5, 1.2, 1.2, 20.0, 30.0])
+        d = np.array([0.0, 0.25, 0.6, 3.6, 0.0, 0.0])
+        batch = find_lmax_many(a, d, 1.0)
+        rows = [_row(batch, i) for i in range(a.size)]
+        assert rows == [_outcome(find_lmax, x, y, 1.0) for x, y in zip(a, d)]
+        assert rows[-2:] == ["BracketingFailure", "NoHarvestingRegion"]
+
+    def test_optimal_gap_rows_match_scalar_bitwise(self):
+        a = np.array([0.2, 0.5, 1.2])[:, None]
+        l = np.array([0.5, 1.5, 2.5, 4.0])
+        batch = find_optimal_gap_many(a, l, 1.0)
+        assert batch.location.shape == (3, 4) and batch.bracket.shape == (3, 4, 2)
+        rows = [_row(batch, i) for i in np.ndindex(3, 4)]
+        assert rows == [_outcome(find_optimal_gap, a[i, 0], l[j], 1.0)
+                        for i, j in np.ndindex(3, 4)]
+        assert rows[4][0] == (0.0).hex()  # a boundary maximum at zero
+        assert rows[4][-1] == "boundary maximum at zero gap difference"
+        assert all(r[-2] for r in rows)
+
+    def test_crossover_rows_match_scalar_bitwise(self):
+        a = np.array([0.2, 0.5, 0.5, 1.2])
+        d = np.array([0.1, 0.25, 0.25, 0.6])
+        bound = np.array([10.0, 10.0, 1.0, 10.0])  # no crossover below 1
+        batch = find_crossover_many(a, d, 1.0, scan_bound=bound)
+        rows = [_row(batch, i) for i in range(a.size)]
+        assert rows == [_outcome(find_crossover, x, y, 1.0, scan_bound=b)
+                        for x, y, b in zip(a, d, bound)]
+        assert rows[2] == "NoCrossover"
+
+    def test_rows_agree_to_rounding_across_the_domain(self):
+        rng = np.random.default_rng(5)
+        a, y = rng.uniform(0.0, 12.0, 30), rng.uniform(0.05, 6.0, 30)
+        for many, one, tol in ((find_lmax_many, find_lmax, 1e-12),
+                               (find_optimal_gap_many, find_optimal_gap, 2e-8),
+                               (find_crossover_many, find_crossover, 1e-12)):
+            batch = many(a, y)
+            for i in range(a.size):
+                want = _outcome(one, a[i], y[i])
+                if isinstance(want, str):
+                    assert batch.error[i] == want
+                    continue
+                want_loc = float.fromhex(want[0])
+                assert abs(batch.location[i] - want_loc) <= tol * max(1.0, want_loc)
+
+    def test_scalar_searches_return_python_scalars(self):
+        for r in (find_lmax(0.5, 0.25), find_optimal_gap(0.5, 2.0),
+                  find_optimal_gap(0.5, 0.5), find_crossover(0.5, 0.25)):
+            assert type(r.location) is float and type(r.value) is float
+            assert all(type(b) is float for b in r.bracket)
+            assert type(r.iterations) is int
+            assert type(r.converged) is bool and type(r.note) is str
+
+    def test_argument_errors_raise_for_the_whole_batch(self):
+        with pytest.raises(ValueError):
+            find_crossover_many([0.5, 0.5], [0.25, 0.0])
+        with pytest.raises(ValueError):
+            find_lmax_many([0.5, 0.5], [0.0, 0.0], scan_bound=[10.0, 0.005])
+        with pytest.raises(ValueError):
+            find_optimal_gap_many(0.5, [1.0, 2.0], gap_bound=[1.0, 0.0])
 
 
 class TestSweep:
