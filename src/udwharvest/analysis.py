@@ -31,28 +31,27 @@ one failing problem cannot abort a grid.  The one-problem functions run
 the same core on 0-d inputs and raise as before; they keep returning a
 :class:`SearchResult` of Python numbers, because callers (the benchmark's
 tracer among them) read its fields as scalars, so arrays get their own
-names.  A 0-d call evaluates the closed forms on scalars, which numpy
-rounds differently from arrays in a few operations (the coupling factor
-among them): rows of a batch agree with one-problem calls to rounding, and
-at unit coupling, as in the figures, almost always bitwise.
+names.
 
 :func:`sweep` evaluates the closed-form pipeline over one axis of the
-scenario; per-point failures are recorded as flags so a bad point cannot
-abort a grid.  Points are independent pure calls, so a point's value does
-not depend on the rest of the grid: any chunking of an axis reproduces the
-whole-axis sweep bitwise.
+scenario with one array call; points outside the admitted domain are
+flagged, not fatal, so a bad point cannot abort a grid.  Closed-form calls
+give the same bits for a point whatever the shape of the call, so any
+chunking or reversal of an axis reproduces the whole-axis sweep bitwise,
+and each point equals a scalar call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .closedform import (
     DetectorPairConfig,
-    HarvestReport,
-    concurrence,
+    _clamp,
+    _domain_errors,
+    _ingredients,
     correlation_x_values,
     geometric_mean_probability,
     lmax_large_gap_estimate,
@@ -157,17 +156,12 @@ def _separation_problems(omega_a_sigma, delta_omega_sigma, scan_bound, scan_step
 
 # The closed forms below are evaluated with row-constant factors computed
 # once per search; each helper does the arithmetic of the closed form it
-# names, so it gives that function's bits for arguments of the same shapes.
+# names, so it gives that function's bits.
 
 
 def _excess(gm, a, d, l, coupling):
     """``correlation_excess`` with sqrt(P_A P_B) = gm passed in."""
     return np.abs(correlation_x_values(a, d, l, coupling)) - gm
-
-
-def _clamp(excess):
-    """Concurrence from the excess, as in ``concurrence_values``."""
-    return 2.0 * np.maximum(0.0, excess)
 
 
 def _gap_concurrence(p_a, a, d, l, coupling):
@@ -486,29 +480,32 @@ SWEEPABLE_AXES = ("l_over_sigma", "delta_omega_sigma", "omega_a_sigma")
 @dataclass
 class SweepGrid:
     """One swept axis with the fixed remainder of the scenario and the
-    per-point reports.  Failed points carry ``None`` with the reason in
-    ``errors``; axis values must be strictly monotone (either direction,
-    so that reversed sweeps are representable)."""
+    closed-form values along it: ``concurrence``, ``x``, ``p_a`` and ``p_b``
+    per point, NaN where the point failed, with the reason in ``errors``
+    ("" where it did not).  Axis values must be strictly monotone (either
+    direction, so that reversed sweeps are representable)."""
 
     axis_name: str
     axis_values: np.ndarray
     fixed_params: DetectorPairConfig
-    values: list[HarvestReport | None]
-    errors: list[str | None]
+    concurrence: np.ndarray
+    x: np.ndarray
+    p_a: np.ndarray
+    p_b: np.ndarray
+    errors: np.ndarray
 
     def __post_init__(self):
         self.axis_values = np.asarray(self.axis_values, dtype=float)
         steps = np.diff(self.axis_values)
         if self.axis_values.size > 1 and not (np.all(steps > 0) or np.all(steps < 0)):
             raise ValueError("axis_values must be strictly monotone")
-        if len(self.values) != self.axis_values.size or len(self.errors) != len(self.values):
-            raise ValueError("values/errors length must match axis_values")
+        fields = (self.concurrence, self.x, self.p_a, self.p_b, self.errors)
+        if any(np.shape(f) != self.axis_values.shape for f in fields):
+            raise ValueError("value/error arrays must match axis_values in shape")
 
     def concurrences(self) -> np.ndarray:
         """Concurrence per point, NaN where the point failed."""
-        return np.array(
-            [np.nan if r is None else r.concurrence for r in self.values], dtype=float
-        )
+        return self.concurrence
 
 
 def sweep(
@@ -516,24 +513,18 @@ def sweep(
     axis_values,
     fixed_params: DetectorPairConfig,
 ) -> SweepGrid:
-    """Evaluate the closed-form pipeline along one scenario axis, one
-    scalar report per point, in the order of ``axis_values``."""
+    """Evaluate the closed-form pipeline along one scenario axis, one array
+    call over the admitted points, in the order of ``axis_values``."""
     if axis_name not in SWEEPABLE_AXES:
         raise ValueError(f"axis_name must be one of {SWEEPABLE_AXES}, got {axis_name!r}")
     axis_values = np.asarray(axis_values, dtype=float)
-
-    def one(v):
-        try:
-            cfg = replace(fixed_params, **{axis_name: float(v)})
-            return concurrence(cfg), None
-        except ValueError as exc:
-            return None, str(exc)
-
-    outcomes = [one(v) for v in axis_values]
-    return SweepGrid(
-        axis_name=axis_name,
-        axis_values=axis_values,
-        fixed_params=fixed_params,
-        values=[r for r, _ in outcomes],
-        errors=[e for _, e in outcomes],
-    )
+    a, d, l = np.broadcast_arrays(*(
+        axis_values if name == axis_name else getattr(fixed_params, name)
+        for name in ("omega_a_sigma", "delta_omega_sigma", "l_over_sigma")))
+    errors = _domain_errors(a, d, l, fixed_params.coupling)
+    ok = errors == ""
+    p_a, p_b, conc = (np.full(axis_values.shape, np.nan) for _ in range(3))
+    x = np.full(axis_values.shape, complex(np.nan, np.nan))
+    p_a[ok], p_b[ok], x[ok], excess = _ingredients(a[ok], d[ok], l[ok], fixed_params.coupling)
+    conc[ok] = _clamp(excess)
+    return SweepGrid(axis_name, axis_values, fixed_params, conc, x, p_a, p_b, errors)

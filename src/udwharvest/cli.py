@@ -34,8 +34,7 @@ import numpy as np
 
 from . import __version__
 from .closedform import DetectorPairConfig, concurrence, concurrence_values, \
-    correlation_x, correlation_x_values, geometric_mean_probability, \
-    transition_probability
+    correlation_x_values, geometric_mean_probability, transition_probability
 from .oracle import (
     DEFAULT_SETTINGS,
     NonConvergence,
@@ -272,16 +271,16 @@ def run_verification(
         cfg = DetectorPairConfig(a, a * r, l, coupling)
         gaps.update((cfg.omega_a_sigma, cfg.omega_b_sigma))
         tag = f"a={a} dw/wa={r} l={l}"
-        x_exact = correlation_x(cfg)
+        report = concurrence(cfg)
 
         x_pv = x_single_integral_pv(cfg, settings)
-        rel = float(abs(x_pv - x_exact) / abs(x_exact))
+        rel = float(abs(x_pv - report.x) / abs(report.x))
         checks.append(
             VerificationCheck("x_pv_vs_closed", tag, rel, tol_x_pv, bool(rel <= tol_x_pv))
         )
 
         x_dbl = x_double_integral(cfg, settings)
-        rel = float(abs(x_dbl - x_exact) / abs(x_exact))
+        rel = float(abs(x_dbl - report.x) / abs(report.x))
         checks.append(
             VerificationCheck(
                 "x_double_vs_closed", tag, rel, tol_x_double, bool(rel <= tol_x_double)
@@ -289,8 +288,8 @@ def run_verification(
         )
 
         rho = assemble_rho(cfg, settings)
-        rel = abs(rho.concurrence() - concurrence(cfg).concurrence)
-        rel = float(rel / max(concurrence(cfg).concurrence, coupling**2 * 1e-3))
+        rel = abs(rho.concurrence() - report.concurrence)
+        rel = float(rel / max(report.concurrence, coupling**2 * 1e-3))
         checks.append(
             VerificationCheck("rho_concurrence", tag, rel, tol_rho, bool(rel <= tol_rho))
         )
@@ -398,8 +397,8 @@ def cmd_sweep(parser, args):
         grid.axis_values,
         conc,
         conc / args.coupling**2,
-        np.array([np.nan if r is None else r.x_abs for r in grid.values]),
-        np.array([np.nan if r is None else r.geometric_mean for r in grid.values]),
+        np.abs(grid.x),
+        np.sqrt(grid.p_a * grid.p_b),
     ]
     notes = [f"point_error[{i}]: {e}" for i, e in enumerate(grid.errors) if e]
     if args.format == "record":
@@ -529,16 +528,15 @@ def _fig_gap_sweep(omega_a, l_set, points):
     columns = ["dw_over_wa"]
     arrays = [ratios]
     notes = ["curves: concurrence/coupling^2 vs gap ratio; peak markers below"]
-    for l in l_set:
+    peaks = find_optimal_gap_many(omega_a, np.array(l_set), 1.0, gap_bound=3.0 * omega_a)
+    for l, location, value in zip(l_set, peaks.location, peaks.value):
         columns.append(f"conc_l_{l:g}")
         arrays.append(concurrence_values(omega_a, omega_a * ratios, l, 1.0))
-        peak = find_optimal_gap(omega_a, l, 1.0, gap_bound=3.0 * omega_a)
-        if peak.location == 0.0:
+        if location == 0.0:
             notes.append(f"peak[l={l:g}]: boundary maximum at dw=0")
         else:
             notes.append(
-                f"peak[l={l:g}]: dw_over_wa={_fmt(peak.location / omega_a)} "
-                f"conc={_fmt(peak.value)}"
+                f"peak[l={l:g}]: dw_over_wa={_fmt(location / omega_a)} conc={_fmt(value)}"
             )
     return {"omega_a_sigma": omega_a, "l_set": list(l_set)}, notes, columns, arrays
 

@@ -94,6 +94,32 @@ class ConcurrenceRegime(enum.Enum):
     LARGE_SEPARATION_LARGE_GAPS = "large-separation-large-gaps"
 
 
+def _domain_errors(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
+    """Per scenario, the message of the first domain rule it breaks, or "":
+    the one statement of the domain :class:`DetectorPairConfig` admits.
+    Accepts arrays; returns a 1-D object array over the broadcast points."""
+    names = ("omega_a_sigma", "delta_omega_sigma", "l_over_sigma", "coupling")
+    values = [np.ravel(v) for v in np.broadcast_arrays(
+        omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)]
+    a, d, l, lam = values
+    # (violated, message, the value it formats), in checking order
+    rules = [(~np.isfinite(v), f"{name} must be finite, got {{!r}}", v)
+             for name, v in zip(names, values)]
+    rules += [
+        (a < 0, "omega_a_sigma must be >= 0 (A has the smaller gap)", a),
+        (d < 0, "delta_omega_sigma must be >= 0 (A has the smaller gap)", d),
+        (d > MAX_DELTA_OMEGA_SIGMA, f"delta_omega_sigma={{}} exceeds {MAX_DELTA_OMEGA_SIGMA}; "
+         "scaled intermediates would overflow double precision", d),
+        (l <= 0, "l_over_sigma must be > 0 (zero separation diverges)", l),
+        (lam <= 0, "coupling must be > 0", lam),
+    ]
+    errors = np.full(a.size, "", dtype=object)
+    for violated, message, v in reversed(rules):  # an earlier rule overwrites a later one
+        for i in np.flatnonzero(violated):
+            errors[i] = message.format(v[i].item())
+    return errors
+
+
 @dataclass(frozen=True)
 class DetectorPairConfig:
     """Dimensionless scenario: gaps and separation rescaled by the
@@ -111,36 +137,14 @@ class DetectorPairConfig:
     coupling: float = 0.1
 
     def __post_init__(self):
-        a, d, l, lam = (
-            self.omega_a_sigma,
-            self.delta_omega_sigma,
-            self.l_over_sigma,
-            self.coupling,
-        )
-        for name, v in (
-            ("omega_a_sigma", a),
-            ("delta_omega_sigma", d),
-            ("l_over_sigma", l),
-            ("coupling", lam),
-        ):
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-        if a < 0:
-            raise ValueError("omega_a_sigma must be >= 0 (A has the smaller gap)")
-        if d < 0:
-            raise ValueError("delta_omega_sigma must be >= 0 (A has the smaller gap)")
-        if d > MAX_DELTA_OMEGA_SIGMA:
-            raise ValueError(
-                f"delta_omega_sigma={d} exceeds {MAX_DELTA_OMEGA_SIGMA}; scaled "
-                "intermediates would overflow double precision"
-            )
-        if l <= 0:
-            raise ValueError("l_over_sigma must be > 0 (zero separation diverges)")
-        if lam <= 0:
-            raise ValueError("coupling must be > 0")
-        if lam > COUPLING_WARN_THRESHOLD:
+        error = _domain_errors(
+            self.omega_a_sigma, self.delta_omega_sigma, self.l_over_sigma, self.coupling
+        )[0]
+        if error:
+            raise ValueError(error)
+        if self.coupling > COUPLING_WARN_THRESHOLD:
             warnings.warn(
-                f"coupling={lam} is outside the weak-coupling regime "
+                f"coupling={self.coupling} is outside the weak-coupling regime "
                 f"(> {COUPLING_WARN_THRESHOLD}); second-order results are unreliable",
                 stacklevel=2,
             )
@@ -175,7 +179,7 @@ class HarvestReport:
 
     @property
     def x_abs(self) -> float:
-        return abs(self.x)
+        return float(np.abs(self.x))
 
     @property
     def geometric_mean(self) -> float:
@@ -237,12 +241,20 @@ def correlation_x_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, couplin
     l = np.asarray(l_over_sigma, dtype=float)
     if np.any(l <= 0):
         raise ValueError("l_over_sigma must be > 0 (zero separation diverges)")
-    pref = -1j * coupling**2 / (8.0 * _SQRT_PI * l) * np.exp(-((2.0 * a + d) ** 2) / 4.0)
-    w = faddeeva_w(0.5 * (l + 1j * d))
-    bracket = np.exp(-d * d / 4.0) * (-2j * w.imag) + 2.0 * np.exp(-l * l / 4.0) * np.exp(
-        -0.5j * l * d
-    )
-    x = pref * bracket
+    # X is assembled from real parts around a real prefactor: numpy rounds
+    # complex division, scalar ``** 2`` and (through fused multiply-adds)
+    # the signs of zero products differently for scalars and arrays, while
+    # real operations give the same bits at any shape.
+    s = 2.0 * a + d
+    pref = coupling**2 / (8.0 * _SQRT_PI * l) * np.exp(-(s * s) / 4.0)
+    w_imag = faddeeva_w(0.5 * (l + 1j * d)).imag
+    phase = np.exp(-0.5j * l * d)
+    gauss_l = 2.0 * np.exp(-l * l / 4.0)
+    bracket_re = gauss_l * phase.real
+    bracket_im = np.exp(-d * d / 4.0) * (-2.0 * w_imag) + gauss_l * phase.imag
+    x_re = pref * bracket_im  # X = -i * pref * bracket
+    x = np.empty(x_re.shape, dtype=complex)
+    x.real, x.imag = x_re, -(pref * bracket_re)
     if x.ndim == 0:
         return complex(x)
     return x
@@ -256,14 +268,18 @@ def correlation_x(cfg: DetectorPairConfig) -> complex:
 
 
 def _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
-    """(P_A, P_B, X) for raw parameter arrays, each evaluated once."""
+    """(P_A, P_B, X, |X| - sqrt(P_A P_B)) for raw parameter arrays."""
     a = np.asarray(omega_a_sigma, dtype=float)
     d = np.asarray(delta_omega_sigma, dtype=float)
-    return (
-        transition_probability(a, coupling),
-        transition_probability(a + d, coupling),
-        correlation_x_values(a, d, l_over_sigma, coupling),
-    )
+    p_a = transition_probability(a, coupling)
+    p_b = transition_probability(a + d, coupling)
+    x = correlation_x_values(a, d, l_over_sigma, coupling)
+    return p_a, p_b, x, np.abs(x) - np.sqrt(p_a * p_b)
+
+
+def _clamp(excess):
+    """Concurrence 2*max(0, excess) from the correlation excess."""
+    return 2.0 * np.maximum(0.0, excess)
 
 
 def correlation_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
@@ -272,27 +288,20 @@ def correlation_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
     Unlike the clamped concurrence this changes sign smoothly through the
     harvesting boundary, which is what root bracketing needs.
     """
-    p_a, p_b, x = _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
-    return np.abs(x) - np.sqrt(p_a * p_b)
+    return _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)[3]
 
 
 def concurrence_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
     """Concurrence 2*max(0, |X| - sqrt(P_A P_B)) for raw parameter arrays."""
-    return 2.0 * np.maximum(
-        0.0, correlation_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
-    )
+    return _clamp(correlation_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling))
 
 
 def concurrence(cfg: DetectorPairConfig) -> HarvestReport:
     """Full closed-form report for a scenario."""
-    p_a, p_b, x = _ingredients(
+    p_a, p_b, x, excess = _ingredients(
         cfg.omega_a_sigma, cfg.delta_omega_sigma, cfg.l_over_sigma, cfg.coupling
     )
-    # the arithmetic of concurrence_values, so the report matches a scalar
-    # concurrence_values call bitwise; an array call can differ in the last
-    # ulp, because numpy rounds some scalar and array operations differently
-    conc = float(2.0 * np.maximum(0.0, np.abs(x) - np.sqrt(p_a * p_b)))
-    return HarvestReport(p_a=p_a, p_b=p_b, x=x, concurrence=conc, method=Method.CLOSED_FORM)
+    return HarvestReport(p_a, p_b, x, float(_clamp(excess)), Method.CLOSED_FORM)
 
 
 def asymptotic_gm_probability(cfg: DetectorPairConfig, regime: GapRegime) -> float:

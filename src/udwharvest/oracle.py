@@ -527,6 +527,6 @@ def harvest_report(
         raise ValueError(f"unknown x_path {x_path!r}")
     p_a = pd_double_integral(cfg.omega_a_sigma, cfg.coupling, settings)
     p_b = pd_double_integral(cfg.omega_b_sigma, cfg.coupling, settings)
-    conc = 2.0 * max(0.0, abs(x) - float(np.sqrt(p_a * p_b)))
+    conc = 2.0 * max(0.0, float(np.abs(x)) - float(np.sqrt(p_a * p_b)))
     c = c_quadrature(cfg, settings) if include_c else None
     return HarvestReport(p_a=p_a, p_b=p_b, x=x, concurrence=conc, method=method, c_corr=c)

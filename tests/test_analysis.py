@@ -21,6 +21,7 @@ from udwharvest import (
     lmax_large_gap_estimate,
     sweep,
 )
+from udwharvest import closedform
 from udwharvest.analysis import SweepGrid
 
 
@@ -272,10 +273,9 @@ class TestAgainstScalarLoops:
 
 
 class TestBatchedSearches:
-    """Each ``*_many`` row is the one-problem search of that row.  At the
-    figures' unit coupling they agree bitwise on these grids; at other
-    couplings numpy's scalar and array arithmetic round a few factors of
-    the closed form differently, so the refinements agree to rounding."""
+    """Each ``*_many`` row is the one-problem search of that row, bit for
+    bit: both run the same core, and the closed forms give the same bits
+    for scalar and array calls."""
 
     def test_lmax_rows_match_scalar_bitwise(self):
         # (20, 0) raises BracketingFailure and (30, 0) NoHarvestingRegion:
@@ -309,20 +309,15 @@ class TestBatchedSearches:
                         for x, y, b in zip(a, d, bound)]
         assert rows[2] == "NoCrossover"
 
-    def test_rows_agree_to_rounding_across_the_domain(self):
+    def test_rows_match_scalar_bitwise_across_the_domain(self):
         rng = np.random.default_rng(5)
         a, y = rng.uniform(0.0, 12.0, 30), rng.uniform(0.05, 6.0, 30)
-        for many, one, tol in ((find_lmax_many, find_lmax, 1e-12),
-                               (find_optimal_gap_many, find_optimal_gap, 2e-8),
-                               (find_crossover_many, find_crossover, 1e-12)):
-            batch = many(a, y)
-            for i in range(a.size):
-                want = _outcome(one, a[i], y[i])
-                if isinstance(want, str):
-                    assert batch.error[i] == want
-                    continue
-                want_loc = float.fromhex(want[0])
-                assert abs(batch.location[i] - want_loc) <= tol * max(1.0, want_loc)
+        for many, one in ((find_lmax_many, find_lmax),
+                          (find_optimal_gap_many, find_optimal_gap),
+                          (find_crossover_many, find_crossover)):
+            batch = many(a, y, 0.1)
+            rows = [_row(batch, i) for i in range(a.size)]
+            assert rows == [_outcome(one, x, z, 0.1) for x, z in zip(a, y)], one.__name__
 
     def test_scalar_searches_return_python_scalars(self):
         for r in (find_lmax(0.5, 0.25), find_optimal_gap(0.5, 2.0),
@@ -346,8 +341,11 @@ class TestSweep:
 
     def test_degenerate_grid(self):
         grid = sweep("l_over_sigma", [2.0], self.BASE)
-        assert len(grid.values) == 1
-        assert grid.values[0] == concurrence(self.BASE)
+        report = concurrence(self.BASE)
+        assert grid.concurrence.tolist() == [report.concurrence]
+        assert grid.x.tolist() == [report.x]
+        assert grid.p_a.tolist() == [report.p_a] and grid.p_b.tolist() == [report.p_b]
+        assert grid.errors.tolist() == [""]
 
     def test_reversed_axis_reverses_values_bitwise(self):
         axis = np.linspace(0.5, 4.0, 37)
@@ -371,9 +369,25 @@ class TestSweep:
     def test_per_point_errors_flagged_not_fatal(self):
         ds = np.array([0.0, 1.0, 36.0])  # last exceeds the admitted gap difference
         grid = sweep("delta_omega_sigma", ds, self.BASE)
-        assert grid.values[2] is None
-        assert grid.errors[2] is not None
-        assert grid.values[0] is not None and grid.errors[0] is None
+        assert np.isnan(grid.concurrence[2]) and np.isnan(grid.x[2])
+        assert np.isnan(grid.p_a[2]) and np.isnan(grid.p_b[2])
+        with pytest.raises(ValueError) as exc:
+            DetectorPairConfig(0.5, 36.0, 2.0, 0.1)
+        assert grid.errors[2] == str(exc.value)
+        assert not np.isnan(grid.concurrence[:2]).any() and grid.errors[0] == ""
+
+    def test_every_point_flagged_keeps_the_shape(self):
+        grid = sweep("l_over_sigma", [-1.0, 0.0], self.BASE)
+        assert np.isnan(grid.concurrences()).all()
+        assert list(grid.errors) == ["l_over_sigma must be > 0 (zero separation diverges)"] * 2
+
+    def test_one_closed_form_call_per_sweep(self, monkeypatch):
+        calls = []
+        original = closedform.correlation_x_values
+        monkeypatch.setattr(closedform, "correlation_x_values",
+                            lambda *args: calls.append(args) or original(*args))
+        sweep("l_over_sigma", np.linspace(0.3, 5.0, 101), self.BASE)
+        assert len(calls) == 1
 
     def test_chunked_sweep_matches_whole_bitwise(self):
         axis = np.linspace(0.3, 5.0, 101)
@@ -419,11 +433,15 @@ class TestSweep:
             sweep("coupling", [0.1, 0.2], self.BASE)
 
     def test_grid_type_rejects_nonmonotone_axis(self):
+        nan = np.full(3, np.nan)
         with pytest.raises(ValueError):
             SweepGrid(
                 axis_name="l_over_sigma",
                 axis_values=np.array([1.0, 3.0, 2.0]),
                 fixed_params=self.BASE,
-                values=[None, None, None],
-                errors=[None, None, None],
+                concurrence=nan,
+                x=nan.astype(complex),
+                p_a=nan,
+                p_b=nan,
+                errors=np.full(3, "", dtype=object),
             )

@@ -1,5 +1,7 @@
 """Closed forms: reductions, symmetries, asymptotics, oracle agreement."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import erfi
@@ -141,6 +143,11 @@ class TestConcurrence:
         assert rep.concurrence == 2.0 * max(0.0, rep.x_abs - rep.geometric_mean)
         assert rep.p_a >= rep.p_b
         assert rep.c_corr is None
+        rng = np.random.default_rng(11)
+        for a, d, l in zip(rng.uniform(0, 3, 500), rng.uniform(0, 3, 500),
+                           rng.uniform(0.05, 6, 500)):
+            rep = concurrence(DetectorPairConfig(a, d, l, 0.1))
+            assert rep.concurrence == 2.0 * max(0.0, rep.x_abs - rep.geometric_mean), (a, d, l)
 
     def test_against_full_oracle_pipeline(self):
         cfg = DetectorPairConfig(0.5, 0.5, 2.0, 0.1)
@@ -272,6 +279,53 @@ class TestEstimates:
         crossing = ds[int(np.argmax(vals < 0.0))]
         peak = find_optimal_gap(0.5, 2.0).location
         assert abs(crossing - peak) <= 0.25 * peak
+
+
+def _bits(values):
+    return np.asarray(values).tobytes()
+
+
+class TestScalarArrayBitwise:
+    """A point's closed-form values do not depend on the shape of the call:
+    scalar calls, one array call over scattered points, and one-axis
+    broadcast calls of the kind sweeps make give the same bits."""
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    def test_scalar_calls_equal_array_calls(self, lam):
+        # eight base scenarios over the admitted domain, each moved along
+        # every axis in turn: 1440 points
+        rng = np.random.default_rng(2024)
+        lows, highs = np.array([0.0, 0.0, 0.05]), np.array([40.0, 35.0, 120.0])
+        bases = rng.uniform(lows, highs, (8, 3))
+        points = []
+        for base in bases:
+            for axis in range(3):
+                block = np.repeat(base[None], 60, axis=0)
+                block[:, axis] = np.sort(rng.uniform(lows[axis], highs[axis], 60))
+                points.append(block)
+        pts = np.concatenate(points)
+        a, d, l = pts.T
+        p_a = transition_probability(a, lam)
+        p_b = transition_probability(a + d, lam)
+        x = correlation_x_values(a, d, l, lam)
+        conc = concurrence_values(a, d, l, lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # coupling 1 is outside the weak regime
+            reports = [concurrence(DetectorPairConfig(*p, lam)) for p in pts.tolist()]
+        scalar_conc = [concurrence_values(*p, lam) for p in pts.tolist()]
+        assert _bits([transition_probability(v, lam) for v in a.tolist()]) == _bits(p_a)
+        assert _bits([correlation_x_values(*p, lam) for p in pts.tolist()]) == _bits(x)
+        assert _bits(scalar_conc) == _bits(conc)
+        assert _bits([r.p_a for r in reports]) == _bits(p_a)
+        assert _bits([r.p_b for r in reports]) == _bits(p_b)
+        assert _bits([r.x for r in reports]) == _bits(x)
+        assert _bits([r.concurrence for r in reports]) == _bits(conc)
+        for k, block in enumerate(points):
+            axis = k % 3
+            args = [float(v) for v in block[0]]
+            args[axis] = block[:, axis]
+            want = scalar_conc[60 * k: 60 * (k + 1)]
+            assert _bits(concurrence_values(*args, lam)) == _bits(want), block[0]
 
 
 class TestProperties:
