@@ -49,8 +49,10 @@ from .oracle import (
     c_double_integral,
     c_quadrature,
     pd_double_integral,
+    pd_double_integral_many,
     pv_gaussian_pole_integral,
     x_double_integral,
+    x_double_integral_many,
     x_single_integral_pv,
 )
 from .analysis import (
@@ -101,8 +103,10 @@ __all__ = [
     "c_double_integral",
     "c_quadrature",
     "pd_double_integral",
+    "pd_double_integral_many",
     "pv_gaussian_pole_integral",
     "x_double_integral",
+    "x_double_integral_many",
     "x_single_integral_pv",
     "BracketingFailure",
     "NoCrossover",

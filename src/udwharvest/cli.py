@@ -40,8 +40,8 @@ from .oracle import (
     NonConvergence,
     OracleSettings,
     assemble_rho,
-    pd_double_integral,
-    x_double_integral,
+    pd_double_integral_many,
+    x_double_integral_many,
     x_single_integral_pv,
 )
 from .analysis import (
@@ -265,10 +265,17 @@ def run_verification(
     plus the zero-gap anchor value 1/(4 pi).
     """
     grid = VERIFICATION_GRID[: grid_size if grid_size is not None else None]
+    cfgs = [DetectorPairConfig(a, a * r, l, coupling) for a, r, l in grid]
+    x_dbls = x_double_integral_many(
+        [cfg.omega_a_sigma for cfg in cfgs],
+        [cfg.omega_b_sigma for cfg in cfgs],
+        [cfg.l_over_sigma for cfg in cfgs],
+        coupling,
+        settings,
+    )
     checks = []
     gaps = {0.0}
-    for a, r, l in grid:
-        cfg = DetectorPairConfig(a, a * r, l, coupling)
+    for (a, r, l), cfg, x_dbl in zip(grid, cfgs, x_dbls):
         gaps.update((cfg.omega_a_sigma, cfg.omega_b_sigma))
         tag = f"a={a} dw/wa={r} l={l}"
         report = concurrence(cfg)
@@ -279,7 +286,6 @@ def run_verification(
             VerificationCheck("x_pv_vs_closed", tag, rel, tol_x_pv, bool(rel <= tol_x_pv))
         )
 
-        x_dbl = x_double_integral(cfg, settings)
         rel = float(abs(x_dbl - report.x) / abs(report.x))
         checks.append(
             VerificationCheck(
@@ -294,17 +300,18 @@ def run_verification(
             VerificationCheck("rho_concurrence", tag, rel, tol_rho, bool(rel <= tol_rho))
         )
 
-    for gap in sorted(gaps):
-        p_oracle = pd_double_integral(gap, coupling, settings)
+    gaps = sorted(gaps)
+    # the zero-gap anchor at unit coupling rides along as the last row
+    p_oracle = pd_double_integral_many(gaps + [0.0], [coupling] * len(gaps) + [1.0], settings)
+    for gap, p in zip(gaps, p_oracle):
         p_exact = transition_probability(gap, coupling)
-        rel = float(abs(p_oracle - p_exact) / p_exact)
+        rel = float(abs(p - p_exact) / p_exact)
         checks.append(
             VerificationCheck(
                 "p_double_vs_closed", f"gap={gap:g}", rel, tol_p, bool(rel <= tol_p)
             )
         )
-    p_anchor = pd_double_integral(0.0, 1.0, settings)
-    rel = float(abs(p_anchor - 1.0 / (4.0 * np.pi)) * 4.0 * np.pi)
+    rel = float(abs(p_oracle[-1] - 1.0 / (4.0 * np.pi)) * 4.0 * np.pi)
     checks.append(
         VerificationCheck("p_zero_gap_anchor", "gap=0 coupling=1", rel, tol_p, bool(rel <= tol_p))
     )
@@ -369,9 +376,11 @@ def cmd_sweep(parser, args):
         "l_over_sigma": args.l,
         "coupling": args.coupling,
     }
-    fixed[axis] = args.start if args.start > 0 else max(args.start, 1e-6)  # placeholder, replaced per point
+    # the swept field is replaced per point, so any admitted value holds
+    # its place; the points themselves are checked one by one
+    fixed[axis] = 1.0
     if fixed["l_over_sigma"] is None:
-        parser.error("--l is required (fixed or as the swept axis start)")
+        parser.error("--l is required unless the sweep runs along l")
     if fixed["omega_a_sigma"] is None:
         parser.error("--omega-a is required")
     try:

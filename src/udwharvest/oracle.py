@@ -31,6 +31,14 @@ is below exp(-(halfwidth+2)^2/4) ~ 1e-21, far under every tolerance.  The
 offset parameterization makes the integrand a product of a bounded real
 cross-Gaussian matrix and per-axis complex vectors, so each pass is one
 large real exponential plus a real matrix product.
+
+The matrix depends on the pole, the regulator, the sign of the offset and
+the settings, not on the gaps, the outer phase or the prefactor.  The
+double-integral routes are therefore row-vectorized: a batch
+(``pd_double_integral_many``, ``x_double_integral_many``) builds one
+matrix per (pole, regulator, sign) and applies it to every problem with
+that pole at once.  The one-problem functions are one-row batches.  No
+matrix outlives the call that builds it.
 """
 
 from __future__ import annotations
@@ -54,9 +62,11 @@ __all__ = [
     "DEFAULT_SETTINGS",
     "extrapolate_to_zero",
     "pd_double_integral",
+    "pd_double_integral_many",
     "pv_gaussian_pole_integral",
     "x_single_integral_pv",
     "x_double_integral",
+    "x_double_integral_many",
     "c_quadrature",
     "c_double_integral",
     "DensityMatrix4",
@@ -202,9 +212,10 @@ def _regulator_limit(settings: OracleSettings, samples, rel_tol, scale):
 
 
 def _regulated_double_integral(
-    settings, pole, outer_freq, terms, prefactor, rel_tol, scale, half_line=False
+    settings, pole, outer_freq, terms, prefactor, rel_tol, scale, half_line=False, imag_tol=None
 ):
-    """Regulator limit of the double integral behind the three direct routes,
+    """Regulator limits of the double integral behind the three direct
+    routes, one row per problem,
 
         prefactor * sum over (sign, k) in terms of
             int dt exp(-i outer_freq t) int do exp(-(t^2 + (t + sign o)^2)/2)
@@ -213,35 +224,76 @@ def _regulated_double_integral(
     with the inner time t + sign*o offset from the outer time t.  The offset
     runs over the whole line, or over o > 0 with ``half_line`` (one
     time-ordered triangle per sign), and its panels are graded toward the
-    lightcone poles at o = +-pole.  Returns the (value, extrapolants) pair
-    of :func:`_regulator_limit`.
+    lightcone poles at o = +-pole.
+
+    ``pole``, ``outer_freq``, ``prefactor``, ``scale``, each term's ``k``
+    and ``imag_tol`` are 1-D arrays over the rows; the signs are shared.
+    Rows with the same pole share the nodes and hence every cross-Gaussian
+    matrix: one per regulator and sign, applied to the real and imaginary
+    parts of all those rows at once.
+
+    Then, row by row, :func:`_regulator_limit` takes the limit and checks
+    it; with ``imag_tol`` the limit's imaginary part must also stay below
+    it.  The first failing row raises :exc:`NonConvergence` with the
+    message of its one-row call.  Returns complex arrays (values,
+    extrapolants) of shapes (rows,) and (rows, order + 1).
     """
     T = settings.domain_halfwidth
     n_panels = int(np.ceil(2.0 * T / _MAX_PANEL_WIDTH))
     t_out, w_out = _panelize(np.linspace(-T, T, n_panels + 1), settings.quadrature_nodes)
-    w_phase = w_out * np.exp(-1j * outer_freq * t_out)
     # offsets beyond this only enter through exp(-o^2/4) tails < 1e-21
     span = T + 2.0
-    poles = [pole] if half_line else [-pole, pole]
-    samples = []
-    for eps in settings.epsilon_schedule:
-        edges = _graded_edges(0.0 if half_line else -span, span, poles, eps)
-        o, w_in = _panelize(edges, settings.quadrature_nodes)
-        window = w_in * np.exp(-o * o / 4.0)
-        denom = (o + 1j * eps) ** 2 - pole * pole
-        total = 0.0
-        for sign, k in terms:
-            q = window * np.exp(1j * k * o) / denom
-            # exp(-(t^2 + (t + s*o)^2)/2) = exp(-(t + s*o/2)^2) * exp(-o^2/4).
-            # The real cross-Gaussian matrix takes q's real and imaginary
-            # parts as two columns instead of being promoted to complex, and
-            # stays a temporary so that only one is alive at a time.
-            ri = np.exp(-((t_out[:, None] + 0.5 * sign * o[None, :]) ** 2)) @ np.column_stack(
-                [q.real, q.imag]
+    schedule = settings.epsilon_schedule
+    samples = np.empty((pole.size, len(schedule)), dtype=complex)
+    for p in np.unique(pole):
+        rows = np.flatnonzero(pole == p)
+        n = rows.size
+        w_phase = w_out * np.exp(-1j * outer_freq[rows, None] * t_out)
+        poles = [p] if half_line else [-p, p]
+        for j, eps in enumerate(schedule):
+            edges = _graded_edges(0.0 if half_line else -span, span, poles, eps)
+            o, w_in = _panelize(edges, settings.quadrature_nodes)
+            window = w_in * np.exp(-o * o / 4.0)
+            denom = (o + 1j * eps) ** 2 - p * p
+            total = 0.0
+            for sign, k in terms:
+                q = window * np.exp(1j * k[rows, None] * o) / denom
+                # exp(-(t^2 + (t + s*o)^2)/2) = exp(-(t + s*o/2)^2) * exp(-o^2/4).
+                # The real cross-Gaussian matrix takes the rows' real and
+                # imaginary parts as columns instead of being promoted to
+                # complex, and stays a temporary so that only one is alive
+                # at a time.
+                ri = np.exp(-((t_out[:, None] + 0.5 * sign * o[None, :]) ** 2)) @ np.hstack(
+                    [q.real.T, q.imag.T]
+                )
+                total = total + np.sum(w_phase * (ri[:, :n].T + 1j * ri[:, n:].T), axis=1)
+            samples[rows, j] = prefactor[rows] * total
+    order = min(settings.richardson_order, len(schedule) - 1)
+    values = np.empty(pole.size, dtype=complex)
+    extrapolants = np.empty((pole.size, order + 1), dtype=complex)
+    for i in range(pole.size):
+        values[i], extrapolants[i] = _regulator_limit(settings, samples[i], rel_tol, scale[i])
+        if imag_tol is not None and abs(values[i].imag) > imag_tol[i]:
+            raise NonConvergence(
+                f"imaginary residue {values[i].imag:.3e} survives the regulator limit"
             )
-            total += np.sum(w_phase * (ri[:, 0] + 1j * ri[:, 1]))
-        samples.append(prefactor * total)
-    return _regulator_limit(settings, samples, rel_tol, scale)
+    return values, extrapolants
+
+
+def _problems(*args):
+    """Broadcast shape of an oracle batch and its arguments as flat float
+    arrays; a non-finite argument fails the whole batch."""
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("oracle arguments must be finite")
+    return arrays[0].shape, [a.ravel() for a in arrays]
+
+
+def _shaped(values, extrapolants, shape, return_extrapolants):
+    values = values.reshape(shape)
+    if return_extrapolants:
+        return values, extrapolants.reshape(shape + extrapolants.shape[1:])
+    return values
 
 
 def _order_doubled(once, cfg, settings, what):
@@ -255,6 +307,37 @@ def _order_doubled(once, cfg, settings, what):
             f"by {abs(fine - coarse):.3e} (value {abs(fine):.3e})"
         )
     return fine
+
+
+def pd_double_integral_many(
+    omega_sigma,
+    coupling,
+    settings: OracleSettings = DEFAULT_SETTINGS,
+    return_extrapolants: bool = False,
+):
+    """:func:`pd_double_integral` for broadcast arrays of gaps and
+    couplings, returned as a float array of the broadcast shape (with
+    ``return_extrapolants``, also the extrapolants along a last axis).
+
+    Every row has its pole at zero offset, so all rows share every
+    cross-Gaussian matrix.  A non-finite argument raises ValueError for the
+    whole batch; the first row whose self-checks fail raises
+    :exc:`NonConvergence` with the message of its one-problem call.
+    """
+    shape, (omega, lam) = _problems(omega_sigma, coupling)
+    lam2 = lam**2
+    # inner time = outer + o; the kernel depends on the offset alone
+    values, extrapolants = _regulated_double_integral(
+        settings,
+        pole=np.zeros(omega.size),
+        outer_freq=np.zeros(omega.size),
+        terms=[(+1.0, omega)],
+        prefactor=-lam2 / (4.0 * np.pi**2),
+        rel_tol=1e-5,
+        scale=lam2 / (4.0 * np.pi),
+        imag_tol=1e-8 * lam2,
+    )
+    return _shaped(values.real, extrapolants, shape, return_extrapolants)
 
 
 def pd_double_integral(
@@ -272,26 +355,15 @@ def pd_double_integral(
     coupling-squared scale) and the extrapolation must self-certify to
     1e-5; violations raise :exc:`NonConvergence`.  With
     ``return_extrapolants`` the increasing-order extrapolant sequence is
-    returned alongside the value, for convergence diagnostics.
+    returned alongside the value, for convergence diagnostics.  One problem
+    per call; :func:`pd_double_integral_many` solves arrays of them.
     """
-    lam2 = coupling**2
-    # inner time = outer + o; the kernel depends on the offset alone
-    val, diag = _regulated_double_integral(
-        settings,
-        pole=0.0,
-        outer_freq=0.0,
-        terms=[(+1.0, float(omega_sigma))],
-        prefactor=-lam2 / (4.0 * np.pi**2),
-        rel_tol=1e-5,
-        scale=lam2 / (4.0 * np.pi),
+    value, extrapolants = pd_double_integral_many(
+        omega_sigma, coupling, settings, return_extrapolants=True
     )
-    if abs(val.imag) > 1e-8 * lam2:
-        raise NonConvergence(
-            f"imaginary residue {val.imag:.3e} survives the regulator limit"
-        )
     if return_extrapolants:
-        return float(val.real), diag
-    return float(val.real)
+        return float(value), tuple(complex(z) for z in extrapolants)
+    return float(value)
 
 
 def pv_gaussian_pole_integral(
@@ -358,6 +430,43 @@ def x_single_integral_pv(cfg: DetectorPairConfig, settings: OracleSettings = DEF
     return _order_doubled(_x_pv_once, cfg, settings, "principal-value")
 
 
+def x_double_integral_many(
+    omega_a_sigma,
+    omega_b_sigma,
+    l_over_sigma,
+    coupling,
+    settings: OracleSettings = DEFAULT_SETTINGS,
+    return_extrapolants: bool = False,
+):
+    """:func:`x_double_integral` for broadcast arrays of both gaps, the
+    separation and the coupling, returned as a complex array of the
+    broadcast shape (with ``return_extrapolants``, also the extrapolants
+    along a last axis).  The result does not depend on which detector
+    carries which gap.
+
+    Rows with the same separation share every cross-Gaussian matrix.  A
+    non-finite argument or a separation <= 0 raises ValueError for the
+    whole batch; the first row whose self-check fails raises
+    :exc:`NonConvergence` with the message of its one-problem call.
+    """
+    shape, (a, b, l, lam) = _problems(omega_a_sigma, omega_b_sigma, l_over_sigma, coupling)
+    if (l <= 0).any():
+        raise ValueError("l_over_sigma must be > 0 (zero separation diverges)")
+    lam2 = lam**2
+    # inner time = outer + sign*s; sign=+1 is the later-B triangle
+    values, extrapolants = _regulated_double_integral(
+        settings,
+        pole=l,
+        outer_freq=a + b,
+        terms=[(+1.0, -b), (-1.0, b)],
+        prefactor=lam2 / (4.0 * np.pi**2),
+        rel_tol=1e-3,
+        scale=lam2 / (4.0 * np.pi),
+        half_line=True,
+    )
+    return _shaped(values, extrapolants, shape, return_extrapolants)
+
+
 def x_double_integral(
     cfg: DetectorPairConfig,
     settings: OracleSettings = DEFAULT_SETTINGS,
@@ -370,36 +479,20 @@ def x_double_integral(
     triangle is integrated with the inner variable offset from the outer by
     s > 0, with panels refined toward the lightcone pole at s = l.  The
     regulator schedule and extrapolation mirror the probability route, with
-    the self-check at this route's 1e-3 accuracy target.
+    the self-check at this route's 1e-3 accuracy target.  One problem per
+    call; :func:`x_double_integral_many` solves arrays of them.
     """
-    return _x_double_raw(
+    value, extrapolants = x_double_integral_many(
         cfg.omega_a_sigma,
         cfg.omega_b_sigma,
         cfg.l_over_sigma,
         cfg.coupling,
         settings,
-        return_extrapolants,
-    )
-
-
-def _x_double_raw(a, b, l, coupling, settings, return_extrapolants=False):
-    """Time-ordered route with both gaps given explicitly; the result must
-    not depend on which detector carries which gap."""
-    lam2 = coupling**2
-    # inner time = outer + sign*s; sign=+1 is the later-B triangle
-    limit, diag = _regulated_double_integral(
-        settings,
-        pole=l,
-        outer_freq=a + b,
-        terms=[(+1.0, -b), (-1.0, b)],
-        prefactor=lam2 / (4.0 * np.pi**2),
-        rel_tol=1e-3,
-        scale=lam2 / (4.0 * np.pi),
-        half_line=True,
+        return_extrapolants=True,
     )
     if return_extrapolants:
-        return complex(limit), diag
-    return complex(limit)
+        return complex(value), tuple(complex(z) for z in extrapolants)
+    return complex(value)
 
 
 def _c_pv_once(cfg, settings):
@@ -435,11 +528,14 @@ def c_double_integral(cfg: DetectorPairConfig, settings: OracleSettings = DEFAUL
     schedule; the independent cross-check of :func:`c_quadrature`.  No time
     ordering here, so the kernel's two poles are offset to the same side
     and the square is integrated in one pass."""
-    a, b, l = cfg.omega_a_sigma, cfg.omega_b_sigma, cfg.l_over_sigma
-    lam2 = cfg.coupling**2
+    a, b, l, lam = (
+        np.atleast_1d(float(v))
+        for v in (cfg.omega_a_sigma, cfg.omega_b_sigma, cfg.l_over_sigma, cfg.coupling)
+    )
+    lam2 = lam**2
     # inner time = outer + o, so the kernel argument is -o; its square is
     # the same, and the regulated poles sit at o = +-l - i eps
-    value, _ = _regulated_double_integral(
+    values, _ = _regulated_double_integral(
         settings,
         pole=l,
         outer_freq=a - b,
@@ -448,7 +544,7 @@ def c_double_integral(cfg: DetectorPairConfig, settings: OracleSettings = DEFAUL
         rel_tol=1e-3,
         scale=lam2 / (4.0 * np.pi),
     )
-    return complex(value)
+    return complex(values[0])
 
 
 @dataclass
@@ -525,8 +621,9 @@ def harvest_report(
         method = Method.ORACLE_DOUBLE_INTEGRAL
     else:
         raise ValueError(f"unknown x_path {x_path!r}")
-    p_a = pd_double_integral(cfg.omega_a_sigma, cfg.coupling, settings)
-    p_b = pd_double_integral(cfg.omega_b_sigma, cfg.coupling, settings)
+    p_a, p_b = pd_double_integral_many(
+        [cfg.omega_a_sigma, cfg.omega_b_sigma], cfg.coupling, settings
+    ).tolist()
     conc = 2.0 * max(0.0, float(np.abs(x)) - float(np.sqrt(p_a * p_b)))
     c = c_quadrature(cfg, settings) if include_c else None
     return HarvestReport(p_a=p_a, p_b=p_b, x=x, concurrence=conc, method=method, c_corr=c)

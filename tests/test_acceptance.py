@@ -27,10 +27,10 @@ from udwharvest import (
     find_optimal_gap_many,
     geometric_mean_probability,
     lmax_large_gap_estimate,
-    pd_double_integral,
+    pd_double_integral_many,
     sweep,
     transition_probability,
-    x_double_integral,
+    x_double_integral_many,
     x_single_integral_pv,
 )
 from udwharvest.closedform import ConcurrenceRegime, GapRegime
@@ -70,10 +70,11 @@ def test_criterion_1_pv_oracle_agreement():
 def test_criterion_2_double_integral_oracle_agreement():
     t0 = time.perf_counter()
     worst = worst_paths = 0.0
-    for a, d, l in GRID:
+    a, d, l = np.transpose(GRID)
+    x_dbls = x_double_integral_many(a, a + d, l, 0.1)
+    for (a, d, l), x_dbl in zip(GRID, x_dbls):
         cfg = DetectorPairConfig(a, d, l, 0.1)
         x_exact = correlation_x(cfg)
-        x_dbl = x_double_integral(cfg)
         worst = max(worst, abs(x_dbl - x_exact) / abs(x_exact))
         # the two oracle routes must also agree with each other
         x_pv = x_single_integral_pv(cfg)
@@ -87,11 +88,12 @@ def test_criterion_2_double_integral_oracle_agreement():
 
 def test_criterion_3_probability_oracle_agreement():
     t0 = time.perf_counter()
-    for gap in (0.0, 0.5, 2.0):
-        p_oracle = pd_double_integral(gap, 0.1)
+    gaps = (0.0, 0.5, 2.0)
+    # the zero-gap anchor at unit coupling is the last row
+    *p_oracles, anchor = pd_double_integral_many([*gaps, 0.0], [0.1, 0.1, 0.1, 1.0])
+    for gap, p_oracle in zip(gaps, p_oracles):
         p_exact = transition_probability(gap, 0.1)
         assert abs(p_oracle - p_exact) <= 1e-4 * p_exact, f"gap {gap}"
-    anchor = pd_double_integral(0.0, 1.0)
     assert abs(anchor - 1.0 / (4.0 * np.pi)) <= 1e-4 / (4.0 * np.pi)
     _done(3, t0)
 

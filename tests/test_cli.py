@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from udwharvest import concurrence_values, transition_probability
+from udwharvest import DetectorPairConfig, concurrence_values, transition_probability
 from udwharvest.cli import main, read_data_file
 
 FOUR_PI = 4.0 * np.pi
@@ -104,6 +104,14 @@ class TestVerify:
         rec = json.loads(out.read_text())
         assert rec["failures"] == 0
         assert all(c["passed"] for c in rec["checks"])
+
+    @pytest.mark.parametrize("grid", [["--grid", "1"], []])
+    def test_nonconvergent_schedule_aborts(self, tmp_path, capsys, grid):
+        out = tmp_path / "v.txt"
+        code = run(["verify", *grid, "--eps-schedule", "0.9,0.85", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("verification aborted:")
+        assert not out.exists()
 
 
 class TestSearchCommands:
@@ -244,3 +252,28 @@ class TestSweepCommand:
         # the sweep is one array call over the axis: the same call on the
         # emitted axis reproduces the concurrence column bit for bit
         assert concurrence_values(0.5, 0.25, data[:, 0], 0.1).tolist() == data[:, 1].tolist()
+
+    @pytest.mark.parametrize("start,stop", [(40.0, 30.0), (30.0, 40.0)])
+    def test_points_outside_the_domain_are_flagged_wherever_they_sit(
+        self, tmp_path, start, stop
+    ):
+        # the fixed config does not take the swept axis from --start, so a
+        # sweep that starts outside the domain flags its first points too
+        out = tmp_path / "sweep.json"
+        code = run([
+            "sweep", "--axis", "delta-omega", "--start", str(start), "--stop", str(stop),
+            "--points", "5", "--omega-a", "0.5", "--l", "2",
+            "--format", "record", "--out", str(out),
+        ])
+        assert code == 0
+        rec = json.loads(out.read_text())
+        axis = rec["data"][0]
+        assert len(axis) == 5
+        expected = []
+        for i, d in enumerate(axis):
+            try:
+                DetectorPairConfig(0.5, d, 2.0, 0.1)
+            except ValueError as exc:
+                expected.append(f"point_error[{i}]: {exc}")
+        assert sorted(d for d in axis if d > 35.0) == [37.5, 40.0]
+        assert rec["notes"] == expected and len(expected) == 2

@@ -16,11 +16,15 @@ from udwharvest import (
     concurrence,
     correlation_x,
     pd_double_integral,
+    pd_double_integral_many,
     pv_gaussian_pole_integral,
     transition_probability,
     x_double_integral,
+    x_double_integral_many,
     x_single_integral_pv,
 )
+from udwharvest import oracle
+from udwharvest.cli import run_verification
 from udwharvest.oracle import extrapolate_to_zero, harvest_report
 
 FOUR_PI = 4.0 * np.pi
@@ -104,10 +108,7 @@ class TestCorrelationDoubleIntegralOracle:
 
     def test_swap_symmetry(self):
         # relabeling which static detector carries which gap cannot matter
-        from udwharvest.oracle import _x_double_raw
-
-        x_ab = _x_double_raw(0.3, 0.7, 1.5, 0.1, DEFAULT_SETTINGS)
-        x_ba = _x_double_raw(0.7, 0.3, 1.5, 0.1, DEFAULT_SETTINGS)
+        x_ab, x_ba = x_double_integral_many([0.3, 0.7], [0.7, 0.3], 1.5, 0.1, DEFAULT_SETTINGS)
         assert abs(x_ab - x_ba) <= 1e-3 * abs(x_ab)
 
     def test_quadratic_coupling_scaling(self):
@@ -201,3 +202,94 @@ class TestQuadratureRefinementStability:
         assert abs(x64 - x128) <= 1e-3 * abs(x64)
         # the PV route self-checks by doubling internally; run it for effect
         x_single_integral_pv(cfg)
+
+
+def _relative(batched, single):
+    return np.max(np.abs(np.subtract(batched, single)) / np.abs(single))
+
+
+class TestBatchedOracles:
+    """A batched row is its one-problem call: the rows of a batch share the
+    cross-Gaussian matrices, never the numbers that make a row differ."""
+
+    # per-row couplings, so that rows sharing a matrix differ in scale too
+    COUPLINGS = np.resize([0.1, 0.05, 0.2], len(GRID))
+    BAD = OracleSettings(epsilon_schedule=(0.9, 0.85), richardson_order=1)
+
+    def test_x_rows_match_one_problem_calls(self):
+        a, d, l = np.transpose(GRID)
+        values, extrapolants = x_double_integral_many(
+            a, a + d, l, self.COUPLINGS, return_extrapolants=True
+        )
+        assert values.shape == (len(GRID),) and extrapolants.shape == (len(GRID), 3)
+        for (a, d, l), lam, x, diag in zip(GRID, self.COUPLINGS, values, extrapolants):
+            x1, diag1 = x_double_integral(
+                DetectorPairConfig(a, d, l, lam), return_extrapolants=True
+            )
+            assert _relative(x, x1) <= 1e-13 and _relative(diag, diag1) <= 1e-13
+
+    def test_pd_rows_match_one_problem_calls(self):
+        gaps = sorted({g for a, d, _ in GRID for g in (a, a + d)}) + [0.0]
+        lams = np.resize(self.COUPLINGS, len(gaps))
+        lams[-1] = 1.0  # the zero-gap anchor
+        values, extrapolants = pd_double_integral_many(gaps, lams, return_extrapolants=True)
+        assert values.dtype == float and extrapolants.shape == (len(gaps), 3)
+        for gap, lam, p, diag in zip(gaps, lams, values, extrapolants):
+            p1, diag1 = pd_double_integral(gap, lam, return_extrapolants=True)
+            assert _relative(p, p1) <= 1e-13 and _relative(diag, diag1) <= 1e-13
+
+    def test_broadcast_shape(self):
+        p = pd_double_integral_many([[0.5], [2.0]], [0.1, 0.2, 0.3])
+        assert p.shape == (2, 3)
+        assert p[1, 2] == pytest.approx(pd_double_integral(2.0, 0.3), rel=1e-13)
+
+    def test_nonconvergent_pd_batch_raises_first_failing_row(self):
+        pd_double_integral(6.0, 0.1, self.BAD)  # row 0 converges
+        with pytest.raises(NonConvergence) as first:
+            pd_double_integral(2.0, 0.2, self.BAD)
+        with pytest.raises(NonConvergence) as err:
+            pd_double_integral_many([6.0, 2.0, 0.5], [0.1, 0.2, 0.1], self.BAD)
+        assert str(err.value) == str(first.value)
+
+    def test_nonconvergent_x_batch_raises_first_failing_row(self):
+        # rows 0 and 2 share a separation, so they are computed together,
+        # but row 1 is the first to fail
+        rows = [(3.0, 4.0, 2.0), (2.0, 2.0, 6.0), (0.5, 1.0, 2.0)]
+        x_double_integral(DetectorPairConfig.with_omega_b(*rows[0], 0.1), self.BAD)
+        with pytest.raises(NonConvergence) as first:
+            x_double_integral(DetectorPairConfig.with_omega_b(*rows[1], 0.1), self.BAD)
+        a, b, l = np.transpose(rows)
+        with pytest.raises(NonConvergence) as err:
+            x_double_integral_many(a, b, l, 0.1, self.BAD)
+        assert str(err.value) == str(first.value)
+
+    def test_argument_errors_raise_for_the_whole_batch(self):
+        with pytest.raises(ValueError):
+            pd_double_integral_many([0.5, np.nan], 0.1)
+        with pytest.raises(ValueError):
+            pd_double_integral_many([0.5, 2.0], [0.1, 0.1, 0.1])
+        with pytest.raises(ValueError):
+            x_double_integral_many(0.5, 1.0, [2.0, 0.0], 0.1)
+        with pytest.raises(ValueError):
+            x_double_integral_many(0.5, [1.0, np.inf], 2.0, 0.1)
+
+    def test_verify_builds_one_matrix_per_pole_regulator_and_sign(self, monkeypatch):
+        # the cross-Gaussian matrices are the oracle's only real 2-D
+        # exponentials; 3 separations x 3 regulators x 2 signs for the
+        # correlations plus 3 regulators for the probabilities
+        shapes = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(x):
+                if np.ndim(x) == 2 and np.isrealobj(x):
+                    shapes.append(np.shape(x))
+                return np.exp(x)
+
+        monkeypatch.setattr(oracle, "np", CountingNumpy())
+        checks = run_verification()
+        assert len(checks) == 92 and all(c.passed for c in checks)
+        assert len(shapes) == 21
