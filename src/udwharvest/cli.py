@@ -651,7 +651,8 @@ def _build_parser():
     common.add_argument("--format", choices=("table", "csv", "record"), default=None,
                         help="output format (default: table for single records, csv for grids)")
     common.add_argument("--quad-nodes", type=int, default=None,
-                        help="Gauss-Legendre nodes per panel for the oracles")
+                        help="Gauss-Legendre nodes per panel of the oracles' inner and "
+                             "principal-value axes (the outer order is certified)")
     common.add_argument("--eps-schedule", type=lambda s: [float(x) for x in s.split(",")],
                         default=None, help="regulator schedule, comma separated, decreasing")
 

@@ -30,15 +30,28 @@ the nominal square this clips and pads only regions whose Gaussian window
 is below exp(-(halfwidth+2)^2/4) ~ 1e-21, far under every tolerance.  The
 offset parameterization makes the integrand a product of a bounded real
 cross-Gaussian matrix and per-axis complex vectors, so each pass is one
-large real exponential plus a real matrix product.
+large real exponential plus a real matrix product.  The outer axis only
+carries a unit Gaussian times the outer phase, so its order is not the
+inner one: per pole, the smallest order on a fixed ladder whose rule
+reproduces each matrix column's known time integral is used (16 nodes per
+panel wherever the results can be trusted).
 
-The matrix depends on the pole, the regulator, the sign of the offset and
-the settings, not on the gaps, the outer phase or the prefactor.  The
-double-integral routes are therefore row-vectorized: a batch
-(``pd_double_integral_many``, ``x_double_integral_many``) builds one
-matrix per (pole, regulator, sign) and applies it to every problem with
-that pole at once.  The one-problem functions are one-row batches.  No
-matrix outlives the call that builds it.
+The matrix depends on the pole, the regulator and the settings, not on
+the gaps, the outer phase or the prefactor; the outer nodes are mirror
+symmetric, so the opposite sign of the offset is the same matrix with its
+rows reversed.  The double-integral routes are therefore row-vectorized:
+a batch (``pd_double_integral_many``, ``x_double_integral_many``) builds
+one matrix per (pole, regulator) and applies it to every problem with that
+pole.  The one-problem functions are one-row batches.  No matrix outlives
+the call that builds it.
+
+Trust: a double-integral value is a sum of terms of fixed size, while
+the value falls exponentially with the gaps (P like exp(-gap^2), X like
+exp(-(gap_A + gap_B)^2 / 4)); past some gap the sum cancels to round-off.
+Each route bounds that error and raises :exc:`NonConvergence` above its
+tolerance: at the default settings the probability route is trusted up to
+gaps of about 3.8 and the correlation route up to a gap sum of about 9
+(less at large separations).
 """
 
 from __future__ import annotations
@@ -88,8 +101,11 @@ class OracleSettings:
     epsilon_schedule   regulator values (units of the switching duration),
                        strictly decreasing; the regulator limit is the
                        extrapolation of the sampled values to zero
-    quadrature_nodes   Gauss-Legendre nodes per panel; the single-integral
-                       routes also run at twice this to self-check
+    quadrature_nodes   Gauss-Legendre nodes per panel of the inner
+                       (offset) axis of the double integrals and of the
+                       principal-value routes, which also run at twice
+                       this to self-check; the outer time axis of the
+                       double integrals picks and certifies its own order
     domain_halfwidth   integration cutoff (units of the switching
                        duration); the Gaussian window makes the discarded
                        tail < exp(-halfwidth^2/2) relative
@@ -189,19 +205,33 @@ def extrapolate_to_zero(eps_values, samples):
     return diag
 
 
-def _regulator_limit(settings: OracleSettings, samples, rel_tol, scale):
+def _regulator_limit(settings: OracleSettings, samples, sample_error, rel_tol, scale):
     """Extrapolate regulated samples to zero and self-check convergence.
 
     Returns (value, extrapolant sequence).  The value is the extrapolant of
-    order ``richardson_order`` (capped by the schedule length).  Its error
-    is estimated as the last order's correction scaled by the smallest
-    regulator -- the contraction one further order would bring -- and must
-    not exceed rel_tol times the result scale.
+    order ``richardson_order`` (capped by the schedule length).
+
+    Two checks, each relative to ``rel_tol``.  First the quadrature error:
+    ``sample_error`` bounds each sample's error (round-off and outer rule,
+    see :func:`_regulated_double_integral`), and the Neville tableau, linear
+    in the samples, carries those bounds into the value with the absolute
+    weights of its extrapolant; where the sum cancels this exceeds the value
+    itself.  Then the regulator limit: the last order's correction scaled by
+    the smallest regulator -- the contraction one further order would
+    bring -- must not exceed rel_tol times the result scale.
     """
     eps = settings.epsilon_schedule
     order = min(settings.richardson_order, len(eps) - 1)
     diag = extrapolate_to_zero(eps, samples)
     best, prev = diag[order], diag[order - 1]
+    # the tableau is linear: the samples' weights are the unit samples' extrapolants
+    weights = [extrapolate_to_zero(eps, unit)[order].real for unit in np.eye(len(eps))]
+    quad_err = float(np.abs(weights) @ sample_error)
+    if quad_err > rel_tol * abs(best):
+        raise NonConvergence(
+            f"quadrature error estimate {quad_err:.3e} exceeds {rel_tol:.1e} of the "
+            f"result ({abs(best):.3e}): the quadrature sum cancels"
+        )
     err_est = abs(best - prev) * eps[-1]
     if err_est > rel_tol * max(abs(best), scale * 1e-3):
         raise NonConvergence(
@@ -209,6 +239,81 @@ def _regulator_limit(settings: OracleSettings, samples, rel_tol, scale):
             f"{rel_tol:.1e} of the result ({abs(best):.3e})"
         )
     return best, tuple(diag[: order + 1])
+
+
+# Outer Gauss-Legendre orders per panel, tried in turn for each pole group;
+# the first whose rule passes the certificate below is used.
+_OUTER_ORDERS = (16, 32, 64, 128)
+# The outer rule must reproduce the time integral of every matrix column,
+# weighted by the kernel's modulus, to this fraction of the absolute sum.
+_OUTER_CERTIFICATE = 1e-13
+
+
+def _outer_rule(halfwidth, order):
+    """Outer-time nodes and weights on [-halfwidth, halfwidth], made
+    exactly mirror-symmetric (t == -t[::-1] bitwise) so that reversing the
+    rows of a cross-Gaussian matrix flips the sign of its offset."""
+    n_panels = int(np.ceil(2.0 * halfwidth / _MAX_PANEL_WIDTH))
+    t, w = _panelize(np.linspace(-halfwidth, halfwidth, n_panels + 1), order)
+    return 0.5 * (t - t[::-1]), 0.5 * (w + w[::-1])
+
+
+def _pole_group_samples(settings, order, p, outer_freq, terms, half_line):
+    """Regulated samples of the rows sharing pole ``p`` at one outer order.
+
+    Returns (samples, absolute sums, outer-rule errors), one column per
+    regulator, or None when the outer rule fails its certificate at some
+    regulator.  The sums and errors are per unit prefactor and per term.
+    """
+    t, w = _outer_rule(settings.domain_halfwidth, order)
+    n = outer_freq.size
+    w_phase = w * np.exp(-1j * outer_freq[:, None] * t)
+    # probe rows: the outer rule's phase weights at the group's largest
+    # frequency (real and imaginary parts) and the plain weights, which
+    # give the absolute sum
+    f = np.abs(outer_freq).max()
+    probe = np.stack([w * np.cos(f * t), w * np.sin(f * t), w])
+    # offsets beyond this only enter through exp(-o^2/4) tails < 1e-21
+    span = settings.domain_halfwidth + 2.0
+    poles = [p] if half_line else [-p, p]
+    schedule = settings.epsilon_schedule
+    samples = np.empty((n, len(schedule)), dtype=complex)
+    absolute = np.empty(len(schedule))
+    outer_err = np.empty(len(schedule))
+    edges = [_graded_edges(0.0 if half_line else -span, span, poles, eps) for eps in schedule]
+    nodes = [_panelize(e, settings.quadrature_nodes) for e in edges]
+    # one buffer holds each regulator's matrix in turn
+    buffer = np.empty(t.size * max(o.size for o, _ in nodes))
+    for j, (eps, (o, w_in)) in enumerate(zip(schedule, nodes)):
+        window = w_in * np.exp(-o * o / 4.0)
+        denom = (o + 1j * eps) ** 2 - p * p
+        # exp(-(t^2 + (t + s*o)^2)/2) = exp(-(t + s*o/2)^2) * exp(-o^2/4).
+        # One real matrix serves both signs: the nodes are mirror-symmetric,
+        # so the sign -1 matrix is this one with its rows reversed.
+        m = np.add.outer(t, 0.5 * o, out=buffer[: t.size * o.size].reshape(t.size, o.size))
+        np.square(m, out=m)
+        np.negative(m, out=m)
+        np.exp(m, out=m)
+        cos_col, sin_col, abs_col = probe @ m
+        # each column's time integral at frequency f is known in closed form
+        exact = _SQRT_PI * np.exp(-f * f / 4.0 + 0.5j * f * o)
+        kernel_abs = window / np.abs(denom)
+        outer_err[j] = np.abs(cos_col - 1j * sin_col - exact) @ kernel_abs
+        absolute[j] = abs_col @ kernel_abs
+        if outer_err[j] > _OUTER_CERTIFICATE * absolute[j]:
+            return None
+        # The matrix takes each row's real and imaginary parts of every term
+        # as columns instead of being promoted to complex.  One same-shaped
+        # product per row: BLAS may sum a wider product in another order,
+        # and a row's bits must not depend on the other rows of its batch.
+        q = [window * np.exp(1j * k[:, None] * o) / denom for _, k in terms]
+        ri = m @ np.stack([part for qk in q for part in (qk.real, qk.imag)], axis=-1)
+        total = 0.0
+        for i, (sign, _) in enumerate(terms):
+            z = ri[:, :, 2 * i] + 1j * ri[:, :, 2 * i + 1]
+            total = total + np.sum(w_phase * (z[:, ::-1] if sign < 0 else z), axis=1)
+        samples[:, j] = total
+    return samples, absolute, outer_err
 
 
 def _regulated_double_integral(
@@ -227,52 +332,57 @@ def _regulated_double_integral(
     lightcone poles at o = +-pole.
 
     ``pole``, ``outer_freq``, ``prefactor``, ``scale``, each term's ``k``
-    and ``imag_tol`` are 1-D arrays over the rows; the signs are shared.
-    Rows with the same pole share the nodes and hence every cross-Gaussian
-    matrix: one per regulator and sign, applied to the real and imaginary
-    parts of all those rows at once.
+    and ``imag_tol`` are 1-D arrays over the rows; the signs (+1 or -1) are
+    shared.  Rows with the same pole share the nodes and hence every
+    cross-Gaussian matrix: one per regulator, applied to the real and
+    imaginary parts of every term of each of those rows.
+
+    The outer order is certified per pole group: the first order of
+    ``_OUTER_ORDERS`` whose rule reproduces the closed-form time integral
+    of every matrix column at the group's largest |outer_freq|, weighted by
+    the kernel's modulus, to ``_OUTER_CERTIFICATE`` of the absolute sum
+    (weights times matrix times kernel modulus).  The closed form only
+    checks the rule; the value is the quadrature sum.  If no order passes,
+    :exc:`NonConvergence` is raised.  The order is the group's, so a row's
+    bits depend on the other rows with its pole only when one of them needs
+    more than the smallest order.
 
     Then, row by row, :func:`_regulator_limit` takes the limit and checks
-    it; with ``imag_tol`` the limit's imaginary part must also stay below
-    it.  The first failing row raises :exc:`NonConvergence` with the
-    message of its one-row call.  Returns complex arrays (values,
-    extrapolants) of shapes (rows,) and (rows, order + 1).
+    it, with each sample's error bounded by machine epsilon times the
+    absolute sum plus the outer rule's error; with ``imag_tol`` the
+    limit's imaginary part must also stay below it.  The first failing row
+    raises :exc:`NonConvergence` with the message of its one-row call.
+    Returns complex arrays (values, extrapolants) of shapes (rows,) and
+    (rows, order + 1).
     """
-    T = settings.domain_halfwidth
-    n_panels = int(np.ceil(2.0 * T / _MAX_PANEL_WIDTH))
-    t_out, w_out = _panelize(np.linspace(-T, T, n_panels + 1), settings.quadrature_nodes)
-    # offsets beyond this only enter through exp(-o^2/4) tails < 1e-21
-    span = T + 2.0
     schedule = settings.epsilon_schedule
     samples = np.empty((pole.size, len(schedule)), dtype=complex)
+    sample_error = np.empty((pole.size, len(schedule)))
     for p in np.unique(pole):
         rows = np.flatnonzero(pole == p)
-        n = rows.size
-        w_phase = w_out * np.exp(-1j * outer_freq[rows, None] * t_out)
-        poles = [p] if half_line else [-p, p]
-        for j, eps in enumerate(schedule):
-            edges = _graded_edges(0.0 if half_line else -span, span, poles, eps)
-            o, w_in = _panelize(edges, settings.quadrature_nodes)
-            window = w_in * np.exp(-o * o / 4.0)
-            denom = (o + 1j * eps) ** 2 - p * p
-            total = 0.0
-            for sign, k in terms:
-                q = window * np.exp(1j * k[rows, None] * o) / denom
-                # exp(-(t^2 + (t + s*o)^2)/2) = exp(-(t + s*o/2)^2) * exp(-o^2/4).
-                # The real cross-Gaussian matrix takes the rows' real and
-                # imaginary parts as columns instead of being promoted to
-                # complex, and stays a temporary so that only one is alive
-                # at a time.
-                ri = np.exp(-((t_out[:, None] + 0.5 * sign * o[None, :]) ** 2)) @ np.hstack(
-                    [q.real.T, q.imag.T]
-                )
-                total = total + np.sum(w_phase * (ri[:, :n].T + 1j * ri[:, n:].T), axis=1)
-            samples[rows, j] = prefactor[rows] * total
+        group_terms = [(sign, k[rows]) for sign, k in terms]
+        for order in _OUTER_ORDERS:
+            group = _pole_group_samples(
+                settings, order, p, outer_freq[rows], group_terms, half_line
+            )
+            if group is not None:
+                break
+        else:
+            raise NonConvergence(
+                f"outer quadrature not certified at {_OUTER_ORDERS[-1]} nodes per panel "
+                f"for outer frequency {np.abs(outer_freq[rows]).max():.3e}"
+            )
+        group_samples, absolute, outer_err = group
+        samples[rows] = prefactor[rows, None] * group_samples
+        per_term = np.finfo(float).eps * absolute + outer_err
+        sample_error[rows] = len(terms) * np.abs(prefactor[rows, None]) * per_term
     order = min(settings.richardson_order, len(schedule) - 1)
     values = np.empty(pole.size, dtype=complex)
     extrapolants = np.empty((pole.size, order + 1), dtype=complex)
     for i in range(pole.size):
-        values[i], extrapolants[i] = _regulator_limit(settings, samples[i], rel_tol, scale[i])
+        values[i], extrapolants[i] = _regulator_limit(
+            settings, samples[i], sample_error[i], rel_tol, scale[i]
+        )
         if imag_tol is not None and abs(values[i].imag) > imag_tol[i]:
             raise NonConvergence(
                 f"imaginary residue {values[i].imag:.3e} survives the regulator limit"
@@ -352,8 +462,11 @@ def pd_double_integral(
     extrapolated to zero regulator.
 
     The extrapolated imaginary part must vanish (below 1e-8 of the
-    coupling-squared scale) and the extrapolation must self-certify to
-    1e-5; violations raise :exc:`NonConvergence`.  With
+    coupling-squared scale), and both the quadrature error bound and the
+    extrapolation must self-certify to 1e-5; violations raise
+    :exc:`NonConvergence`.  The quadrature sum keeps a fixed size while P
+    falls like exp(-gap^2), so at the default settings gaps above about
+    3.8 raise: their round-off exceeds 1e-5 of the value.  With
     ``return_extrapolants`` the increasing-order extrapolant sequence is
     returned alongside the value, for convergence diagnostics.  One problem
     per call; :func:`pd_double_integral_many` solves arrays of them.
@@ -478,9 +591,13 @@ def x_double_integral(
     The time ordering splits the domain along the equal-time diagonal; each
     triangle is integrated with the inner variable offset from the outer by
     s > 0, with panels refined toward the lightcone pole at s = l.  The
-    regulator schedule and extrapolation mirror the probability route, with
-    the self-check at this route's 1e-3 accuracy target.  One problem per
-    call; :func:`x_double_integral_many` solves arrays of them.
+    regulator schedule, extrapolation and quadrature error bound mirror the
+    probability route, with the self-checks at this route's 1e-3 accuracy
+    target.  X falls like exp(-(gap_A + gap_B)^2 / 4) while the quadrature
+    sum does not, so at the default settings a gap sum above about 9 (less
+    at large separations and unequal gaps) raises :exc:`NonConvergence`.
+    One problem per call; :func:`x_double_integral_many` solves arrays of
+    them.
     """
     value, extrapolants = x_double_integral_many(
         cfg.omega_a_sigma,

@@ -24,7 +24,7 @@ from udwharvest import (
     x_single_integral_pv,
 )
 from udwharvest import oracle
-from udwharvest.cli import run_verification
+from udwharvest.cli import VERIFICATION_GRID, run_verification
 from udwharvest.oracle import extrapolate_to_zero, harvest_report
 
 FOUR_PI = 4.0 * np.pi
@@ -244,11 +244,13 @@ class TestBatchedOracles:
         assert p[1, 2] == pytest.approx(pd_double_integral(2.0, 0.3), rel=1e-13)
 
     def test_nonconvergent_pd_batch_raises_first_failing_row(self):
-        pd_double_integral(6.0, 0.1, self.BAD)  # row 0 converges
+        # gaps 6 and 5.5 cancel to round-off (TestQuadratureErrorGuard), so
+        # rows 1 and 2 both fail, but row 1 is the first
+        pd_double_integral(1.0, 0.1)  # row 0 converges
         with pytest.raises(NonConvergence) as first:
-            pd_double_integral(2.0, 0.2, self.BAD)
+            pd_double_integral(6.0, 0.2)
         with pytest.raises(NonConvergence) as err:
-            pd_double_integral_many([6.0, 2.0, 0.5], [0.1, 0.2, 0.1], self.BAD)
+            pd_double_integral_many([1.0, 6.0, 5.5], [0.1, 0.2, 0.1])
         assert str(err.value) == str(first.value)
 
     def test_nonconvergent_x_batch_raises_first_failing_row(self):
@@ -273,10 +275,11 @@ class TestBatchedOracles:
         with pytest.raises(ValueError):
             x_double_integral_many(0.5, [1.0, np.inf], 2.0, 0.1)
 
-    def test_verify_builds_one_matrix_per_pole_regulator_and_sign(self, monkeypatch):
+    def test_verify_builds_one_matrix_per_pole_and_regulator(self, monkeypatch):
         # the cross-Gaussian matrices are the oracle's only real 2-D
-        # exponentials; 3 separations x 3 regulators x 2 signs for the
-        # correlations plus 3 regulators for the probabilities
+        # exponentials; 3 separations x 3 regulators for the correlations
+        # (both signs from one matrix) plus 3 regulators for the
+        # probabilities
         shapes = []
 
         class CountingNumpy:
@@ -284,12 +287,108 @@ class TestBatchedOracles:
                 return getattr(np, name)
 
             @staticmethod
-            def exp(x):
+            def exp(x, **kwargs):
                 if np.ndim(x) == 2 and np.isrealobj(x):
                     shapes.append(np.shape(x))
-                return np.exp(x)
+                return np.exp(x, **kwargs)
 
         monkeypatch.setattr(oracle, "np", CountingNumpy())
         checks = run_verification()
         assert len(checks) == 92 and all(c.passed for c in checks)
-        assert len(shapes) == 21
+        assert len(shapes) == 12
+
+
+class TestQuadratureErrorGuard:
+    """A double-integral sum of fixed size whose value falls exponentially
+    with the gaps cancels to round-off; the oracles must refuse it rather
+    than return it (without the guard these calls return values off by
+    7.9, 4.5e3 and 3.2 relative)."""
+
+    @pytest.mark.parametrize("gap", [5.5, 6.0])
+    def test_probability_past_the_trusted_range_raises(self, gap):
+        with pytest.raises(NonConvergence, match="cancels"):
+            pd_double_integral(gap, 0.1)
+
+    def test_correlation_past_the_trusted_range_raises(self):
+        with pytest.raises(NonConvergence, match="cancels"):
+            x_double_integral(DetectorPairConfig.with_omega_b(4.0, 8.0, 8.0, 0.1))
+
+    def test_probability_inside_the_trusted_range_is_accurate(self):
+        p = pd_double_integral(3.5, 0.1)
+        assert p == pytest.approx(transition_probability(3.5, 0.1), rel=1e-5)
+
+    def test_verification_grid_passes_the_guard(self):
+        assert all(c.passed for c in run_verification())
+
+
+def _record_outer_orders(monkeypatch):
+    """Outer orders tried per pole group, with whether each was certified."""
+    tried = []
+    group_samples = oracle._pole_group_samples
+
+    def recording(settings, order, *args):
+        result = group_samples(settings, order, *args)
+        tried.append((order, result is not None))
+        return result
+
+    monkeypatch.setattr(oracle, "_pole_group_samples", recording)
+    return tried
+
+
+class TestOuterRule:
+    """The outer time axis: mirror-symmetric nodes, one matrix for both
+    offset signs, and a certified order per pole group."""
+
+    @pytest.mark.parametrize("order", oracle._OUTER_ORDERS)
+    @pytest.mark.parametrize("halfwidth", [12.0, 8.0, 10.0])
+    def test_nodes_are_bitwise_mirror_symmetric(self, order, halfwidth):
+        t, w = oracle._outer_rule(halfwidth, order)
+        assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+
+    def test_reversed_rows_equal_a_separately_built_sign_minus_matrix(self, monkeypatch):
+        # the sign -1 samples from their own matrix, otherwise exactly as
+        # the oracle computes them, at a fixed outer order of 64
+        monkeypatch.setattr(oracle, "_OUTER_ORDERS", (64,))
+        settings = DEFAULT_SETTINGS
+        a, b, l, lam = np.array([0.2, 1.2, 0.5]), np.array([0.2, 2.64, 1.1]), 2.0, 0.1
+        t, w = oracle._outer_rule(settings.domain_halfwidth, 64)
+        w_phase = w * np.exp(-1j * (a + b)[:, None] * t)
+        samples = []
+        for eps in settings.epsilon_schedule:
+            edges = oracle._graded_edges(0.0, settings.domain_halfwidth + 2.0, [l], eps)
+            o, w_in = oracle._panelize(edges, settings.quadrature_nodes)
+            window = w_in * np.exp(-o * o / 4.0)
+            denom = (o + 1j * eps) ** 2 - l * l
+            q = [window * np.exp(1j * k[:, None] * o) / denom for k in (-b, b)]
+            columns = np.stack([part for qk in q for part in (qk.real, qk.imag)], axis=-1)
+            total = 0.0
+            for i, sign in enumerate((1.0, -1.0)):
+                ri = np.exp(-((t[:, None] + 0.5 * sign * o[None, :]) ** 2)) @ columns
+                z = ri[:, :, 2 * i] + 1j * ri[:, :, 2 * i + 1]
+                total = total + np.sum(w_phase * z, axis=1)
+            samples.append(lam**2 / (4.0 * np.pi**2) * total)
+        _, extrapolants = x_double_integral_many(a, b, l, lam, return_extrapolants=True)
+        for row, diag in enumerate(extrapolants):
+            expected = extrapolate_to_zero(settings.epsilon_schedule, [s[row] for s in samples])
+            assert np.array_equal(diag, expected)
+
+    def test_verification_grid_is_certified_at_16_nodes(self, monkeypatch):
+        tried = _record_outer_orders(monkeypatch)
+        a, r, l = np.transpose(VERIFICATION_GRID)
+        x_double_integral_many(a, a * (1.0 + r), l, 0.1)
+        pd_double_integral_many(np.concatenate([a, a * (1.0 + r), [0.0]]), 0.1)
+        assert tried == [(16, True)] * 4
+
+    def test_escalates_when_16_nodes_fail_the_certificate(self, monkeypatch):
+        # an outer frequency of 13 needs 32 nodes per panel; the value is
+        # then refused as round-off, which the certificate does not decide
+        tried = _record_outer_orders(monkeypatch)
+        with pytest.raises(NonConvergence, match="cancels"):
+            x_double_integral_many(6.5, 6.5, 2.0, 0.1)
+        assert tried == [(16, False), (32, True)]
+
+    def test_raises_when_no_ladder_order_passes(self, monkeypatch):
+        tried = _record_outer_orders(monkeypatch)
+        with pytest.raises(NonConvergence, match="outer quadrature not certified"):
+            x_double_integral_many(150.0, 150.0, 2.0, 0.1)
+        assert tried == [(order, False) for order in oracle._OUTER_ORDERS]
