@@ -17,8 +17,16 @@ comma-separated columns printed at full round-trip precision.  ``--format
 record`` emits the same content as JSON.  Identical invocations produce
 byte-identical data sections; only the manifest timestamp may differ.
 
-Exit codes: 0 success, 1 verification failure or non-convergent oracle,
-2 bad flags, 3 domain errors, 4 no harvesting region, 5 no crossover.
+Each subcommand takes only the flags and formats it honours, the first
+format named being the default: ``eval`` table/csv/record; ``verify``,
+``lmax``, ``peak``, ``crossover`` table/record; ``sweep``, ``figure``
+csv/record.  The oracle flags ``--quad-nodes`` and ``--eps-schedule``
+belong to ``verify``, and ``figure`` takes no ``--lambda``.
+
+Exit codes, mapped from the subcommands' exceptions by :func:`main` alone:
+0 success, 1 verification failure or non-convergent oracle, 2 bad flags or
+a flag or format the subcommand does not take, 3 domain errors, 4 no
+harvesting region, 5 no crossover.
 """
 
 from __future__ import annotations
@@ -58,12 +66,9 @@ from .analysis import (
 
 EXIT_OK = 0
 EXIT_FAILED = 1
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_NO_HARVEST = 4
 EXIT_NO_CROSSOVER = 5
-
-FIGURE_NAMES = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3", "fig4", "fig5")
 
 # closed-form vs oracle comparison grid: smaller gap x gap ratio x separation,
 # with one benign scenario first so truncated runs stay cheap and meaningful
@@ -110,9 +115,6 @@ class RunManifest:
             lines.append(f"# {key}: {_fmt(self.parameters[key])}")
         return lines
 
-    def as_dict(self):
-        return dataclasses.asdict(self)
-
 
 def _fmt(v):
     """Full-precision, round-trippable rendering of numbers."""
@@ -132,7 +134,8 @@ def _write(out_path, text):
 
 
 def emit_record(manifest, payload, out_path):
-    _write(out_path, json.dumps({"manifest": manifest.as_dict(), **payload}, indent=2) + "\n")
+    record = {"manifest": dataclasses.asdict(manifest), **payload}
+    _write(out_path, json.dumps(record, indent=2) + "\n")
 
 
 def emit_table(manifest, fields, out_path):
@@ -185,13 +188,15 @@ def _single_record(args, manifest, fields):
         emit_table(manifest, fields, args.out)
 
 
-def _settings_from_args(args) -> OracleSettings:
-    kwargs = {}
-    if args.quad_nodes is not None:
-        kwargs["quadrature_nodes"] = args.quad_nodes
-    if args.eps_schedule is not None:
-        kwargs["epsilon_schedule"] = tuple(args.eps_schedule)
-    return OracleSettings(**kwargs) if kwargs else DEFAULT_SETTINGS
+def _emit_grid(args, manifest, notes, columns, arrays):
+    if args.format == "record":
+        emit_record(
+            manifest,
+            {"columns": columns, "data": [list(map(float, a)) for a in arrays], "notes": notes},
+            args.out,
+        )
+    else:
+        emit_csv(manifest, notes, columns, arrays, args.out)
 
 
 def _config_from_args(parser, args) -> DetectorPairConfig:
@@ -215,15 +220,7 @@ def _config_from_args(parser, args) -> DetectorPairConfig:
 def cmd_eval(parser, args):
     cfg = _config_from_args(parser, args)
     report = concurrence(cfg)
-    manifest = RunManifest.create(
-        "eval",
-        {
-            "omega_a_sigma": cfg.omega_a_sigma,
-            "delta_omega_sigma": cfg.delta_omega_sigma,
-            "l_over_sigma": cfg.l_over_sigma,
-            "coupling": cfg.coupling,
-        },
-    )
+    manifest = RunManifest.create("eval", dataclasses.asdict(cfg))
     fields = {
         "p_a": report.p_a,
         "p_b": report.p_b,
@@ -247,13 +244,20 @@ class VerificationCheck:
     passed: bool
 
 
+# relative tolerance of each verification check
+_CHECK_TOLERANCES = {
+    "x_pv_vs_closed": 1e-8,
+    "x_double_vs_closed": 1e-3,
+    "rho_concurrence": 1e-6,
+    "p_double_vs_closed": 1e-4,
+    "p_zero_gap_anchor": 1e-4,
+}
+
+
 def run_verification(
     settings: OracleSettings = DEFAULT_SETTINGS,
     grid_size: int | None = None,
-    tol_x_pv: float = 1e-8,
-    tol_x_double: float = 1e-3,
-    tol_p: float = 1e-4,
-    tol_rho: float = 1e-6,
+    tolerance: float | None = None,
     coupling: float = 0.1,
 ) -> list[VerificationCheck]:
     """Closed forms against the oracles on the comparison grid.
@@ -262,8 +266,16 @@ def run_verification(
     time-ordered double-integral correlation route, and the assembled
     joint state (validity plus concurrence consistency).  Transition
     probabilities are checked once per distinct gap appearing on the grid,
-    plus the zero-gap anchor value 1/(4 pi).
+    plus the zero-gap anchor value 1/(4 pi).  Each check has its own
+    relative tolerance unless ``tolerance`` replaces them all.
     """
+    checks = []
+
+    def check(name, scenario, rel):
+        tol = _CHECK_TOLERANCES[name] if tolerance is None else tolerance
+        rel = float(rel)
+        checks.append(VerificationCheck(name, scenario, rel, tol, bool(rel <= tol)))
+
     grid = VERIFICATION_GRID[: grid_size if grid_size is not None else None]
     cfgs = [DetectorPairConfig(a, a * r, l, coupling) for a, r, l in grid]
     x_dbls = x_double_integral_many(
@@ -273,66 +285,39 @@ def run_verification(
         coupling,
         settings,
     )
-    checks = []
     gaps = {0.0}
     for (a, r, l), cfg, x_dbl in zip(grid, cfgs, x_dbls):
         gaps.update((cfg.omega_a_sigma, cfg.omega_b_sigma))
         tag = f"a={a} dw/wa={r} l={l}"
         report = concurrence(cfg)
-
         x_pv = x_single_integral_pv(cfg, settings)
-        rel = float(abs(x_pv - report.x) / abs(report.x))
-        checks.append(
-            VerificationCheck("x_pv_vs_closed", tag, rel, tol_x_pv, bool(rel <= tol_x_pv))
-        )
-
-        rel = float(abs(x_dbl - report.x) / abs(report.x))
-        checks.append(
-            VerificationCheck(
-                "x_double_vs_closed", tag, rel, tol_x_double, bool(rel <= tol_x_double)
-            )
-        )
-
+        check("x_pv_vs_closed", tag, abs(x_pv - report.x) / abs(report.x))
+        check("x_double_vs_closed", tag, abs(x_dbl - report.x) / abs(report.x))
         rho = assemble_rho(cfg, settings)
         rel = abs(rho.concurrence() - report.concurrence)
-        rel = float(rel / max(report.concurrence, coupling**2 * 1e-3))
-        checks.append(
-            VerificationCheck("rho_concurrence", tag, rel, tol_rho, bool(rel <= tol_rho))
-        )
+        check("rho_concurrence", tag, rel / max(report.concurrence, coupling**2 * 1e-3))
 
     gaps = sorted(gaps)
     # the zero-gap anchor at unit coupling rides along as the last row
     p_oracle = pd_double_integral_many(gaps + [0.0], [coupling] * len(gaps) + [1.0], settings)
     for gap, p in zip(gaps, p_oracle):
         p_exact = transition_probability(gap, coupling)
-        rel = float(abs(p - p_exact) / p_exact)
-        checks.append(
-            VerificationCheck(
-                "p_double_vs_closed", f"gap={gap:g}", rel, tol_p, bool(rel <= tol_p)
-            )
-        )
-    rel = float(abs(p_oracle[-1] - 1.0 / (4.0 * np.pi)) * 4.0 * np.pi)
-    checks.append(
-        VerificationCheck("p_zero_gap_anchor", "gap=0 coupling=1", rel, tol_p, bool(rel <= tol_p))
-    )
+        check("p_double_vs_closed", f"gap={gap:g}", abs(p - p_exact) / p_exact)
+    check("p_zero_gap_anchor", "gap=0 coupling=1",
+          abs(p_oracle[-1] - 1.0 / (4.0 * np.pi)) * 4.0 * np.pi)
     return checks
 
 
 def cmd_verify(parser, args):
-    settings = _settings_from_args(args)
-    tols = {}
-    if args.tolerance is not None:
-        tols = dict(
-            tol_x_pv=args.tolerance,
-            tol_x_double=args.tolerance,
-            tol_p=args.tolerance,
-            tol_rho=args.tolerance,
-        )
-    try:
-        checks = run_verification(settings, grid_size=args.grid, coupling=args.coupling, **tols)
-    except NonConvergence as exc:
-        print(f"verification aborted: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    kwargs = {}
+    if args.quad_nodes is not None:
+        kwargs["quadrature_nodes"] = args.quad_nodes
+    if args.eps_schedule is not None:
+        kwargs["epsilon_schedule"] = tuple(args.eps_schedule)
+    settings = OracleSettings(**kwargs) if kwargs else DEFAULT_SETTINGS
+    checks = run_verification(
+        settings, grid_size=args.grid, tolerance=args.tolerance, coupling=args.coupling
+    )
     manifest = RunManifest.create(
         "verify",
         {
@@ -383,13 +368,8 @@ def cmd_sweep(parser, args):
         parser.error("--l is required unless the sweep runs along l")
     if fixed["omega_a_sigma"] is None:
         parser.error("--omega-a is required")
-    try:
-        base = DetectorPairConfig(**fixed)
-        values = np.linspace(args.start, args.stop, args.points)
-        grid = sweep(axis, values, base)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    base = DetectorPairConfig(**fixed)
+    grid = sweep(axis, np.linspace(args.start, args.stop, args.points), base)
     manifest = RunManifest.create(
         "sweep",
         {
@@ -410,14 +390,7 @@ def cmd_sweep(parser, args):
         np.sqrt(grid.p_a * grid.p_b),
     ]
     notes = [f"point_error[{i}]: {e}" for i, e in enumerate(grid.errors) if e]
-    if args.format == "record":
-        emit_record(
-            manifest,
-            {"columns": columns, "data": [list(map(float, a)) for a in arrays], "notes": notes},
-            args.out,
-        )
-    else:
-        emit_csv(manifest, notes, columns, arrays, args.out)
+    _emit_grid(args, manifest, notes, columns, arrays)
     return EXIT_OK
 
 
@@ -433,9 +406,10 @@ def _search_fields(result):
     }
 
 
-def cmd_lmax(parser, args):
-    manifest = RunManifest.create(
-        "lmax",
+def _separation_manifest(args):
+    """Manifest of ``lmax`` and ``crossover``, which take the same flags."""
+    return RunManifest.create(
+        args.command,
         {
             "omega_a_sigma": args.omega_a,
             "delta_omega_sigma": args.delta_omega,
@@ -444,28 +418,23 @@ def cmd_lmax(parser, args):
             "scan_step": args.scan_step,
         },
     )
+
+
+def cmd_lmax(parser, args):
+    manifest = _separation_manifest(args)
     try:
         result = find_lmax(
             args.omega_a, args.delta_omega, args.coupling,
             scan_bound=args.scan_bound, scan_step=args.scan_step,
         )
-    except NoHarvestingRegion as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_HARVEST
+        fields = _search_fields(result)
     except BracketingFailure as exc:
-        _single_record(
-            args,
-            manifest,
-            {
-                "location": exc.lower_bound,
-                "note": "lower bound only: harvesting persists at the scan bound",
-            },
-        )
-        return EXIT_OK
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    _single_record(args, manifest, _search_fields(result))
+        # a certified lower bound is a result, not a failure
+        fields = {
+            "location": exc.lower_bound,
+            "note": "lower bound only: harvesting persists at the scan bound",
+        }
+    _single_record(args, manifest, fields)
     return EXIT_OK
 
 
@@ -479,37 +448,17 @@ def cmd_peak(parser, args):
             "gap_bound": args.gap_bound,
         },
     )
-    try:
-        result = find_optimal_gap(args.omega_a, args.l, args.coupling, gap_bound=args.gap_bound)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    result = find_optimal_gap(args.omega_a, args.l, args.coupling, gap_bound=args.gap_bound)
     _single_record(args, manifest, _search_fields(result))
     return EXIT_OK
 
 
 def cmd_crossover(parser, args):
-    manifest = RunManifest.create(
-        "crossover",
-        {
-            "omega_a_sigma": args.omega_a,
-            "delta_omega_sigma": args.delta_omega,
-            "coupling": args.coupling,
-            "scan_bound": args.scan_bound,
-            "scan_step": args.scan_step,
-        },
+    manifest = _separation_manifest(args)
+    result = find_crossover(
+        args.omega_a, args.delta_omega, args.coupling,
+        scan_bound=args.scan_bound, scan_step=args.scan_step,
     )
-    try:
-        result = find_crossover(
-            args.omega_a, args.delta_omega, args.coupling,
-            scan_bound=args.scan_bound, scan_step=args.scan_step,
-        )
-    except NoCrossover as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CROSSOVER
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     _single_record(args, manifest, _search_fields(result))
     return EXIT_OK
 
@@ -602,40 +551,31 @@ def _fig_lmax(points):
     return {"omega_a_set": list(_FIG45_GAPS)}, notes, columns, arrays
 
 
+_FIGURES = {
+    "fig1a": lambda points: _fig_separation(0.5, 5.0, points),
+    "fig1b": lambda points: _fig_separation(1.2, 6.0, points),
+    "fig2a": lambda points: _fig_gap_sweep(0.5, (0.5, 1.0, 2.0, 3.0), points),
+    "fig2b": lambda points: _fig_gap_sweep(1.2, (1.0, 2.0, 3.5, 4.0), points),
+    "fig3": _fig_anatomy,
+    "fig4": _fig_peak_location,
+    "fig5": _fig_lmax,
+}
+FIGURE_NAMES = tuple(_FIGURES)
+
+
 def build_figure(name: str, points: int = 400):
     """Data behind one survey figure: (params, notes, columns, arrays)."""
-    if name == "fig1a":
-        return _fig_separation(0.5, 5.0, points)
-    if name == "fig1b":
-        return _fig_separation(1.2, 6.0, points)
-    if name == "fig2a":
-        return _fig_gap_sweep(0.5, (0.5, 1.0, 2.0, 3.0), points)
-    if name == "fig2b":
-        return _fig_gap_sweep(1.2, (1.0, 2.0, 3.5, 4.0), points)
-    if name == "fig3":
-        return _fig_anatomy(points)
-    if name == "fig4":
-        return _fig_peak_location(points)
-    if name == "fig5":
-        return _fig_lmax(points)
-    raise ValueError(f"unknown figure {name!r}")
+    if name not in _FIGURES:
+        raise ValueError(f"unknown figure {name!r}")
+    return _FIGURES[name](points)
 
 
 def cmd_figure(parser, args):
-    try:
-        params, notes, columns, arrays = build_figure(args.name, args.points)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.points < 0:
+        parser.error(f"figure --points must be >= 0, got {args.points}")
+    params, notes, columns, arrays = build_figure(args.name, args.points)
     manifest = RunManifest.create("figure " + args.name, {**params, "points": args.points})
-    if args.format == "record":
-        emit_record(
-            manifest,
-            {"columns": columns, "data": [list(map(float, a)) for a in arrays], "notes": notes},
-            args.out,
-        )
-    else:
-        emit_csv(manifest, notes, columns, arrays, args.out)
+    _emit_grid(args, manifest, notes, columns, arrays)
     return EXIT_OK
 
 
@@ -643,18 +583,20 @@ def cmd_figure(parser, args):
 # parser
 
 
+def _add_format(parser, *formats):
+    """The formats a subcommand writes, its default first."""
+    parser.add_argument("--format", choices=formats, default=formats[0],
+                        help=f"output format (default {formats[0]})")
+
+
 def _build_parser():
+    # one parent parser for the options of every subcommand but figure:
+    # argparse copies a parent's actions faster than it adds new ones, and
+    # each extra parser costs more than the copies save
     common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--lambda", dest="coupling", type=float, default=0.1,
                         help="coupling constant (default 0.1)")
-    common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument("--format", choices=("table", "csv", "record"), default=None,
-                        help="output format (default: table for single records, csv for grids)")
-    common.add_argument("--quad-nodes", type=int, default=None,
-                        help="Gauss-Legendre nodes per panel of the oracles' inner and "
-                             "principal-value axes (the outer order is certified)")
-    common.add_argument("--eps-schedule", type=lambda s: [float(x) for x in s.split(",")],
-                        default=None, help="regulator schedule, comma separated, decreasing")
 
     parser = argparse.ArgumentParser(
         prog="udwharvest",
@@ -665,20 +607,28 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", parents=[common], help="closed-form report for one scenario")
+    _add_format(p, "table", "csv", "record")
     p.add_argument("--omega-a", type=float, required=True, help="smaller gap times duration")
     p.add_argument("--delta-omega", type=float, default=None, help="gap difference times duration")
     p.add_argument("--omega-b", type=float, default=None, help="larger gap (alternative to --delta-omega)")
     p.add_argument("--l", type=float, required=True, help="separation over duration")
-    p.set_defaults(func=cmd_eval, default_format="table")
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", parents=[common], help="closed forms vs integral oracles")
+    _add_format(p, "table", "record")
     p.add_argument("--grid", type=int, default=None,
                    help=f"use only the first N of the {len(VERIFICATION_GRID)} grid scenarios")
     p.add_argument("--tolerance", type=float, default=None,
                    help="override every check tolerance with one value")
-    p.set_defaults(func=cmd_verify, default_format="table")
+    p.add_argument("--quad-nodes", type=int, default=None,
+                   help="Gauss-Legendre nodes per panel of the oracles' inner and "
+                        "principal-value axes (the outer order is certified)")
+    p.add_argument("--eps-schedule", type=lambda s: [float(x) for x in s.split(",")],
+                   default=None, help="regulator schedule, comma separated, decreasing")
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", parents=[common], help="closed-form pipeline along one axis")
+    _add_format(p, "csv", "record")
     p.add_argument("--axis", choices=tuple(_AXIS_FLAGS), required=True)
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
@@ -686,35 +636,41 @@ def _build_parser():
     p.add_argument("--omega-a", type=float, default=None)
     p.add_argument("--delta-omega", type=float, default=None)
     p.add_argument("--l", type=float, default=None)
-    p.set_defaults(func=cmd_sweep, default_format="csv")
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("lmax", parents=[common], help="largest harvesting-achievable separation")
+    _add_format(p, "table", "record")
     p.add_argument("--omega-a", type=float, required=True)
     p.add_argument("--delta-omega", type=float, required=True)
     p.add_argument("--scan-bound", type=float, default=None,
                    help="upper end of the downward scan (default: 4x the large-gap estimate, >= 10)")
     p.add_argument("--scan-step", type=float, default=0.01)
-    p.set_defaults(func=cmd_lmax, default_format="table")
+    p.set_defaults(func=cmd_lmax)
 
     p = sub.add_parser("peak", parents=[common], help="concurrence-maximizing gap difference")
+    _add_format(p, "table", "record")
     p.add_argument("--omega-a", type=float, required=True)
     p.add_argument("--l", type=float, required=True)
     p.add_argument("--gap-bound", type=float, default=None,
                    help="search bound for the gap difference (default max(4, l))")
-    p.set_defaults(func=cmd_peak, default_format="table")
+    p.set_defaults(func=cmd_peak)
 
     p = sub.add_parser("crossover", parents=[common],
                        help="separation where non-identical detectors overtake identical")
+    _add_format(p, "table", "record")
     p.add_argument("--omega-a", type=float, required=True)
     p.add_argument("--delta-omega", type=float, required=True)
-    p.add_argument("--scan-bound", type=float, default=None)
+    p.add_argument("--scan-bound", type=float, default=None,
+                   help="upper end of the upward scan (default: 4x the large-gap estimate, >= 10)")
     p.add_argument("--scan-step", type=float, default=0.01)
-    p.set_defaults(func=cmd_crossover, default_format="table")
+    p.set_defaults(func=cmd_crossover)
 
-    p = sub.add_parser("figure", parents=[common], help="regenerate survey-figure data")
+    p = sub.add_parser("figure", help="regenerate survey-figure data")
     p.add_argument("name", choices=FIGURE_NAMES)
+    p.add_argument("--out", default=None, help="output file (default stdout)")
+    _add_format(p, "csv", "record")
     p.add_argument("--points", type=int, default=400, help="grid points per axis (default 400)")
-    p.set_defaults(func=cmd_figure, default_format="csv")
+    p.set_defaults(func=cmd_figure)
 
     return parser
 
@@ -722,13 +678,17 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
     try:
         return args.func(parser, args)
     except NonConvergence as exc:
-        print(f"oracle did not converge: {exc}", file=sys.stderr)
+        print(f"verification aborted: {exc}", file=sys.stderr)
         return EXIT_FAILED
+    except NoHarvestingRegion as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_HARVEST
+    except NoCrossover as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CROSSOVER
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

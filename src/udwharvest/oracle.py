@@ -17,7 +17,7 @@ The double-integral routes share no algebra with the single-integral
 reduction; their mutual agreement is what certifies the closed forms.  The
 three double integrals (probability, correlation, exchange correlation)
 run through one regulated quadrature loop and differ only in kernel,
-poles, outer phase, tolerance and scale; the two single-integral routes
+poles, outer phase and tolerance; the two single-integral routes
 share one panel-order-doubling self-check.
 
 Quadrature layout: each axis is covered by Gauss-Legendre panels.  Panels
@@ -205,7 +205,7 @@ def extrapolate_to_zero(eps_values, samples):
     return diag
 
 
-def _regulator_limit(settings: OracleSettings, samples, sample_error, rel_tol, scale):
+def _regulator_limit(settings: OracleSettings, samples, sample_error, rel_tol):
     """Extrapolate regulated samples to zero and self-check convergence.
 
     Returns (value, extrapolant sequence).  The value is the extrapolant of
@@ -218,7 +218,8 @@ def _regulator_limit(settings: OracleSettings, samples, sample_error, rel_tol, s
     weights of its extrapolant; where the sum cancels this exceeds the value
     itself.  Then the regulator limit: the last order's correction scaled by
     the smallest regulator -- the contraction one further order would
-    bring -- must not exceed rel_tol times the result scale.
+    bring -- must not exceed rel_tol times the result's magnitude, however
+    small the result is.
     """
     eps = settings.epsilon_schedule
     order = min(settings.richardson_order, len(eps) - 1)
@@ -233,7 +234,7 @@ def _regulator_limit(settings: OracleSettings, samples, sample_error, rel_tol, s
             f"result ({abs(best):.3e}): the quadrature sum cancels"
         )
     err_est = abs(best - prev) * eps[-1]
-    if err_est > rel_tol * max(abs(best), scale * 1e-3):
+    if err_est > rel_tol * abs(best):
         raise NonConvergence(
             f"regulator extrapolation error estimate {err_est:.3e} exceeds "
             f"{rel_tol:.1e} of the result ({abs(best):.3e})"
@@ -317,7 +318,7 @@ def _pole_group_samples(settings, order, p, outer_freq, terms, half_line):
 
 
 def _regulated_double_integral(
-    settings, pole, outer_freq, terms, prefactor, rel_tol, scale, half_line=False, imag_tol=None
+    settings, pole, outer_freq, terms, prefactor, rel_tol, half_line=False, imag_tol=None
 ):
     """Regulator limits of the double integral behind the three direct
     routes, one row per problem,
@@ -331,7 +332,7 @@ def _regulated_double_integral(
     time-ordered triangle per sign), and its panels are graded toward the
     lightcone poles at o = +-pole.
 
-    ``pole``, ``outer_freq``, ``prefactor``, ``scale``, each term's ``k``
+    ``pole``, ``outer_freq``, ``prefactor``, each term's ``k``
     and ``imag_tol`` are 1-D arrays over the rows; the signs (+1 or -1) are
     shared.  Rows with the same pole share the nodes and hence every
     cross-Gaussian matrix: one per regulator, applied to the real and
@@ -381,7 +382,7 @@ def _regulated_double_integral(
     extrapolants = np.empty((pole.size, order + 1), dtype=complex)
     for i in range(pole.size):
         values[i], extrapolants[i] = _regulator_limit(
-            settings, samples[i], sample_error[i], rel_tol, scale[i]
+            settings, samples[i], sample_error[i], rel_tol
         )
         if imag_tol is not None and abs(values[i].imag) > imag_tol[i]:
             raise NonConvergence(
@@ -444,7 +445,6 @@ def pd_double_integral_many(
         terms=[(+1.0, omega)],
         prefactor=-lam2 / (4.0 * np.pi**2),
         rel_tol=1e-5,
-        scale=lam2 / (4.0 * np.pi),
         imag_tol=1e-8 * lam2,
     )
     return _shaped(values.real, extrapolants, shape, return_extrapolants)
@@ -574,7 +574,6 @@ def x_double_integral_many(
         terms=[(+1.0, -b), (-1.0, b)],
         prefactor=lam2 / (4.0 * np.pi**2),
         rel_tol=1e-3,
-        scale=lam2 / (4.0 * np.pi),
         half_line=True,
     )
     return _shaped(values, extrapolants, shape, return_extrapolants)
@@ -659,7 +658,6 @@ def c_double_integral(cfg: DetectorPairConfig, settings: OracleSettings = DEFAUL
         terms=[(+1.0, b)],
         prefactor=-lam2 / (4.0 * np.pi**2),
         rel_tol=1e-3,
-        scale=lam2 / (4.0 * np.pi),
     )
     return complex(values[0])
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from udwharvest import DetectorPairConfig, concurrence_values, transition_probability
-from udwharvest.cli import main, read_data_file
+from udwharvest.cli import main, read_data_file, run_verification
 
 FOUR_PI = 4.0 * np.pi
 
@@ -104,6 +104,17 @@ class TestVerify:
         rec = json.loads(out.read_text())
         assert rec["failures"] == 0
         assert all(c["passed"] for c in rec["checks"])
+
+    def test_each_check_reports_its_tolerance(self):
+        checks = run_verification(grid_size=1)
+        assert {c.name: c.tolerance for c in checks} == {
+            "x_pv_vs_closed": 1e-8,
+            "x_double_vs_closed": 1e-3,
+            "rho_concurrence": 1e-6,
+            "p_double_vs_closed": 1e-4,
+            "p_zero_gap_anchor": 1e-4,
+        }
+        assert {c.tolerance for c in run_verification(grid_size=1, tolerance=0.5)} == {0.5}
 
     @pytest.mark.parametrize("grid", [["--grid", "1"], []])
     def test_nonconvergent_schedule_aborts(self, tmp_path, capsys, grid):
@@ -227,6 +238,12 @@ class TestFigure:
         grid_step = ratios[1] - ratios[0]
         assert abs(excess_peak - float(marker["dw_over_wa"])) <= grid_step
 
+    def test_zero_points_give_an_empty_data_section(self, tmp_path):
+        out = tmp_path / "fig1a.csv"
+        assert run(["figure", "fig1a", "--points", "0", "--out", str(out)]) == 0
+        _, columns, data = read_data_file(out)
+        assert columns[0] == "l_over_sigma" and data.size == 0
+
     def test_byte_identical_data_sections(self, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(["figure", "fig2a", "--points", "40", "--out", str(f1)]) == 0
@@ -277,3 +294,65 @@ class TestSweepCommand:
                 expected.append(f"point_error[{i}]: {exc}")
         assert sorted(d for d in axis if d > 35.0) == [37.5, 40.0]
         assert rec["notes"] == expected and len(expected) == 2
+
+
+class TestCommandSurface:
+    """Each subcommand takes only the flags and formats it honours."""
+
+    ARGS = {
+        "eval": ["eval", "--omega-a", "0.5", "--delta-omega", "0.25", "--l", "2"],
+        "verify": ["verify", "--grid", "1"],
+        "sweep": [
+            "sweep", "--axis", "l", "--start", "0.5", "--stop", "3", "--points", "8",
+            "--omega-a", "0.5", "--delta-omega", "0.25",
+        ],
+        "lmax": ["lmax", "--omega-a", "0.5", "--delta-omega", "0.25"],
+        "peak": ["peak", "--omega-a", "0.5", "--l", "2"],
+        "crossover": ["crossover", "--omega-a", "0.5", "--delta-omega", "0.25"],
+        "figure": ["figure", "fig1a", "--points", "8"],
+    }
+    # the formats each subcommand writes, its default first
+    FORMATS = {
+        "eval": ("table", "csv", "record"),
+        "verify": ("table", "record"),
+        "sweep": ("csv", "record"),
+        "lmax": ("table", "record"),
+        "peak": ("table", "record"),
+        "crossover": ("table", "record"),
+        "figure": ("csv", "record"),
+    }
+
+    @pytest.mark.parametrize(
+        "command,fmt", [(c, f) for c, formats in FORMATS.items() for f in formats]
+    )
+    def test_every_accepted_format_round_trips(self, tmp_path, command, fmt):
+        out = tmp_path / "out"
+        # the default format is reached by leaving --format out
+        chosen = [] if fmt == self.FORMATS[command][0] else ["--format", fmt]
+        assert run(self.ARGS[command] + chosen + ["--out", str(out)]) == 0
+        if fmt == "csv":
+            meta, columns, data = read_data_file(out)
+            assert meta["command"].split()[0] == command
+            assert data.shape == (len(data), len(columns)) and len(data) > 0
+        elif fmt == "record":
+            assert json.loads(out.read_text())["manifest"]["command"].split()[0] == command
+        else:
+            header, body = manifest_and_data(out)
+            assert header and body
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--omega-a", "0.5", "--delta-omega", "0.25", "--l", "2",
+             "--quad-nodes", "8"],
+            ["figure", "fig1a", "--lambda", "0.3"],
+            ARGS["sweep"] + ["--format", "table"],
+            ["verify", "--format", "csv"],
+            ["lmax", "--omega-a", "0.5", "--delta-omega", "0.25", "--format", "csv"],
+            ["figure", "fig1a", "--points", "-1"],
+        ],
+    )
+    def test_flags_and_formats_a_command_does_not_take_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2

@@ -28,6 +28,8 @@ from udwharvest.cli import VERIFICATION_GRID, run_verification
 from udwharvest.oracle import extrapolate_to_zero, harvest_report
 
 FOUR_PI = 4.0 * np.pi
+# a non-asymptotic regulator schedule whose extrapolation cannot converge
+COARSE_SCHEDULE = OracleSettings(epsilon_schedule=(0.9, 0.85), richardson_order=1)
 
 GRID = [
     (a, a * r, l)
@@ -68,9 +70,15 @@ class TestTransitionProbabilityOracle:
 
     def test_nonconvergent_schedule_raises(self):
         # a coarse non-asymptotic schedule cannot self-certify
-        bad = OracleSettings(epsilon_schedule=(0.9, 0.85), richardson_order=1)
         with pytest.raises(NonConvergence):
-            pd_double_integral(2.0, 0.1, bad)
+            pd_double_integral(2.0, 0.1, COARSE_SCHEDULE)
+
+    @pytest.mark.parametrize("gap", [3.75, 4.0])
+    def test_nonconvergent_schedule_raises_however_small_the_value(self, gap):
+        # these returned values 2.5 % off while the regulator check was
+        # absolute below 1e-3 of the coupling scale
+        with pytest.raises(NonConvergence, match="regulator extrapolation"):
+            pd_double_integral(gap, 0.1, COARSE_SCHEDULE)
 
 
 class TestCorrelationPVOracle:
@@ -105,6 +113,13 @@ class TestCorrelationDoubleIntegralOracle:
         x = x_double_integral(cfg)
         x_exact = correlation_x(cfg)
         assert abs(x - x_exact) <= 1e-3 * abs(x_exact)
+
+    def test_nonconvergent_schedule_raises(self):
+        # this returned a value 12 % off while the regulator check was
+        # absolute below 1e-3 of the coupling scale
+        cfg = DetectorPairConfig.with_omega_b(3.0, 4.0, 2.0, 0.1)
+        with pytest.raises(NonConvergence, match="regulator extrapolation"):
+            x_double_integral(cfg, COARSE_SCHEDULE)
 
     def test_swap_symmetry(self):
         # relabeling which static detector carries which gap cannot matter
@@ -214,7 +229,6 @@ class TestBatchedOracles:
 
     # per-row couplings, so that rows sharing a matrix differ in scale too
     COUPLINGS = np.resize([0.1, 0.05, 0.2], len(GRID))
-    BAD = OracleSettings(epsilon_schedule=(0.9, 0.85), richardson_order=1)
 
     def test_x_rows_match_one_problem_calls(self):
         a, d, l = np.transpose(GRID)
@@ -255,14 +269,16 @@ class TestBatchedOracles:
 
     def test_nonconvergent_x_batch_raises_first_failing_row(self):
         # rows 0 and 2 share a separation, so they are computed together,
-        # but row 1 is the first to fail
-        rows = [(3.0, 4.0, 2.0), (2.0, 2.0, 6.0), (0.5, 1.0, 2.0)]
-        x_double_integral(DetectorPairConfig.with_omega_b(*rows[0], 0.1), self.BAD)
+        # but row 1 is the first to fail: x(4, 8, 8) cancels to round-off
+        # (TestQuadratureErrorGuard)
+        rows = [(0.5, 1.0, 2.0), (4.0, 8.0, 8.0), (1.0, 2.0, 2.0)]
+        for row in rows[::2]:
+            x_double_integral(DetectorPairConfig.with_omega_b(*row, 0.1))
         with pytest.raises(NonConvergence) as first:
-            x_double_integral(DetectorPairConfig.with_omega_b(*rows[1], 0.1), self.BAD)
+            x_double_integral(DetectorPairConfig.with_omega_b(*rows[1], 0.1))
         a, b, l = np.transpose(rows)
         with pytest.raises(NonConvergence) as err:
-            x_double_integral_many(a, b, l, 0.1, self.BAD)
+            x_double_integral_many(a, b, l, 0.1)
         assert str(err.value) == str(first.value)
 
     def test_argument_errors_raise_for_the_whole_batch(self):
