@@ -47,6 +47,6 @@ for k, e in enumerate(extrapolants):
     print(f"  order {k}: {e.real:.10e}   off by {abs(e.real - p_exact):.2e}")
 
 # A finer schedule buys more accuracy when needed.
-fine = OracleSettings(epsilon_schedule=(0.04, 0.02, 0.01, 0.005), richardson_order=3)
+fine = OracleSettings(epsilon_schedule=(0.04, 0.02, 0.01, 0.005))
 p_fine = pd_double_integral(0.5, 0.1, fine)
 print(f"\nfiner schedule: rel {abs(p_fine - p_exact) / p_exact:.1e}")

@@ -27,11 +27,12 @@ so memory stays that of one scan), then all rows are refined in lockstep:
 one closed-form array call per bisection or golden-section step, with
 each finished row frozen in place.  A row where the one-problem search
 would raise carries NaN and the exception's class name in ``error``, so
-one failing problem cannot abort a grid.  The one-problem functions run
-the same core on 0-d inputs and raise as before; they keep returning a
-:class:`SearchResult` of Python numbers, because callers (the benchmark's
-tracer among them) read its fields as scalars, so arrays get their own
-names.
+one failing problem cannot abort a grid; gaps, a separation or a
+coupling outside the scenario domain raise ValueError, for the whole
+batch.  The one-problem functions run the same core on 0-d inputs and
+raise as before; they keep returning a :class:`SearchResult` of Python
+numbers, because callers (the benchmark's tracer among them) read its
+fields as scalars, so arrays get their own names.
 
 :func:`sweep` evaluates the closed-form pipeline over one axis of the
 scenario with one array call; points outside the admitted domain are
@@ -76,6 +77,9 @@ __all__ = [
 ]
 
 _GOLDEN = float((np.sqrt(5.0) - 1.0) / 2.0)
+
+# Samples of a gap search's coarse scan over [0, gap bound].
+_GAP_SCAN_POINTS = 256
 
 
 class NoHarvestingRegion(RuntimeError):
@@ -140,12 +144,21 @@ def _default_scan_bound(omega_a_sigma, delta_omega_sigma):
     return np.maximum(10.0, 4.0 * lmax_large_gap_estimate(omega_a_sigma, delta_omega_sigma))
 
 
-def _separation_problems(omega_a_sigma, delta_omega_sigma, scan_bound, scan_step):
+def _check_domain(a, d, l, coupling):
+    """Raise ValueError with the message of the first row outside the
+    domain :class:`DetectorPairConfig` admits."""
+    bad = [e for e in _domain_errors(a, d, l, coupling) if e]
+    if bad:
+        raise ValueError(bad[0])
+
+
+def _separation_problems(omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step):
     """Broadcast (a, d, scan bound) arrays of a separation search, the
     bound defaulting per row."""
     a, d = np.broadcast_arrays(
         np.asarray(omega_a_sigma, dtype=float), np.asarray(delta_omega_sigma, dtype=float)
     )
+    _check_domain(a, d, 1.0, coupling)  # the scanned separation is not checked
     if scan_bound is None:
         scan_bound = _default_scan_bound(a, d)
     a, d, bound = np.broadcast_arrays(a, d, np.asarray(scan_bound, dtype=float))
@@ -261,7 +274,9 @@ def find_lmax_many(
     lockstep.  A row where :func:`find_lmax` would raise carries the
     exception's class name in ``error``.
     """
-    a, d, bound = _separation_problems(omega_a_sigma, delta_omega_sigma, scan_bound, scan_step)
+    a, d, bound = _separation_problems(
+        omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
+    )
     gm = np.asarray(geometric_mean_probability(a, d, coupling))
     # a failed row sits at lo = hi, where the bisection leaves it alone
     lo = np.full(a.shape, float(scan_step))
@@ -329,11 +344,9 @@ def find_optimal_gap_many(
     l_over_sigma,
     coupling=0.1,
     gap_bound=None,
-    scan_points=256,
 ) -> SearchBatch:
     """:func:`find_optimal_gap` for broadcast arrays of smaller gaps and
-    separations (and gap bounds).  ``coupling`` and ``scan_points`` are
-    shared by all rows.
+    separations (and gap bounds).  ``coupling`` is shared by all rows.
 
     Each row is scanned on its own grid; then all interior rows are refined
     by golden section in lockstep.  No row fails: every ``error`` is empty.
@@ -341,6 +354,7 @@ def find_optimal_gap_many(
     a, l = np.broadcast_arrays(
         np.asarray(omega_a_sigma, dtype=float), np.asarray(l_over_sigma, dtype=float)
     )
+    _check_domain(a, 0.0, l, coupling)  # nor is the scanned gap difference
     if gap_bound is None:
         gap_bound = np.maximum(4.0, l)
     a, l, bound = np.broadcast_arrays(a, l, np.asarray(gap_bound, dtype=float))
@@ -354,16 +368,16 @@ def find_optimal_gap_many(
     value = lo.copy()
     note = _blank(a.shape)
     for i in np.ndindex(a.shape):
-        grid = np.linspace(0.0, bound[i], scan_points)
+        grid = np.linspace(0.0, bound[i], _GAP_SCAN_POINTS)
         values = _gap_concurrence(p_a[i], a[i], grid, l[i], coupling)
         k = int(np.argmax(values))
         if k == 0:
             value[i] = values[0]
             note[i] = "boundary maximum at zero gap difference"
             continue
-        if k == scan_points - 1:
+        if k == _GAP_SCAN_POINTS - 1:
             note[i] = "maximum at the scan bound; enlarge gap_bound to be sure"
-        lo[i], hi[i] = grid[k - 1], grid[min(k + 1, scan_points - 1)]
+        lo[i], hi[i] = grid[k - 1], grid[min(k + 1, _GAP_SCAN_POINTS - 1)]
     iterations = np.zeros(a.shape, dtype=int)
     interior = hi > lo
     if interior.any():
@@ -380,22 +394,19 @@ def find_optimal_gap(
     l_over_sigma,
     coupling=0.1,
     gap_bound=None,
-    scan_points=256,
 ) -> SearchResult:
     """Gap difference (units of the inverse switching duration) that
     maximizes the concurrence, over [0, gap_bound].
 
-    A coarse scan locates the best sample; an interior best is refined by
-    golden-section to bracket width 1e-8.  A best sample at zero means the
-    concurrence is decreasing from the start -- the small-separation
-    regime -- and is reported as a converged boundary maximum.  The default
-    bound grows with the separation, which is where the optimum migrates.
-    One problem per call; :func:`find_optimal_gap_many` solves arrays of
-    them.
+    A coarse scan of 256 samples locates the best one; an interior best is
+    refined by golden-section to bracket width 1e-8.  A best sample at zero
+    means the concurrence is decreasing from the start -- the
+    small-separation regime -- and is reported as a converged boundary
+    maximum.  The default bound grows with the separation, which is where
+    the optimum migrates.  One problem per call;
+    :func:`find_optimal_gap_many` solves arrays of them.
     """
-    return _single(
-        find_optimal_gap_many(omega_a_sigma, l_over_sigma, coupling, gap_bound, scan_points)
-    )
+    return _single(find_optimal_gap_many(omega_a_sigma, l_over_sigma, coupling, gap_bound))
 
 
 def find_crossover_many(
@@ -414,7 +425,9 @@ def find_crossover_many(
     """
     if np.any(np.asarray(delta_omega_sigma) <= 0):
         raise ValueError("delta_omega_sigma must be > 0 to compare against identical")
-    a, d, bound = _separation_problems(omega_a_sigma, delta_omega_sigma, scan_bound, scan_step)
+    a, d, bound = _separation_problems(
+        omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
+    )
     gm = np.asarray(geometric_mean_probability(a, d, coupling))
     gm0 = np.asarray(geometric_mean_probability(a, 0.0, coupling))
     # a failed row sits at lo = hi, where the bisection leaves it alone

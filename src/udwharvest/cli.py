@@ -547,7 +547,8 @@ def _fig_lmax(points):
     for a, vals in zip(_FIG45_GAPS, lmax):
         columns.append(f"lmax_a_{a:g}")
         arrays.append(vals)
-        notes.append(f"identical_reference[a={a:g}]: {_fmt(float(vals[0]))}")
+        if points:
+            notes.append(f"identical_reference[a={a:g}]: {_fmt(float(vals[0]))}")
     return {"omega_a_set": list(_FIG45_GAPS)}, notes, columns, arrays
 
 
@@ -624,7 +625,7 @@ def _build_parser():
                    help="Gauss-Legendre nodes per panel of the oracles' inner and "
                         "principal-value axes (the outer order is certified)")
     p.add_argument("--eps-schedule", type=lambda s: [float(x) for x in s.split(",")],
-                   default=None, help="regulator schedule, comma separated, decreasing")
+                   help="regulator schedule, comma separated, decreasing; every value is used")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", parents=[common], help="closed-form pipeline along one axis")

@@ -75,7 +75,6 @@ class Method(enum.Enum):
 
     CLOSED_FORM = "closed-form"
     ORACLE_SINGLE_INTEGRAL = "oracle-single-integral"
-    ORACLE_DOUBLE_INTEGRAL = "oracle-double-integral"
 
 
 class GapRegime(enum.Enum):

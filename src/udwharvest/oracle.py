@@ -25,9 +25,9 @@ are geometrically refined toward the lightcone poles (which sit a distance
 eps off the integration line) down to width ~eps, which keeps the per-panel
 Bernstein parameter of the nearest pole of order one and the error
 spectral.  The inner time variable is integrated over an offset window of
-half-width ``domain_halfwidth + 2`` centred on the outer node; relative to
+half-width ``_HALFWIDTH + 2`` centred on the outer node; relative to
 the nominal square this clips and pads only regions whose Gaussian window
-is below exp(-(halfwidth+2)^2/4) ~ 1e-21, far under every tolerance.  The
+is below exp(-(_HALFWIDTH+2)^2/4) ~ 1e-21, far under every tolerance.  The
 offset parameterization makes the integrand a product of a bounded real
 cross-Gaussian matrix and per-axis complex vectors, so each pass is one
 large real exponential plus a real matrix product.  The outer axis only
@@ -99,23 +99,18 @@ class OracleSettings:
     """Knobs for the integral oracles.
 
     epsilon_schedule   regulator values (units of the switching duration),
-                       strictly decreasing; the regulator limit is the
-                       extrapolation of the sampled values to zero
+                       strictly decreasing; the regulator limit takes the
+                       polynomial through all samples to zero, so its order
+                       is one less than the schedule's length
     quadrature_nodes   Gauss-Legendre nodes per panel of the inner
                        (offset) axis of the double integrals and of the
                        principal-value routes, which also run at twice
                        this to self-check; the outer time axis of the
                        double integrals picks and certifies its own order
-    domain_halfwidth   integration cutoff (units of the switching
-                       duration); the Gaussian window makes the discarded
-                       tail < exp(-halfwidth^2/2) relative
-    richardson_order   polynomial order of the regulator extrapolation
     """
 
     epsilon_schedule: tuple[float, ...] = (0.05, 0.025, 0.0125)
     quadrature_nodes: int = 64
-    domain_halfwidth: float = 12.0
-    richardson_order: int = 2
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilon_schedule)
@@ -126,13 +121,13 @@ class OracleSettings:
             raise ValueError("epsilon_schedule must be strictly decreasing and positive")
         if self.quadrature_nodes < 4:
             raise ValueError("quadrature_nodes must be >= 4")
-        if self.domain_halfwidth < 8.0:
-            raise ValueError("domain_halfwidth must be >= 8 to bury the Gaussian tail")
-        if self.richardson_order < 1:
-            raise ValueError("richardson_order must be >= 1")
 
 
 DEFAULT_SETTINGS = OracleSettings()
+
+# Integration cutoff in time (units of the switching duration); the
+# Gaussian window makes the discarded tail < exp(-_HALFWIDTH^2/2) relative.
+_HALFWIDTH = 12.0
 
 # Panels wider than this resolve nothing even for the smooth Gaussian
 # envelope; the graded ladders below stop once they reach it.
@@ -208,8 +203,8 @@ def extrapolate_to_zero(eps_values, samples):
 def _regulator_limit(settings: OracleSettings, samples, sample_error, rel_tol):
     """Extrapolate regulated samples to zero and self-check convergence.
 
-    Returns (value, extrapolant sequence).  The value is the extrapolant of
-    order ``richardson_order`` (capped by the schedule length).
+    Returns (value, extrapolant sequence).  The value is the last
+    extrapolant, the polynomial through every sample.
 
     Two checks, each relative to ``rel_tol``.  First the quadrature error:
     ``sample_error`` bounds each sample's error (round-off and outer rule,
@@ -222,11 +217,10 @@ def _regulator_limit(settings: OracleSettings, samples, sample_error, rel_tol):
     small the result is.
     """
     eps = settings.epsilon_schedule
-    order = min(settings.richardson_order, len(eps) - 1)
     diag = extrapolate_to_zero(eps, samples)
-    best, prev = diag[order], diag[order - 1]
+    best, prev = diag[-1], diag[-2]
     # the tableau is linear: the samples' weights are the unit samples' extrapolants
-    weights = [extrapolate_to_zero(eps, unit)[order].real for unit in np.eye(len(eps))]
+    weights = [extrapolate_to_zero(eps, unit)[-1].real for unit in np.eye(len(eps))]
     quad_err = float(np.abs(weights) @ sample_error)
     if quad_err > rel_tol * abs(best):
         raise NonConvergence(
@@ -239,7 +233,7 @@ def _regulator_limit(settings: OracleSettings, samples, sample_error, rel_tol):
             f"regulator extrapolation error estimate {err_est:.3e} exceeds "
             f"{rel_tol:.1e} of the result ({abs(best):.3e})"
         )
-    return best, tuple(diag[: order + 1])
+    return best, tuple(diag)
 
 
 # Outer Gauss-Legendre orders per panel, tried in turn for each pole group;
@@ -266,7 +260,7 @@ def _pole_group_samples(settings, order, p, outer_freq, terms, half_line):
     regulator, or None when the outer rule fails its certificate at some
     regulator.  The sums and errors are per unit prefactor and per term.
     """
-    t, w = _outer_rule(settings.domain_halfwidth, order)
+    t, w = _outer_rule(_HALFWIDTH, order)
     n = outer_freq.size
     w_phase = w * np.exp(-1j * outer_freq[:, None] * t)
     # probe rows: the outer rule's phase weights at the group's largest
@@ -275,7 +269,7 @@ def _pole_group_samples(settings, order, p, outer_freq, terms, half_line):
     f = np.abs(outer_freq).max()
     probe = np.stack([w * np.cos(f * t), w * np.sin(f * t), w])
     # offsets beyond this only enter through exp(-o^2/4) tails < 1e-21
-    span = settings.domain_halfwidth + 2.0
+    span = _HALFWIDTH + 2.0
     poles = [p] if half_line else [-p, p]
     schedule = settings.epsilon_schedule
     samples = np.empty((n, len(schedule)), dtype=complex)
@@ -354,7 +348,7 @@ def _regulated_double_integral(
     limit's imaginary part must also stay below it.  The first failing row
     raises :exc:`NonConvergence` with the message of its one-row call.
     Returns complex arrays (values, extrapolants) of shapes (rows,) and
-    (rows, order + 1).
+    (rows, len(epsilon_schedule)).
     """
     schedule = settings.epsilon_schedule
     samples = np.empty((pole.size, len(schedule)), dtype=complex)
@@ -377,9 +371,8 @@ def _regulated_double_integral(
         samples[rows] = prefactor[rows, None] * group_samples
         per_term = np.finfo(float).eps * absolute + outer_err
         sample_error[rows] = len(terms) * np.abs(prefactor[rows, None]) * per_term
-    order = min(settings.richardson_order, len(schedule) - 1)
     values = np.empty(pole.size, dtype=complex)
-    extrapolants = np.empty((pole.size, order + 1), dtype=complex)
+    extrapolants = np.empty((pole.size, len(schedule)), dtype=complex)
     for i in range(pole.size):
         values[i], extrapolants[i] = _regulator_limit(
             settings, samples[i], sample_error[i], rel_tol
@@ -498,14 +491,13 @@ def pv_gaussian_pole_integral(
     if l <= 0:
         raise ValueError("l_over_sigma must be > 0")
     kappa = float(kappa)
-    V = settings.domain_halfwidth
 
     def g(v):
         return np.exp(-v * v / 4.0) * np.exp(-0.5j * kappa * v)
 
     cp = g(l) / (2.0 * l)
     cm = g(-l) / (2.0 * l)
-    edges = _fill_edges([-V, -l, l, V], max_width=1.0)
+    edges = _fill_edges([-_HALFWIDTH, -l, l, _HALFWIDTH], max_width=1.0)
     v, w = _panelize(edges, settings.quadrature_nodes)
     u_p = v - l
     u_m = v + l
@@ -719,26 +711,19 @@ def assemble_rho(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SET
 def harvest_report(
     cfg: DetectorPairConfig,
     settings: OracleSettings = DEFAULT_SETTINGS,
-    x_path: str = "single",
     include_c: bool = False,
 ):
     """Full oracle recomputation of a scenario.
 
-    ``x_path`` selects the correlation route: "single" (principal value,
-    ~1e-9) or "double" (direct time-ordered integration, ~1e-3).
-    Probabilities always come from the double-integral route.
+    The correlation comes from the single-integral principal-value route
+    (~1e-9), the probabilities from the double-integral route; with
+    ``include_c`` the exchange correlation is added from
+    :func:`c_quadrature`.
     """
-    if x_path == "single":
-        x = x_single_integral_pv(cfg, settings)
-        method = Method.ORACLE_SINGLE_INTEGRAL
-    elif x_path == "double":
-        x = x_double_integral(cfg, settings)
-        method = Method.ORACLE_DOUBLE_INTEGRAL
-    else:
-        raise ValueError(f"unknown x_path {x_path!r}")
+    x = x_single_integral_pv(cfg, settings)
     p_a, p_b = pd_double_integral_many(
         [cfg.omega_a_sigma, cfg.omega_b_sigma], cfg.coupling, settings
     ).tolist()
     conc = 2.0 * max(0.0, float(np.abs(x)) - float(np.sqrt(p_a * p_b)))
     c = c_quadrature(cfg, settings) if include_c else None
-    return HarvestReport(p_a=p_a, p_b=p_b, x=x, concurrence=conc, method=method, c_corr=c)
+    return HarvestReport(p_a, p_b, x, conc, Method.ORACLE_SINGLE_INTEGRAL, c)

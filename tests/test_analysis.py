@@ -335,6 +335,23 @@ class TestBatchedSearches:
         with pytest.raises(ValueError):
             find_optimal_gap_many(0.5, [1.0, 2.0], gap_bound=[1.0, 0.0])
 
+    def test_a_row_outside_the_domain_raises_for_the_whole_batch(self):
+        # one bad row fails the batch with that row's domain message, the
+        # same rule DetectorPairConfig applies
+        with pytest.raises(ValueError, match="delta_omega_sigma=40.0 exceeds"):
+            find_lmax_many([0.5, 0.5, 1.0], [0.0, 40.0, 0.5])
+        with pytest.raises(ValueError, match="omega_a_sigma must be >= 0"):
+            find_optimal_gap_many([0.5, -1.0], 2.0)
+        with pytest.raises(ValueError, match="l_over_sigma must be > 0"):
+            find_optimal_gap(0.5, 0.0)
+        with pytest.raises(ValueError, match="coupling must be > 0"):
+            find_crossover(0.5, 0.25, coupling=0.0)
+
+    def test_the_searched_gap_axis_is_not_limited_to_the_domain(self):
+        # the default gap bound max(4, l) exceeds the largest admitted gap
+        # difference at large separations; only the search inputs are checked
+        assert find_optimal_gap_many(0.5, 60.0, gap_bound=60.0).error[()] == ""
+
 
 class TestSweep:
     BASE = DetectorPairConfig(0.5, 0.25, 2.0, 0.1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from udwharvest import DetectorPairConfig, concurrence_values, transition_probability
-from udwharvest.cli import main, read_data_file, run_verification
+from udwharvest.cli import FIGURE_NAMES, build_figure, main, read_data_file, run_verification
 
 FOUR_PI = 4.0 * np.pi
 
@@ -124,6 +124,20 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("verification aborted:")
         assert not out.exists()
 
+    def test_every_regulator_of_a_longer_schedule_is_used(self, tmp_path):
+        # a four-value schedule extrapolates at order three; capped at
+        # order two its probability errors stay near 1e-6
+        out = tmp_path / "v.json"
+        assert run(
+            [
+                "verify", "--eps-schedule", "0.04,0.02,0.01,0.005",
+                "--format", "record", "--out", str(out),
+            ]
+        ) == 0
+        rec = json.loads(out.read_text())
+        errors = [c["relative_error"] for c in rec["checks"] if c["name"] == "p_double_vs_closed"]
+        assert errors and max(errors) < 1e-7
+
 
 class TestSearchCommands:
     def test_lmax_large_gap(self, tmp_path):
@@ -190,6 +204,19 @@ class TestSearchCommands:
         )
         assert code == 5
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lmax", "--omega-a", "-1", "--delta-omega", "0"],
+            ["peak", "--omega-a", "-1", "--l", "2"],
+            ["lmax", "--omega-a", "0.5", "--delta-omega", "40"],
+        ],
+    )
+    def test_searches_outside_the_domain_exit_like_eval(self, argv, capsys):
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("omega_a_sigma" in err or "delta_omega" in err)
+
 
 class TestFigure:
     def test_unknown_name_is_usage_error(self):
@@ -238,11 +265,12 @@ class TestFigure:
         grid_step = ratios[1] - ratios[0]
         assert abs(excess_peak - float(marker["dw_over_wa"])) <= grid_step
 
-    def test_zero_points_give_an_empty_data_section(self, tmp_path):
-        out = tmp_path / "fig1a.csv"
-        assert run(["figure", "fig1a", "--points", "0", "--out", str(out)]) == 0
+    @pytest.mark.parametrize("name", FIGURE_NAMES)
+    def test_zero_points_give_an_empty_data_section(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        assert run(["figure", name, "--points", "0", "--out", str(out)]) == 0
         _, columns, data = read_data_file(out)
-        assert columns[0] == "l_over_sigma" and data.size == 0
+        assert columns == build_figure(name, 2)[2] and data.size == 0
 
     def test_byte_identical_data_sections(self, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -34,7 +34,7 @@ FOUR_PI = 4.0 * np.pi
 SQRT_PI = np.sqrt(np.pi)
 
 # regulator schedule fine enough for 1e-6 closed-form-vs-oracle comparisons
-FINE = OracleSettings(epsilon_schedule=(0.04, 0.02, 0.01, 0.005), richardson_order=3)
+FINE = OracleSettings(epsilon_schedule=(0.04, 0.02, 0.01, 0.005))
 
 
 class TestConfig:

@@ -29,7 +29,7 @@ from udwharvest.oracle import extrapolate_to_zero, harvest_report
 
 FOUR_PI = 4.0 * np.pi
 # a non-asymptotic regulator schedule whose extrapolation cannot converge
-COARSE_SCHEDULE = OracleSettings(epsilon_schedule=(0.9, 0.85), richardson_order=1)
+COARSE_SCHEDULE = OracleSettings(epsilon_schedule=(0.9, 0.85))
 
 GRID = [
     (a, a * r, l)
@@ -44,8 +44,6 @@ def test_settings_validation():
         OracleSettings(epsilon_schedule=(0.01, 0.02))
     with pytest.raises(ValueError):
         OracleSettings(epsilon_schedule=(0.05,))
-    with pytest.raises(ValueError):
-        OracleSettings(domain_halfwidth=4.0)
     with pytest.raises(ValueError):
         OracleSettings(quadrature_nodes=2)
 
@@ -173,7 +171,7 @@ class TestAssembledState:
 
     def test_oracle_report(self):
         cfg = DetectorPairConfig(0.5, 0.5, 2.0, 0.1)
-        rep = harvest_report(cfg, x_path="single", include_c=True)
+        rep = harvest_report(cfg, include_c=True)
         assert rep.method is Method.ORACLE_SINGLE_INTEGRAL
         assert rep.c_corr is not None
         ref = concurrence(cfg)
@@ -197,6 +195,16 @@ class TestRegulatorConvergence:
         _, diag = x_double_integral(cfg, return_extrapolants=True)
         steps = [abs(b - a) for a, b in zip(diag, diag[1:])]
         assert all(s2 <= 0.5 * s1 for s1, s2 in zip(steps, steps[1:]))
+
+
+def test_every_regulator_of_a_longer_schedule_is_used():
+    # the extrapolation order is one less than the schedule's length; the
+    # order-two polynomial through the first three values is off by ~1e-6
+    fine = OracleSettings(epsilon_schedule=(0.04, 0.02, 0.01, 0.005))
+    p, diag = pd_double_integral(0.5, 0.1, fine, return_extrapolants=True)
+    exact = transition_probability(0.5, 0.1)
+    assert len(diag) == 4 and p == diag[-1].real
+    assert abs(p - exact) <= 1e-8 * exact
 
 
 class TestQuadratureRefinementStability:
@@ -367,11 +375,11 @@ class TestOuterRule:
         monkeypatch.setattr(oracle, "_OUTER_ORDERS", (64,))
         settings = DEFAULT_SETTINGS
         a, b, l, lam = np.array([0.2, 1.2, 0.5]), np.array([0.2, 2.64, 1.1]), 2.0, 0.1
-        t, w = oracle._outer_rule(settings.domain_halfwidth, 64)
+        t, w = oracle._outer_rule(oracle._HALFWIDTH, 64)
         w_phase = w * np.exp(-1j * (a + b)[:, None] * t)
         samples = []
         for eps in settings.epsilon_schedule:
-            edges = oracle._graded_edges(0.0, settings.domain_halfwidth + 2.0, [l], eps)
+            edges = oracle._graded_edges(0.0, oracle._HALFWIDTH + 2.0, [l], eps)
             o, w_in = oracle._panelize(edges, settings.quadrature_nodes)
             window = w_in * np.exp(-o * o / 4.0)
             denom = (o + 1j * eps) ** 2 - l * l
