@@ -16,6 +16,23 @@ Three searches cover the quantities the closed forms do not give directly:
 * :func:`find_crossover` -- the smallest separation beyond which
   non-identical detectors harvest more than identical ones.
 
+The two separation scans evaluate only the grid points their answer
+depends on.  A closed-form envelope of |X|, decreasing in the separation
+and costing no Faddeeva evaluation, certifies a grid point non-harvesting
+wherever it lies below sqrt(P_A P_B) by a relative margin of 1e-6
+(:func:`_certified`); such points are skipped, since their sign is known.
+:func:`find_lmax` starts its downward walk at the first point that is not
+certified, and :func:`find_crossover` ends its upward walk at the last one,
+because above it the non-identical concurrence is exactly zero and the
+difference cannot turn positive.  The rest of the grid is walked in blocks
+of 256 points, each twice the one before, up to the first block that holds
+the answer.  The grid itself is built in full, and a closed-form call
+gives the same bits for a point whatever the shape of the call, so every
+answer, bracket and raised error is bit for bit that of evaluating the
+whole grid.  Where sqrt(P_A P_B) underflows to a subnormal number or
+zero nothing is certified.  A scan bound must be finite and a scan grid may
+hold at most 1e7 points; a larger one raises ValueError before it is built.
+
 Bisections run the bracket down to floating-point resolution, so reported
 roots satisfy much tighter certificates than the nominal 1e-10 width.
 
@@ -53,6 +70,7 @@ from .closedform import (
     _clamp,
     _domain_errors,
     _ingredients,
+    _x_envelope,
     correlation_x_values,
     geometric_mean_probability,
     lmax_large_gap_estimate,
@@ -80,6 +98,20 @@ _GOLDEN = float((np.sqrt(5.0) - 1.0) / 2.0)
 
 # Samples of a gap search's coarse scan over [0, gap bound].
 _GAP_SCAN_POINTS = 256
+
+# Largest grid a separation scan builds, in points (80 MB); a much larger
+# one fails in numpy's allocator or exhausts memory before its scan starts.
+_MAX_SCAN_POINTS = 10**7
+
+# Points of a separation scan's first block; each later block is twice the
+# one before, so a scan that stops early evaluates little past its answer
+# and one that runs to the end costs a few calls more than one call.
+_SCAN_BLOCK = 256
+
+# Relative margin of the envelope certificate: it covers the Faddeeva
+# kernel's relative error (below 1e-10) and the roundings of |X| many times
+# over, and costs a factor of about 1 + 5e-7 on the certified separation.
+_ENVELOPE_MARGIN = 1e-6
 
 
 class NoHarvestingRegion(RuntimeError):
@@ -162,9 +194,40 @@ def _separation_problems(omega_a_sigma, delta_omega_sigma, coupling, scan_bound,
     if scan_bound is None:
         scan_bound = _default_scan_bound(a, d)
     a, d, bound = np.broadcast_arrays(a, d, np.asarray(scan_bound, dtype=float))
+    if not np.all(np.isfinite(bound)):
+        raise ValueError("scan_bound must be finite")
     if not np.all((bound > scan_step) & (scan_step > 0.0)):
         raise ValueError("need scan_bound > scan_step > 0")
+    points = float(np.max(bound, initial=0.0)) / scan_step
+    if points > _MAX_SCAN_POINTS:
+        raise ValueError(f"a scan grid of {points:.3g} points exceeds the limit of "
+                         f"{_MAX_SCAN_POINTS:.0e}; raise scan_step or lower scan_bound")
     return a, d, bound
+
+
+def _certified(gm, a, d, grid, coupling):
+    """Where on one row's grid the excess |X| - gm is certified <= 0
+    without evaluating it: where the envelope of |X|, widened by the
+    margin, lies below gm.  The envelope multiplies the closed form's own
+    prefactor bits, and its bracket bounds the closed form's bracket up to
+    the kernel's and the roundings' relative error, which the margin
+    covers; a subnormal |X| is off by a few units of 2^-1074 at most, far
+    below the margin times a normal gm.  Where gm is zero, subnormal or not
+    finite nothing is certified."""
+    if not (np.isfinite(gm) and gm >= np.finfo(float).tiny):
+        return np.zeros(grid.shape, dtype=bool)
+    return _x_envelope(a, d, grid, coupling) * (1.0 + _ENVELOPE_MARGIN) < gm
+
+
+def _blocks(start, stop):
+    """Index ranges [i, j) that walk [start, stop) in blocks of
+    ``_SCAN_BLOCK`` points, each block twice the one before; a scan stops
+    at the first block that holds its answer."""
+    size = _SCAN_BLOCK
+    while start < stop:
+        yield start, min(start + size, stop)
+        start += size
+        size *= 2
 
 
 # The closed forms below are evaluated with row-constant factors computed
@@ -284,13 +347,20 @@ def find_lmax_many(
     error = _blank(a.shape)
     for i in np.ndindex(a.shape):
         grid = np.arange(bound[i], 0.5 * scan_step, -scan_step)
-        positive = _excess(gm[i], a[i], d[i], grid, coupling) > 0.0
-        if positive[0]:
-            error[i] = BracketingFailure.__name__
-        elif not positive.any():
+        # the leading certified points are not positive; the walk starts
+        # below them and stops at the first positive point
+        uncertified = np.flatnonzero(~_certified(gm[i], a[i], d[i], grid, coupling))
+        k = None
+        for s, e in _blocks(uncertified[0] if uncertified.size else grid.size, grid.size):
+            positive = _excess(gm[i], a[i], d[i], grid[s:e], coupling) > 0.0
+            if positive.any():
+                k = s + int(np.argmax(positive))  # first positive point walking downward
+                break
+        if k is None:
             error[i] = NoHarvestingRegion.__name__
+        elif k == 0:
+            error[i] = BracketingFailure.__name__
         else:
-            k = int(np.argmax(positive))  # first positive point walking downward
             lo[i], hi[i] = grid[k], grid[k - 1]  # f(lo) > 0 >= f(hi)
 
     def f(l):
@@ -315,9 +385,13 @@ def find_lmax(
     Scans downward from the bound in steps of ``scan_step`` and bisects the
     first bracket whose smaller-separation side still harvests; downward
     scanning is what makes the *largest* root the one found when the
-    boundary oscillates.  The returned location does not depend on the
-    coupling (the excess scales globally by its square).  One problem per
-    call; :func:`find_lmax_many` solves arrays of them.
+    boundary oscillates.  Grid points that an envelope of |X| certifies
+    non-harvesting are not evaluated, and the walk stops at the first block
+    holding a harvesting point; neither changes the answer, which is bit
+    for bit that of evaluating every grid point.  The returned location
+    does not depend on the coupling (the excess scales globally by its
+    square).  One problem per call; :func:`find_lmax_many` solves arrays of
+    them.
 
     Raises :exc:`NoHarvestingRegion` if nothing on the grid harvests and
     :exc:`BracketingFailure` if harvesting persists at the bound itself.
@@ -436,13 +510,23 @@ def find_crossover_many(
     error = _blank(a.shape)
     for i in np.ndindex(a.shape):
         grid = np.arange(scan_step, bound[i] + 0.5 * scan_step, scan_step)
-        unequal, equal = _pair_concurrences(gm[i], gm0[i], a[i], d[i], grid, coupling)
-        positive = unequal - equal > 0.0
-        transitions = np.flatnonzero(positive[1:] & ~positive[:-1])
-        if transitions.size == 0:
+        # at a certified point the non-identical concurrence is 0, so the
+        # difference cannot turn positive there: the walk ends at the last
+        # point that is not certified, or at the first sign change
+        uncertified = np.flatnonzero(~_certified(gm[i], a[i], d[i], grid, coupling))
+        k = None
+        before = True  # the first grid point cannot be a sign change
+        for s, e in _blocks(0, uncertified[-1] + 1 if uncertified.size else 0):
+            unequal, equal = _pair_concurrences(gm[i], gm0[i], a[i], d[i], grid[s:e], coupling)
+            positive = unequal - equal > 0.0
+            turns = positive & ~np.concatenate(([before], positive[:-1]))
+            if turns.any():
+                k = s + int(np.argmax(turns))
+                break
+            before = positive[-1]
+        if k is None:
             error[i] = NoCrossover.__name__
             continue
-        k = int(transitions[0]) + 1
         lo[i], hi[i] = grid[k - 1], grid[k]  # g(lo) <= 0 < g(hi)
 
     def g(l):
@@ -472,8 +556,12 @@ def find_crossover(
     If the identical pair's concurrence has already died at the located
     point, the result is flagged: it is then the point where only the
     non-identical pair still harvests, not a crossing of two positive
-    curves.  Raises :exc:`NoCrossover` when the difference never turns
-    positive on the grid.  One problem per call;
+    curves.  The scan ends at the first sign change, or at the last grid
+    point the envelope of |X| does not certify non-harvesting for the
+    non-identical pair: above it that pair's concurrence is exactly zero,
+    so the difference cannot turn positive, and the answer is that of the
+    full scan bit for bit.  Raises :exc:`NoCrossover` when the difference
+    never turns positive on the grid.  One problem per call;
     :func:`find_crossover_many` solves arrays of them.
     """
     batch = find_crossover_many(omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step)

@@ -309,6 +309,8 @@ def run_verification(
 
 
 def cmd_verify(parser, args):
+    if args.grid is not None and args.grid < 0:
+        parser.error(f"verify --grid must be >= 0, got {args.grid}")
     kwargs = {}
     if args.quad_nodes is not None:
         kwargs["quadrature_nodes"] = args.quad_nodes
@@ -368,6 +370,8 @@ def cmd_sweep(parser, args):
         parser.error("--l is required unless the sweep runs along l")
     if fixed["omega_a_sigma"] is None:
         parser.error("--omega-a is required")
+    if args.points < 0:
+        parser.error(f"sweep --points must be >= 0, got {args.points}")
     base = DetectorPairConfig(**fixed)
     grid = sweep(axis, np.linspace(args.start, args.stop, args.points), base)
     manifest = RunManifest.create(

@@ -218,6 +218,13 @@ def geometric_mean_probability(omega_a_sigma, delta_omega_sigma, coupling):
     return np.sqrt(pa * pb)
 
 
+def _x_prefactor(a, d, l, coupling):
+    """The real prefactor coupling^2/(8 sqrt(pi) l) * exp(-(2a+d)^2/4) of X;
+    :func:`_x_envelope` multiplies the same bits."""
+    s = 2.0 * a + d
+    return coupling**2 / (8.0 * _SQRT_PI * l) * np.exp(-(s * s) / 4.0)
+
+
 def correlation_x_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
     """Pair-correlation amplitude for raw parameter arrays.
 
@@ -244,8 +251,7 @@ def correlation_x_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, couplin
     # complex division, scalar ``** 2`` and (through fused multiply-adds)
     # the signs of zero products differently for scalars and arrays, while
     # real operations give the same bits at any shape.
-    s = 2.0 * a + d
-    pref = coupling**2 / (8.0 * _SQRT_PI * l) * np.exp(-(s * s) / 4.0)
+    pref = _x_prefactor(a, d, l, coupling)
     w_imag = faddeeva_w(0.5 * (l + 1j * d)).imag
     phase = np.exp(-0.5j * l * d)
     gauss_l = 2.0 * np.exp(-l * l / 4.0)
@@ -257,6 +263,25 @@ def correlation_x_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, couplin
     if x.ndim == 0:
         return complex(x)
     return x
+
+
+# sup |x w(x)| over the real line (0.7488717463... at x = 1.3323371), rounded
+# up.  z w(z) is bounded and analytic in the upper half-plane, so by
+# Phragmen-Lindelof |w(z)| <= _ZW_BOUND / |z| there.
+_ZW_BOUND = 0.7489
+
+
+def _x_envelope(a, d, l, coupling):
+    """Upper bound on |X| from :func:`correlation_x_values`' bracket,
+    decreasing in l:
+
+        pref * (2 exp(-d^2/4) min(1, 2 M / sqrt(l^2 + d^2)) + 2 exp(-l^2/4)),
+
+    since |Im w(z)| <= |w(z)| <= min(1, M/|z|) at z = (l+id)/2.  Costs no
+    Faddeeva evaluation.  Arrays a, d, l broadcast."""
+    w_bound = np.minimum(1.0, 2.0 * _ZW_BOUND / np.sqrt(l * l + d * d))
+    bracket = 2.0 * np.exp(-d * d / 4.0) * w_bound + 2.0 * np.exp(-l * l / 4.0)
+    return _x_prefactor(a, d, l, coupling) * bracket
 
 
 def correlation_x(cfg: DetectorPairConfig) -> complex:

@@ -21,7 +21,7 @@ from udwharvest import (
     lmax_large_gap_estimate,
     sweep,
 )
-from udwharvest import closedform
+from udwharvest import analysis, closedform
 from udwharvest.analysis import SweepGrid
 
 
@@ -181,10 +181,10 @@ def _as_outcome(loc, value, lo, hi, iterations, note=""):
             iterations, True, note)
 
 
-def _lmax_loop(a, d, coupling):
-    """find_lmax as a scalar loop over correlation_excess."""
-    bound = max(10.0, 4.0 * lmax_large_gap_estimate(a, d))
-    grid = np.arange(bound, 0.005, -0.01)
+def _lmax_loop(a, d, coupling, bound=None, step=0.01):
+    """find_lmax as a scalar loop over correlation_excess on the full grid."""
+    bound = bound or max(10.0, 4.0 * lmax_large_gap_estimate(a, d))
+    grid = np.arange(bound, 0.5 * step, -step)
     positive = correlation_excess(a, d, grid, coupling) > 0.0
     if positive[0]:
         return "BracketingFailure"
@@ -230,14 +230,15 @@ def _optimal_gap_loop(a, l, coupling, gap_bound=None):
     return _as_outcome(0.5 * (lo + hi), c(0.5 * (lo + hi)), lo, hi, n, note)
 
 
-def _crossover_loop(a, d, coupling):
-    """find_crossover as a scalar loop over concurrence_values."""
+def _crossover_loop(a, d, coupling, bound=None, step=0.01):
+    """find_crossover as a scalar loop over concurrence_values on the full
+    grid."""
 
     def g(l):
         return concurrence_values(a, d, l, coupling) - concurrence_values(a, 0.0, l, coupling)
 
-    bound = max(10.0, 4.0 * lmax_large_gap_estimate(a, d))
-    grid = np.arange(0.01, bound + 0.005, 0.01)
+    bound = bound or max(10.0, 4.0 * lmax_large_gap_estimate(a, d))
+    grid = np.arange(step, bound + 0.5 * step, step)
     positive = g(grid) > 0.0
     transitions = np.flatnonzero(positive[1:] & ~positive[:-1])
     if transitions.size == 0:
@@ -253,12 +254,24 @@ def _crossover_loop(a, d, coupling):
 class TestAgainstScalarLoops:
     """The one-problem searches run the batched core on 0-d inputs; they
     must reproduce plain scalar loops over the public closed forms bit for
-    bit, including which exception they raise."""
+    bit, including which exception they raise.  The loops evaluate every
+    grid point; the searches skip the certified ones and stop at the first
+    block that holds the answer."""
 
     @pytest.mark.parametrize("a, d", [(0.2, 0.0), (0.5, 0.25), (1.2, 3.6), (4.0, 0.0),
                                       (20.0, 0.0), (30.0, 0.0)])
     def test_find_lmax(self, a, d):
         assert _outcome(find_lmax, a, d) == _lmax_loop(a, d, 0.1)
+
+    # scan bound 200: most of the grid lies above the certified start; the
+    # roots of (0.5, 0.25) and (4, 0) lie in the first block below it, and
+    # at step 0.001 the root of (0.5, 0.25) lies in the second
+    @pytest.mark.parametrize("a, d, bound, step", [
+        (0.5, 0.25, 200.0, 0.01), (4.0, 0.0, 200.0, 0.01), (1.0, 20.0, 200.0, 0.01),
+        (0.2, 0.0, 200.0, 0.01), (0.5, 0.25, None, 0.001), (1.2, 3.6, 15.0, 0.003)])
+    def test_find_lmax_where_the_scan_skips_and_stops_early(self, a, d, bound, step):
+        got = _outcome(find_lmax, a, d, scan_bound=bound, scan_step=step)
+        assert got == _lmax_loop(a, d, 0.1, bound, step)
 
     @pytest.mark.parametrize("a, l, bound", [(0.5, 0.5, None), (0.5, 2.0, None), (1.2, 4.0, None),
                                              (0.2, 6.5, None), (0.5, 2.0, 0.1)])
@@ -270,6 +283,31 @@ class TestAgainstScalarLoops:
                                       (1.0, 20.0), (1.1, 2.7)])
     def test_find_crossover(self, a, d):
         assert _outcome(find_crossover, a, d) == _crossover_loop(a, d, 0.1)
+
+    # scan bound 200: the walk ends at the certified end or the first sign
+    # change; (3.0, 0.05) crosses in the second block, (1.1, 2.7) never.
+    # The coarse steps put the sign change at the last point that is not
+    # certified (step 1) and a positive difference at the first grid point
+    # (step 2, no crossover); at step 0.0061 the sign change is the first
+    # point of the second block
+    @pytest.mark.parametrize("a, d, bound, step", [
+        (0.5, 0.25, 200.0, 0.01), (3.0, 0.05, 200.0, 0.01), (1.1, 2.7, 200.0, 0.01),
+        (1.0, 20.0, 200.0, 0.01), (0.5, 1.6, None, 1.0), (0.5, 0.25, None, 2.0),
+        (0.5, 0.25, None, 0.0061)])
+    def test_find_crossover_where_the_scan_skips_and_stops_early(self, a, d, bound, step):
+        got = _outcome(find_crossover, a, d, scan_bound=bound, scan_step=step)
+        assert got == _crossover_loop(a, d, 0.1, bound, step)
+
+    def test_find_lmax_evaluates_under_half_its_grid(self, monkeypatch):
+        # bound 10, 1000 points; the root near 2.63 lies just below the
+        # certified start, so the walk ends in its first block
+        points = []
+        original = analysis.correlation_x_values
+        monkeypatch.setattr(analysis, "correlation_x_values",
+                            lambda a, d, l, c: points.append(np.size(l)) or original(a, d, l, c))
+        result = find_lmax(0.5, 0.25)
+        assert result.converged and 2.0 < result.location < 3.0
+        assert sum(points) < 500
 
 
 class TestBatchedSearches:
@@ -334,6 +372,19 @@ class TestBatchedSearches:
             find_lmax_many([0.5, 0.5], [0.0, 0.0], scan_bound=[10.0, 0.005])
         with pytest.raises(ValueError):
             find_optimal_gap_many(0.5, [1.0, 2.0], gap_bound=[1.0, 0.0])
+
+    def test_scan_grids_that_cannot_be_built_raise_value_error(self):
+        # numpy would refuse an infinite bound ("Maximum allowed size
+        # exceeded") and fail to allocate a 1e14-point grid; both are
+        # checked before any grid is built
+        with pytest.raises(ValueError, match="must be finite"):
+            find_lmax_many([0.5, 0.5], [0.0, 0.0], scan_bound=[10.0, np.inf])
+        with pytest.raises(ValueError, match="must be finite"):
+            find_crossover(0.5, 0.25, scan_bound=np.nan)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            find_lmax(0.5, 0.25, scan_bound=1e12)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            find_crossover_many(0.5, 0.25, scan_bound=1e3, scan_step=1e-5)
 
     def test_a_row_outside_the_domain_raises_for_the_whole_batch(self):
         # one bad row fails the batch with that row's domain message, the

@@ -217,6 +217,17 @@ class TestSearchCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and ("omega_a_sigma" in err or "delta_omega" in err)
 
+    # numpy would refuse an infinite bound ("Maximum allowed size exceeded")
+    # and fail to allocate a 1e14-point grid; both exit like a domain error
+    @pytest.mark.parametrize("command", ["lmax", "crossover"])
+    @pytest.mark.parametrize("bound, message", [("inf", "scan_bound must be finite"),
+                                                ("1e12", "exceeds the limit")])
+    def test_scan_grids_that_cannot_be_built_exit_3(self, command, bound, message, capsys):
+        argv = [command, "--omega-a", "0.5", "--delta-omega", "0.25", "--scan-bound", bound]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestFigure:
     def test_unknown_name_is_usage_error(self):
@@ -378,6 +389,10 @@ class TestCommandSurface:
             ["verify", "--format", "csv"],
             ["lmax", "--omega-a", "0.5", "--delta-omega", "0.25", "--format", "csv"],
             ["figure", "fig1a", "--points", "-1"],
+            # a negative count would drop grid scenarios silently, or reach
+            # numpy's linspace
+            ["verify", "--grid", "-1"],
+            ARGS["sweep"] + ["--points", "-1"],
         ],
     )
     def test_flags_and_formats_a_command_does_not_take_are_usage_errors(self, argv):

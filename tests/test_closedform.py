@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import erfi
@@ -29,6 +30,7 @@ from udwharvest import (
     transition_probability,
     x_single_integral_pv,
 )
+from udwharvest.closedform import _ZW_BOUND, _x_envelope
 
 FOUR_PI = 4.0 * np.pi
 SQRT_PI = np.sqrt(np.pi)
@@ -124,6 +126,35 @@ class TestCorrelationX:
         cfg = DetectorPairConfig(0.5, 0.5, 2.0, 0.1)
         x_oracle = x_single_integral_pv(cfg)
         assert abs(correlation_x(cfg) - x_oracle) <= 1e-8 * abs(x_oracle)
+
+
+class TestXEnvelope:
+    """``_x_envelope`` bounds |X| without a Faddeeva evaluation: the
+    separation scans skip every point where it lies below sqrt(P_A P_B)."""
+
+    def test_zw_bound_is_the_rounded_up_supremum_on_the_real_line(self):
+        def zw(x):
+            return abs(x * mp.exp(-x * x) * mp.erfc(-1j * x))
+
+        with mp.workdps(20):
+            sup = zw(mp.findroot(lambda x: mp.diff(zw, x), 1.33))
+            assert sup <= _ZW_BOUND <= sup + 1e-4
+            # no real point beats the stationary one: |x w(x)| is even in x,
+            # 0 at 0, and falls toward 1/sqrt(pi) from above beyond the samples
+            assert all(zw(mp.mpf(x)) <= sup for x in np.linspace(0.0, 60.0, 1201))
+
+    @pytest.mark.parametrize("coupling", [0.1, 1.0])
+    def test_envelope_bounds_x_across_the_domain(self, coupling):
+        a = np.linspace(0.0, 40.0, 81)[:, None, None]
+        d = np.linspace(0.0, 35.0, 71)[None, :, None]
+        l = np.geomspace(0.01, 440.0, 500)
+        x = np.abs(correlation_x_values(a, d, l, coupling))
+        env = _x_envelope(a, d, l, coupling)
+        # the bound is exact; the computed values may cross it by a few
+        # roundings, or by one unit of 2^-1074 where they are subnormal
+        assert np.all(x <= env * (1.0 + 1e-12) + 4.0 * 2.0**-1074)
+        assert np.all(np.diff(env, axis=-1) <= 0.0)
+        assert (x > 0.0).any() and (env > 0.0).any()
 
 
 class TestConcurrence:
