@@ -246,11 +246,13 @@ def _gap_concurrence(p_a, a, d, l, coupling):
     return _clamp(_excess(np.sqrt(p_a * p_b), a, d, l, coupling))
 
 
-def _pair_concurrences(gm, gm0, a, d, l, coupling):
+def _pair_concurrences(gms, a, ds, l, coupling):
     """``concurrence_values`` of the non-identical pair and of the identical
-    pair (gap difference 0), with their sqrt(P_A P_B) passed in."""
-    return (_clamp(_excess(gm, a, d, l, coupling)),
-            _clamp(_excess(gm0, a, 0.0, l, coupling)))
+    pair (gap difference 0) in one closed-form call, with their
+    sqrt(P_A P_B) and gap differences passed in along a leading axis of
+    two (leading, so that numpy's inner loops run along the points)."""
+    unequal, equal = _clamp(_excess(gms, a, ds, l, coupling))
+    return unequal, equal
 
 
 def _bisect(f, lo, hi, positive_at_lo):
@@ -432,6 +434,8 @@ def find_optimal_gap_many(
     if gap_bound is None:
         gap_bound = np.maximum(4.0, l)
     a, l, bound = np.broadcast_arrays(a, l, np.asarray(gap_bound, dtype=float))
+    if not np.all(np.isfinite(bound)):
+        raise ValueError("gap_bound must be finite")
     if np.any(bound <= 0):
         raise ValueError("gap_bound must be > 0")
     p_a = np.asarray(transition_probability(a, coupling))
@@ -503,7 +507,9 @@ def find_crossover_many(
         omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
     )
     gm = np.asarray(geometric_mean_probability(a, d, coupling))
-    gm0 = np.asarray(geometric_mean_probability(a, 0.0, coupling))
+    # both pairs' sqrt(P_A P_B) and gap differences, stacked once per search
+    gms = np.stack([gm, geometric_mean_probability(a, 0.0, coupling)])
+    ds = np.stack([d, np.zeros(d.shape)])
     # a failed row sits at lo = hi, where the bisection leaves it alone
     lo = np.full(a.shape, float(scan_step))
     hi = lo.copy()
@@ -514,10 +520,11 @@ def find_crossover_many(
         # difference cannot turn positive there: the walk ends at the last
         # point that is not certified, or at the first sign change
         uncertified = np.flatnonzero(~_certified(gm[i], a[i], d[i], grid, coupling))
+        row_gms, row_ds = gms[(..., *i)][:, None], ds[(..., *i)][:, None]
         k = None
         before = True  # the first grid point cannot be a sign change
         for s, e in _blocks(0, uncertified[-1] + 1 if uncertified.size else 0):
-            unequal, equal = _pair_concurrences(gm[i], gm0[i], a[i], d[i], grid[s:e], coupling)
+            unequal, equal = _pair_concurrences(row_gms, a[i], row_ds, grid[s:e], coupling)
             positive = unequal - equal > 0.0
             turns = positive & ~np.concatenate(([before], positive[:-1]))
             if turns.any():
@@ -530,12 +537,12 @@ def find_crossover_many(
         lo[i], hi[i] = grid[k - 1], grid[k]  # g(lo) <= 0 < g(hi)
 
     def g(l):
-        unequal, equal = _pair_concurrences(gm, gm0, a, d, l, coupling)
+        unequal, equal = _pair_concurrences(gms, a, ds, l, coupling)
         return unequal - equal
 
     lo, hi, iterations = _bisect(g, lo, hi, positive_at_lo=False)
     loc = 0.5 * (lo + hi)
-    unequal, equal = _pair_concurrences(gm, gm0, a, d, loc, coupling)
+    unequal, equal = _pair_concurrences(gms, a, ds, loc, coupling)
     note = np.where((unequal > 0.0) & (equal > 0.0), "",
                     "identical-pair concurrence already zero here").astype(object)
     return _batch(loc, unequal - equal, lo, hi, iterations, note, error)

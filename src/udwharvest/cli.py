@@ -309,8 +309,9 @@ def run_verification(
 
 
 def cmd_verify(parser, args):
-    if args.grid is not None and args.grid < 0:
-        parser.error(f"verify --grid must be >= 0, got {args.grid}")
+    if args.grid is not None and not 0 <= args.grid <= len(VERIFICATION_GRID):
+        parser.error(f"verify --grid must be between 0 and {len(VERIFICATION_GRID)}, "
+                     f"got {args.grid}")
     kwargs = {}
     if args.quad_nodes is not None:
         kwargs["quadrature_nodes"] = args.quad_nodes

@@ -32,9 +32,11 @@ offset parameterization makes the integrand a product of a bounded real
 cross-Gaussian matrix and per-axis complex vectors, so each pass is one
 large real exponential plus a real matrix product.  The outer axis only
 carries a unit Gaussian times the outer phase, so its order is not the
-inner one: per pole, the smallest order on a fixed ladder whose rule
-reproduces each matrix column's known time integral is used (16 nodes per
-panel wherever the results can be trusted).
+inner one but a fixed 16 nodes per panel, certified per pole: the rule must
+reproduce each matrix column's known time integral.  That integral carries
+exp(-f^2/4) at outer frequency f, so a frequency 16 nodes cannot resolve
+belongs to a value that has already cancelled to round-off; such a call
+raises :exc:`NonConvergence` instead of trying more nodes.
 
 The matrix depends on the pole, the regulator and the settings, not on
 the gaps, the outer phase or the prefactor; the outer nodes are mirror
@@ -106,7 +108,8 @@ class OracleSettings:
                        (offset) axis of the double integrals and of the
                        principal-value routes, which also run at twice
                        this to self-check; the outer time axis of the
-                       double integrals picks and certifies its own order
+                       double integrals has a fixed, certified 16 nodes
+                       per panel
     """
 
     epsilon_schedule: tuple[float, ...] = (0.05, 0.025, 0.0125)
@@ -236,9 +239,10 @@ def _regulator_limit(settings: OracleSettings, samples, sample_error, rel_tol):
     return best, tuple(diag)
 
 
-# Outer Gauss-Legendre orders per panel, tried in turn for each pole group;
-# the first whose rule passes the certificate below is used.
-_OUTER_ORDERS = (16, 32, 64, 128)
+# Outer Gauss-Legendre nodes per panel.  A column's time integral at outer
+# frequency f carries exp(-f^2/4), so a frequency this order cannot resolve
+# belongs to a value that has already cancelled to round-off.
+_OUTER_ORDER = 16
 # The outer rule must reproduce the time integral of every matrix column,
 # weighted by the kernel's modulus, to this fraction of the absolute sum.
 _OUTER_CERTIFICATE = 1e-13
@@ -251,64 +255,6 @@ def _outer_rule(halfwidth, order):
     n_panels = int(np.ceil(2.0 * halfwidth / _MAX_PANEL_WIDTH))
     t, w = _panelize(np.linspace(-halfwidth, halfwidth, n_panels + 1), order)
     return 0.5 * (t - t[::-1]), 0.5 * (w + w[::-1])
-
-
-def _pole_group_samples(settings, order, p, outer_freq, terms, half_line):
-    """Regulated samples of the rows sharing pole ``p`` at one outer order.
-
-    Returns (samples, absolute sums, outer-rule errors), one column per
-    regulator, or None when the outer rule fails its certificate at some
-    regulator.  The sums and errors are per unit prefactor and per term.
-    """
-    t, w = _outer_rule(_HALFWIDTH, order)
-    n = outer_freq.size
-    w_phase = w * np.exp(-1j * outer_freq[:, None] * t)
-    # probe rows: the outer rule's phase weights at the group's largest
-    # frequency (real and imaginary parts) and the plain weights, which
-    # give the absolute sum
-    f = np.abs(outer_freq).max()
-    probe = np.stack([w * np.cos(f * t), w * np.sin(f * t), w])
-    # offsets beyond this only enter through exp(-o^2/4) tails < 1e-21
-    span = _HALFWIDTH + 2.0
-    poles = [p] if half_line else [-p, p]
-    schedule = settings.epsilon_schedule
-    samples = np.empty((n, len(schedule)), dtype=complex)
-    absolute = np.empty(len(schedule))
-    outer_err = np.empty(len(schedule))
-    edges = [_graded_edges(0.0 if half_line else -span, span, poles, eps) for eps in schedule]
-    nodes = [_panelize(e, settings.quadrature_nodes) for e in edges]
-    # one buffer holds each regulator's matrix in turn
-    buffer = np.empty(t.size * max(o.size for o, _ in nodes))
-    for j, (eps, (o, w_in)) in enumerate(zip(schedule, nodes)):
-        window = w_in * np.exp(-o * o / 4.0)
-        denom = (o + 1j * eps) ** 2 - p * p
-        # exp(-(t^2 + (t + s*o)^2)/2) = exp(-(t + s*o/2)^2) * exp(-o^2/4).
-        # One real matrix serves both signs: the nodes are mirror-symmetric,
-        # so the sign -1 matrix is this one with its rows reversed.
-        m = np.add.outer(t, 0.5 * o, out=buffer[: t.size * o.size].reshape(t.size, o.size))
-        np.square(m, out=m)
-        np.negative(m, out=m)
-        np.exp(m, out=m)
-        cos_col, sin_col, abs_col = probe @ m
-        # each column's time integral at frequency f is known in closed form
-        exact = _SQRT_PI * np.exp(-f * f / 4.0 + 0.5j * f * o)
-        kernel_abs = window / np.abs(denom)
-        outer_err[j] = np.abs(cos_col - 1j * sin_col - exact) @ kernel_abs
-        absolute[j] = abs_col @ kernel_abs
-        if outer_err[j] > _OUTER_CERTIFICATE * absolute[j]:
-            return None
-        # The matrix takes each row's real and imaginary parts of every term
-        # as columns instead of being promoted to complex.  One same-shaped
-        # product per row: BLAS may sum a wider product in another order,
-        # and a row's bits must not depend on the other rows of its batch.
-        q = [window * np.exp(1j * k[:, None] * o) / denom for _, k in terms]
-        ri = m @ np.stack([part for qk in q for part in (qk.real, qk.imag)], axis=-1)
-        total = 0.0
-        for i, (sign, _) in enumerate(terms):
-            z = ri[:, :, 2 * i] + 1j * ri[:, :, 2 * i + 1]
-            total = total + np.sum(w_phase * (z[:, ::-1] if sign < 0 else z), axis=1)
-        samples[:, j] = total
-    return samples, absolute, outer_err
 
 
 def _regulated_double_integral(
@@ -332,15 +278,14 @@ def _regulated_double_integral(
     cross-Gaussian matrix: one per regulator, applied to the real and
     imaginary parts of every term of each of those rows.
 
-    The outer order is certified per pole group: the first order of
-    ``_OUTER_ORDERS`` whose rule reproduces the closed-form time integral
-    of every matrix column at the group's largest |outer_freq|, weighted by
+    The outer rule, ``_OUTER_ORDER`` nodes per panel, is certified per pole
+    group and regulator: it must reproduce the closed-form time integral of
+    every matrix column at the group's largest |outer_freq|, weighted by
     the kernel's modulus, to ``_OUTER_CERTIFICATE`` of the absolute sum
     (weights times matrix times kernel modulus).  The closed form only
-    checks the rule; the value is the quadrature sum.  If no order passes,
-    :exc:`NonConvergence` is raised.  The order is the group's, so a row's
-    bits depend on the other rows with its pole only when one of them needs
-    more than the smallest order.
+    checks the rule; the value is the quadrature sum.  Where the rule fails,
+    :exc:`NonConvergence` is raised at once, before any row's limit is
+    checked.
 
     Then, row by row, :func:`_regulator_limit` takes the limit and checks
     it, with each sample's error bounded by machine epsilon times the
@@ -351,26 +296,60 @@ def _regulated_double_integral(
     (rows, len(epsilon_schedule)).
     """
     schedule = settings.epsilon_schedule
+    t, w = _outer_rule(_HALFWIDTH, _OUTER_ORDER)
+    # offsets beyond this only enter through exp(-o^2/4) tails < 1e-21
+    span = _HALFWIDTH + 2.0
     samples = np.empty((pole.size, len(schedule)), dtype=complex)
     sample_error = np.empty((pole.size, len(schedule)))
     for p in np.unique(pole):
         rows = np.flatnonzero(pole == p)
-        group_terms = [(sign, k[rows]) for sign, k in terms]
-        for order in _OUTER_ORDERS:
-            group = _pole_group_samples(
-                settings, order, p, outer_freq[rows], group_terms, half_line
-            )
-            if group is not None:
-                break
-        else:
-            raise NonConvergence(
-                f"outer quadrature not certified at {_OUTER_ORDERS[-1]} nodes per panel "
-                f"for outer frequency {np.abs(outer_freq[rows]).max():.3e}"
-            )
-        group_samples, absolute, outer_err = group
-        samples[rows] = prefactor[rows, None] * group_samples
-        per_term = np.finfo(float).eps * absolute + outer_err
-        sample_error[rows] = len(terms) * np.abs(prefactor[rows, None]) * per_term
+        w_phase = w * np.exp(-1j * outer_freq[rows, None] * t)
+        # probe rows: the outer rule's phase weights at the group's largest
+        # frequency (real and imaginary parts) and the plain weights, which
+        # give the absolute sum
+        f = np.abs(outer_freq[rows]).max()
+        probe = np.stack([w * np.cos(f * t), w * np.sin(f * t), w])
+        poles = [p] if half_line else [-p, p]
+        edges = [_graded_edges(0.0 if half_line else -span, span, poles, eps) for eps in schedule]
+        nodes = [_panelize(e, settings.quadrature_nodes) for e in edges]
+        # one buffer holds each regulator's matrix in turn
+        buffer = np.empty(t.size * max(o.size for o, _ in nodes))
+        for j, (eps, (o, w_in)) in enumerate(zip(schedule, nodes)):
+            window = w_in * np.exp(-o * o / 4.0)
+            denom = (o + 1j * eps) ** 2 - p * p
+            # exp(-(t^2 + (t + s*o)^2)/2) = exp(-(t + s*o/2)^2) * exp(-o^2/4).
+            # One real matrix serves both signs: the nodes are mirror-symmetric,
+            # so the sign -1 matrix is this one with its rows reversed.
+            m = np.add.outer(t, 0.5 * o, out=buffer[: t.size * o.size].reshape(t.size, o.size))
+            np.square(m, out=m)
+            np.negative(m, out=m)
+            np.exp(m, out=m)
+            cos_col, sin_col, abs_col = probe @ m
+            # each column's time integral at frequency f is known in closed form
+            exact = _SQRT_PI * np.exp(-f * f / 4.0 + 0.5j * f * o)
+            kernel_abs = window / np.abs(denom)
+            outer_err = np.abs(cos_col - 1j * sin_col - exact) @ kernel_abs
+            absolute = abs_col @ kernel_abs
+            if outer_err > _OUTER_CERTIFICATE * absolute:
+                raise NonConvergence(
+                    f"outer quadrature not certified at {_OUTER_ORDER} nodes per panel "
+                    f"for outer frequency {f:.3e}"
+                )
+            # The matrix takes each row's real and imaginary parts of every term
+            # as columns instead of being promoted to complex.  One same-shaped
+            # product per row: BLAS may sum a wider product in another order,
+            # and a row's bits must not depend on the other rows of its batch.
+            q = [window * np.exp(1j * k[rows, None] * o) / denom for _, k in terms]
+            ri = m @ np.stack([part for qk in q for part in (qk.real, qk.imag)], axis=-1)
+            total = 0.0
+            for i, (sign, _) in enumerate(terms):
+                z = ri[:, :, 2 * i] + 1j * ri[:, :, 2 * i + 1]
+                total = total + np.sum(w_phase * (z[:, ::-1] if sign < 0 else z), axis=1)
+            samples[rows, j] = prefactor[rows] * total
+            per_term = np.finfo(float).eps * absolute + outer_err
+            sample_error[rows, j] = len(terms) * np.abs(prefactor[rows]) * per_term
+        # free this group's matrix before the next group allocates its own
+        del buffer, m
     values = np.empty(pole.size, dtype=complex)
     extrapolants = np.empty((pole.size, len(schedule)), dtype=complex)
     for i in range(pole.size):
@@ -549,10 +528,12 @@ def x_double_integral_many(
     along a last axis).  The result does not depend on which detector
     carries which gap.
 
-    Rows with the same separation share every cross-Gaussian matrix.  A
+    Rows with the same separation share every cross-Gaussian matrix and
+    one outer-rule certificate, taken at their largest gap sum.  A
     non-finite argument or a separation <= 0 raises ValueError for the
-    whole batch; the first row whose self-check fails raises
-    :exc:`NonConvergence` with the message of its one-problem call.
+    whole batch, and so does a failed certificate, as
+    :exc:`NonConvergence`; otherwise the first row whose self-check fails
+    raises :exc:`NonConvergence` with the message of its one-problem call.
     """
     shape, (a, b, l, lam) = _problems(omega_a_sigma, omega_b_sigma, l_over_sigma, coupling)
     if (l <= 0).any():

@@ -6,12 +6,11 @@ amplitude) is expressible through the Faddeeva function
     w(z) = exp(-z^2) * erfc(-i z),
 
 which is bounded in the closed upper half-plane.  This module exposes the
-real error function, the scaled complement exp(x^2)*erfc(x), the Faddeeva
-function itself, and the scaled imaginary error function
-exp(-z^2)*Erfi(z).  The scaled forms are what make large separations and
-large energy gaps representable: the unscaled Erfi and erfc factors grow or
-shrink like exp(z^2) and would overflow double precision long before the
-physics becomes uninteresting.
+real error function, the scaled complement exp(x^2)*erfc(x) and the
+Faddeeva function itself.  The scaled forms are what make large separations
+and large energy gaps representable: the unscaled erfc factors grow or
+shrink like exp(-z^2) and would overflow or underflow double precision long
+before the physics becomes uninteresting.
 
 All functions accept scalars or numpy arrays and broadcast.  They are pure
 and stateless, hence safe to call from any number of threads.
@@ -19,10 +18,9 @@ and stateless, hence safe to call from any number of threads.
 
 from __future__ import annotations
 
-import numpy as np
 from scipy import special as _sp
 
-__all__ = ["erf_real", "erfcx_real", "faddeeva_w", "scaled_erfi"]
+__all__ = ["erf_real", "erfcx_real", "faddeeva_w"]
 
 
 def erf_real(x):
@@ -48,21 +46,3 @@ def faddeeva_w(z):
     """
     return _sp.wofz(z)
 
-
-def scaled_erfi(z):
-    """Scaled imaginary error function exp(-z^2) * Erfi(z).
-
-    Evaluated through the identity
-
-        exp(-z^2) * Erfi(z) = -i * (exp(-z^2) - w(-z)),
-
-    which stays bounded on the whole real axis where the unscaled Erfi
-    grows like exp(z^2).  Off the real axis the value itself grows like
-    exp(Im(z)^2), so it overflows only where the true value does.
-    Real input yields a result whose imaginary part vanishes to rounding.
-    """
-    z = np.asarray(z, dtype=complex)
-    out = -1j * (np.exp(-z * z) - _sp.wofz(-z))
-    if out.ndim == 0:
-        return complex(out)
-    return out

@@ -132,6 +132,16 @@ class TestFindCrossover:
         assert concurrence_values(0.5, 0.0, res.location, 0.1) > 0
         assert concurrence_values(0.5, 0.25, res.location, 0.1) > 0
 
+    def test_one_closed_form_call_per_step(self, monkeypatch):
+        # both pairs share each call: one scan block, 46 bisection steps and
+        # the final evaluation (two calls each when the pairs were separate)
+        calls = []
+        original = analysis.correlation_x_values
+        monkeypatch.setattr(analysis, "correlation_x_values",
+                            lambda *args: calls.append(args) or original(*args))
+        res = find_crossover(0.5, 0.25)
+        assert res.iterations == 46 and len(calls) == 1 + 46 + 1
+
     def test_no_crossover_on_short_range(self):
         with pytest.raises(NoCrossover):
             find_crossover(0.5, 0.25, scan_bound=1.0)
@@ -372,6 +382,12 @@ class TestBatchedSearches:
             find_lmax_many([0.5, 0.5], [0.0, 0.0], scan_bound=[10.0, 0.005])
         with pytest.raises(ValueError):
             find_optimal_gap_many(0.5, [1.0, 2.0], gap_bound=[1.0, 0.0])
+        # a non-finite gap bound scanned NaN and reported a converged
+        # boundary maximum
+        with pytest.raises(ValueError, match="gap_bound must be finite"):
+            find_optimal_gap_many(0.5, [1.0, 2.0], gap_bound=[3.0, np.nan])
+        with pytest.raises(ValueError, match="gap_bound must be finite"):
+            find_optimal_gap(0.5, 2.0, gap_bound=np.inf)
 
     def test_scan_grids_that_cannot_be_built_raise_value_error(self):
         # numpy would refuse an infinite bound ("Maximum allowed size

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from udwharvest import DetectorPairConfig, concurrence_values, transition_probability
-from udwharvest.cli import FIGURE_NAMES, build_figure, main, read_data_file, run_verification
+from udwharvest.cli import (
+    FIGURE_NAMES, VERIFICATION_GRID, build_figure, main, read_data_file, run_verification,
+)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -87,6 +89,14 @@ class TestVerify:
         text = (tmp_path / "v.txt").read_text()
         assert "all checks passed" in text
         assert "FAIL" not in text.replace("FAILED", "")
+
+    def test_the_whole_grid_can_be_asked_for(self, tmp_path):
+        out = tmp_path / "v.json"
+        n = len(VERIFICATION_GRID)
+        assert run(["verify", "--grid", str(n), "--format", "record", "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())
+        assert rec["manifest"]["parameters"]["grid_size"] == n
+        assert sum(c["name"] == "x_pv_vs_closed" for c in rec["checks"]) == n
 
     def test_unreachable_tolerance_fails(self, tmp_path):
         code = run(
@@ -216,6 +226,13 @@ class TestSearchCommands:
         assert run(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and ("omega_a_sigma" in err or "delta_omega" in err)
+
+    # a NaN or infinite gap bound printed "value nan" and "converged True"
+    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    def test_non_finite_gap_bound_exits_3(self, bound, capsys):
+        assert run(["peak", "--omega-a", "0.5", "--l", "2", "--gap-bound", bound]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gap_bound must be finite" in err
 
     # numpy would refuse an infinite bound ("Maximum allowed size exceeded")
     # and fail to allocate a 1e14-point grid; both exit like a domain error
@@ -390,8 +407,11 @@ class TestCommandSurface:
             ["lmax", "--omega-a", "0.5", "--delta-omega", "0.25", "--format", "csv"],
             ["figure", "fig1a", "--points", "-1"],
             # a negative count would drop grid scenarios silently, or reach
-            # numpy's linspace
+            # numpy's linspace; one above the 27 scenarios would be recorded
+            # as run
             ["verify", "--grid", "-1"],
+            ["verify", "--grid", "28"],
+            ["verify", "--grid", "40"],
             ARGS["sweep"] + ["--points", "-1"],
         ],
     )

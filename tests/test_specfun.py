@@ -14,15 +14,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from udwharvest.specfun import erf_real, erfcx_real, faddeeva_w, scaled_erfi
+from udwharvest.specfun import erf_real, erfcx_real, faddeeva_w
 
 # frozen oracle outputs (40-digit working precision, see oracle functions below)
 ERF_1 = 0.8427007929497148693412206350826092592961
 ERF_07 = 0.6778011938374184729756288463458765523450
 ERFCX_1 = 0.4275835761558070044123954152991080902387
 W_2_05I = 0.10335882374136665895 + 0.28478588475009374558j
-SCALED_ERFI_3 = 0.2011573170376003866539847080408245
-SCALED_ERFI_05I_IM = 0.6683350724948156092029268276922941
 
 
 def erf_maclaurin(x, terms=30):
@@ -120,31 +118,8 @@ class TestFaddeeva:
         assert abs(faddeeva_w(z) - oracle) < 1e-10 * abs(oracle)
 
 
-class TestScaledErfi:
-    def test_zero(self):
-        assert scaled_erfi(0.0) == 0.0
-
-    def test_purely_imaginary_argument(self):
-        # Erfi(iy) = i erf(y), so the scaled value is i exp(y^2) erf(y)
-        val = scaled_erfi(0.5j)
-        assert abs(val.real) < 1e-14
-        assert abs(val.imag - SCALED_ERFI_05I_IM) < 1e-12
-        assert abs(val.imag - math.exp(0.25) * erf_real(0.5)) < 1e-13
-
-    def test_against_high_precision_oracle(self):
-        oracle = float(mp.e**(-9) * mp.erfi(3))
-        assert abs(oracle - SCALED_ERFI_3) < 1e-15
-        assert abs(scaled_erfi(3.0) - oracle) < 1e-10 * abs(oracle)
-
-    def test_bounded_on_real_axis(self):
-        xs = np.linspace(-200.0, 200.0, 2001)
-        vals = scaled_erfi(xs + 0.0j)
-        assert np.all(np.isfinite(vals.real))
-        assert np.all(np.abs(vals) < 1.0)
-
-
 class TestIdentities:
-    """Random-grid invariants tying the four functions together."""
+    """Random-grid invariants tying the three functions together."""
 
     def test_reflection_identity(self):
         rng = np.random.default_rng(20240817)
@@ -171,8 +146,3 @@ class TestIdentities:
     def test_erfcx_is_faddeeva_on_imaginary_axis(self):
         xs = np.linspace(0.0, 12.0, 500)
         assert np.max(np.abs(erfcx_real(xs) - faddeeva_w(1j * xs).real)) < 1e-10
-
-    def test_scaled_erfi_real_on_real_axis(self):
-        rng = np.random.default_rng(7)
-        xs = np.concatenate([np.linspace(-30.0, 30.0, 601), rng.normal(0.0, 5.0, 200)])
-        assert np.max(np.abs(scaled_erfi(xs + 0.0j).imag)) < 1e-12
