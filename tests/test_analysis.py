@@ -142,6 +142,32 @@ class TestFindCrossover:
         res = find_crossover(0.5, 0.25)
         assert res.iterations == 46 and len(calls) == 1 + 46 + 1
 
+    def test_batched_bisection_makes_one_closed_form_call_per_step(self, monkeypatch):
+        # every call carries both pairs along a leading axis of two; the
+        # calls over the whole batch are its lockstep bisection steps and
+        # the final evaluation
+        calls = []
+        original = analysis.correlation_x_values
+        monkeypatch.setattr(analysis, "correlation_x_values",
+                            lambda *args: calls.append(args) or original(*args))
+        batch = find_crossover_many([0.5, 0.5, 1.0], [0.25, 0.5, 0.5])
+        assert all(np.shape(d)[0] == 2 for _, d, _, _ in calls)
+        whole = [d for _, d, _, _ in calls if np.shape(d) == (2, 3)]
+        assert len(whole) == batch.iterations.max() + 1
+
+    @pytest.mark.parametrize("coupling", [0.1, 0.3])
+    def test_pair_concurrences_are_the_two_separate_calls(self, coupling):
+        # one stacked call gives each pair's concurrence_values bit for bit
+        a, d = np.array([0.5, 1.0, 2.0]), np.array([0.25, 0.5, 1.5])
+        l = np.array([1.0, 1.5, 0.5])
+        gms = np.stack([geometric_mean_probability(a, d, coupling),
+                        geometric_mean_probability(a, 0.0, coupling)])
+        ds = np.stack([d, np.zeros(3)])
+        unequal, equal = analysis._pair_concurrences(gms, a, ds, l, coupling)
+        assert (unequal > 0).all() and (equal > 0).all()
+        assert np.array_equal(unequal, concurrence_values(a, d, l, coupling))
+        assert np.array_equal(equal, concurrence_values(a, 0.0, l, coupling))
+
     def test_no_crossover_on_short_range(self):
         with pytest.raises(NoCrossover):
             find_crossover(0.5, 0.25, scan_bound=1.0)
@@ -382,12 +408,18 @@ class TestBatchedSearches:
             find_lmax_many([0.5, 0.5], [0.0, 0.0], scan_bound=[10.0, 0.005])
         with pytest.raises(ValueError):
             find_optimal_gap_many(0.5, [1.0, 2.0], gap_bound=[1.0, 0.0])
-        # a non-finite gap bound scanned NaN and reported a converged
-        # boundary maximum
+
+    # a non-finite gap bound scanned NaN and reported a converged boundary
+    # maximum
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gap_bound_raises_for_the_whole_batch(self, bound):
         with pytest.raises(ValueError, match="gap_bound must be finite"):
-            find_optimal_gap_many(0.5, [1.0, 2.0], gap_bound=[3.0, np.nan])
+            find_optimal_gap_many(0.5, [1.0, 2.0], gap_bound=[3.0, bound])
+
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gap_bound_raises_for_one_problem(self, bound):
         with pytest.raises(ValueError, match="gap_bound must be finite"):
-            find_optimal_gap(0.5, 2.0, gap_bound=np.inf)
+            find_optimal_gap(0.5, 2.0, gap_bound=bound)
 
     def test_scan_grids_that_cannot_be_built_raise_value_error(self):
         # numpy would refuse an infinite bound ("Maximum allowed size

@@ -228,9 +228,9 @@ class TestSearchCommands:
         assert err.startswith("error: ") and ("omega_a_sigma" in err or "delta_omega" in err)
 
     # a NaN or infinite gap bound printed "value nan" and "converged True"
-    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
     def test_non_finite_gap_bound_exits_3(self, bound, capsys):
-        assert run(["peak", "--omega-a", "0.5", "--l", "2", "--gap-bound", bound]) == 3
+        assert run(["peak", "--omega-a", "0.5", "--l", "2", f"--gap-bound={bound}"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "gap_bound must be finite" in err
 

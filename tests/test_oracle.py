@@ -393,3 +393,10 @@ class TestOuterRule:
         # value that cancels to round-off (13) or resolve nothing (300)
         with pytest.raises(NonConvergence, match="outer quadrature not certified at 16"):
             x_double_integral_many(gap, gap, 2.0, 0.1)
+
+    def test_a_failed_certificate_fails_the_whole_batch(self):
+        # x(0.5, 0.5, 1) returns on its own; its batch-mate at separation 2
+        # has outer frequency 300, and the refusal names it
+        x_double_integral_many(0.5, 0.5, 1.0, 0.1)
+        with pytest.raises(NonConvergence, match="not certified at 16 .* 3.000e[+]02"):
+            x_double_integral_many([0.5, 150.0], [0.5, 150.0], [1.0, 2.0], 0.1)
