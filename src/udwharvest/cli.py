@@ -21,7 +21,8 @@ Each subcommand takes only the flags and formats it honours, the first
 format named being the default: ``eval`` table/csv/record; ``verify``,
 ``lmax``, ``peak``, ``crossover`` table/record; ``sweep``, ``figure``
 csv/record.  The oracle flags ``--quad-nodes`` and ``--eps-schedule``
-belong to ``verify``, and ``figure`` takes no ``--lambda``.
+belong to ``verify``, whose checks each keep their own tolerance, and
+``figure`` takes no ``--lambda``.
 
 Exit codes, mapped from the subcommands' exceptions by :func:`main` alone:
 0 success, 1 verification failure or non-convergent oracle, 2 bad flags or
@@ -47,7 +48,6 @@ from .oracle import (
     DEFAULT_SETTINGS,
     NonConvergence,
     OracleSettings,
-    assemble_rho,
     pd_double_integral_many,
     x_double_integral_many,
     x_single_integral_pv,
@@ -248,7 +248,7 @@ class VerificationCheck:
 _CHECK_TOLERANCES = {
     "x_pv_vs_closed": 1e-8,
     "x_double_vs_closed": 1e-3,
-    "rho_concurrence": 1e-6,
+    "concurrence_oracle_vs_closed": 1e-4,
     "p_double_vs_closed": 1e-4,
     "p_zero_gap_anchor": 1e-4,
 }
@@ -257,22 +257,21 @@ _CHECK_TOLERANCES = {
 def run_verification(
     settings: OracleSettings = DEFAULT_SETTINGS,
     grid_size: int | None = None,
-    tolerance: float | None = None,
     coupling: float = 0.1,
 ) -> list[VerificationCheck]:
     """Closed forms against the oracles on the comparison grid.
 
     Checks, per scenario: the principal-value correlation route, the
-    time-ordered double-integral correlation route, and the assembled
-    joint state (validity plus concurrence consistency).  Transition
-    probabilities are checked once per distinct gap appearing on the grid,
-    plus the zero-gap anchor value 1/(4 pi).  Each check has its own
-    relative tolerance unless ``tolerance`` replaces them all.
+    time-ordered double-integral correlation route, and the concurrence
+    built from oracle values alone (the principal-value correlation and
+    the double-integral probabilities).  Transition probabilities are
+    checked once per distinct gap appearing on the grid, plus the zero-gap
+    anchor value 1/(4 pi).  Each check has its own relative tolerance.
     """
     checks = []
 
     def check(name, scenario, rel):
-        tol = _CHECK_TOLERANCES[name] if tolerance is None else tolerance
+        tol = _CHECK_TOLERANCES[name]
         rel = float(rel)
         checks.append(VerificationCheck(name, scenario, rel, tol, bool(rel <= tol)))
 
@@ -285,22 +284,22 @@ def run_verification(
         coupling,
         settings,
     )
-    gaps = {0.0}
+    gaps = sorted({0.0, *(g for cfg in cfgs for g in (cfg.omega_a_sigma, cfg.omega_b_sigma))})
+    # the zero-gap anchor at unit coupling rides along as the last row
+    p_oracle = pd_double_integral_many(gaps + [0.0], [coupling] * len(gaps) + [1.0], settings)
+    p_by_gap = dict(zip(gaps, p_oracle.tolist()))
     for (a, r, l), cfg, x_dbl in zip(grid, cfgs, x_dbls):
-        gaps.update((cfg.omega_a_sigma, cfg.omega_b_sigma))
         tag = f"a={a} dw/wa={r} l={l}"
         report = concurrence(cfg)
         x_pv = x_single_integral_pv(cfg, settings)
         check("x_pv_vs_closed", tag, abs(x_pv - report.x) / abs(report.x))
         check("x_double_vs_closed", tag, abs(x_dbl - report.x) / abs(report.x))
-        rho = assemble_rho(cfg, settings)
-        rel = abs(rho.concurrence() - report.concurrence)
-        check("rho_concurrence", tag, rel / max(report.concurrence, coupling**2 * 1e-3))
+        gm = np.sqrt(p_by_gap[cfg.omega_a_sigma] * p_by_gap[cfg.omega_b_sigma])
+        conc = 2.0 * max(0.0, abs(x_pv) - gm)
+        check("concurrence_oracle_vs_closed", tag,
+              abs(conc - report.concurrence) / max(report.concurrence, coupling**2 * 1e-3))
 
-    gaps = sorted(gaps)
-    # the zero-gap anchor at unit coupling rides along as the last row
-    p_oracle = pd_double_integral_many(gaps + [0.0], [coupling] * len(gaps) + [1.0], settings)
-    for gap, p in zip(gaps, p_oracle):
+    for gap, p in p_by_gap.items():
         p_exact = transition_probability(gap, coupling)
         check("p_double_vs_closed", f"gap={gap:g}", abs(p - p_exact) / p_exact)
     check("p_zero_gap_anchor", "gap=0 coupling=1",
@@ -318,9 +317,7 @@ def cmd_verify(parser, args):
     if args.eps_schedule is not None:
         kwargs["epsilon_schedule"] = tuple(args.eps_schedule)
     settings = OracleSettings(**kwargs) if kwargs else DEFAULT_SETTINGS
-    checks = run_verification(
-        settings, grid_size=args.grid, tolerance=args.tolerance, coupling=args.coupling
-    )
+    checks = run_verification(settings, grid_size=args.grid, coupling=args.coupling)
     manifest = RunManifest.create(
         "verify",
         {
@@ -328,7 +325,6 @@ def cmd_verify(parser, args):
             "coupling": args.coupling,
             "quadrature_nodes": settings.quadrature_nodes,
             "epsilon_schedule": list(settings.epsilon_schedule),
-            "tolerance_override": args.tolerance,
         },
     )
     n_bad = sum(not c.passed for c in checks)
@@ -343,7 +339,7 @@ def cmd_verify(parser, args):
         for c in checks:
             status = "PASS" if c.passed else "FAIL"
             lines.append(
-                f"{status}  {c.name:<22} {c.scenario:<28} rel={c.relative_error:.3e}"
+                f"{status}  {c.name:<28} {c.scenario:<28} rel={c.relative_error:.3e}"
                 f"  tol={c.tolerance:.1e}"
             )
         lines.append(
@@ -624,8 +620,6 @@ def _build_parser():
     _add_format(p, "table", "record")
     p.add_argument("--grid", type=int, default=None,
                    help=f"use only the first N of the {len(VERIFICATION_GRID)} grid scenarios")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="override every check tolerance with one value")
     p.add_argument("--quad-nodes", type=int, default=None,
                    help="Gauss-Legendre nodes per panel of the oracles' inner and "
                         "principal-value axes (the outer order is certified)")

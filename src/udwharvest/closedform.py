@@ -145,7 +145,7 @@ class DetectorPairConfig:
             warnings.warn(
                 f"coupling={self.coupling} is outside the weak-coupling regime "
                 f"(> {COUPLING_WARN_THRESHOLD}); second-order results are unreliable",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @classmethod

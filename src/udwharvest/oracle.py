@@ -24,10 +24,10 @@ Quadrature layout: each axis is covered by Gauss-Legendre panels.  Panels
 are geometrically refined toward the lightcone poles (which sit a distance
 eps off the integration line) down to width ~eps, which keeps the per-panel
 Bernstein parameter of the nearest pole of order one and the error
-spectral.  The inner time variable is integrated over an offset window of
-half-width ``_HALFWIDTH + 2`` centred on the outer node; relative to
-the nominal square this clips and pads only regions whose Gaussian window
-is below exp(-(_HALFWIDTH+2)^2/4) ~ 1e-21, far under every tolerance.  The
+spectral.  The inner time is offset from the outer node by o in
+[0, ``_HALFWIDTH + 2``] to either side; relative to the nominal square
+this clips and pads only regions whose Gaussian window is below
+exp(-(_HALFWIDTH+2)^2/4) ~ 1e-21, far under every tolerance.  The
 offset parameterization makes the integrand a product of a bounded real
 cross-Gaussian matrix and per-axis complex vectors, so each pass is one
 large real exponential plus a real matrix product.  The outer axis only
@@ -40,8 +40,10 @@ raises :exc:`NonConvergence` instead of trying more nodes.
 
 The matrix depends on the pole, the regulator and the settings, not on
 the gaps, the outer phase or the prefactor; the outer nodes are mirror
-symmetric, so the opposite sign of the offset is the same matrix with its
-rows reversed.  The double-integral routes are therefore row-vectorized:
+symmetric, so the earlier inner time t - o is the same matrix with its
+rows reversed.  Where the offset spans the whole line (probability,
+exchange correlation), o -> -o conjugates the kernel, so that half is the
+conjugated product.  The double-integral routes are therefore row-vectorized:
 a batch (``pd_double_integral_many``, ``x_double_integral_many``) builds
 one matrix per (pole, regulator) and applies it to every problem with that
 pole.  The one-problem functions are one-row batches.  No matrix outlives
@@ -258,25 +260,25 @@ def _outer_rule(halfwidth, order):
 
 
 def _regulated_double_integral(
-    settings, pole, outer_freq, terms, prefactor, rel_tol, half_line=False, imag_tol=None
+    settings, pole, outer_freq, later_k, prefactor, rel_tol, earlier_k=None, imag_tol=None
 ):
     """Regulator limits of the double integral behind the three direct
     routes, one row per problem,
 
-        prefactor * sum over (sign, k) in terms of
-            int dt exp(-i outer_freq t) int do exp(-(t^2 + (t + sign o)^2)/2)
-                                               exp(i k o) / ((o + i eps)^2 - pole^2),
+        prefactor * int dt exp(-i outer_freq t) int_0^inf do exp(-o^2/4)
+            [exp(-(t + o/2)^2) g(later_k, o) + exp(-(t - o/2)^2) h(o)],
+        g(k, o) = exp(i k o) / ((o + i eps)^2 - pole^2),
 
-    with the inner time t + sign*o offset from the outer time t.  The offset
-    runs over the whole line, or over o > 0 with ``half_line`` (one
-    time-ordered triangle per sign), and its panels are graded toward the
-    lightcone poles at o = +-pole.
+    with the inner time t +- o and panels graded toward the lightcone pole
+    at o = pole.  The earlier half's kernel h is g(earlier_k, o) (the
+    time-ordered correlation's second triangle) or, without ``earlier_k``,
+    conj(g(later_k, o)), the o -> -o image of a whole-line integral.
 
-    ``pole``, ``outer_freq``, ``prefactor``, each term's ``k``
-    and ``imag_tol`` are 1-D arrays over the rows; the signs (+1 or -1) are
-    shared.  Rows with the same pole share the nodes and hence every
-    cross-Gaussian matrix: one per regulator, applied to the real and
-    imaginary parts of every term of each of those rows.
+    ``pole``, ``outer_freq``, ``prefactor``, ``later_k``, ``earlier_k``
+    and ``imag_tol`` are 1-D arrays over the rows.  Rows with the same pole
+    share the nodes and hence every cross-Gaussian matrix: one per
+    regulator, applied to the real and imaginary parts of each row's
+    kernels, and read with its rows reversed for the earlier half.
 
     The outer rule, ``_OUTER_ORDER`` nodes per panel, is certified per pole
     group and regulator: it must reproduce the closed-form time integral of
@@ -288,7 +290,7 @@ def _regulated_double_integral(
     checked.
 
     Then, row by row, :func:`_regulator_limit` takes the limit and checks
-    it, with each sample's error bounded by machine epsilon times the
+    it, with each half's sample error bounded by machine epsilon times the
     absolute sum plus the outer rule's error; with ``imag_tol`` the
     limit's imaginary part must also stay below it.  The first failing row
     raises :exc:`NonConvergence` with the message of its one-row call.
@@ -301,6 +303,7 @@ def _regulated_double_integral(
     span = _HALFWIDTH + 2.0
     samples = np.empty((pole.size, len(schedule)), dtype=complex)
     sample_error = np.empty((pole.size, len(schedule)))
+    ks = [later_k] if earlier_k is None else [later_k, earlier_k]
     for p in np.unique(pole):
         rows = np.flatnonzero(pole == p)
         w_phase = w * np.exp(-1j * outer_freq[rows, None] * t)
@@ -309,17 +312,14 @@ def _regulated_double_integral(
         # give the absolute sum
         f = np.abs(outer_freq[rows]).max()
         probe = np.stack([w * np.cos(f * t), w * np.sin(f * t), w])
-        poles = [p] if half_line else [-p, p]
-        edges = [_graded_edges(0.0 if half_line else -span, span, poles, eps) for eps in schedule]
+        edges = [_graded_edges(0.0, span, [p], eps) for eps in schedule]
         nodes = [_panelize(e, settings.quadrature_nodes) for e in edges]
         # one buffer holds each regulator's matrix in turn
         buffer = np.empty(t.size * max(o.size for o, _ in nodes))
         for j, (eps, (o, w_in)) in enumerate(zip(schedule, nodes)):
             window = w_in * np.exp(-o * o / 4.0)
             denom = (o + 1j * eps) ** 2 - p * p
-            # exp(-(t^2 + (t + s*o)^2)/2) = exp(-(t + s*o/2)^2) * exp(-o^2/4).
-            # One real matrix serves both signs: the nodes are mirror-symmetric,
-            # so the sign -1 matrix is this one with its rows reversed.
+            # exp(-(t^2 + (t + o)^2)/2) = exp(-(t + o/2)^2) * exp(-o^2/4)
             m = np.add.outer(t, 0.5 * o, out=buffer[: t.size * o.size].reshape(t.size, o.size))
             np.square(m, out=m)
             np.negative(m, out=m)
@@ -335,19 +335,19 @@ def _regulated_double_integral(
                     f"outer quadrature not certified at {_OUTER_ORDER} nodes per panel "
                     f"for outer frequency {f:.3e}"
                 )
-            # The matrix takes each row's real and imaginary parts of every term
+            # The matrix takes each row's real and imaginary parts of every kernel
             # as columns instead of being promoted to complex.  One same-shaped
             # product per row: BLAS may sum a wider product in another order,
             # and a row's bits must not depend on the other rows of its batch.
-            q = [window * np.exp(1j * k[rows, None] * o) / denom for _, k in terms]
+            q = [window * np.exp(1j * k[rows, None] * o) / denom for k in ks]
             ri = m @ np.stack([part for qk in q for part in (qk.real, qk.imag)], axis=-1)
-            total = 0.0
-            for i, (sign, _) in enumerate(terms):
-                z = ri[:, :, 2 * i] + 1j * ri[:, :, 2 * i + 1]
-                total = total + np.sum(w_phase * (z[:, ::-1] if sign < 0 else z), axis=1)
+            later = ri[:, :, 0] + 1j * ri[:, :, 1]
+            # the matrix is real, so the conjugate kernel's product is the conjugate
+            earlier = later.conj() if earlier_k is None else ri[:, :, 2] + 1j * ri[:, :, 3]
+            total = np.sum(w_phase * later, axis=1) + np.sum(w_phase * earlier[:, ::-1], axis=1)
             samples[rows, j] = prefactor[rows] * total
-            per_term = np.finfo(float).eps * absolute + outer_err
-            sample_error[rows, j] = len(terms) * np.abs(prefactor[rows]) * per_term
+            per_half = np.finfo(float).eps * absolute + outer_err
+            sample_error[rows, j] = 2.0 * np.abs(prefactor[rows]) * per_half
         # free this group's matrix before the next group allocates its own
         del buffer, m
     values = np.empty(pole.size, dtype=complex)
@@ -414,7 +414,7 @@ def pd_double_integral_many(
         settings,
         pole=np.zeros(omega.size),
         outer_freq=np.zeros(omega.size),
-        terms=[(+1.0, omega)],
+        later_k=omega,
         prefactor=-lam2 / (4.0 * np.pi**2),
         rel_tol=1e-5,
         imag_tol=1e-8 * lam2,
@@ -431,7 +431,8 @@ def pd_double_integral(
     """Transition probability straight from the regulated two-point
     function: a double integral over the detector's proper time against the
     Gaussian window and the gap phase, evaluated per regulator value and
-    extrapolated to zero regulator.
+    extrapolated to zero regulator.  Its offsets o < 0 are the conjugate of
+    o > 0, rows reversed.
 
     The extrapolated imaginary part must vanish (below 1e-8 of the
     coupling-squared scale), and both the quadrature error bound and the
@@ -539,15 +540,15 @@ def x_double_integral_many(
     if (l <= 0).any():
         raise ValueError("l_over_sigma must be > 0 (zero separation diverges)")
     lam2 = lam**2
-    # inner time = outer + sign*s; sign=+1 is the later-B triangle
+    # inner time = outer +- o; the later half is the later-B triangle
     values, extrapolants = _regulated_double_integral(
         settings,
         pole=l,
         outer_freq=a + b,
-        terms=[(+1.0, -b), (-1.0, b)],
+        later_k=-b,
         prefactor=lam2 / (4.0 * np.pi**2),
         rel_tol=1e-3,
-        half_line=True,
+        earlier_k=b,
     )
     return _shaped(values, extrapolants, shape, return_extrapolants)
 
@@ -616,7 +617,8 @@ def c_double_integral(cfg: DetectorPairConfig, settings: OracleSettings = DEFAUL
     """Exchange correlation by direct double integration with the regulator
     schedule; the independent cross-check of :func:`c_quadrature`.  No time
     ordering here, so the kernel's two poles are offset to the same side
-    and the square is integrated in one pass."""
+    and the offset runs over the whole line, its o < 0 half the conjugate
+    of the o > 0 half's product."""
     a, b, l, lam = (
         np.atleast_1d(float(v))
         for v in (cfg.omega_a_sigma, cfg.omega_b_sigma, cfg.l_over_sigma, cfg.coupling)
@@ -628,7 +630,7 @@ def c_double_integral(cfg: DetectorPairConfig, settings: OracleSettings = DEFAUL
         settings,
         pole=l,
         outer_freq=a - b,
-        terms=[(+1.0, b)],
+        later_k=b,
         prefactor=-lam2 / (4.0 * np.pi**2),
         rel_tol=1e-3,
     )

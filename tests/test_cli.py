@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from udwharvest import DetectorPairConfig, concurrence_values, transition_probability
+from udwharvest import DetectorPairConfig, cli, concurrence_values, transition_probability
 from udwharvest.cli import (
     FIGURE_NAMES, VERIFICATION_GRID, build_figure, main, read_data_file, run_verification,
 )
@@ -98,15 +98,26 @@ class TestVerify:
         assert rec["manifest"]["parameters"]["grid_size"] == n
         assert sum(c["name"] == "x_pv_vs_closed" for c in rec["checks"]) == n
 
-    def test_unreachable_tolerance_fails(self, tmp_path):
-        code = run(
-            [
-                "verify", "--grid", "1", "--tolerance", "1e-15",
-                "--out", str(tmp_path / "v.txt"),
-            ]
-        )
+    def test_unreachable_tolerance_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CHECK_TOLERANCES", dict.fromkeys(cli._CHECK_TOLERANCES, 1e-15))
+        code = run(["verify", "--grid", "1", "--out", str(tmp_path / "v.txt")])
         assert code == 1
         assert "FAIL" in (tmp_path / "v.txt").read_text()
+
+    def test_perturbed_oracle_fails_the_concurrence_check(self, monkeypatch):
+        # |x_pv| 1e-3 too large moves every harvesting scenario's oracle
+        # concurrence by more than 1e-3 of itself
+        x_pv = cli.x_single_integral_pv
+        monkeypatch.setattr(cli, "x_single_integral_pv",
+                            lambda cfg, settings: x_pv(cfg, settings) * (1.0 + 1e-3))
+        harvesting = {
+            f"a={a} dw/wa={r} l={l}"
+            for a, r, l in VERIFICATION_GRID
+            if concurrence_values(a, a * r, l, 0.1) > 0
+        }
+        rows = [c for c in run_verification() if c.name == "concurrence_oracle_vs_closed"]
+        assert len(harvesting) == 16 and len(rows) == len(VERIFICATION_GRID)
+        assert not any(c.passed for c in rows if c.scenario in harvesting)
 
     def test_record_format(self, tmp_path):
         out = tmp_path / "v.json"
@@ -120,11 +131,10 @@ class TestVerify:
         assert {c.name: c.tolerance for c in checks} == {
             "x_pv_vs_closed": 1e-8,
             "x_double_vs_closed": 1e-3,
-            "rho_concurrence": 1e-6,
+            "concurrence_oracle_vs_closed": 1e-4,
             "p_double_vs_closed": 1e-4,
             "p_zero_gap_anchor": 1e-4,
         }
-        assert {c.tolerance for c in run_verification(grid_size=1, tolerance=0.5)} == {0.5}
 
     @pytest.mark.parametrize("grid", [["--grid", "1"], []])
     def test_nonconvergent_schedule_aborts(self, tmp_path, capsys, grid):
@@ -413,6 +423,8 @@ class TestCommandSurface:
             ["verify", "--grid", "28"],
             ["verify", "--grid", "40"],
             ARGS["sweep"] + ["--points", "-1"],
+            # one value cannot serve checks whose tolerances span 1e-8 to 1e-3
+            ["verify", "--tolerance", "0.5"],
         ],
     )
     def test_flags_and_formats_a_command_does_not_take_are_usage_errors(self, argv):

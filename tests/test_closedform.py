@@ -60,6 +60,13 @@ class TestConfig:
         with pytest.warns(UserWarning):
             DetectorPairConfig(0.5, 0.0, 1.0, coupling=0.5)
 
+    def test_strong_coupling_warning_names_the_caller(self):
+        # one frame shallower, it named the dataclass-generated __init__
+        # ("<string>:7")
+        with pytest.warns(UserWarning) as record:
+            DetectorPairConfig(0.5, 0.0, 1.0, coupling=0.5)
+        assert record[0].filename == __file__
+
     def test_omega_b_constructor(self):
         cfg = DetectorPairConfig.with_omega_b(0.5, 0.75, 2.0)
         assert cfg.delta_omega_sigma == 0.25

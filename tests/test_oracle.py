@@ -23,7 +23,7 @@ from udwharvest import (
     x_double_integral_many,
     x_single_integral_pv,
 )
-from udwharvest import oracle
+from udwharvest import cli, oracle
 from udwharvest.cli import VERIFICATION_GRID, run_verification
 from udwharvest.oracle import extrapolate_to_zero, harvest_report
 
@@ -143,8 +143,14 @@ class TestExchangeCorrelation:
         c2 = c_quadrature(DetectorPairConfig(0.5, 0.25, 2.0, 0.2))
         assert abs(c2 - 4.0 * c1) <= 1e-12 * abs(c2)
 
-    def test_dual_path_agreement(self):
-        cfg = DetectorPairConfig(0.5, 0.5, 2.0, 0.1)
+    @pytest.mark.parametrize(
+        "a,d,l", [(0.5, 0.5, 2.0), (0.2, 0.0, 0.5), (1.2, 0.6, 0.5), (0.5, 0.0, 2.0),
+                  (1.2, 0.0, 6.0), (0.2, 0.24, 6.0)],
+    )
+    def test_dual_path_agreement(self, a, d, l):
+        # the double integral's earlier half is the conjugate of its later
+        # half; c_quadrature shares none of that route
+        cfg = DetectorPairConfig(a, d, l, 0.1)
         c_pv = c_quadrature(cfg)
         c_direct = c_double_integral(cfg)
         assert abs(c_pv - c_direct) <= 1e-3 * abs(c_pv)
@@ -298,9 +304,14 @@ class TestBatchedOracles:
     def test_verify_builds_one_matrix_per_pole_and_regulator(self, monkeypatch):
         # the cross-Gaussian matrices are the oracle's only real 2-D
         # exponentials; 3 separations x 3 regulators for the correlations
-        # (both signs from one matrix) plus 3 regulators for the
-        # probabilities
+        # plus 3 regulators for the probabilities, each over the half line
+        # of offsets only (both halves from one matrix)
         shapes = []
+        called = []
+        for module in (oracle, cli):
+            for name in ("assemble_rho", "c_quadrature"):
+                monkeypatch.setattr(module, name, lambda *args, name=name: called.append(name),
+                                    raising=False)
 
         class CountingNumpy:
             def __getattr__(self, name):
@@ -315,7 +326,15 @@ class TestBatchedOracles:
         monkeypatch.setattr(oracle, "np", CountingNumpy())
         checks = run_verification()
         assert len(checks) == 92 and all(c.passed for c in checks)
-        assert len(shapes) == 12
+        assert not called
+        t, _ = oracle._outer_rule(oracle._HALFWIDTH, oracle._OUTER_ORDER)
+        half_line = [
+            (t.size, oracle._panelize(oracle._graded_edges(0.0, oracle._HALFWIDTH + 2.0, [p], eps),
+                                      DEFAULT_SETTINGS.quadrature_nodes)[0].size)
+            for p in (0.5, 2.0, 6.0, 0.0)
+            for eps in DEFAULT_SETTINGS.epsilon_schedule
+        ]
+        assert len(shapes) == 12 and shapes == half_line
 
 
 class TestQuadratureErrorGuard:
@@ -324,7 +343,9 @@ class TestQuadratureErrorGuard:
     than return it (without the guard these calls return values off by
     7.9, 4.5e3 and 3.2 relative)."""
 
-    @pytest.mark.parametrize("gap", [5.5, 6.0])
+    # at gap 3.8 the round-off bound of one half of the offset line is below
+    # 1e-5 of the value, that of both halves above it
+    @pytest.mark.parametrize("gap", [3.8, 5.5, 6.0])
     def test_probability_past_the_trusted_range_raises(self, gap):
         with pytest.raises(NonConvergence, match="cancels"):
             pd_double_integral(gap, 0.1)
