@@ -39,17 +39,23 @@ roots satisfy much tighter certificates than the nominal 1e-10 width.
 Each search has a batched form, :func:`find_lmax_many`,
 :func:`find_optimal_gap_many` and :func:`find_crossover_many`, which takes
 broadcast arrays of problems and returns a :class:`SearchBatch` of arrays
-of their shape.  Every row is scanned on its own grid (one row at a time,
-so memory stays that of one scan), then all rows are refined in lockstep:
-one closed-form array call per bisection or golden-section step, with
-each finished row frozen in place.  A row where the one-problem search
-would raise carries NaN and the exception's class name in ``error``, so
-one failing problem cannot abort a grid; gaps, a separation or a
-coupling outside the scenario domain raise ValueError, for the whole
-batch.  The one-problem functions run the same core on 0-d inputs and
-raise as before; they keep returning a :class:`SearchResult` of Python
-numbers, because callers (the benchmark's tracer among them) read its
-fields as scalars, so arrays get their own names.
+of their shape.  Every row is scanned on its own grid, in chunks of
+consecutive rows holding at most 8 k grid points when each is padded to
+the longest of them (a longer row is a chunk of its own), so memory stays
+that of one chunk.  A chunk of gap scans is one closed-form call over a
+(rows, 256) grid.  A chunk of separation scans is one envelope call over
+its rows' grids and one closed-form call over their first blocks; only a
+row without its answer there walks its later blocks, on its own.  Then
+all rows are refined in lockstep: one closed-form array call per
+bisection or golden-section step, with each finished row frozen in place.
+A row where the one-problem search would raise carries NaN and the
+exception's class name in ``error``, so one failing problem cannot abort
+a grid; gaps, a separation or a coupling outside the scenario domain
+raise ValueError, for the whole batch.  The one-problem functions run
+the same core on 0-d inputs, as chunks of one row, and raise as before;
+they keep returning a :class:`SearchResult` of Python numbers, because
+callers (the benchmark's tracer among them) read its fields as scalars,
+so arrays get their own names.
 
 :func:`sweep` evaluates the closed-form pipeline over one axis of the
 scenario with one array call; points outside the admitted domain are
@@ -62,6 +68,7 @@ and each point equals a scalar call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -107,6 +114,12 @@ _MAX_SCAN_POINTS = 10**7
 # one before, so a scan that stops early evaluates little past its answer
 # and one that runs to the end costs a few calls more than one call.
 _SCAN_BLOCK = 256
+
+# Points of one chunk of scanned rows, each padded to the longest: the rows
+# of a chunk share each call of their scans (the envelope and the first
+# block, for a separation scan), and the chunk bounds the memory of those
+# calls.  A row longer than a chunk is a chunk of its own.
+_SCAN_CHUNK = 8192
 
 # Relative margin of the envelope certificate: it covers the Faddeeva
 # kernel's relative error (below 1e-10) and the roundings of |X| many times
@@ -206,17 +219,20 @@ def _separation_problems(omega_a_sigma, delta_omega_sigma, coupling, scan_bound,
 
 
 def _certified(gm, a, d, grid, coupling):
-    """Where on one row's grid the excess |X| - gm is certified <= 0
-    without evaluating it: where the envelope of |X|, widened by the
+    """Where on the rows of a 2-D grid the excess |X| - gm is certified
+    <= 0 without evaluating it: where the envelope of |X|, widened by the
     margin, lies below gm.  The envelope multiplies the closed form's own
     prefactor bits, and its bracket bounds the closed form's bracket up to
     the kernel's and the roundings' relative error, which the margin
     covers; a subnormal |X| is off by a few units of 2^-1074 at most, far
     below the margin times a normal gm.  Where gm is zero, subnormal or not
-    finite nothing is certified."""
-    if not (np.isfinite(gm) and gm >= np.finfo(float).tiny):
+    finite nothing is certified.  gm, a and d are 1-D, one value per
+    row."""
+    usable = np.isfinite(gm) & (gm >= np.finfo(float).tiny)
+    if not usable.any():
         return np.zeros(grid.shape, dtype=bool)
-    return _x_envelope(a, d, grid, coupling) * (1.0 + _ENVELOPE_MARGIN) < gm
+    envelope = _x_envelope(a[:, None], d[:, None], grid, coupling)
+    return usable[:, None] & (envelope * (1.0 + _ENVELOPE_MARGIN) < gm[:, None])
 
 
 def _blocks(start, stop):
@@ -228,6 +244,94 @@ def _blocks(start, stop):
         yield start, min(start + size, stop)
         start += size
         size *= 2
+
+
+def _chunks(points):
+    """Slices of consecutive rows that hold at most ``_SCAN_CHUNK`` scan
+    points when each is padded to the longest of them (a longer row is a
+    slice of its own), given each row's points."""
+    start, widest = 0, 0
+    for i, n in enumerate(points):
+        widest = max(widest, n)
+        if i > start and (i + 1 - start) * widest > _SCAN_CHUNK:
+            yield slice(start, i)
+            start, widest = i, n
+    if start < len(points):
+        yield slice(start, len(points))
+
+
+def _first_turns(pos, before):
+    """Per row of ``pos``, where a positive point follows a non-positive
+    one (or, at the first point, a row whose ``before`` is False)."""
+    return pos & ~np.concatenate([before[:, None], pos[:, :-1]], axis=1)
+
+
+def _separation_scan(bound, step, gm, a, d, coupling, positive, upward):
+    """Walk every row's separation grid to its first turn to positive, in
+    chunks of rows; 1-D arrays bound, gm, a and d hold the rows' problems.
+
+    ``positive(rows, l)`` is the sign test of the rows (a slice) at
+    separations l, one row of l per row.  An upward grid runs from ``step``
+    to the row's bound; the walk runs from its first point to the last one
+    the envelope does not certify, and starts as if after a positive
+    point, so its first point cannot turn.  A downward grid runs from the
+    bound to ``step``; the walk runs from its first point the envelope
+    does not certify to the end, and starts as if after a non-positive
+    one.  Per chunk, the rows' grids are padded with their last points into
+    one array, the envelope is one call over it and the first blocks of
+    all rows are one call, each shorter walk padded with its last point; a
+    row without a turn there walks its later blocks on its own.  Returns
+    each row's turn index k (-1 where there is none) and its grid at k and
+    at k-1 (NaN where there is no such point)."""
+    k = np.full(a.shape, -1)
+    at, previous = np.full(a.shape, np.nan), np.full(a.shape, np.nan)
+    for chunk in _chunks(bound / step):
+        if upward:
+            grids = [np.arange(step, b + 0.5 * step, step) for b in bound[chunk]]
+        else:
+            grids = [np.arange(b, 0.5 * step, -step) for b in bound[chunk]]
+        sizes = np.array([g.size for g in grids])
+        # the rows' grids padded with their last point into one array
+        grid = grids[0][None]
+        if sizes.size > 1:
+            grid = np.empty((sizes.size, sizes.max()))
+            for g, row in zip(grids, grid):
+                row[:g.size], row[g.size:] = g, g[-1]
+        # the points the envelope does not certify; a row's padding has
+        # the certificate of its last point
+        open_ = ~_certified(gm[chunk], a[chunk], d[chunk], grid, coupling)
+        any_open = open_.any(axis=1)
+        if upward:  # up to the last open point
+            start = np.zeros(sizes.size, dtype=int)
+            last = grid.shape[1] - np.argmax(open_[:, ::-1], axis=1)
+            stop = np.where(any_open, np.minimum(last, sizes), 0)
+        else:  # from the first open point
+            start, stop = np.where(any_open, np.argmax(open_, axis=1), sizes), sizes
+        walks = stop > start
+        if not walks.any():
+            continue
+        # a walk shorter than the block repeats its last point, which cannot
+        # turn again; a row that does not walk is masked
+        idx = np.minimum(start[:, None] + np.arange(min(_SCAN_BLOCK, np.max(stop - start))),
+                         stop[:, None] - 1)
+        pos = positive(chunk, np.take_along_axis(grid, idx, axis=1))
+        turns = _first_turns(pos, np.full(sizes.size, upward)) & walks[:, None]
+        row_k = np.where(turns.any(axis=1), start + np.argmax(turns, axis=1), -1)
+        for j in np.flatnonzero((row_k < 0) & walks):  # these walk their later blocks alone
+            before = pos[j, -1]
+            for s, e in islice(_blocks(start[j], stop[j]), 1, None):
+                row_pos = positive(slice(chunk.start + j, chunk.start + j + 1), grid[j:j + 1, s:e])
+                row_turns = _first_turns(row_pos, np.array([before]))[0]
+                if row_turns.any():
+                    row_k[j] = s + int(np.argmax(row_turns))
+                    break
+                before = row_pos[0, -1]
+        ends = np.stack([np.maximum(row_k - 1, 0), np.maximum(row_k, 0)], axis=1)
+        found = np.take_along_axis(grid, ends, axis=1)
+        k[chunk] = row_k
+        at[chunk] = np.where(row_k >= 0, found[:, 1], np.nan)
+        previous[chunk] = np.where(row_k > 0, found[:, 0], np.nan)
+    return k, at, previous
 
 
 # The closed forms below are evaluated with row-constant factors computed
@@ -343,27 +447,23 @@ def find_lmax_many(
         omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
     )
     gm = np.asarray(geometric_mean_probability(a, d, coupling))
-    # a failed row sits at lo = hi, where the bisection leaves it alone
-    lo = np.full(a.shape, float(scan_step))
-    hi = lo.copy()
+    row_a, row_d, row_gm, row_bound = (x.ravel() for x in (a, d, gm, bound))
+
+    def positive(rows, l):
+        return _excess(row_gm[rows, None], row_a[rows, None], row_d[rows, None], l, coupling) > 0.0
+
+    # the walk runs downward, below the leading certified points (which
+    # are not positive), to the first positive point
+    k, at, above = _separation_scan(row_bound, scan_step, row_gm, row_a, row_d, coupling,
+                                    positive, upward=False)
+    k = k.reshape(a.shape)
     error = _blank(a.shape)
-    for i in np.ndindex(a.shape):
-        grid = np.arange(bound[i], 0.5 * scan_step, -scan_step)
-        # the leading certified points are not positive; the walk starts
-        # below them and stops at the first positive point
-        uncertified = np.flatnonzero(~_certified(gm[i], a[i], d[i], grid, coupling))
-        k = None
-        for s, e in _blocks(uncertified[0] if uncertified.size else grid.size, grid.size):
-            positive = _excess(gm[i], a[i], d[i], grid[s:e], coupling) > 0.0
-            if positive.any():
-                k = s + int(np.argmax(positive))  # first positive point walking downward
-                break
-        if k is None:
-            error[i] = NoHarvestingRegion.__name__
-        elif k == 0:
-            error[i] = BracketingFailure.__name__
-        else:
-            lo[i], hi[i] = grid[k], grid[k - 1]  # f(lo) > 0 >= f(hi)
+    error[k < 0] = NoHarvestingRegion.__name__
+    error[k == 0] = BracketingFailure.__name__
+    # a failed row sits at lo = hi, where the bisection leaves it alone
+    failed = k <= 0
+    lo = np.where(failed, scan_step, at.reshape(a.shape))  # f(lo) > 0 >= f(hi)
+    hi = np.where(failed, scan_step, above.reshape(a.shape))
 
     def f(l):
         return _excess(gm, a, d, l, coupling)
@@ -439,23 +539,31 @@ def find_optimal_gap_many(
     if np.any(bound <= 0):
         raise ValueError("gap_bound must be > 0")
     p_a = np.asarray(transition_probability(a, coupling))
+    # every row's scan is _GAP_SCAN_POINTS samples; a chunk of rows is one
+    # call over a (rows, samples) grid
+    n, last = a.size, _GAP_SCAN_POINTS - 1
+    best, first = np.empty(n, dtype=int), np.empty(n)
+    lo, hi = np.empty(n), np.empty(n)
+    row_a, row_l, row_bound, row_p_a = (x.ravel() for x in (a, l, bound, p_a))
+    for rows in _chunks(np.full(n, _GAP_SCAN_POINTS)):
+        grid = np.linspace(0.0, row_bound[rows], _GAP_SCAN_POINTS, axis=-1)
+        values = _gap_concurrence(row_p_a[rows, None], row_a[rows, None], grid,
+                                  row_l[rows, None], coupling)
+        k = np.argmax(values, axis=-1)
+        r = np.arange(k.size)
+        best[rows], first[rows] = k, values[:, 0]
+        lo[rows] = grid[r, np.maximum(k - 1, 0)]
+        hi[rows] = grid[r, np.minimum(k + 1, last)]
+    best = best.reshape(a.shape)
     # a boundary maximum sits at lo = hi = 0, where the golden section
     # leaves it alone
-    lo = np.zeros(a.shape)
-    hi = lo.copy()
-    value = lo.copy()
+    boundary = best == 0
+    lo = np.where(boundary, 0.0, lo.reshape(a.shape))
+    hi = np.where(boundary, 0.0, hi.reshape(a.shape))
+    value = np.where(boundary, first.reshape(a.shape), 0.0)
     note = _blank(a.shape)
-    for i in np.ndindex(a.shape):
-        grid = np.linspace(0.0, bound[i], _GAP_SCAN_POINTS)
-        values = _gap_concurrence(p_a[i], a[i], grid, l[i], coupling)
-        k = int(np.argmax(values))
-        if k == 0:
-            value[i] = values[0]
-            note[i] = "boundary maximum at zero gap difference"
-            continue
-        if k == _GAP_SCAN_POINTS - 1:
-            note[i] = "maximum at the scan bound; enlarge gap_bound to be sure"
-        lo[i], hi[i] = grid[k - 1], grid[min(k + 1, _GAP_SCAN_POINTS - 1)]
+    note[best == last] = "maximum at the scan bound; enlarge gap_bound to be sure"
+    note[boundary] = "boundary maximum at zero gap difference"
     iterations = np.zeros(a.shape, dtype=int)
     interior = hi > lo
     if interior.any():
@@ -510,31 +618,25 @@ def find_crossover_many(
     # both pairs' sqrt(P_A P_B) and gap differences, stacked once per search
     gms = np.stack([gm, geometric_mean_probability(a, 0.0, coupling)])
     ds = np.stack([d, np.zeros(d.shape)])
-    # a failed row sits at lo = hi, where the bisection leaves it alone
-    lo = np.full(a.shape, float(scan_step))
-    hi = lo.copy()
+    row_a, row_d, row_gm, row_bound = (x.ravel() for x in (a, d, gm, bound))
+    row_gms, row_ds = gms.reshape(2, -1), ds.reshape(2, -1)
+
+    def positive(rows, l):
+        unequal, equal = _pair_concurrences(
+            row_gms[:, rows, None], row_a[rows, None], row_ds[:, rows, None], l, coupling)
+        return unequal - equal > 0.0
+
+    # at a certified point the non-identical concurrence is 0, so the
+    # difference cannot turn positive there: the walk ends at the last
+    # point that is not certified, or at the first sign change
+    k, at, below = _separation_scan(row_bound, scan_step, row_gm, row_a, row_d, coupling,
+                                    positive, upward=True)
+    k = k.reshape(a.shape)
     error = _blank(a.shape)
-    for i in np.ndindex(a.shape):
-        grid = np.arange(scan_step, bound[i] + 0.5 * scan_step, scan_step)
-        # at a certified point the non-identical concurrence is 0, so the
-        # difference cannot turn positive there: the walk ends at the last
-        # point that is not certified, or at the first sign change
-        uncertified = np.flatnonzero(~_certified(gm[i], a[i], d[i], grid, coupling))
-        row_gms, row_ds = gms[(..., *i)][:, None], ds[(..., *i)][:, None]
-        k = None
-        before = True  # the first grid point cannot be a sign change
-        for s, e in _blocks(0, uncertified[-1] + 1 if uncertified.size else 0):
-            unequal, equal = _pair_concurrences(row_gms, a[i], row_ds, grid[s:e], coupling)
-            positive = unequal - equal > 0.0
-            turns = positive & ~np.concatenate(([before], positive[:-1]))
-            if turns.any():
-                k = s + int(np.argmax(turns))
-                break
-            before = positive[-1]
-        if k is None:
-            error[i] = NoCrossover.__name__
-            continue
-        lo[i], hi[i] = grid[k - 1], grid[k]  # g(lo) <= 0 < g(hi)
+    error[k < 0] = NoCrossover.__name__
+    # a failed row sits at lo = hi, where the bisection leaves it alone
+    lo = np.where(k < 0, scan_step, below.reshape(a.shape))  # g(lo) <= 0 < g(hi)
+    hi = np.where(k < 0, scan_step, at.reshape(a.shape))
 
     def g(l):
         unequal, equal = _pair_concurrences(gms, a, ds, l, coupling)

@@ -29,6 +29,7 @@ expressions and for seeding searches.
 from __future__ import annotations
 
 import enum
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -119,6 +120,17 @@ def _domain_errors(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
     return errors
 
 
+def _caller_stacklevel():
+    """The ``stacklevel`` at which a warning issued by the caller names the
+    first frame outside this module, however many of its frames lie
+    between (the ``__init__`` a dataclass generates runs in this module's
+    globals, so it counts as one of them)."""
+    level, frame = 2, sys._getframe(2)
+    while frame is not None and frame.f_globals is globals():
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 @dataclass(frozen=True)
 class DetectorPairConfig:
     """Dimensionless scenario: gaps and separation rescaled by the
@@ -145,7 +157,7 @@ class DetectorPairConfig:
             warnings.warn(
                 f"coupling={self.coupling} is outside the weak-coupling regime "
                 f"(> {COUPLING_WARN_THRESHOLD}); second-order results are unreliable",
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
 
     @classmethod

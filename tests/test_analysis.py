@@ -451,6 +451,174 @@ class TestBatchedSearches:
         # difference at large separations; only the search inputs are checked
         assert find_optimal_gap_many(0.5, 60.0, gap_bound=60.0).error[()] == ""
 
+    def test_lmax_rows_over_several_chunks_match_scalar_bitwise(self):
+        a, d, bound = _lmax_rows()
+        assert np.sum(bound) / 0.001 > 2 * analysis._SCAN_CHUNK
+        batch = find_lmax_many(a, d, 0.1, scan_bound=bound, scan_step=0.001)
+        rows = [_row(batch, i) for i in range(a.size)]
+        assert rows == [_outcome(find_lmax, x, y, 0.1, scan_bound=b, scan_step=0.001)
+                        for x, y, b in zip(a, d, bound)]
+        assert rows[1:3] == ["BracketingFailure", "NoHarvestingRegion"]
+        assert rows[0] == _lmax_loop(0.5, 0.25, 0.1, 10.0, 0.001)
+
+    def test_crossover_rows_over_several_chunks_match_scalar_bitwise(self):
+        a, d, bound = _crossover_rows()
+        batch = find_crossover_many(a, d, 0.1, scan_bound=bound)
+        rows = [_row(batch, i) for i in range(a.size)]
+        assert rows == [_outcome(find_crossover, x, y, 0.1, scan_bound=b)
+                        for x, y, b in zip(a, d, bound)]
+        assert "NoCrossover" in rows and sum(r != "NoCrossover" for r in rows) > 20
+
+    def test_optimal_gap_rows_over_several_chunks_match_scalar_bitwise(self):
+        # 150 rows, over several chunks of gap scans; mixed bounds give
+        # boundary maxima, interior peaks and peaks at the scan bound
+        rng = np.random.default_rng(10)
+        a, l = rng.uniform(0.0, 3.0, 150), rng.uniform(0.3, 8.0, 150)
+        bound = rng.choice([0.1, 1.0, 3.0, 8.0], 150)
+        assert 150 * analysis._GAP_SCAN_POINTS > 2 * analysis._SCAN_CHUNK
+        batch = find_optimal_gap_many(a, l, 0.1, gap_bound=bound)
+        rows = [_row(batch, i) for i in range(a.size)]
+        assert rows == [_outcome(find_optimal_gap, x, y, 0.1, gap_bound=b)
+                        for x, y, b in zip(a, l, bound)]
+        assert {r[-1] for r in rows} == {"", "boundary maximum at zero gap difference",
+                                        "maximum at the scan bound; enlarge gap_bound to be sure"}
+
+    def test_rows_do_not_depend_on_the_chunk_and_block_sizes(self, monkeypatch):
+        # tiny chunks and blocks: nearly every row is a chunk of its own and
+        # walks many later blocks; every row keeps the bits of the search
+        # at the module's sizes
+        a, d, bound = _lmax_rows()
+        lmax = find_lmax_many(a, d, 0.1, scan_bound=bound, scan_step=0.001)
+        a2, d2, bound2 = _crossover_rows()
+        crossover = find_crossover_many(a2, d2, 0.1, scan_bound=bound2)
+        peak = find_optimal_gap_many(a, d + 0.3, 0.1)
+        # at step 0.4 these differences are positive from the first point
+        # past the second, so a later block starts after a positive point
+        coarse = find_crossover_many([0.0, 0.05, 0.1], [0.5, 0.5, 0.2], 0.1, scan_step=0.4)
+        monkeypatch.setattr(analysis, "_SCAN_CHUNK", 700)
+        monkeypatch.setattr(analysis, "_SCAN_BLOCK", 2)
+        for want, got in (
+                (lmax, find_lmax_many(a, d, 0.1, scan_bound=bound, scan_step=0.001)),
+                (crossover, find_crossover_many(a2, d2, 0.1, scan_bound=bound2)),
+                (peak, find_optimal_gap_many(a, d + 0.3, 0.1)),
+                (coarse, find_crossover_many([0.0, 0.05, 0.1], [0.5, 0.5, 0.2], 0.1,
+                                             scan_step=0.4))):
+            assert [_row(got, i) for i in range(got.error.size)] == \
+                [_row(want, i) for i in range(want.error.size)]
+
+
+def _lmax_rows():
+    """24 find_lmax problems at scan step 0.001 whose grids span several
+    chunks of rows: mixed bounds, rows raising BracketingFailure (bounds
+    below the root) and NoHarvestingRegion ((30, 0), whose products
+    underflow, so nothing is certified and its walk runs through every
+    block), and (0.5, 0.25), whose root lies in its second block."""
+    rng = np.random.default_rng(8)
+    a, d = rng.uniform(0.0, 3.0, 24), rng.uniform(0.0, 3.0, 24)
+    bound = rng.choice([2.0, 4.0, 6.0, 12.0], 24)
+    a[:4], d[:4], bound[:4] = [0.5, 0.5, 30.0, 0.2], [0.25, 0.0, 0.0, 0.0], [10.0, 1.0, 40.0, 3.0]
+    return a, d, bound
+
+
+def _crossover_rows():
+    """40 find_crossover problems over several chunks of rows: default
+    bounds, bound 200 (a row longer than a chunk) and bound 1 (no
+    crossover); most crossovers lie past their first block."""
+    rng = np.random.default_rng(9)
+    a, d = rng.uniform(0.0, 3.0, 40), rng.uniform(0.02, 3.0, 40)
+    bound = rng.choice([np.nan, np.nan, 200.0, 1.0], 40)
+    bound = np.where(np.isnan(bound), analysis._default_scan_bound(a, d), bound)
+    return a, d, bound
+
+
+class TestChunkedScanCalls:
+    """The scans run over chunks of rows: one closed-form call per chunk,
+    for a separation scan per chunk's first block, and one call per later
+    block of a row that walks past its first."""
+
+    def test_fig4_scans_in_one_call_per_chunk(self, monkeypatch):
+        # fig4's 1600 gap scans take ceil(1600 * 256 / chunk) calls, then
+        # the golden section takes two, one per step and one for the peaks
+        shapes = []
+        original = analysis.correlation_x_values
+        monkeypatch.setattr(analysis, "correlation_x_values",
+                            lambda a, d, l, c: shapes.append(np.shape(d)) or original(a, d, l, c))
+        gaps = np.array([0.2, 0.5, 1.0, 1.2])[:, None]
+        batch = find_optimal_gap_many(gaps, np.linspace(0.5, 4.1, 400), 1.0)
+        scans = shapes.index((4, 400))
+        assert scans <= -(-1600 * analysis._GAP_SCAN_POINTS // analysis._SCAN_CHUNK)
+        assert all(np.prod(s) <= analysis._SCAN_CHUNK for s in shapes[:scans])
+        assert len(shapes) == scans + 2 + batch.iterations.max() + 1
+        assert all(s == (4, 400) for s in shapes[scans:])
+
+    def test_fig5_scans_in_one_first_block_call_per_chunk(self, monkeypatch):
+        # fig5's 1600 rows: one call per chunk for the first blocks, where
+        # every root lies, then one per bisection step and one at the roots
+        shapes = []
+        original = analysis.correlation_x_values
+        monkeypatch.setattr(analysis, "correlation_x_values",
+                            lambda a, d, l, c: shapes.append(np.shape(l)) or original(a, d, l, c))
+        gaps = np.array([0.2, 0.5, 1.0, 1.2])[:, None]
+        a, d = np.broadcast_arrays(gaps, gaps * np.linspace(0.0, 3.0, 400))
+        batch = find_lmax_many(a, d, 1.0)
+        points = analysis._default_scan_bound(a, d).ravel() / 0.01
+        chunks = len(list(analysis._chunks(points)))
+        full = points.sum() / analysis._SCAN_CHUNK
+        assert full <= chunks <= 1.1 * full + 1
+        assert shapes.index((4, 400)) == chunks
+        assert len(shapes) == chunks + batch.iterations.max() + 1
+
+    def test_later_blocks_make_one_call_per_continuing_row(self, monkeypatch):
+        # each row that walks past its first block makes one call per later
+        # block, up to the block holding its sign change: counted here on
+        # the full grid, with the walk ending at the last point the
+        # envelope does not certify
+        a, d, bound = _crossover_rows()
+        later = 0
+        for x, y, b in zip(a, d, bound):
+            grid = np.arange(0.01, b + 0.005, 0.01)
+            gm = geometric_mean_probability(x, y, 0.1)
+            open_ = np.flatnonzero(~analysis._certified(
+                np.array([gm]), np.array([x]), np.array([y]), grid[None], 0.1))
+            stop = open_[-1] + 1 if open_.size else 0
+            positive = concurrence_values(x, y, grid, 0.1) > concurrence_values(x, 0.0, grid, 0.1)
+            turns = np.flatnonzero(positive[1:stop] & ~positive[:stop - 1]) + 1
+            end = turns[0] + 1 if turns.size else stop
+            later += max(len(list(analysis._blocks(0, end))) - 1, 0)
+        shapes = []
+        original = analysis.correlation_x_values
+        monkeypatch.setattr(analysis, "correlation_x_values",
+                            lambda a, d, l, c: shapes.append(np.shape(l)) or original(a, d, l, c))
+        batch = find_crossover_many(a, d, 0.1, scan_bound=bound)
+        chunks = len(list(analysis._chunks(bound / 0.01)))
+        scans = len(shapes) - batch.iterations.max() - 1
+        assert later > 10 and scans == chunks + later
+        assert sum(s[0] == 1 for s in shapes[:scans]) >= later
+
+    def test_separation_chunks_stay_within_the_chunk_size(self, monkeypatch):
+        # rows of 10, 200 and 1 switching lengths side by side: each
+        # envelope call, over the chunk's grids padded to the longest, holds
+        # at most a chunk's points unless it holds one row
+        a, d, bound = _crossover_rows()
+        shapes = []
+        original = analysis._x_envelope
+        monkeypatch.setattr(analysis, "_x_envelope",
+                            lambda a, d, l, c: shapes.append(np.shape(l)) or original(a, d, l, c))
+        find_crossover_many(a, d, 0.1, scan_bound=bound)
+        assert len(shapes) > 3 and any(s[0] > 1 for s in shapes)
+        assert all(s[0] == 1 or np.prod(s) <= analysis._SCAN_CHUNK for s in shapes)
+
+    def test_certificate_needs_a_normal_finite_gm(self):
+        # at (27, 0, 100) the envelope is subnormal: it lies below a
+        # subnormal or infinite gm, which certifies nothing
+        gm = np.array([1e-300, 1e-310, 0.0, np.inf, np.nan])
+        assert 0.0 < closedform._x_envelope(27.0, 0.0, 100.0, 0.1) < 1e-310
+        certified = analysis._certified(gm, np.full(5, 27.0), np.zeros(5),
+                                        np.full((5, 1), 100.0), 0.1)
+        assert certified.ravel().tolist() == [True, False, False, False, False]
+        assert not analysis._certified(gm[1:], np.full(4, 27.0), np.zeros(4),
+                                       np.full((4, 1), 100.0), 0.1).any()
+
 
 class TestSweep:
     BASE = DetectorPairConfig(0.5, 0.25, 2.0, 0.1)

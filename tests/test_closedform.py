@@ -30,6 +30,7 @@ from udwharvest import (
     transition_probability,
     x_single_integral_pv,
 )
+from udwharvest import analysis
 from udwharvest.closedform import _ZW_BOUND, _x_envelope
 
 FOUR_PI = 4.0 * np.pi
@@ -66,6 +67,17 @@ class TestConfig:
         with pytest.warns(UserWarning) as record:
             DetectorPairConfig(0.5, 0.0, 1.0, coupling=0.5)
         assert record[0].filename == __file__
+
+    @pytest.mark.parametrize("build", [
+        lambda: DetectorPairConfig(0.5, 0.25, 2.0, 1.0),
+        lambda: DetectorPairConfig.with_omega_b(0.5, 0.75, 2.0, 1.0),
+    ], ids=["direct", "with_omega_b"])
+    def test_strong_coupling_warning_names_the_caller_of_each_constructor(self, build):
+        # through with_omega_b, a fixed stacklevel named its own cls(...)
+        # line in closedform.py
+        with pytest.warns(UserWarning, match="weak-coupling") as record:
+            build()
+        assert len(record) == 1 and record[0].filename == __file__
 
     def test_omega_b_constructor(self):
         cfg = DetectorPairConfig.with_omega_b(0.5, 0.75, 2.0)
@@ -364,6 +376,59 @@ class TestScalarArrayBitwise:
             args[axis] = block[:, axis]
             want = scalar_conc[60 * k: 60 * (k + 1)]
             assert _bits(concurrence_values(*args, lam)) == _bits(want), block[0]
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    def test_row_chunks_equal_per_row_calls(self, lam):
+        # the call shape of a chunk of search rows: a (rows, points) grid
+        # along one axis, the row-constant operands as (rows, 1) columns
+        rng = np.random.default_rng(12)
+        rows, points = 24, 256
+        a = rng.uniform(0.0, 40.0, rows)
+        d = rng.uniform(0.0, 35.0, rows)
+        l = rng.uniform(0.05, 120.0, rows)
+        a[:4], d[:4] = [0.2, 0.5, 1.0, 1.2], [0.0, 0.25, 1.5, 3.6]  # the survey's gaps
+        p_a = transition_probability(a, lam)
+        gm = geometric_mean_probability(a, d, lam)
+        # gap scans: the gap difference runs along the rows
+        gaps = np.sort(rng.uniform(0.0, 35.0, (rows, points)), axis=-1)
+        p_b = transition_probability(a[:, None] + gaps, lam)
+        x = correlation_x_values(a[:, None], gaps, l[:, None], lam)
+        conc = analysis._gap_concurrence(p_a[:, None], a[:, None], gaps, l[:, None], lam)
+        for i in range(rows):
+            assert _bits(p_b[i]) == _bits(transition_probability(a[i] + gaps[i], lam))
+            assert _bits(x[i]) == _bits(correlation_x_values(a[i], gaps[i], l[i], lam))
+            assert _bits(conc[i]) == _bits(concurrence_values(a[i], gaps[i], l[i], lam))
+        # separation scans: the separation runs along the rows
+        seps = np.sort(rng.uniform(0.01, 120.0, (rows, points)), axis=-1)
+        x = correlation_x_values(a[:, None], d[:, None], seps, lam)
+        conc = analysis._clamp(analysis._excess(gm[:, None], a[:, None], d[:, None], seps, lam))
+        for i in range(rows):
+            assert _bits(x[i]) == _bits(correlation_x_values(a[i], d[i], seps[i], lam))
+            assert _bits(conc[i]) == _bits(concurrence_values(a[i], d[i], seps[i], lam))
+        assert (conc > 0.0).any() and (conc == 0.0).any()
+
+    def test_row_chunk_grids_equal_per_row_grids(self):
+        # a gap scan chunk's linspace grid, and a separation scan chunk's
+        # first blocks gathered from its rows' grids padded with their last
+        # points, are the rows' own grid points
+        bounds = np.random.default_rng(3).uniform(0.05, 80.0, 40)
+        chunk = np.linspace(0.0, bounds, 256, axis=-1)
+        for b, row in zip(bounds, chunk):
+            assert _bits(row) == _bits(np.linspace(0.0, b, 256))
+        step = 0.01
+        grids = [np.arange(b, 0.5 * step, -step) for b in bounds]
+        sizes = np.array([g.size for g in grids])
+        padded = np.empty((sizes.size, sizes.max()))
+        for g, row in zip(grids, padded):
+            row[:g.size], row[g.size:] = g, g[-1]
+        start = (sizes * np.linspace(0.0, 1.0, 40)).astype(int) // 2  # each row's walk start
+        stop = np.minimum(start + 300, sizes)
+        idx = np.minimum(start[:, None] + np.arange(256), stop[:, None] - 1)
+        gathered = np.take_along_axis(padded, idx, axis=1)
+        for i, g in enumerate(grids):
+            walk = g[start[i]:stop[i]][:256]
+            assert _bits(gathered[i, :walk.size]) == _bits(walk)
+            assert (gathered[i, walk.size:] == g[stop[i] - 1]).all()
 
 
 class TestProperties:
