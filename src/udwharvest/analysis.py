@@ -44,18 +44,18 @@ consecutive rows holding at most 8 k grid points when each is padded to
 the longest of them (a longer row is a chunk of its own), so memory stays
 that of one chunk.  A chunk of gap scans is one closed-form call over a
 (rows, 256) grid.  A chunk of separation scans is one envelope call over
-its rows' grids and one closed-form call over their first blocks; only a
-row without its answer there walks its later blocks, on its own.  Then
-all rows are refined in lockstep: one closed-form array call per
-bisection or golden-section step, with each finished row frozen in place.
-A row where the one-problem search would raise carries NaN and the
-exception's class name in ``error``, so one failing problem cannot abort
-a grid; gaps, a separation or a coupling outside the scenario domain
-raise ValueError, for the whole batch.  The one-problem functions run
-the same core on 0-d inputs, as chunks of one row, and raise as before;
-they keep returning a :class:`SearchResult` of Python numbers, because
-callers (the benchmark's tracer among them) read its fields as scalars,
-so arrays get their own names.
+its rows' grids, then one closed-form call per round of blocks over the
+rows that have not found their answer yet, each row walking its own next
+block.  Then all rows are refined in lockstep: one closed-form array
+call per bisection or golden-section step, with each finished row frozen
+in place.  A row where the one-problem search would raise carries NaN
+and the exception's class name in ``error``, so one failing problem
+cannot abort a grid; gaps, a separation or a coupling outside the
+scenario domain raise ValueError, for the whole batch.  The one-problem
+functions run the same core on 0-d inputs, as chunks of one row, and
+raise as before; they keep returning a :class:`SearchResult` of Python
+numbers, because callers (the benchmark's tracer among them) read its
+fields as scalars, so arrays get their own names.
 
 :func:`sweep` evaluates the closed-form pipeline over one axis of the
 scenario with one array call; points outside the admitted domain are
@@ -68,7 +68,6 @@ and each point equals a scalar call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -235,17 +234,6 @@ def _certified(gm, a, d, grid, coupling):
     return usable[:, None] & (envelope * (1.0 + _ENVELOPE_MARGIN) < gm[:, None])
 
 
-def _blocks(start, stop):
-    """Index ranges [i, j) that walk [start, stop) in blocks of
-    ``_SCAN_BLOCK`` points, each block twice the one before; a scan stops
-    at the first block that holds its answer."""
-    size = _SCAN_BLOCK
-    while start < stop:
-        yield start, min(start + size, stop)
-        start += size
-        size *= 2
-
-
 def _chunks(points):
     """Slices of consecutive rows that hold at most ``_SCAN_CHUNK`` scan
     points when each is padded to the longest of them (a longer row is a
@@ -260,17 +248,11 @@ def _chunks(points):
         yield slice(start, len(points))
 
 
-def _first_turns(pos, before):
-    """Per row of ``pos``, where a positive point follows a non-positive
-    one (or, at the first point, a row whose ``before`` is False)."""
-    return pos & ~np.concatenate([before[:, None], pos[:, :-1]], axis=1)
-
-
 def _separation_scan(bound, step, gm, a, d, coupling, positive, upward):
     """Walk every row's separation grid to its first turn to positive, in
     chunks of rows; 1-D arrays bound, gm, a and d hold the rows' problems.
 
-    ``positive(rows, l)`` is the sign test of the rows (a slice) at
+    ``positive(rows, l)`` is the sign test of the rows (an index array) at
     separations l, one row of l per row.  An upward grid runs from ``step``
     to the row's bound; the walk runs from its first point to the last one
     the envelope does not certify, and starts as if after a positive
@@ -278,11 +260,13 @@ def _separation_scan(bound, step, gm, a, d, coupling, positive, upward):
     bound to ``step``; the walk runs from its first point the envelope
     does not certify to the end, and starts as if after a non-positive
     one.  Per chunk, the rows' grids are padded with their last points into
-    one array, the envelope is one call over it and the first blocks of
-    all rows are one call, each shorter walk padded with its last point; a
-    row without a turn there walks its later blocks on its own.  Returns
-    each row's turn index k (-1 where there is none) and its grid at k and
-    at k-1 (NaN where there is no such point)."""
+    one array and the envelope is one call over it.  The walks then run in
+    lockstep rounds of blocks, each twice the one before: a round is one
+    call over the next block of every row without a turn so far, each
+    shorter walk padded with its last point, so every row's blocks have the
+    boundaries of a walk on its own.  Returns each row's turn index k (-1
+    where there is none) and its grid at k and at k-1 (NaN where there is
+    no such point)."""
     k = np.full(a.shape, -1)
     at, previous = np.full(a.shape, np.nan), np.full(a.shape, np.nan)
     for chunk in _chunks(bound / step):
@@ -307,25 +291,24 @@ def _separation_scan(bound, step, gm, a, d, coupling, positive, upward):
             stop = np.where(any_open, np.minimum(last, sizes), 0)
         else:  # from the first open point
             start, stop = np.where(any_open, np.argmax(open_, axis=1), sizes), sizes
-        walks = stop > start
-        if not walks.any():
-            continue
-        # a walk shorter than the block repeats its last point, which cannot
-        # turn again; a row that does not walk is masked
-        idx = np.minimum(start[:, None] + np.arange(min(_SCAN_BLOCK, np.max(stop - start))),
-                         stop[:, None] - 1)
-        pos = positive(chunk, np.take_along_axis(grid, idx, axis=1))
-        turns = _first_turns(pos, np.full(sizes.size, upward)) & walks[:, None]
-        row_k = np.where(turns.any(axis=1), start + np.argmax(turns, axis=1), -1)
-        for j in np.flatnonzero((row_k < 0) & walks):  # these walk their later blocks alone
-            before = pos[j, -1]
-            for s, e in islice(_blocks(start[j], stop[j]), 1, None):
-                row_pos = positive(slice(chunk.start + j, chunk.start + j + 1), grid[j:j + 1, s:e])
-                row_turns = _first_turns(row_pos, np.array([before]))[0]
-                if row_turns.any():
-                    row_k[j] = s + int(np.argmax(row_turns))
-                    break
-                before = row_pos[0, -1]
+        # round r is block r, of _SCAN_BLOCK * 2**r points, of every row
+        # still walking; a repeated last point cannot turn again, and a row
+        # leaves at its first turn or at its stop
+        row_k = np.full(sizes.size, -1)
+        rows = np.flatnonzero(stop > start)
+        before = np.full(rows.size, upward)
+        offset, size = 0, _SCAN_BLOCK
+        while rows.size:
+            begin, end = start[rows] + offset, stop[rows]
+            idx = np.minimum(begin[:, None] + np.arange(min(size, np.max(end - begin))),
+                             end[:, None] - 1)
+            pos = positive(chunk.start + rows, grid[rows[:, None], idx])
+            turns = pos & ~np.concatenate([before[:, None], pos[:, :-1]], axis=1)
+            turned = turns.any(axis=1)
+            row_k[rows[turned]] = begin[turned] + np.argmax(turns[turned], axis=1)
+            going = ~turned & (begin + size < end)
+            rows, before = rows[going], pos[going, -1]
+            offset, size = offset + size, 2 * size
         ends = np.stack([np.maximum(row_k - 1, 0), np.maximum(row_k, 0)], axis=1)
         found = np.take_along_axis(grid, ends, axis=1)
         k[chunk] = row_k

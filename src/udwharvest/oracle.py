@@ -60,7 +60,8 @@ gaps of about 3.8 and the correlation route up to a gap sum of about 9
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -93,6 +94,16 @@ __all__ = [
 
 _SQRT_PI = np.sqrt(np.pi)
 
+# Smallest regulator the settings admit.  The panels beside the pole are as
+# wide as the regulator; far below this they run out of distinct doubles
+# and the quadrature returns wrong values unnoticed (2.5 % off in X at 1e-15).
+_MIN_REGULATOR = 1e-8
+
+# Largest inner panel order the settings admit: the principal-value routes
+# self-check at twice the order, and their Legendre companion matrix grows
+# as the square of it.
+_MAX_QUADRATURE_NODES = 1024
+
 
 class NonConvergence(RuntimeError):
     """A quadrature or regulator-limit self-check failed."""
@@ -103,12 +114,13 @@ class OracleSettings:
     """Knobs for the integral oracles.
 
     epsilon_schedule   regulator values (units of the switching duration),
-                       strictly decreasing; the regulator limit takes the
-                       polynomial through all samples to zero, so its order
-                       is one less than the schedule's length
-    quadrature_nodes   Gauss-Legendre nodes per panel of the inner
-                       (offset) axis of the double integrals and of the
-                       principal-value routes, which also run at twice
+                       finite, strictly decreasing and at least 1e-8; the
+                       regulator limit takes the polynomial through all
+                       samples to zero, so its order is one less than the
+                       schedule's length
+    quadrature_nodes   Gauss-Legendre nodes per panel, 4 to 1024, of the
+                       inner (offset) axis of the double integrals and of
+                       the principal-value routes, which also run at twice
                        this to self-check; the outer time axis of the
                        double integrals has a fixed, certified 16 nodes
                        per panel
@@ -122,10 +134,18 @@ class OracleSettings:
         object.__setattr__(self, "epsilon_schedule", eps)
         if len(eps) < 2:
             raise ValueError("epsilon_schedule needs at least two values")
+        if not np.all(np.isfinite(eps)):
+            raise ValueError("epsilon_schedule values must be finite")
         if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon_schedule must be strictly decreasing and positive")
+        if eps[-1] < _MIN_REGULATOR:
+            raise ValueError(f"epsilon_schedule values must be >= {_MIN_REGULATOR:g}: panels "
+                             "as narrow as the regulator run out of distinct doubles")
         if self.quadrature_nodes < 4:
             raise ValueError("quadrature_nodes must be >= 4")
+        if self.quadrature_nodes > _MAX_QUADRATURE_NODES:
+            raise ValueError(f"quadrature_nodes must be <= {_MAX_QUADRATURE_NODES}: the "
+                             "self-check at twice the order grows as its square")
 
 
 DEFAULT_SETTINGS = OracleSettings()
@@ -219,25 +239,31 @@ def _regulator_limit(settings: OracleSettings, samples, sample_error, rel_tol):
     itself.  Then the regulator limit: the last order's correction scaled by
     the smallest regulator -- the contraction one further order would
     bring -- must not exceed rel_tol times the result's magnitude, however
-    small the result is.
+    small the result is.  A value that is not finite fails before them and
+    one that is exactly zero (every sample underflowed) after them, so
+    neither is certified.
     """
     eps = settings.epsilon_schedule
     diag = extrapolate_to_zero(eps, samples)
     best, prev = diag[-1], diag[-2]
+    if not np.isfinite(best):
+        raise NonConvergence(f"regulator limit {best} is not finite")
     # the tableau is linear: the samples' weights are the unit samples' extrapolants
     weights = [extrapolate_to_zero(eps, unit)[-1].real for unit in np.eye(len(eps))]
     quad_err = float(np.abs(weights) @ sample_error)
-    if quad_err > rel_tol * abs(best):
+    if not quad_err <= rel_tol * abs(best):
         raise NonConvergence(
             f"quadrature error estimate {quad_err:.3e} exceeds {rel_tol:.1e} of the "
             f"result ({abs(best):.3e}): the quadrature sum cancels"
         )
     err_est = abs(best - prev) * eps[-1]
-    if err_est > rel_tol * abs(best):
+    if not err_est <= rel_tol * abs(best):
         raise NonConvergence(
             f"regulator extrapolation error estimate {err_est:.3e} exceeds "
             f"{rel_tol:.1e} of the result ({abs(best):.3e})"
         )
+    if best == 0:
+        raise NonConvergence("regulator limit is exactly zero: the regulated samples underflowed")
     return best, tuple(diag)
 
 
@@ -383,7 +409,10 @@ def _order_doubled(once, cfg, settings, what):
     """``once`` at twice the panel order, gated on the shift from the
     nominal order: above 1e-8 relative raises :exc:`NonConvergence`."""
     coarse = once(cfg, settings)
-    fine = once(cfg, replace(settings, quadrature_nodes=2 * settings.quadrature_nodes))
+    # the doubled order may lie above the cap on the orders callers pass
+    doubled = copy.copy(settings)
+    object.__setattr__(doubled, "quadrature_nodes", 2 * settings.quadrature_nodes)
+    fine = once(cfg, doubled)
     if abs(fine - coarse) > 1e-8 * max(abs(fine), 1e-300):
         raise NonConvergence(
             f"{what} quadrature not converged: order doubling moved the result "

@@ -533,8 +533,7 @@ def _crossover_rows():
 
 class TestChunkedScanCalls:
     """The scans run over chunks of rows: one closed-form call per chunk,
-    for a separation scan per chunk's first block, and one call per later
-    block of a row that walks past its first."""
+    for a separation scan per chunk and round of blocks."""
 
     def test_fig4_scans_in_one_call_per_chunk(self, monkeypatch):
         # fig4's 1600 gap scans take ceil(1600 * 256 / chunk) calls, then
@@ -568,13 +567,14 @@ class TestChunkedScanCalls:
         assert shapes.index((4, 400)) == chunks
         assert len(shapes) == chunks + batch.iterations.max() + 1
 
-    def test_later_blocks_make_one_call_per_continuing_row(self, monkeypatch):
-        # each row that walks past its first block makes one call per later
-        # block, up to the block holding its sign change: counted here on
-        # the full grid, with the walk ending at the last point the
-        # envelope does not certify
+    def test_later_blocks_make_one_call_per_chunk_per_round(self, monkeypatch):
+        # round r walks block r of every row of a chunk still walking, in one
+        # call, so a chunk makes as many calls as its longest walk has
+        # blocks: counted here on the full grid, with the walk ending at the
+        # last point the envelope does not certify or with the block that
+        # holds the first sign change
         a, d, bound = _crossover_rows()
-        later = 0
+        blocks = []
         for x, y, b in zip(a, d, bound):
             grid = np.arange(0.01, b + 0.005, 0.01)
             gm = geometric_mean_probability(x, y, 0.1)
@@ -584,16 +584,19 @@ class TestChunkedScanCalls:
             positive = concurrence_values(x, y, grid, 0.1) > concurrence_values(x, 0.0, grid, 0.1)
             turns = np.flatnonzero(positive[1:stop] & ~positive[:stop - 1]) + 1
             end = turns[0] + 1 if turns.size else stop
-            later += max(len(list(analysis._blocks(0, end))) - 1, 0)
+            n, walked = 0, 0
+            while walked < end:
+                walked, n = walked + (analysis._SCAN_BLOCK << n), n + 1
+            blocks.append(n)
+        chunks = list(analysis._chunks(bound / 0.01))
+        rounds = [max(blocks[c]) for c in chunks]
+        assert any(c.stop - c.start > 1 and r > 1 for c, r in zip(chunks, rounds))
         shapes = []
         original = analysis.correlation_x_values
         monkeypatch.setattr(analysis, "correlation_x_values",
                             lambda a, d, l, c: shapes.append(np.shape(l)) or original(a, d, l, c))
         batch = find_crossover_many(a, d, 0.1, scan_bound=bound)
-        chunks = len(list(analysis._chunks(bound / 0.01)))
-        scans = len(shapes) - batch.iterations.max() - 1
-        assert later > 10 and scans == chunks + later
-        assert sum(s[0] == 1 for s in shapes[:scans]) >= later
+        assert len(shapes) - batch.iterations.max() - 1 == sum(rounds) < sum(blocks)
 
     def test_separation_chunks_stay_within_the_chunk_size(self, monkeypatch):
         # rows of 10, 200 and 1 switching lengths side by side: each

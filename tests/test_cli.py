@@ -30,12 +30,13 @@ def manifest_and_data(path):
 class TestEval:
     def test_zero_gap_probabilities(self, tmp_path):
         out = tmp_path / "eval.json"
-        code = run(
-            [
-                "eval", "--omega-a", "0", "--delta-omega", "0", "--l", "1",
-                "--lambda", "1", "--format", "record", "--out", str(out),
-            ]
-        )
+        with pytest.warns(UserWarning, match="weak-coupling"):
+            code = run(
+                [
+                    "eval", "--omega-a", "0", "--delta-omega", "0", "--l", "1",
+                    "--lambda", "1", "--format", "record", "--out", str(out),
+                ]
+            )
         assert code == 0
         rec = json.loads(out.read_text())["result"]
         assert rec["p_a"] == pytest.approx(1.0 / FOUR_PI, rel=1e-14)
@@ -142,6 +143,15 @@ class TestVerify:
         code = run(["verify", *grid, "--eps-schedule", "0.9,0.85", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith("verification aborted:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--eps-schedule", "0.05,nan"],
+                                       ["--quad-nodes", "100000"]])
+    def test_settings_that_cannot_be_certified_are_domain_errors(self, tmp_path, flags):
+        # a NaN regulator gave rel=nan FAIL lines (exit 1); 100000 nodes
+        # died in numpy's allocator with a traceback
+        out = tmp_path / "v.txt"
+        assert run(["verify", "--grid", "1", *flags, "--out", str(out)]) == 3
         assert not out.exists()
 
     def test_every_regulator_of_a_longer_schedule_is_used(self, tmp_path):

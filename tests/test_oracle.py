@@ -46,6 +46,39 @@ def test_settings_validation():
         OracleSettings(epsilon_schedule=(0.05,))
     with pytest.raises(ValueError):
         OracleSettings(quadrature_nodes=2)
+    # non-finite regulators gave NaN values that passed the limit's checks
+    with pytest.raises(ValueError, match="finite"):
+        OracleSettings(epsilon_schedule=(0.05, np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        OracleSettings(epsilon_schedule=(np.inf, 0.05))
+    # panels as narrow as these regulators gave an X 26 % off, unrefused
+    with pytest.raises(ValueError, match="distinct doubles"):
+        OracleSettings(epsilon_schedule=(2e-16, 1e-16))
+    assert OracleSettings(epsilon_schedule=(2e-8, 1e-8)).epsilon_schedule[-1] == 1e-8
+    # the self-check at twice a larger order asks for gigabytes
+    with pytest.raises(ValueError, match="quadrature_nodes must be <= 1024"):
+        OracleSettings(quadrature_nodes=1025)
+    assert OracleSettings(quadrature_nodes=1024).quadrature_nodes == 1024
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("route", [
+    lambda s: pd_double_integral(0.5, 0.1, s),
+    lambda s: x_double_integral(DetectorPairConfig(0.5, 0.25, 0.5), s),
+    lambda s: c_double_integral(DetectorPairConfig(0.5, 0.25, 0.5), s),
+], ids=["pd", "x", "c"])
+def test_underflowed_regulator_limit_is_not_certified(route):
+    # at these regulators every sample underflows to zero, which the
+    # limit's relative checks passed as a certified value
+    with pytest.raises(NonConvergence, match="exactly zero"):
+        route(OracleSettings(epsilon_schedule=(1e200, 1e199)))
+
+
+def test_regulator_limit_refuses_a_value_that_is_not_finite():
+    # a NaN limit fails every comparison, so the relative checks let it by
+    for sample in (np.nan, np.inf):
+        with pytest.raises(NonConvergence, match="not finite"):
+            oracle._regulator_limit(DEFAULT_SETTINGS, [sample, 1.0, 1.0], np.zeros(3), 1e-3)
 
 
 def test_extrapolate_to_zero_polynomial_exact():
