@@ -5,7 +5,7 @@ Three searches cover the quantities the closed forms do not give directly:
 * :func:`find_lmax` -- the largest separation at which harvesting still
   occurs.  The harvesting boundary is a root of |X| - sqrt(P_A P_B), which
   can have several roots when the correlation amplitude oscillates with
-  separation, so the scan walks downward from an upper bound and bisects
+  separation, so the scan walks downward from an upper bound and refines
   the first (i.e. largest) sign change.
 
 * :func:`find_optimal_gap` -- the gap difference maximizing the
@@ -33,8 +33,15 @@ whole grid.  Where sqrt(P_A P_B) underflows to a subnormal number or
 zero nothing is certified.  A scan bound must be finite and a scan grid may
 hold at most 1e7 points; a larger one raises ValueError before it is built.
 
-Bisections run the bracket down to floating-point resolution, so reported
-roots satisfy much tighter certificates than the nominal 1e-10 width.
+The sign change a separation scan finds is refined by safeguarded Newton
+steps (:func:`_refine`), whose slope costs no further Faddeeva evaluation
+(:func:`~udwharvest.closedform._x_abs_slope`), to a bracket of at most 8
+ulps that the closed forms certify as a sign change: about 5 steps where
+bisection to floating-point resolution would take about 46, and never
+more than bisection's count to 8 ulps plus 9.  The roots are those of
+bisection to within a few ulps, except where the function rounds to
+exactly zero over a stretch, either end of which is a sign change.  The
+gap search keeps its golden section.
 
 Each search has a batched form, :func:`find_lmax_many`,
 :func:`find_optimal_gap_many` and :func:`find_crossover_many`, which takes
@@ -47,8 +54,8 @@ that of one chunk.  A chunk of gap scans is one closed-form call over a
 its rows' grids, then one closed-form call per round of blocks over the
 rows that have not found their answer yet, each row walking its own next
 block.  Then all rows are refined in lockstep: one closed-form array
-call per bisection or golden-section step, with each finished row frozen
-in place.  A row where the one-problem search would raise carries NaN
+call per Newton or golden-section step, with each finished row frozen in
+place.  A row where the one-problem search would raise carries NaN
 and the exception's class name in ``error``, so one failing problem
 cannot abort a grid; gaps, a separation or a coupling outside the
 scenario domain raise ValueError, for the whole batch.  The one-problem
@@ -76,6 +83,7 @@ from .closedform import (
     _clamp,
     _domain_errors,
     _ingredients,
+    _x_abs_slope,
     _x_envelope,
     correlation_x_values,
     geometric_mean_probability,
@@ -124,6 +132,12 @@ _SCAN_CHUNK = 8192
 # kernel's relative error (below 1e-10) and the roundings of |X| many times
 # over, and costs a factor of about 1 + 5e-7 on the certified separation.
 _ENVELOPE_MARGIN = 1e-6
+
+# Steps a root refinement may take beyond bisection's count to a bracket of
+# 8 ulps (bisection to one ulp takes 3 more): Newton converges from one
+# side, so the far end of the bracket stays at the scan cell's until the
+# closing probe, and a smaller slack would force midpoints on such rows.
+_NEWTON_SLACK = 9
 
 
 class NoHarvestingRegion(RuntimeError):
@@ -342,20 +356,49 @@ def _pair_concurrences(gms, a, ds, l, coupling):
     return unequal, equal
 
 
-def _bisect(f, lo, hi, positive_at_lo):
-    """Bisect every row's sign change between lo and hi down to floating
-    resolution, one call of f per step for all rows.  A row is finished
-    once its midpoint rounds to an end, and is not moved again."""
+def _refine(f, lo, hi, positive_at_lo):
+    """Narrow every row's sign change between lo < hi to at most 2 eps,
+    eps = 4 ulps of lo, by safeguarded Newton steps, one call of f per
+    step for all rows; ``f(l)`` returns the function and its slope.  A
+    step's point replaces the bracket end whose sign it shares, zero
+    counting as non-positive.  The next point is the Newton step from it,
+    moved to ``reach`` inside the bracket where it lands less than reach
+    inside or outside it, and the midpoint where it lands further out or is
+    not finite.  reach is eps, so a Newton step of a few ulps or less
+    (zero, or under half an ulp, which rounds back to the point) probes
+    eps past the point toward the far end and closes the bracket if the
+    root lies there.  reach doubles at each further point where f is
+    exactly zero: a run of zeros is a stretch where f rounds to zero, and
+    the sign change is its far edge.
+
+    Each point is then drawn to within eps 2^(n - k) - width/2 of the
+    midpoint after k steps, where n is bisection's steps from the scan
+    cell to width 2 eps plus ``_NEWTON_SLACK``: the projection of ITP
+    (Oliveira and Takahashi, ACM TOMS 47(1), 2020), which keeps the width
+    after k steps at most 2 eps 2^(n - k), so a row takes at most n steps.
+    A row with lo = hi is left alone."""
+    eps = 4.0 * np.spacing(lo)
+    n = np.ceil(np.log2(np.maximum((hi - lo) / (2.0 * eps), 1.0))) + _NEWTON_SLACK
+    x = 0.5 * (lo + hi)
+    live = hi - lo > 2.0 * eps
     iterations = np.zeros(np.shape(lo), dtype=int)
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = (mid != lo) & (mid != hi)
-        if not live.any():
-            return lo, hi, iterations
+    reach = eps
+    while live.any():
         iterations += live
-        move_lo = (f(mid) > 0.0) == positive_at_lo
-        lo = np.where(live & move_lo, mid, lo)
-        hi = np.where(live & ~move_lo, mid, hi)
+        value, slope = f(x)
+        move_lo = (value > 0.0) == positive_at_lo
+        lo = np.where(live & move_lo, x, lo)
+        hi = np.where(live & ~move_lo, x, hi)
+        live &= hi - lo > 2.0 * eps
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 and x/0 bisect
+            newton = x - value / slope
+        mid = 0.5 * (lo + hi)
+        reach = np.where(value == 0.0, 2.0 * reach, eps)
+        near = (lo - reach < newton) & (newton < hi + reach) & (hi - lo > 2.0 * reach)
+        guess = np.where(near, np.clip(newton, lo + reach, hi - reach), mid)
+        r = eps * 2.0 ** (n - iterations) - 0.5 * (hi - lo)
+        x = np.where(live, np.clip(guess, mid - r, mid + r), x)
+    return lo, hi, iterations
 
 
 def _golden(c, lo, hi):
@@ -422,9 +465,9 @@ def find_lmax_many(
     """:func:`find_lmax` for broadcast arrays of gaps (and scan bounds).
     ``coupling`` and ``scan_step`` are shared by all rows.
 
-    Each row is scanned on its own grid; then all rows are bisected in
-    lockstep.  A row where :func:`find_lmax` would raise carries the
-    exception's class name in ``error``.
+    Each row is scanned on its own grid; then all rows are refined by
+    Newton steps in lockstep.  A row where :func:`find_lmax` would raise
+    carries the exception's class name in ``error``.
     """
     a, d, bound = _separation_problems(
         omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
@@ -443,17 +486,22 @@ def find_lmax_many(
     error = _blank(a.shape)
     error[k < 0] = NoHarvestingRegion.__name__
     error[k == 0] = BracketingFailure.__name__
-    # a failed row sits at lo = hi, where the bisection leaves it alone
+    # a failed row sits at lo = hi, where the refinement leaves it alone
     failed = k <= 0
     lo = np.where(failed, scan_step, at.reshape(a.shape))  # f(lo) > 0 >= f(hi)
     hi = np.where(failed, scan_step, above.reshape(a.shape))
 
     def f(l):
-        return _excess(gm, a, d, l, coupling)
+        # where |X| has underflowed to zero the computed excess is flat, and
+        # its zero slope sends the step to the midpoint (where gm is zero
+        # too, a slope of |X| would probe the flat stretch ulps at a time)
+        x_abs, slope = _x_abs_slope(a, d, l, coupling)
+        return x_abs - gm, slope * (x_abs > 0.0)
 
-    lo, hi, iterations = _bisect(f, lo, hi, positive_at_lo=True)
+    lo, hi, iterations = _refine(f, lo, hi, positive_at_lo=True)
     loc = 0.5 * (lo + hi)
-    return _batch(loc, f(loc), lo, hi, iterations, _blank(a.shape), error)
+    return _batch(loc, _excess(gm, a, d, loc, coupling), lo, hi, iterations,
+                  _blank(a.shape), error)
 
 
 def find_lmax(
@@ -467,8 +515,10 @@ def find_lmax(
     concurrence, located as the largest root of |X| - sqrt(P_A P_B) below
     ``scan_bound``.
 
-    Scans downward from the bound in steps of ``scan_step`` and bisects the
-    first bracket whose smaller-separation side still harvests; downward
+    Scans downward from the bound in steps of ``scan_step`` and refines the
+    first bracket whose smaller-separation side still harvests, by
+    safeguarded Newton steps to a certified bracket of at most 8 ulps
+    (``iterations`` counts the steps); downward
     scanning is what makes the *largest* root the one found when the
     boundary oscillates.  Grid points that an envelope of |X| certifies
     non-harvesting are not evaluated, and the walk stops at the first block
@@ -588,9 +638,9 @@ def find_crossover_many(
     """:func:`find_crossover` for broadcast arrays of gaps (and scan
     bounds).  ``coupling`` and ``scan_step`` are shared by all rows.
 
-    Each row is scanned on its own grid; then all rows are bisected in
-    lockstep.  A row without a crossover carries ``"NoCrossover"`` in
-    ``error``.
+    Each row is scanned on its own grid; then all rows are refined by
+    Newton steps in lockstep.  A row without a crossover carries
+    ``"NoCrossover"`` in ``error``.
     """
     if np.any(np.asarray(delta_omega_sigma) <= 0):
         raise ValueError("delta_omega_sigma must be > 0 to compare against identical")
@@ -617,15 +667,22 @@ def find_crossover_many(
     k = k.reshape(a.shape)
     error = _blank(a.shape)
     error[k < 0] = NoCrossover.__name__
-    # a failed row sits at lo = hi, where the bisection leaves it alone
+    # a failed row sits at lo = hi, where the refinement leaves it alone
     lo = np.where(k < 0, scan_step, below.reshape(a.shape))  # g(lo) <= 0 < g(hi)
     hi = np.where(k < 0, scan_step, at.reshape(a.shape))
 
     def g(l):
-        unequal, equal = _pair_concurrences(gms, a, ds, l, coupling)
-        return unequal - equal
+        # 2 e_u - 2 max(0, e_i) for the pairs' excesses e_u, e_i is positive
+        # exactly where the concurrence difference is (where e_u <= 0 both
+        # are <= 0, and where e_u > 0 they are the same bits), and unlike
+        # the difference it stays smooth where the non-identical pair starts
+        # to harvest: the crossover where the identical pair's concurrence
+        # is already zero
+        x_abs, slope = _x_abs_slope(a, ds, l, coupling)
+        (unequal, equal), (slope_u, slope_i) = x_abs - gms, slope
+        return 2.0 * unequal - _clamp(equal), 2.0 * (slope_u - slope_i * (equal > 0.0))
 
-    lo, hi, iterations = _bisect(g, lo, hi, positive_at_lo=False)
+    lo, hi, iterations = _refine(g, lo, hi, positive_at_lo=False)
     loc = 0.5 * (lo + hi)
     unequal, equal = _pair_concurrences(gms, a, ds, loc, coupling)
     note = np.where((unequal > 0.0) & (equal > 0.0), "",
@@ -643,7 +700,8 @@ def find_crossover(
     """Smallest separation at which the non-identical pair overtakes the
     identical pair (equal smaller gap), located by an upward scan for the
     first negative-to-positive sign change of the concurrence difference,
-    then bisection.
+    then safeguarded Newton steps to a certified bracket of at most 8 ulps
+    (``iterations`` counts the steps).
 
     If the identical pair's concurrence has already died at the located
     point, the result is flagged: it is then the point where only the

@@ -254,6 +254,16 @@ def correlation_x_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, couplin
     overflow.  Since (-l+id)/2 = -conj((l+id)/2) and w(-conj z) = conj w(z),
     the Faddeeva difference is -2i Im w((l+id)/2): one evaluation per point.
     """
+    x = _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)[0]
+    if x.ndim == 0:
+        return complex(x)
+    return x
+
+
+def _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
+    """X as an array, and the terms of its bracket that
+    :func:`_x_abs_slope` differentiates: (X, pref, Re bracket, Im bracket,
+    w((l+id)/2), exp(-d^2/4), 2 exp(-l^2/4) Im e^{-ild/2})."""
     a = np.asarray(omega_a_sigma, dtype=float)
     d = np.asarray(delta_omega_sigma, dtype=float)
     l = np.asarray(l_over_sigma, dtype=float)
@@ -264,17 +274,46 @@ def correlation_x_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, couplin
     # the signs of zero products differently for scalars and arrays, while
     # real operations give the same bits at any shape.
     pref = _x_prefactor(a, d, l, coupling)
-    w_imag = faddeeva_w(0.5 * (l + 1j * d)).imag
+    w = faddeeva_w(0.5 * (l + 1j * d))
     phase = np.exp(-0.5j * l * d)
     gauss_l = 2.0 * np.exp(-l * l / 4.0)
+    gauss_d = np.exp(-d * d / 4.0)
+    swing = gauss_l * phase.imag
     bracket_re = gauss_l * phase.real
-    bracket_im = np.exp(-d * d / 4.0) * (-2.0 * w_imag) + gauss_l * phase.imag
+    bracket_im = gauss_d * (-2.0 * w.imag) + swing
     x_re = pref * bracket_im  # X = -i * pref * bracket
     x = np.empty(x_re.shape, dtype=complex)
     x.real, x.imag = x_re, -(pref * bracket_re)
-    if x.ndim == 0:
-        return complex(x)
-    return x
+    return x, pref, bracket_re, bracket_im, w, gauss_d, swing
+
+
+def _x_abs_slope(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
+    """(|X|, d|X|/dl) from one Faddeeva evaluation per point; |X| has the
+    bits of ``np.abs(correlation_x_values(...))``.  With z = (l+id)/2,
+    dz/dl = 1/2 and w'(z) = 2i/sqrt(pi) - 2 z w(z) (DLMF 7.10.2), so
+
+        d Im w / dl = 1/sqrt(pi) - (l Im w + d Re w)/2,
+
+    and since pref is proportional to 1/l,
+
+        d|X|/dl = pref * ((Re B Re B' + Im B Im B') / |B| - |B| / l)
+
+    for the bracket B, whose terms are all of order one: the slope loses no
+    precision where |X| is subnormal.  Assembled from real parts, like X,
+    so the bits do not depend on the shape of the call."""
+    x, pref, b_re, b_im, w, gauss_d, swing = _x_terms(
+        omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
+    d = np.asarray(delta_omega_sigma, dtype=float)
+    l = np.asarray(l_over_sigma, dtype=float)
+    # swing = 2 exp(-l^2/4) Im e^{-ild/2} and Re B = 2 exp(-l^2/4) Re e^{-ild/2}
+    # turn into each other under d/dl, up to the Gaussian's -l/2
+    db_re = 0.5 * d * swing - 0.5 * l * b_re
+    d_swing = -0.5 * d * b_re - 0.5 * l * swing
+    dw_imag = 1.0 / _SQRT_PI - 0.5 * (l * w.imag + d * w.real)
+    db_im = gauss_d * (-2.0 * dw_imag) + d_swing
+    b_abs = np.hypot(b_re, b_im)
+    slope = pref * ((b_re * db_re + b_im * db_im) / b_abs - b_abs / l)
+    return np.abs(x), slope
 
 
 # sup |x w(x)| over the real line (0.7488717463... at x = 1.3323371), rounded

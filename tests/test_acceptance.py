@@ -7,7 +7,9 @@ criteria 5-8 the qualitative survey claims as checkable inequalities, and
 criterion 9 the cross-cutting property suites.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from udwharvest import (
     correlation_excess,
     correlation_x,
     correlation_x_values,
+    find_crossover,
     find_lmax,
     find_lmax_many,
     find_optimal_gap,
@@ -259,6 +262,37 @@ def test_criterion_9_property_suites():
         assert np.max(np.abs(m - m.conj().T)) <= 1e-10
         assert abs(np.trace(m) - 1.0) <= 1e-10
     _done(9, t0)
+
+
+SURVEY_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "survey.json"
+
+
+def _within_reference(got, want):
+    """The benchmark's output check: within 1e-9 relative, with NaN in the
+    same places."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and bool(np.all(np.abs(got[~nan] - want[~nan]) <= 1e-9 * np.abs(want[~nan]))))
+
+
+def test_searches_match_the_survey_reference():
+    # the search figures and crossovers that the benchmark's survey workload
+    # checks against its stored reference, so that a change moving them past
+    # the benchmark's tolerance fails here first
+    reference = json.loads(SURVEY_REFERENCE.read_text())
+    points = reference["figure_points"]
+    for name in ("fig4", "fig5"):
+        _, _, columns, arrays = build_figure(name, points)
+        want = reference["figures"][name]
+        assert columns == want["columns"], name
+        data = np.column_stack(arrays)
+        assert _within_reference(data, [[np.nan if v is None else v for v in row]
+                                        for row in want["data"]]), name
+    assert len(reference["crossovers"]) == 16
+    for label, location in reference["crossovers"].items():
+        a, ratio = (float(v) for v in label.split()[1:])
+        assert _within_reference(find_crossover(a, a * ratio).location, location), label
 
 
 def test_criterion_10_runtime_budget():

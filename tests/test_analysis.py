@@ -1,5 +1,8 @@
 """Searches and sweeps: roots, peaks, crossovers, grid evaluation."""
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
 
@@ -133,27 +136,24 @@ class TestFindCrossover:
         assert concurrence_values(0.5, 0.25, res.location, 0.1) > 0
 
     def test_one_closed_form_call_per_step(self, monkeypatch):
-        # both pairs share each call: one scan block, 46 bisection steps and
-        # the final evaluation (two calls each when the pairs were separate)
-        calls = []
-        original = analysis.correlation_x_values
-        monkeypatch.setattr(analysis, "correlation_x_values",
-                            lambda *args: calls.append(args) or original(*args))
+        # both pairs share each call: one scan block, one value-and-slope
+        # call per Newton step (bisection took 46) and the final evaluation
+        calls = _closed_form_calls(monkeypatch)
         res = find_crossover(0.5, 0.25)
-        assert res.iterations == 46 and len(calls) == 1 + 46 + 1
+        assert res.iterations <= 8
+        assert [name for name, _, _ in calls] == (
+            ["correlation_x_values"] + ["_x_abs_slope"] * res.iterations
+            + ["correlation_x_values"])
 
-    def test_batched_bisection_makes_one_closed_form_call_per_step(self, monkeypatch):
+    def test_batched_refinement_makes_one_closed_form_call_per_step(self, monkeypatch):
         # every call carries both pairs along a leading axis of two; the
-        # calls over the whole batch are its lockstep bisection steps and
-        # the final evaluation
-        calls = []
-        original = analysis.correlation_x_values
-        monkeypatch.setattr(analysis, "correlation_x_values",
-                            lambda *args: calls.append(args) or original(*args))
+        # calls over the whole batch are its lockstep Newton steps and the
+        # final evaluation
+        calls = _closed_form_calls(monkeypatch)
         batch = find_crossover_many([0.5, 0.5, 1.0], [0.25, 0.5, 0.5])
-        assert all(np.shape(d)[0] == 2 for _, d, _, _ in calls)
-        whole = [d for _, d, _, _ in calls if np.shape(d) == (2, 3)]
-        assert len(whole) == batch.iterations.max() + 1
+        assert all(np.shape(d)[0] == 2 for _, d, _ in calls)
+        whole = [name for name, d, _ in calls if np.shape(d) == (2, 3)]
+        assert whole == ["_x_abs_slope"] * batch.iterations.max() + ["correlation_x_values"]
 
     @pytest.mark.parametrize("coupling", [0.1, 0.3])
     def test_pair_concurrences_are_the_two_separate_calls(self, coupling):
@@ -201,6 +201,19 @@ def _row(batch, i):
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
+def _closed_form_calls(monkeypatch):
+    """Record every closed-form call of the searches, in order, as (name,
+    d, l): the scans and the final evaluation call correlation_x_values,
+    each refinement step _x_abs_slope."""
+    calls = []
+    for name in ("correlation_x_values", "_x_abs_slope"):
+        def spy(a, d, l, c, name=name, original=getattr(analysis, name)):
+            calls.append((name, d, l))
+            return original(a, d, l, c)
+        monkeypatch.setattr(analysis, name, spy)
+    return calls
+
+
 def _bisect_loop(f, lo, hi, positive_at_lo):
     iterations = 0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
@@ -217,6 +230,58 @@ def _as_outcome(loc, value, lo, hi, iterations, note=""):
             iterations, True, note)
 
 
+@dataclass
+class _Root:
+    """A separation search done as a scalar loop over the public closed
+    forms on the full grid: the scan cell holding the sign change, the
+    root that bisection to floating resolution finds in it and its step
+    count, the function whose sign changes, the side that is positive, and
+    the note at a location."""
+
+    cell: tuple
+    bisected: float
+    bisections: int
+    f: Callable
+    positive_at_lo: bool
+    note: Callable = lambda l: ""
+
+
+def _result(search, *args, **kwargs):
+    """A search's result, or the name of what it raised."""
+    try:
+        return search(*args, **kwargs)
+    except (NoHarvestingRegion, BracketingFailure, NoCrossover) as exc:
+        return type(exc).__name__
+
+
+def _step_bound(cell):
+    """The steps the refinement may take from a scan cell: bisection's to
+    a bracket of 8 ulps of its lower end, plus the slack."""
+    lo, hi = cell
+    return int(np.ceil(np.log2((hi - lo) / (8.0 * np.spacing(lo))))) + analysis._NEWTON_SLACK
+
+
+def _assert_refines(got, want, ulps=64):
+    """``got`` (a search result or the name of what it raised) refines the
+    scalar loop's answer ``want`` (a :class:`_Root` or the name of what it
+    raises): the same error, or a bracket inside the loop's scan cell, at
+    most 8 ulps wide, that the public closed forms certify as a sign change
+    the same way round, located within ``ulps`` of bisection's root, within
+    the stated step bound, with the value and note of the public closed
+    forms at its location."""
+    if isinstance(want, str):
+        assert got == want
+        return
+    lo, hi = got.bracket
+    assert want.cell[0] <= lo < hi <= want.cell[1]
+    assert hi - lo <= 8.0 * np.spacing(lo)
+    assert (want.f(lo) > 0.0) == want.positive_at_lo != (want.f(hi) > 0.0)
+    assert got.location == 0.5 * (lo + hi)
+    assert abs(got.location - want.bisected) <= ulps * np.spacing(want.bisected)
+    assert got.value == want.f(got.location) and got.note == want.note(got.location)
+    assert 0 < got.iterations <= _step_bound(want.cell) and got.converged
+
+
 def _lmax_loop(a, d, coupling, bound=None, step=0.01):
     """find_lmax as a scalar loop over correlation_excess on the full grid."""
     bound = bound or max(10.0, 4.0 * lmax_large_gap_estimate(a, d))
@@ -231,8 +296,9 @@ def _lmax_loop(a, d, coupling, bound=None, step=0.01):
     def f(l):
         return correlation_excess(a, d, l, coupling)
 
-    lo, hi, n = _bisect_loop(f, float(grid[k]), float(grid[k - 1]), True)
-    return _as_outcome(0.5 * (lo + hi), f(0.5 * (lo + hi)), lo, hi, n)
+    cell = float(grid[k]), float(grid[k - 1])
+    lo, hi, n = _bisect_loop(f, *cell, True)
+    return _Root(cell, 0.5 * (lo + hi), n, f, True)
 
 
 def _optimal_gap_loop(a, l, coupling, gap_bound=None):
@@ -273,6 +339,10 @@ def _crossover_loop(a, d, coupling, bound=None, step=0.01):
     def g(l):
         return concurrence_values(a, d, l, coupling) - concurrence_values(a, 0.0, l, coupling)
 
+    def note(l):
+        both = concurrence_values(a, d, l, coupling) > 0.0 and concurrence_values(a, 0.0, l, coupling) > 0.0
+        return "" if both else "identical-pair concurrence already zero here"
+
     bound = bound or max(10.0, 4.0 * lmax_large_gap_estimate(a, d))
     grid = np.arange(step, bound + 0.5 * step, step)
     positive = g(grid) > 0.0
@@ -280,24 +350,24 @@ def _crossover_loop(a, d, coupling, bound=None, step=0.01):
     if transitions.size == 0:
         return "NoCrossover"
     k = int(transitions[0]) + 1
-    lo, hi, n = _bisect_loop(g, float(grid[k - 1]), float(grid[k]), False)
-    loc = 0.5 * (lo + hi)
-    both = concurrence_values(a, d, loc, coupling) > 0.0 and concurrence_values(a, 0.0, loc, coupling) > 0.0
-    return _as_outcome(loc, g(loc), lo, hi, n,
-                       "" if both else "identical-pair concurrence already zero here")
+    cell = float(grid[k - 1]), float(grid[k])
+    lo, hi, n = _bisect_loop(g, *cell, False)
+    return _Root(cell, 0.5 * (lo + hi), n, g, False, note)
 
 
 class TestAgainstScalarLoops:
     """The one-problem searches run the batched core on 0-d inputs; they
-    must reproduce plain scalar loops over the public closed forms bit for
-    bit, including which exception they raise.  The loops evaluate every
-    grid point; the searches skip the certified ones and stop at the first
-    block that holds the answer."""
+    must reproduce plain scalar loops over the public closed forms,
+    including which exception they raise: bit for bit for the gap search,
+    and for the separation searches the loop's scan cell, refined to a
+    certified sign change near the loop's bisection root.  The loops
+    evaluate every grid point; the searches skip the certified ones and
+    stop at the first block that holds the answer."""
 
     @pytest.mark.parametrize("a, d", [(0.2, 0.0), (0.5, 0.25), (1.2, 3.6), (4.0, 0.0),
                                       (20.0, 0.0), (30.0, 0.0)])
     def test_find_lmax(self, a, d):
-        assert _outcome(find_lmax, a, d) == _lmax_loop(a, d, 0.1)
+        _assert_refines(_result(find_lmax, a, d), _lmax_loop(a, d, 0.1))
 
     # scan bound 200: most of the grid lies above the certified start; the
     # roots of (0.5, 0.25) and (4, 0) lie in the first block below it, and
@@ -306,8 +376,8 @@ class TestAgainstScalarLoops:
         (0.5, 0.25, 200.0, 0.01), (4.0, 0.0, 200.0, 0.01), (1.0, 20.0, 200.0, 0.01),
         (0.2, 0.0, 200.0, 0.01), (0.5, 0.25, None, 0.001), (1.2, 3.6, 15.0, 0.003)])
     def test_find_lmax_where_the_scan_skips_and_stops_early(self, a, d, bound, step):
-        got = _outcome(find_lmax, a, d, scan_bound=bound, scan_step=step)
-        assert got == _lmax_loop(a, d, 0.1, bound, step)
+        got = _result(find_lmax, a, d, scan_bound=bound, scan_step=step)
+        _assert_refines(got, _lmax_loop(a, d, 0.1, bound, step))
 
     @pytest.mark.parametrize("a, l, bound", [(0.5, 0.5, None), (0.5, 2.0, None), (1.2, 4.0, None),
                                              (0.2, 6.5, None), (0.5, 2.0, 0.1)])
@@ -318,7 +388,7 @@ class TestAgainstScalarLoops:
     @pytest.mark.parametrize("a, d", [(0.2, 0.1), (0.5, 0.25), (1.2, 0.6), (3.0, 0.05),
                                       (1.0, 20.0), (1.1, 2.7)])
     def test_find_crossover(self, a, d):
-        assert _outcome(find_crossover, a, d) == _crossover_loop(a, d, 0.1)
+        _assert_refines(_result(find_crossover, a, d), _crossover_loop(a, d, 0.1))
 
     # scan bound 200: the walk ends at the certified end or the first sign
     # change; (3.0, 0.05) crosses in the second block, (1.1, 2.7) never.
@@ -331,8 +401,8 @@ class TestAgainstScalarLoops:
         (1.0, 20.0, 200.0, 0.01), (0.5, 1.6, None, 1.0), (0.5, 0.25, None, 2.0),
         (0.5, 0.25, None, 0.0061)])
     def test_find_crossover_where_the_scan_skips_and_stops_early(self, a, d, bound, step):
-        got = _outcome(find_crossover, a, d, scan_bound=bound, scan_step=step)
-        assert got == _crossover_loop(a, d, 0.1, bound, step)
+        got = _result(find_crossover, a, d, scan_bound=bound, scan_step=step)
+        _assert_refines(got, _crossover_loop(a, d, 0.1, bound, step))
 
     def test_find_lmax_evaluates_under_half_its_grid(self, monkeypatch):
         # bound 10, 1000 points; the root near 2.63 lies just below the
@@ -344,6 +414,93 @@ class TestAgainstScalarLoops:
         result = find_lmax(0.5, 0.25)
         assert result.converged and 2.0 < result.location < 3.0
         assert sum(points) < 500
+
+
+class TestNewtonRefinement:
+    """The separation searches refine their scan cells by safeguarded
+    Newton steps: a handful of steps where bisection took about 46, never
+    more than the stated bound, and a final bracket of at most 8 ulps that
+    the public closed forms certify as a sign change."""
+
+    # the survey's crossovers (smaller gap, gap ratio) where a Newton step
+    # rounds to under one ulp (1.2, 1.2), or lands where both concurrences
+    # round to the same value, a difference of exactly zero over several
+    # ulps (0.2, 1.2) and (0.5, 1.0)
+    @pytest.mark.parametrize("a, ratio", [(1.2, 1.2), (0.2, 1.2), (0.5, 1.0)])
+    def test_survey_crossovers_close_in_a_few_steps(self, a, ratio):
+        res = find_crossover(a, a * ratio)
+        assert res.iterations <= 12
+        _assert_refines(res, _crossover_loop(a, a * ratio, 0.1))
+
+    # where the non-identical pair starts to harvest after the identical
+    # pair's concurrence has died (the difference has a kink there; 50
+    # steps when Newton followed it), and where the difference rounds to
+    # exactly zero over about 1700 ulps of the separation (50 steps when
+    # the probes crossed it eps at a time)
+    @pytest.mark.parametrize("a, d", [(1.411596942608296, 2.651567501746781),
+                                      (0.021728449757176027, 0.024722227070988353)])
+    def test_hard_crossovers_close_in_fewer_steps_than_bisection(self, a, d):
+        # bisection may stop at either end of the stretch of zeros
+        want = _crossover_loop(a, d, 0.1)
+        res = find_crossover(a, d)
+        _assert_refines(res, want, ulps=2048)
+        assert res.iterations <= 20 < want.bisections
+
+    # rows whose sqrt(P_A P_B) underflows to zero: |X| decays to zero
+    # without a sign change Newton can follow, and an unbounded Newton took
+    # 78 steps at the first (bisection 43); a slope of |X| where |X| has
+    # underflowed took 49
+    @pytest.mark.parametrize("a, d", [(13.119291590584101, 26.67600820711357),
+                                      (9.557748467651223, 29.58000783353705)])
+    def test_underflow_rows_stay_within_the_step_bound(self, a, d):
+        assert geometric_mean_probability(a, d, 0.1) == 0.0
+        want = _lmax_loop(a, d, 0.1)
+        res = find_lmax(a, d)
+        _assert_refines(res, want)
+        assert res.iterations <= want.bisections
+
+    def test_a_slope_that_misleads_every_step_keeps_the_bound(self):
+        # a sign change whose slope is overstated 1e30 times: every Newton
+        # step is far under an ulp, so without the pull toward the midpoint
+        # the probes would creep across the cell 4 ulps at a time
+        root = 2.001
+
+        def f(l):
+            return np.where(l > root, -1.0, 1.0), np.full(np.shape(l), 1e30)
+
+        lo, hi, steps = analysis._refine(f, np.array([2.0]), np.array([2.01]), True)
+        assert lo[0] <= root < hi[0] and hi[0] - lo[0] <= 8.0 * np.spacing(2.0)
+        assert steps[0] <= _step_bound((2.0, 2.01))
+
+    def test_fig5_rows_take_at_most_ten_lockstep_steps(self):
+        gaps = np.array([0.2, 0.5, 1.0, 1.2])[:, None]
+        batch = find_lmax_many(gaps, gaps * np.linspace(0.0, 3.0, 400), 1.0)
+        assert (batch.error == "").all() and batch.iterations.max() <= 10
+
+    def test_rows_across_the_domain_keep_the_bound_and_a_certified_bracket(self, monkeypatch):
+        cells = []
+        original = analysis._refine
+        monkeypatch.setattr(analysis, "_refine", lambda f, lo, hi, positive_at_lo: (
+            cells.append((lo, hi)) or original(f, lo, hi, positive_at_lo)))
+        rng = np.random.default_rng(15)
+        a, d = rng.uniform(0.0, 40.0, 80), rng.uniform(1e-3, 35.0, 80)
+        a[:30], d[:30] = rng.uniform(0.0, 3.0, 30), rng.uniform(1e-3, 3.0, 30)
+        lmax, crossover = find_lmax_many(a, d, 0.1), find_crossover_many(a, d, 0.1)
+
+        def difference(l):
+            return concurrence_values(a, d, l, 0.1) - concurrence_values(a, 0.0, l, 0.1)
+
+        for batch, (start, end), f, positive_at_lo in (
+                (lmax, cells[0], lambda l: correlation_excess(a, d, l, 0.1), True),
+                (crossover, cells[1], difference, False)):
+            ok = batch.error == ""
+            assert 30 <= ok.sum() < ok.size
+            bound = [_step_bound(c) for c in zip(start[ok], end[ok])]
+            assert (batch.iterations[ok] <= bound).all()
+            lo, hi = np.where(ok[:, None], batch.bracket, 1.0).T
+            assert (hi[ok] - lo[ok] <= 8.0 * np.spacing(lo[ok])).all()
+            assert ((f(lo) > 0.0) == positive_at_lo)[ok].all()
+            assert ((f(hi) > 0.0) != positive_at_lo)[ok].all()
 
 
 class TestBatchedSearches:
@@ -459,7 +616,8 @@ class TestBatchedSearches:
         assert rows == [_outcome(find_lmax, x, y, 0.1, scan_bound=b, scan_step=0.001)
                         for x, y, b in zip(a, d, bound)]
         assert rows[1:3] == ["BracketingFailure", "NoHarvestingRegion"]
-        assert rows[0] == _lmax_loop(0.5, 0.25, 0.1, 10.0, 0.001)
+        _assert_refines(find_lmax(0.5, 0.25, 0.1, 10.0, 0.001),
+                        _lmax_loop(0.5, 0.25, 0.1, 10.0, 0.001))
 
     def test_crossover_rows_over_several_chunks_match_scalar_bitwise(self):
         a, d, bound = _crossover_rows()
@@ -552,11 +710,8 @@ class TestChunkedScanCalls:
 
     def test_fig5_scans_in_one_first_block_call_per_chunk(self, monkeypatch):
         # fig5's 1600 rows: one call per chunk for the first blocks, where
-        # every root lies, then one per bisection step and one at the roots
-        shapes = []
-        original = analysis.correlation_x_values
-        monkeypatch.setattr(analysis, "correlation_x_values",
-                            lambda a, d, l, c: shapes.append(np.shape(l)) or original(a, d, l, c))
+        # every root lies, then one per Newton step and one at the roots
+        calls = _closed_form_calls(monkeypatch)
         gaps = np.array([0.2, 0.5, 1.0, 1.2])[:, None]
         a, d = np.broadcast_arrays(gaps, gaps * np.linspace(0.0, 3.0, 400))
         batch = find_lmax_many(a, d, 1.0)
@@ -564,6 +719,7 @@ class TestChunkedScanCalls:
         chunks = len(list(analysis._chunks(points)))
         full = points.sum() / analysis._SCAN_CHUNK
         assert full <= chunks <= 1.1 * full + 1
+        shapes = [np.shape(l) for _, _, l in calls]
         assert shapes.index((4, 400)) == chunks
         assert len(shapes) == chunks + batch.iterations.max() + 1
 
@@ -591,12 +747,9 @@ class TestChunkedScanCalls:
         chunks = list(analysis._chunks(bound / 0.01))
         rounds = [max(blocks[c]) for c in chunks]
         assert any(c.stop - c.start > 1 and r > 1 for c, r in zip(chunks, rounds))
-        shapes = []
-        original = analysis.correlation_x_values
-        monkeypatch.setattr(analysis, "correlation_x_values",
-                            lambda a, d, l, c: shapes.append(np.shape(l)) or original(a, d, l, c))
+        calls = _closed_form_calls(monkeypatch)
         batch = find_crossover_many(a, d, 0.1, scan_bound=bound)
-        assert len(shapes) - batch.iterations.max() - 1 == sum(rounds) < sum(blocks)
+        assert len(calls) - batch.iterations.max() - 1 == sum(rounds) < sum(blocks)
 
     def test_separation_chunks_stay_within_the_chunk_size(self, monkeypatch):
         # rows of 10, 200 and 1 switching lengths side by side: each

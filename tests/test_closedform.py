@@ -31,7 +31,7 @@ from udwharvest import (
     x_single_integral_pv,
 )
 from udwharvest import analysis
-from udwharvest.closedform import _ZW_BOUND, _x_envelope
+from udwharvest.closedform import _ZW_BOUND, _x_abs_slope, _x_envelope
 
 FOUR_PI = 4.0 * np.pi
 SQRT_PI = np.sqrt(np.pi)
@@ -429,6 +429,47 @@ class TestScalarArrayBitwise:
             walk = g[start[i]:stop[i]][:256]
             assert _bits(gathered[i, :walk.size]) == _bits(walk)
             assert (gathered[i, walk.size:] == g[stop[i] - 1]).all()
+
+
+def _textbook_x_abs(a, d, l, lam):
+    """|X| from the textbook expression in Erfi, at mpmath's precision."""
+    a, d, l, lam = (mp.mpf(v) for v in (a, d, l, lam))
+    bracket = mp.mpc(mp.re(mp.exp(mp.mpc(0, -d * l / 2)) * mp.erfi(mp.mpc(l, d) / 2)),
+                     mp.cos(d * l / 2))
+    return lam**2 / (4 * mp.sqrt(mp.pi) * l) * mp.exp(-((2 * a + d) ** 2 + l * l) / 4) * abs(bracket)
+
+
+class TestXAbsSlope:
+    """``_x_abs_slope`` gives |X| and its slope in the separation from the
+    one Faddeeva evaluation of X, for the root refinement."""
+
+    @pytest.mark.parametrize("a", [0.2, 4.0])
+    @pytest.mark.parametrize("d", [0.0, 1.5])
+    @pytest.mark.parametrize("l", [0.05, 1.0, 30.0])
+    def test_slope_against_a_50_digit_derivative(self, a, d, l):
+        x_abs, slope = _x_abs_slope(a, d, l, 0.1)
+        with mp.workdps(50):
+            want = mp.diff(lambda s: _textbook_x_abs(a, d, s, 0.1), mp.mpf(l))
+            assert abs(slope - want) <= 1e-12 * abs(want)
+        assert x_abs == np.abs(correlation_x_values(a, d, l, 0.1))
+
+    def test_same_bits_for_every_shape_of_call(self):
+        # the calls the searches make: one problem, a row of problems, and
+        # both pairs of a crossover stacked along a leading axis of two
+        rng = np.random.default_rng(14)
+        a, d = rng.uniform(0.0, 40.0, 200), rng.uniform(0.0, 35.0, 200)
+        l = rng.uniform(0.05, 120.0, 200)
+        a[:3], d[:3], l[:3] = [0.2, 4.0, 0.5], [0.0, 0.0, 0.25], [0.05, 30.0, 1.7]
+        x_abs, slope = _x_abs_slope(a, d, l, 0.1)
+        assert _bits(x_abs) == _bits(np.abs(correlation_x_values(a, d, l, 0.1)))
+        one = [_x_abs_slope(*p, 0.1) for p in zip(a.tolist(), d.tolist(), l.tolist())]
+        assert _bits([v for v, _ in one]) == _bits(x_abs)
+        assert _bits([s for _, s in one]) == _bits(slope)
+        stacked_abs, stacked_slope = _x_abs_slope(a, np.stack([d, np.zeros(200)]), l, 0.1)
+        identical = _x_abs_slope(a, 0.0, l, 0.1)
+        assert _bits(stacked_abs) == _bits(np.stack([x_abs, identical[0]]))
+        assert _bits(stacked_slope) == _bits(np.stack([slope, identical[1]]))
+        assert np.isfinite(slope).all() and (slope[:3] != 0.0).all()
 
 
 class TestProperties:
