@@ -16,22 +16,24 @@ Three searches cover the quantities the closed forms do not give directly:
 * :func:`find_crossover` -- the smallest separation beyond which
   non-identical detectors harvest more than identical ones.
 
-The two separation scans evaluate only the grid points their answer
-depends on.  A closed-form envelope of |X|, decreasing in the separation
-and costing no Faddeeva evaluation, certifies a grid point non-harvesting
-wherever it lies below sqrt(P_A P_B) by a relative margin of 1e-6
-(:func:`_certified`); such points are skipped, since their sign is known.
-:func:`find_lmax` starts its downward walk at the first point that is not
-certified, and :func:`find_crossover` ends its upward walk at the last one,
-because above it the non-identical concurrence is exactly zero and the
-difference cannot turn positive.  The rest of the grid is walked in blocks
-of 256 points, each twice the one before, up to the first block that holds
-the answer.  The grid itself is built in full, and a closed-form call
+The two separation scans build no grid and evaluate only the points their
+answer depends on.  Point i of a row's grid is np.arange's start + i*delta,
+with its bits (:func:`_grids`).  A closed-form envelope of |X|, decreasing
+in the separation and costing no Faddeeva evaluation, certifies a point
+non-harvesting wherever it lies below sqrt(P_A P_B) by a relative margin
+of 1e-6, and with it every larger separation; one lockstep search, a
+bisection in a large batch, finds each row's edge of the certified points,
+its cut (:func:`_cuts`).
+:func:`find_lmax` starts its downward walk at the cut, and
+:func:`find_crossover` ends its upward walk there, because above it the
+non-identical concurrence is exactly zero and the difference cannot turn
+positive.  The rest is walked in blocks of 256 points, each twice the one
+before, up to the first block that holds the answer.  A closed-form call
 gives the same bits for a point whatever the shape of the call, so every
 answer, bracket and raised error is bit for bit that of evaluating the
-whole grid.  Where sqrt(P_A P_B) underflows to a subnormal number or
-zero nothing is certified.  A scan bound must be finite and a scan grid may
-hold at most 1e7 points; a larger one raises ValueError before it is built.
+whole grid.  Where sqrt(P_A P_B) underflows to a subnormal number or zero
+nothing is certified.  A scan bound must be finite and a grid may span at
+most 1e7 points; a larger one raises ValueError before the scan starts.
 
 The sign change a separation scan finds is refined by safeguarded Newton
 steps (:func:`_refine`), whose slope costs no further Faddeeva evaluation
@@ -47,11 +49,12 @@ Each search has a batched form, :func:`find_lmax_many`,
 :func:`find_optimal_gap_many` and :func:`find_crossover_many`, which takes
 broadcast arrays of problems and returns a :class:`SearchBatch` of arrays
 of their shape.  Every row is scanned on its own grid, in chunks of
-consecutive rows holding at most 8 k grid points when each is padded to
-the longest of them (a longer row is a chunk of its own), so memory stays
-that of one chunk.  A chunk of gap scans is one closed-form call over a
-(rows, 256) grid.  A chunk of separation scans is one envelope call over
-its rows' grids, then one closed-form call per round of blocks over the
+consecutive rows holding at most 8 k scanned points when each is padded
+to the longest of them (a longer row is a chunk of its own), so memory
+stays that of one chunk.  A chunk of gap scans is one closed-form call
+over a (rows, 256) grid.  The separation scans search the cuts of all
+rows in one envelope call per step, then chunk the rows by the points
+they walk: a chunk is one closed-form call per round of blocks over the
 rows that have not found their answer yet, each row walking its own next
 block.  Then all rows are refined in lockstep: one closed-form array
 call per Newton or golden-section step, with each finished row frozen in
@@ -113,8 +116,8 @@ _GOLDEN = float((np.sqrt(5.0) - 1.0) / 2.0)
 # Samples of a gap search's coarse scan over [0, gap bound].
 _GAP_SCAN_POINTS = 256
 
-# Largest grid a separation scan builds, in points (80 MB); a much larger
-# one fails in numpy's allocator or exhausts memory before its scan starts.
+# Largest grid a separation scan spans, in points: where nothing is certified
+# it walks every point, 1e7 in 2 s (find_lmax) to 4 s (find_crossover).
 _MAX_SCAN_POINTS = 10**7
 
 # Points of a separation scan's first block; each later block is twice the
@@ -122,10 +125,10 @@ _MAX_SCAN_POINTS = 10**7
 # and one that runs to the end costs a few calls more than one call.
 _SCAN_BLOCK = 256
 
-# Points of one chunk of scanned rows, each padded to the longest: the rows
-# of a chunk share each call of their scans (the envelope and the first
-# block, for a separation scan), and the chunk bounds the memory of those
-# calls.  A row longer than a chunk is a chunk of its own.
+# Points of one chunk of scanned rows, each padded to the longest (a
+# separation scan counts the points it walks): the rows of a chunk share
+# each call of their scans, and the chunk bounds the memory of those calls.
+# A row longer than a chunk is a chunk of its own.
 _SCAN_CHUNK = 8192
 
 # Relative margin of the envelope certificate: it covers the Faddeeva
@@ -231,23 +234,6 @@ def _separation_problems(omega_a_sigma, delta_omega_sigma, coupling, scan_bound,
     return a, d, bound
 
 
-def _certified(gm, a, d, grid, coupling):
-    """Where on the rows of a 2-D grid the excess |X| - gm is certified
-    <= 0 without evaluating it: where the envelope of |X|, widened by the
-    margin, lies below gm.  The envelope multiplies the closed form's own
-    prefactor bits, and its bracket bounds the closed form's bracket up to
-    the kernel's and the roundings' relative error, which the margin
-    covers; a subnormal |X| is off by a few units of 2^-1074 at most, far
-    below the margin times a normal gm.  Where gm is zero, subnormal or not
-    finite nothing is certified.  gm, a and d are 1-D, one value per
-    row."""
-    usable = np.isfinite(gm) & (gm >= np.finfo(float).tiny)
-    if not usable.any():
-        return np.zeros(grid.shape, dtype=bool)
-    envelope = _x_envelope(a[:, None], d[:, None], grid, coupling)
-    return usable[:, None] & (envelope * (1.0 + _ENVELOPE_MARGIN) < gm[:, None])
-
-
 def _chunks(points):
     """Slices of consecutive rows that hold at most ``_SCAN_CHUNK`` scan
     points when each is padded to the longest of them (a longer row is a
@@ -262,72 +248,91 @@ def _chunks(points):
         yield slice(start, len(points))
 
 
+def _grids(bound, step, upward):
+    """Every row's grid as (start, delta, n), none built: point i of n is
+    start + i*delta, delta = (start + step) - start with step negative
+    downward, and n = ceil((stop - start)/step) for stop half a step past
+    the far end -- np.arange's own arithmetic, so every point has its bits.
+    An upward grid runs from ``step`` to the bound, a downward one back."""
+    if upward:
+        start, stop, signed = np.full(bound.shape, step), bound + 0.5 * step, step
+    else:
+        start, stop, signed = bound, 0.5 * step, -step
+    return start, (start + signed) - start, np.ceil((stop - start) / signed).astype(int)
+
+
+def _cuts(start, delta, n, gm, a, d, coupling, upward):
+    """Each row's first grid index whose point the envelope certifies
+    (upward) or does not (downward), n where there is none; one value per
+    row.  The envelope of |X|, widened by the margin, certifies |X| - gm
+    <= 0 where it lies below gm: it multiplies the closed form's prefactor
+    bits and bounds its bracket up to the kernel's and the roundings'
+    relative error, which the margin covers.  A subnormal |X| is off by
+    2^-1074 times a few, so where gm is not normal nothing is certified.
+    The envelope decreases in l, so the certified points are one run at
+    the large-l end of a grid.  Each step of the lockstep search is one
+    envelope call at ``probes`` indices of every row, splitting its bracket
+    evenly: one, a bisection, for ``_SCAN_BLOCK`` rows or more, else about
+    ``_SCAN_BLOCK`` points per call, which takes a one-problem search to
+    its cut in two or three calls where bisection takes ten."""
+    usable = np.isfinite(gm) & (gm >= np.finfo(float).tiny)
+    uncertified = n if upward else np.zeros_like(n)
+    lo, hi = np.where(usable, 0, uncertified), np.where(usable, n, uncertified)
+    probes = max(1, _SCAN_BLOCK // max(n.size, 1))
+    while (live := np.flatnonzero(lo < hi)).size:
+        low, high = lo[live, None], hi[live, None]
+        probe = low + (high - low) * np.arange(1, probes + 1) // (probes + 1)
+        envelope = _x_envelope(a[live, None], d[live, None],
+                               start[live, None] + probe * delta[live, None], coupling)
+        hit = (envelope * (1.0 + _ENVELOPE_MARGIN) < gm[live, None]) == upward
+        # the first probe at or past the cut (else hi) and the one before it
+        first = np.argmax(np.concatenate([hit, np.ones_like(low, dtype=bool)], axis=1), axis=1)
+        ends = np.concatenate([low - 1, probe, high], axis=1)
+        rows = np.arange(live.size)
+        lo[live], hi[live] = ends[rows, first] + 1, ends[rows, first + 1]
+    return lo
+
+
 def _separation_scan(bound, step, gm, a, d, coupling, positive, upward):
-    """Walk every row's separation grid to its first turn to positive, in
-    chunks of rows; 1-D arrays bound, gm, a and d hold the rows' problems.
+    """Walk every row's separation grid (:func:`_grids`) to its first turn
+    to positive; 1-D arrays bound, gm, a and d hold the rows' problems.
 
     ``positive(rows, l)`` is the sign test of the rows (an index array) at
-    separations l, one row of l per row.  An upward grid runs from ``step``
-    to the row's bound; the walk runs from its first point to the last one
-    the envelope does not certify, and starts as if after a positive
-    point, so its first point cannot turn.  A downward grid runs from the
-    bound to ``step``; the walk runs from its first point the envelope
-    does not certify to the end, and starts as if after a non-positive
-    one.  Per chunk, the rows' grids are padded with their last points into
-    one array and the envelope is one call over it.  The walks then run in
-    lockstep rounds of blocks, each twice the one before: a round is one
-    call over the next block of every row without a turn so far, each
-    shorter walk padded with its last point, so every row's blocks have the
+    separations l, one row of l per row.  A downward walk runs from the
+    row's cut (:func:`_cuts`) to the grid's end and starts as if after a
+    non-positive point; an upward one runs from the grid's start to the cut
+    and starts as if after a positive one, so its first point cannot turn.
+    The rows are chunked by the points they walk.  Per chunk the walks run
+    in lockstep rounds of blocks, each twice the one before: a round is one
+    call over the next block of every row without a turn so far, a shorter
+    walk padded with its last point, so every row's blocks have the
     boundaries of a walk on its own.  Returns each row's turn index k (-1
     where there is none) and its grid at k and at k-1 (NaN where there is
     no such point)."""
-    k = np.full(a.shape, -1)
-    at, previous = np.full(a.shape, np.nan), np.full(a.shape, np.nan)
-    for chunk in _chunks(bound / step):
-        if upward:
-            grids = [np.arange(step, b + 0.5 * step, step) for b in bound[chunk]]
-        else:
-            grids = [np.arange(b, 0.5 * step, -step) for b in bound[chunk]]
-        sizes = np.array([g.size for g in grids])
-        # the rows' grids padded with their last point into one array
-        grid = grids[0][None]
-        if sizes.size > 1:
-            grid = np.empty((sizes.size, sizes.max()))
-            for g, row in zip(grids, grid):
-                row[:g.size], row[g.size:] = g, g[-1]
-        # the points the envelope does not certify; a row's padding has
-        # the certificate of its last point
-        open_ = ~_certified(gm[chunk], a[chunk], d[chunk], grid, coupling)
-        any_open = open_.any(axis=1)
-        if upward:  # up to the last open point
-            start = np.zeros(sizes.size, dtype=int)
-            last = grid.shape[1] - np.argmax(open_[:, ::-1], axis=1)
-            stop = np.where(any_open, np.minimum(last, sizes), 0)
-        else:  # from the first open point
-            start, stop = np.where(any_open, np.argmax(open_, axis=1), sizes), sizes
-        # round r is block r, of _SCAN_BLOCK * 2**r points, of every row
-        # still walking; a repeated last point cannot turn again, and a row
-        # leaves at its first turn or at its stop
-        row_k = np.full(sizes.size, -1)
-        rows = np.flatnonzero(stop > start)
+    start, delta, n = _grids(bound, step, upward)
+    cut = _cuts(start, delta, n, gm, a, d, coupling, upward)
+    first, last = (np.zeros_like(n), cut) if upward else (cut, n)
+    # round r is block r, of _SCAN_BLOCK * 2**r points, of every row still
+    # walking; a repeated last point cannot turn again, and a row leaves at
+    # its first turn or at its end
+    k = np.full(n.shape, -1)
+    for chunk in _chunks(last - first):
+        rows = chunk.start + np.flatnonzero(last[chunk] > first[chunk])
         before = np.full(rows.size, upward)
         offset, size = 0, _SCAN_BLOCK
         while rows.size:
-            begin, end = start[rows] + offset, stop[rows]
+            begin, end = first[rows] + offset, last[rows]
             idx = np.minimum(begin[:, None] + np.arange(min(size, np.max(end - begin))),
                              end[:, None] - 1)
-            pos = positive(chunk.start + rows, grid[rows[:, None], idx])
+            pos = positive(rows, start[rows, None] + idx * delta[rows, None])
             turns = pos & ~np.concatenate([before[:, None], pos[:, :-1]], axis=1)
             turned = turns.any(axis=1)
-            row_k[rows[turned]] = begin[turned] + np.argmax(turns[turned], axis=1)
+            k[rows[turned]] = begin[turned] + np.argmax(turns[turned], axis=1)
             going = ~turned & (begin + size < end)
             rows, before = rows[going], pos[going, -1]
             offset, size = offset + size, 2 * size
-        ends = np.stack([np.maximum(row_k - 1, 0), np.maximum(row_k, 0)], axis=1)
-        found = np.take_along_axis(grid, ends, axis=1)
-        k[chunk] = row_k
-        at[chunk] = np.where(row_k >= 0, found[:, 1], np.nan)
-        previous[chunk] = np.where(row_k > 0, found[:, 0], np.nan)
+    at = np.where(k >= 0, start + k * delta, np.nan)
+    previous = np.where(k > 0, start + (k - 1) * delta, np.nan)
     return k, at, previous
 
 

@@ -286,7 +286,7 @@ def _outer_rule(halfwidth, order):
 
 
 def _regulated_double_integral(
-    settings, pole, outer_freq, later_k, prefactor, rel_tol, earlier_k=None, imag_tol=None
+    settings, pole, outer_freq, later_k, prefactor, rel_tol, earlier_k=None
 ):
     """Regulator limits of the double integral behind the three direct
     routes, one row per problem,
@@ -300,11 +300,11 @@ def _regulated_double_integral(
     time-ordered correlation's second triangle) or, without ``earlier_k``,
     conj(g(later_k, o)), the o -> -o image of a whole-line integral.
 
-    ``pole``, ``outer_freq``, ``prefactor``, ``later_k``, ``earlier_k``
-    and ``imag_tol`` are 1-D arrays over the rows.  Rows with the same pole
-    share the nodes and hence every cross-Gaussian matrix: one per
-    regulator, applied to the real and imaginary parts of each row's
-    kernels, and read with its rows reversed for the earlier half.
+    ``pole``, ``outer_freq``, ``prefactor``, ``later_k`` and ``earlier_k``
+    are 1-D arrays over the rows.  Rows with the same pole share the nodes
+    and hence every cross-Gaussian matrix: one per regulator, applied to
+    the real and imaginary parts of each row's kernels, and read with its
+    rows reversed for the earlier half.
 
     The outer rule, ``_OUTER_ORDER`` nodes per panel, is certified per pole
     group and regulator: it must reproduce the closed-form time integral of
@@ -317,8 +317,7 @@ def _regulated_double_integral(
 
     Then, row by row, :func:`_regulator_limit` takes the limit and checks
     it, with each half's sample error bounded by machine epsilon times the
-    absolute sum plus the outer rule's error; with ``imag_tol`` the
-    limit's imaginary part must also stay below it.  The first failing row
+    absolute sum plus the outer rule's error.  The first failing row
     raises :exc:`NonConvergence` with the message of its one-row call.
     Returns complex arrays (values, extrapolants) of shapes (rows,) and
     (rows, len(epsilon_schedule)).
@@ -382,10 +381,6 @@ def _regulated_double_integral(
         values[i], extrapolants[i] = _regulator_limit(
             settings, samples[i], sample_error[i], rel_tol
         )
-        if imag_tol is not None and abs(values[i].imag) > imag_tol[i]:
-            raise NonConvergence(
-                f"imaginary residue {values[i].imag:.3e} survives the regulator limit"
-            )
     return values, extrapolants
 
 
@@ -437,16 +432,14 @@ def pd_double_integral_many(
     :exc:`NonConvergence` with the message of its one-problem call.
     """
     shape, (omega, lam) = _problems(omega_sigma, coupling)
-    lam2 = lam**2
     # inner time = outer + o; the kernel depends on the offset alone
     values, extrapolants = _regulated_double_integral(
         settings,
         pole=np.zeros(omega.size),
         outer_freq=np.zeros(omega.size),
         later_k=omega,
-        prefactor=-lam2 / (4.0 * np.pi**2),
+        prefactor=-lam**2 / (4.0 * np.pi**2),
         rel_tol=1e-5,
-        imag_tol=1e-8 * lam2,
     )
     return _shaped(values.real, extrapolants, shape, return_extrapolants)
 
@@ -461,12 +454,12 @@ def pd_double_integral(
     function: a double integral over the detector's proper time against the
     Gaussian window and the gap phase, evaluated per regulator value and
     extrapolated to zero regulator.  Its offsets o < 0 are the conjugate of
-    o > 0, rows reversed.
+    o > 0, rows reversed, so the sum is real up to summation order (below
+    2e-15 of the coupling-squared scale at gaps up to 3.5) and its real
+    part is the value.
 
-    The extrapolated imaginary part must vanish (below 1e-8 of the
-    coupling-squared scale), and both the quadrature error bound and the
-    extrapolation must self-certify to 1e-5; violations raise
-    :exc:`NonConvergence`.  The quadrature sum keeps a fixed size while P
+    Both the quadrature error bound and the extrapolation must
+    self-certify to 1e-5; violations raise :exc:`NonConvergence`.  The quadrature sum keeps a fixed size while P
     falls like exp(-gap^2), so at the default settings gaps above about
     3.8 raise: their round-off exceeds 1e-5 of the value.  With
     ``return_extrapolants`` the increasing-order extrapolant sequence is

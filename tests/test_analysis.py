@@ -558,6 +558,11 @@ class TestBatchedSearches:
             assert type(r.iterations) is int
             assert type(r.converged) is bool and type(r.note) is str
 
+    def test_empty_batches_return_empty_rows(self):
+        for many in (find_lmax_many, find_optimal_gap_many, find_crossover_many):
+            batch = many(np.array([]), np.array([]))
+            assert batch.location.shape == (0,) and batch.bracket.shape == (0, 2)
+
     def test_argument_errors_raise_for_the_whole_batch(self):
         with pytest.raises(ValueError):
             find_crossover_many([0.5, 0.5], [0.25, 0.0])
@@ -689,6 +694,75 @@ def _crossover_rows():
     return a, d, bound
 
 
+def _fig5_rows():
+    """fig5's 1600 find_lmax problems (coupling 1), flat."""
+    gaps = np.array([0.2, 0.5, 1.0, 1.2])[:, None]
+    a, d = np.broadcast_arrays(gaps, gaps * np.linspace(0.0, 3.0, 400))
+    return a.ravel(), d.ravel()
+
+
+def _reference_grid(bound, step, upward):
+    """A row's separation grid built in full by np.arange."""
+    if upward:
+        return np.arange(step, bound + 0.5 * step, step)
+    return np.arange(bound, 0.5 * step, -step)
+
+
+def _reference_cut(a, d, bound, coupling, upward, step=0.01):
+    """A row's cut from the envelope certificate of every point of its full
+    grid: the first open point downward, one past the last open point
+    upward (the grid's size, or 0, where every point is open)."""
+    grid = _reference_grid(bound, step, upward)
+    gm = geometric_mean_probability(a, d, coupling)
+    envelope = closedform._x_envelope(a, d, grid, coupling)
+    usable = np.isfinite(gm) and gm >= np.finfo(float).tiny
+    open_ = np.flatnonzero(~(usable & (envelope * (1.0 + analysis._ENVELOPE_MARGIN) < gm)))
+    if upward:
+        return open_[-1] + 1 if open_.size else 0
+    return open_[0] if open_.size else grid.size
+
+
+class TestScanGrids:
+    """The separation scans build no grid: point i is start + i*delta, and
+    the certified points end at a cut found by one lockstep search."""
+
+    @pytest.mark.parametrize("step", [0.4, 0.01, 0.001])
+    @pytest.mark.parametrize("upward", [False, True])
+    def test_index_arithmetic_is_arange_bit_for_bit(self, step, upward):
+        rng = np.random.default_rng(15)
+        bound = np.concatenate([
+            rng.uniform(step, 2.0 * step, 100),  # between one and two steps
+            rng.uniform(step, min(400.0, 4e4 * step), 100),
+            [np.nextafter(step, np.inf), 2.0 * step, 3.0 * step, 1.0, 10.0, 40.0]])
+        bound = bound[bound > step]
+        start, delta, n = analysis._grids(bound, step, upward)
+        for i, b in enumerate(bound):
+            grid = start[i] + np.arange(n[i]) * delta[i]
+            assert grid.tobytes() == _reference_grid(b, step, upward).tobytes(), b
+
+    @pytest.mark.parametrize("upward", [False, True])
+    def test_bisected_cut_is_the_edge_of_the_per_point_mask(self, upward):
+        # fig5's rows, and rows over the whole domain, where the products
+        # underflow at large gaps and nothing is certified; as one batch
+        # (a bisection), in batches of 40 rows (6 indices per row and step)
+        # and one row at a time (256 indices per step)
+        rng = np.random.default_rng(16)
+        edges = set()
+        for (a, d), coupling in ((_fig5_rows(), 1.0),
+                                 ((rng.uniform(0.0, 40.0, 400), rng.uniform(0.0, 35.0, 400)), 0.1)):
+            bound = analysis._default_scan_bound(a, d)
+            start, delta, n = analysis._grids(bound, 0.01, upward)
+            gm = geometric_mean_probability(a, d, coupling)
+            want = [_reference_cut(x, y, b, coupling, upward) for x, y, b in zip(a, d, bound)]
+            for size in (a.size, 40, 1):
+                rows = [slice(i, i + size) for i in range(0, min(a.size, 100 * size), size)]
+                got = [analysis._cuts(start[r], delta[r], n[r], gm[r], a[r], d[r], coupling, upward)
+                       for r in rows]
+                assert np.concatenate(got).tolist() == want[:rows[-1].stop], size
+            edges |= set(np.array(want) % n == 0)
+        assert edges == {False, True}  # cuts inside grids and at their ends
+
+
 class TestChunkedScanCalls:
     """The scans run over chunks of rows: one closed-form call per chunk,
     for a separation scan per chunk and round of blocks."""
@@ -709,16 +783,21 @@ class TestChunkedScanCalls:
         assert all(s == (4, 400) for s in shapes[scans:])
 
     def test_fig5_scans_in_one_first_block_call_per_chunk(self, monkeypatch):
-        # fig5's 1600 rows: one call per chunk for the first blocks, where
-        # every root lies, then one per Newton step and one at the roots
-        calls = _closed_form_calls(monkeypatch)
-        gaps = np.array([0.2, 0.5, 1.0, 1.2])[:, None]
-        a, d = np.broadcast_arrays(gaps, gaps * np.linspace(0.0, 3.0, 400))
-        batch = find_lmax_many(a, d, 1.0)
-        points = analysis._default_scan_bound(a, d).ravel() / 0.01
-        chunks = len(list(analysis._chunks(points)))
-        full = points.sum() / analysis._SCAN_CHUNK
+        # fig5's 1600 rows: at most 12 envelope points a row for the cuts
+        # (a mask over every grid point takes 1.9 M), then one call per
+        # chunk of walked points for the first blocks, where every root
+        # lies, then one per Newton step and one at the roots
+        a, d = _fig5_rows()
+        bound = analysis._default_scan_bound(a, d)
+        walked = [_reference_grid(b, 0.01, False).size - _reference_cut(x, y, b, 1.0, False)
+                  for x, y, b in zip(a, d, bound)]
+        chunks = len(list(analysis._chunks(walked)))
+        full = sum(walked) / analysis._SCAN_CHUNK
         assert full <= chunks <= 1.1 * full + 1
+        envelope = _envelope_shapes(monkeypatch)
+        calls = _closed_form_calls(monkeypatch)
+        batch = find_lmax_many(a.reshape(4, 400), d.reshape(4, 400), 1.0)
+        assert sum(np.prod(s) for s in envelope) <= 1600 * 12
         shapes = [np.shape(l) for _, _, l in calls]
         assert shapes.index((4, 400)) == chunks
         assert len(shapes) == chunks + batch.iterations.max() + 1
@@ -727,16 +806,14 @@ class TestChunkedScanCalls:
         # round r walks block r of every row of a chunk still walking, in one
         # call, so a chunk makes as many calls as its longest walk has
         # blocks: counted here on the full grid, with the walk ending at the
-        # last point the envelope does not certify or with the block that
-        # holds the first sign change
+        # cut of the per-point mask or with the block that holds the first
+        # sign change, and the rows chunked by those walks
         a, d, bound = _crossover_rows()
-        blocks = []
+        blocks, stops = [], []
         for x, y, b in zip(a, d, bound):
-            grid = np.arange(0.01, b + 0.005, 0.01)
-            gm = geometric_mean_probability(x, y, 0.1)
-            open_ = np.flatnonzero(~analysis._certified(
-                np.array([gm]), np.array([x]), np.array([y]), grid[None], 0.1))
-            stop = open_[-1] + 1 if open_.size else 0
+            grid = _reference_grid(b, 0.01, upward=True)
+            stop = _reference_cut(x, y, b, 0.1, upward=True)
+            stops.append(stop)
             positive = concurrence_values(x, y, grid, 0.1) > concurrence_values(x, 0.0, grid, 0.1)
             turns = np.flatnonzero(positive[1:stop] & ~positive[:stop - 1]) + 1
             end = turns[0] + 1 if turns.size else stop
@@ -744,7 +821,7 @@ class TestChunkedScanCalls:
             while walked < end:
                 walked, n = walked + (analysis._SCAN_BLOCK << n), n + 1
             blocks.append(n)
-        chunks = list(analysis._chunks(bound / 0.01))
+        chunks = list(analysis._chunks(stops))
         rounds = [max(blocks[c]) for c in chunks]
         assert any(c.stop - c.start > 1 and r > 1 for c, r in zip(chunks, rounds))
         calls = _closed_form_calls(monkeypatch)
@@ -752,28 +829,49 @@ class TestChunkedScanCalls:
         assert len(calls) - batch.iterations.max() - 1 == sum(rounds) < sum(blocks)
 
     def test_separation_chunks_stay_within_the_chunk_size(self, monkeypatch):
-        # rows of 10, 200 and 1 switching lengths side by side: each
-        # envelope call, over the chunk's grids padded to the longest, holds
-        # at most a chunk's points unless it holds one row
+        # rows of 10, 200 and 1 switching lengths side by side: each round,
+        # over the walks of a chunk padded to the longest, holds at most a
+        # chunk's points unless it holds one row; the cuts take one envelope
+        # call per step, of at most a first block's points
         a, d, bound = _crossover_rows()
-        shapes = []
-        original = analysis._x_envelope
-        monkeypatch.setattr(analysis, "_x_envelope",
-                            lambda a, d, l, c: shapes.append(np.shape(l)) or original(a, d, l, c))
+        envelope = _envelope_shapes(monkeypatch)
+        calls = _closed_form_calls(monkeypatch)
         find_crossover_many(a, d, 0.1, scan_bound=bound)
-        assert len(shapes) > 3 and any(s[0] > 1 for s in shapes)
-        assert all(s[0] == 1 or np.prod(s) <= analysis._SCAN_CHUNK for s in shapes)
+        rounds = [np.shape(l) for _, _, l in calls if np.ndim(l) == 2]
+        assert len(rounds) > 3 and any(s[0] > 1 for s in rounds)
+        assert all(s[0] == 1 or np.prod(s) <= analysis._SCAN_CHUNK for s in rounds)
+        # 40 rows probe 6 indices each per step, so a step divides every
+        # bracket by 7 or more
+        n = analysis._grids(bound, 0.01, upward=True)[2]
+        steps = next(k for k in range(1, 64) if 7**k > n.max())
+        assert 0 < len(envelope) <= steps
+        assert all(s[0] <= a.size and s[1] == 6 for s in envelope)
 
-    def test_certificate_needs_a_normal_finite_gm(self):
+    def test_certificate_needs_a_normal_finite_gm(self, monkeypatch):
         # at (27, 0, 100) the envelope is subnormal: it lies below a
-        # subnormal or infinite gm, which certifies nothing
+        # subnormal or infinite gm, which certifies nothing; a one-point
+        # grid at l = 100 is cut past its point (downward) or before it
+        # (upward) only where gm is normal
         gm = np.array([1e-300, 1e-310, 0.0, np.inf, np.nan])
         assert 0.0 < closedform._x_envelope(27.0, 0.0, 100.0, 0.1) < 1e-310
-        certified = analysis._certified(gm, np.full(5, 27.0), np.zeros(5),
-                                        np.full((5, 1), 100.0), 0.1)
-        assert certified.ravel().tolist() == [True, False, False, False, False]
-        assert not analysis._certified(gm[1:], np.full(4, 27.0), np.zeros(4),
-                                       np.full((4, 1), 100.0), 0.1).any()
+        a, d, start, n = np.full(5, 27.0), np.zeros(5), np.full(5, 100.0), np.ones(5, dtype=int)
+        down = analysis._cuts(start, np.full(5, -0.01), n, gm, a, d, 0.1, upward=False)
+        up = analysis._cuts(start, np.full(5, 0.01), n, gm, a, d, 0.1, upward=True)
+        assert down.tolist() == [1, 0, 0, 0, 0] and up.tolist() == [0, 1, 1, 1, 1]
+        # where no row may certify, no envelope is evaluated
+        envelope = _envelope_shapes(monkeypatch)
+        assert analysis._cuts(start[1:], np.full(4, -0.01), n[1:], gm[1:], a[1:], d[1:], 0.1,
+                              upward=False).tolist() == [0, 0, 0, 0]
+        assert envelope == []
+
+
+def _envelope_shapes(monkeypatch):
+    """Record the shape of l of every envelope call of the scans."""
+    shapes = []
+    original = analysis._x_envelope
+    monkeypatch.setattr(analysis, "_x_envelope",
+                        lambda a, d, l, c: shapes.append(np.shape(l)) or original(a, d, l, c))
+    return shapes
 
 
 class TestSweep:

@@ -111,6 +111,16 @@ class TestTransitionProbabilityOracle:
         with pytest.raises(NonConvergence, match="regulator extrapolation"):
             pd_double_integral(gap, 0.1, COARSE_SCHEDULE)
 
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    def test_imaginary_residue_is_summation_order_round_off(self, lam):
+        # the o < 0 half is the conjugate of the o > 0 half, so the value's
+        # imaginary part is round-off (1.9e-15 lam^2 at most here); the
+        # value is the last extrapolant, and its real part is returned
+        gaps = [0.0, 0.5, 1.2, 2.64, 3.5]
+        values, extrapolants = pd_double_integral_many(gaps, lam, return_extrapolants=True)
+        assert np.all(np.abs(extrapolants[:, -1].imag) < 1e-13 * lam**2)
+        assert np.array_equal(values, extrapolants[:, -1].real)
+
 
 class TestCorrelationPVOracle:
     @pytest.mark.parametrize(
