@@ -21,19 +21,22 @@ Each subcommand takes only the flags and formats it honours, the first
 format named being the default: ``eval`` table/csv/record; ``verify``,
 ``lmax``, ``peak``, ``crossover`` table/record; ``sweep``, ``figure``
 csv/record.  The oracle flags ``--quad-nodes`` and ``--eps-schedule``
-belong to ``verify``, whose checks each keep their own tolerance, and
-``figure`` takes no ``--lambda``.
+belong to ``verify``, whose checks each keep their own tolerance,
+``figure`` takes no ``--lambda``, and ``sweep`` no flag for its swept axis.
 
 Exit codes, mapped from the subcommands' exceptions by :func:`main` alone:
 0 success, 1 verification failure or non-convergent oracle, 2 bad flags or
 a flag or format the subcommand does not take, 3 domain errors, 4 no
-harvesting region, 5 no crossover.
+harvesting region, 5 no crossover.  The parser is built once, on the first
+:func:`main` call; each call runs ``cmd_<command>`` looked up by name, so
+rebinding one takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -353,6 +356,8 @@ _AXIS_FLAGS = {"l": "l_over_sigma", "delta-omega": "delta_omega_sigma", "omega-a
 
 
 def cmd_sweep(parser, args):
+    if getattr(args, args.axis.replace("-", "_")) is not None:
+        parser.error(f"sweep --axis {args.axis} takes no --{args.axis}; give --start and --stop")
     axis = _AXIS_FLAGS[args.axis]
     fixed = {
         "omega_a_sigma": args.omega_a,
@@ -591,6 +596,7 @@ def _add_format(parser, *formats):
                         help=f"output format (default {formats[0]})")
 
 
+@functools.cache
 def _build_parser():
     # one parent parser for the options of every subcommand but figure:
     # argparse copies a parent's actions faster than it adds new ones, and
@@ -614,7 +620,6 @@ def _build_parser():
     p.add_argument("--delta-omega", type=float, default=None, help="gap difference times duration")
     p.add_argument("--omega-b", type=float, default=None, help="larger gap (alternative to --delta-omega)")
     p.add_argument("--l", type=float, required=True, help="separation over duration")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", parents=[common], help="closed forms vs integral oracles")
     _add_format(p, "table", "record")
@@ -625,7 +630,6 @@ def _build_parser():
                         "principal-value axes (the outer order is certified)")
     p.add_argument("--eps-schedule", type=lambda s: [float(x) for x in s.split(",")],
                    help="regulator schedule, comma separated, decreasing; every value is used")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", parents=[common], help="closed-form pipeline along one axis")
     _add_format(p, "csv", "record")
@@ -636,7 +640,6 @@ def _build_parser():
     p.add_argument("--omega-a", type=float, default=None)
     p.add_argument("--delta-omega", type=float, default=None)
     p.add_argument("--l", type=float, default=None)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("lmax", parents=[common], help="largest harvesting-achievable separation")
     _add_format(p, "table", "record")
@@ -645,7 +648,6 @@ def _build_parser():
     p.add_argument("--scan-bound", type=float, default=None,
                    help="upper end of the downward scan (default: 4x the large-gap estimate, >= 10)")
     p.add_argument("--scan-step", type=float, default=0.01)
-    p.set_defaults(func=cmd_lmax)
 
     p = sub.add_parser("peak", parents=[common], help="concurrence-maximizing gap difference")
     _add_format(p, "table", "record")
@@ -653,7 +655,6 @@ def _build_parser():
     p.add_argument("--l", type=float, required=True)
     p.add_argument("--gap-bound", type=float, default=None,
                    help="search bound for the gap difference (default max(4, l))")
-    p.set_defaults(func=cmd_peak)
 
     p = sub.add_parser("crossover", parents=[common],
                        help="separation where non-identical detectors overtake identical")
@@ -663,14 +664,12 @@ def _build_parser():
     p.add_argument("--scan-bound", type=float, default=None,
                    help="upper end of the upward scan (default: 4x the large-gap estimate, >= 10)")
     p.add_argument("--scan-step", type=float, default=0.01)
-    p.set_defaults(func=cmd_crossover)
 
     p = sub.add_parser("figure", help="regenerate survey-figure data")
     p.add_argument("name", choices=FIGURE_NAMES)
     p.add_argument("--out", default=None, help="output file (default stdout)")
     _add_format(p, "csv", "record")
     p.add_argument("--points", type=int, default=400, help="grid points per axis (default 400)")
-    p.set_defaults(func=cmd_figure)
 
     return parser
 
@@ -679,7 +678,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        return globals()[f"cmd_{args.command}"](parser, args)
     except NonConvergence as exc:
         print(f"verification aborted: {exc}", file=sys.stderr)
         return EXIT_FAILED

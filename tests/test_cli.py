@@ -1,7 +1,12 @@
 """Command-line interface: exit codes, output formats, round-trips."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,3 +446,108 @@ class TestCommandSurface:
         with pytest.raises(SystemExit) as err:
             run(argv)
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("axis", ["l", "omega-a", "delta-omega"])
+    def test_sweep_takes_no_flag_for_its_swept_axis(self, axis, capsys):
+        # the swept field comes from --start/--stop; a value for it would be
+        # ignored, so it is refused rather than dropped
+        argv = [
+            "sweep", "--axis", axis, "--start", "1", "--stop", "2", "--points", "2",
+            "--omega-a", "0.5", "--delta-omega", "0.25", "--l", "7",
+        ]
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        assert f"takes no --{axis}" in capsys.readouterr().err
+
+
+CROSSOVER = ["crossover", "--omega-a", "0.5", "--delta-omega", "0.25", "--format", "record"]
+
+
+def record_of(argv, out):
+    assert run(argv + ["--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def untimed(record):
+    """A record with its manifest timestamp, the one field that may differ, dropped."""
+    record["manifest"].pop("timestamp")
+    return record
+
+
+class TestParserReuse:
+    """One parser per process; each call dispatches to ``cmd_<command>`` by name."""
+
+    def test_two_calls_build_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        record_of(CROSSOVER, tmp_path / "one.json")
+        record_of(CROSSOVER, tmp_path / "two.json")
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        # the common parent, the top-level parser and its seven subparsers
+        assert len(built) == 9 and built.count("udwharvest") == 1
+
+    def test_a_command_rebound_after_the_parser_is_built_is_called(self, tmp_path, monkeypatch):
+        record_of(CROSSOVER, tmp_path / "first.json")
+        seen = []
+        monkeypatch.setattr(cli, "cmd_crossover", lambda parser, args: seen.append(args) or 7)
+        assert run(CROSSOVER) == 7
+        assert [a.command for a in seen] == ["crossover"] and seen[0].omega_a == 0.5
+
+    def test_subcommands_are_the_cmd_functions(self):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        commands = {n[len("cmd_"):] for n, f in vars(cli).items()
+                    if n.startswith("cmd_") and callable(f)}
+        assert set(sub.choices) == commands and len(commands) == 7
+
+    def test_no_state_leaks_between_calls(self, tmp_path):
+        base = record_of(CROSSOVER, tmp_path / "base.json")
+        strong = record_of(CROSSOVER + ["--lambda", "0.2"], tmp_path / "strong.json")
+        assert strong["manifest"]["parameters"]["coupling"] == 0.2
+        after = record_of(CROSSOVER, tmp_path / "after.json")
+        assert after["manifest"]["parameters"]["coupling"] == 0.1
+        with pytest.raises(SystemExit) as err:
+            run(CROSSOVER + ["--gap-bound", "3"])
+        assert err.value.code == 2
+        again = record_of(CROSSOVER, tmp_path / "again.json")
+        assert untimed(after) == untimed(base) and untimed(again) == base
+
+
+class TestSubprocess:
+    """``python -m udwharvest`` as a separate process."""
+
+    @staticmethod
+    def spawn(*args):
+        env = dict(os.environ)
+        root = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_crossover_output_equals_the_in_process_one(self, tmp_path):
+        done = self.spawn("-m", "udwharvest", *CROSSOVER)
+        assert done.returncode == 0, done.stderr
+        out = tmp_path / "in.json"
+        record_of(CROSSOVER, out)
+        # the printed text, every result digit included, apart from the timestamp
+        assert [ln for ln in done.stdout.splitlines() if '"timestamp"' not in ln] == \
+            [ln for ln in out.read_text().splitlines() if '"timestamp"' not in ln]
+        assert json.loads(done.stdout)["result"]["location"] > 0
+
+    def test_a_bad_flag_exits_2(self):
+        done = self.spawn("-m", "udwharvest", *CROSSOVER, "--no-such-flag")
+        assert done.returncode == 2 and "unrecognized arguments" in done.stderr
+
+    def test_importing_the_cli_builds_no_parser(self):
+        done = self.spawn("-c", "import udwharvest.cli as c; "
+                                "print(c._build_parser.cache_info().misses)")
+        assert done.returncode == 0 and done.stdout.strip() == "0", done.stderr
