@@ -31,9 +31,18 @@ positive.  The rest is walked in blocks of 256 points, each twice the one
 before, up to the first block that holds the answer.  A closed-form call
 gives the same bits for a point whatever the shape of the call, so every
 answer, bracket and raised error is bit for bit that of evaluating the
-whole grid.  Where sqrt(P_A P_B) underflows to a subnormal number or zero
-nothing is certified.  A scan bound must be finite and a grid may span at
-most 1e7 points; a larger one raises ValueError before the scan starts.
+whole grid.  A scan bound must be finite and a grid may span at most 1e7
+points; a larger one raises ValueError before the scan starts.
+
+A row whose P_A P_B is not a normal double, which takes large gaps, is
+scanned, certified and refined in scaled form: |X|, sqrt(P_A P_B) and the
+envelope divided by E = exp(-(a^2 + b^2)/2), which keeps them of order one
+where the product and |X| underflow, so that the excess keeps its sign
+change (:func:`~udwharvest.closedform._x_excess`).  A crossover row
+compares the two pairs' scaled excesses through the ratio of their scales,
+exp(-d(2a + d)/2), in a form whose sign does not rest on that ratio where
+it underflows (:func:`_lead`).  The switch is decided once per search from
+the sqrt(P_A P_B) of the row, and rows that do not switch keep every bit.
 
 The sign change a separation scan finds is refined by safeguarded Newton
 steps (:func:`_refine`), whose slope costs no further Faddeeva evaluation
@@ -82,13 +91,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import (
+    _SCALED_BELOW,
     DetectorPairConfig,
     _clamp,
     _domain_errors,
     _ingredients,
+    _probability_terms,
+    _scaled_gm,
+    _scaled_x_envelope,
+    _x_abs,
     _x_abs_slope,
     _x_envelope,
-    correlation_x_values,
+    _x_excess,
     geometric_mean_probability,
     lmax_large_gap_estimate,
     transition_probability,
@@ -261,14 +275,18 @@ def _grids(bound, step, upward):
     return start, (start + signed) - start, np.ceil((stop - start) / signed).astype(int)
 
 
-def _cuts(start, delta, n, gm, a, d, coupling, upward):
+def _cuts(start, delta, n, gm, scaled, a, d, coupling, upward):
     """Each row's first grid index whose point the envelope certifies
     (upward) or does not (downward), n where there is none; one value per
     row.  The envelope of |X|, widened by the margin, certifies |X| - gm
     <= 0 where it lies below gm: it multiplies the closed form's prefactor
     bits and bounds its bracket up to the kernel's and the roundings'
-    relative error, which the margin covers.  A subnormal |X| is off by
-    2^-1074 times a few, so where gm is not normal nothing is certified.
+    relative error, which the margin covers.  In a ``scaled`` row both
+    sides are divided by E = exp(-(a^2 + b^2)/2), as the walk's excess is:
+    the scaled envelope against sqrt(P~_A P~_B), both of order one.  A
+    subnormal |X| is off by 2^-1074 times a few, so where gm is not normal
+    (only a coupling or gaps far outside the weak-coupling physics make
+    it so) nothing is certified.
     The envelope decreases in l, so the certified points are one run at
     the large-l end of a grid.  Each step of the lockstep search is one
     envelope call at ``probes`` indices of every row, splitting its bracket
@@ -279,11 +297,15 @@ def _cuts(start, delta, n, gm, a, d, coupling, upward):
     uncertified = n if upward else np.zeros_like(n)
     lo, hi = np.where(usable, 0, uncertified), np.where(usable, n, uncertified)
     probes = max(1, _SCAN_BLOCK // max(n.size, 1))
+    any_scaled = scaled.any()
     while (live := np.flatnonzero(lo < hi)).size:
         low, high = lo[live, None], hi[live, None]
         probe = low + (high - low) * np.arange(1, probes + 1) // (probes + 1)
-        envelope = _x_envelope(a[live, None], d[live, None],
-                               start[live, None] + probe * delta[live, None], coupling)
+        l = start[live, None] + probe * delta[live, None]
+        envelope = _x_envelope(a[live, None], d[live, None], l, coupling)
+        if any_scaled:
+            envelope = np.where(scaled[live, None], _scaled_x_envelope(d[live, None], l, coupling),
+                                envelope)
         hit = (envelope * (1.0 + _ENVELOPE_MARGIN) < gm[live, None]) == upward
         # the first probe at or past the cut (else hi) and the one before it
         first = np.argmax(np.concatenate([hit, np.ones_like(low, dtype=bool)], axis=1), axis=1)
@@ -293,9 +315,10 @@ def _cuts(start, delta, n, gm, a, d, coupling, upward):
     return lo
 
 
-def _separation_scan(bound, step, gm, a, d, coupling, positive, upward):
+def _separation_scan(bound, step, gm, scaled, a, d, coupling, positive, upward):
     """Walk every row's separation grid (:func:`_grids`) to its first turn
-    to positive; 1-D arrays bound, gm, a and d hold the rows' problems.
+    to positive; 1-D arrays bound, gm, scaled, a and d hold the rows'
+    problems, gm and scaled as :func:`_cuts` takes them.
 
     ``positive(rows, l)`` is the sign test of the rows (an index array) at
     separations l, one row of l per row.  A downward walk runs from the
@@ -310,7 +333,7 @@ def _separation_scan(bound, step, gm, a, d, coupling, positive, upward):
     where there is none) and its grid at k and at k-1 (NaN where there is
     no such point)."""
     start, delta, n = _grids(bound, step, upward)
-    cut = _cuts(start, delta, n, gm, a, d, coupling, upward)
+    cut = _cuts(start, delta, n, gm, scaled, a, d, coupling, upward)
     first, last = (np.zeros_like(n), cut) if upward else (cut, n)
     # round r is block r, of _SCAN_BLOCK * 2**r points, of every row still
     # walking; a repeated last point cannot turn again, and a row leaves at
@@ -343,13 +366,13 @@ def _separation_scan(bound, step, gm, a, d, coupling, positive, upward):
 
 def _excess(gm, a, d, l, coupling):
     """``correlation_excess`` with sqrt(P_A P_B) = gm passed in."""
-    return np.abs(correlation_x_values(a, d, l, coupling)) - gm
+    return _x_excess(a, d, l, coupling, gm)[1]
 
 
 def _gap_concurrence(p_a, a, d, l, coupling):
     """``concurrence_values`` with P_A passed in."""
-    p_b = transition_probability(a + d, coupling)
-    return _clamp(_excess(np.sqrt(p_a * p_b), a, d, l, coupling))
+    p_b, bracket_b = _probability_terms(a + d, coupling)
+    return _clamp(_x_excess(a, d, l, coupling, np.sqrt(p_a * p_b), (None, bracket_b))[1])
 
 
 def _pair_concurrences(gms, a, ds, l, coupling):
@@ -359,6 +382,23 @@ def _pair_concurrences(gms, a, ds, l, coupling):
     two (leading, so that numpy's inner loops run along the points)."""
     unequal, equal = _clamp(_excess(gms, a, ds, l, coupling))
     return unequal, equal
+
+
+def _lead(unequal, equal, ratio, harvests):
+    """A function of the separation that is positive exactly where the
+    non-identical pair's concurrence exceeds the identical pair's, from
+    their excesses, the first scaled by ``ratio`` against the second:
+    ratio * unequal - equal where the identical pair ``harvests``, and
+    unequal where it does not, so that the sign does not rest on a ratio
+    that has underflowed; or its slope, from the excesses' slopes.  A ratio
+    of None stands for 1 in every row, and takes fewer operations to the
+    same bits.  With ratio 1 it is half of 2 e_u - 2 max(0, e_i), which has
+    the sign of the concurrence difference and, unlike it, stays smooth
+    where the non-identical pair starts to harvest: the crossover where the
+    identical pair's concurrence is already zero."""
+    if ratio is None:
+        return unequal - equal * harvests
+    return np.where(harvests, ratio * unequal - equal, unequal)
 
 
 def _refine(f, lo, hi, positive_at_lo):
@@ -478,15 +518,23 @@ def find_lmax_many(
         omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
     )
     gm = np.asarray(geometric_mean_probability(a, d, coupling))
-    row_a, row_d, row_gm, row_bound = (x.ravel() for x in (a, d, gm, bound))
+    # rows whose P_A P_B is not a normal double are scanned and refined in
+    # scaled form: |X|/E against sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2)
+    scaled = gm < _SCALED_BELOW
+    any_scaled = scaled.any()
+    scan_gm = np.where(scaled, _scaled_gm(a, d, coupling), gm) if any_scaled else gm
+    row_a, row_d, row_gm, row_scaled, row_bound = (
+        x.ravel() for x in (a, d, scan_gm, scaled, bound))
 
     def positive(rows, l):
-        return _excess(row_gm[rows, None], row_a[rows, None], row_d[rows, None], l, coupling) > 0.0
+        x_abs = _x_abs(row_a[rows, None], row_d[rows, None], l, coupling,
+                       row_scaled[rows, None])
+        return x_abs - row_gm[rows, None] > 0.0
 
     # the walk runs downward, below the leading certified points (which
     # are not positive), to the first positive point
-    k, at, above = _separation_scan(row_bound, scan_step, row_gm, row_a, row_d, coupling,
-                                    positive, upward=False)
+    k, at, above = _separation_scan(row_bound, scan_step, row_gm, row_scaled, row_a, row_d,
+                                    coupling, positive, upward=False)
     k = k.reshape(a.shape)
     error = _blank(a.shape)
     error[k < 0] = NoHarvestingRegion.__name__
@@ -498,10 +546,9 @@ def find_lmax_many(
 
     def f(l):
         # where |X| has underflowed to zero the computed excess is flat, and
-        # its zero slope sends the step to the midpoint (where gm is zero
-        # too, a slope of |X| would probe the flat stretch ulps at a time)
-        x_abs, slope = _x_abs_slope(a, d, l, coupling)
-        return x_abs - gm, slope * (x_abs > 0.0)
+        # its zero slope sends the step to the midpoint
+        x_abs, slope = _x_abs_slope(a, d, l, coupling, scaled if any_scaled else None)
+        return x_abs - scan_gm, slope * (x_abs > 0.0)
 
     lo, hi, iterations = _refine(f, lo, hi, positive_at_lo=True)
     loc = 0.5 * (lo + hi)
@@ -528,7 +575,11 @@ def find_lmax(
     boundary oscillates.  Grid points that an envelope of |X| certifies
     non-harvesting are not evaluated, and the walk stops at the first block
     holding a harvesting point; neither changes the answer, which is bit
-    for bit that of evaluating every grid point.  The returned location
+    for bit that of evaluating every grid point.  Where P_A P_B is not a
+    normal double the scan, certificate and refinement follow the scaled
+    excess |X|/E - sqrt(P_A P_B)/E, E = exp(-(a^2 + b^2)/2), whose sign the
+    unscaled one loses there; ``value`` is ``correlation_excess`` at the
+    location either way.  The returned location
     does not depend on the coupling (the excess scales globally by its
     square).  One problem per call; :func:`find_lmax_many` solves arrays of
     them.
@@ -652,23 +703,35 @@ def find_crossover_many(
     a, d, bound = _separation_problems(
         omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
     )
-    gm = np.asarray(geometric_mean_probability(a, d, coupling))
     # both pairs' sqrt(P_A P_B) and gap differences, stacked once per search
-    gms = np.stack([gm, geometric_mean_probability(a, 0.0, coupling)])
+    gms = np.stack([geometric_mean_probability(a, d, coupling),
+                    geometric_mean_probability(a, 0.0, coupling)])
     ds = np.stack([d, np.zeros(d.shape)])
-    row_a, row_d, row_gm, row_bound = (x.ravel() for x in (a, d, gm, bound))
-    row_gms, row_ds = gms.reshape(2, -1), ds.reshape(2, -1)
+    # a row whose non-identical P_A P_B is not a normal double scans both
+    # pairs in scaled form, as find_lmax_many does (the identical pair's
+    # product is the larger); their scales E differ by the ratio
+    # exp(-d(2a + d)/2), which is 1 in the other rows
+    scaled = gms[0] < _SCALED_BELOW
+    scan_gms, ratio, row_ratio = gms, None, None
+    if any_scaled := scaled.any():
+        scan_gms = np.where(scaled, _scaled_gm(a, ds, coupling), gms)
+        ratio = np.where(scaled, np.exp(-d * (2.0 * a + d) / 2.0), 1.0)
+        row_ratio = ratio.ravel()
+    row_a, row_d, row_scaled, row_bound = (x.ravel() for x in (a, d, scaled, bound))
+    row_gms, row_ds = scan_gms.reshape(2, -1), ds.reshape(2, -1)
 
     def positive(rows, l):
-        unequal, equal = _pair_concurrences(
-            row_gms[:, rows, None], row_a[rows, None], row_ds[:, rows, None], l, coupling)
-        return unequal - equal > 0.0
+        x_abs = _x_abs(row_a[rows, None], row_ds[:, rows, None], l, coupling,
+                       row_scaled[rows, None])
+        unequal, equal = x_abs - row_gms[:, rows, None]
+        rows_ratio = None if row_ratio is None else row_ratio[rows, None]
+        return _lead(unequal, equal, rows_ratio, equal > 0.0) > 0.0
 
     # at a certified point the non-identical concurrence is 0, so the
     # difference cannot turn positive there: the walk ends at the last
     # point that is not certified, or at the first sign change
-    k, at, below = _separation_scan(row_bound, scan_step, row_gm, row_a, row_d, coupling,
-                                    positive, upward=True)
+    k, at, below = _separation_scan(row_bound, scan_step, row_gms[0], row_scaled, row_a, row_d,
+                                    coupling, positive, upward=True)
     k = k.reshape(a.shape)
     error = _blank(a.shape)
     error[k < 0] = NoCrossover.__name__
@@ -677,15 +740,10 @@ def find_crossover_many(
     hi = np.where(k < 0, scan_step, at.reshape(a.shape))
 
     def g(l):
-        # 2 e_u - 2 max(0, e_i) for the pairs' excesses e_u, e_i is positive
-        # exactly where the concurrence difference is (where e_u <= 0 both
-        # are <= 0, and where e_u > 0 they are the same bits), and unlike
-        # the difference it stays smooth where the non-identical pair starts
-        # to harvest: the crossover where the identical pair's concurrence
-        # is already zero
-        x_abs, slope = _x_abs_slope(a, ds, l, coupling)
-        (unequal, equal), (slope_u, slope_i) = x_abs - gms, slope
-        return 2.0 * unequal - _clamp(equal), 2.0 * (slope_u - slope_i * (equal > 0.0))
+        x_abs, slope = _x_abs_slope(a, ds, l, coupling, scaled if any_scaled else None)
+        (unequal, equal), (slope_u, slope_i) = x_abs - scan_gms, slope
+        harvests = equal > 0.0
+        return _lead(unequal, equal, ratio, harvests), _lead(slope_u, slope_i, ratio, harvests)
 
     lo, hi, iterations = _refine(g, lo, hi, positive_at_lo=False)
     loc = 0.5 * (lo + hi)
@@ -715,7 +773,9 @@ def find_crossover(
     point the envelope of |X| does not certify non-harvesting for the
     non-identical pair: above it that pair's concurrence is exactly zero,
     so the difference cannot turn positive, and the answer is that of the
-    full scan bit for bit.  Raises :exc:`NoCrossover` when the difference
+    full scan bit for bit.  Where the non-identical pair's P_A P_B is not
+    a normal double, both pairs are compared in scaled form, as
+    :func:`find_lmax` does.  Raises :exc:`NoCrossover` when the difference
     never turns positive on the grid.  One problem per call;
     :func:`find_crossover_many` solves arrays of them.
     """

@@ -23,6 +23,11 @@ format named being the default: ``eval`` table/csv/record; ``verify``,
 csv/record.  The oracle flags ``--quad-nodes`` and ``--eps-schedule``
 belong to ``verify``, whose checks each keep their own tolerance,
 ``figure`` takes no ``--lambda``, and ``sweep`` no flag for its swept axis.
+No parser takes a prefix of a flag for the flag.  A coupling above
+``COUPLING_WARN_THRESHOLD`` raises the weak-coupling warning on every
+command that takes ``--lambda``: through the :class:`DetectorPairConfig`
+that ``eval``, ``sweep`` and ``verify`` build, and from :func:`main` for
+the searches.
 
 Exit codes, mapped from the subcommands' exceptions by :func:`main` alone:
 0 success, 1 verification failure or non-convergent oracle, 2 bad flags or
@@ -45,8 +50,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .closedform import DetectorPairConfig, concurrence, concurrence_values, \
-    correlation_x_values, geometric_mean_probability, transition_probability
+from .closedform import DetectorPairConfig, _warn_strong_coupling, concurrence, \
+    concurrence_values, correlation_x_values, geometric_mean_probability, transition_probability
 from .oracle import (
     DEFAULT_SETTINGS,
     NonConvergence,
@@ -601,27 +606,30 @@ def _build_parser():
     # one parent parser for the options of every subcommand but figure:
     # argparse copies a parent's actions faster than it adds new ones, and
     # each extra parser costs more than the copies save
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--lambda", dest="coupling", type=float, default=0.1,
                         help="coupling constant (default 0.1)")
 
     parser = argparse.ArgumentParser(
         prog="udwharvest",
+        allow_abbrev=False,
         description="Entanglement harvesting of two static detectors with unequal gaps "
         "(all inputs dimensionless, rescaled by the switching duration).",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # no parser reads a prefix of a flag as the flag: "--l" is not "--lambda"
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("eval", parents=[common], help="closed-form report for one scenario")
+    p = add_parser("eval", parents=[common], help="closed-form report for one scenario")
     _add_format(p, "table", "csv", "record")
     p.add_argument("--omega-a", type=float, required=True, help="smaller gap times duration")
     p.add_argument("--delta-omega", type=float, default=None, help="gap difference times duration")
     p.add_argument("--omega-b", type=float, default=None, help="larger gap (alternative to --delta-omega)")
     p.add_argument("--l", type=float, required=True, help="separation over duration")
 
-    p = sub.add_parser("verify", parents=[common], help="closed forms vs integral oracles")
+    p = add_parser("verify", parents=[common], help="closed forms vs integral oracles")
     _add_format(p, "table", "record")
     p.add_argument("--grid", type=int, default=None,
                    help=f"use only the first N of the {len(VERIFICATION_GRID)} grid scenarios")
@@ -631,7 +639,7 @@ def _build_parser():
     p.add_argument("--eps-schedule", type=lambda s: [float(x) for x in s.split(",")],
                    help="regulator schedule, comma separated, decreasing; every value is used")
 
-    p = sub.add_parser("sweep", parents=[common], help="closed-form pipeline along one axis")
+    p = add_parser("sweep", parents=[common], help="closed-form pipeline along one axis")
     _add_format(p, "csv", "record")
     p.add_argument("--axis", choices=tuple(_AXIS_FLAGS), required=True)
     p.add_argument("--start", type=float, required=True)
@@ -641,7 +649,7 @@ def _build_parser():
     p.add_argument("--delta-omega", type=float, default=None)
     p.add_argument("--l", type=float, default=None)
 
-    p = sub.add_parser("lmax", parents=[common], help="largest harvesting-achievable separation")
+    p = add_parser("lmax", parents=[common], help="largest harvesting-achievable separation")
     _add_format(p, "table", "record")
     p.add_argument("--omega-a", type=float, required=True)
     p.add_argument("--delta-omega", type=float, required=True)
@@ -649,14 +657,14 @@ def _build_parser():
                    help="upper end of the downward scan (default: 4x the large-gap estimate, >= 10)")
     p.add_argument("--scan-step", type=float, default=0.01)
 
-    p = sub.add_parser("peak", parents=[common], help="concurrence-maximizing gap difference")
+    p = add_parser("peak", parents=[common], help="concurrence-maximizing gap difference")
     _add_format(p, "table", "record")
     p.add_argument("--omega-a", type=float, required=True)
     p.add_argument("--l", type=float, required=True)
     p.add_argument("--gap-bound", type=float, default=None,
                    help="search bound for the gap difference (default max(4, l))")
 
-    p = sub.add_parser("crossover", parents=[common],
+    p = add_parser("crossover", parents=[common],
                        help="separation where non-identical detectors overtake identical")
     _add_format(p, "table", "record")
     p.add_argument("--omega-a", type=float, required=True)
@@ -665,7 +673,7 @@ def _build_parser():
                    help="upper end of the upward scan (default: 4x the large-gap estimate, >= 10)")
     p.add_argument("--scan-step", type=float, default=0.01)
 
-    p = sub.add_parser("figure", help="regenerate survey-figure data")
+    p = add_parser("figure", help="regenerate survey-figure data")
     p.add_argument("name", choices=FIGURE_NAMES)
     p.add_argument("--out", default=None, help="output file (default stdout)")
     _add_format(p, "csv", "record")
@@ -677,6 +685,9 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("lmax", "peak", "crossover"):
+        # the other commands warn through the DetectorPairConfig they build
+        _warn_strong_coupling(args.coupling)
     try:
         return globals()[f"cmd_{args.command}"](parser, args)
     except NonConvergence as exc:

@@ -17,7 +17,11 @@ The correlation amplitude is evaluated through the Faddeeva function so
 that every intermediate stays of order one: the nominal expression pairs an
 exponentially small prefactor with exponentially large Erfi factors whose
 naive evaluation overflows once the separation exceeds a few dozen
-switching times.
+switching times.  At large gaps P_A P_B, and |X| with it, leave the
+double range while the harvesting excess is still decided by their ratio;
+where P_A P_B is not a normal double the excess is therefore evaluated as
+E S, with the scaled excess S = |X|/E - sqrt(P_A P_B)/E of order one and
+E = exp(-(a^2 + b^2)/2) (:func:`correlation_excess`).
 
 Asymptotic approximations (small/large gaps, small/large separations) and
 two back-of-envelope estimates (the maximum harvesting-achievable
@@ -120,6 +124,18 @@ def _domain_errors(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
     return errors
 
 
+def _warn_strong_coupling(coupling):
+    """Warn, naming the first caller outside this module, that a coupling
+    above ``COUPLING_WARN_THRESHOLD`` is outside the weak-coupling regime.
+    :class:`DetectorPairConfig` calls it on every scenario it admits."""
+    if coupling > COUPLING_WARN_THRESHOLD:
+        warnings.warn(
+            f"coupling={coupling} is outside the weak-coupling regime "
+            f"(> {COUPLING_WARN_THRESHOLD}); second-order results are unreliable",
+            stacklevel=_caller_stacklevel(),
+        )
+
+
 def _caller_stacklevel():
     """The ``stacklevel`` at which a warning issued by the caller names the
     first frame outside this module, however many of its frames lie
@@ -153,12 +169,7 @@ class DetectorPairConfig:
         )[0]
         if error:
             raise ValueError(error)
-        if self.coupling > COUPLING_WARN_THRESHOLD:
-            warnings.warn(
-                f"coupling={self.coupling} is outside the weak-coupling regime "
-                f"(> {COUPLING_WARN_THRESHOLD}); second-order results are unreliable",
-                stacklevel=_caller_stacklevel(),
-            )
+        _warn_strong_coupling(self.coupling)
 
     @classmethod
     def with_omega_b(cls, omega_a_sigma, omega_b_sigma, l_over_sigma, coupling=0.1):
@@ -210,14 +221,63 @@ def transition_probability(omega_sigma, coupling):
     representable; beyond x ~ 27.5 it underflows to the correctly rounded
     zero.  Accepts arrays.
     """
-    x = np.asarray(omega_sigma, dtype=float)
+    return _scalar(_probability_terms(omega_sigma, coupling)[0])
+
+
+def _scalar(v):
+    """A 0-d array as a Python number, any other array as itself."""
+    return v.item() if v.ndim == 0 else v
+
+
+# sqrt(P_A P_B) lies below this exactly where P_A P_B is not a normal double:
+# sqrt(2^-1022) is 2^-511 and sqrt is correctly rounded.  There the product
+# has lost bits or underflowed, and the excess is evaluated in scaled form.
+_SCALED_BELOW = 2.0**-511
+
+
+def _probability_terms(x, coupling):
+    """(P, 1 - sqrt(pi)|x| erfcx(|x|)) at gaps x, as arrays: P as
+    :func:`transition_probability` gives it, and the bracket it shares with
+    the scaled probability (:func:`_scaled_probability`)."""
+    x = np.asarray(x, dtype=float)
     ax = np.abs(x)
-    core = np.exp(-ax * ax) * (1.0 - _SQRT_PI * ax * erfcx_real(ax))
+    bracket = 1.0 - _SQRT_PI * ax * erfcx_real(ax)
+    core = np.exp(-ax * ax) * bracket
     # erfc(-x) = 2 - erfc(x) adds a linear term for inverted gaps
     p = coupling**2 * (core / (4.0 * np.pi) + np.where(x < 0, ax / (2.0 * _SQRT_PI), 0.0))
-    if p.ndim == 0:
-        return float(p)
-    return p
+    return p, bracket
+
+
+def _scaled_probability(x, bracket, coupling):
+    """P~ = P exp(x^2) = coupling^2 (1 - sqrt(pi) x erfcx(x))/4 pi at gaps
+    x from the bracket :func:`_probability_terms` returns: of order 1/x^2
+    where P underflows.  The bracket loses about 1e-12 relative at x = 100
+    and 3e-8 at 1e4, so from x = 50 on P~ is the 7-term series sum_m
+    (-1)^(m+1) (2m-1)!!/(2x^2)^m (DLMF 7.12.1), exact to rounding there.
+    The scaled excess takes no inverted gap x < 0, and P~ is NaN there."""
+    x = np.asarray(x, dtype=float)
+    if (x >= 50.0).any():
+        t = 0.5 / np.maximum(x * x, 2500.0)
+        series = t * (1.0 - t * (3.0 - t * (15.0 - t * (105.0 - t * (945.0 - t * (
+            10395.0 - t * 135135.0))))))
+        bracket = np.where(x >= 50.0, series, bracket)
+    if (x < 0).any():
+        bracket = np.where(x < 0, np.nan, bracket)
+    return coupling**2 / (4.0 * np.pi) * bracket
+
+
+def _scaled_gm(a, d, coupling, brackets=(None, None)):
+    """sqrt(P~_A P~_B) for the gaps a and b = a + d (:func:`_scaled_probability`):
+    sqrt(P_A P_B) divided by E = exp(-(a^2 + b^2)/2), representable at any
+    gaps the domain admits.  ``brackets`` holds the gaps' brackets from
+    :func:`_probability_terms` that the caller has, None for the others."""
+    a = np.asarray(a, dtype=float)
+    b = a + np.asarray(d, dtype=float)
+    scaled_a, scaled_b = (
+        _scaled_probability(x, _probability_terms(x, coupling)[1] if bracket is None else bracket,
+                            coupling)
+        for x, bracket in zip((a, b), brackets))
+    return np.sqrt(scaled_a * scaled_b)
 
 
 def geometric_mean_probability(omega_a_sigma, delta_omega_sigma, coupling):
@@ -254,10 +314,7 @@ def correlation_x_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, couplin
     overflow.  Since (-l+id)/2 = -conj((l+id)/2) and w(-conj z) = conj w(z),
     the Faddeeva difference is -2i Im w((l+id)/2): one evaluation per point.
     """
-    x = _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)[0]
-    if x.ndim == 0:
-        return complex(x)
-    return x
+    return _scalar(_x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)[0])
 
 
 def _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
@@ -287,9 +344,73 @@ def _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
     return x, pref, bracket_re, bracket_im, w, gauss_d, swing
 
 
-def _x_abs_slope(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
+def _over_scale(b_re, b_im, d, l, coupling):
+    """(|X|/E, X's prefactor over E) for E = exp(-(a^2 + b^2)/2), from the
+    terms of X's bracket that :func:`_x_terms` returns.  Since (2a+d)^2/4 +
+    d^2/4 = (a^2 + b^2)/2, the prefactor over E is coupling^2 exp(d^2/4)/(8
+    sqrt(pi) l), of order one where X underflows.  Inside the domain that
+    :class:`DetectorPairConfig` admits both are finite at any separation
+    above 1e-170; beyond it they may overflow."""
+    pref = coupling**2 / (8.0 * _SQRT_PI * l) * np.exp(d * d / 4.0)
+    # the bracket's terms are at most 4, and one is above 1e-134 for d <= 35,
+    # so the squares neither overflow nor lose it
+    return pref * np.sqrt(b_re * b_re + b_im * b_im), pref
+
+
+def _x_abs(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, scaled):
+    """|X| from one Faddeeva evaluation per point, with the bits of
+    ``np.abs(correlation_x_values(...))`` except where the boolean array
+    ``scaled`` holds: there it is |X|/E, E = exp(-(a^2 + b^2)/2)
+    (:func:`_over_scale`)."""
+    x, _, b_re, b_im = _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)[:4]
+    if not scaled.any():
+        return np.abs(x)
+    d = np.asarray(delta_omega_sigma, dtype=float)
+    l = np.asarray(l_over_sigma, dtype=float)
+    return np.where(scaled, _over_scale(b_re, b_im, d, l, coupling)[0], np.abs(x))
+
+
+def _x_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, gm,
+              brackets=(None, None)):
+    """(X, |X| - sqrt(P_A P_B)) with sqrt(P_A P_B) = gm passed in, from one
+    Faddeeva evaluation per point; ``brackets`` as :func:`_scaled_gm` takes
+    them.  Where P_A P_B is not a normal double
+    (gm below ``_SCALED_BELOW``) the excess is E S, for the scaled excess
+    S = |X|/E - sqrt(P~_A P~_B) (:func:`_scaled_gm`), formed as sign(S)
+    exp(log|S| - (a^2 + b^2)/2): E alone underflows where |X| may still be
+    normal, while this has the sign of S and underflows only where E S
+    does (to +0: adding 0 turns -0 into +0, which the clamp of the
+    concurrence would keep).  Where S is not finite, which takes a gap
+    difference or a separation outside the admitted domain, the excess
+    stays |X| - gm."""
+    x, _, b_re, b_im = _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)[:4]
+    excess = np.abs(x) - gm
+    scaled = np.asarray(gm) < _SCALED_BELOW
+    if not scaled.any():
+        return x, excess
+    a = np.asarray(omega_a_sigma, dtype=float)
+    d = np.asarray(delta_omega_sigma, dtype=float)
+    b = a + d
+    l = np.asarray(l_over_sigma, dtype=float)
+    # outside the domain, S may overflow (and is then not used)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = _over_scale(b_re, b_im, d, l, coupling)[0] - _scaled_gm(a, d, coupling, brackets)
+        log_excess = np.log(np.abs(s)) - (a * a + b * b) / 2.0
+        # exp is evaluated only where it does not underflow to zero: its
+        # vector loop falls back to a scalar one, 10 to 100 times slower,
+        # where it underflows
+        magnitude = np.zeros(log_excess.shape)
+        np.exp(log_excess, out=magnitude, where=log_excess > -746.0)
+        excess = np.where(scaled & np.isfinite(s), np.copysign(magnitude, s) + 0.0, excess)
+    return x, excess[()]
+
+
+def _x_abs_slope(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, scaled=None):
     """(|X|, d|X|/dl) from one Faddeeva evaluation per point; |X| has the
-    bits of ``np.abs(correlation_x_values(...))``.  With z = (l+id)/2,
+    bits of ``np.abs(correlation_x_values(...))``, and both are divided by
+    E = exp(-(a^2 + b^2)/2) where the boolean array ``scaled`` holds, if
+    one is given (:func:`_over_scale`).
+    With z = (l+id)/2,
     dz/dl = 1/2 and w'(z) = 2i/sqrt(pi) - 2 z w(z) (DLMF 7.10.2), so
 
         d Im w / dl = 1/sqrt(pi) - (l Im w + d Re w)/2,
@@ -312,8 +433,11 @@ def _x_abs_slope(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
     dw_imag = 1.0 / _SQRT_PI - 0.5 * (l * w.imag + d * w.real)
     db_im = gauss_d * (-2.0 * dw_imag) + d_swing
     b_abs = np.hypot(b_re, b_im)
-    slope = pref * ((b_re * db_re + b_im * db_im) / b_abs - b_abs / l)
-    return np.abs(x), slope
+    x_abs = np.abs(x)
+    if scaled is not None:
+        scaled_abs, scaled_pref = _over_scale(b_re, b_im, d, l, coupling)
+        x_abs, pref = np.where(scaled, scaled_abs, x_abs), np.where(scaled, scaled_pref, pref)
+    return x_abs, pref * ((b_re * db_re + b_im * db_im) / b_abs - b_abs / l)
 
 
 # sup |x w(x)| over the real line (0.7488717463... at x = 1.3323371), rounded
@@ -335,6 +459,19 @@ def _x_envelope(a, d, l, coupling):
     return _x_prefactor(a, d, l, coupling) * bracket
 
 
+def _scaled_x_envelope(d, l, coupling):
+    """:func:`_x_envelope` divided by E = exp(-(a^2 + b^2)/2), an upper
+    bound on |X|/E from :func:`_x_abs` and decreasing in l:
+
+        coupling^2/(8 sqrt(pi) l)
+            * (2 min(1, 2 M/sqrt(l^2 + d^2)) + 2 exp((d^2 - l^2)/4)).
+
+    Arrays d, l broadcast."""
+    w_bound = np.minimum(1.0, 2.0 * _ZW_BOUND / np.sqrt(l * l + d * d))
+    bracket = 2.0 * w_bound + 2.0 * np.exp((d * d - l * l) / 4.0)
+    return coupling**2 / (8.0 * _SQRT_PI * l) * bracket
+
+
 def correlation_x(cfg: DetectorPairConfig) -> complex:
     """Pair-correlation amplitude X for a scenario."""
     return correlation_x_values(
@@ -343,13 +480,14 @@ def correlation_x(cfg: DetectorPairConfig) -> complex:
 
 
 def _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
-    """(P_A, P_B, X, |X| - sqrt(P_A P_B)) for raw parameter arrays."""
+    """(P_A, P_B, X, |X| - sqrt(P_A P_B)) for raw parameter arrays, the
+    excess from :func:`_x_excess`."""
     a = np.asarray(omega_a_sigma, dtype=float)
     d = np.asarray(delta_omega_sigma, dtype=float)
-    p_a = transition_probability(a, coupling)
-    p_b = transition_probability(a + d, coupling)
-    x = correlation_x_values(a, d, l_over_sigma, coupling)
-    return p_a, p_b, x, np.abs(x) - np.sqrt(p_a * p_b)
+    p_a, bracket_a = _probability_terms(a, coupling)
+    p_b, bracket_b = _probability_terms(a + d, coupling)
+    x, excess = _x_excess(a, d, l_over_sigma, coupling, np.sqrt(p_a * p_b), (bracket_a, bracket_b))
+    return _scalar(p_a), _scalar(p_b), _scalar(x), excess
 
 
 def _clamp(excess):
@@ -361,13 +499,17 @@ def correlation_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
     """|X| - sqrt(P_A * P_B); the concurrence is twice its positive part.
 
     Unlike the clamped concurrence this changes sign smoothly through the
-    harvesting boundary, which is what root bracketing needs.
+    harvesting boundary, which is what root bracketing needs.  Where P_A
+    P_B is not a normal double it is E S for the scaled excess S (see
+    :func:`_x_excess`): it keeps the sign of S, and rounds to zero only
+    where the true excess is below the double range.
     """
     return _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)[3]
 
 
 def concurrence_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
-    """Concurrence 2*max(0, |X| - sqrt(P_A P_B)) for raw parameter arrays."""
+    """Concurrence 2*max(0, |X| - sqrt(P_A P_B)) for raw parameter arrays,
+    from :func:`correlation_excess`."""
     return _clamp(correlation_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling))
 
 
@@ -454,10 +596,7 @@ def lmax_large_gap_estimate(omega_a_sigma, delta_omega_sigma) -> float:
     gaps well above the inverse duration; no hard check is made."""
     a = np.asarray(omega_a_sigma, dtype=float)
     d = np.asarray(delta_omega_sigma, dtype=float)
-    out = 2.0 * np.sqrt(a * (a + d))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar(2.0 * np.sqrt(a * (a + d)))
 
 
 def concurrence_gap_derivative_estimate(cfg: DetectorPairConfig) -> float:

@@ -119,6 +119,14 @@ def test_criterion_4_asymptotics():
         est = lmax_large_gap_estimate(4.0, d)
         root = find_lmax(4.0, d).location
         assert abs(root - est) <= 0.10 * root, (d, est, root)
+    # ... and over large gaps, most of them where P_A P_B underflows and the
+    # search runs in scaled form: one batched search, a in [4, 35], d <= a
+    a = np.linspace(4.0, 35.0, 32)[:, None]
+    d = a * np.linspace(0.0, 1.0, 6)
+    batch = find_lmax_many(a, d, 0.1)
+    est = lmax_large_gap_estimate(a, d)
+    assert (batch.error == "").all()
+    assert np.all(np.abs(batch.location - est) <= 0.10 * batch.location)
     _done(4, t0)
 
 

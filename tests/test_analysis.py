@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 from typing import Callable
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -23,6 +24,7 @@ from udwharvest import (
     geometric_mean_probability,
     lmax_large_gap_estimate,
     sweep,
+    transition_probability,
 )
 from udwharvest import analysis, closedform
 from udwharvest.analysis import SweepGrid
@@ -142,8 +144,7 @@ class TestFindCrossover:
         res = find_crossover(0.5, 0.25)
         assert res.iterations <= 8
         assert [name for name, _, _ in calls] == (
-            ["correlation_x_values"] + ["_x_abs_slope"] * res.iterations
-            + ["correlation_x_values"])
+            ["_x_abs"] + ["_x_abs_slope"] * res.iterations + ["_x_excess"])
 
     def test_batched_refinement_makes_one_closed_form_call_per_step(self, monkeypatch):
         # every call carries both pairs along a leading axis of two; the
@@ -153,7 +154,7 @@ class TestFindCrossover:
         batch = find_crossover_many([0.5, 0.5, 1.0], [0.25, 0.5, 0.5])
         assert all(np.shape(d)[0] == 2 for _, d, _ in calls)
         whole = [name for name, d, _ in calls if np.shape(d) == (2, 3)]
-        assert whole == ["_x_abs_slope"] * batch.iterations.max() + ["correlation_x_values"]
+        assert whole == ["_x_abs_slope"] * batch.iterations.max() + ["_x_excess"]
 
     @pytest.mark.parametrize("coupling", [0.1, 0.3])
     def test_pair_concurrences_are_the_two_separate_calls(self, coupling):
@@ -203,13 +204,13 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 def _closed_form_calls(monkeypatch):
     """Record every closed-form call of the searches, in order, as (name,
-    d, l): the scans and the final evaluation call correlation_x_values,
-    each refinement step _x_abs_slope."""
+    d, l): the separation scans call _x_abs, each refinement step
+    _x_abs_slope, and the gap scans and the final evaluation _x_excess."""
     calls = []
-    for name in ("correlation_x_values", "_x_abs_slope"):
-        def spy(a, d, l, c, name=name, original=getattr(analysis, name)):
+    for name in ("_x_abs", "_x_abs_slope", "_x_excess"):
+        def spy(a, d, l, c, *rest, name=name, original=getattr(analysis, name)):
             calls.append((name, d, l))
-            return original(a, d, l, c)
+            return original(a, d, l, c, *rest)
         monkeypatch.setattr(analysis, name, spy)
     return calls
 
@@ -235,8 +236,11 @@ class _Root:
     """A separation search done as a scalar loop over the public closed
     forms on the full grid: the scan cell holding the sign change, the
     root that bisection to floating resolution finds in it and its step
-    count, the function whose sign changes, the side that is positive, and
-    the note at a location."""
+    count, the function whose sign changes, the side that is positive, the
+    note at a location, and the public value there (``f`` where None).
+    Where P_A P_B is not a normal double the loops follow the sign of the
+    scaled excess (:func:`_scaled_excess`), which the public value E S
+    keeps only where it does not underflow."""
 
     cell: tuple
     bisected: float
@@ -244,6 +248,41 @@ class _Root:
     f: Callable
     positive_at_lo: bool
     note: Callable = lambda l: ""
+    value: Callable = None
+
+
+def _is_scaled(a, d, coupling):
+    """Whether P_A P_B is not a normal double, which switches a row to the
+    scaled excess."""
+    product = transition_probability(a, coupling) * transition_probability(a + d, coupling)
+    return product < np.finfo(float).tiny
+
+
+def _scaled_excess(a, d, l, coupling):
+    """S = |X|/E - sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2), per point from
+    the closed forms' scaled pieces, which ``TestScaledExcess`` checks
+    against 50 digits."""
+    x_abs = closedform._x_abs(a, d, l, coupling, np.True_)
+    return x_abs - closedform._scaled_gm(a, d, coupling)
+
+
+def _lmax_sign(a, d, l, coupling):
+    """A function with the sign of the correlation excess: the excess, or
+    S where P_A P_B is not a normal double.  Arrays broadcast."""
+    return np.where(_is_scaled(a, d, coupling), _scaled_excess(a, d, l, coupling),
+                    correlation_excess(a, d, l, coupling))
+
+
+def _crossover_sign(a, d, l, coupling):
+    """A function with the sign of the concurrence difference C(a, d, l) -
+    C(a, 0, l): the difference, or where the non-identical P_A P_B is not a
+    normal double, +-1 from 2 E_u max(0, S_u) > 2 E_i max(0, S_e) with the
+    pairs' scaled excesses and the ratio E_u/E_i.  Arrays broadcast."""
+    unequal, equal = _scaled_excess(a, d, l, coupling), _scaled_excess(a, 0.0, l, coupling)
+    ratio = np.exp(-d * (2.0 * a + d) / 2.0)
+    ahead = (unequal > 0.0) & ((equal <= 0.0) | (ratio * unequal > equal))
+    difference = concurrence_values(a, d, l, coupling) - concurrence_values(a, 0.0, l, coupling)
+    return np.where(_is_scaled(a, d, coupling), np.where(ahead, 1.0, -1.0), difference)
 
 
 def _result(search, *args, **kwargs):
@@ -252,6 +291,30 @@ def _result(search, *args, **kwargs):
         return search(*args, **kwargs)
     except (NoHarvestingRegion, BracketingFailure, NoCrossover) as exc:
         return type(exc).__name__
+
+
+def _mp_excess(a, d, l, coupling=0.1):
+    """|X| - sqrt(P_A P_B) from the textbook expressions in Erfi and erfc
+    at 50 digits, sharing no algebra with the scaled Faddeeva forms."""
+    with mp.workdps(50):
+        a, d, l, lam = (mp.mpf(v) for v in (a, d, l, coupling))
+        b = a + d
+
+        def p(x):
+            return lam**2 / (4 * mp.pi) * (mp.exp(-x * x) - mp.sqrt(mp.pi) * x * mp.erfc(x))
+
+        bracket = mp.mpc(mp.re(mp.exp(mp.mpc(0, -d * l / 2)) * mp.erfi(mp.mpc(l, d) / 2)),
+                         mp.cos(d * l / 2))
+        x = lam**2 / (4 * mp.sqrt(mp.pi) * l) * mp.exp(-((a + b) ** 2 + l * l) / 4) * abs(bracket)
+        return x - mp.sqrt(p(a) * p(b))
+
+
+def _assert_exact_sign_change(f, bracket, positive_at_lo, widen=1e-8):
+    """The 50-digit function ``f`` changes sign across ``bracket`` widened
+    by ``widen`` relative, positive on the low side if ``positive_at_lo``."""
+    lo, hi = bracket
+    w = widen * hi
+    assert (f(lo - w) > 0) == positive_at_lo != (f(hi + w) > 0)
 
 
 def _step_bound(cell):
@@ -278,27 +341,32 @@ def _assert_refines(got, want, ulps=64):
     assert (want.f(lo) > 0.0) == want.positive_at_lo != (want.f(hi) > 0.0)
     assert got.location == 0.5 * (lo + hi)
     assert abs(got.location - want.bisected) <= ulps * np.spacing(want.bisected)
-    assert got.value == want.f(got.location) and got.note == want.note(got.location)
+    assert got.value == (want.value or want.f)(got.location)
+    assert got.note == want.note(got.location)
     assert 0 < got.iterations <= _step_bound(want.cell) and got.converged
 
 
 def _lmax_loop(a, d, coupling, bound=None, step=0.01):
-    """find_lmax as a scalar loop over correlation_excess on the full grid."""
+    """find_lmax as a scalar loop over correlation_excess on the full grid,
+    or over the scaled excess where P_A P_B is not a normal double."""
     bound = bound or max(10.0, 4.0 * lmax_large_gap_estimate(a, d))
     grid = np.arange(bound, 0.5 * step, -step)
-    positive = correlation_excess(a, d, grid, coupling) > 0.0
+
+    def value(l):
+        return correlation_excess(a, d, l, coupling)
+
+    def f(l):
+        return _lmax_sign(a, d, l, coupling)
+
+    positive = f(grid) > 0.0
     if positive[0]:
         return "BracketingFailure"
     if not positive.any():
         return "NoHarvestingRegion"
     k = int(np.argmax(positive))
-
-    def f(l):
-        return correlation_excess(a, d, l, coupling)
-
     cell = float(grid[k]), float(grid[k - 1])
     lo, hi, n = _bisect_loop(f, *cell, True)
-    return _Root(cell, 0.5 * (lo + hi), n, f, True)
+    return _Root(cell, 0.5 * (lo + hi), n, f, True, value=value)
 
 
 def _optimal_gap_loop(a, l, coupling, gap_bound=None):
@@ -334,10 +402,15 @@ def _optimal_gap_loop(a, l, coupling, gap_bound=None):
 
 def _crossover_loop(a, d, coupling, bound=None, step=0.01):
     """find_crossover as a scalar loop over concurrence_values on the full
-    grid."""
+    grid, or, where the non-identical P_A P_B is not a normal double, over
+    the sign of the concurrence difference 2 E_u max(0, S_u) - 2 E_i max(0,
+    S_e) from the pairs' scaled excesses and the ratio E_u/E_i."""
+
+    def value(l):
+        return concurrence_values(a, d, l, coupling) - concurrence_values(a, 0.0, l, coupling)
 
     def g(l):
-        return concurrence_values(a, d, l, coupling) - concurrence_values(a, 0.0, l, coupling)
+        return _crossover_sign(a, d, l, coupling)
 
     def note(l):
         both = concurrence_values(a, d, l, coupling) > 0.0 and concurrence_values(a, 0.0, l, coupling) > 0.0
@@ -352,7 +425,7 @@ def _crossover_loop(a, d, coupling, bound=None, step=0.01):
     k = int(transitions[0]) + 1
     cell = float(grid[k - 1]), float(grid[k])
     lo, hi, n = _bisect_loop(g, *cell, False)
-    return _Root(cell, 0.5 * (lo + hi), n, g, False, note)
+    return _Root(cell, 0.5 * (lo + hi), n, g, False, note, value)
 
 
 class TestAgainstScalarLoops:
@@ -407,11 +480,9 @@ class TestAgainstScalarLoops:
     def test_find_lmax_evaluates_under_half_its_grid(self, monkeypatch):
         # bound 10, 1000 points; the root near 2.63 lies just below the
         # certified start, so the walk ends in its first block
-        points = []
-        original = analysis.correlation_x_values
-        monkeypatch.setattr(analysis, "correlation_x_values",
-                            lambda a, d, l, c: points.append(np.size(l)) or original(a, d, l, c))
+        calls = _closed_form_calls(monkeypatch)
         result = find_lmax(0.5, 0.25)
+        points = [np.size(l) for name, _, l in calls if name != "_x_abs_slope"]
         assert result.converged and 2.0 < result.location < 3.0
         assert sum(points) < 500
 
@@ -446,10 +517,12 @@ class TestNewtonRefinement:
         _assert_refines(res, want, ulps=2048)
         assert res.iterations <= 20 < want.bisections
 
-    # rows whose sqrt(P_A P_B) underflows to zero: |X| decays to zero
-    # without a sign change Newton can follow, and an unbounded Newton took
-    # 78 steps at the first (bisection 43); a slope of |X| where |X| has
-    # underflowed took 49
+    # rows whose sqrt(P_A P_B) underflows to zero: unscaled, |X| decayed to
+    # zero without a sign change Newton could follow (an unbounded Newton
+    # took 78 steps at the first, a slope of |X| where |X| had underflowed
+    # 49), and the "root" was where |X| underflows.  The scaled excess has
+    # a true sign change, refined like any other, at the root of the
+    # 50-digit excess
     @pytest.mark.parametrize("a, d", [(13.119291590584101, 26.67600820711357),
                                       (9.557748467651223, 29.58000783353705)])
     def test_underflow_rows_stay_within_the_step_bound(self, a, d):
@@ -457,7 +530,8 @@ class TestNewtonRefinement:
         want = _lmax_loop(a, d, 0.1)
         res = find_lmax(a, d)
         _assert_refines(res, want)
-        assert res.iterations <= want.bisections
+        assert res.iterations <= 8 < want.bisections
+        _assert_exact_sign_change(lambda l: _mp_excess(a, d, l), res.bracket, True)
 
     def test_a_slope_that_misleads_every_step_keeps_the_bound(self):
         # a sign change whose slope is overstated 1e30 times: every Newton
@@ -482,19 +556,20 @@ class TestNewtonRefinement:
         original = analysis._refine
         monkeypatch.setattr(analysis, "_refine", lambda f, lo, hi, positive_at_lo: (
             cells.append((lo, hi)) or original(f, lo, hi, positive_at_lo)))
+        # most rows at large gaps, whose P_A P_B is not a normal double, are
+        # refined in scaled form; every lmax row has a root, and crossover
+        # rows without a sign change raise NoCrossover
         rng = np.random.default_rng(15)
         a, d = rng.uniform(0.0, 40.0, 80), rng.uniform(1e-3, 35.0, 80)
         a[:30], d[:30] = rng.uniform(0.0, 3.0, 30), rng.uniform(1e-3, 3.0, 30)
+        assert 40 <= _is_scaled(a, d, 0.1).sum() < 50
         lmax, crossover = find_lmax_many(a, d, 0.1), find_crossover_many(a, d, 0.1)
-
-        def difference(l):
-            return concurrence_values(a, d, l, 0.1) - concurrence_values(a, 0.0, l, 0.1)
+        assert (lmax.error == "").all() and 30 <= (crossover.error == "").sum() < a.size
 
         for batch, (start, end), f, positive_at_lo in (
-                (lmax, cells[0], lambda l: correlation_excess(a, d, l, 0.1), True),
-                (crossover, cells[1], difference, False)):
+                (lmax, cells[0], lambda l: _lmax_sign(a, d, l, 0.1), True),
+                (crossover, cells[1], lambda l: _crossover_sign(a, d, l, 0.1), False)):
             ok = batch.error == ""
-            assert 30 <= ok.sum() < ok.size
             bound = [_step_bound(c) for c in zip(start[ok], end[ok])]
             assert (batch.iterations[ok] <= bound).all()
             lo, hi = np.where(ok[:, None], batch.bracket, 1.0).T
@@ -503,20 +578,76 @@ class TestNewtonRefinement:
             assert ((f(hi) > 0.0) != positive_at_lo)[ok].all()
 
 
+def _mp_difference(a, d, l, coupling=0.1):
+    """The concurrence difference C(a, d, l) - C(a, 0, l) at 50 digits."""
+    return 2 * (max(_mp_excess(a, d, l, coupling), 0) - max(_mp_excess(a, 0.0, l, coupling), 0))
+
+
+class TestLargeGaps:
+    """Rows whose P_A P_B is not a normal double are searched in scaled
+    form, and their answers change sign in 50-digit arithmetic.  The
+    unscaled excess, |X| - 0 there, raised BracketingFailure at (20, 0)
+    and NoHarvestingRegion at (30, 0), (50, 0) and (30, 5), and returned
+    the separation where |X| underflows (17.345 at explore seed 3's row)."""
+
+    @pytest.mark.parametrize("a, d, want", [
+        (20.0, 0.0, "40.0998"), (30.0, 0.0, "60.0666"), (50.0, 0.0, "100.0400"),
+        (30.0, 5.0, "64.676"), (15.415942041051235, 20.555672089941886, "42.4775"),
+        # the product is subnormal, its square root normal: a switch on
+        # a subnormal square root leaves this row unscaled and wrong
+        (15.359109054331253, 6.3253277812904525, "36.0598")])
+    def test_find_lmax_against_50_digits(self, a, d, want):
+        res = find_lmax(a, d)
+        _assert_exact_sign_change(lambda l: _mp_excess(a, d, l), res.bracket, True)
+        assert abs(res.location - float(want)) <= 0.5 * 10.0 ** -len(want.split(".")[1])
+        assert res.iterations <= 8
+        assert _is_scaled(a, d, 0.1)
+
+    def test_find_crossover_where_the_ratio_of_scales_underflows(self):
+        # exp(-d(2a + d)/2) underflows to zero, so the sign of r S_u -
+        # max(0, S_e) would turn every point negative (NoCrossover); the
+        # crossover is where the identical pair stops harvesting
+        a, d = 4.5088116955865685, 34.61449538201831
+        assert np.exp(-d * (2.0 * a + d) / 2.0) == 0.0 and _is_scaled(a, d, 0.1)
+        res = find_crossover(a, d)
+        _assert_exact_sign_change(lambda l: _mp_difference(a, d, l), res.bracket, False)
+        assert abs(res.location - 9.4428) <= 5e-5
+        _assert_refines(res, _crossover_loop(a, d, 0.1))
+
+    def test_scaled_rows_evaluate_a_few_blocks(self, monkeypatch):
+        # the scaled certificate cuts the grid near the root: (30, 0) walks
+        # three blocks, 1 792 of its 24 000 points, where the unscaled scan
+        # walked every one of them
+        calls = _closed_form_calls(monkeypatch)
+        res = find_lmax(30.0, 0.0)
+        assert abs(res.location - 60.0666) <= 5e-5
+        walked = sum(np.size(l) for name, _, l in calls if name == "_x_abs")
+        assert walked <= 7 * analysis._SCAN_BLOCK
+
+    def test_a_batch_over_large_gaps_matches_one_problem_calls(self):
+        rng = np.random.default_rng(17)
+        a, d = rng.uniform(0.0, 40.0, 24), rng.uniform(1e-3, 35.0, 24)
+        a[:2], d[:2] = [0.5, 1.2], [0.25, 0.6]  # rows that are not scaled
+        for many, one in ((find_lmax_many, find_lmax), (find_crossover_many, find_crossover)):
+            batch = many(a, d, 0.1)
+            assert [_row(batch, i) for i in range(a.size)] == \
+                [_outcome(one, x, y, 0.1) for x, y in zip(a, d)], one.__name__
+
+
 class TestBatchedSearches:
     """Each ``*_many`` row is the one-problem search of that row, bit for
     bit: both run the same core, and the closed forms give the same bits
     for scalar and array calls."""
 
     def test_lmax_rows_match_scalar_bitwise(self):
-        # (20, 0) raises BracketingFailure and (30, 0) NoHarvestingRegion:
-        # the products underflow there; the rows must only agree
+        # the products underflow at (20, 0) and (30, 0), which are scanned
+        # in scaled form beside the others
         a = np.array([0.2, 0.5, 1.2, 1.2, 20.0, 30.0])
         d = np.array([0.0, 0.25, 0.6, 3.6, 0.0, 0.0])
         batch = find_lmax_many(a, d, 1.0)
         rows = [_row(batch, i) for i in range(a.size)]
         assert rows == [_outcome(find_lmax, x, y, 1.0) for x, y in zip(a, d)]
-        assert rows[-2:] == ["BracketingFailure", "NoHarvestingRegion"]
+        assert batch.location[-2:] == pytest.approx([40.0998, 60.0666], abs=5e-5)
 
     def test_optimal_gap_rows_match_scalar_bitwise(self):
         a = np.array([0.2, 0.5, 1.2])[:, None]
@@ -620,7 +751,8 @@ class TestBatchedSearches:
         rows = [_row(batch, i) for i in range(a.size)]
         assert rows == [_outcome(find_lmax, x, y, 0.1, scan_bound=b, scan_step=0.001)
                         for x, y, b in zip(a, d, bound)]
-        assert rows[1:3] == ["BracketingFailure", "NoHarvestingRegion"]
+        assert rows[1] == "BracketingFailure"
+        assert float.fromhex(rows[2][0]) == pytest.approx(60.0666, abs=5e-5)
         _assert_refines(find_lmax(0.5, 0.25, 0.1, 10.0, 0.001),
                         _lmax_loop(0.5, 0.25, 0.1, 10.0, 0.001))
 
@@ -673,13 +805,14 @@ class TestBatchedSearches:
 def _lmax_rows():
     """24 find_lmax problems at scan step 0.001 whose grids span several
     chunks of rows: mixed bounds, rows raising BracketingFailure (bounds
-    below the root) and NoHarvestingRegion ((30, 0), whose products
-    underflow, so nothing is certified and its walk runs through every
-    block), and (0.5, 0.25), whose root lies in its second block."""
+    below the root), (30, 0), whose product underflows, so that it is
+    scanned in scaled form beside the others (the unscaled excess certified
+    nothing there, walked every block and raised NoHarvestingRegion), and
+    (0.5, 0.25), whose root lies in its second block."""
     rng = np.random.default_rng(8)
     a, d = rng.uniform(0.0, 3.0, 24), rng.uniform(0.0, 3.0, 24)
     bound = rng.choice([2.0, 4.0, 6.0, 12.0], 24)
-    a[:4], d[:4], bound[:4] = [0.5, 0.5, 30.0, 0.2], [0.25, 0.0, 0.0, 0.0], [10.0, 1.0, 40.0, 3.0]
+    a[:4], d[:4], bound[:4] = [0.5, 0.5, 30.0, 0.2], [0.25, 0.0, 0.0, 0.0], [10.0, 1.0, 80.0, 3.0]
     return a, d, bound
 
 
@@ -708,15 +841,30 @@ def _reference_grid(bound, step, upward):
     return np.arange(bound, 0.5 * step, -step)
 
 
+def _scan_constants(a, d, coupling):
+    """A separation search's row constants as :func:`analysis._cuts` takes
+    them: the gm each row compares with, sqrt(P~_A P~_B) where P_A P_B is
+    not a normal double and sqrt(P_A P_B) elsewhere, and that mask."""
+    scaled = _is_scaled(a, d, coupling)
+    gm = np.where(scaled, closedform._scaled_gm(a, d, coupling),
+                  geometric_mean_probability(a, d, coupling))
+    return gm, scaled
+
+
 def _reference_cut(a, d, bound, coupling, upward, step=0.01):
     """A row's cut from the envelope certificate of every point of its full
     grid: the first open point downward, one past the last open point
-    upward (the grid's size, or 0, where every point is open)."""
+    upward (the grid's size, or 0, where every point is open).  Where
+    P_A P_B is not a normal double the certificate compares the scaled
+    envelope with sqrt(P~_A P~_B)."""
     grid = _reference_grid(bound, step, upward)
-    gm = geometric_mean_probability(a, d, coupling)
-    envelope = closedform._x_envelope(a, d, grid, coupling)
-    usable = np.isfinite(gm) and gm >= np.finfo(float).tiny
-    open_ = np.flatnonzero(~(usable & (envelope * (1.0 + analysis._ENVELOPE_MARGIN) < gm)))
+    if _is_scaled(a, d, coupling):
+        gm = closedform._scaled_gm(a, d, coupling)
+        envelope = closedform._scaled_x_envelope(d, grid, coupling)
+    else:
+        gm = geometric_mean_probability(a, d, coupling)
+        envelope = closedform._x_envelope(a, d, grid, coupling)
+    open_ = np.flatnonzero(~(envelope * (1.0 + analysis._ENVELOPE_MARGIN) < gm))
     if upward:
         return open_[-1] + 1 if open_.size else 0
     return open_[0] if open_.size else grid.size
@@ -743,23 +891,28 @@ class TestScanGrids:
     @pytest.mark.parametrize("upward", [False, True])
     def test_bisected_cut_is_the_edge_of_the_per_point_mask(self, upward):
         # fig5's rows, and rows over the whole domain, where the products
-        # underflow at large gaps and nothing is certified; as one batch
-        # (a bisection), in batches of 40 rows (6 indices per row and step)
-        # and one row at a time (256 indices per step)
+        # underflow at large gaps and the scaled certificate cuts every
+        # grid; as one batch (a bisection), in batches of 40 rows (6 indices
+        # per row and step) and one row at a time (256 indices per step)
         rng = np.random.default_rng(16)
         edges = set()
         for (a, d), coupling in ((_fig5_rows(), 1.0),
                                  ((rng.uniform(0.0, 40.0, 400), rng.uniform(0.0, 35.0, 400)), 0.1)):
             bound = analysis._default_scan_bound(a, d)
             start, delta, n = analysis._grids(bound, 0.01, upward)
-            gm = geometric_mean_probability(a, d, coupling)
+            gm, scaled = _scan_constants(a, d, coupling)
             want = [_reference_cut(x, y, b, coupling, upward) for x, y, b in zip(a, d, bound)]
             for size in (a.size, 40, 1):
                 rows = [slice(i, i + size) for i in range(0, min(a.size, 100 * size), size)]
-                got = [analysis._cuts(start[r], delta[r], n[r], gm[r], a[r], d[r], coupling, upward)
-                       for r in rows]
+                got = [analysis._cuts(start[r], delta[r], n[r], gm[r], scaled[r], a[r], d[r],
+                                      coupling, upward) for r in rows]
                 assert np.concatenate(got).tolist() == want[:rows[-1].stop], size
-            edges |= set(np.array(want) % n == 0)
+            at_end = np.array(want) % n == 0
+            edges |= set(at_end)
+            # a scaled row's cut lies inside its grid unless it harvests at
+            # its bound (one row here, where d >> a)
+            harvests = _lmax_sign(a, d, bound, coupling) > 0.0
+            assert (harvests | ~at_end)[scaled].all() and scaled.sum() in (0, 330)
         assert edges == {False, True}  # cuts inside grids and at their ends
 
 
@@ -770,12 +923,10 @@ class TestChunkedScanCalls:
     def test_fig4_scans_in_one_call_per_chunk(self, monkeypatch):
         # fig4's 1600 gap scans take ceil(1600 * 256 / chunk) calls, then
         # the golden section takes two, one per step and one for the peaks
-        shapes = []
-        original = analysis.correlation_x_values
-        monkeypatch.setattr(analysis, "correlation_x_values",
-                            lambda a, d, l, c: shapes.append(np.shape(d)) or original(a, d, l, c))
+        calls = _closed_form_calls(monkeypatch)
         gaps = np.array([0.2, 0.5, 1.0, 1.2])[:, None]
         batch = find_optimal_gap_many(gaps, np.linspace(0.5, 4.1, 400), 1.0)
+        shapes = [np.shape(d) for _, d, _ in calls]
         scans = shapes.index((4, 400))
         assert scans <= -(-1600 * analysis._GAP_SCAN_POINTS // analysis._SCAN_CHUNK)
         assert all(np.prod(s) <= analysis._SCAN_CHUNK for s in shapes[:scans])
@@ -848,20 +999,26 @@ class TestChunkedScanCalls:
         assert all(s[0] <= a.size and s[1] == 6 for s in envelope)
 
     def test_certificate_needs_a_normal_finite_gm(self, monkeypatch):
-        # at (27, 0, 100) the envelope is subnormal: it lies below a
-        # subnormal or infinite gm, which certifies nothing; a one-point
-        # grid at l = 100 is cut past its point (downward) or before it
-        # (upward) only where gm is normal
-        gm = np.array([1e-300, 1e-310, 0.0, np.inf, np.nan])
-        assert 0.0 < closedform._x_envelope(27.0, 0.0, 100.0, 0.1) < 1e-310
+        # at (27, 0) P_A P_B underflows to zero, and the scan compares the
+        # scaled envelope with sqrt(P~_A P~_B) = gm: at l = 100, past the
+        # root near 54, it certifies the true excess (50 digits) as
+        # negative.  A one-point grid at l = 100 is cut past its point
+        # (downward) or before it (upward) only where gm is normal and
+        # finite: the margin is relative
+        assert geometric_mean_probability(27.0, 0.0, 0.1) == 0.0
+        gm, scaled = _scan_constants(27.0, 0.0, 0.1)
+        assert scaled and closedform._scaled_x_envelope(0.0, 100.0, 0.1) < gm
+        assert _mp_excess(27.0, 0.0, 100.0) < 0
+        gm = np.array([gm, 1e-310, 0.0, np.inf, np.nan])
         a, d, start, n = np.full(5, 27.0), np.zeros(5), np.full(5, 100.0), np.ones(5, dtype=int)
-        down = analysis._cuts(start, np.full(5, -0.01), n, gm, a, d, 0.1, upward=False)
-        up = analysis._cuts(start, np.full(5, 0.01), n, gm, a, d, 0.1, upward=True)
+        scaled = np.ones(5, dtype=bool)
+        down = analysis._cuts(start, np.full(5, -0.01), n, gm, scaled, a, d, 0.1, upward=False)
+        up = analysis._cuts(start, np.full(5, 0.01), n, gm, scaled, a, d, 0.1, upward=True)
         assert down.tolist() == [1, 0, 0, 0, 0] and up.tolist() == [0, 1, 1, 1, 1]
         # where no row may certify, no envelope is evaluated
         envelope = _envelope_shapes(monkeypatch)
-        assert analysis._cuts(start[1:], np.full(4, -0.01), n[1:], gm[1:], a[1:], d[1:], 0.1,
-                              upward=False).tolist() == [0, 0, 0, 0]
+        assert analysis._cuts(start[1:], np.full(4, -0.01), n[1:], gm[1:], scaled[1:], a[1:],
+                              d[1:], 0.1, upward=False).tolist() == [0, 0, 0, 0]
         assert envelope == []
 
 
@@ -920,9 +1077,10 @@ class TestSweep:
         assert list(grid.errors) == ["l_over_sigma must be > 0 (zero separation diverges)"] * 2
 
     def test_one_closed_form_call_per_sweep(self, monkeypatch):
+        # one call of the closed forms' one Faddeeva evaluation
         calls = []
-        original = closedform.correlation_x_values
-        monkeypatch.setattr(closedform, "correlation_x_values",
+        original = closedform._x_terms
+        monkeypatch.setattr(closedform, "_x_terms",
                             lambda *args: calls.append(args) or original(*args))
         sweep("l_over_sigma", np.linspace(0.3, 5.0, 101), self.BASE)
         assert len(calls) == 1

@@ -70,6 +70,19 @@ class TestEval:
         assert rec["concurrence"] == expected
         assert rec["concurrence_over_lambda2"] == expected / 0.1**2
 
+    def test_large_gaps_past_lmax_report_no_concurrence(self, tmp_path):
+        # P_A P_B underflows at (20, 0): the unscaled excess reported a
+        # concurrence of 6.1e-181 at l = 100, past the true lmax of 40.10;
+        # at l = 30 the pair harvests
+        rec = {}
+        for l in ("100", "30"):
+            out = tmp_path / f"eval{l}.json"
+            assert run(["eval", "--omega-a", "20", "--delta-omega", "0", "--l", l,
+                        "--format", "record", "--out", str(out)]) == 0
+            rec[l] = json.loads(out.read_text())["result"]
+        assert rec["100"]["concurrence"] == 0.0 < rec["100"]["abs_x"]
+        assert rec["30"]["concurrence"] == concurrence_values(20.0, 0.0, 30.0, 0.1) > 0.0
+
     def test_domain_error_exit_code(self):
         assert run(["eval", "--omega-a", "0.5", "--delta-omega", "0", "--l", "0"]) == 3
 
@@ -185,6 +198,19 @@ class TestSearchCommands:
         ) == 0
         loc = json.loads(out.read_text())["result"]["location"]
         assert abs(loc - 8.0) <= 0.8
+
+    @pytest.mark.parametrize("argv", [
+        ["lmax", "--omega-a", "0.5", "--delta-omega", "0.25"],
+        ["peak", "--omega-a", "0.5", "--l", "2"],
+        ["crossover", "--omega-a", "0.5", "--delta-omega", "0.25"],
+    ])
+    def test_searches_warn_outside_the_weak_coupling_regime_as_eval_does(self, argv, tmp_path):
+        out = str(tmp_path / "out")
+        with pytest.warns(UserWarning, match="weak-coupling") as caught:
+            assert run(argv + ["--lambda", "3", "--out", out]) == 0
+        assert len(caught) == 1 and caught[0].filename == cli.__file__
+        # nothing at the threshold itself (a UserWarning fails this suite)
+        assert run(argv + ["--lambda", "0.3", "--out", out]) == 0
 
     def test_lmax_no_harvest_exit(self):
         code = run(
@@ -446,6 +472,20 @@ class TestCommandSurface:
         with pytest.raises(SystemExit) as err:
             run(argv)
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        # crossover takes no --l: read as a prefix of --lambda, it ran at
+        # coupling 2
+        ["crossover", "--omega-a", "0.5", "--delta-omega", "0.25", "--l", "2"],
+        ARGS["eval"] + ["--lam", "0.2"],
+        ARGS["verify"] + ["--quad", "8"],
+        ARGS["figure"] + ["--form", "record"],
+    ])
+    def test_a_prefix_of_a_flag_is_not_the_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("axis", ["l", "omega-a", "delta-omega"])
     def test_sweep_takes_no_flag_for_its_swept_axis(self, axis, capsys):

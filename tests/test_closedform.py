@@ -20,6 +20,7 @@ from udwharvest import (
     concurrence,
     concurrence_gap_derivative_estimate,
     concurrence_values,
+    correlation_excess,
     correlation_x,
     correlation_x_values,
     find_lmax,
@@ -31,7 +32,11 @@ from udwharvest import (
     x_single_integral_pv,
 )
 from udwharvest import analysis
-from udwharvest.closedform import _ZW_BOUND, _x_abs_slope, _x_envelope
+from udwharvest.closedform import (
+    _SCALED_BELOW, _ZW_BOUND, _probability_terms, _scaled_gm, _scaled_probability,
+    _scaled_x_envelope, _x_abs,
+    _x_abs_slope, _x_envelope,
+)
 
 FOUR_PI = 4.0 * np.pi
 SQRT_PI = np.sqrt(np.pi)
@@ -470,6 +475,102 @@ class TestXAbsSlope:
         assert _bits(stacked_abs) == _bits(np.stack([x_abs, identical[0]]))
         assert _bits(stacked_slope) == _bits(np.stack([slope, identical[1]]))
         assert np.isfinite(slope).all() and (slope[:3] != 0.0).all()
+
+
+def _textbook_scale(a, d):
+    """E = exp(-(a^2 + b^2)/2) at mpmath's precision."""
+    a, d = mp.mpf(a), mp.mpf(d)
+    return mp.exp(-(a * a + (a + d) ** 2) / 2)
+
+
+def _textbook_p(x, lam):
+    x, lam = mp.mpf(x), mp.mpf(lam)
+    return lam**2 / (4 * mp.pi) * (mp.exp(-x * x) - mp.sqrt(mp.pi) * x * mp.erfc(x))
+
+
+class TestScaledExcess:
+    """Where P_A P_B is not a normal double the excess is E S, for the
+    scaled excess S = |X|/E - sqrt(P~_A P~_B) and E = exp(-(a^2 + b^2)/2);
+    each scaled piece against the textbook expressions at 50 digits."""
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, 5.0, 20.0, 49.9, 50.0, 100.0, 1e3, 1e4])
+    def test_scaled_probability(self, x):
+        with mp.workdps(50):
+            want = _textbook_p(x, 0.1) * mp.exp(mp.mpf(x) ** 2)
+            got = _scaled_probability(x, _probability_terms(x, 0.1)[1], 0.1)
+            assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("a, d", [(20.0, 0.0), (15.36, 6.33), (4.5, 34.6), (40.0, 35.0)])
+    def test_scaled_gm(self, a, d):
+        gm = _scaled_gm(a, d, 0.1)
+        with mp.workdps(50):
+            want = mp.sqrt(_textbook_p(a, 0.1) * _textbook_p(a + d, 0.1)) / _textbook_scale(a, d)
+            assert abs(gm - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("a, d, l", [(20.0, 0.0, 0.05), (20.0, 0.0, 40.0), (30.0, 5.0, 64.7),
+                                         (15.4, 20.6, 42.5), (4.5, 34.6, 9.4), (0.5, 35.0, 120.0),
+                                         (40.0, 35.0, 3.0)])
+    def test_scaled_x_abs_and_slope(self, a, d, l):
+        x_abs, slope = _x_abs_slope(a, d, l, 0.1, np.True_)
+        assert x_abs == _x_abs(a, d, l, 0.1, np.True_)
+        with mp.workdps(50):
+            def want(s):
+                return _textbook_x_abs(a, d, s, 0.1) / _textbook_scale(a, d)
+
+            assert abs(x_abs - want(l)) <= 1e-12 * want(l)
+            derivative = mp.diff(want, mp.mpf(l))
+            assert abs(slope - derivative) <= 1e-11 * abs(derivative)
+
+    @pytest.mark.parametrize("coupling", [0.1, 1.0])
+    def test_scaled_envelope_bounds_scaled_x_across_the_domain(self, coupling):
+        a = np.linspace(0.0, 40.0, 41)[:, None, None]
+        d = np.linspace(0.0, 35.0, 71)[None, :, None]
+        l = np.geomspace(0.01, 440.0, 500)
+        x = _x_abs(a, d, l, coupling, np.True_)
+        env = _scaled_x_envelope(d, l, coupling)
+        assert np.isfinite(x).all() and (x > 0.0).all()
+        assert np.all(x <= env * (1.0 + 1e-12))
+        assert np.all(np.diff(env, axis=-1) <= 0.0)
+
+    def test_the_switch_is_where_the_product_is_not_normal(self):
+        # sqrt is correctly rounded and sqrt(2^-1022) = 2^-511, so gm below
+        # 2^-511 is exactly a product below the normal range; at (15.36,
+        # 6.33) the product is subnormal while its square root is normal
+        tiny = np.finfo(float).tiny
+        edge = np.arange(-1000, 1000) * 2.0**-1074
+        products = np.concatenate([[0.0, 1.0], tiny + edge, np.geomspace(5e-324, 1e-290, 999)])
+        assert np.array_equal(np.sqrt(products) < _SCALED_BELOW, products < tiny)
+        a, d = 15.359109054331253, 6.3253277812904525
+        product = transition_probability(a, 0.1) * transition_probability(a + d, 0.1)
+        assert 0.0 < product < tiny < geometric_mean_probability(a, d, 0.1) < _SCALED_BELOW
+
+    @pytest.mark.parametrize("a, d, l", [
+        (20.0, 0.0, 30.0), (20.0, 0.0, 45.0), (20.0, 0.0, 100.0),
+        (15.359109054331253, 6.3253277812904525, 36.0), (15.4, 20.6, 30.0),
+        (10.05, 18.76, 42.43), (21.03, 4.55, 81.51),
+        (6.246929858618986, 32.08485831966541, 13.243304843261368),
+        (13.418592999551365, 23.972817816625508, 8.292654803780124)])
+    def test_public_values_against_50_digits(self, a, d, l):
+        # the unscaled excess gave 6.1e-181 for the concurrence at (20, 0,
+        # 100), past the true lmax of 40.10, and harvesting at l = 45.  In
+        # the last two rows E underflows to zero while |X| ~ 1e-239 and
+        # 1e-291 is normal, so E S is not formed as a product with E
+        got = correlation_excess(a, d, l, 0.1)
+        report = concurrence(DetectorPairConfig(a, d, l, 0.1))
+        with mp.workdps(50):
+            x = _textbook_x_abs(a, d, l, 0.1)
+            gm = mp.sqrt(_textbook_p(a, 0.1) * _textbook_p(a + d, 0.1))
+            assert abs(got - (x - gm)) <= 1e-12 * (x + gm) + 2.0**-1074
+            assert report.concurrence == concurrence_values(a, d, l, 0.1) == 2.0 * max(got, 0.0)
+            # harvesting is claimed where it occurs, unless below the
+            # double range (at (15.4, 20.6, 30) the excess is 5.8e-340)
+            assert report.concurrence == 0.0 or x > gm
+            assert report.concurrence > 0.0 or x - gm < 1e-300
+
+    def test_a_concurrence_below_the_double_range_is_zero_not_negative_zero(self):
+        # E underflows at (30, 0), and E S is -0 past the root
+        assert concurrence_values(30.0, 0.0, 100.0, 0.1) == 0.0
+        assert np.signbit(concurrence_values(np.array([30.0, 40.0]), 0.0, 100.0, 0.1)).sum() == 0
 
 
 class TestProperties:
