@@ -27,11 +27,19 @@ its cut (:func:`_cuts`).
 :func:`find_lmax` starts its downward walk at the cut, and
 :func:`find_crossover` ends its upward walk there, because above it the
 non-identical concurrence is exactly zero and the difference cannot turn
-positive.  The rest is walked in blocks of 256 points, each twice the one
-before, up to the first block that holds the answer.  A closed-form call
-gives the same bits for a point whatever the shape of the call, so every
-answer, bracket and raised error is bit for bit that of evaluating the
-whole grid.  A scan bound must be finite and a grid may span at most 1e7
+positive.  :func:`find_crossover` also has a lower cut, the mirror of the
+upper one (:func:`_floors`): below it the identical pair is certified
+ahead, from a lower bound on its |X| through Dawson's integral F,
+F(x) > x/(1 + 2x^2) for x > 0, that costs no Faddeeva evaluation either
+(:func:`~udwharvest.closedform._x_floor`), against the non-identical
+pair's envelope at the grid's first point.  Its walk starts there, as if
+after a non-positive point, and at large gaps, where the crossover lies
+near the identical pair's lmax, about 2a, it walks one block instead of
+thousands of points.  The rest is walked in blocks of 256 points, each
+twice the one before, up to the first block that holds the answer.  A
+closed-form call gives the same bits for a point whatever the shape of the
+call, so every answer, bracket and raised error is bit for bit that of
+evaluating the whole grid.  A scan bound must be finite and a grid may span at most 1e7
 points; a larger one raises ValueError before the scan starts.
 
 A row whose P_A P_B is not a normal double, which takes large gaps, is
@@ -99,10 +107,12 @@ from .closedform import (
     _probability_terms,
     _scaled_gm,
     _scaled_x_envelope,
+    _scaled_x_floor,
     _x_abs,
     _x_abs_slope,
     _x_envelope,
     _x_excess,
+    _x_floor,
     geometric_mean_probability,
     lmax_large_gap_estimate,
     transition_probability,
@@ -275,6 +285,34 @@ def _grids(bound, step, upward):
     return start, (start + signed) - start, np.ceil((stop - start) / signed).astype(int)
 
 
+def _normal(gm):
+    """Where gm is a finite normal double, which a relative margin needs:
+    a subnormal |X| is off by 2^-1074 times a few."""
+    return np.isfinite(gm) & (gm >= np.finfo(float).tiny)
+
+
+def _edges(lo, hi, start, delta, hit):
+    """Each row's first grid index in [lo, hi) whose point ``hit(rows, l)``
+    marks (rows an index array, one row of l per row), hi where there is
+    none; along each row's grid hit must be False, then True.  Each step of
+    the lockstep search is one call of hit at ``probes`` indices of every
+    row, splitting its bracket evenly: one, a bisection, for
+    ``_SCAN_BLOCK`` rows or more, else about ``_SCAN_BLOCK`` points per
+    call, which takes a one-problem search to its edge in two or three calls
+    where bisection takes ten."""
+    probes = max(1, _SCAN_BLOCK // max(lo.size, 1))
+    while (live := np.flatnonzero(lo < hi)).size:
+        low, high = lo[live, None], hi[live, None]
+        probe = low + (high - low) * np.arange(1, probes + 1) // (probes + 1)
+        hits = hit(live, start[live, None] + probe * delta[live, None])
+        # the first probe at or past the edge (else hi) and the one before it
+        first = np.argmax(np.concatenate([hits, np.ones_like(low, dtype=bool)], axis=1), axis=1)
+        ends = np.concatenate([low - 1, probe, high], axis=1)
+        rows = np.arange(live.size)
+        lo[live], hi[live] = ends[rows, first] + 1, ends[rows, first + 1]
+    return lo
+
+
 def _cuts(start, delta, n, gm, scaled, a, d, coupling, upward):
     """Each row's first grid index whose point the envelope certifies
     (upward) or does not (downward), n where there is none; one value per
@@ -283,48 +321,80 @@ def _cuts(start, delta, n, gm, scaled, a, d, coupling, upward):
     bits and bounds its bracket up to the kernel's and the roundings'
     relative error, which the margin covers.  In a ``scaled`` row both
     sides are divided by E = exp(-(a^2 + b^2)/2), as the walk's excess is:
-    the scaled envelope against sqrt(P~_A P~_B), both of order one.  A
-    subnormal |X| is off by 2^-1074 times a few, so where gm is not normal
-    (only a coupling or gaps far outside the weak-coupling physics make
-    it so) nothing is certified.
+    the scaled envelope against sqrt(P~_A P~_B), both of order one.  Where
+    gm is not normal (only a coupling or gaps far outside the weak-coupling
+    physics make it so) nothing is certified.
     The envelope decreases in l, so the certified points are one run at
-    the large-l end of a grid.  Each step of the lockstep search is one
-    envelope call at ``probes`` indices of every row, splitting its bracket
-    evenly: one, a bisection, for ``_SCAN_BLOCK`` rows or more, else about
-    ``_SCAN_BLOCK`` points per call, which takes a one-problem search to
-    its cut in two or three calls where bisection takes ten."""
-    usable = np.isfinite(gm) & (gm >= np.finfo(float).tiny)
+    the large-l end of a grid, whose edge :func:`_edges` finds."""
+    usable = _normal(gm)
     uncertified = n if upward else np.zeros_like(n)
-    lo, hi = np.where(usable, 0, uncertified), np.where(usable, n, uncertified)
-    probes = max(1, _SCAN_BLOCK // max(n.size, 1))
     any_scaled = scaled.any()
-    while (live := np.flatnonzero(lo < hi)).size:
-        low, high = lo[live, None], hi[live, None]
-        probe = low + (high - low) * np.arange(1, probes + 1) // (probes + 1)
-        l = start[live, None] + probe * delta[live, None]
-        envelope = _x_envelope(a[live, None], d[live, None], l, coupling)
+
+    def hit(rows, l):
+        envelope = _x_envelope(a[rows, None], d[rows, None], l, coupling)
         if any_scaled:
-            envelope = np.where(scaled[live, None], _scaled_x_envelope(d[live, None], l, coupling),
+            envelope = np.where(scaled[rows, None], _scaled_x_envelope(d[rows, None], l, coupling),
                                 envelope)
-        hit = (envelope * (1.0 + _ENVELOPE_MARGIN) < gm[live, None]) == upward
-        # the first probe at or past the cut (else hi) and the one before it
-        first = np.argmax(np.concatenate([hit, np.ones_like(low, dtype=bool)], axis=1), axis=1)
-        ends = np.concatenate([low - 1, probe, high], axis=1)
-        rows = np.arange(live.size)
-        lo[live], hi[live] = ends[rows, first] + 1, ends[rows, first + 1]
-    return lo
+        return (envelope * (1.0 + _ENVELOPE_MARGIN) < gm[rows, None]) == upward
+
+    return _edges(np.where(usable, 0, uncertified), np.where(usable, n, uncertified), start,
+                  delta, hit)
 
 
-def _separation_scan(bound, step, gm, scaled, a, d, coupling, positive, upward):
-    """Walk every row's separation grid (:func:`_grids`) to its first turn
-    to positive; 1-D arrays bound, gm, scaled, a and d hold the rows'
+def _floors(start, delta, n, gms, scaled, ratio, a, d, coupling):
+    """Each crossover row's lower cut on its upward grid: the first index
+    whose point is not certified to have the identical pair ahead, 0 where
+    the first is not.  A point is certified where
+
+        L(l) (1 - m) - gm_e > r max(0, U_u(l_0) (1 + m) - gm_u),
+
+    L the Dawson lower bound on the identical pair's |X|
+    (:func:`~udwharvest.closedform._x_floor`), U_u(l_0) the non-identical
+    pair's envelope at the grid's first point, which bounds its |X| on the
+    whole grid, m the margin, r the ratio of the pairs' scales (1 where
+    ``ratio`` is None) and both gms normal; in a ``scaled`` row every term
+    is divided by its pair's E, as in :func:`_cuts`.  The margins cover the
+    kernel's and the roundings' relative error, and rounding is monotone, so
+    there the computed identical excess exceeds r times the computed
+    non-identical one and its own positive part: the walk's sign test
+    (:func:`_lead`) is not positive.  L decreases in l and the right side
+    is fixed, so the certified points are a prefix of the grid, whose end
+    :func:`_edges` finds for the rows certified at their first point."""
+    gm_u, gm_e = gms
+    any_scaled = scaled.any()
+    ceiling = _x_envelope(a, d, start, coupling)
+    if any_scaled:
+        ceiling = np.where(scaled, _scaled_x_envelope(d, start, coupling), ceiling)
+    ceiling = np.maximum(0.0, ceiling * (1.0 + _ENVELOPE_MARGIN) - gm_u)
+    if ratio is not None:
+        ceiling = ratio * ceiling
+
+    def uncertified(rows, l):
+        floor = _x_floor(a[rows, None], l, coupling)
+        if any_scaled:
+            floor = np.where(scaled[rows, None], _scaled_x_floor(l, coupling), floor)
+        return ~(floor * (1.0 - _ENVELOPE_MARGIN) - gm_e[rows, None] > ceiling[rows, None])
+
+    rows = np.arange(n.size)
+    usable = _normal(gm_u) & _normal(gm_e) & ~uncertified(rows, start[:, None])[:, 0]
+    # point 0 of a usable row is certified: its search starts at point 1
+    return _edges(usable.astype(int), np.where(usable, n, 0), start, delta, uncertified)
+
+
+def _separation_scan(grid, gm, scaled, a, d, coupling, positive, upward, floor=None):
+    """Walk every row's separation grid (:func:`_grids`'s ``grid``) to its
+    first turn to positive; 1-D arrays gm, scaled, a and d hold the rows'
     problems, gm and scaled as :func:`_cuts` takes them.
 
     ``positive(rows, l)`` is the sign test of the rows (an index array) at
     separations l, one row of l per row.  A downward walk runs from the
     row's cut (:func:`_cuts`) to the grid's end and starts as if after a
-    non-positive point; an upward one runs from the grid's start to the cut
-    and starts as if after a positive one, so its first point cannot turn.
+    non-positive point.  An upward one runs from the row's ``floor``, the
+    first index not certified non-positive (:func:`_floors`), to the cut.
+    From a floor above 0 it starts as if after a non-positive point,
+    the one below the floor; from 0 as if after a positive one, so its
+    first point cannot turn.  A row whose floor is at or past its cut walks
+    nothing and has no turn.
     The rows are chunked by the points they walk.  Per chunk the walks run
     in lockstep rounds of blocks, each twice the one before: a round is one
     call over the next block of every row without a turn so far, a shorter
@@ -332,16 +402,16 @@ def _separation_scan(bound, step, gm, scaled, a, d, coupling, positive, upward):
     boundaries of a walk on its own.  Returns each row's turn index k (-1
     where there is none) and its grid at k and at k-1 (NaN where there is
     no such point)."""
-    start, delta, n = _grids(bound, step, upward)
+    start, delta, n = grid
     cut = _cuts(start, delta, n, gm, scaled, a, d, coupling, upward)
-    first, last = (np.zeros_like(n), cut) if upward else (cut, n)
+    first, last = (floor, cut) if upward else (cut, n)
     # round r is block r, of _SCAN_BLOCK * 2**r points, of every row still
     # walking; a repeated last point cannot turn again, and a row leaves at
     # its first turn or at its end
     k = np.full(n.shape, -1)
     for chunk in _chunks(last - first):
         rows = chunk.start + np.flatnonzero(last[chunk] > first[chunk])
-        before = np.full(rows.size, upward)
+        before = upward & (first[rows] == 0)
         offset, size = 0, _SCAN_BLOCK
         while rows.size:
             begin, end = first[rows] + offset, last[rows]
@@ -533,8 +603,9 @@ def find_lmax_many(
 
     # the walk runs downward, below the leading certified points (which
     # are not positive), to the first positive point
-    k, at, above = _separation_scan(row_bound, scan_step, row_gm, row_scaled, row_a, row_d,
-                                    coupling, positive, upward=False)
+    grid = _grids(row_bound, scan_step, upward=False)
+    k, at, above = _separation_scan(grid, row_gm, row_scaled, row_a, row_d, coupling, positive,
+                                    upward=False)
     k = k.reshape(a.shape)
     error = _blank(a.shape)
     error[k < 0] = NoHarvestingRegion.__name__
@@ -727,11 +798,15 @@ def find_crossover_many(
         rows_ratio = None if row_ratio is None else row_ratio[rows, None]
         return _lead(unequal, equal, rows_ratio, equal > 0.0) > 0.0
 
-    # at a certified point the non-identical concurrence is 0, so the
-    # difference cannot turn positive there: the walk ends at the last
-    # point that is not certified, or at the first sign change
-    k, at, below = _separation_scan(row_bound, scan_step, row_gms[0], row_scaled, row_a, row_d,
-                                    coupling, positive, upward=True)
+    # the walk starts at the first point where the identical pair is not
+    # certified ahead; at a point the envelope certifies the non-identical
+    # concurrence is 0, so the difference cannot turn positive there: the
+    # walk ends at the last point that is not certified, or at the first
+    # sign change
+    grid = _grids(row_bound, scan_step, upward=True)
+    floor = _floors(*grid, row_gms, row_scaled, row_ratio, row_a, row_d, coupling)
+    k, at, below = _separation_scan(grid, row_gms[0], row_scaled, row_a, row_d, coupling, positive,
+                                    upward=True, floor=floor)
     k = k.reshape(a.shape)
     error = _blank(a.shape)
     error[k < 0] = NoCrossover.__name__
@@ -772,8 +847,14 @@ def find_crossover(
     curves.  The scan ends at the first sign change, or at the last grid
     point the envelope of |X| does not certify non-harvesting for the
     non-identical pair: above it that pair's concurrence is exactly zero,
-    so the difference cannot turn positive, and the answer is that of the
-    full scan bit for bit.  Where the non-identical pair's P_A P_B is not
+    so the difference cannot turn positive.  It starts at the first grid
+    point where a lower bound on the identical pair's |X| (through
+    Dawson's integral, no Faddeeva evaluation) no longer certifies that
+    pair ahead of the non-identical pair's envelope; from there a
+    positive first point is a sign change, while a walk from the grid's
+    start begins as if after a positive point, so its first point cannot
+    turn.  Neither cut changes the answer, which is that of the full scan
+    bit for bit.  Where the non-identical pair's P_A P_B is not
     a normal double, both pairs are compared in scaled form, as
     :func:`find_lmax` does.  Raises :exc:`NoCrossover` when the difference
     never turns positive on the grid.  One problem per call;

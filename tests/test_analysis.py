@@ -477,6 +477,40 @@ class TestAgainstScalarLoops:
         got = _result(find_crossover, a, d, scan_bound=bound, scan_step=step)
         _assert_refines(got, _crossover_loop(a, d, 0.1, bound, step))
 
+    # the walk starts at the lower cut, below which the identical pair is
+    # certified ahead: coarse steps put the cut at the point where the
+    # difference turns (the scan cell's upper end); a bound short of the
+    # crossover puts it at the grid's end, past the envelope's cut
+    # (NoCrossover, one row unscaled, one scaled); small gaps leave it at 0
+    @pytest.mark.parametrize("a, d, bound, step, floor", [
+        (7.866957620691144, 4.217440333271755, None, 0.5, 31),
+        (10.397962869684358, 5.831998125213728, None, 1.0, 20),
+        (11.864966090019056, 3.1851996880405773, None, 0.1, 238),
+        (20.0, 5.0, 30.0, 0.01, 3000),
+        (39.7480425277298, 25.344339009657954, 60.0, 0.01, 6000),
+        (2.0, 1.0, None, 0.01, 0)])
+    def test_find_crossover_from_the_lower_cut(self, a, d, bound, step, floor):
+        bound = bound or float(analysis._default_scan_bound(a, d))
+        grid = _reference_grid(bound, step, upward=True)
+        assert _reference_floor(a, d, bound, 0.1, step) == floor
+        want = _crossover_loop(a, d, 0.1, bound, step)
+        if floor == grid.size:
+            assert want == "NoCrossover"
+        elif floor > 0:
+            assert want.cell[1] == grid[floor]
+        _assert_refines(_result(find_crossover, a, d, scan_bound=bound, scan_step=step), want)
+
+    # explore's slowest crossovers walked 11 588, 7 732 and 5 586 points up
+    # from the grid's start; their lower cuts lie 2-5 points below the turn
+    @pytest.mark.parametrize("a, d", [(39.7480425277298, 25.344339009657954),
+                                      (31.098175648818987, 5.154346003902834),
+                                      (21.03844208924844, 7.056636712663124)])
+    def test_find_crossover_walks_one_block_from_the_lower_cut(self, monkeypatch, a, d):
+        calls = _closed_form_calls(monkeypatch)
+        result = find_crossover(a, d)
+        walked = [np.size(l) for name, _, l in calls if name == "_x_abs"]
+        assert result.converged and len(walked) == 1 and walked[0] <= analysis._SCAN_BLOCK
+
     def test_find_lmax_evaluates_under_half_its_grid(self, monkeypatch):
         # bound 10, 1000 points; the root near 2.63 lies just below the
         # certified start, so the walk ends in its first block
@@ -670,6 +704,19 @@ class TestBatchedSearches:
         assert rows == [_outcome(find_crossover, x, y, 1.0, scan_bound=b)
                         for x, y, b in zip(a, d, bound)]
         assert rows[2] == "NoCrossover"
+
+    @pytest.mark.parametrize("step", [0.01, 0.5])
+    def test_crossover_rows_from_their_lower_cuts_match_scalar_bitwise(self, step):
+        # rows over the domain, most of which walk from a lower cut above 0,
+        # and bounds short of some crossovers
+        rng = np.random.default_rng(18)
+        a, d = rng.uniform(0.0, 40.0, 30), 35.0 - rng.uniform(0.0, 35.0, 30)
+        bound = np.where(rng.uniform(size=30) < 0.3, rng.uniform(1.0, 60.0, 30),
+                         analysis._default_scan_bound(a, d))
+        batch = find_crossover_many(a, d, 0.1, bound, step)
+        assert [_row(batch, i) for i in range(a.size)] == \
+            [_outcome(find_crossover, x, y, 0.1, b, step) for x, y, b in zip(a, d, bound)]
+        assert 0 < np.count_nonzero(batch.error) < 0.5 * a.size
 
     def test_rows_match_scalar_bitwise_across_the_domain(self):
         rng = np.random.default_rng(5)
@@ -870,6 +917,36 @@ def _reference_cut(a, d, bound, coupling, upward, step=0.01):
     return open_[0] if open_.size else grid.size
 
 
+def _reference_floor(a, d, bound, coupling, step=0.01):
+    """A crossover row's lower cut from the certificate of every point of
+    its full upward grid: the first point where the Dawson bound on the
+    identical pair's |X|, less the margin, minus its sqrt(P_A P_B) does not
+    exceed r max(0, U_u (1 + margin) - sqrt(P_A P_B)) of the non-identical
+    pair, U_u its envelope at the grid's first point and r the ratio of the
+    pairs' scales; 0 where a sqrt(P_A P_B) is not normal.  Where the
+    non-identical P_A P_B is not a normal double every term is scaled.
+    Checks that the certified points are a prefix of the grid."""
+    grid = _reference_grid(bound, step, upward=True)
+    margin = analysis._ENVELOPE_MARGIN
+    if _is_scaled(a, d, coupling):
+        gm_u, gm_e = closedform._scaled_gm(a, d, coupling), closedform._scaled_gm(a, 0.0, coupling)
+        ceiling = closedform._scaled_x_envelope(d, grid[0], coupling)
+        floor = closedform._scaled_x_floor(grid, coupling)
+        ratio = np.exp(-d * (2.0 * a + d) / 2.0)
+    else:
+        gm_u = geometric_mean_probability(a, d, coupling)
+        gm_e = geometric_mean_probability(a, 0.0, coupling)
+        ceiling = closedform._x_envelope(a, d, grid[0], coupling)
+        floor = closedform._x_floor(a, grid, coupling)
+        ratio = 1.0
+    if not min(gm_u, gm_e) >= np.finfo(float).tiny:
+        return 0
+    certified = floor * (1.0 - margin) - gm_e > ratio * max(0.0, ceiling * (1.0 + margin) - gm_u)
+    k = grid.size if certified.all() else int(np.argmin(certified))
+    assert certified[:k].all() and not certified[k:].any()
+    return k
+
+
 class TestScanGrids:
     """The separation scans build no grid: point i is start + i*delta, and
     the certified points end at a cut found by one lockstep search."""
@@ -915,6 +992,30 @@ class TestScanGrids:
             assert (harvests | ~at_end)[scaled].all() and scaled.sum() in (0, 330)
         assert edges == {False, True}  # cuts inside grids and at their ends
 
+    def test_lower_cut_is_the_edge_of_the_per_point_mask(self, monkeypatch):
+        # the floors find_crossover_many walks from, over the domain at three
+        # couplings, with default bounds and bounds short of the crossovers;
+        # as one batch, in batches of 40 rows and one row at a time
+        floors = []
+        original = analysis._floors
+        monkeypatch.setattr(analysis, "_floors",
+                            lambda *args: floors.append(original(*args)) or floors[-1])
+        rng = np.random.default_rng(18)
+        a, d = rng.uniform(0.0, 40.0, 120), 35.0 - rng.uniform(0.0, 35.0, 120)
+        bound = np.where(rng.uniform(size=120) < 0.25, rng.uniform(1.0, 60.0, 120),
+                         analysis._default_scan_bound(a, d))
+        kinds = set()
+        for coupling in (1e-3, 0.1, 1.0):
+            want = [_reference_floor(x, y, b, coupling) for x, y, b in zip(a, d, bound)]
+            for size in (a.size, 40, 1):
+                floors.clear()
+                for i in range(0, a.size, size):
+                    find_crossover_many(a[i:i + size], d[i:i + size], coupling, bound[i:i + size])
+                assert np.concatenate(floors).tolist() == want, (coupling, size)
+            n = analysis._grids(bound, 0.01, upward=True)[2]
+            kinds |= {0 if f == 0 else "end" if f == m else "inside" for f, m in zip(want, n)}
+        assert kinds == {0, "inside", "end"}
+
 
 class TestChunkedScanCalls:
     """The scans run over chunks of rows: one closed-form call per chunk,
@@ -956,23 +1057,27 @@ class TestChunkedScanCalls:
     def test_later_blocks_make_one_call_per_chunk_per_round(self, monkeypatch):
         # round r walks block r of every row of a chunk still walking, in one
         # call, so a chunk makes as many calls as its longest walk has
-        # blocks: counted here on the full grid, with the walk ending at the
-        # cut of the per-point mask or with the block that holds the first
-        # sign change, and the rows chunked by those walks
+        # blocks: counted here on the full grid, with the walk starting at
+        # the lower cut of the per-point mask and ending at its cut or with
+        # the block that holds the first sign change, and the rows chunked
+        # by those walks
         a, d, bound = _crossover_rows()
-        blocks, stops = [], []
+        blocks, walks, floors = [], [], []
         for x, y, b in zip(a, d, bound):
             grid = _reference_grid(b, 0.01, upward=True)
+            floor = _reference_floor(x, y, b, 0.1)
             stop = _reference_cut(x, y, b, 0.1, upward=True)
-            stops.append(stop)
+            walks.append(stop - floor)
+            floors.append(floor)
             positive = concurrence_values(x, y, grid, 0.1) > concurrence_values(x, 0.0, grid, 0.1)
             turns = np.flatnonzero(positive[1:stop] & ~positive[:stop - 1]) + 1
             end = turns[0] + 1 if turns.size else stop
-            n, walked = 0, 0
+            n, walked = 0, floor
             while walked < end:
                 walked, n = walked + (analysis._SCAN_BLOCK << n), n + 1
             blocks.append(n)
-        chunks = list(analysis._chunks(stops))
+        assert 0 < np.count_nonzero(floors) < a.size
+        chunks = list(analysis._chunks(walks))
         rounds = [max(blocks[c]) for c in chunks]
         assert any(c.stop - c.start > 1 and r > 1 for c, r in zip(chunks, rounds))
         calls = _closed_form_calls(monkeypatch)
@@ -982,12 +1087,15 @@ class TestChunkedScanCalls:
     def test_separation_chunks_stay_within_the_chunk_size(self, monkeypatch):
         # rows of 10, 200 and 1 switching lengths side by side: each round,
         # over the walks of a chunk padded to the longest, holds at most a
-        # chunk's points unless it holds one row; the cuts take one envelope
-        # call per step, of at most a first block's points
+        # chunk's points unless it holds one row; the lower cut takes one
+        # envelope call at the grids' first points, and the cuts one per
+        # step, of at most a first block's points
         a, d, bound = _crossover_rows()
         envelope = _envelope_shapes(monkeypatch)
         calls = _closed_form_calls(monkeypatch)
         find_crossover_many(a, d, 0.1, scan_bound=bound)
+        ceiling, *envelope = envelope
+        assert ceiling == a.shape
         rounds = [np.shape(l) for _, _, l in calls if np.ndim(l) == 2]
         assert len(rounds) > 3 and any(s[0] > 1 for s in rounds)
         assert all(s[0] == 1 or np.prod(s) <= analysis._SCAN_CHUNK for s in rounds)

@@ -83,6 +83,17 @@ class TestEval:
         assert rec["100"]["concurrence"] == 0.0 < rec["100"]["abs_x"]
         assert rec["30"]["concurrence"] == concurrence_values(20.0, 0.0, 30.0, 0.1) > 0.0
 
+    def test_sqrt_pa_pb_where_the_product_underflows(self, tmp_path):
+        # P_A = P_B = 1.9e-180 at (20, 0): their product underflows to 0, and
+        # sqrt_pa_pb read 0.0 beside them
+        out = tmp_path / "eval.json"
+        assert run(["eval", "--omega-a", "20", "--delta-omega", "0", "--l", "100",
+                    "--format", "record", "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())["result"]
+        assert rec["p_a"] * rec["p_b"] == 0.0
+        assert rec["sqrt_pa_pb"] == pytest.approx(1.9e-180, rel=0.01)
+        assert rec["sqrt_pa_pb"] == pytest.approx(rec["p_a"], rel=1e-15)
+
     def test_domain_error_exit_code(self):
         assert run(["eval", "--omega-a", "0.5", "--delta-omega", "0", "--l", "0"]) == 3
 

@@ -34,8 +34,8 @@ from udwharvest import (
 from udwharvest import analysis
 from udwharvest.closedform import (
     _SCALED_BELOW, _ZW_BOUND, _probability_terms, _scaled_gm, _scaled_probability,
-    _scaled_x_envelope, _x_abs,
-    _x_abs_slope, _x_envelope,
+    _scaled_x_envelope, _scaled_x_floor, _x_abs,
+    _x_abs_slope, _x_envelope, _x_floor,
 )
 
 FOUR_PI = 4.0 * np.pi
@@ -179,6 +179,46 @@ class TestXEnvelope:
         assert np.all(x <= env * (1.0 + 1e-12) + 4.0 * 2.0**-1074)
         assert np.all(np.diff(env, axis=-1) <= 0.0)
         assert (x > 0.0).any() and (env > 0.0).any()
+
+
+class TestIdenticalXFloor:
+    """``_x_floor`` and ``_scaled_x_floor`` bound |X(a, 0, l)| and |X|/E,
+    E = exp(-a^2), from below without a Faddeeva evaluation, through
+    Dawson's integral F(x) > x/(1 + 2x^2): the crossover walk starts where
+    they stop certifying the identical pair ahead."""
+
+    def test_dawson_integral_exceeds_the_rational_bound(self):
+        # F = sqrt(pi)/2 exp(-x^2) erfi(x); the gap is 4x^3/3 at small x
+        # and 1/(2x^3) at large x, about 1e-12 and 1e-10 relative at the ends
+        with mp.workdps(50):
+            for x in np.geomspace(1e-6, 1e5, 1101):
+                x = mp.mpf(x)
+                dawson = mp.sqrt(mp.pi) / 2 * mp.exp(-x * x) * mp.erfi(x)
+                assert dawson > x / (1 + 2 * x * x), x
+
+    @pytest.mark.parametrize("coupling", [0.1, 1.0])
+    def test_floor_lies_below_x_across_the_domain(self, coupling):
+        a = np.linspace(0.0, 40.0, 81)[:, None]
+        l = np.geomspace(0.01, 440.0, 2000)
+        margin = 1.0 - analysis._ENVELOPE_MARGIN
+        x = np.abs(correlation_x_values(a, 0.0, l, coupling))
+        floor = _x_floor(a, l, coupling)
+        # the certificate uses the floor only where it is normal (it must
+        # exceed a normal sqrt(P_A P_B)); below, a relative margin means nothing
+        normal = floor >= np.finfo(float).tiny
+        assert normal.sum() > 0.5 * normal.size
+        assert np.all(floor[normal] * margin <= x[normal])
+        scaled = _x_abs(a, 0.0, l, coupling, np.True_)
+        assert np.all(_scaled_x_floor(l, coupling) * margin <= scaled)
+        # the bound is strict, within 1 - 4/l^2 of |X| at large l: 2e-5 at 440
+        assert (floor[normal] / x[normal]).max() < 1.0 - 2e-5
+        assert (_scaled_x_floor(l, coupling) / scaled).max() < 1.0 - 2e-5
+
+    def test_floor_decreases_in_l(self):
+        a = np.array([0.0, 0.5, 5.0, 13.0, 26.0])[:, None]
+        l = np.arange(0.01, 440.0, 0.001)
+        assert np.all(np.diff(_scaled_x_floor(l, 0.1)) <= 0.0)
+        assert np.all(np.diff(_x_floor(a, l, 0.1), axis=-1) <= 0.0)
 
 
 class TestConcurrence:
