@@ -16,22 +16,27 @@ Three searches cover the quantities the closed forms do not give directly:
 * :func:`find_crossover` -- the smallest separation beyond which
   non-identical detectors harvest more than identical ones.
 
-The two separation scans build no grid and evaluate only the points their
-answer depends on.  Point i of a row's grid is np.arange's start + i*delta,
-with its bits (:func:`_grids`).  A closed-form envelope of |X|, decreasing
-in the separation and costing no Faddeeva evaluation, certifies a point
-non-harvesting wherever it lies below sqrt(P_A P_B) by a relative margin
-of 1e-6, and with it every larger separation; one lockstep search, a
-bisection in a large batch, finds each row's edge of the certified points,
-its cut (:func:`_cuts`).
+The two separation searches decide every row by the scaled excess S =
+|X|/E - sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2), whose terms stay of
+order one where P_A P_B and |X| underflow and which keeps the sign change
+of the excess there (:func:`~udwharvest.closedform._x_excess`); |X|/E
+depends on the gap difference and the separation alone.  The scans build
+no grid and evaluate only the points their answer depends on.  Point i of
+a row's grid is np.arange's start + i*delta, with its bits
+(:func:`_grids`).  A closed-form envelope of |X|/E, decreasing in the
+separation and costing no Faddeeva evaluation, certifies a point
+non-harvesting wherever it lies below sqrt(P~_A P~_B) by a relative
+margin of 1e-6, and with it every larger separation; one lockstep search,
+a bisection in a large batch, finds each row's edge of the certified
+points, its cut (:func:`_cuts`).
 :func:`find_lmax` starts its downward walk at the cut, and
 :func:`find_crossover` ends its upward walk there, because above it the
 non-identical concurrence is exactly zero and the difference cannot turn
 positive.  :func:`find_crossover` also has a lower cut, the mirror of the
 upper one (:func:`_floors`): below it the identical pair is certified
-ahead, from a lower bound on its |X| through Dawson's integral F,
+ahead, from a lower bound on its |X|/E through Dawson's integral F,
 F(x) > x/(1 + 2x^2) for x > 0, that costs no Faddeeva evaluation either
-(:func:`~udwharvest.closedform._x_floor`), against the non-identical
+(:func:`~udwharvest.closedform._scaled_x_floor`), against the non-identical
 pair's envelope at the grid's first point.  Its walk starts there, as if
 after a non-positive point, and at large gaps, where the crossover lies
 near the identical pair's lmax, about 2a, it walks one block instead of
@@ -40,17 +45,10 @@ twice the one before, up to the first block that holds the answer.  A
 closed-form call gives the same bits for a point whatever the shape of the
 call, so every answer, bracket and raised error is bit for bit that of
 evaluating the whole grid.  A scan bound must be finite and a grid may span at most 1e7
-points; a larger one raises ValueError before the scan starts.
-
-A row whose P_A P_B is not a normal double, which takes large gaps, is
-scanned, certified and refined in scaled form: |X|, sqrt(P_A P_B) and the
-envelope divided by E = exp(-(a^2 + b^2)/2), which keeps them of order one
-where the product and |X| underflow, so that the excess keeps its sign
-change (:func:`~udwharvest.closedform._x_excess`).  A crossover row
-compares the two pairs' scaled excesses through the ratio of their scales,
-exp(-d(2a + d)/2), in a form whose sign does not rest on that ratio where
-it underflows (:func:`_lead`).  The switch is decided once per search from
-the sqrt(P_A P_B) of the row, and rows that do not switch keep every bit.
+points; a larger one raises ValueError before the scan starts.  A
+crossover row compares the two pairs' scaled excesses through the ratio
+of their scales, exp(-d(2a + d)/2), in a form whose sign does not rest on
+that ratio where it underflows (:func:`_lead`).
 
 The sign change a separation scan finds is refined by safeguarded Newton
 steps (:func:`_refine`), whose slope costs no further Faddeeva evaluation
@@ -99,21 +97,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import (
-    _SCALED_BELOW,
     DetectorPairConfig,
     _clamp,
     _domain_errors,
+    _geometric_means,
     _ingredients,
     _probability_terms,
-    _scaled_gm,
     _scaled_x_envelope,
     _scaled_x_floor,
     _x_abs,
     _x_abs_slope,
-    _x_envelope,
     _x_excess,
-    _x_floor,
-    geometric_mean_probability,
     lmax_large_gap_estimate,
     transition_probability,
 )
@@ -313,67 +307,54 @@ def _edges(lo, hi, start, delta, hit):
     return lo
 
 
-def _cuts(start, delta, n, gm, scaled, a, d, coupling, upward):
+def _cuts(start, delta, n, gm, d, coupling, upward):
     """Each row's first grid index whose point the envelope certifies
     (upward) or does not (downward), n where there is none; one value per
-    row.  The envelope of |X|, widened by the margin, certifies |X| - gm
-    <= 0 where it lies below gm: it multiplies the closed form's prefactor
-    bits and bounds its bracket up to the kernel's and the roundings'
-    relative error, which the margin covers.  In a ``scaled`` row both
-    sides are divided by E = exp(-(a^2 + b^2)/2), as the walk's excess is:
-    the scaled envelope against sqrt(P~_A P~_B), both of order one.  Where
-    gm is not normal (only a coupling or gaps far outside the weak-coupling
-    physics make it so) nothing is certified.
+    row.  The scaled envelope of |X|/E, widened by the margin, certifies
+    the scaled excess |X|/E - gm, gm = sqrt(P~_A P~_B), non-positive where
+    it lies below gm: it bounds the bracket of :func:`_x_abs` up to the
+    kernel's and the roundings' relative error, which the margin covers.
+    Where gm is not normal (only a coupling far outside the weak-coupling
+    physics makes it so) nothing is certified.
     The envelope decreases in l, so the certified points are one run at
     the large-l end of a grid, whose edge :func:`_edges` finds."""
     usable = _normal(gm)
     uncertified = n if upward else np.zeros_like(n)
-    any_scaled = scaled.any()
 
     def hit(rows, l):
-        envelope = _x_envelope(a[rows, None], d[rows, None], l, coupling)
-        if any_scaled:
-            envelope = np.where(scaled[rows, None], _scaled_x_envelope(d[rows, None], l, coupling),
-                                envelope)
+        envelope = _scaled_x_envelope(d[rows, None], l, coupling)
         return (envelope * (1.0 + _ENVELOPE_MARGIN) < gm[rows, None]) == upward
 
     return _edges(np.where(usable, 0, uncertified), np.where(usable, n, uncertified), start,
                   delta, hit)
 
 
-def _floors(start, delta, n, gms, scaled, ratio, a, d, coupling):
+def _floors(start, delta, n, gms, ratio, d, coupling):
     """Each crossover row's lower cut on its upward grid: the first index
     whose point is not certified to have the identical pair ahead, 0 where
     the first is not.  A point is certified where
 
         L(l) (1 - m) - gm_e > r max(0, U_u(l_0) (1 + m) - gm_u),
 
-    L the Dawson lower bound on the identical pair's |X|
-    (:func:`~udwharvest.closedform._x_floor`), U_u(l_0) the non-identical
-    pair's envelope at the grid's first point, which bounds its |X| on the
-    whole grid, m the margin, r the ratio of the pairs' scales (1 where
-    ``ratio`` is None) and both gms normal; in a ``scaled`` row every term
-    is divided by its pair's E, as in :func:`_cuts`.  The margins cover the
-    kernel's and the roundings' relative error, and rounding is monotone, so
-    there the computed identical excess exceeds r times the computed
-    non-identical one and its own positive part: the walk's sign test
-    (:func:`_lead`) is not positive.  L decreases in l and the right side
-    is fixed, so the certified points are a prefix of the grid, whose end
-    :func:`_edges` finds for the rows certified at their first point."""
+    every term divided by its pair's E as in :func:`_cuts`: L the Dawson
+    lower bound on the identical pair's |X|/E
+    (:func:`~udwharvest.closedform._scaled_x_floor`), U_u(l_0) the
+    non-identical pair's envelope at the grid's first point, which bounds
+    its |X|/E on the whole grid, m the margin, r the ratio of the pairs'
+    scales and both gms normal.  The margins cover the kernel's and the
+    roundings' relative error, and rounding is monotone, so there the
+    computed identical excess exceeds r times the computed non-identical
+    one and its own positive part: the walk's sign test (:func:`_lead`) is
+    not positive.  L decreases in l and the right side is fixed, so the
+    certified points are a prefix of the grid, whose end :func:`_edges`
+    finds for the rows certified at their first point."""
     gm_u, gm_e = gms
-    any_scaled = scaled.any()
-    ceiling = _x_envelope(a, d, start, coupling)
-    if any_scaled:
-        ceiling = np.where(scaled, _scaled_x_envelope(d, start, coupling), ceiling)
-    ceiling = np.maximum(0.0, ceiling * (1.0 + _ENVELOPE_MARGIN) - gm_u)
-    if ratio is not None:
-        ceiling = ratio * ceiling
+    ceiling = _scaled_x_envelope(d, start, coupling) * (1.0 + _ENVELOPE_MARGIN)
+    ceiling = ratio * np.maximum(0.0, ceiling - gm_u)
 
     def uncertified(rows, l):
-        floor = _x_floor(a[rows, None], l, coupling)
-        if any_scaled:
-            floor = np.where(scaled[rows, None], _scaled_x_floor(l, coupling), floor)
-        return ~(floor * (1.0 - _ENVELOPE_MARGIN) - gm_e[rows, None] > ceiling[rows, None])
+        floor = _scaled_x_floor(l, coupling) * (1.0 - _ENVELOPE_MARGIN)
+        return ~(floor - gm_e[rows, None] > ceiling[rows, None])
 
     rows = np.arange(n.size)
     usable = _normal(gm_u) & _normal(gm_e) & ~uncertified(rows, start[:, None])[:, 0]
@@ -381,10 +362,10 @@ def _floors(start, delta, n, gms, scaled, ratio, a, d, coupling):
     return _edges(usable.astype(int), np.where(usable, n, 0), start, delta, uncertified)
 
 
-def _separation_scan(grid, gm, scaled, a, d, coupling, positive, upward, floor=None):
+def _separation_scan(grid, gm, d, coupling, positive, upward, floor=None):
     """Walk every row's separation grid (:func:`_grids`'s ``grid``) to its
-    first turn to positive; 1-D arrays gm, scaled, a and d hold the rows'
-    problems, gm and scaled as :func:`_cuts` takes them.
+    first turn to positive; 1-D arrays gm and d hold the rows' problems,
+    as :func:`_cuts` takes them.
 
     ``positive(rows, l)`` is the sign test of the rows (an index array) at
     separations l, one row of l per row.  A downward walk runs from the
@@ -403,7 +384,7 @@ def _separation_scan(grid, gm, scaled, a, d, coupling, positive, upward, floor=N
     where there is none) and its grid at k and at k-1 (NaN where there is
     no such point)."""
     start, delta, n = grid
-    cut = _cuts(start, delta, n, gm, scaled, a, d, coupling, upward)
+    cut = _cuts(start, delta, n, gm, d, coupling, upward)
     first, last = (floor, cut) if upward else (cut, n)
     # round r is block r, of _SCAN_BLOCK * 2**r points, of every row still
     # walking; a repeated last point cannot turn again, and a row leaves at
@@ -434,40 +415,23 @@ def _separation_scan(grid, gm, scaled, a, d, coupling, positive, upward, floor=N
 # names, so it gives that function's bits.
 
 
-def _excess(gm, a, d, l, coupling):
-    """``correlation_excess`` with sqrt(P_A P_B) = gm passed in."""
-    return _x_excess(a, d, l, coupling, gm)[1]
-
-
 def _gap_concurrence(p_a, a, d, l, coupling):
     """``concurrence_values`` with P_A passed in."""
     p_b, bracket_b = _probability_terms(a + d, coupling)
     return _clamp(_x_excess(a, d, l, coupling, np.sqrt(p_a * p_b), (None, bracket_b))[1])
 
 
-def _pair_concurrences(gms, a, ds, l, coupling):
-    """``concurrence_values`` of the non-identical pair and of the identical
-    pair (gap difference 0) in one closed-form call, with their
-    sqrt(P_A P_B) and gap differences passed in along a leading axis of
-    two (leading, so that numpy's inner loops run along the points)."""
-    unequal, equal = _clamp(_excess(gms, a, ds, l, coupling))
-    return unequal, equal
-
-
 def _lead(unequal, equal, ratio, harvests):
     """A function of the separation that is positive exactly where the
     non-identical pair's concurrence exceeds the identical pair's, from
-    their excesses, the first scaled by ``ratio`` against the second:
-    ratio * unequal - equal where the identical pair ``harvests``, and
-    unequal where it does not, so that the sign does not rest on a ratio
-    that has underflowed; or its slope, from the excesses' slopes.  A ratio
-    of None stands for 1 in every row, and takes fewer operations to the
-    same bits.  With ratio 1 it is half of 2 e_u - 2 max(0, e_i), which has
-    the sign of the concurrence difference and, unlike it, stays smooth
-    where the non-identical pair starts to harvest: the crossover where the
+    their scaled excesses S_u and S_e and the ratio r = E_u/E_e of their
+    scales: r S_u - S_e where the identical pair ``harvests``, and S_u
+    where it does not, so that the sign does not rest on a ratio that has
+    underflowed; or its slope, from the excesses' slopes.  Times E_e it is
+    half of 2 e_u - 2 max(0, e_e) for the excesses e = E S, which has the
+    sign of the concurrence difference and, unlike it, stays smooth where
+    the non-identical pair starts to harvest: the crossover where the
     identical pair's concurrence is already zero."""
-    if ratio is None:
-        return unequal - equal * harvests
     return np.where(harvests, ratio * unequal - equal, unequal)
 
 
@@ -587,25 +551,18 @@ def find_lmax_many(
     a, d, bound = _separation_problems(
         omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
     )
-    gm = np.asarray(geometric_mean_probability(a, d, coupling))
-    # rows whose P_A P_B is not a normal double are scanned and refined in
-    # scaled form: |X|/E against sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2)
-    scaled = gm < _SCALED_BELOW
-    any_scaled = scaled.any()
-    scan_gm = np.where(scaled, _scaled_gm(a, d, coupling), gm) if any_scaled else gm
-    row_a, row_d, row_gm, row_scaled, row_bound = (
-        x.ravel() for x in (a, d, scan_gm, scaled, bound))
+    # every row is scanned and refined in scaled form: |X|/E against
+    # sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2)
+    gm, scaled_gm, brackets = _geometric_means(a, d, coupling)
+    row_d, row_gm, row_bound = (x.ravel() for x in (d, scaled_gm, bound))
 
     def positive(rows, l):
-        x_abs = _x_abs(row_a[rows, None], row_d[rows, None], l, coupling,
-                       row_scaled[rows, None])
-        return x_abs - row_gm[rows, None] > 0.0
+        return _x_abs(row_d[rows, None], l, coupling) - row_gm[rows, None] > 0.0
 
     # the walk runs downward, below the leading certified points (which
     # are not positive), to the first positive point
     grid = _grids(row_bound, scan_step, upward=False)
-    k, at, above = _separation_scan(grid, row_gm, row_scaled, row_a, row_d, coupling, positive,
-                                    upward=False)
+    k, at, above = _separation_scan(grid, row_gm, row_d, coupling, positive, upward=False)
     k = k.reshape(a.shape)
     error = _blank(a.shape)
     error[k < 0] = NoHarvestingRegion.__name__
@@ -616,14 +573,12 @@ def find_lmax_many(
     hi = np.where(failed, scan_step, above.reshape(a.shape))
 
     def f(l):
-        # where |X| has underflowed to zero the computed excess is flat, and
-        # its zero slope sends the step to the midpoint
-        x_abs, slope = _x_abs_slope(a, d, l, coupling, scaled if any_scaled else None)
-        return x_abs - scan_gm, slope * (x_abs > 0.0)
+        x_abs, slope = _x_abs_slope(d, l, coupling)
+        return x_abs - scaled_gm, slope
 
     lo, hi, iterations = _refine(f, lo, hi, positive_at_lo=True)
     loc = 0.5 * (lo + hi)
-    return _batch(loc, _excess(gm, a, d, loc, coupling), lo, hi, iterations,
+    return _batch(loc, _x_excess(a, d, loc, coupling, gm, brackets)[1], lo, hi, iterations,
                   _blank(a.shape), error)
 
 
@@ -643,17 +598,16 @@ def find_lmax(
     safeguarded Newton steps to a certified bracket of at most 8 ulps
     (``iterations`` counts the steps); downward
     scanning is what makes the *largest* root the one found when the
-    boundary oscillates.  Grid points that an envelope of |X| certifies
-    non-harvesting are not evaluated, and the walk stops at the first block
-    holding a harvesting point; neither changes the answer, which is bit
-    for bit that of evaluating every grid point.  Where P_A P_B is not a
-    normal double the scan, certificate and refinement follow the scaled
-    excess |X|/E - sqrt(P_A P_B)/E, E = exp(-(a^2 + b^2)/2), whose sign the
-    unscaled one loses there; ``value`` is ``correlation_excess`` at the
-    location either way.  The returned location
-    does not depend on the coupling (the excess scales globally by its
-    square).  One problem per call; :func:`find_lmax_many` solves arrays of
-    them.
+    boundary oscillates.  The scan, certificate and refinement follow the
+    scaled excess |X|/E - sqrt(P_A P_B)/E, E = exp(-(a^2 + b^2)/2), which
+    keeps its sign change where P_A P_B and |X| underflow; ``value`` is
+    ``correlation_excess`` at the location.  Grid points that an envelope
+    of |X|/E certifies non-harvesting are not evaluated, and the walk stops
+    at the first block holding a harvesting point; neither changes the
+    answer, which is bit for bit that of evaluating every grid point.  The
+    returned location does not depend on the coupling (the excess scales
+    globally by its square).  One problem per call; :func:`find_lmax_many`
+    solves arrays of them.
 
     Raises :exc:`NoHarvestingRegion` if nothing on the grid harvests and
     :exc:`BracketingFailure` if harvesting persists at the bound itself.
@@ -774,29 +728,18 @@ def find_crossover_many(
     a, d, bound = _separation_problems(
         omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
     )
-    # both pairs' sqrt(P_A P_B) and gap differences, stacked once per search
-    gms = np.stack([geometric_mean_probability(a, d, coupling),
-                    geometric_mean_probability(a, 0.0, coupling)])
+    # both pairs' sqrt(P_A P_B) and sqrt(P~_A P~_B) along a leading axis of
+    # two (leading, so that numpy's inner loops run along the points); the
+    # pairs' scales E differ by the ratio exp(-d(2a + d)/2)
     ds = np.stack([d, np.zeros(d.shape)])
-    # a row whose non-identical P_A P_B is not a normal double scans both
-    # pairs in scaled form, as find_lmax_many does (the identical pair's
-    # product is the larger); their scales E differ by the ratio
-    # exp(-d(2a + d)/2), which is 1 in the other rows
-    scaled = gms[0] < _SCALED_BELOW
-    scan_gms, ratio, row_ratio = gms, None, None
-    if any_scaled := scaled.any():
-        scan_gms = np.where(scaled, _scaled_gm(a, ds, coupling), gms)
-        ratio = np.where(scaled, np.exp(-d * (2.0 * a + d) / 2.0), 1.0)
-        row_ratio = ratio.ravel()
-    row_a, row_d, row_scaled, row_bound = (x.ravel() for x in (a, d, scaled, bound))
-    row_gms, row_ds = scan_gms.reshape(2, -1), ds.reshape(2, -1)
+    gms, scaled_gms, brackets = _geometric_means(a, ds, coupling)
+    ratio = np.exp(-d * (2.0 * a + d) / 2.0)
+    row_d, row_ratio, row_bound = (x.ravel() for x in (d, ratio, bound))
+    row_gms, row_ds = scaled_gms.reshape(2, -1), ds.reshape(2, -1)
 
     def positive(rows, l):
-        x_abs = _x_abs(row_a[rows, None], row_ds[:, rows, None], l, coupling,
-                       row_scaled[rows, None])
-        unequal, equal = x_abs - row_gms[:, rows, None]
-        rows_ratio = None if row_ratio is None else row_ratio[rows, None]
-        return _lead(unequal, equal, rows_ratio, equal > 0.0) > 0.0
+        unequal, equal = _x_abs(row_ds[:, rows, None], l, coupling) - row_gms[:, rows, None]
+        return _lead(unequal, equal, row_ratio[rows, None], equal > 0.0) > 0.0
 
     # the walk starts at the first point where the identical pair is not
     # certified ahead; at a point the envelope certifies the non-identical
@@ -804,9 +747,9 @@ def find_crossover_many(
     # walk ends at the last point that is not certified, or at the first
     # sign change
     grid = _grids(row_bound, scan_step, upward=True)
-    floor = _floors(*grid, row_gms, row_scaled, row_ratio, row_a, row_d, coupling)
-    k, at, below = _separation_scan(grid, row_gms[0], row_scaled, row_a, row_d, coupling, positive,
-                                    upward=True, floor=floor)
+    floor = _floors(*grid, row_gms, row_ratio, row_d, coupling)
+    k, at, below = _separation_scan(grid, row_gms[0], row_d, coupling, positive, upward=True,
+                                    floor=floor)
     k = k.reshape(a.shape)
     error = _blank(a.shape)
     error[k < 0] = NoCrossover.__name__
@@ -815,14 +758,14 @@ def find_crossover_many(
     hi = np.where(k < 0, scan_step, at.reshape(a.shape))
 
     def g(l):
-        x_abs, slope = _x_abs_slope(a, ds, l, coupling, scaled if any_scaled else None)
-        (unequal, equal), (slope_u, slope_i) = x_abs - scan_gms, slope
+        x_abs, slope = _x_abs_slope(ds, l, coupling)
+        (unequal, equal), (slope_u, slope_i) = x_abs - scaled_gms, slope
         harvests = equal > 0.0
         return _lead(unequal, equal, ratio, harvests), _lead(slope_u, slope_i, ratio, harvests)
 
     lo, hi, iterations = _refine(g, lo, hi, positive_at_lo=False)
     loc = 0.5 * (lo + hi)
-    unequal, equal = _pair_concurrences(gms, a, ds, loc, coupling)
+    unequal, equal = _clamp(_x_excess(a, ds, loc, coupling, gms, brackets)[1])
     note = np.where((unequal > 0.0) & (equal > 0.0), "",
                     "identical-pair concurrence already zero here").astype(object)
     return _batch(loc, unequal - equal, lo, hi, iterations, note, error)
@@ -845,20 +788,21 @@ def find_crossover(
     point, the result is flagged: it is then the point where only the
     non-identical pair still harvests, not a crossing of two positive
     curves.  The scan ends at the first sign change, or at the last grid
-    point the envelope of |X| does not certify non-harvesting for the
+    point the envelope of |X|/E does not certify non-harvesting for the
     non-identical pair: above it that pair's concurrence is exactly zero,
     so the difference cannot turn positive.  It starts at the first grid
-    point where a lower bound on the identical pair's |X| (through
+    point where a lower bound on the identical pair's |X|/E (through
     Dawson's integral, no Faddeeva evaluation) no longer certifies that
     pair ahead of the non-identical pair's envelope; from there a
     positive first point is a sign change, while a walk from the grid's
     start begins as if after a positive point, so its first point cannot
     turn.  Neither cut changes the answer, which is that of the full scan
-    bit for bit.  Where the non-identical pair's P_A P_B is not
-    a normal double, both pairs are compared in scaled form, as
-    :func:`find_lmax` does.  Raises :exc:`NoCrossover` when the difference
-    never turns positive on the grid.  One problem per call;
-    :func:`find_crossover_many` solves arrays of them.
+    bit for bit.  Both pairs are compared through their scaled excesses,
+    as :func:`find_lmax` follows one, and the ratio of their scales;
+    ``value`` is the difference of their ``concurrence_values``.  Raises
+    :exc:`NoCrossover` when the difference never turns positive on the
+    grid.  One problem per call; :func:`find_crossover_many` solves arrays
+    of them.
     """
     batch = find_crossover_many(omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step)
     if batch.error[()] == NoCrossover.__name__:

@@ -50,7 +50,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .closedform import DetectorPairConfig, _warn_strong_coupling, concurrence, \
+from .closedform import DetectorPairConfig, _sqrt_product, _warn_strong_coupling, concurrence, \
     concurrence_values, correlation_x_values, geometric_mean_probability, transition_probability
 from .oracle import (
     DEFAULT_SETTINGS,
@@ -398,7 +398,7 @@ def cmd_sweep(parser, args):
         conc,
         conc / args.coupling**2,
         np.abs(grid.x),
-        np.sqrt(grid.p_a * grid.p_b),
+        _sqrt_product(grid.p_a, grid.p_b),
     ]
     notes = [f"point_error[{i}]: {e}" for i, e in enumerate(grid.errors) if e]
     _emit_grid(args, manifest, notes, columns, arrays)

@@ -21,7 +21,12 @@ switching times.  At large gaps P_A P_B, and |X| with it, leave the
 double range while the harvesting excess is still decided by their ratio;
 where P_A P_B is not a normal double the excess is therefore evaluated as
 E S, with the scaled excess S = |X|/E - sqrt(P_A P_B)/E of order one and
-E = exp(-(a^2 + b^2)/2) (:func:`correlation_excess`).
+E = exp(-(a^2 + b^2)/2) (:func:`correlation_excess`).  The separation
+searches decide every scenario by S, from its terms |X|/E (a function of
+the gap difference and the separation alone) and sqrt(P_A P_B)/E, from
+bounds on |X|/E that cost no Faddeeva evaluation, and from the slope of
+|X|/E in the separation (:func:`_x_abs`, :func:`_scaled_gm`,
+:func:`_scaled_x_envelope`, :func:`_x_abs_slope`).
 
 Asymptotic approximations (small/large gaps, small/large separations) and
 two back-of-envelope estimates (the maximum harvesting-achievable
@@ -205,12 +210,8 @@ class HarvestReport:
 
     @property
     def geometric_mean(self) -> float:
-        """sqrt(P_A P_B), as sqrt(P_A) sqrt(P_B) where the product is not a
-        normal double and would have lost bits or underflowed."""
-        product = self.p_a * self.p_b
-        if product < np.finfo(float).tiny:
-            return float(np.sqrt(self.p_a) * np.sqrt(self.p_b))
-        return float(np.sqrt(product))
+        """sqrt(P_A P_B) (:func:`_sqrt_product`)."""
+        return _sqrt_product(self.p_a, self.p_b)
 
 
 def transition_probability(omega_sigma, coupling):
@@ -285,6 +286,27 @@ def _scaled_gm(a, d, coupling, brackets=(None, None)):
     return np.sqrt(scaled_a * scaled_b)
 
 
+def _geometric_means(a, d, coupling):
+    """(sqrt(P_A P_B), sqrt(P~_A P~_B), (bracket_a, bracket_b)) for the gaps
+    a and b = a + d, from one :func:`_probability_terms` evaluation per gap.
+    The first has the bits of :func:`geometric_mean_probability`; the
+    brackets are those :func:`_scaled_gm` and :func:`_x_excess` take."""
+    a = np.asarray(a, dtype=float)
+    p_a, bracket_a = _probability_terms(a, coupling)
+    p_b, bracket_b = _probability_terms(a + np.asarray(d, dtype=float), coupling)
+    brackets = (bracket_a, bracket_b)
+    return np.sqrt(p_a * p_b), _scaled_gm(a, d, coupling, brackets), brackets
+
+
+def _sqrt_product(p_a, p_b):
+    """sqrt(P_A P_B) from the probabilities, as sqrt(P_A) sqrt(P_B) where
+    the product is not a normal double and would have lost bits or
+    underflowed.  Accepts arrays."""
+    product = np.multiply(p_a, p_b)
+    return _scalar(np.where(product < np.finfo(float).tiny, np.sqrt(p_a) * np.sqrt(p_b),
+                            np.sqrt(product)))
+
+
 def geometric_mean_probability(omega_a_sigma, delta_omega_sigma, coupling):
     """sqrt(P_A * P_B) for gaps a and a + d.  Accepts arrays."""
     pa = transition_probability(omega_a_sigma, coupling)
@@ -293,13 +315,6 @@ def geometric_mean_probability(omega_a_sigma, delta_omega_sigma, coupling):
         coupling,
     )
     return np.sqrt(pa * pb)
-
-
-def _x_prefactor(a, d, l, coupling):
-    """The real prefactor coupling^2/(8 sqrt(pi) l) * exp(-(2a+d)^2/4) of X;
-    :func:`_x_envelope` multiplies the same bits."""
-    s = 2.0 * a + d
-    return coupling**2 / (8.0 * _SQRT_PI * l) * np.exp(-(s * s) / 4.0)
 
 
 def correlation_x_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
@@ -322,10 +337,21 @@ def correlation_x_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, couplin
     return _scalar(_x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)[0])
 
 
+def _x_bracket(d, l):
+    """The bracket B of X (:func:`correlation_x_values`) from one Faddeeva
+    evaluation per point, as the terms :func:`_x_abs_slope` differentiates:
+    (Re B, Im B, w((l+id)/2), exp(-d^2/4), 2 exp(-l^2/4) Im e^{-ild/2})
+    for arrays d and l."""
+    w = faddeeva_w(0.5 * (l + 1j * d))
+    phase = np.exp(-0.5j * l * d)
+    gauss_l = 2.0 * np.exp(-l * l / 4.0)
+    gauss_d = np.exp(-d * d / 4.0)
+    swing = gauss_l * phase.imag
+    return gauss_l * phase.real, gauss_d * (-2.0 * w.imag) + swing, w, gauss_d, swing
+
+
 def _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
-    """X as an array, and the terms of its bracket that
-    :func:`_x_abs_slope` differentiates: (X, pref, Re bracket, Im bracket,
-    w((l+id)/2), exp(-d^2/4), 2 exp(-l^2/4) Im e^{-ild/2})."""
+    """X as an array, and the real and imaginary parts of its bracket."""
     a = np.asarray(omega_a_sigma, dtype=float)
     d = np.asarray(delta_omega_sigma, dtype=float)
     l = np.asarray(l_over_sigma, dtype=float)
@@ -335,44 +361,36 @@ def _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
     # complex division, scalar ``** 2`` and (through fused multiply-adds)
     # the signs of zero products differently for scalars and arrays, while
     # real operations give the same bits at any shape.
-    pref = _x_prefactor(a, d, l, coupling)
-    w = faddeeva_w(0.5 * (l + 1j * d))
-    phase = np.exp(-0.5j * l * d)
-    gauss_l = 2.0 * np.exp(-l * l / 4.0)
-    gauss_d = np.exp(-d * d / 4.0)
-    swing = gauss_l * phase.imag
-    bracket_re = gauss_l * phase.real
-    bracket_im = gauss_d * (-2.0 * w.imag) + swing
-    x_re = pref * bracket_im  # X = -i * pref * bracket
+    s = 2.0 * a + d
+    pref = coupling**2 / (8.0 * _SQRT_PI * l) * np.exp(-(s * s) / 4.0)
+    b_re, b_im = _x_bracket(d, l)[:2]
+    x_re = pref * b_im  # X = -i * pref * bracket
     x = np.empty(x_re.shape, dtype=complex)
-    x.real, x.imag = x_re, -(pref * bracket_re)
-    return x, pref, bracket_re, bracket_im, w, gauss_d, swing
+    x.real, x.imag = x_re, -(pref * b_re)
+    return x, b_re, b_im
 
 
 def _over_scale(b_re, b_im, d, l, coupling):
     """(|X|/E, X's prefactor over E) for E = exp(-(a^2 + b^2)/2), from the
-    terms of X's bracket that :func:`_x_terms` returns.  Since (2a+d)^2/4 +
-    d^2/4 = (a^2 + b^2)/2, the prefactor over E is coupling^2 exp(d^2/4)/(8
-    sqrt(pi) l), of order one where X underflows.  Inside the domain that
-    :class:`DetectorPairConfig` admits both are finite at any separation
-    above 1e-170; beyond it they may overflow."""
+    terms of X's bracket (:func:`_x_bracket`).  Since (2a+d)^2/4 + d^2/4 =
+    (a^2 + b^2)/2, the prefactor over E is coupling^2 exp(d^2/4)/(8 sqrt(pi)
+    l), of order one where X underflows, and neither depends on a.  Inside
+    the domain that :class:`DetectorPairConfig` admits both are finite at
+    any separation above 1e-170; beyond it they may overflow."""
     pref = coupling**2 / (8.0 * _SQRT_PI * l) * np.exp(d * d / 4.0)
     # the bracket's terms are at most 4, and one is above 1e-134 for d <= 35,
     # so the squares neither overflow nor lose it
     return pref * np.sqrt(b_re * b_re + b_im * b_im), pref
 
 
-def _x_abs(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, scaled):
-    """|X| from one Faddeeva evaluation per point, with the bits of
-    ``np.abs(correlation_x_values(...))`` except where the boolean array
-    ``scaled`` holds: there it is |X|/E, E = exp(-(a^2 + b^2)/2)
-    (:func:`_over_scale`)."""
-    x, _, b_re, b_im = _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)[:4]
-    if not scaled.any():
-        return np.abs(x)
-    d = np.asarray(delta_omega_sigma, dtype=float)
-    l = np.asarray(l_over_sigma, dtype=float)
-    return np.where(scaled, _over_scale(b_re, b_im, d, l, coupling)[0], np.abs(x))
+def _x_abs(d, l, coupling):
+    """|X|/E, E = exp(-(a^2 + b^2)/2), from one Faddeeva evaluation per
+    point (:func:`_over_scale`): the scaled |X| the separation searches
+    compare with sqrt(P~_A P~_B), a function of d and l alone."""
+    d = np.asarray(d, dtype=float)
+    l = np.asarray(l, dtype=float)
+    b_re, b_im = _x_bracket(d, l)[:2]
+    return _over_scale(b_re, b_im, d, l, coupling)[0]
 
 
 def _x_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, gm,
@@ -388,7 +406,7 @@ def _x_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, gm,
     concurrence would keep).  Where S is not finite, which takes a gap
     difference or a separation outside the admitted domain, the excess
     stays |X| - gm."""
-    x, _, b_re, b_im = _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)[:4]
+    x, b_re, b_im = _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
     excess = np.abs(x) - gm
     scaled = np.asarray(gm) < _SCALED_BELOW
     if not scaled.any():
@@ -410,27 +428,23 @@ def _x_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, gm,
     return x, excess[()]
 
 
-def _x_abs_slope(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, scaled=None):
-    """(|X|, d|X|/dl) from one Faddeeva evaluation per point; |X| has the
-    bits of ``np.abs(correlation_x_values(...))``, and both are divided by
-    E = exp(-(a^2 + b^2)/2) where the boolean array ``scaled`` holds, if
-    one is given (:func:`_over_scale`).
-    With z = (l+id)/2,
-    dz/dl = 1/2 and w'(z) = 2i/sqrt(pi) - 2 z w(z) (DLMF 7.10.2), so
+def _x_abs_slope(d, l, coupling):
+    """(|X|/E, d(|X|/E)/dl) from one Faddeeva evaluation per point, |X|/E
+    with the bits of :func:`_x_abs`.  With z = (l+id)/2, dz/dl = 1/2 and
+    w'(z) = 2i/sqrt(pi) - 2 z w(z) (DLMF 7.10.2), so
 
         d Im w / dl = 1/sqrt(pi) - (l Im w + d Re w)/2,
 
-    and since pref is proportional to 1/l,
+    and since the prefactor over E is proportional to 1/l,
 
-        d|X|/dl = pref * ((Re B Re B' + Im B Im B') / |B| - |B| / l)
+        d(|X|/E)/dl = pref * ((Re B Re B' + Im B Im B') / |B| - |B| / l)
 
-    for the bracket B, whose terms are all of order one: the slope loses no
-    precision where |X| is subnormal.  Assembled from real parts, like X,
-    so the bits do not depend on the shape of the call."""
-    x, pref, b_re, b_im, w, gauss_d, swing = _x_terms(
-        omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
-    d = np.asarray(delta_omega_sigma, dtype=float)
-    l = np.asarray(l_over_sigma, dtype=float)
+    for the bracket B, whose terms are all of order one.  Assembled from
+    real parts, like X, so the bits do not depend on the shape of the
+    call."""
+    d = np.asarray(d, dtype=float)
+    l = np.asarray(l, dtype=float)
+    b_re, b_im, w, gauss_d, swing = _x_bracket(d, l)
     # swing = 2 exp(-l^2/4) Im e^{-ild/2} and Re B = 2 exp(-l^2/4) Re e^{-ild/2}
     # turn into each other under d/dl, up to the Gaussian's -l/2
     db_re = 0.5 * d * swing - 0.5 * l * b_re
@@ -438,10 +452,7 @@ def _x_abs_slope(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, scale
     dw_imag = 1.0 / _SQRT_PI - 0.5 * (l * w.imag + d * w.real)
     db_im = gauss_d * (-2.0 * dw_imag) + d_swing
     b_abs = np.hypot(b_re, b_im)
-    x_abs = np.abs(x)
-    if scaled is not None:
-        scaled_abs, scaled_pref = _over_scale(b_re, b_im, d, l, coupling)
-        x_abs, pref = np.where(scaled, scaled_abs, x_abs), np.where(scaled, scaled_pref, pref)
+    x_abs, pref = _over_scale(b_re, b_im, d, l, coupling)
     return x_abs, pref * ((b_re * db_re + b_im * db_im) / b_abs - b_abs / l)
 
 
@@ -451,26 +462,16 @@ def _x_abs_slope(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, scale
 _ZW_BOUND = 0.7489
 
 
-def _x_envelope(a, d, l, coupling):
-    """Upper bound on |X| from :func:`correlation_x_values`' bracket,
+def _scaled_x_envelope(d, l, coupling):
+    """Upper bound on |X|/E, E = exp(-(a^2 + b^2)/2), from :func:`_x_abs`,
     decreasing in l:
 
-        pref * (2 exp(-d^2/4) min(1, 2 M / sqrt(l^2 + d^2)) + 2 exp(-l^2/4)),
-
-    since |Im w(z)| <= |w(z)| <= min(1, M/|z|) at z = (l+id)/2.  Costs no
-    Faddeeva evaluation.  Arrays a, d, l broadcast."""
-    w_bound = np.minimum(1.0, 2.0 * _ZW_BOUND / np.sqrt(l * l + d * d))
-    bracket = 2.0 * np.exp(-d * d / 4.0) * w_bound + 2.0 * np.exp(-l * l / 4.0)
-    return _x_prefactor(a, d, l, coupling) * bracket
-
-
-def _scaled_x_envelope(d, l, coupling):
-    """:func:`_x_envelope` divided by E = exp(-(a^2 + b^2)/2), an upper
-    bound on |X|/E from :func:`_x_abs` and decreasing in l:
-
         coupling^2/(8 sqrt(pi) l)
-            * (2 min(1, 2 M/sqrt(l^2 + d^2)) + 2 exp((d^2 - l^2)/4)).
+            * (2 min(1, 2 M/sqrt(l^2 + d^2)) + 2 exp((d^2 - l^2)/4)),
 
+    since |Im w(z)| <= |w(z)| <= min(1, M/|z|) at z = (l+id)/2 bounds the
+    bracket of :func:`correlation_x_values` by 2 exp(-d^2/4) min(1, 2M/
+    sqrt(l^2 + d^2)) + 2 exp(-l^2/4).  Costs no Faddeeva evaluation.
     Arrays d, l broadcast."""
     w_bound = np.minimum(1.0, 2.0 * _ZW_BOUND / np.sqrt(l * l + d * d))
     bracket = 2.0 * w_bound + 2.0 * np.exp((d * d - l * l) / 4.0)
@@ -491,12 +492,6 @@ def _scaled_x_floor(l, coupling):
     4/l^2 of |X|/E.  Costs no Faddeeva evaluation; every operation rounds
     monotonically, so the computed bound does not increase in l either."""
     return coupling**2 / (2.0 * np.pi * (2.0 + l * l))
-
-
-def _x_floor(a, l, coupling):
-    """:func:`_scaled_x_floor` times exp(-a^2): a lower bound on |X(a, 0, l)|,
-    decreasing in l.  Arrays a, l broadcast."""
-    return _scaled_x_floor(l, coupling) * np.exp(-a * a)
 
 
 def correlation_x(cfg: DetectorPairConfig) -> complex:

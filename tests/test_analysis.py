@@ -161,10 +161,11 @@ class TestFindCrossover:
         # one stacked call gives each pair's concurrence_values bit for bit
         a, d = np.array([0.5, 1.0, 2.0]), np.array([0.25, 0.5, 1.5])
         l = np.array([1.0, 1.5, 0.5])
-        gms = np.stack([geometric_mean_probability(a, d, coupling),
-                        geometric_mean_probability(a, 0.0, coupling)])
         ds = np.stack([d, np.zeros(3)])
-        unequal, equal = analysis._pair_concurrences(gms, a, ds, l, coupling)
+        gms, _, brackets = closedform._geometric_means(a, ds, coupling)
+        assert _bits(gms) == _bits(np.stack([geometric_mean_probability(a, d, coupling),
+                                             geometric_mean_probability(a, 0.0, coupling)]))
+        unequal, equal = analysis._clamp(analysis._x_excess(a, ds, l, coupling, gms, brackets)[1])
         assert (unequal > 0).all() and (equal > 0).all()
         assert np.array_equal(unequal, concurrence_values(a, d, l, coupling))
         assert np.array_equal(equal, concurrence_values(a, 0.0, l, coupling))
@@ -205,14 +206,19 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 def _closed_form_calls(monkeypatch):
     """Record every closed-form call of the searches, in order, as (name,
     d, l): the separation scans call _x_abs, each refinement step
-    _x_abs_slope, and the gap scans and the final evaluation _x_excess."""
+    _x_abs_slope (both take d, l first), and the gap scans and the final
+    evaluation _x_excess (which takes a, d, l)."""
     calls = []
-    for name in ("_x_abs", "_x_abs_slope", "_x_excess"):
-        def spy(a, d, l, c, *rest, name=name, original=getattr(analysis, name)):
-            calls.append((name, d, l))
-            return original(a, d, l, c, *rest)
+    for name, skip in (("_x_abs", 0), ("_x_abs_slope", 0), ("_x_excess", 1)):
+        def spy(*args, name=name, skip=skip, original=getattr(analysis, name)):
+            calls.append((name, *args[skip:skip + 2]))
+            return original(*args)
         monkeypatch.setattr(analysis, name, spy)
     return calls
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
 
 
 def _bisect_loop(f, lo, hi, positive_at_lo):
@@ -233,27 +239,29 @@ def _as_outcome(loc, value, lo, hi, iterations, note=""):
 
 @dataclass
 class _Root:
-    """A separation search done as a scalar loop over the public closed
-    forms on the full grid: the scan cell holding the sign change, the
-    root that bisection to floating resolution finds in it and its step
-    count, the function whose sign changes, the side that is positive, the
-    note at a location, and the public value there (``f`` where None).
-    Where P_A P_B is not a normal double the loops follow the sign of the
-    scaled excess (:func:`_scaled_excess`), which the public value E S
-    keeps only where it does not underflow."""
+    """A separation search done as a scalar loop over the closed forms on
+    the full grid: the scan cell holding the sign change, the root that
+    bisection to floating resolution finds in it and its step count, the
+    function whose sign changes, the side that is positive, the 50-digit
+    function whose sign change the root approximates, the note at a
+    location, and the public value there.  The loops follow the sign of
+    the scaled excess (:func:`_scaled_excess`), which the searches decide
+    by on every row, and which the public value E S keeps only where it
+    does not underflow."""
 
     cell: tuple
     bisected: float
     bisections: int
     f: Callable
     positive_at_lo: bool
+    exact: Callable
+    value: Callable
     note: Callable = lambda l: ""
-    value: Callable = None
 
 
 def _is_scaled(a, d, coupling):
-    """Whether P_A P_B is not a normal double, which switches a row to the
-    scaled excess."""
+    """Whether P_A P_B is not a normal double, where the public excess is
+    formed from the scaled one as E S."""
     product = transition_probability(a, coupling) * transition_probability(a + d, coupling)
     return product < np.finfo(float).tiny
 
@@ -262,27 +270,17 @@ def _scaled_excess(a, d, l, coupling):
     """S = |X|/E - sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2), per point from
     the closed forms' scaled pieces, which ``TestScaledExcess`` checks
     against 50 digits."""
-    x_abs = closedform._x_abs(a, d, l, coupling, np.True_)
-    return x_abs - closedform._scaled_gm(a, d, coupling)
-
-
-def _lmax_sign(a, d, l, coupling):
-    """A function with the sign of the correlation excess: the excess, or
-    S where P_A P_B is not a normal double.  Arrays broadcast."""
-    return np.where(_is_scaled(a, d, coupling), _scaled_excess(a, d, l, coupling),
-                    correlation_excess(a, d, l, coupling))
+    return closedform._x_abs(d, l, coupling) - closedform._scaled_gm(a, d, coupling)
 
 
 def _crossover_sign(a, d, l, coupling):
     """A function with the sign of the concurrence difference C(a, d, l) -
-    C(a, 0, l): the difference, or where the non-identical P_A P_B is not a
-    normal double, +-1 from 2 E_u max(0, S_u) > 2 E_i max(0, S_e) with the
+    C(a, 0, l): +-1 from 2 E_u max(0, S_u) > 2 E_i max(0, S_e) with the
     pairs' scaled excesses and the ratio E_u/E_i.  Arrays broadcast."""
     unequal, equal = _scaled_excess(a, d, l, coupling), _scaled_excess(a, 0.0, l, coupling)
     ratio = np.exp(-d * (2.0 * a + d) / 2.0)
     ahead = (unequal > 0.0) & ((equal <= 0.0) | (ratio * unequal > equal))
-    difference = concurrence_values(a, d, l, coupling) - concurrence_values(a, 0.0, l, coupling)
-    return np.where(_is_scaled(a, d, coupling), np.where(ahead, 1.0, -1.0), difference)
+    return np.where(ahead, 1.0, -1.0)
 
 
 def _result(search, *args, **kwargs):
@@ -328,10 +326,10 @@ def _assert_refines(got, want, ulps=64):
     """``got`` (a search result or the name of what it raised) refines the
     scalar loop's answer ``want`` (a :class:`_Root` or the name of what it
     raises): the same error, or a bracket inside the loop's scan cell, at
-    most 8 ulps wide, that the public closed forms certify as a sign change
-    the same way round, located within ``ulps`` of bisection's root, within
-    the stated step bound, with the value and note of the public closed
-    forms at its location."""
+    most 8 ulps wide, that the closed forms certify as a sign change the
+    same way round and 50 digits confirm, located within ``ulps`` of
+    bisection's root, within the stated step bound, with the value and
+    note of the public closed forms at its location."""
     if isinstance(want, str):
         assert got == want
         return
@@ -339,16 +337,17 @@ def _assert_refines(got, want, ulps=64):
     assert want.cell[0] <= lo < hi <= want.cell[1]
     assert hi - lo <= 8.0 * np.spacing(lo)
     assert (want.f(lo) > 0.0) == want.positive_at_lo != (want.f(hi) > 0.0)
+    _assert_exact_sign_change(want.exact, got.bracket, want.positive_at_lo)
     assert got.location == 0.5 * (lo + hi)
     assert abs(got.location - want.bisected) <= ulps * np.spacing(want.bisected)
-    assert got.value == (want.value or want.f)(got.location)
+    assert got.value == want.value(got.location)
     assert got.note == want.note(got.location)
     assert 0 < got.iterations <= _step_bound(want.cell) and got.converged
 
 
 def _lmax_loop(a, d, coupling, bound=None, step=0.01):
-    """find_lmax as a scalar loop over correlation_excess on the full grid,
-    or over the scaled excess where P_A P_B is not a normal double."""
+    """find_lmax as a scalar loop over the scaled excess on the full grid,
+    with the public correlation_excess as its value."""
     bound = bound or max(10.0, 4.0 * lmax_large_gap_estimate(a, d))
     grid = np.arange(bound, 0.5 * step, -step)
 
@@ -356,7 +355,7 @@ def _lmax_loop(a, d, coupling, bound=None, step=0.01):
         return correlation_excess(a, d, l, coupling)
 
     def f(l):
-        return _lmax_sign(a, d, l, coupling)
+        return _scaled_excess(a, d, l, coupling)
 
     positive = f(grid) > 0.0
     if positive[0]:
@@ -366,7 +365,8 @@ def _lmax_loop(a, d, coupling, bound=None, step=0.01):
     k = int(np.argmax(positive))
     cell = float(grid[k]), float(grid[k - 1])
     lo, hi, n = _bisect_loop(f, *cell, True)
-    return _Root(cell, 0.5 * (lo + hi), n, f, True, value=value)
+    return _Root(cell, 0.5 * (lo + hi), n, f, True, lambda l: _mp_excess(a, d, l, coupling),
+                 value)
 
 
 def _optimal_gap_loop(a, l, coupling, gap_bound=None):
@@ -401,10 +401,10 @@ def _optimal_gap_loop(a, l, coupling, gap_bound=None):
 
 
 def _crossover_loop(a, d, coupling, bound=None, step=0.01):
-    """find_crossover as a scalar loop over concurrence_values on the full
-    grid, or, where the non-identical P_A P_B is not a normal double, over
-    the sign of the concurrence difference 2 E_u max(0, S_u) - 2 E_i max(0,
-    S_e) from the pairs' scaled excesses and the ratio E_u/E_i."""
+    """find_crossover as a scalar loop on the full grid over the sign of
+    the concurrence difference 2 E_u max(0, S_u) - 2 E_i max(0, S_e) from
+    the pairs' scaled excesses and the ratio E_u/E_i, with the difference
+    of the public concurrence_values as its value."""
 
     def value(l):
         return concurrence_values(a, d, l, coupling) - concurrence_values(a, 0.0, l, coupling)
@@ -425,7 +425,8 @@ def _crossover_loop(a, d, coupling, bound=None, step=0.01):
     k = int(transitions[0]) + 1
     cell = float(grid[k - 1]), float(grid[k])
     lo, hi, n = _bisect_loop(g, *cell, False)
-    return _Root(cell, 0.5 * (lo + hi), n, g, False, note, value)
+    return _Root(cell, 0.5 * (lo + hi), n, g, False,
+                 lambda l: _mp_difference(a, d, l, coupling), value, note)
 
 
 class TestAgainstScalarLoops:
@@ -600,9 +601,10 @@ class TestNewtonRefinement:
         lmax, crossover = find_lmax_many(a, d, 0.1), find_crossover_many(a, d, 0.1)
         assert (lmax.error == "").all() and 30 <= (crossover.error == "").sum() < a.size
 
-        for batch, (start, end), f, positive_at_lo in (
-                (lmax, cells[0], lambda l: _lmax_sign(a, d, l, 0.1), True),
-                (crossover, cells[1], lambda l: _crossover_sign(a, d, l, 0.1), False)):
+        for batch, (start, end), f, exact, positive_at_lo in (
+                (lmax, cells[0], lambda l: _scaled_excess(a, d, l, 0.1), _mp_excess, True),
+                (crossover, cells[1], lambda l: _crossover_sign(a, d, l, 0.1), _mp_difference,
+                 False)):
             ok = batch.error == ""
             bound = [_step_bound(c) for c in zip(start[ok], end[ok])]
             assert (batch.iterations[ok] <= bound).all()
@@ -610,6 +612,9 @@ class TestNewtonRefinement:
             assert (hi[ok] - lo[ok] <= 8.0 * np.spacing(lo[ok])).all()
             assert ((f(lo) > 0.0) == positive_at_lo)[ok].all()
             assert ((f(hi) > 0.0) != positive_at_lo)[ok].all()
+            for i in np.flatnonzero(ok):
+                _assert_exact_sign_change(lambda l: exact(a[i], d[i], l), batch.bracket[i],
+                                          positive_at_lo)
 
 
 def _mp_difference(a, d, l, coupling=0.1):
@@ -636,6 +641,18 @@ class TestLargeGaps:
         assert abs(res.location - float(want)) <= 0.5 * 10.0 ** -len(want.split(".")[1])
         assert res.iterations <= 8
         assert _is_scaled(a, d, 0.1)
+
+    # rows whose P_A P_B is normal: the unscaled excess, which the search
+    # followed there, put the root 3.6e-14 and 4.4e-14 from the 50-digit
+    # one; the scaled excess puts it 1.5e-15 and 6.5e-15 away
+    @pytest.mark.parametrize("a, d", [(11.318114714493777, 9.830760262131834),
+                                      (7.176241102685861, 10.119832651017477)])
+    def test_find_lmax_within_1e_14_of_the_50_digit_root(self, a, d):
+        assert not _is_scaled(a, d, 0.1)
+        res = find_lmax(a, d)
+        with mp.workdps(50):
+            root = mp.findroot(lambda l: _mp_excess(a, d, l), mp.mpf(res.location))
+            assert abs(res.location - root) <= 1e-14 * root
 
     def test_find_crossover_where_the_ratio_of_scales_underflows(self):
         # exp(-d(2a + d)/2) underflows to zero, so the sign of r S_u -
@@ -888,29 +905,14 @@ def _reference_grid(bound, step, upward):
     return np.arange(bound, 0.5 * step, -step)
 
 
-def _scan_constants(a, d, coupling):
-    """A separation search's row constants as :func:`analysis._cuts` takes
-    them: the gm each row compares with, sqrt(P~_A P~_B) where P_A P_B is
-    not a normal double and sqrt(P_A P_B) elsewhere, and that mask."""
-    scaled = _is_scaled(a, d, coupling)
-    gm = np.where(scaled, closedform._scaled_gm(a, d, coupling),
-                  geometric_mean_probability(a, d, coupling))
-    return gm, scaled
-
-
 def _reference_cut(a, d, bound, coupling, upward, step=0.01):
     """A row's cut from the envelope certificate of every point of its full
     grid: the first open point downward, one past the last open point
-    upward (the grid's size, or 0, where every point is open).  Where
-    P_A P_B is not a normal double the certificate compares the scaled
-    envelope with sqrt(P~_A P~_B)."""
+    upward (the grid's size, or 0, where every point is open).  The
+    certificate compares the scaled envelope with sqrt(P~_A P~_B)."""
     grid = _reference_grid(bound, step, upward)
-    if _is_scaled(a, d, coupling):
-        gm = closedform._scaled_gm(a, d, coupling)
-        envelope = closedform._scaled_x_envelope(d, grid, coupling)
-    else:
-        gm = geometric_mean_probability(a, d, coupling)
-        envelope = closedform._x_envelope(a, d, grid, coupling)
+    gm = closedform._scaled_gm(a, d, coupling)
+    envelope = closedform._scaled_x_envelope(d, grid, coupling)
     open_ = np.flatnonzero(~(envelope * (1.0 + analysis._ENVELOPE_MARGIN) < gm))
     if upward:
         return open_[-1] + 1 if open_.size else 0
@@ -923,22 +925,15 @@ def _reference_floor(a, d, bound, coupling, step=0.01):
     identical pair's |X|, less the margin, minus its sqrt(P_A P_B) does not
     exceed r max(0, U_u (1 + margin) - sqrt(P_A P_B)) of the non-identical
     pair, U_u its envelope at the grid's first point and r the ratio of the
-    pairs' scales; 0 where a sqrt(P_A P_B) is not normal.  Where the
-    non-identical P_A P_B is not a normal double every term is scaled.
-    Checks that the certified points are a prefix of the grid."""
+    pairs' scales, every term divided by its pair's E; 0 where a
+    sqrt(P~_A P~_B) is not normal.  Checks that the certified points are a
+    prefix of the grid."""
     grid = _reference_grid(bound, step, upward=True)
     margin = analysis._ENVELOPE_MARGIN
-    if _is_scaled(a, d, coupling):
-        gm_u, gm_e = closedform._scaled_gm(a, d, coupling), closedform._scaled_gm(a, 0.0, coupling)
-        ceiling = closedform._scaled_x_envelope(d, grid[0], coupling)
-        floor = closedform._scaled_x_floor(grid, coupling)
-        ratio = np.exp(-d * (2.0 * a + d) / 2.0)
-    else:
-        gm_u = geometric_mean_probability(a, d, coupling)
-        gm_e = geometric_mean_probability(a, 0.0, coupling)
-        ceiling = closedform._x_envelope(a, d, grid[0], coupling)
-        floor = closedform._x_floor(a, grid, coupling)
-        ratio = 1.0
+    gm_u, gm_e = closedform._scaled_gm(a, d, coupling), closedform._scaled_gm(a, 0.0, coupling)
+    ceiling = closedform._scaled_x_envelope(d, grid[0], coupling)
+    floor = closedform._scaled_x_floor(grid, coupling)
+    ratio = np.exp(-d * (2.0 * a + d) / 2.0)
     if not min(gm_u, gm_e) >= np.finfo(float).tiny:
         return 0
     certified = floor * (1.0 - margin) - gm_e > ratio * max(0.0, ceiling * (1.0 + margin) - gm_u)
@@ -977,18 +972,18 @@ class TestScanGrids:
                                  ((rng.uniform(0.0, 40.0, 400), rng.uniform(0.0, 35.0, 400)), 0.1)):
             bound = analysis._default_scan_bound(a, d)
             start, delta, n = analysis._grids(bound, 0.01, upward)
-            gm, scaled = _scan_constants(a, d, coupling)
+            gm, scaled = closedform._scaled_gm(a, d, coupling), _is_scaled(a, d, coupling)
             want = [_reference_cut(x, y, b, coupling, upward) for x, y, b in zip(a, d, bound)]
             for size in (a.size, 40, 1):
                 rows = [slice(i, i + size) for i in range(0, min(a.size, 100 * size), size)]
-                got = [analysis._cuts(start[r], delta[r], n[r], gm[r], scaled[r], a[r], d[r],
-                                      coupling, upward) for r in rows]
+                got = [analysis._cuts(start[r], delta[r], n[r], gm[r], d[r], coupling, upward)
+                       for r in rows]
                 assert np.concatenate(got).tolist() == want[:rows[-1].stop], size
             at_end = np.array(want) % n == 0
             edges |= set(at_end)
             # a scaled row's cut lies inside its grid unless it harvests at
             # its bound (one row here, where d >> a)
-            harvests = _lmax_sign(a, d, bound, coupling) > 0.0
+            harvests = _scaled_excess(a, d, bound, coupling) > 0.0
             assert (harvests | ~at_end)[scaled].all() and scaled.sum() in (0, 330)
         assert edges == {False, True}  # cuts inside grids and at their ends
 
@@ -1114,28 +1109,27 @@ class TestChunkedScanCalls:
         # (downward) or before it (upward) only where gm is normal and
         # finite: the margin is relative
         assert geometric_mean_probability(27.0, 0.0, 0.1) == 0.0
-        gm, scaled = _scan_constants(27.0, 0.0, 0.1)
-        assert scaled and closedform._scaled_x_envelope(0.0, 100.0, 0.1) < gm
+        gm = closedform._scaled_gm(27.0, 0.0, 0.1)
+        assert closedform._scaled_x_envelope(0.0, 100.0, 0.1) < gm
         assert _mp_excess(27.0, 0.0, 100.0) < 0
         gm = np.array([gm, 1e-310, 0.0, np.inf, np.nan])
-        a, d, start, n = np.full(5, 27.0), np.zeros(5), np.full(5, 100.0), np.ones(5, dtype=int)
-        scaled = np.ones(5, dtype=bool)
-        down = analysis._cuts(start, np.full(5, -0.01), n, gm, scaled, a, d, 0.1, upward=False)
-        up = analysis._cuts(start, np.full(5, 0.01), n, gm, scaled, a, d, 0.1, upward=True)
+        d, start, n = np.zeros(5), np.full(5, 100.0), np.ones(5, dtype=int)
+        down = analysis._cuts(start, np.full(5, -0.01), n, gm, d, 0.1, upward=False)
+        up = analysis._cuts(start, np.full(5, 0.01), n, gm, d, 0.1, upward=True)
         assert down.tolist() == [1, 0, 0, 0, 0] and up.tolist() == [0, 1, 1, 1, 1]
         # where no row may certify, no envelope is evaluated
         envelope = _envelope_shapes(monkeypatch)
-        assert analysis._cuts(start[1:], np.full(4, -0.01), n[1:], gm[1:], scaled[1:], a[1:],
-                              d[1:], 0.1, upward=False).tolist() == [0, 0, 0, 0]
+        assert analysis._cuts(start[1:], np.full(4, -0.01), n[1:], gm[1:], d[1:], 0.1,
+                              upward=False).tolist() == [0, 0, 0, 0]
         assert envelope == []
 
 
 def _envelope_shapes(monkeypatch):
     """Record the shape of l of every envelope call of the scans."""
     shapes = []
-    original = analysis._x_envelope
-    monkeypatch.setattr(analysis, "_x_envelope",
-                        lambda a, d, l, c: shapes.append(np.shape(l)) or original(a, d, l, c))
+    original = analysis._scaled_x_envelope
+    monkeypatch.setattr(analysis, "_scaled_x_envelope",
+                        lambda d, l, c: shapes.append(np.shape(l)) or original(d, l, c))
     return shapes
 
 

@@ -388,6 +388,24 @@ class TestSweepCommand:
         # emitted axis reproduces the concurrence column bit for bit
         assert concurrence_values(0.5, 0.25, data[:, 0], 0.1).tolist() == data[:, 1].tolist()
 
+    def test_sqrt_pa_pb_where_the_product_underflows(self, tmp_path):
+        # P_A = P_B = 1.9e-180 at (20, 0): their product underflows to 0, and
+        # the column read 0.0 where eval reports the same sqrt(P_A P_B) as here
+        out, record = tmp_path / "sweep.csv", tmp_path / "eval.json"
+        assert run(["sweep", "--axis", "l", "--start", "50", "--stop", "100", "--points", "2",
+                    "--omega-a", "20", "--delta-omega", "0", "--out", str(out)]) == 0
+        assert run(["eval", "--omega-a", "20", "--delta-omega", "0", "--l", "50",
+                    "--format", "record", "--out", str(record)]) == 0
+        _, columns, data = read_data_file(out)
+        rec = json.loads(record.read_text())["result"]
+        assert rec["sqrt_pa_pb"] == 1.8979547353680723e-180
+        assert data[:, columns.index("sqrt_pa_pb")].tolist() == [rec["sqrt_pa_pb"]] * 2
+        # where the product is normal the column is its square root, bit for bit
+        assert run(self.ARGS + ["--out", str(out)]) == 0
+        _, columns, data = read_data_file(out)
+        p_a, p_b = transition_probability(0.5, 0.1), transition_probability(0.75, 0.1)
+        assert data[:, columns.index("sqrt_pa_pb")].tolist() == [np.sqrt(p_a * p_b)] * 40
+
     @pytest.mark.parametrize("start,stop", [(40.0, 30.0), (30.0, 40.0)])
     def test_points_outside_the_domain_are_flagged_wherever_they_sit(
         self, tmp_path, start, stop

@@ -33,9 +33,8 @@ from udwharvest import (
 )
 from udwharvest import analysis
 from udwharvest.closedform import (
-    _SCALED_BELOW, _ZW_BOUND, _probability_terms, _scaled_gm, _scaled_probability,
-    _scaled_x_envelope, _scaled_x_floor, _x_abs,
-    _x_abs_slope, _x_envelope, _x_floor,
+    _SCALED_BELOW, _ZW_BOUND, _clamp, _probability_terms, _scaled_gm, _scaled_probability,
+    _scaled_x_envelope, _scaled_x_floor, _x_abs, _x_abs_slope, _x_excess,
 )
 
 FOUR_PI = 4.0 * np.pi
@@ -153,8 +152,10 @@ class TestCorrelationX:
 
 
 class TestXEnvelope:
-    """``_x_envelope`` bounds |X| without a Faddeeva evaluation: the
-    separation scans skip every point where it lies below sqrt(P_A P_B)."""
+    """``_scaled_x_envelope`` bounds |X|/E through the constant M =
+    ``_ZW_BOUND`` without a Faddeeva evaluation: the separation scans skip
+    every point where it lies below sqrt(P~_A P~_B)
+    (``TestScaledExcess``)."""
 
     def test_zw_bound_is_the_rounded_up_supremum_on_the_real_line(self):
         def zw(x):
@@ -167,23 +168,10 @@ class TestXEnvelope:
             # 0 at 0, and falls toward 1/sqrt(pi) from above beyond the samples
             assert all(zw(mp.mpf(x)) <= sup for x in np.linspace(0.0, 60.0, 1201))
 
-    @pytest.mark.parametrize("coupling", [0.1, 1.0])
-    def test_envelope_bounds_x_across_the_domain(self, coupling):
-        a = np.linspace(0.0, 40.0, 81)[:, None, None]
-        d = np.linspace(0.0, 35.0, 71)[None, :, None]
-        l = np.geomspace(0.01, 440.0, 500)
-        x = np.abs(correlation_x_values(a, d, l, coupling))
-        env = _x_envelope(a, d, l, coupling)
-        # the bound is exact; the computed values may cross it by a few
-        # roundings, or by one unit of 2^-1074 where they are subnormal
-        assert np.all(x <= env * (1.0 + 1e-12) + 4.0 * 2.0**-1074)
-        assert np.all(np.diff(env, axis=-1) <= 0.0)
-        assert (x > 0.0).any() and (env > 0.0).any()
-
 
 class TestIdenticalXFloor:
-    """``_x_floor`` and ``_scaled_x_floor`` bound |X(a, 0, l)| and |X|/E,
-    E = exp(-a^2), from below without a Faddeeva evaluation, through
+    """``_scaled_x_floor`` bounds |X(a, 0, l)|/E, E = exp(-a^2), from below
+    without a Faddeeva evaluation, through
     Dawson's integral F(x) > x/(1 + 2x^2): the crossover walk starts where
     they stop certifying the identical pair ahead."""
 
@@ -198,27 +186,17 @@ class TestIdenticalXFloor:
 
     @pytest.mark.parametrize("coupling", [0.1, 1.0])
     def test_floor_lies_below_x_across_the_domain(self, coupling):
-        a = np.linspace(0.0, 40.0, 81)[:, None]
+        # |X(a, 0, l)|/E depends on l alone
         l = np.geomspace(0.01, 440.0, 2000)
         margin = 1.0 - analysis._ENVELOPE_MARGIN
-        x = np.abs(correlation_x_values(a, 0.0, l, coupling))
-        floor = _x_floor(a, l, coupling)
-        # the certificate uses the floor only where it is normal (it must
-        # exceed a normal sqrt(P_A P_B)); below, a relative margin means nothing
-        normal = floor >= np.finfo(float).tiny
-        assert normal.sum() > 0.5 * normal.size
-        assert np.all(floor[normal] * margin <= x[normal])
-        scaled = _x_abs(a, 0.0, l, coupling, np.True_)
+        scaled = _x_abs(0.0, l, coupling)
         assert np.all(_scaled_x_floor(l, coupling) * margin <= scaled)
-        # the bound is strict, within 1 - 4/l^2 of |X| at large l: 2e-5 at 440
-        assert (floor[normal] / x[normal]).max() < 1.0 - 2e-5
+        # the bound is strict, within 1 - 4/l^2 of |X|/E at large l: 2e-5 at 440
         assert (_scaled_x_floor(l, coupling) / scaled).max() < 1.0 - 2e-5
 
     def test_floor_decreases_in_l(self):
-        a = np.array([0.0, 0.5, 5.0, 13.0, 26.0])[:, None]
         l = np.arange(0.01, 440.0, 0.001)
         assert np.all(np.diff(_scaled_x_floor(l, 0.1)) <= 0.0)
-        assert np.all(np.diff(_x_floor(a, l, 0.1), axis=-1) <= 0.0)
 
 
 class TestConcurrence:
@@ -446,7 +424,7 @@ class TestScalarArrayBitwise:
         # separation scans: the separation runs along the rows
         seps = np.sort(rng.uniform(0.01, 120.0, (rows, points)), axis=-1)
         x = correlation_x_values(a[:, None], d[:, None], seps, lam)
-        conc = analysis._clamp(analysis._excess(gm[:, None], a[:, None], d[:, None], seps, lam))
+        conc = _clamp(_x_excess(a[:, None], d[:, None], seps, lam, gm[:, None])[1])
         for i in range(rows):
             assert _bits(x[i]) == _bits(correlation_x_values(a[i], d[i], seps[i], lam))
             assert _bits(conc[i]) == _bits(concurrence_values(a[i], d[i], seps[i], lam))
@@ -485,33 +463,37 @@ def _textbook_x_abs(a, d, l, lam):
 
 
 class TestXAbsSlope:
-    """``_x_abs_slope`` gives |X| and its slope in the separation from the
-    one Faddeeva evaluation of X, for the root refinement."""
+    """``_x_abs_slope`` gives |X|/E, E = exp(-(a^2 + b^2)/2), and its slope
+    in the separation from one Faddeeva evaluation, for the root
+    refinement; neither depends on a."""
 
     @pytest.mark.parametrize("a", [0.2, 4.0])
     @pytest.mark.parametrize("d", [0.0, 1.5])
     @pytest.mark.parametrize("l", [0.05, 1.0, 30.0])
     def test_slope_against_a_50_digit_derivative(self, a, d, l):
-        x_abs, slope = _x_abs_slope(a, d, l, 0.1)
+        x_abs, slope = _x_abs_slope(d, l, 0.1)
         with mp.workdps(50):
-            want = mp.diff(lambda s: _textbook_x_abs(a, d, s, 0.1), mp.mpf(l))
-            assert abs(slope - want) <= 1e-12 * abs(want)
-        assert x_abs == np.abs(correlation_x_values(a, d, l, 0.1))
+            def want(s):
+                return _textbook_x_abs(a, d, s, 0.1) / _textbook_scale(a, d)
+
+            assert abs(x_abs - want(l)) <= 1e-12 * want(l)
+            derivative = mp.diff(want, mp.mpf(l))
+            assert abs(slope - derivative) <= 1e-12 * abs(derivative)
+        assert x_abs == _x_abs(d, l, 0.1)
 
     def test_same_bits_for_every_shape_of_call(self):
         # the calls the searches make: one problem, a row of problems, and
         # both pairs of a crossover stacked along a leading axis of two
         rng = np.random.default_rng(14)
-        a, d = rng.uniform(0.0, 40.0, 200), rng.uniform(0.0, 35.0, 200)
-        l = rng.uniform(0.05, 120.0, 200)
-        a[:3], d[:3], l[:3] = [0.2, 4.0, 0.5], [0.0, 0.0, 0.25], [0.05, 30.0, 1.7]
-        x_abs, slope = _x_abs_slope(a, d, l, 0.1)
-        assert _bits(x_abs) == _bits(np.abs(correlation_x_values(a, d, l, 0.1)))
-        one = [_x_abs_slope(*p, 0.1) for p in zip(a.tolist(), d.tolist(), l.tolist())]
+        d, l = rng.uniform(0.0, 35.0, 200), rng.uniform(0.05, 120.0, 200)
+        d[:3], l[:3] = [0.0, 0.0, 0.25], [0.05, 30.0, 1.7]
+        x_abs, slope = _x_abs_slope(d, l, 0.1)
+        assert _bits(x_abs) == _bits(_x_abs(d, l, 0.1))
+        one = [_x_abs_slope(*p, 0.1) for p in zip(d.tolist(), l.tolist())]
         assert _bits([v for v, _ in one]) == _bits(x_abs)
         assert _bits([s for _, s in one]) == _bits(slope)
-        stacked_abs, stacked_slope = _x_abs_slope(a, np.stack([d, np.zeros(200)]), l, 0.1)
-        identical = _x_abs_slope(a, 0.0, l, 0.1)
+        stacked_abs, stacked_slope = _x_abs_slope(np.stack([d, np.zeros(200)]), l, 0.1)
+        identical = _x_abs_slope(0.0, l, 0.1)
         assert _bits(stacked_abs) == _bits(np.stack([x_abs, identical[0]]))
         assert _bits(stacked_slope) == _bits(np.stack([slope, identical[1]]))
         assert np.isfinite(slope).all() and (slope[:3] != 0.0).all()
@@ -551,8 +533,8 @@ class TestScaledExcess:
                                          (15.4, 20.6, 42.5), (4.5, 34.6, 9.4), (0.5, 35.0, 120.0),
                                          (40.0, 35.0, 3.0)])
     def test_scaled_x_abs_and_slope(self, a, d, l):
-        x_abs, slope = _x_abs_slope(a, d, l, 0.1, np.True_)
-        assert x_abs == _x_abs(a, d, l, 0.1, np.True_)
+        x_abs, slope = _x_abs_slope(d, l, 0.1)
+        assert x_abs == _x_abs(d, l, 0.1)
         with mp.workdps(50):
             def want(s):
                 return _textbook_x_abs(a, d, s, 0.1) / _textbook_scale(a, d)
@@ -563,10 +545,10 @@ class TestScaledExcess:
 
     @pytest.mark.parametrize("coupling", [0.1, 1.0])
     def test_scaled_envelope_bounds_scaled_x_across_the_domain(self, coupling):
-        a = np.linspace(0.0, 40.0, 41)[:, None, None]
-        d = np.linspace(0.0, 35.0, 71)[None, :, None]
+        # |X|/E depends on d and l alone
+        d = np.linspace(0.0, 35.0, 71)[:, None]
         l = np.geomspace(0.01, 440.0, 500)
-        x = _x_abs(a, d, l, coupling, np.True_)
+        x = _x_abs(d, l, coupling)
         env = _scaled_x_envelope(d, l, coupling)
         assert np.isfinite(x).all() and (x > 0.0).all()
         assert np.all(x <= env * (1.0 + 1e-12))
