@@ -37,18 +37,24 @@ upper one (:func:`_floors`): below it the identical pair is certified
 ahead, from a lower bound on its |X|/E through Dawson's integral F,
 F(x) > x/(1 + 2x^2) for x > 0, that costs no Faddeeva evaluation either
 (:func:`~udwharvest.closedform._scaled_x_floor`), against the non-identical
-pair's envelope at the grid's first point.  Its walk starts there, as if
-after a non-positive point, and at large gaps, where the crossover lies
-near the identical pair's lmax, about 2a, it walks one block instead of
-thousands of points.  The rest is walked in blocks of 256 points, each
-twice the one before, up to the first block that holds the answer.  A
-closed-form call gives the same bits for a point whatever the shape of the
-call, so every answer, bracket and raised error is bit for bit that of
-evaluating the whole grid.  A scan bound must be finite and a grid may span at most 1e7
-points; a larger one raises ValueError before the scan starts.  A
-crossover row compares the two pairs' scaled excesses through the ratio
-of their scales, exp(-d(2a + d)/2), in a form whose sign does not rest on
-that ratio where it underflows (:func:`_lead`).
+pair's envelope at the grid's first point.  Its walk starts there, and
+at large gaps, where the crossover lies near the identical pair's lmax,
+about 2a, it walks one block instead of thousands of points.  Every walk
+starts as if after a non-positive point, so its first positive point is
+its answer; a crossover row positive at the grid's first point has the
+non-identical pair ahead from the first scanned separation, and returns
+that point, in the bracket (0, point], with a note.  The rest is walked
+in blocks, each twice the one before, up to the first block that holds
+the answer.  The first block of each of the rows walked together is 256
+// rows points (at least one), so a row walking alone starts with 256
+points and the first call over many rows holds about 256 in all.  A
+closed-form call gives the same bits for a point whatever the shape of
+the call, so every answer, bracket and raised error is bit for bit that
+of evaluating the whole grid.  A scan bound must be finite and a grid
+may span at most 1e7 points; a larger one raises ValueError before the
+scan starts.  A crossover row compares the two pairs' scaled excesses
+through the ratio of their scales, exp(-d(2a + d)/2), in a form whose
+sign does not rest on that ratio where it underflows (:func:`_lead`).
 
 The sign change a separation scan finds is refined by safeguarded Newton
 steps (:func:`_refine`), whose slope costs no further Faddeeva evaluation
@@ -63,15 +69,18 @@ gap search keeps its golden section.
 Each search has a batched form, :func:`find_lmax_many`,
 :func:`find_optimal_gap_many` and :func:`find_crossover_many`, which takes
 broadcast arrays of problems and returns a :class:`SearchBatch` of arrays
-of their shape.  Every row is scanned on its own grid, in chunks of
-consecutive rows holding at most 8 k scanned points when each is padded
-to the longest of them (a longer row is a chunk of its own), so memory
-stays that of one chunk.  A chunk of gap scans is one closed-form call
-over a (rows, 256) grid.  The separation scans search the cuts of all
-rows in one envelope call per step, then chunk the rows by the points
-they walk: a chunk is one closed-form call per round of blocks over the
-rows that have not found their answer yet, each row walking its own next
-block.  Then all rows are refined in lockstep: one closed-form array
+of their shape.  Every row is scanned on its own grid, in chunks of rows
+holding at most 8 k scanned points when each is padded to the longest of
+them (a longer row is a chunk of its own), so memory stays that of one
+chunk.  A chunk of gap scans is one closed-form call over a (rows, 256)
+grid.  The grid, and X's bracket on it, depend on a row's separation and
+gap bound alone, so the gap scans visit the rows in (separation, bound)
+order, and each run of equal keys in a chunk shares one Faddeeva
+evaluation of the bracket.  The separation scans search the cuts of all
+rows in one envelope call per step, then chunk consecutive rows by the
+points they walk: a chunk is one closed-form call per round of blocks
+over the rows that have not found their answer yet, each row walking its
+own next block.  Then all rows are refined in lockstep: one closed-form array
 call per Newton or golden-section step, with each finished row frozen in
 place.  A row where the one-problem search would raise carries NaN
 and the exception's class name in ``error``, so one failing problem
@@ -107,6 +116,7 @@ from .closedform import (
     _scaled_x_floor,
     _x_abs,
     _x_abs_slope,
+    _x_bracket,
     _x_excess,
     lmax_large_gap_estimate,
     transition_probability,
@@ -138,9 +148,12 @@ _GAP_SCAN_POINTS = 256
 # it walks every point, 1e7 in 2 s (find_lmax) to 4 s (find_crossover).
 _MAX_SCAN_POINTS = 10**7
 
-# Points of a separation scan's first block; each later block is twice the
-# one before, so a scan that stops early evaluates little past its answer
-# and one that runs to the end costs a few calls more than one call.
+# Points of one call of a lockstep search over rows: a separation scan's
+# first block is _SCAN_BLOCK // rows points of each of a chunk's rows (at
+# least one), and each later block is twice the one before, so a scan that
+# stops early evaluates little past its answer and one that runs to the end
+# costs a few calls more than one call; a search for the cuts probes as
+# many points per step (:func:`_edges`).
 _SCAN_BLOCK = 256
 
 # Points of one chunk of scanned rows, each padded to the longest (a
@@ -364,46 +377,41 @@ def _floors(start, delta, n, gms, ratio, d, coupling):
 
 def _separation_scan(grid, gm, d, coupling, positive, upward, floor=None):
     """Walk every row's separation grid (:func:`_grids`'s ``grid``) to its
-    first turn to positive; 1-D arrays gm and d hold the rows' problems,
-    as :func:`_cuts` takes them.
+    first positive point; 1-D arrays gm and d hold the rows' problems, as
+    :func:`_cuts` takes them.
 
     ``positive(rows, l)`` is the sign test of the rows (an index array) at
     separations l, one row of l per row.  A downward walk runs from the
-    row's cut (:func:`_cuts`) to the grid's end and starts as if after a
-    non-positive point.  An upward one runs from the row's ``floor``, the
-    first index not certified non-positive (:func:`_floors`), to the cut.
-    From a floor above 0 it starts as if after a non-positive point,
-    the one below the floor; from 0 as if after a positive one, so its
-    first point cannot turn.  A row whose floor is at or past its cut walks
-    nothing and has no turn.
+    row's cut (:func:`_cuts`) to the grid's end, an upward one from the
+    row's ``floor``, the first index not certified non-positive
+    (:func:`_floors`), to the cut.  Either walk starts as if after a
+    non-positive point, so its first positive point is its turn: the
+    first sign change, or the walk's first point.  A row whose floor is at
+    or past its cut walks nothing and has no turn.
     The rows are chunked by the points they walk.  Per chunk the walks run
-    in lockstep rounds of blocks, each twice the one before: a round is one
-    call over the next block of every row without a turn so far, a shorter
-    walk padded with its last point, so every row's blocks have the
-    boundaries of a walk on its own.  Returns each row's turn index k (-1
-    where there is none) and its grid at k and at k-1 (NaN where there is
-    no such point)."""
+    in lockstep rounds of blocks, each twice the one before, the first of
+    ``_SCAN_BLOCK // rows`` points (at least one), so that the first
+    round's call holds about ``_SCAN_BLOCK`` points, as a step of
+    :func:`_edges` does: a round is one call over the next block of every row without a turn
+    so far, a shorter walk padded with its last point.  Returns each row's
+    turn index k (-1 where there is none) and its grid at k and at k-1
+    (NaN where there is no such point)."""
     start, delta, n = grid
     cut = _cuts(start, delta, n, gm, d, coupling, upward)
     first, last = (floor, cut) if upward else (cut, n)
-    # round r is block r, of _SCAN_BLOCK * 2**r points, of every row still
-    # walking; a repeated last point cannot turn again, and a row leaves at
-    # its first turn or at its end
+    # a row leaves at its first positive point or at its end
     k = np.full(n.shape, -1)
     for chunk in _chunks(last - first):
         rows = chunk.start + np.flatnonzero(last[chunk] > first[chunk])
-        before = upward & (first[rows] == 0)
-        offset, size = 0, _SCAN_BLOCK
+        offset, size = 0, max(1, _SCAN_BLOCK // max(rows.size, 1))
         while rows.size:
             begin, end = first[rows] + offset, last[rows]
             idx = np.minimum(begin[:, None] + np.arange(min(size, np.max(end - begin))),
                              end[:, None] - 1)
             pos = positive(rows, start[rows, None] + idx * delta[rows, None])
-            turns = pos & ~np.concatenate([before[:, None], pos[:, :-1]], axis=1)
-            turned = turns.any(axis=1)
-            k[rows[turned]] = begin[turned] + np.argmax(turns[turned], axis=1)
-            going = ~turned & (begin + size < end)
-            rows, before = rows[going], pos[going, -1]
+            turned = pos.any(axis=1)
+            k[rows[turned]] = begin[turned] + np.argmax(pos[turned], axis=1)
+            rows = rows[~turned & (begin + size < end)]
             offset, size = offset + size, 2 * size
     at = np.where(k >= 0, start + k * delta, np.nan)
     previous = np.where(k > 0, start + (k - 1) * delta, np.nan)
@@ -415,10 +423,12 @@ def _separation_scan(grid, gm, d, coupling, positive, upward, floor=None):
 # names, so it gives that function's bits.
 
 
-def _gap_concurrence(p_a, a, d, l, coupling):
-    """``concurrence_values`` with P_A passed in."""
+def _gap_concurrence(p_a, a, d, l, coupling, x_bracket=None):
+    """``concurrence_values`` with P_A, and X's bracket where the caller
+    has it (:func:`~udwharvest.closedform._x_terms`), passed in."""
     p_b, bracket_b = _probability_terms(a + d, coupling)
-    return _clamp(_x_excess(a, d, l, coupling, np.sqrt(p_a * p_b), (None, bracket_b))[1])
+    return _clamp(_x_excess(a, d, l, coupling, np.sqrt(p_a * p_b), (None, bracket_b),
+                            x_bracket)[1])
 
 
 def _lead(unequal, equal, ratio, harvests):
@@ -638,8 +648,11 @@ def find_optimal_gap_many(
     """:func:`find_optimal_gap` for broadcast arrays of smaller gaps and
     separations (and gap bounds).  ``coupling`` is shared by all rows.
 
-    Each row is scanned on its own grid; then all interior rows are refined
-    by golden section in lockstep.  No row fails: every ``error`` is empty.
+    Each row is scanned on its own grid of 256 samples; rows with the same
+    separation and gap bound share the grid, and the Faddeeva evaluation
+    of X's bracket on it, which do not depend on the smaller gap.  Then
+    all interior rows are refined by golden section in lockstep.  No row
+    fails: every ``error`` is empty.
     """
     a, l = np.broadcast_arrays(
         np.asarray(omega_a_sigma, dtype=float), np.asarray(l_over_sigma, dtype=float)
@@ -654,15 +667,25 @@ def find_optimal_gap_many(
         raise ValueError("gap_bound must be > 0")
     p_a = np.asarray(transition_probability(a, coupling))
     # every row's scan is _GAP_SCAN_POINTS samples; a chunk of rows is one
-    # call over a (rows, samples) grid
+    # call over a (rows, samples) grid.  The grid, and X's bracket on it,
+    # depend on the row's separation and gap bound alone, so the rows are
+    # visited in (l, bound) order and each run of equal keys in a chunk
+    # shares one bracket evaluation
     n, last = a.size, _GAP_SCAN_POINTS - 1
     best, first = np.empty(n, dtype=int), np.empty(n)
     lo, hi = np.empty(n), np.empty(n)
     row_a, row_l, row_bound, row_p_a = (x.ravel() for x in (a, l, bound, p_a))
-    for rows in _chunks(np.full(n, _GAP_SCAN_POINTS)):
-        grid = np.linspace(0.0, row_bound[rows], _GAP_SCAN_POINTS, axis=-1)
-        values = _gap_concurrence(row_p_a[rows, None], row_a[rows, None], grid,
-                                  row_l[rows, None], coupling)
+    order = np.lexsort((row_bound, row_l))
+    for chunk in _chunks(np.full(n, _GAP_SCAN_POINTS)):
+        rows = order[chunk]
+        ls, bounds = row_l[rows], row_bound[rows]
+        starts = np.concatenate([[True], (ls[1:] != ls[:-1]) | (bounds[1:] != bounds[:-1])])
+        run, heads = np.cumsum(starts) - 1, np.flatnonzero(starts)
+        grid = np.linspace(0.0, bounds[heads], _GAP_SCAN_POINTS, axis=-1)
+        b_re, b_im = _x_bracket(grid, ls[heads, None])[:2]
+        grid = grid[run]
+        values = _gap_concurrence(row_p_a[rows, None], row_a[rows, None], grid, ls[:, None],
+                                  coupling, (b_re[run], b_im[run]))
         k = np.argmax(values, axis=-1)
         r = np.arange(k.size)
         best[rows], first[rows] = k, values[:, 0]
@@ -753,9 +776,10 @@ def find_crossover_many(
     k = k.reshape(a.shape)
     error = _blank(a.shape)
     error[k < 0] = NoCrossover.__name__
-    # a failed row sits at lo = hi, where the refinement leaves it alone
-    lo = np.where(k < 0, scan_step, below.reshape(a.shape))  # g(lo) <= 0 < g(hi)
+    # a failed row, and one ahead from the grid's first point (k = 0), sits
+    # at lo = hi, where the refinement leaves it alone
     hi = np.where(k < 0, scan_step, at.reshape(a.shape))
+    lo = np.where(k > 0, below.reshape(a.shape), hi)  # g(lo) <= 0 < g(hi)
 
     def g(l):
         x_abs, slope = _x_abs_slope(ds, l, coupling)
@@ -768,7 +792,10 @@ def find_crossover_many(
     unequal, equal = _clamp(_x_excess(a, ds, loc, coupling, gms, brackets)[1])
     note = np.where((unequal > 0.0) & (equal > 0.0), "",
                     "identical-pair concurrence already zero here").astype(object)
-    return _batch(loc, unequal - equal, lo, hi, iterations, note, error)
+    # the grid's first point leads: the crossover lies in (0, that point]
+    ahead = k == 0
+    note[ahead] = "non-identical pair ahead from the first scanned separation"
+    return _batch(loc, unequal - equal, np.where(ahead, 0.0, lo), hi, iterations, note, error)
 
 
 def find_crossover(
@@ -794,15 +821,16 @@ def find_crossover(
     point where a lower bound on the identical pair's |X|/E (through
     Dawson's integral, no Faddeeva evaluation) no longer certifies that
     pair ahead of the non-identical pair's envelope; from there a
-    positive first point is a sign change, while a walk from the grid's
-    start begins as if after a positive point, so its first point cannot
-    turn.  Neither cut changes the answer, which is that of the full scan
-    bit for bit.  Both pairs are compared through their scaled excesses,
-    as :func:`find_lmax` follows one, and the ratio of their scales;
-    ``value`` is the difference of their ``concurrence_values``.  Raises
-    :exc:`NoCrossover` when the difference never turns positive on the
-    grid.  One problem per call; :func:`find_crossover_many` solves arrays
-    of them.
+    positive first point is a sign change.  A difference already positive
+    at the grid's first point l_1 is returned there, in the bracket (0,
+    l_1], with 0 iterations and the note "non-identical pair ahead from
+    the first scanned separation".  Neither cut changes the answer, which
+    is that of the full scan bit for bit.  Both pairs are compared through
+    their scaled excesses, as :func:`find_lmax` follows one, and the ratio
+    of their scales; ``value`` is the difference of their
+    ``concurrence_values``.  Raises :exc:`NoCrossover` when the difference
+    is positive nowhere on the grid.  One problem per call;
+    :func:`find_crossover_many` solves arrays of them.
     """
     batch = find_crossover_many(omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step)
     if batch.error[()] == NoCrossover.__name__:

@@ -157,8 +157,9 @@ def emit_csv(manifest, notes, columns, arrays, out_path):
     lines = manifest.header_lines()
     lines += [f"# {n}" for n in notes]
     lines.append("# columns: " + ",".join(columns))
-    for row in zip(*arrays):
-        lines.append(",".join(_fmt(float(v)) for v in row))
+    # repr of a Python float is _fmt's rendering, without a numpy scalar per value
+    values = [np.asarray(a, dtype=float).tolist() for a in arrays]
+    lines += [",".join(map(repr, row)) for row in zip(*values)]
     _write(out_path, "\n".join(lines) + "\n")
 
 

@@ -103,30 +103,54 @@ class ConcurrenceRegime(enum.Enum):
     LARGE_SEPARATION_LARGE_GAPS = "large-separation-large-gaps"
 
 
+# The domain :class:`DetectorPairConfig` admits, one rule per variable, in
+# checking order: (name, low, high, message below low, message above high).
+# Every admitted value is finite and lies in [low, high]; the smallest
+# positive double as low admits exactly the positive values.
+_LARGEST, _SMALLEST = np.finfo(float).max, np.nextafter(0.0, 1.0)
+_DOMAIN = (
+    ("omega_a_sigma", 0.0, _LARGEST, "omega_a_sigma must be >= 0 (A has the smaller gap)", ""),
+    ("delta_omega_sigma", 0.0, MAX_DELTA_OMEGA_SIGMA,
+     "delta_omega_sigma must be >= 0 (A has the smaller gap)",
+     f"delta_omega_sigma={{}} exceeds {MAX_DELTA_OMEGA_SIGMA}; "
+     "scaled intermediates would overflow double precision"),
+    ("l_over_sigma", _SMALLEST, _LARGEST, "l_over_sigma must be > 0 (zero separation diverges)",
+     ""),
+    ("coupling", _SMALLEST, _LARGEST, "coupling must be > 0", ""),
+)
+_DOMAIN_LOW, _DOMAIN_HIGH = (np.array([rule[i] for rule in _DOMAIN])[:, None] for i in (1, 2))
+
+
 def _domain_errors(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
     """Per scenario, the message of the first domain rule it breaks, or "":
     the one statement of the domain :class:`DetectorPairConfig` admits.
-    Accepts arrays; returns a 1-D object array over the broadcast points."""
-    names = ("omega_a_sigma", "delta_omega_sigma", "l_over_sigma", "coupling")
-    values = [np.ravel(v) for v in np.broadcast_arrays(
-        omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)]
-    a, d, l, lam = values
-    # (violated, message, the value it formats), in checking order
-    rules = [(~np.isfinite(v), f"{name} must be finite, got {{!r}}", v)
-             for name, v in zip(names, values)]
-    rules += [
-        (a < 0, "omega_a_sigma must be >= 0 (A has the smaller gap)", a),
-        (d < 0, "delta_omega_sigma must be >= 0 (A has the smaller gap)", d),
-        (d > MAX_DELTA_OMEGA_SIGMA, f"delta_omega_sigma={{}} exceeds {MAX_DELTA_OMEGA_SIGMA}; "
-         "scaled intermediates would overflow double precision", d),
-        (l <= 0, "l_over_sigma must be > 0 (zero separation diverges)", l),
-        (lam <= 0, "coupling must be > 0", lam),
-    ]
-    errors = np.full(a.size, "", dtype=object)
-    for violated, message, v in reversed(rules):  # an earlier rule overwrites a later one
-        for i in np.flatnonzero(violated):
-            errors[i] = message.format(v[i].item())
+    Accepts arrays; returns a 1-D object array over the broadcast points.
+    A non-finite value breaks the first rules, in the order of the
+    variables; then each variable's range is checked in turn."""
+    values = np.broadcast_arrays(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
+    stacked = np.array(values, dtype=float).reshape(len(_DOMAIN), -1)
+    # a NaN fails both comparisons
+    admitted = ((stacked >= _DOMAIN_LOW) & (stacked <= _DOMAIN_HIGH)).all(axis=0)
+    errors = np.full(admitted.size, "", dtype=object)
+    if not admitted.all():
+        values = [np.ravel(v) for v in values]
+        for i in np.flatnonzero(~admitted):
+            errors[i] = _domain_error([v[i].item() for v in values])
     return errors
+
+
+def _domain_error(values):
+    """The message of the first rule of ``_DOMAIN`` that the scenario's
+    values (Python numbers, one per rule) break."""
+    for (name, *_), v in zip(_DOMAIN, values):
+        if not np.isfinite(v):
+            return f"{name} must be finite, got {v!r}"
+    for (_, low, high, below, above), v in zip(_DOMAIN, values):
+        if v < low:
+            return below
+        if v > high:
+            return above.format(v)
+    return ""
 
 
 def _warn_strong_coupling(coupling):
@@ -350,8 +374,10 @@ def _x_bracket(d, l):
     return gauss_l * phase.real, gauss_d * (-2.0 * w.imag) + swing, w, gauss_d, swing
 
 
-def _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
-    """X as an array, and the real and imaginary parts of its bracket."""
+def _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, x_bracket=None):
+    """X as an array, and the real and imaginary parts of its bracket;
+    ``x_bracket`` is (Re B, Im B) from :func:`_x_bracket` where the caller
+    has it (the bracket depends on d and l alone)."""
     a = np.asarray(omega_a_sigma, dtype=float)
     d = np.asarray(delta_omega_sigma, dtype=float)
     l = np.asarray(l_over_sigma, dtype=float)
@@ -363,7 +389,7 @@ def _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
     # real operations give the same bits at any shape.
     s = 2.0 * a + d
     pref = coupling**2 / (8.0 * _SQRT_PI * l) * np.exp(-(s * s) / 4.0)
-    b_re, b_im = _x_bracket(d, l)[:2]
+    b_re, b_im = _x_bracket(d, l)[:2] if x_bracket is None else x_bracket
     x_re = pref * b_im  # X = -i * pref * bracket
     x = np.empty(x_re.shape, dtype=complex)
     x.real, x.imag = x_re, -(pref * b_re)
@@ -394,19 +420,20 @@ def _x_abs(d, l, coupling):
 
 
 def _x_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, gm,
-              brackets=(None, None)):
+              brackets=(None, None), x_bracket=None):
     """(X, |X| - sqrt(P_A P_B)) with sqrt(P_A P_B) = gm passed in, from one
     Faddeeva evaluation per point; ``brackets`` as :func:`_scaled_gm` takes
-    them.  Where P_A P_B is not a normal double
-    (gm below ``_SCALED_BELOW``) the excess is E S, for the scaled excess
-    S = |X|/E - sqrt(P~_A P~_B) (:func:`_scaled_gm`), formed as sign(S)
-    exp(log|S| - (a^2 + b^2)/2): E alone underflows where |X| may still be
-    normal, while this has the sign of S and underflows only where E S
-    does (to +0: adding 0 turns -0 into +0, which the clamp of the
-    concurrence would keep).  Where S is not finite, which takes a gap
+    them, ``x_bracket`` as :func:`_x_terms` does.  Where P_A P_B is not a
+    normal double (gm below ``_SCALED_BELOW``) the excess is E S, for the
+    scaled excess S = |X|/E - sqrt(P~_A P~_B) (:func:`_scaled_gm`), formed
+    as sign(S) exp(log|S| - (a^2 + b^2)/2): E alone underflows where |X|
+    may still be normal, while this has the sign of S and underflows only
+    where E S does (to +0: adding 0 turns -0 into +0, which the clamp of
+    the concurrence would keep).  Where S is not finite, which takes a gap
     difference or a separation outside the admitted domain, the excess
     stays |X| - gm."""
-    x, b_re, b_im = _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
+    x, b_re, b_im = _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling,
+                             x_bracket)
     excess = np.abs(x) - gm
     scaled = np.asarray(gm) < _SCALED_BELOW
     if not scaled.any():

@@ -26,7 +26,7 @@ from udwharvest import (
     sweep,
     transition_probability,
 )
-from udwharvest import analysis, closedform
+from udwharvest import analysis, cli, closedform
 from udwharvest.analysis import SweepGrid
 
 
@@ -169,6 +169,27 @@ class TestFindCrossover:
         assert (unequal > 0).all() and (equal > 0).all()
         assert np.array_equal(unequal, concurrence_values(a, d, l, coupling))
         assert np.array_equal(equal, concurrence_values(a, 0.0, l, coupling))
+
+    # the difference is positive from the grid's first point l = 0.01, in
+    # 50 digits too, so a crossover lies in (0, 0.01]; these rows were
+    # reported as NoCrossover
+    @pytest.mark.parametrize("a, d", [(0.0, 0.01), (0.0, 1e-3), (1e-4, 1e-2), (3e-3, 1e-3)])
+    def test_pair_ahead_from_the_first_scanned_separation(self, a, d):
+        res = find_crossover(a, d)
+        value = concurrence_values(a, d, 0.01, 0.1) - concurrence_values(a, 0.0, 0.01, 0.1)
+        assert res == analysis.SearchResult(0.01, value, (0.0, 0.01), 0, True, _AHEAD)
+        assert value > 0 and _mp_difference(a, d, 0.01) > 0
+
+    def test_batched_pairs_ahead_from_the_first_point_match_one_problem_calls(self):
+        a = [0.0, 0.5, 0.0, 1e-4, 0.5, 3e-3]
+        d = [0.01, 0.25, 1e-3, 1e-2, 0.25, 1e-3]
+        bound = [10.0, 10.0, 10.0, 10.0, 1.0, 10.0]
+        batch = find_crossover_many(a, d, 0.1, scan_bound=bound)
+        rows = [_row(batch, i) for i in range(len(a))]
+        assert rows == [_outcome(find_crossover, x, y, 0.1, scan_bound=b)
+                        for x, y, b in zip(a, d, bound)]
+        assert [r if isinstance(r, str) else r[-1] for r in rows] == [
+            _AHEAD, "", _AHEAD, _AHEAD, "NoCrossover", _AHEAD]
 
     def test_no_crossover_on_short_range(self):
         with pytest.raises(NoCrossover):
@@ -333,6 +354,11 @@ def _assert_refines(got, want, ulps=64):
     if isinstance(want, str):
         assert got == want
         return
+    if isinstance(want, tuple):  # the whole outcome, as _as_outcome gives it
+        assert got.converged
+        assert _as_outcome(got.location, got.value, *got.bracket, got.iterations,
+                           got.note) == want
+        return
     lo, hi = got.bracket
     assert want.cell[0] <= lo < hi <= want.cell[1]
     assert hi - lo <= 8.0 * np.spacing(lo)
@@ -400,11 +426,16 @@ def _optimal_gap_loop(a, l, coupling, gap_bound=None):
     return _as_outcome(0.5 * (lo + hi), c(0.5 * (lo + hi)), lo, hi, n, note)
 
 
+_AHEAD = "non-identical pair ahead from the first scanned separation"
+
+
 def _crossover_loop(a, d, coupling, bound=None, step=0.01):
     """find_crossover as a scalar loop on the full grid over the sign of
     the concurrence difference 2 E_u max(0, S_u) - 2 E_i max(0, S_e) from
     the pairs' scaled excesses and the ratio E_u/E_i, with the difference
-    of the public concurrence_values as its value."""
+    of the public concurrence_values as its value.  Where the difference
+    is positive at the grid's first point the result is that point, in the
+    bracket (0, point], with no iterations and a note."""
 
     def value(l):
         return concurrence_values(a, d, l, coupling) - concurrence_values(a, 0.0, l, coupling)
@@ -419,6 +450,8 @@ def _crossover_loop(a, d, coupling, bound=None, step=0.01):
     bound = bound or max(10.0, 4.0 * lmax_large_gap_estimate(a, d))
     grid = np.arange(step, bound + 0.5 * step, step)
     positive = g(grid) > 0.0
+    if positive[0]:  # ahead from the first point: no refinement
+        return _as_outcome(grid[0], value(grid[0]), 0.0, grid[0], 0, _AHEAD)
     transitions = np.flatnonzero(positive[1:] & ~positive[:-1])
     if transitions.size == 0:
         return "NoCrossover"
@@ -468,8 +501,8 @@ class TestAgainstScalarLoops:
     # change; (3.0, 0.05) crosses in the second block, (1.1, 2.7) never.
     # The coarse steps put the sign change at the last point that is not
     # certified (step 1) and a positive difference at the first grid point
-    # (step 2, no crossover); at step 0.0061 the sign change is the first
-    # point of the second block
+    # (step 2: the pair is ahead from there); at step 0.0061 the sign
+    # change is the first point of the second block
     @pytest.mark.parametrize("a, d, bound, step", [
         (0.5, 0.25, 200.0, 0.01), (3.0, 0.05, 200.0, 0.01), (1.1, 2.7, 200.0, 0.01),
         (1.0, 20.0, 200.0, 0.01), (0.5, 1.6, None, 1.0), (0.5, 0.25, None, 2.0),
@@ -842,6 +875,23 @@ class TestBatchedSearches:
         assert {r[-1] for r in rows} == {"", "boundary maximum at zero gap difference",
                                         "maximum at the scan bound; enlarge gap_bound to be sure"}
 
+    @pytest.mark.parametrize("explicit_bound", [False, True])
+    def test_shuffled_gap_rows_sharing_separation_and_bound_match_scalar_bitwise(
+            self, explicit_bound):
+        # a shuffled (gaps x separations) batch: the 6 rows of each (l,
+        # bound) key share one bracket evaluation of their scan, in runs
+        # that straddle chunks of 32 rows; every field keeps its bits
+        rng = np.random.default_rng(12)
+        gaps, ls = rng.uniform(0.0, 3.0, 6)[:, None], rng.uniform(0.3, 6.0, 30)
+        bounds = rng.choice([1.0, 4.0], 30) if explicit_bound else np.maximum(4.0, ls)
+        order = rng.permutation(180)
+        a, l, bound = (np.broadcast_to(x, (6, 30)).ravel()[order] for x in (gaps, ls, bounds))
+        batch = find_optimal_gap_many(a, l, 0.1, gap_bound=bound if explicit_bound else None)
+        rows = [_row(batch, i) for i in range(a.size)]
+        assert rows == [_outcome(find_optimal_gap, x, y, 0.1, gap_bound=b)
+                        for x, y, b in zip(a, l, bound)]
+        assert len({r[-1] for r in rows}) > 1
+
     def test_rows_do_not_depend_on_the_chunk_and_block_sizes(self, monkeypatch):
         # tiny chunks and blocks: nearly every row is a chunk of its own and
         # walks many later blocks; every row keeps the bits of the search
@@ -851,8 +901,8 @@ class TestBatchedSearches:
         a2, d2, bound2 = _crossover_rows()
         crossover = find_crossover_many(a2, d2, 0.1, scan_bound=bound2)
         peak = find_optimal_gap_many(a, d + 0.3, 0.1)
-        # at step 0.4 these differences are positive from the first point
-        # past the second, so a later block starts after a positive point
+        # at step 0.4 these differences are positive from the grid's first
+        # point: the pairs are ahead from there
         coarse = find_crossover_many([0.0, 0.05, 0.1], [0.5, 0.5, 0.2], 0.1, scan_step=0.4)
         monkeypatch.setattr(analysis, "_SCAN_CHUNK", 700)
         monkeypatch.setattr(analysis, "_SCAN_BLOCK", 2)
@@ -1029,25 +1079,39 @@ class TestChunkedScanCalls:
         assert len(shapes) == scans + 2 + batch.iterations.max() + 1
         assert all(s == (4, 400) for s in shapes[scans:])
 
-    def test_fig5_scans_in_one_first_block_call_per_chunk(self, monkeypatch):
+    def test_fig5_scans_in_one_call_per_chunk_per_round(self, monkeypatch):
         # fig5's 1600 rows: at most 12 envelope points a row for the cuts
         # (a mask over every grid point takes 1.9 M), then one call per
-        # chunk of walked points for the first blocks, where every root
-        # lies, then one per Newton step and one at the roots
+        # chunk of walked points and round of blocks, as many rounds as the
+        # chunk's longest walk to its root has blocks, then one per Newton
+        # step and one at the roots.  A chunk's first block is _SCAN_BLOCK
+        # // rows points of each row, so its calls are far fewer than its
+        # rows' blocks
         a, d = _fig5_rows()
         bound = analysis._default_scan_bound(a, d)
-        walked = [_reference_grid(b, 0.01, False).size - _reference_cut(x, y, b, 1.0, False)
-                  for x, y, b in zip(a, d, bound)]
-        chunks = len(list(analysis._chunks(walked)))
+        walked, to_root = [], []
+        for x, y, b in zip(a, d, bound):
+            grid = _reference_grid(b, 0.01, False)
+            cut = _reference_cut(x, y, b, 1.0, False)
+            positive = _scaled_excess(x, y, grid[cut:cut + 512], 1.0) > 0.0
+            assert positive.any()
+            walked.append(grid.size - cut)
+            to_root.append(np.argmax(positive) + 1)
+        chunks = list(analysis._chunks(walked))
         full = sum(walked) / analysis._SCAN_CHUNK
-        assert full <= chunks <= 1.1 * full + 1
+        assert full <= len(chunks) <= 1.1 * full + 1
+        rounds, blocks = 0, 0
+        for c in chunks:
+            need = [_blocks(analysis._SCAN_BLOCK // (c.stop - c.start), n) for n in to_root[c]]
+            rounds, blocks = rounds + max(need), blocks + sum(need)
+        assert len(chunks) < rounds < blocks
         envelope = _envelope_shapes(monkeypatch)
         calls = _closed_form_calls(monkeypatch)
         batch = find_lmax_many(a.reshape(4, 400), d.reshape(4, 400), 1.0)
         assert sum(np.prod(s) for s in envelope) <= 1600 * 12
         shapes = [np.shape(l) for _, _, l in calls]
-        assert shapes.index((4, 400)) == chunks
-        assert len(shapes) == chunks + batch.iterations.max() + 1
+        assert shapes.index((4, 400)) == rounds
+        assert len(shapes) == rounds + batch.iterations.max() + 1
 
     def test_later_blocks_make_one_call_per_chunk_per_round(self, monkeypatch):
         # round r walks block r of every row of a chunk still walking, in one
@@ -1056,8 +1120,12 @@ class TestChunkedScanCalls:
         # the lower cut of the per-point mask and ending at its cut or with
         # the block that holds the first sign change, and the rows chunked
         # by those walks
+        # the walk starts at the lower cut of the per-point mask and ends at
+        # its cut or with the block that holds the first positive point; a
+        # chunk's first block is _SCAN_BLOCK // rows points of each of the
+        # rows that walk
         a, d, bound = _crossover_rows()
-        blocks, walks, floors = [], [], []
+        ends, walks, floors = [], [], []
         for x, y, b in zip(a, d, bound):
             grid = _reference_grid(b, 0.01, upward=True)
             floor = _reference_floor(x, y, b, 0.1)
@@ -1065,19 +1133,36 @@ class TestChunkedScanCalls:
             walks.append(stop - floor)
             floors.append(floor)
             positive = concurrence_values(x, y, grid, 0.1) > concurrence_values(x, 0.0, grid, 0.1)
-            turns = np.flatnonzero(positive[1:stop] & ~positive[:stop - 1]) + 1
-            end = turns[0] + 1 if turns.size else stop
-            n, walked = 0, floor
-            while walked < end:
-                walked, n = walked + (analysis._SCAN_BLOCK << n), n + 1
-            blocks.append(n)
+            turns = floor + np.flatnonzero(positive[floor:stop])
+            ends.append(turns[0] + 1 if turns.size else stop)
         assert 0 < np.count_nonzero(floors) < a.size
         chunks = list(analysis._chunks(walks))
+        blocks = np.zeros(a.size, dtype=int)
+        for c in chunks:
+            size = analysis._SCAN_BLOCK // max(np.count_nonzero(np.array(walks[c]) > 0), 1)
+            blocks[c] = [_blocks(size, end - floor) for floor, end in zip(floors[c], ends[c])]
         rounds = [max(blocks[c]) for c in chunks]
         assert any(c.stop - c.start > 1 and r > 1 for c, r in zip(chunks, rounds))
         calls = _closed_form_calls(monkeypatch)
         batch = find_crossover_many(a, d, 0.1, scan_bound=bound)
         assert len(calls) - batch.iterations.max() - 1 == sum(rounds) < sum(blocks)
+
+    def test_figures_evaluate_the_kernel_at_few_points(self, monkeypatch):
+        # fig4's gap scans share one grid and bracket per separation: 400
+        # scans of 256 points, then the golden section over all 1600 rows,
+        # two probes to start, one per step and one at the peaks.  fig5's
+        # walks take first blocks of about _SCAN_BLOCK points per chunk
+        gaps = np.array([0.2, 0.5, 1.0, 1.2])[:, None]
+        steps = find_optimal_gap_many(gaps, np.linspace(0.5, 4.1, 400), 1.0).iterations.max()
+        points = []
+        original = closedform.faddeeva_w
+        monkeypatch.setattr(closedform, "faddeeva_w",
+                            lambda z: points.append(np.size(z)) or original(z))
+        cli.build_figure("fig4", 400)
+        assert sum(points) <= 400 * analysis._GAP_SCAN_POINTS + 1600 * (steps + 3)
+        points.clear()
+        cli.build_figure("fig5", 400)
+        assert sum(points) <= 170_000
 
     def test_separation_chunks_stay_within_the_chunk_size(self, monkeypatch):
         # rows of 10, 200 and 1 switching lengths side by side: each round,
@@ -1122,6 +1207,15 @@ class TestChunkedScanCalls:
         assert analysis._cuts(start[1:], np.full(4, -0.01), n[1:], gm[1:], d[1:], 0.1,
                               upward=False).tolist() == [0, 0, 0, 0]
         assert envelope == []
+
+
+def _blocks(size, points):
+    """The blocks of a walk, the first of ``size`` points (at least one)
+    and each later one twice the one before, that cover ``points``."""
+    n, walked = 0, 0
+    while walked < points:
+        walked, n = walked + (max(1, size) << n), n + 1
+    return n
 
 
 def _envelope_shapes(monkeypatch):

@@ -276,6 +276,14 @@ class TestSearchCommands:
         )
         assert code == 5
 
+    def test_crossover_ahead_from_the_first_point_exits_0(self, capsys):
+        # the difference is positive from l = 0.01: it exited 5 with "never
+        # exceeds"
+        assert run(["crossover", "--omega-a", "0", "--delta-omega", "0.01"]) == 0
+        out = capsys.readouterr().out
+        assert "non-identical pair ahead from the first scanned separation" in out
+        assert "bracket_lo  0.0\nbracket_hi  0.01\n" in out
+
     @pytest.mark.parametrize(
         "argv",
         [
