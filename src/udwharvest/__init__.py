@@ -54,6 +54,7 @@ from .oracle import (
     x_double_integral,
     x_double_integral_many,
     x_single_integral_pv,
+    x_single_integral_pv_many,
 )
 from .analysis import (
     BracketingFailure,
@@ -108,6 +109,7 @@ __all__ = [
     "x_double_integral",
     "x_double_integral_many",
     "x_single_integral_pv",
+    "x_single_integral_pv_many",
     "BracketingFailure",
     "NoCrossover",
     "NoHarvestingRegion",

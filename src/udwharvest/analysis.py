@@ -490,27 +490,42 @@ def _refine(f, lo, hi, positive_at_lo):
     return lo, hi, iterations
 
 
-def _golden(c, lo, hi):
-    """Golden-section maximization of c on every row's [lo, hi] down to
-    width 1e-8, one call of c per step for all rows.  Rows narrower than
-    that from the start keep their bracket."""
+def _golden(c, lo, hi, *args):
+    """Golden-section maximization of ``c(d, *args)`` on every row's
+    [lo, hi] down to width 1e-8, one call of c per step.  ``args`` are
+    arrays of the rows' shape, passed to c for the rows still wider than
+    1e-8, the only rows evaluated; while every row is, the arrays keep
+    their shape.  Rows narrower than that from the start keep their
+    bracket."""
+    shape = np.shape(lo)
+    brackets = np.ravel(lo).copy(), np.ravel(hi).copy()
+    iterations = np.zeros(np.size(lo), dtype=int)
+    rows = np.arange(np.size(lo)).reshape(shape)
+    live = hi - lo > 1e-8
+    if not live.all():
+        rows, lo, hi, *args = (x[live] for x in (rows, lo, hi, *args))
     u = hi - _GOLDEN * (hi - lo)
     v = lo + _GOLDEN * (hi - lo)
-    fu, fv = c(u), c(v)
-    iterations = np.zeros(np.shape(lo), dtype=int)
-    while True:
-        live = hi - lo > 1e-8
-        if not live.any():
-            return lo, hi, iterations
-        iterations += live
-        # a finished row keeps its bracket; its probes move on harmlessly
+    fu, fv = c(u, *args), c(v, *args)
+    step = 0
+    while np.size(rows):
+        step += 1
         left = fu > fv  # the maximum lies below v
-        lo = np.where(live & ~left, u, lo)
-        hi = np.where(live & left, v, hi)
+        lo, hi = np.where(left, lo, u), np.where(left, v, hi)
+        live = hi - lo > 1e-8
+        if not live.all():
+            done = rows[~live]
+            brackets[0][done], brackets[1][done], iterations[done] = lo[~live], hi[~live], step
+            rows, lo, hi, left, u, v, fu, fv, *args = (
+                x[live] for x in (rows, lo, hi, left, u, v, fu, fv, *args)
+            )
+            if not rows.size:
+                break
         p = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
-        fp = c(p)
+        fp = c(p, *args)
         u, v = np.where(left, p, v), np.where(left, u, p)
         fu, fv = np.where(left, fp, fv), np.where(left, fu, fp)
+    return brackets[0].reshape(shape), brackets[1].reshape(shape), iterations.reshape(shape)
 
 
 def _blank(shape):
@@ -705,7 +720,7 @@ def find_optimal_gap_many(
     interior = hi > lo
     if interior.any():
         lo, hi, iterations = _golden(
-            lambda d: _gap_concurrence(p_a, a, d, l, coupling), lo, hi
+            lambda d, p_a, a, l: _gap_concurrence(p_a, a, d, l, coupling), lo, hi, p_a, a, l
         )
         peak = _gap_concurrence(p_a, a, 0.5 * (lo + hi), l, coupling)
         value = np.where(interior, peak, value)

@@ -38,15 +38,20 @@ exp(-f^2/4) at outer frequency f, so a frequency 16 nodes cannot resolve
 belongs to a value that has already cancelled to round-off; such a call
 raises :exc:`NonConvergence` instead of trying more nodes.
 
-The matrix depends on the pole, the regulator and the settings, not on
-the gaps, the outer phase or the prefactor; the outer nodes are mirror
-symmetric, so the earlier inner time t - o is the same matrix with its
-rows reversed.  Where the offset spans the whole line (probability,
-exchange correlation), o -> -o conjugates the kernel, so that half is the
-conjugated product.  The double-integral routes are therefore row-vectorized:
-a batch (``pd_double_integral_many``, ``x_double_integral_many``) builds
-one matrix per (pole, regulator) and applies it to every problem with that
-pole.  The one-problem functions are one-row batches.  No matrix outlives
+The matrix depends on the pole and the settings, not on the regulator,
+the gaps, the outer phase or the prefactor: its offsets are graded for the
+smallest regulator, whose panels are fine enough for the wider ones.  The
+outer nodes are mirror symmetric, so the earlier inner time t - o is the
+same matrix with its rows reversed.  Where the offset spans the whole line
+(probability, exchange correlation), o -> -o conjugates the kernel, so that
+half is the conjugated product.  The double-integral routes are therefore
+row-vectorized: a batch (``pd_double_integral_many``,
+``x_double_integral_many``) builds one matrix per pole, graded for the
+smallest regulator, and applies it to every regulator and every problem
+with that pole.  The principal-value routes are row-vectorized the same
+way: their panels depend on the separation alone, so a batch
+(``x_single_integral_pv_many``) makes one panel sum per separation and
+order.  The one-problem functions are one-row batches.  No matrix outlives
 the call that builds it.
 
 Trust: a double-integral value is a sum of terms of fixed size, while
@@ -83,6 +88,7 @@ __all__ = [
     "pd_double_integral_many",
     "pv_gaussian_pole_integral",
     "x_single_integral_pv",
+    "x_single_integral_pv_many",
     "x_double_integral",
     "x_double_integral_many",
     "c_quadrature",
@@ -225,7 +231,14 @@ def extrapolate_to_zero(eps_values, samples):
     return diag
 
 
-def _regulator_limit(settings: OracleSettings, samples, sample_error, rel_tol):
+def _neville_weights(eps_values):
+    """Absolute weights of the full-order extrapolant on the samples: the
+    tableau is linear, so they are the unit samples' extrapolants."""
+    return np.abs([extrapolate_to_zero(eps_values, unit)[-1].real
+                   for unit in np.eye(len(eps_values))])
+
+
+def _regulator_limit(settings: OracleSettings, samples, sample_error, rel_tol, weights):
     """Extrapolate regulated samples to zero and self-check convergence.
 
     Returns (value, extrapolant sequence).  The value is the last
@@ -235,22 +248,21 @@ def _regulator_limit(settings: OracleSettings, samples, sample_error, rel_tol):
     ``sample_error`` bounds each sample's error (round-off and outer rule,
     see :func:`_regulated_double_integral`), and the Neville tableau, linear
     in the samples, carries those bounds into the value with the absolute
-    weights of its extrapolant; where the sum cancels this exceeds the value
-    itself.  Then the regulator limit: the last order's correction scaled by
-    the smallest regulator -- the contraction one further order would
-    bring -- must not exceed rel_tol times the result's magnitude, however
-    small the result is.  A value that is not finite fails before them and
-    one that is exactly zero (every sample underflowed) after them, so
-    neither is certified.
+    weights of its extrapolant (``weights``, from :func:`_neville_weights`);
+    where the sum cancels this exceeds the value itself.  Then the
+    regulator limit: the last order's correction scaled by the smallest
+    regulator -- the contraction one further order would bring -- must not
+    exceed rel_tol times the result's magnitude, however small the result
+    is.  A value that is not finite fails before them and one that is
+    exactly zero (every sample underflowed) after them, so neither is
+    certified.
     """
     eps = settings.epsilon_schedule
     diag = extrapolate_to_zero(eps, samples)
     best, prev = diag[-1], diag[-2]
     if not np.isfinite(best):
         raise NonConvergence(f"regulator limit {best} is not finite")
-    # the tableau is linear: the samples' weights are the unit samples' extrapolants
-    weights = [extrapolate_to_zero(eps, unit)[-1].real for unit in np.eye(len(eps))]
-    quad_err = float(np.abs(weights) @ sample_error)
+    quad_err = float(weights @ sample_error)
     if not quad_err <= rel_tol * abs(best):
         raise NonConvergence(
             f"quadrature error estimate {quad_err:.3e} exceeds {rel_tol:.1e} of the "
@@ -302,9 +314,14 @@ def _regulated_double_integral(
 
     ``pole``, ``outer_freq``, ``prefactor``, ``later_k`` and ``earlier_k``
     are 1-D arrays over the rows.  Rows with the same pole share the nodes
-    and hence every cross-Gaussian matrix: one per regulator, applied to
-    the real and imaginary parts of each row's kernels, and read with its
-    rows reversed for the earlier half.
+    and hence the one cross-Gaussian matrix of that pole, graded for the
+    smallest regulator: the wider regulators' integrands are smoother, so
+    its finer panels serve them too.  The matrix, the window, the outer
+    rule's probe products and each row's kernel phases depend on the
+    offsets alone and are built once per pole; per regulator there remain
+    the denominator, the certificate and one product of the matrix with the
+    real and imaginary parts of each row's kernels, read with its rows
+    reversed for the earlier half.
 
     The outer rule, ``_OUTER_ORDER`` nodes per panel, is certified per pole
     group and regulator: it must reproduce the closed-form time integral of
@@ -329,7 +346,12 @@ def _regulated_double_integral(
     samples = np.empty((pole.size, len(schedule)), dtype=complex)
     sample_error = np.empty((pole.size, len(schedule)))
     ks = [later_k] if earlier_k is None else [later_k, earlier_k]
-    for p in np.unique(pole):
+    poles = np.unique(pole)
+    nodes = [_panelize(_graded_edges(0.0, span, [p], schedule[-1]), settings.quadrature_nodes)
+             for p in poles]
+    # one buffer holds each pole's matrix in turn
+    buffer = np.empty(t.size * max((o.size for o, _ in nodes), default=0))
+    for p, (o, w_in) in zip(poles, nodes):
         rows = np.flatnonzero(pole == p)
         w_phase = w * np.exp(-1j * outer_freq[rows, None] * t)
         # probe rows: the outer rule's phase weights at the group's largest
@@ -337,23 +359,20 @@ def _regulated_double_integral(
         # give the absolute sum
         f = np.abs(outer_freq[rows]).max()
         probe = np.stack([w * np.cos(f * t), w * np.sin(f * t), w])
-        edges = [_graded_edges(0.0, span, [p], eps) for eps in schedule]
-        nodes = [_panelize(e, settings.quadrature_nodes) for e in edges]
-        # one buffer holds each regulator's matrix in turn
-        buffer = np.empty(t.size * max(o.size for o, _ in nodes))
-        for j, (eps, (o, w_in)) in enumerate(zip(schedule, nodes)):
-            window = w_in * np.exp(-o * o / 4.0)
+        window = w_in * np.exp(-o * o / 4.0)
+        # exp(-(t^2 + (t + o)^2)/2) = exp(-(t + o/2)^2) * exp(-o^2/4)
+        m = np.add.outer(t, 0.5 * o, out=buffer[: t.size * o.size].reshape(t.size, o.size))
+        np.square(m, out=m)
+        np.negative(m, out=m)
+        np.exp(m, out=m)
+        cos_col, sin_col, abs_col = probe @ m
+        # each column's time integral at frequency f is known in closed form
+        col_err = np.abs(cos_col - 1j * sin_col - _SQRT_PI * np.exp(-f * f / 4.0 + 0.5j * f * o))
+        phases = [window * np.exp(1j * k[rows, None] * o) for k in ks]
+        for j, eps in enumerate(schedule):
             denom = (o + 1j * eps) ** 2 - p * p
-            # exp(-(t^2 + (t + o)^2)/2) = exp(-(t + o/2)^2) * exp(-o^2/4)
-            m = np.add.outer(t, 0.5 * o, out=buffer[: t.size * o.size].reshape(t.size, o.size))
-            np.square(m, out=m)
-            np.negative(m, out=m)
-            np.exp(m, out=m)
-            cos_col, sin_col, abs_col = probe @ m
-            # each column's time integral at frequency f is known in closed form
-            exact = _SQRT_PI * np.exp(-f * f / 4.0 + 0.5j * f * o)
             kernel_abs = window / np.abs(denom)
-            outer_err = np.abs(cos_col - 1j * sin_col - exact) @ kernel_abs
+            outer_err = col_err @ kernel_abs
             absolute = abs_col @ kernel_abs
             if outer_err > _OUTER_CERTIFICATE * absolute:
                 raise NonConvergence(
@@ -362,9 +381,10 @@ def _regulated_double_integral(
                 )
             # The matrix takes each row's real and imaginary parts of every kernel
             # as columns instead of being promoted to complex.  One same-shaped
-            # product per row: BLAS may sum a wider product in another order,
-            # and a row's bits must not depend on the other rows of its batch.
-            q = [window * np.exp(1j * k[rows, None] * o) / denom for k in ks]
+            # product per row and regulator: BLAS may sum a wider product in
+            # another order, and a row's bits must not depend on the other rows
+            # of its batch.
+            q = [phase / denom for phase in phases]
             ri = m @ np.stack([part for qk in q for part in (qk.real, qk.imag)], axis=-1)
             later = ri[:, :, 0] + 1j * ri[:, :, 1]
             # the matrix is real, so the conjugate kernel's product is the conjugate
@@ -373,13 +393,12 @@ def _regulated_double_integral(
             samples[rows, j] = prefactor[rows] * total
             per_half = np.finfo(float).eps * absolute + outer_err
             sample_error[rows, j] = 2.0 * np.abs(prefactor[rows]) * per_half
-        # free this group's matrix before the next group allocates its own
-        del buffer, m
+    weights = _neville_weights(schedule)
     values = np.empty(pole.size, dtype=complex)
     extrapolants = np.empty((pole.size, len(schedule)), dtype=complex)
     for i in range(pole.size):
         values[i], extrapolants[i] = _regulator_limit(
-            settings, samples[i], sample_error[i], rel_tol
+            settings, samples[i], sample_error[i], rel_tol, weights
         )
     return values, extrapolants
 
@@ -400,18 +419,33 @@ def _shaped(values, extrapolants, shape, return_extrapolants):
     return values
 
 
-def _order_doubled(once, cfg, settings, what):
-    """``once`` at twice the panel order, gated on the shift from the
-    nominal order: above 1e-8 relative raises :exc:`NonConvergence`."""
-    coarse = once(cfg, settings)
+def _order_doubled(kappa, l, value, settings, what):
+    """``value(pv)`` of every row's principal value pv, the
+    :func:`pv_gaussian_pole_integral` at the row's ``kappa`` and separation
+    ``l``, taken at twice the panel order.  Rows with the same separation
+    share one panel sum per order.  Each row is gated on the shift from the
+    nominal order: the first row above 1e-8 relative raises
+    :exc:`NonConvergence` with the message of its one-row call."""
+
+    def principal_values(s):
+        pv = np.empty(l.size, dtype=complex)
+        for sep in np.unique(l):
+            rows = np.flatnonzero(l == sep)
+            pv[rows] = pv_gaussian_pole_integral(kappa[rows], sep, s)
+        return pv
+
+    coarse = value(principal_values(settings))
     # the doubled order may lie above the cap on the orders callers pass
     doubled = copy.copy(settings)
     object.__setattr__(doubled, "quadrature_nodes", 2 * settings.quadrature_nodes)
-    fine = once(cfg, doubled)
-    if abs(fine - coarse) > 1e-8 * max(abs(fine), 1e-300):
+    fine = value(principal_values(doubled))
+    shift = np.abs(fine - coarse)
+    failed = np.flatnonzero(shift > 1e-8 * np.maximum(np.abs(fine), 1e-300))
+    if failed.size:
+        i = failed[0]
         raise NonConvergence(
             f"{what} quadrature not converged: order doubling moved the result "
-            f"by {abs(fine - coarse):.3e} (value {abs(fine):.3e})"
+            f"by {shift[i]:.3e} (value {abs(fine[i]):.3e})"
         )
     return fine
 
@@ -426,10 +460,11 @@ def pd_double_integral_many(
     couplings, returned as a float array of the broadcast shape (with
     ``return_extrapolants``, also the extrapolants along a last axis).
 
-    Every row has its pole at zero offset, so all rows share every
-    cross-Gaussian matrix.  A non-finite argument raises ValueError for the
-    whole batch; the first row whose self-checks fail raises
-    :exc:`NonConvergence` with the message of its one-problem call.
+    Every row has its pole at zero offset, so all rows share one
+    cross-Gaussian matrix, graded for the smallest regulator.  A non-finite
+    argument raises ValueError for the whole batch; the first row whose
+    self-checks fail raises :exc:`NonConvergence` with the message of its
+    one-problem call.
     """
     shape, (omega, lam) = _problems(omega_sigma, coupling)
     # inner time = outer + o; the kernel depends on the offset alone
@@ -481,7 +516,10 @@ def pv_gaussian_pole_integral(
 ):
     """Principal value of the Gaussian-windowed two-pole integral
 
-        PV int exp(-v^2/4) exp(-i kappa v / 2) / (v^2 - l^2) dv.
+        PV int exp(-v^2/4) exp(-i kappa v / 2) / (v^2 - l^2) dv,
+
+    for a scalar or an array of ``kappa`` at one separation l; the panels
+    depend on l alone, so an array is one panel sum.
 
     Writes g(v) for the numerator and subtracts
     [g(l)/(2l)] h(v-l) - [g(-l)/(2l)] h(v+l) with h(u) = exp(-u^2)/u, an
@@ -492,7 +530,7 @@ def pv_gaussian_pole_integral(
     l = float(l_over_sigma)
     if l <= 0:
         raise ValueError("l_over_sigma must be > 0")
-    kappa = float(kappa)
+    kappa = np.asarray(kappa, dtype=float)[..., None]
 
     def g(v):
         return np.exp(-v * v / 4.0) * np.exp(-0.5j * kappa * v)
@@ -508,22 +546,40 @@ def pv_gaussian_pole_integral(
         - cp * np.exp(-u_p * u_p) / u_p
         + cm * np.exp(-u_m * u_m) / u_m
     )
-    return np.sum(w * remainder)
+    return np.sum(w * remainder, axis=-1)
 
 
-def _x_pv_once(cfg, settings):
-    a, d, l = cfg.omega_a_sigma, cfg.delta_omega_sigma, cfg.l_over_sigma
-    lam2 = cfg.coupling**2
-    pref = lam2 / (4.0 * np.pi**1.5) * np.exp(-((2.0 * a + d) ** 2) / 4.0)
-    pv = pv_gaussian_pole_integral(d, l, settings)
+def x_single_integral_pv_many(
+    omega_a_sigma,
+    omega_b_sigma,
+    l_over_sigma,
+    coupling,
+    settings: OracleSettings = DEFAULT_SETTINGS,
+):
+    """:func:`x_single_integral_pv` for broadcast arrays of both gaps, the
+    separation and the coupling, returned as a complex array of the
+    broadcast shape.
+
+    Rows with the same separation share the panels, and one panel sum per
+    order.  A non-finite argument or a separation <= 0 raises ValueError
+    for the whole batch; otherwise the first row whose order doubling fails
+    raises :exc:`NonConvergence` with the message of its one-problem call.
+    """
+    shape, (a, b, l, lam) = _problems(omega_a_sigma, omega_b_sigma, l_over_sigma, coupling)
+    if (l <= 0).any():
+        raise ValueError("l_over_sigma must be > 0 (zero separation diverges)")
+    lam2 = lam**2
+    d = b - a
+    pref = lam2 / (4.0 * np.pi**1.5) * np.exp(-((a + b) ** 2) / 4.0)
     residue = (
         -1j
         * lam2
         / (4.0 * _SQRT_PI * l)
-        * np.exp(-((2.0 * a + d) ** 2 + l * l) / 4.0)
+        * np.exp(-((a + b) ** 2 + l * l) / 4.0)
         * np.cos(0.5 * d * l)
     )
-    return pref * pv + residue
+    values = _order_doubled(d, l, lambda pv: pref * pv + residue, settings, "principal-value")
+    return values.reshape(shape)
 
 
 def x_single_integral_pv(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SETTINGS):
@@ -532,9 +588,13 @@ def x_single_integral_pv(cfg: DetectorPairConfig, settings: OracleSettings = DEF
     plus a lightcone residue in the time difference).
 
     Self-checks by doubling the panel order; a relative shift above 1e-8
-    raises :exc:`NonConvergence`.  Returns the doubled-order value.
+    raises :exc:`NonConvergence`.  Returns the doubled-order value.  One
+    problem per call; :func:`x_single_integral_pv_many` solves arrays of
+    them.
     """
-    return _order_doubled(_x_pv_once, cfg, settings, "principal-value")
+    return complex(x_single_integral_pv_many(
+        cfg.omega_a_sigma, cfg.omega_b_sigma, cfg.l_over_sigma, cfg.coupling, settings
+    ))
 
 
 def x_double_integral_many(
@@ -551,8 +611,9 @@ def x_double_integral_many(
     along a last axis).  The result does not depend on which detector
     carries which gap.
 
-    Rows with the same separation share every cross-Gaussian matrix and
-    one outer-rule certificate, taken at their largest gap sum.  A
+    Rows with the same separation share one cross-Gaussian matrix, graded
+    for the smallest regulator, and one outer-rule certificate per
+    regulator, taken at their largest gap sum.  A
     non-finite argument or a separation <= 0 raises ValueError for the
     whole batch, and so does a failed certificate, as
     :exc:`NonConvergence`; otherwise the first row whose self-check fails
@@ -607,20 +668,6 @@ def x_double_integral(
     return complex(value)
 
 
-def _c_pv_once(cfg, settings):
-    a, d, l = cfg.omega_a_sigma, cfg.delta_omega_sigma, cfg.l_over_sigma
-    kappa = 2.0 * a + d
-    pv = pv_gaussian_pole_integral(kappa, l, settings)
-    residue = np.pi / l * np.exp(-l * l / 4.0) * np.sin(0.5 * kappa * l)
-    return (
-        -cfg.coupling**2
-        * _SQRT_PI
-        / (4.0 * np.pi**2)
-        * np.exp(-d * d / 4.0)
-        * (pv + residue)
-    )
-
-
 def c_quadrature(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SETTINGS):
     """Exchange correlation (the amplitude linking the two singly-excited
     states), for which no closed form exists.
@@ -629,10 +676,20 @@ def c_quadrature(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SET
     integrates analytically, the difference-time integral is the same
     principal-value-plus-residue machinery as the single-integral
     correlation route (both lightcone poles now sit on the same side of the
-    contour, so the residue enters through a sine).  Self-checks by panel
-    order doubling at 1e-8.
+    contour, so the residue enters through a sine), run as a one-row batch.
+    Self-checks by panel order doubling at 1e-8.
     """
-    return _order_doubled(_c_pv_once, cfg, settings, "exchange-correlation")
+    a, d, l = (
+        np.atleast_1d(float(v))
+        for v in (cfg.omega_a_sigma, cfg.delta_omega_sigma, cfg.l_over_sigma)
+    )
+    kappa = 2.0 * a + d
+    pref = -cfg.coupling**2 * _SQRT_PI / (4.0 * np.pi**2) * np.exp(-d * d / 4.0)
+    residue = np.pi / l * np.exp(-l * l / 4.0) * np.sin(0.5 * kappa * l)
+    values = _order_doubled(
+        kappa, l, lambda pv: pref * (pv + residue), settings, "exchange-correlation"
+    )
+    return complex(values[0])
 
 
 def c_double_integral(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SETTINGS):

@@ -745,6 +745,33 @@ class TestBatchedSearches:
         assert rows[4][-1] == "boundary maximum at zero gap difference"
         assert all(r[-2] for r in rows)
 
+    def test_golden_section_evaluates_only_open_rows(self, monkeypatch):
+        # row 0 is a boundary maximum (lo = hi = 0): the golden section never
+        # evaluates it, and an open row is evaluated at its two first probes
+        # and at each step that leaves it open; every row keeps the bits of
+        # its one-row call
+        a, l = np.array([0.5, 0.5, 0.2]), np.array([0.5, 2.0, 4.0])
+        sizes = []
+        golden = analysis._golden
+
+        def spy(c, lo, hi, *args):
+            def recording(d, *row_args):
+                sizes.append(np.size(d))
+                assert all(np.size(x) == np.size(d) for x in row_args)
+                return c(d, *row_args)
+
+            return golden(recording, lo, hi, *args)
+
+        monkeypatch.setattr(analysis, "_golden", spy)
+        batch = find_optimal_gap_many(a, l, 0.1)
+        assert batch.note[0] == "boundary maximum at zero gap difference"
+        assert batch.iterations[0] == 0 and min(batch.iterations[1:]) > 20
+        assert sizes[:2] == [2, 2] and sum(sizes) == np.sum(batch.iterations[1:] + 1)
+        monkeypatch.undo()
+        assert [_row(batch, i) for i in range(3)] == [
+            _outcome(find_optimal_gap, x, y, 0.1) for x, y in zip(a, l)
+        ]
+
     def test_crossover_rows_match_scalar_bitwise(self):
         a = np.array([0.2, 0.5, 0.5, 1.2])
         d = np.array([0.1, 0.25, 0.25, 0.6])
@@ -1067,17 +1094,25 @@ class TestChunkedScanCalls:
     for a separation scan per chunk and round of blocks."""
 
     def test_fig4_scans_in_one_call_per_chunk(self, monkeypatch):
-        # fig4's 1600 gap scans take ceil(1600 * 256 / chunk) calls, then
-        # the golden section takes two, one per step and one for the peaks
+        # fig4's 1600 gap scans take ceil(1600 * 256 / chunk) calls over
+        # (rows, samples) grids, then the golden section takes two and one
+        # per step that leaves a row open, each over the open rows alone:
+        # the boundary maxima are never evaluated, and an open row is
+        # evaluated once per step plus once more; one call takes the peaks
         calls = _closed_form_calls(monkeypatch)
         gaps = np.array([0.2, 0.5, 1.0, 1.2])[:, None]
         batch = find_optimal_gap_many(gaps, np.linspace(0.5, 4.1, 400), 1.0)
         shapes = [np.shape(d) for _, d, _ in calls]
-        scans = shapes.index((4, 400))
+        scans = [len(s) for s in shapes].index(1)
         assert scans <= -(-1600 * analysis._GAP_SCAN_POINTS // analysis._SCAN_CHUNK)
-        assert all(np.prod(s) <= analysis._SCAN_CHUNK for s in shapes[:scans])
-        assert len(shapes) == scans + 2 + batch.iterations.max() + 1
-        assert all(s == (4, 400) for s in shapes[scans:])
+        assert all(len(s) == 2 and np.prod(s) <= analysis._SCAN_CHUNK for s in shapes[:scans])
+        interior = batch.iterations > 0
+        assert 0 < interior.sum() < 1600
+        assert len(shapes) == scans + 2 + batch.iterations.max()
+        golden = [s[0] for s in shapes[scans:-1]]
+        assert golden[:2] == [interior.sum()] * 2 and shapes[-1] == (4, 400)
+        assert golden == sorted(golden, reverse=True)
+        assert sum(golden) == np.sum(batch.iterations[interior] + 1)
 
     def test_fig5_scans_in_one_call_per_chunk_per_round(self, monkeypatch):
         # fig5's 1600 rows: at most 12 envelope points a row for the cuts

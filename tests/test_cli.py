@@ -137,9 +137,9 @@ class TestVerify:
     def test_perturbed_oracle_fails_the_concurrence_check(self, monkeypatch):
         # |x_pv| 1e-3 too large moves every harvesting scenario's oracle
         # concurrence by more than 1e-3 of itself
-        x_pv = cli.x_single_integral_pv
-        monkeypatch.setattr(cli, "x_single_integral_pv",
-                            lambda cfg, settings: x_pv(cfg, settings) * (1.0 + 1e-3))
+        x_pv = cli.x_single_integral_pv_many
+        monkeypatch.setattr(cli, "x_single_integral_pv_many",
+                            lambda *args: x_pv(*args) * (1.0 + 1e-3))
         harvesting = {
             f"a={a} dw/wa={r} l={l}"
             for a, r, l in VERIFICATION_GRID

@@ -15,6 +15,7 @@ from udwharvest import (
     c_quadrature,
     concurrence,
     correlation_x,
+    correlation_x_values,
     pd_double_integral,
     pd_double_integral_many,
     pv_gaussian_pole_integral,
@@ -22,6 +23,7 @@ from udwharvest import (
     x_double_integral,
     x_double_integral_many,
     x_single_integral_pv,
+    x_single_integral_pv_many,
 )
 from udwharvest import cli, oracle
 from udwharvest.cli import VERIFICATION_GRID, run_verification
@@ -78,7 +80,16 @@ def test_regulator_limit_refuses_a_value_that_is_not_finite():
     # a NaN limit fails every comparison, so the relative checks let it by
     for sample in (np.nan, np.inf):
         with pytest.raises(NonConvergence, match="not finite"):
-            oracle._regulator_limit(DEFAULT_SETTINGS, [sample, 1.0, 1.0], np.zeros(3), 1e-3)
+            oracle._regulator_limit(DEFAULT_SETTINGS, [sample, 1.0, 1.0], np.zeros(3), 1e-3,
+                                    oracle._neville_weights(DEFAULT_SETTINGS.epsilon_schedule))
+
+
+def test_neville_weights_are_the_unit_samples_extrapolants():
+    # the weights the quadrature error bound carries through the tableau,
+    # built once per batch: the degree-2 polynomial through three samples
+    # at 0.05, 0.025, 0.0125 takes them with weights 1/3, -2 and 8/3
+    weights = oracle._neville_weights(DEFAULT_SETTINGS.epsilon_schedule)
+    assert weights == pytest.approx([1.0 / 3.0, 2.0, 8.0 / 3.0], rel=1e-14)
 
 
 def test_extrapolate_to_zero_polynomial_exact():
@@ -344,17 +355,83 @@ class TestBatchedOracles:
         with pytest.raises(ValueError):
             x_double_integral_many(0.5, [1.0, np.inf], 2.0, 0.1)
 
-    def test_verify_builds_one_matrix_per_pole_and_regulator(self, monkeypatch):
+    def test_pv_rows_match_one_problem_calls(self):
+        # mixed separations, per-row couplings, and the gaps in both orders
+        rows = GRID + [(a + d, -d, l) for a, d, l in GRID[::4]]
+        lams = np.resize(self.COUPLINGS, len(rows))
+        a, d, l = np.transpose(rows)
+        values = x_single_integral_pv_many(a, a + d, l, lams)
+        assert values.shape == (len(rows),) and values.dtype == complex
+        for (a, d, l), lam, x in zip(rows, lams, values):
+            if d >= 0:
+                x1 = x_single_integral_pv(DetectorPairConfig(a, d, l, lam))
+            else:
+                x1 = x_single_integral_pv_many(a, a + d, l, lam)[()]
+            assert x == x1
+
+    def test_pv_rows_are_within_1e_8_of_the_closed_form(self):
+        a, d, l = np.transpose(GRID)
+        x = x_single_integral_pv_many(a, a + d, l, self.COUPLINGS)
+        exact = correlation_x_values(a, d, l, self.COUPLINGS)
+        assert np.all(np.abs(x - exact) <= 1e-8 * np.abs(exact))
+
+    def test_pv_broadcast_shape(self):
+        x = x_single_integral_pv_many([[0.5], [1.2]], 1.5, [0.5, 2.0, 6.0], 0.1)
+        assert x.shape == (2, 3)
+        assert x[1, 2] == x_single_integral_pv(DetectorPairConfig.with_omega_b(1.2, 1.5, 6.0))
+
+    def test_nonconvergent_pv_batch_raises_first_failing_row(self):
+        # at 4 nodes per panel rows 1 and 2 fail order doubling; row 1
+        # shares its separation with rows 0 and 3, which pass, and row 2's
+        # separation is summed first, but row 1 is the first to fail
+        coarse = OracleSettings(quadrature_nodes=4)
+        rows = [(0.5, 0.5, 1.0), (2.0, 10.0, 1.0), (0.5, 0.5, 0.5), (0.5, 0.75, 1.0)]
+        for row in rows[::3]:
+            x_single_integral_pv(DetectorPairConfig.with_omega_b(*row, 0.1), coarse)
+        messages = []
+        for row in rows[1:3]:
+            with pytest.raises(NonConvergence, match="order doubling moved") as one:
+                x_single_integral_pv(DetectorPairConfig.with_omega_b(*row, 0.1), coarse)
+            messages.append(str(one.value))
+        a, b, l = np.transpose(rows)
+        with pytest.raises(NonConvergence) as err:
+            x_single_integral_pv_many(a, b, l, 0.1, coarse)
+        assert str(err.value) == messages[0] != messages[1]
+
+    def test_pv_argument_errors_raise_for_the_whole_batch(self):
+        with pytest.raises(ValueError, match="> 0"):
+            x_single_integral_pv_many(0.5, 1.0, [2.0, 0.0], 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            x_single_integral_pv_many(0.5, [1.0, np.nan], 2.0, 0.1)
+
+    def test_pole_integral_rows_match_one_kappa_calls(self):
+        kappa = np.array([0.0, 0.5, -1.3, 2.64, 7.0])
+        pv = pv_gaussian_pole_integral(kappa, 2.0)
+        assert pv.shape == kappa.shape
+        assert all(p == pv_gaussian_pole_integral(k, 2.0) for k, p in zip(kappa, pv))
+        assert np.ndim(pv_gaussian_pole_integral(0.5, 2.0)) == 0
+
+    def test_verify_builds_one_matrix_per_pole(self, monkeypatch):
         # the cross-Gaussian matrices are the oracle's only real 2-D
-        # exponentials; 3 separations x 3 regulators for the correlations
-        # plus 3 regulators for the probabilities, each over the half line
-        # of offsets only (both halves from one matrix)
+        # exponentials: one per separation for the correlations and one for
+        # the probabilities, each over the half line of offsets only (both
+        # halves from one matrix) and graded for the smallest regulator.
+        # The principal-value route makes one panel sum per separation and
+        # order, and the closed forms are evaluated as arrays.
         shapes = []
         called = []
+        pv_sums = []
         for module in (oracle, cli):
-            for name in ("assemble_rho", "c_quadrature"):
+            for name in ("assemble_rho", "c_quadrature", "concurrence", "x_single_integral_pv"):
                 monkeypatch.setattr(module, name, lambda *args, name=name: called.append(name),
                                     raising=False)
+        pole_integral = oracle.pv_gaussian_pole_integral
+
+        def counting_pole_integral(kappa, l, settings):
+            pv_sums.append((np.size(kappa), l, settings.quadrature_nodes))
+            return pole_integral(kappa, l, settings)
+
+        monkeypatch.setattr(oracle, "pv_gaussian_pole_integral", counting_pole_integral)
 
         class CountingNumpy:
             def __getattr__(self, name):
@@ -371,13 +448,16 @@ class TestBatchedOracles:
         assert len(checks) == 92 and all(c.passed for c in checks)
         assert not called
         t, _ = oracle._outer_rule(oracle._HALFWIDTH, oracle._OUTER_ORDER)
+        smallest = DEFAULT_SETTINGS.epsilon_schedule[-1]
         half_line = [
-            (t.size, oracle._panelize(oracle._graded_edges(0.0, oracle._HALFWIDTH + 2.0, [p], eps),
+            (t.size, oracle._panelize(oracle._graded_edges(0.0, oracle._HALFWIDTH + 2.0, [p],
+                                                           smallest),
                                       DEFAULT_SETTINGS.quadrature_nodes)[0].size)
             for p in (0.5, 2.0, 6.0, 0.0)
-            for eps in DEFAULT_SETTINGS.epsilon_schedule
         ]
-        assert len(shapes) == 12 and shapes == half_line
+        assert len(shapes) == 4 and shapes == half_line
+        nodes = DEFAULT_SETTINGS.quadrature_nodes
+        assert pv_sums == [(9, l, n) for n in (nodes, 2 * nodes) for l in (0.5, 2.0, 6.0)]
 
 
 class TestQuadratureErrorGuard:
@@ -426,11 +506,13 @@ class TestOuterRule:
         a, b, l, lam = np.array([0.2, 1.2, 0.5]), np.array([0.2, 2.64, 1.1]), 2.0, 0.1
         t, w = oracle._outer_rule(oracle._HALFWIDTH, oracle._OUTER_ORDER)
         w_phase = w * np.exp(-1j * (a + b)[:, None] * t)
+        # one node set for every regulator, graded for the smallest
+        edges = oracle._graded_edges(0.0, oracle._HALFWIDTH + 2.0, [l],
+                                     settings.epsilon_schedule[-1])
+        o, w_in = oracle._panelize(edges, settings.quadrature_nodes)
+        window = w_in * np.exp(-o * o / 4.0)
         samples = []
         for eps in settings.epsilon_schedule:
-            edges = oracle._graded_edges(0.0, oracle._HALFWIDTH + 2.0, [l], eps)
-            o, w_in = oracle._panelize(edges, settings.quadrature_nodes)
-            window = w_in * np.exp(-o * o / 4.0)
             denom = (o + 1j * eps) ** 2 - l * l
             q = [window * np.exp(1j * k[:, None] * o) / denom for k in (-b, b)]
             columns = np.stack([part for qk in q for part in (qk.real, qk.imag)], axis=-1)
