@@ -111,6 +111,7 @@ from .closedform import (
     _domain_errors,
     _geometric_means,
     _ingredients,
+    _over_scale,
     _probability_terms,
     _scaled_x_envelope,
     _scaled_x_floor,
@@ -804,8 +805,13 @@ def find_crossover_many(
 
     lo, hi, iterations = _refine(g, lo, hi, positive_at_lo=False)
     loc = 0.5 * (lo + hi)
-    unequal, equal = _clamp(_x_excess(a, ds, loc, coupling, gms, brackets)[1])
-    note = np.where((unequal > 0.0) & (equal > 0.0), "",
+    # one Faddeeva evaluation for both pairs at the location and for the
+    # identical pair at the bracket's upper end, where the note is decided
+    b_re, b_im = _x_bracket(np.concatenate([ds, ds[1:]]), np.stack([loc, loc, hi]))[:2]
+    unequal, equal = _clamp(_x_excess(a, ds, loc, coupling, gms, brackets,
+                                      (b_re[:2], b_im[:2]))[1])
+    identical_at_hi = _over_scale(b_re[2], b_im[2], ds[1], hi, coupling)[0] - scaled_gms[1]
+    note = np.where(identical_at_hi > 0.0, "",
                     "identical-pair concurrence already zero here").astype(object)
     # the grid's first point leads: the crossover lies in (0, that point]
     ahead = k == 0
@@ -826,11 +832,15 @@ def find_crossover(
     then safeguarded Newton steps to a certified bracket of at most 8 ulps
     (``iterations`` counts the steps).
 
-    If the identical pair's concurrence has already died at the located
-    point, the result is flagged: it is then the point where only the
-    non-identical pair still harvests, not a crossing of two positive
-    curves.  The scan ends at the first sign change, or at the last grid
-    point the envelope of |X|/E does not certify non-harvesting for the
+    If the identical pair no longer harvests at the bracket's upper end
+    (its scaled excess is not positive there), the result is flagged with
+    the note "identical-pair concurrence already zero here": it is then
+    the point where only the non-identical pair still harvests, not a
+    crossing of two positive curves.  The note is read at the bracket's
+    end, not from the concurrences at the location, which lie within ulps
+    of zero where the crossover is the identical pair's own lmax.  The
+    scan ends at the first sign change, or at the last grid point the
+    envelope of |X|/E does not certify non-harvesting for the
     non-identical pair: above it that pair's concurrence is exactly zero,
     so the difference cannot turn positive.  It starts at the first grid
     point where a lower bound on the identical pair's |X|/E (through

@@ -44,15 +44,20 @@ smallest regulator, whose panels are fine enough for the wider ones.  The
 outer nodes are mirror symmetric, so the earlier inner time t - o is the
 same matrix with its rows reversed.  Where the offset spans the whole line
 (probability, exchange correlation), o -> -o conjugates the kernel, so that
-half is the conjugated product.  The double-integral routes are therefore
-row-vectorized: a batch (``pd_double_integral_many``,
-``x_double_integral_many``) builds one matrix per pole, graded for the
-smallest regulator, and applies it to every regulator and every problem
-with that pole.  The principal-value routes are row-vectorized the same
-way: their panels depend on the separation alone, so a batch
+half is summed against the conjugate kernel.  The outer phase depends on
+neither the regulator nor the kernel, so the outer time sum is taken
+first: one product of the matrix with the phase weights of an outer
+frequency, forward and reversed, gives both halves' outer sums, and per
+regulator there remains one sum over the offsets per problem.  The
+double-integral routes are therefore row-vectorized: a batch
+(``pd_double_integral_many``, ``x_double_integral_many``) builds one
+matrix per pole, graded for the smallest regulator, multiplies it once
+per distinct outer frequency and applies it to every regulator and every
+problem with that pole.  The principal-value routes are row-vectorized
+the same way: their panels depend on the separation alone, so a batch
 (``x_single_integral_pv_many``) makes one panel sum per separation and
-order.  The one-problem functions are one-row batches.  No matrix outlives
-the call that builds it.
+order.  The one-problem functions are one-row batches.  No matrix
+outlives the call that builds it.
 
 Trust: a double-integral value is a sum of terms of fixed size, while
 the value falls exponentially with the gaps (P like exp(-gap^2), X like
@@ -318,10 +323,14 @@ def _regulated_double_integral(
     smallest regulator: the wider regulators' integrands are smoother, so
     its finer panels serve them too.  The matrix, the window, the outer
     rule's probe products and each row's kernel phases depend on the
-    offsets alone and are built once per pole; per regulator there remain
-    the denominator, the certificate and one product of the matrix with the
-    real and imaginary parts of each row's kernels, read with its rows
-    reversed for the earlier half.
+    offsets alone and are built once per pole.  The outer time is summed
+    first: per distinct outer frequency of the pole's rows, one product of
+    the phase weights' real and imaginary parts, forward for the later half
+    and reversed for the earlier one (whose matrix is this one with its
+    rows reversed), with the matrix.  Rows with the same outer frequency
+    share it.  Per regulator there remain the denominator, the certificate
+    and, per row, one sum over the offsets of those outer sums times the
+    row's kernels.
 
     The outer rule, ``_OUTER_ORDER`` nodes per panel, is certified per pole
     group and regulator: it must reproduce the closed-form time integral of
@@ -353,7 +362,6 @@ def _regulated_double_integral(
     buffer = np.empty(t.size * max((o.size for o, _ in nodes), default=0))
     for p, (o, w_in) in zip(poles, nodes):
         rows = np.flatnonzero(pole == p)
-        w_phase = w * np.exp(-1j * outer_freq[rows, None] * t)
         # probe rows: the outer rule's phase weights at the group's largest
         # frequency (real and imaginary parts) and the plain weights, which
         # give the absolute sum
@@ -369,6 +377,22 @@ def _regulated_double_integral(
         # each column's time integral at frequency f is known in closed form
         col_err = np.abs(cos_col - 1j * sin_col - _SQRT_PI * np.exp(-f * f / 4.0 + 0.5j * f * o))
         phases = [window * np.exp(1j * k[rows, None] * o) for k in ks]
+        # The outer time sums: the phase weights of each distinct outer
+        # frequency times the matrix, and the reversed weights times it for
+        # the earlier half.  The weights' real and imaginary parts are the
+        # rows of one real product per frequency, of the same shape in every
+        # batch: BLAS may sum a wider product in another order, and a row's
+        # bits must not depend on the other rows of its batch.
+        freqs, row_freq = np.unique(outer_freq[rows], return_inverse=True)
+        sums = np.empty((freqs.size, 2, o.size), dtype=complex)
+        for i, freq in enumerate(freqs):
+            w_phase = w * np.exp(-1j * freq * t)
+            parts = np.stack([w_phase.real, w_phase.imag,
+                              w_phase.real[::-1], w_phase.imag[::-1]]) @ m
+            sums[i].real, sums[i].imag = parts[::2], parts[1::2]
+        # strided views, so that numpy multiplies row by row: a row's bits do
+        # not depend on where it starts in one long loop over the batch
+        later, earlier = sums[row_freq].transpose(1, 0, 2)
         for j, eps in enumerate(schedule):
             denom = (o + 1j * eps) ** 2 - p * p
             kernel_abs = window / np.abs(denom)
@@ -379,17 +403,10 @@ def _regulated_double_integral(
                     f"outer quadrature not certified at {_OUTER_ORDER} nodes per panel "
                     f"for outer frequency {f:.3e}"
                 )
-            # The matrix takes each row's real and imaginary parts of every kernel
-            # as columns instead of being promoted to complex.  One same-shaped
-            # product per row and regulator: BLAS may sum a wider product in
-            # another order, and a row's bits must not depend on the other rows
-            # of its batch.
             q = [phase / denom for phase in phases]
-            ri = m @ np.stack([part for qk in q for part in (qk.real, qk.imag)], axis=-1)
-            later = ri[:, :, 0] + 1j * ri[:, :, 1]
-            # the matrix is real, so the conjugate kernel's product is the conjugate
-            earlier = later.conj() if earlier_k is None else ri[:, :, 2] + 1j * ri[:, :, 3]
-            total = np.sum(w_phase * later, axis=1) + np.sum(w_phase * earlier[:, ::-1], axis=1)
+            # without earlier_k the earlier half's kernel is the conjugate
+            h = q[0].conj() if earlier_k is None else q[1]
+            total = np.sum(later * q[0] + earlier * h, axis=1)
             samples[rows, j] = prefactor[rows] * total
             per_half = np.finfo(float).eps * absolute + outer_err
             sample_error[rows, j] = 2.0 * np.abs(prefactor[rows]) * per_half

@@ -131,6 +131,32 @@ class TestFindCrossover:
                 0.5, d, 0.3, 0.1
             )
 
+    # the identical pair stops harvesting inside the bracket: the ratio of
+    # the scales times the non-identical pair's excess is far below the
+    # identical pair's rounding, so the crossover is the identical pair's own
+    # lmax.  The concurrences at the location lie within ulps of zero, and a
+    # note read from them flipped on an ulp's move of the location
+    @pytest.mark.parametrize("a, d", [(0.8407, 22.574), (0.840737565299472, 22.577117939346444),
+                                      (1.0, 20.0)])
+    def test_note_already_zero_where_the_identical_lmax_lies_in_the_bracket(self, a, d):
+        res = find_crossover(a, d)
+        lo, hi = res.bracket
+        assert lo <= find_lmax(a, 0.0).location <= hi
+        assert res.note == "identical-pair concurrence already zero here"
+        w = 1e-8 * hi
+        assert _mp_excess(a, 0.0, lo - w) > 0 > _mp_excess(a, 0.0, hi + w)
+
+    # the identical pair's lmax lies above the bracket, so it still harvests
+    # at the crossover; at (27.73, 0.60) both concurrences underflow to 0
+    # there, and a note read from them said "already zero"
+    @pytest.mark.parametrize("a, d", [(0.5, 0.25), (1.2, 0.6), (3.0, 0.05),
+                                      (27.72988100311271, 0.5993845229582027)])
+    def test_no_note_where_the_identical_lmax_lies_above_the_bracket(self, a, d):
+        res = find_crossover(a, d)
+        assert find_lmax(a, 0.0).bracket[0] > res.bracket[1]
+        assert res.note == ""
+        assert _mp_excess(a, 0.0, res.bracket[1]) > 0
+
     def test_true_crossover_has_both_positive(self):
         res = find_crossover(0.5, 0.25)
         assert res.note == ""
@@ -264,8 +290,8 @@ class _Root:
     the full grid: the scan cell holding the sign change, the root that
     bisection to floating resolution finds in it and its step count, the
     function whose sign changes, the side that is positive, the 50-digit
-    function whose sign change the root approximates, the note at a
-    location, and the public value there.  The loops follow the sign of
+    function whose sign change the root approximates, the note of a
+    bracket, and the public value at a location.  The loops follow the sign of
     the scaled excess (:func:`_scaled_excess`), which the searches decide
     by on every row, and which the public value E S keeps only where it
     does not underflow."""
@@ -277,7 +303,7 @@ class _Root:
     positive_at_lo: bool
     exact: Callable
     value: Callable
-    note: Callable = lambda l: ""
+    note: Callable = lambda bracket: ""
 
 
 def _is_scaled(a, d, coupling):
@@ -349,8 +375,9 @@ def _assert_refines(got, want, ulps=64):
     raises): the same error, or a bracket inside the loop's scan cell, at
     most 8 ulps wide, that the closed forms certify as a sign change the
     same way round and 50 digits confirm, located within ``ulps`` of
-    bisection's root, within the stated step bound, with the value and
-    note of the public closed forms at its location."""
+    bisection's root, within the stated step bound, with the value of the
+    public closed forms at its location and the loop's note of its
+    bracket."""
     if isinstance(want, str):
         assert got == want
         return
@@ -367,7 +394,7 @@ def _assert_refines(got, want, ulps=64):
     assert got.location == 0.5 * (lo + hi)
     assert abs(got.location - want.bisected) <= ulps * np.spacing(want.bisected)
     assert got.value == want.value(got.location)
-    assert got.note == want.note(got.location)
+    assert got.note == want.note(got.bracket)
     assert 0 < got.iterations <= _step_bound(want.cell) and got.converged
 
 
@@ -433,8 +460,9 @@ def _crossover_loop(a, d, coupling, bound=None, step=0.01):
     """find_crossover as a scalar loop on the full grid over the sign of
     the concurrence difference 2 E_u max(0, S_u) - 2 E_i max(0, S_e) from
     the pairs' scaled excesses and the ratio E_u/E_i, with the difference
-    of the public concurrence_values as its value.  Where the difference
-    is positive at the grid's first point the result is that point, in the
+    of the public concurrence_values as its value and a note from the
+    identical pair's scaled excess at the bracket's upper end.  Where the
+    difference is positive at the grid's first point the result is that point, in the
     bracket (0, point], with no iterations and a note."""
 
     def value(l):
@@ -443,9 +471,10 @@ def _crossover_loop(a, d, coupling, bound=None, step=0.01):
     def g(l):
         return _crossover_sign(a, d, l, coupling)
 
-    def note(l):
-        both = concurrence_values(a, d, l, coupling) > 0.0 and concurrence_values(a, 0.0, l, coupling) > 0.0
-        return "" if both else "identical-pair concurrence already zero here"
+    def note(bracket):
+        # whether the identical pair harvests at the bracket's upper end
+        harvests = _scaled_excess(a, 0.0, bracket[1], coupling) > 0.0
+        return "" if harvests else "identical-pair concurrence already zero here"
 
     bound = bound or max(10.0, 4.0 * lmax_large_gap_estimate(a, d))
     grid = np.arange(step, bound + 0.5 * step, step)

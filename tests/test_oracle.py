@@ -411,14 +411,34 @@ class TestBatchedOracles:
         assert all(p == pv_gaussian_pole_integral(k, 2.0) for k, p in zip(kappa, pv))
         assert np.ndim(pv_gaussian_pole_integral(0.5, 2.0)) == 0
 
+    def test_rows_sharing_an_outer_frequency_match_one_problem_calls(self):
+        # swapped gaps and equal gap sums share their separation's outer sums,
+        # a repeated row shares everything, and every probability row has
+        # outer frequency 0
+        rows = [(0.5, 1.0, 2.0, 0.1), (1.0, 0.5, 2.0, 0.05), (0.75, 0.75, 2.0, 0.2),
+                (0.5, 1.0, 2.0, 0.1), (0.5, 1.0, 6.0, 0.1), (0.2, 1.3, 6.0, 0.3),
+                (1.5, 0.0, 0.5, 0.1)]
+        a, b, l, lam = np.transpose(rows)
+        values, extrapolants = x_double_integral_many(a, b, l, lam, return_extrapolants=True)
+        for row, x, diag in zip(rows, values, extrapolants):
+            x1, diag1 = x_double_integral_many(*row, return_extrapolants=True)
+            assert x == x1 and np.array_equal(diag, diag1)
+        gaps, lams = [0.5, 1.0, 0.5, 0.0, 1.0, 0.0, 2.64], [0.1, 0.1, 0.3, 1.0, 0.1, 0.1, 0.2]
+        values, extrapolants = pd_double_integral_many(gaps, lams, return_extrapolants=True)
+        for gap, lam, p, diag in zip(gaps, lams, values, extrapolants):
+            p1, diag1 = pd_double_integral(gap, lam, return_extrapolants=True)
+            assert p == p1 and np.array_equal(diag, diag1)
+
     def test_verify_builds_one_matrix_per_pole(self, monkeypatch):
         # the cross-Gaussian matrices are the oracle's only real 2-D
         # exponentials: one per separation for the correlations and one for
         # the probabilities, each over the half line of offsets only (both
         # halves from one matrix) and graded for the smallest regulator.
+        # Each is multiplied once per distinct outer frequency.
         # The principal-value route makes one panel sum per separation and
         # order, and the closed forms are evaluated as arrays.
         shapes = []
+        stacks = []
         called = []
         pv_sums = []
         for module in (oracle, cli):
@@ -443,6 +463,12 @@ class TestBatchedOracles:
                     shapes.append(np.shape(x))
                 return np.exp(x, **kwargs)
 
+            @staticmethod
+            def stack(arrays, **kwargs):
+                out = np.stack(arrays, **kwargs)
+                stacks.append(out.shape)
+                return out
+
         monkeypatch.setattr(oracle, "np", CountingNumpy())
         checks = run_verification()
         assert len(checks) == 92 and all(c.passed for c in checks)
@@ -456,8 +482,73 @@ class TestBatchedOracles:
             for p in (0.5, 2.0, 6.0, 0.0)
         ]
         assert len(shapes) == 4 and shapes == half_line
+        # the matrices' only products: per pole the outer rule's three probe
+        # rows, and per distinct outer frequency the four rows of its outer
+        # sums, one for each of the 27 (separation, gap sum) pairs and one for
+        # the probabilities' frequency 0; no stack of kernel columns, so no
+        # product per row or regulator
+        assert stacks.count((3, t.size)) == 4 and stacks.count((4, t.size)) == 28
+        assert len(stacks) == 32
         nodes = DEFAULT_SETTINGS.quadrature_nodes
         assert pv_sums == [(9, l, n) for n in (nodes, 2 * nodes) for l in (0.5, 2.0, 6.0)]
+
+
+def _product_first_samples(settings, pole, outer_freq, later_k, earlier_k, prefactor):
+    """One row's regulated samples of the double integral summed the other
+    way round: per regulator, the matrix times the kernel columns first,
+    then the outer time sum."""
+    schedule = settings.epsilon_schedule
+    t, w = oracle._outer_rule(oracle._HALFWIDTH, oracle._OUTER_ORDER)
+    edges = oracle._graded_edges(0.0, oracle._HALFWIDTH + 2.0, [pole], schedule[-1])
+    o, w_in = oracle._panelize(edges, settings.quadrature_nodes)
+    m = np.exp(-((t[:, None] + 0.5 * o[None, :]) ** 2))
+    window = w_in * np.exp(-o * o / 4.0)
+    w_phase = w * np.exp(-1j * outer_freq * t)
+    samples = []
+    for eps in schedule:
+        denom = (o + 1j * eps) ** 2 - pole * pole
+        g = window * np.exp(1j * later_k * o) / denom
+        h = g.conj() if earlier_k is None else window * np.exp(1j * earlier_k * o) / denom
+        later, earlier = ((m @ k.real) + 1j * (m @ k.imag) for k in (g, h))
+        samples.append(prefactor * (np.sum(w_phase * later) + np.sum(w_phase * earlier[::-1])))
+    return np.array(samples)
+
+
+class TestOuterSumOrder:
+    """The double integrals take the outer time sum first.  That reorders a
+    sum the round-off bound already covers: every regulated sample lies
+    within its own bound of the sum taken the other way round."""
+
+    @pytest.mark.parametrize("settings", [
+        DEFAULT_SETTINGS,
+        OracleSettings(quadrature_nodes=128),
+        OracleSettings(epsilon_schedule=(0.05, 0.025, 0.0125, 0.00625)),
+    ])
+    def test_verify_samples_are_within_their_bound_of_the_product_first_sum(
+        self, settings, monkeypatch
+    ):
+        seen = []
+        limit = oracle._regulator_limit
+
+        def spy(settings, samples, sample_error, rel_tol, weights):
+            seen.append((np.array(samples), np.array(sample_error)))
+            return limit(settings, samples, sample_error, rel_tol, weights)
+
+        monkeypatch.setattr(oracle, "_regulator_limit", spy)
+        checks = run_verification(settings)
+        assert len(checks) == 92
+        # verify's rows in call order: the correlations, then the
+        # probabilities with the zero-gap anchor at unit coupling last
+        lam = 0.1
+        rows = [(l, a + a * (1.0 + r), -a * (1.0 + r), a * (1.0 + r), lam**2 / FOUR_PI / np.pi)
+                for a, r, l in VERIFICATION_GRID]
+        gaps = sorted({0.0, *(g for a, r, _ in VERIFICATION_GRID for g in (a, a * (1.0 + r)))})
+        rows += [(0.0, 0.0, g, None, -(c**2) / FOUR_PI / np.pi)
+                 for g, c in zip(gaps + [0.0], [lam] * len(gaps) + [1.0])]
+        assert len(seen) == len(rows) == 38
+        for row, (samples, bound) in zip(rows, seen):
+            reference = _product_first_samples(settings, *row)
+            assert np.all(np.abs(samples - reference) <= bound)
 
 
 class TestQuadratureErrorGuard:
@@ -499,33 +590,50 @@ class TestOuterRule:
         t, w = oracle._outer_rule(halfwidth, order)
         assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
 
-    def test_reversed_rows_equal_a_separately_built_sign_minus_matrix(self):
-        # the sign -1 samples from their own matrix, otherwise exactly as
-        # the oracle computes them
+    def test_reversed_rows_equal_a_separately_built_sign_minus_matrix(self, monkeypatch):
+        # the sign -1 matrix built on its own is the oracle's matrix with its
+        # rows reversed, and the samples summed over the outer time first,
+        # the earlier half over the sign -1 matrix read in the oracle's row
+        # order, are the oracle's bit for bit
         settings = DEFAULT_SETTINGS
         a, b, l, lam = np.array([0.2, 1.2, 0.5]), np.array([0.2, 2.64, 1.1]), 2.0, 0.1
         t, w = oracle._outer_rule(oracle._HALFWIDTH, oracle._OUTER_ORDER)
-        w_phase = w * np.exp(-1j * (a + b)[:, None] * t)
         # one node set for every regulator, graded for the smallest
         edges = oracle._graded_edges(0.0, oracle._HALFWIDTH + 2.0, [l],
                                      settings.epsilon_schedule[-1])
         o, w_in = oracle._panelize(edges, settings.quadrature_nodes)
-        window = w_in * np.exp(-o * o / 4.0)
-        samples = []
-        for eps in settings.epsilon_schedule:
-            denom = (o + 1j * eps) ** 2 - l * l
-            q = [window * np.exp(1j * k[:, None] * o) / denom for k in (-b, b)]
-            columns = np.stack([part for qk in q for part in (qk.real, qk.imag)], axis=-1)
-            total = 0.0
-            for i, sign in enumerate((1.0, -1.0)):
-                ri = np.exp(-((t[:, None] + 0.5 * sign * o[None, :]) ** 2)) @ columns
-                z = ri[:, :, 2 * i] + 1j * ri[:, :, 2 * i + 1]
-                total = total + np.sum(w_phase * z, axis=1)
-            samples.append(lam**2 / (4.0 * np.pi**2) * total)
+        sign_minus = np.exp(-((t[:, None] - 0.5 * o[None, :]) ** 2))
+        matrices = []
+
+        class MatrixNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(x, **kwargs):
+                out = np.exp(x, **kwargs)
+                if np.ndim(x) == 2 and np.isrealobj(x):
+                    matrices.append(out.copy())
+                return out
+
+        monkeypatch.setattr(oracle, "np", MatrixNumpy())
         _, extrapolants = x_double_integral_many(a, b, l, lam, return_extrapolants=True)
+        monkeypatch.undo()
+        assert len(matrices) == 1 and np.array_equal(sign_minus, matrices[0][::-1])
+        m = np.ascontiguousarray(sign_minus[::-1])
+        window = w_in * np.exp(-o * o / 4.0)
         for row, diag in enumerate(extrapolants):
-            expected = extrapolate_to_zero(settings.epsilon_schedule, [s[row] for s in samples])
-            assert np.array_equal(diag, expected)
+            w_phase = w * np.exp(-1j * (a + b)[row] * t)
+            parts = np.stack([w_phase.real, w_phase.imag,
+                              w_phase.real[::-1], w_phase.imag[::-1]]) @ m
+            later, earlier = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+            samples = []
+            for eps in settings.epsilon_schedule:
+                denom = (o + 1j * eps) ** 2 - l * l
+                q = [window * np.exp(1j * k[row] * o)[None, :] / denom for k in (-b, b)]
+                total = np.sum(later * q[0] + earlier * q[1], axis=1)
+                samples.append(lam**2 / (4.0 * np.pi**2) * total[0])
+            assert np.array_equal(diag, extrapolate_to_zero(settings.epsilon_schedule, samples))
 
     def test_verification_grid_is_certified_at_16_nodes(self):
         # every pole group of verify's batches passes the certificate
