@@ -23,12 +23,15 @@ of the excess there (:func:`~udwharvest.closedform._x_excess`); |X|/E
 depends on the gap difference and the separation alone.  The scans build
 no grid and evaluate only the points their answer depends on.  Point i of
 a row's grid is np.arange's start + i*delta, with its bits
-(:func:`_grids`).  A closed-form envelope of |X|/E, decreasing in the
-separation and costing no Faddeeva evaluation, certifies a point
+(:func:`_grids`).  A closed-form envelope of |X|/E, non-increasing in
+the separation and costing no Faddeeva evaluation, certifies a point
 non-harvesting wherever it lies below sqrt(P~_A P~_B) by a relative
 margin of 1e-6, and with it every larger separation; one lockstep search,
 a bisection in a large batch, finds each row's edge of the certified
-points, its cut (:func:`_cuts`).
+points, its cut (:func:`_cuts`).  The envelope bounds the Faddeeva term
+to third order in 1/|z| (:func:`~udwharvest.closedform._scaled_x_envelope`),
+which puts it within about 0.1 % of |X|/E at large separations, so there
+the cut lies a few grid points above the root.
 :func:`find_lmax` starts its downward walk at the cut, and
 :func:`find_crossover` ends its upward walk there, because above it the
 non-identical concurrence is exactly zero and the difference cannot turn
@@ -329,9 +332,9 @@ def _cuts(start, delta, n, gm, d, coupling, upward):
     it lies below gm: it bounds the bracket of :func:`_x_abs` up to the
     kernel's and the roundings' relative error, which the margin covers.
     Where gm is not normal (only a coupling far outside the weak-coupling
-    physics makes it so) nothing is certified.
-    The envelope decreases in l, so the certified points are one run at
-    the large-l end of a grid, whose edge :func:`_edges` finds."""
+    physics makes it so) nothing is certified.  The envelope does not
+    increase in l, so the certified points are one run at the large-l end
+    of a grid, whose edge :func:`_edges` finds."""
     usable = _normal(gm)
     uncertified = n if upward else np.zeros_like(n)
 

@@ -26,7 +26,10 @@ searches decide every scenario by S, from its terms |X|/E (a function of
 the gap difference and the separation alone) and sqrt(P_A P_B)/E, from
 bounds on |X|/E that cost no Faddeeva evaluation, and from the slope of
 |X|/E in the separation (:func:`_x_abs`, :func:`_scaled_gm`,
-:func:`_scaled_x_envelope`, :func:`_x_abs_slope`).
+:func:`_scaled_x_envelope`, :func:`_x_abs_slope`).  The upper bound takes
+w(z) to third order in 1/|z|, with a remainder bounded by
+Phragmen-Lindelof, and lies within about 0.1 % of |X|/E at large
+separations.
 
 Asymptotic approximations (small/large gaps, small/large separations) and
 two back-of-envelope estimates (the maximum harvesting-achievable
@@ -488,21 +491,45 @@ def _x_abs_slope(d, l, coupling):
 # Phragmen-Lindelof |w(z)| <= _ZW_BOUND / |z| there.
 _ZW_BOUND = 0.7489
 
+# sup |x^3 w(x) - i x^2/sqrt(pi)| over the real line (0.5141621528... at
+# x = 1.6505627), rounded up: likewise |w(z) - i/(sqrt(pi) z)| <=
+# _ZW3_BOUND / |z|^3 in the upper half-plane (:func:`_scaled_x_envelope`).
+_ZW3_BOUND = 0.5142
+
 
 def _scaled_x_envelope(d, l, coupling):
     """Upper bound on |X|/E, E = exp(-(a^2 + b^2)/2), from :func:`_x_abs`,
-    decreasing in l:
+    non-increasing in l:
 
-        coupling^2/(8 sqrt(pi) l)
-            * (2 min(1, 2 M/sqrt(l^2 + d^2)) + 2 exp((d^2 - l^2)/4)),
+        coupling^2/(4 sqrt(pi) l) * (W + exp((d^2 - l^2)/4)),
+        W = min(1, 2 M/rho, 2 l/(sqrt(pi) rho^2) + 8 M3/rho^3),
 
-    since |Im w(z)| <= |w(z)| <= min(1, M/|z|) at z = (l+id)/2 bounds the
-    bracket of :func:`correlation_x_values` by 2 exp(-d^2/4) min(1, 2M/
-    sqrt(l^2 + d^2)) + 2 exp(-l^2/4).  Costs no Faddeeva evaluation.
-    Arrays d, l broadcast."""
-    w_bound = np.minimum(1.0, 2.0 * _ZW_BOUND / np.sqrt(l * l + d * d))
-    bracket = 2.0 * w_bound + 2.0 * np.exp((d * d - l * l) / 4.0)
-    return coupling**2 / (8.0 * _SQRT_PI * l) * bracket
+    rho = sqrt(l^2 + d^2), M = ``_ZW_BOUND`` and M3 = ``_ZW3_BOUND``.  The
+    bracket of :func:`correlation_x_values` is at most 2 exp(-d^2/4)
+    |Im w(z)| + 2 exp(-l^2/4) at z = (l+id)/2, |z| = rho/2, and W bounds
+    |Im w(z)| three ways.  |w(z)| <= 1 in Im z >= 0.  There z w(z) and
+    f(z) = z^3 w(z) - i z^2/sqrt(pi) are analytic and bounded, since w(z) =
+    i/(sqrt(pi) z) + i/(2 sqrt(pi) z^3) + O(z^-5) as |z| grows in the closed
+    upper half-plane (DLMF 7.12.1), f tending to i/(2 sqrt(pi)); so by
+    Phragmen-Lindelof each is bounded by its supremum on the real line:
+    |w(z)| <= M/|z| and |w(z) - i/(sqrt(pi) z)| <= M3/|z|^3.  The last
+    gives |Im w(z)| <= Re(1/z)/sqrt(pi) + M3/|z|^3, Re(1/z) = 2l/rho^2.
+    W rises in l below l = d, but W/l, the minimum of 1/l, 2M/(l rho) and
+    2/(sqrt(pi) rho^2) + 8 M3/(l rho^3), does not, and neither does the
+    envelope.  The M term is the least only for 0.75 < |z| < 1.67; at
+    large separations the third-order one puts the envelope within about
+    0.1 % of |X|/E.  Costs no Faddeeva evaluation.  Arrays d, l
+    broadcast."""
+    ll, dd = l * l, d * d
+    inv = 2.0 / np.sqrt(ll + dd)  # 1/|z|
+    # 1/|z|^3 as a cube of 1/|z|, which underflows to 0 at large |z|; capped
+    # at 1/|z| = 2, where the third-order bound already exceeds 1, so that it
+    # does not overflow at small |z| either
+    cube = np.minimum(inv, 2.0)
+    cube = cube * cube * cube
+    third = (2.0 / _SQRT_PI) * l / (ll + dd) + _ZW3_BOUND * cube
+    w_bound = np.minimum(np.minimum(1.0, _ZW_BOUND * inv), third)
+    return coupling**2 / (4.0 * _SQRT_PI) * (w_bound + np.exp((dd - ll) / 4.0)) / l
 
 
 def _scaled_x_floor(l, coupling):

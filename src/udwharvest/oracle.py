@@ -303,7 +303,7 @@ def _outer_rule(halfwidth, order):
 
 
 def _regulated_double_integral(
-    settings, pole, outer_freq, later_k, prefactor, rel_tol, earlier_k=None
+    settings, pole, outer_freq, later_k, prefactor, rel_tol, time_ordered=False
 ):
     """Regulator limits of the double integral behind the three direct
     routes, one row per problem,
@@ -313,12 +313,13 @@ def _regulated_double_integral(
         g(k, o) = exp(i k o) / ((o + i eps)^2 - pole^2),
 
     with the inner time t +- o and panels graded toward the lightcone pole
-    at o = pole.  The earlier half's kernel h is g(earlier_k, o) (the
-    time-ordered correlation's second triangle) or, without ``earlier_k``,
-    conj(g(later_k, o)), the o -> -o image of a whole-line integral.
+    at o = pole.  The earlier half's kernel h is g(-later_k, o) where
+    ``time_ordered`` (the time-ordered correlation's second triangle), its
+    phases the conjugates of the later half's, or else conj(g(later_k, o)),
+    the o -> -o image of a whole-line integral.
 
-    ``pole``, ``outer_freq``, ``prefactor``, ``later_k`` and ``earlier_k``
-    are 1-D arrays over the rows.  Rows with the same pole share the nodes
+    ``pole``, ``outer_freq``, ``prefactor`` and ``later_k`` are 1-D arrays
+    over the rows.  Rows with the same pole share the nodes
     and hence the one cross-Gaussian matrix of that pole, graded for the
     smallest regulator: the wider regulators' integrands are smoother, so
     its finer panels serve them too.  The matrix, the window, the outer
@@ -354,7 +355,6 @@ def _regulated_double_integral(
     span = _HALFWIDTH + 2.0
     samples = np.empty((pole.size, len(schedule)), dtype=complex)
     sample_error = np.empty((pole.size, len(schedule)))
-    ks = [later_k] if earlier_k is None else [later_k, earlier_k]
     poles = np.unique(pole)
     nodes = [_panelize(_graded_edges(0.0, span, [p], schedule[-1]), settings.quadrature_nodes)
              for p in poles]
@@ -376,7 +376,9 @@ def _regulated_double_integral(
         cos_col, sin_col, abs_col = probe @ m
         # each column's time integral at frequency f is known in closed form
         col_err = np.abs(cos_col - 1j * sin_col - _SQRT_PI * np.exp(-f * f / 4.0 + 0.5j * f * o))
-        phases = [window * np.exp(1j * k[rows, None] * o) for k in ks]
+        phases = [window * np.exp(1j * later_k[rows, None] * o)]
+        if time_ordered:  # the earlier half's, exp(-i later_k o), as conjugates
+            phases.append(phases[0].conj())
         # The outer time sums: the phase weights of each distinct outer
         # frequency times the matrix, and the reversed weights times it for
         # the earlier half.  The weights' real and imaginary parts are the
@@ -404,8 +406,8 @@ def _regulated_double_integral(
                     f"for outer frequency {f:.3e}"
                 )
             q = [phase / denom for phase in phases]
-            # without earlier_k the earlier half's kernel is the conjugate
-            h = q[0].conj() if earlier_k is None else q[1]
+            # the earlier half's kernel: g(-later_k, o), or else conj(g(later_k, o))
+            h = q[1] if time_ordered else q[0].conj()
             total = np.sum(later * q[0] + earlier * h, axis=1)
             samples[rows, j] = prefactor[rows] * total
             per_half = np.finfo(float).eps * absolute + outer_err
@@ -648,7 +650,7 @@ def x_double_integral_many(
         later_k=-b,
         prefactor=lam2 / (4.0 * np.pi**2),
         rel_tol=1e-3,
-        earlier_k=b,
+        time_ordered=True,
     )
     return _shaped(values, extrapolants, shape, return_extrapolants)
 

@@ -515,6 +515,19 @@ class TestAgainstScalarLoops:
         got = _result(find_lmax, a, d, scan_bound=bound, scan_step=step)
         _assert_refines(got, _lmax_loop(a, d, 0.1, bound, step))
 
+    # the third-order term of the envelope moves these rows' downward cuts
+    # toward their roots, by 137, 6 and 1 grid points: the walk of (5, 30)
+    # turns at the cut's own point, that of (1, 20) at the point after it
+    @pytest.mark.parametrize("a, d, moved", [(3.0, 12.0, 137), (5.0, 30.0, 6), (1.0, 20.0, 1)])
+    def test_find_lmax_where_the_third_order_term_moves_the_cut(self, a, d, moved):
+        bound = float(analysis._default_scan_bound(a, d))
+        cut = _reference_cut(a, d, bound, 0.1, upward=False)
+        assert cut - _reference_cut(a, d, bound, 0.1, upward=False,
+                                    envelope=_first_order_envelope) == moved
+        want = _lmax_loop(a, d, 0.1)
+        assert want.cell[0] <= _reference_grid(bound, 0.01, upward=False)[cut]
+        _assert_refines(_result(find_lmax, a, d), want)
+
     @pytest.mark.parametrize("a, l, bound", [(0.5, 0.5, None), (0.5, 2.0, None), (1.2, 4.0, None),
                                              (0.2, 6.5, None), (0.5, 2.0, 0.1)])
     def test_find_optimal_gap(self, a, l, bound):
@@ -729,13 +742,27 @@ class TestLargeGaps:
 
     def test_scaled_rows_evaluate_a_few_blocks(self, monkeypatch):
         # the scaled certificate cuts the grid near the root: (30, 0) walks
-        # three blocks, 1 792 of its 24 000 points, where the unscaled scan
-        # walked every one of them
+        # one block, 256 of its 24 000 points (three blocks under the
+        # first-order envelope), where the unscaled scan walked every one
         calls = _closed_form_calls(monkeypatch)
         res = find_lmax(30.0, 0.0)
         assert abs(res.location - 60.0666) <= 5e-5
         walked = sum(np.size(l) for name, _, l in calls if name == "_x_abs")
-        assert walked <= 7 * analysis._SCAN_BLOCK
+        assert walked <= analysis._SCAN_BLOCK
+
+    # the cut lies 1-3 points above the root, so the walk's first block holds
+    # it, and the rest is the refinement's 4-5 points and the value's; the
+    # first-order envelope alone leaves 774-3 845 points to evaluate here
+    @pytest.mark.parametrize("a, d", [(20.0, 0.0), (50.0, 0.0), (20.0, 10.0),
+                                      (35.9157, 32.1953)])
+    def test_find_lmax_evaluates_one_block_and_its_refinement(self, monkeypatch, a, d):
+        points = []
+        original = closedform.faddeeva_w
+        monkeypatch.setattr(closedform, "faddeeva_w",
+                            lambda z: points.append(np.size(z)) or original(z))
+        res = find_lmax(a, d)
+        assert res.converged and sum(points) <= 262
+        assert points[0] == analysis._SCAN_BLOCK and points[1:] == [1] * (len(points) - 1)
 
     def test_a_batch_over_large_gaps_matches_one_problem_calls(self):
         rng = np.random.default_rng(17)
@@ -1011,14 +1038,23 @@ def _reference_grid(bound, step, upward):
     return np.arange(bound, 0.5 * step, -step)
 
 
-def _reference_cut(a, d, bound, coupling, upward, step=0.01):
+def _first_order_envelope(d, l, coupling):
+    """The scaled envelope through |Im w(z)| <= min(1, M/|z|) alone, without
+    the third-order term."""
+    w_bound = np.minimum(1.0, 2.0 * closedform._ZW_BOUND / np.sqrt(l * l + d * d))
+    return coupling**2 / (8.0 * np.sqrt(np.pi) * l) * (
+        2.0 * w_bound + 2.0 * np.exp((d * d - l * l) / 4.0))
+
+
+def _reference_cut(a, d, bound, coupling, upward, step=0.01,
+                   envelope=closedform._scaled_x_envelope):
     """A row's cut from the envelope certificate of every point of its full
     grid: the first open point downward, one past the last open point
     upward (the grid's size, or 0, where every point is open).  The
     certificate compares the scaled envelope with sqrt(P~_A P~_B)."""
     grid = _reference_grid(bound, step, upward)
     gm = closedform._scaled_gm(a, d, coupling)
-    envelope = closedform._scaled_x_envelope(d, grid, coupling)
+    envelope = envelope(d, grid, coupling)
     open_ = np.flatnonzero(~(envelope * (1.0 + analysis._ENVELOPE_MARGIN) < gm))
     if upward:
         return open_[-1] + 1 if open_.size else 0
@@ -1226,7 +1262,7 @@ class TestChunkedScanCalls:
         assert sum(points) <= 400 * analysis._GAP_SCAN_POINTS + 1600 * (steps + 3)
         points.clear()
         cli.build_figure("fig5", 400)
-        assert sum(points) <= 170_000
+        assert sum(points) <= 135_000
 
     def test_separation_chunks_stay_within_the_chunk_size(self, monkeypatch):
         # rows of 10, 200 and 1 switching lengths side by side: each round,

@@ -33,8 +33,8 @@ from udwharvest import (
 )
 from udwharvest import analysis
 from udwharvest.closedform import (
-    _SCALED_BELOW, _ZW_BOUND, _clamp, _probability_terms, _scaled_gm, _scaled_probability,
-    _scaled_x_envelope, _scaled_x_floor, _x_abs, _x_abs_slope, _x_excess,
+    _SCALED_BELOW, _ZW3_BOUND, _ZW_BOUND, _clamp, _probability_terms, _scaled_gm,
+    _scaled_probability, _scaled_x_envelope, _scaled_x_floor, _x_abs, _x_abs_slope, _x_excess,
 )
 
 FOUR_PI = 4.0 * np.pi
@@ -151,11 +151,17 @@ class TestCorrelationX:
         assert abs(correlation_x(cfg) - x_oracle) <= 1e-8 * abs(x_oracle)
 
 
+def _first_order_envelope(d, l, coupling):
+    """The envelope through |Im w(z)| <= min(1, M/|z|) alone."""
+    w_bound = np.minimum(1.0, 2.0 * _ZW_BOUND / np.sqrt(l * l + d * d))
+    return coupling**2 / (8.0 * SQRT_PI * l) * (2.0 * w_bound + 2.0 * np.exp((d * d - l * l) / 4.0))
+
+
 class TestXEnvelope:
-    """``_scaled_x_envelope`` bounds |X|/E through the constant M =
-    ``_ZW_BOUND`` without a Faddeeva evaluation: the separation scans skip
-    every point where it lies below sqrt(P~_A P~_B)
-    (``TestScaledExcess``)."""
+    """``_scaled_x_envelope`` bounds |X|/E through the constants M =
+    ``_ZW_BOUND`` and M3 = ``_ZW3_BOUND`` without a Faddeeva evaluation:
+    the separation scans skip every point where it lies below sqrt(P~_A
+    P~_B) (``TestScaledExcess``)."""
 
     def test_zw_bound_is_the_rounded_up_supremum_on_the_real_line(self):
         def zw(x):
@@ -167,6 +173,55 @@ class TestXEnvelope:
             # no real point beats the stationary one: |x w(x)| is even in x,
             # 0 at 0, and falls toward 1/sqrt(pi) from above beyond the samples
             assert all(zw(mp.mpf(x)) <= sup for x in np.linspace(0.0, 60.0, 1201))
+
+    def test_zw3_bound_is_the_rounded_up_supremum_on_the_real_line(self):
+        def remainder(x):
+            return abs(x**3 * mp.exp(-x * x) * mp.erfc(-1j * x) - 1j * x * x / mp.sqrt(mp.pi))
+
+        with mp.workdps(20):
+            sup = remainder(mp.findroot(lambda x: mp.diff(remainder, x), 1.65))
+            assert sup <= _ZW3_BOUND <= sup + 1e-4
+            # even in x, 0 at 0, and tending to 1/(2 sqrt(pi)) = 0.282 at
+            # large x, from above, beyond the samples
+            assert all(remainder(mp.mpf(x)) <= sup for x in np.linspace(0.0, 60.0, 1201))
+
+    def test_third_order_bound_on_the_closed_first_quadrant(self):
+        # |Im w(z)| <= Re(1/z)/sqrt(pi) + M3/|z|^3, from the real axis
+        # (angle 0) to the imaginary one, where both sides' first terms vanish
+        with mp.workdps(50):
+            for r in np.geomspace(0.05, 1e3, 41):
+                for angle in np.linspace(0.0, np.pi / 2, 13):
+                    z = mp.mpf(r) * mp.expjpi(mp.mpf(angle) / mp.pi)
+                    w = mp.exp(-z * z) * mp.erfc(-1j * z)
+                    assert abs(w.imag) <= (1 / z).real / mp.sqrt(mp.pi) + _ZW3_BOUND / abs(z) ** 3
+
+    def test_envelope_does_not_increase_in_l(self):
+        l = np.arange(0.01, 120.0, 0.001)
+        for d in np.arange(0.0, 35.0 + 0.125, 0.25):
+            assert np.all(np.diff(_scaled_x_envelope(d, l, 0.1)) <= 0.0), d
+
+    def test_envelope_is_within_1_percent_of_x_at_large_separations(self):
+        # the first-order envelope lies 32-40 % above |X|/E there
+        d = np.linspace(0.0, 35.0, 71)[:, None]
+        l = np.geomspace(0.01, 440.0, 500)
+        far = (l >= 20.0) & (l * l - d * d >= 160.0)
+        ratio = _scaled_x_envelope(d, l, 0.1) / _x_abs(d, l, 0.1)
+        assert far.sum() > 5000 and ratio[far].max() < 1.01
+        assert (_first_order_envelope(d, l, 0.1) / _x_abs(d, l, 0.1))[far].min() > 1.3
+
+    def test_envelope_raises_no_warning_far_out(self):
+        # (1/|z|)^3 underflows to 0 at large |z| rather than overflowing,
+        # and is capped at small |z| (tier-1 runs RuntimeWarnings as errors)
+        d = np.linspace(0.0, 35.0, 36)[:, None]
+        l = np.geomspace(1e-150, 1e150, 601)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            env = _scaled_x_envelope(d, l, 0.1)
+            assert _scaled_x_envelope(0.0, 1e150, 0.1) == env[0, -1]
+        assert np.all(np.isfinite(env)) and np.all(env > 0.0)
+        # never above the first-order envelope, up to the roundings of the
+        # prefactor's two forms
+        assert np.all(env <= _first_order_envelope(d, l, 0.1) * (1.0 + 1e-15))
 
 
 class TestIdenticalXFloor:
