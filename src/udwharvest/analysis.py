@@ -5,8 +5,8 @@ Three searches cover the quantities the closed forms do not give directly:
 * :func:`find_lmax` -- the largest separation at which harvesting still
   occurs.  The harvesting boundary is a root of |X| - sqrt(P_A P_B), which
   can have several roots when the correlation amplitude oscillates with
-  separation, so the scan walks downward from an upper bound and refines
-  the first (i.e. largest) sign change.
+  separation, so the scan walks downward from the end of its grid and
+  refines the first (i.e. largest) sign change.
 
 * :func:`find_optimal_gap` -- the gap difference maximizing the
   concurrence at fixed smaller gap and separation.  A boundary maximum at
@@ -20,20 +20,25 @@ The two separation searches decide every row by the scaled excess S =
 |X|/E - sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2), whose terms stay of
 order one where P_A P_B and |X| underflow and which keeps the sign change
 of the excess there (:func:`~udwharvest.closedform._x_excess`); |X|/E
-depends on the gap difference and the separation alone.  The scans build
-no grid and evaluate only the points their answer depends on.  Point i of
-a row's grid is np.arange's start + i*delta, with its bits
-(:func:`_grids`).  A closed-form envelope of |X|/E, non-increasing in
-the separation and costing no Faddeeva evaluation, certifies a point
-non-harvesting wherever it lies below sqrt(P~_A P~_B) by a relative
-margin of 1e-6, and with it every larger separation; one lockstep search,
-a bisection in a large batch, finds each row's edge of the certified
-points, its cut (:func:`_cuts`).  The envelope bounds the Faddeeva term
-to third order in 1/|z| (:func:`~udwharvest.closedform._scaled_x_envelope`),
-which puts it within about 0.1 % of |X|/E at large separations, so there
-the cut lies a few grid points above the root.
-:func:`find_lmax` starts its downward walk at the cut, and
-:func:`find_crossover` ends its upward walk there, because above it the
+depends on the gap difference and the separation alone.  S scales by the
+coupling's square, so the searches decide at unit coupling: only
+``value`` depends on the coupling.  The scans build no grid and evaluate
+only the points their answer depends on.  Point i of a row's grid is
+step + i*step, np.arange's own arithmetic, with its bits.  A closed-form
+envelope of |X|/E, non-increasing in the separation and costing no
+Faddeeva evaluation, certifies a point non-harvesting wherever it lies
+below sqrt(P~_A P~_B) by a relative margin of 1e-6, and with it every
+larger separation.  A row's grid ends at its first certified point, its
+cut, which a lockstep search finds by doubling from one block, then
+splitting the last doubling (:func:`_cuts`).  The envelope bounds the
+Faddeeva term to third order in 1/|z|
+(:func:`~udwharvest.closedform._scaled_x_envelope`), which puts the cut a
+few grid points above the root at large separations.  A ``scan_bound``
+only caps the grid; past scan_step*2^52 the points stop being distinct
+doubles, so a larger bound, or a grid certified nowhere below it, raises
+ValueError.
+:func:`find_lmax` starts its downward walk below the cut, and
+:func:`find_crossover` ends its upward walk there, because from it on the
 non-identical concurrence is exactly zero and the difference cannot turn
 positive.  :func:`find_crossover` also has a lower cut, the mirror of the
 upper one (:func:`_floors`): below it the identical pair is certified
@@ -47,17 +52,16 @@ starts as if after a non-positive point, so its first positive point is
 its answer; a crossover row positive at the grid's first point has the
 non-identical pair ahead from the first scanned separation, and returns
 that point, in the bracket (0, point], with a note.  The rest is walked
-in blocks, each twice the one before, up to the first block that holds
-the answer.  The first block of each of the rows walked together is 256
+in blocks, each twice the one before and at most a chunk's points, up to
+the first block that holds the answer.  The first block of each of the rows walked together is 256
 // rows points (at least one), so a row walking alone starts with 256
 points and the first call over many rows holds about 256 in all.  A
 closed-form call gives the same bits for a point whatever the shape of
 the call, so every answer, bracket and raised error is bit for bit that
-of evaluating the whole grid.  A scan bound must be finite and a grid
-may span at most 1e7 points; a larger one raises ValueError before the
-scan starts.  A crossover row compares the two pairs' scaled excesses
-through the ratio of their scales, exp(-d(2a + d)/2), in a form whose
-sign does not rest on that ratio where it underflows (:func:`_lead`).
+of evaluating the whole grid.  A crossover row compares the two pairs'
+scaled excesses through the ratio of their scales, exp(-d(2a + d)/2), in
+a form whose sign does not rest on that ratio where it underflows
+(:func:`_lead`).
 
 The sign change a separation scan finds is refined by safeguarded Newton
 steps (:func:`_refine`), whose slope costs no further Faddeeva evaluation
@@ -109,6 +113,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import (
+    _SCALED_BELOW,
     DetectorPairConfig,
     _clamp,
     _domain_errors,
@@ -122,7 +127,6 @@ from .closedform import (
     _x_abs_slope,
     _x_bracket,
     _x_excess,
-    lmax_large_gap_estimate,
     transition_probability,
 )
 
@@ -148,9 +152,9 @@ _GOLDEN = float((np.sqrt(5.0) - 1.0) / 2.0)
 # Samples of a gap search's coarse scan over [0, gap bound].
 _GAP_SCAN_POINTS = 256
 
-# Largest grid a separation scan spans, in points: where nothing is certified
-# it walks every point, 1e7 in 2 s (find_lmax) to 4 s (find_crossover).
-_MAX_SCAN_POINTS = 10**7
+# Points of the longest separation grid: past scan_step*2^52 the points
+# scan_step + i*scan_step stop being distinct doubles.
+_GRID_POINTS = 2**52
 
 # Points of one call of a lockstep search over rows: a separation scan's
 # first block is _SCAN_BLOCK // rows points of each of a chunk's rows (at
@@ -163,7 +167,8 @@ _SCAN_BLOCK = 256
 # Points of one chunk of scanned rows, each padded to the longest (a
 # separation scan counts the points it walks): the rows of a chunk share
 # each call of their scans, and the chunk bounds the memory of those calls.
-# A row longer than a chunk is a chunk of its own.
+# A row longer than a chunk is a chunk of its own, whose blocks stop
+# doubling at a chunk's points.
 _SCAN_CHUNK = 8192
 
 # Relative margin of the envelope certificate: it covers the Faddeeva
@@ -179,14 +184,14 @@ _NEWTON_SLACK = 9
 
 
 class NoHarvestingRegion(RuntimeError):
-    """No separation in the scanned range yields positive concurrence."""
+    """No separation on the scan grid yields positive concurrence."""
 
 
 class BracketingFailure(RuntimeError):
-    """Harvesting persists at the scan bound; the true boundary lies above.
+    """Harvesting persists where ``scan_bound`` caps the grid; the boundary lies above.
 
-    The ``lower_bound`` attribute carries the scanned bound, which is a
-    certified lower bound on the boundary rather than a root.
+    The ``lower_bound`` attribute carries the grid's last point, which
+    harvests: a certified lower bound on the boundary rather than a root.
     """
 
     def __init__(self, msg, lower_bound):
@@ -235,11 +240,6 @@ class SearchBatch:
     error: np.ndarray
 
 
-def _default_scan_bound(omega_a_sigma, delta_omega_sigma):
-    # four times the large-gap estimate, never less than 10 switching lengths
-    return np.maximum(10.0, 4.0 * lmax_large_gap_estimate(omega_a_sigma, delta_omega_sigma))
-
-
 def _check_domain(a, d, l, coupling):
     """Raise ValueError with the message of the first row outside the
     domain :class:`DetectorPairConfig` admits."""
@@ -249,24 +249,26 @@ def _check_domain(a, d, l, coupling):
 
 
 def _separation_problems(omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step):
-    """Broadcast (a, d, scan bound) arrays of a separation search, the
-    bound defaulting per row."""
+    """Broadcast (a, d) and each row's grid size, uncapped ``_GRID_POINTS``."""
     a, d = np.broadcast_arrays(
         np.asarray(omega_a_sigma, dtype=float), np.asarray(delta_omega_sigma, dtype=float)
     )
     _check_domain(a, d, 1.0, coupling)  # the scanned separation is not checked
+    limit = scan_step * _GRID_POINTS
+    if not 0.0 < limit < np.inf:
+        raise ValueError("need scan_step > 0 with scan_step*2^52 finite")
     if scan_bound is None:
-        scan_bound = _default_scan_bound(a, d)
+        return a, d, np.full(a.shape, _GRID_POINTS)
     a, d, bound = np.broadcast_arrays(a, d, np.asarray(scan_bound, dtype=float))
-    if not np.all(np.isfinite(bound)):
-        raise ValueError("scan_bound must be finite")
-    if not np.all((bound > scan_step) & (scan_step > 0.0)):
-        raise ValueError("need scan_bound > scan_step > 0")
-    points = float(np.max(bound, initial=0.0)) / scan_step
-    if points > _MAX_SCAN_POINTS:
-        raise ValueError(f"a scan grid of {points:.3g} points exceeds the limit of "
-                         f"{_MAX_SCAN_POINTS:.0e}; raise scan_step or lower scan_bound")
-    return a, d, bound
+    if not np.all((bound > scan_step) & (bound <= limit)):
+        raise ValueError(f"scan_bound must be finite, above scan_step and at most scan_step*2^52"
+                         f" = {limit:.6g}: past it the grid points stop being distinct doubles")
+    return a, d, _grid_size(bound, scan_step)
+
+
+def _grid_size(bound, step):
+    """np.arange's count of the points step + i*step below bound + step/2."""
+    return np.ceil((bound + 0.5 * step - step) / step).astype(np.int64)
 
 
 def _chunks(points):
@@ -283,39 +285,26 @@ def _chunks(points):
         yield slice(start, len(points))
 
 
-def _grids(bound, step, upward):
-    """Every row's grid as (start, delta, n), none built: point i of n is
-    start + i*delta, delta = (start + step) - start with step negative
-    downward, and n = ceil((stop - start)/step) for stop half a step past
-    the far end -- np.arange's own arithmetic, so every point has its bits.
-    An upward grid runs from ``step`` to the bound, a downward one back."""
-    if upward:
-        start, stop, signed = np.full(bound.shape, step), bound + 0.5 * step, step
-    else:
-        start, stop, signed = bound, 0.5 * step, -step
-    return start, (start + signed) - start, np.ceil((stop - start) / signed).astype(int)
-
-
 def _normal(gm):
-    """Where gm is a finite normal double, which a relative margin needs:
-    a subnormal |X| is off by 2^-1074 times a few."""
-    return np.isfinite(gm) & (gm >= np.finfo(float).tiny)
+    """Where gm is finite and gm^2 = P~_A P~_B a normal double, as a
+    relative margin needs: at unit coupling, for gaps below about 1e76."""
+    return np.isfinite(gm) & (gm >= _SCALED_BELOW)
 
 
-def _edges(lo, hi, start, delta, hit):
-    """Each row's first grid index in [lo, hi) whose point ``hit(rows, l)``
-    marks (rows an index array, one row of l per row), hi where there is
-    none; along each row's grid hit must be False, then True.  Each step of
-    the lockstep search is one call of hit at ``probes`` indices of every
-    row, splitting its bracket evenly: one, a bisection, for
-    ``_SCAN_BLOCK`` rows or more, else about ``_SCAN_BLOCK`` points per
+def _edges(lo, hi, hit):
+    """Each row's first grid index in [lo, hi) that ``hit(rows, i)`` marks
+    (rows an index array, one row of grid indices i per row), hi where
+    there is none; along each row's grid hit must be False, then True.
+    Each step of the lockstep search is one call of hit at ``probes``
+    indices of every row, splitting its bracket evenly: one, a bisection,
+    for ``_SCAN_BLOCK`` rows or more, else about ``_SCAN_BLOCK`` points per
     call, which takes a one-problem search to its edge in two or three calls
     where bisection takes ten."""
     probes = max(1, _SCAN_BLOCK // max(lo.size, 1))
     while (live := np.flatnonzero(lo < hi)).size:
         low, high = lo[live, None], hi[live, None]
         probe = low + (high - low) * np.arange(1, probes + 1) // (probes + 1)
-        hits = hit(live, start[live, None] + probe * delta[live, None])
+        hits = hit(live, probe)
         # the first probe at or past the edge (else hi) and the one before it
         first = np.argmax(np.concatenate([hits, np.ones_like(low, dtype=bool)], axis=1), axis=1)
         ends = np.concatenate([low - 1, probe, high], axis=1)
@@ -324,32 +313,51 @@ def _edges(lo, hi, start, delta, hit):
     return lo
 
 
-def _cuts(start, delta, n, gm, d, coupling, upward):
-    """Each row's first grid index whose point the envelope certifies
-    (upward) or does not (downward), n where there is none; one value per
-    row.  The scaled envelope of |X|/E, widened by the margin, certifies
-    the scaled excess |X|/E - gm, gm = sqrt(P~_A P~_B), non-positive where
-    it lies below gm: it bounds the bracket of :func:`_x_abs` up to the
-    kernel's and the roundings' relative error, which the margin covers.
-    Where gm is not normal (only a coupling far outside the weak-coupling
-    physics makes it so) nothing is certified.  The envelope does not
-    increase in l, so the certified points are one run at the large-l end
-    of a grid, whose edge :func:`_edges` finds."""
+def _cuts(step, n, gm, d):
+    """Each row's first grid index below n whose point the envelope
+    certifies, n where there is none: the end of the row's grid.  The
+    scaled envelope of |X|/E, widened by the margin that covers the
+    kernel's and the roundings' relative error, certifies the scaled
+    excess |X|/E - gm, gm = sqrt(P~_A P~_B), non-positive where it lies
+    below gm, and every larger separation with it: it does not increase in
+    l.  Lockstep calls of as many probes per row as a step of
+    :func:`_edges` probe rungs up to the first certified one: a block
+    apart, while a call has room for the doublings to 2^52 points too (one
+    problem: 212 blocks), then doubling.  :func:`_edges` then finds the
+    edge above the last rung not certified.  A grid of 2^52 points
+    certified nowhere raises ValueError."""
+
+    def hit(rows, i):
+        envelope = _scaled_x_envelope(d[rows, None], step + i * step)
+        return (envelope * (1.0 + _ENVELOPE_MARGIN) < gm[rows, None]) | (i >= n[rows, None])
+
     usable = _normal(gm)
-    uncertified = n if upward else np.zeros_like(n)
+    lo, hi = np.where(usable, 0, n), n.copy()
+    probes, first = max(1, _SCAN_BLOCK // max(n.size, 1)), 0
+    even = max(1, probes - 44)  # 2^52 points are a block doubled 44 times
+    rows = np.flatnonzero(usable)
+    while rows.size:
+        k = np.arange(first + 1, first + probes + 1)
+        rung = _SCAN_BLOCK * np.minimum(k, even) * 2.0 ** np.maximum(k - even, 0)
+        rung = np.minimum(rung, n[rows, None]).astype(np.int64)
+        hits = hit(rows, rung)
+        found = hits.any(axis=1)
+        # every rung before the first certified one, or before none, is not
+        j = np.where(found, np.argmax(hits, axis=1), hits.shape[1])
+        lo[rows] = np.where(j > 0, rung[np.arange(rows.size), j - 1] + 1, lo[rows])
+        hi[rows[found]] = rung[found, j[found]]
+        rows, first = rows[~found], first + probes
+    cut = _edges(lo, hi, hit)
+    if np.any(cut == _GRID_POINTS):
+        raise ValueError("the envelope certifies no separation below scan_step*2^52, and past "
+                         "it the grid points stop being distinct doubles")
+    return cut
 
-    def hit(rows, l):
-        envelope = _scaled_x_envelope(d[rows, None], l, coupling)
-        return (envelope * (1.0 + _ENVELOPE_MARGIN) < gm[rows, None]) == upward
 
-    return _edges(np.where(usable, 0, uncertified), np.where(usable, n, uncertified), start,
-                  delta, hit)
-
-
-def _floors(start, delta, n, gms, ratio, d, coupling):
-    """Each crossover row's lower cut on its upward grid: the first index
-    whose point is not certified to have the identical pair ahead, 0 where
-    the first is not.  A point is certified where
+def _floors(step, cut, gms, ratio, d):
+    """Each crossover row's lower cut on its grid: the first index below
+    its ``cut`` whose point is not certified to have the identical pair
+    ahead, 0 where the first is not.  A point is certified where
 
         L(l) (1 - m) - gm_e > r max(0, U_u(l_0) (1 + m) - gm_u),
 
@@ -366,60 +374,55 @@ def _floors(start, delta, n, gms, ratio, d, coupling):
     certified points are a prefix of the grid, whose end :func:`_edges`
     finds for the rows certified at their first point."""
     gm_u, gm_e = gms
-    ceiling = _scaled_x_envelope(d, start, coupling) * (1.0 + _ENVELOPE_MARGIN)
+    ceiling = _scaled_x_envelope(d, step) * (1.0 + _ENVELOPE_MARGIN)
     ceiling = ratio * np.maximum(0.0, ceiling - gm_u)
 
-    def uncertified(rows, l):
-        floor = _scaled_x_floor(l, coupling) * (1.0 - _ENVELOPE_MARGIN)
+    def uncertified(rows, i):
+        floor = _scaled_x_floor(step + i * step) * (1.0 - _ENVELOPE_MARGIN)
         return ~(floor - gm_e[rows, None] > ceiling[rows, None])
 
-    rows = np.arange(n.size)
-    usable = _normal(gm_u) & _normal(gm_e) & ~uncertified(rows, start[:, None])[:, 0]
+    first = np.zeros((cut.size, 1), dtype=np.int64)
+    usable = _normal(gm_u) & _normal(gm_e) & ~uncertified(np.arange(cut.size), first)[:, 0]
     # point 0 of a usable row is certified: its search starts at point 1
-    return _edges(usable.astype(int), np.where(usable, n, 0), start, delta, uncertified)
+    return _edges(usable.astype(int), np.where(usable, cut, 0), uncertified)
 
 
-def _separation_scan(grid, gm, d, coupling, positive, upward, floor=None):
-    """Walk every row's separation grid (:func:`_grids`'s ``grid``) to its
-    first positive point; 1-D arrays gm and d hold the rows' problems, as
-    :func:`_cuts` takes them.
+def _separation_scan(step, first, last, positive):
+    """Walk every row's separation grid from index ``first`` toward
+    ``last``, which it does not reach, to its first positive point; 1-D
+    index arrays, either direction.
 
     ``positive(rows, l)`` is the sign test of the rows (an index array) at
-    separations l, one row of l per row.  A downward walk runs from the
-    row's cut (:func:`_cuts`) to the grid's end, an upward one from the
-    row's ``floor``, the first index not certified non-positive
-    (:func:`_floors`), to the cut.  Either walk starts as if after a
-    non-positive point, so its first positive point is its turn: the
-    first sign change, or the walk's first point.  A row whose floor is at
-    or past its cut walks nothing and has no turn.
-    The rows are chunked by the points they walk.  Per chunk the walks run
-    in lockstep rounds of blocks, each twice the one before, the first of
-    ``_SCAN_BLOCK // rows`` points (at least one), so that the first
-    round's call holds about ``_SCAN_BLOCK`` points, as a step of
-    :func:`_edges` does: a round is one call over the next block of every row without a turn
-    so far, a shorter walk padded with its last point.  Returns each row's
-    turn index k (-1 where there is none) and its grid at k and at k-1
-    (NaN where there is no such point)."""
-    start, delta, n = grid
-    cut = _cuts(start, delta, n, gm, d, coupling, upward)
-    first, last = (floor, cut) if upward else (cut, n)
+    separations l, one row of l per row.  A walk starts as if after a
+    non-positive point, so its first positive point is its turn: the first
+    sign change, or the walk's first point.  The rows are chunked by the
+    points they walk.  Per chunk the walks run in lockstep rounds of
+    blocks, each twice the one before up to ``_SCAN_CHUNK`` points, the
+    first of ``_SCAN_BLOCK // rows`` points (at least one), so that the
+    first round's call holds about ``_SCAN_BLOCK`` points, as a step of
+    :func:`_edges` does: a round is one call over the next block of every
+    row without a turn so far, a shorter walk padded with its last point.
+    Returns each row's turn index k (-1 where there is none), and its grid
+    point at k and at the index walked before k (NaN where there is no such
+    point)."""
+    sign, length = np.sign(last - first), np.abs(last - first)
     # a row leaves at its first positive point or at its end
-    k = np.full(n.shape, -1)
-    for chunk in _chunks(last - first):
-        rows = chunk.start + np.flatnonzero(last[chunk] > first[chunk])
+    k = np.full(first.shape, -1)
+    for chunk in _chunks(length):
+        rows = chunk.start + np.flatnonzero(length[chunk] > 0)
         offset, size = 0, max(1, _SCAN_BLOCK // max(rows.size, 1))
         while rows.size:
-            begin, end = first[rows] + offset, last[rows]
-            idx = np.minimum(begin[:, None] + np.arange(min(size, np.max(end - begin))),
-                             end[:, None] - 1)
-            pos = positive(rows, start[rows, None] + idx * delta[rows, None])
+            walked = np.minimum(offset + np.arange(min(size, np.max(length[rows] - offset))),
+                                length[rows, None] - 1)
+            idx = first[rows, None] + sign[rows, None] * walked
+            pos = positive(rows, step + idx * step)
             turned = pos.any(axis=1)
-            k[rows[turned]] = begin[turned] + np.argmax(pos[turned], axis=1)
-            rows = rows[~turned & (begin + size < end)]
-            offset, size = offset + size, 2 * size
-    at = np.where(k >= 0, start + k * delta, np.nan)
-    previous = np.where(k > 0, start + (k - 1) * delta, np.nan)
-    return k, at, previous
+            k[rows[turned]] = idx[turned, np.argmax(pos[turned], axis=1)]
+            rows = rows[~turned & (offset + size < length[rows])]
+            offset, size = offset + size, min(2 * size, _SCAN_CHUNK)
+    before = k - sign
+    at = np.where(k >= 0, step + k * step, np.nan)
+    return k, at, np.where((k >= 0) & (before >= 0), step + before * step, np.nan)
 
 
 # The closed forms below are evaluated with row-constant factors computed
@@ -577,32 +580,32 @@ def find_lmax_many(
     Newton steps in lockstep.  A row where :func:`find_lmax` would raise
     carries the exception's class name in ``error``.
     """
-    a, d, bound = _separation_problems(
+    a, d, n = _separation_problems(
         omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
     )
-    # every row is scanned and refined in scaled form: |X|/E against
-    # sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2)
+    # every row is scanned and refined in scaled form at unit coupling:
+    # |X|/E against sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2)
     gm, scaled_gm, brackets = _geometric_means(a, d, coupling)
-    row_d, row_gm, row_bound = (x.ravel() for x in (d, scaled_gm, bound))
+    row_d, row_gm, row_n = (x.ravel() for x in (d, scaled_gm, n))
 
     def positive(rows, l):
-        return _x_abs(row_d[rows, None], l, coupling) - row_gm[rows, None] > 0.0
+        return _x_abs(row_d[rows, None], l) - row_gm[rows, None] > 0.0
 
-    # the walk runs downward, below the leading certified points (which
-    # are not positive), to the first positive point
-    grid = _grids(row_bound, scan_step, upward=False)
-    k, at, above = _separation_scan(grid, row_gm, row_d, coupling, positive, upward=False)
+    # the walk runs down from below the grid's end, its first certified
+    # point, to the first positive one: a capped grid's last point fails
+    cut = _cuts(scan_step, row_n, row_gm, row_d)
+    k, at, above = _separation_scan(scan_step, cut - 1, np.full(cut.shape, -1), positive)
     k = k.reshape(a.shape)
     error = _blank(a.shape)
     error[k < 0] = NoHarvestingRegion.__name__
-    error[k == 0] = BracketingFailure.__name__
+    error[k == n - 1] = BracketingFailure.__name__
     # a failed row sits at lo = hi, where the refinement leaves it alone
-    failed = k <= 0
+    failed = error != ""
     lo = np.where(failed, scan_step, at.reshape(a.shape))  # f(lo) > 0 >= f(hi)
     hi = np.where(failed, scan_step, above.reshape(a.shape))
 
     def f(l):
-        x_abs, slope = _x_abs_slope(d, l, coupling)
+        x_abs, slope = _x_abs_slope(d, l)
         return x_abs - scaled_gm, slope
 
     lo, hi, iterations = _refine(f, lo, hi, positive_at_lo=True)
@@ -619,42 +622,40 @@ def find_lmax(
     scan_step=0.01,
 ) -> SearchResult:
     """Largest separation (units of the switching length) with nonzero
-    concurrence, located as the largest root of |X| - sqrt(P_A P_B) below
-    ``scan_bound``.
+    concurrence, located as the largest root of |X| - sqrt(P_A P_B) on the
+    grid of points ``scan_step`` apart.
 
-    Scans downward from the bound in steps of ``scan_step`` and refines the
-    first bracket whose smaller-separation side still harvests, by
-    safeguarded Newton steps to a certified bracket of at most 8 ulps
-    (``iterations`` counts the steps); downward
-    scanning is what makes the *largest* root the one found when the
-    boundary oscillates.  The scan, certificate and refinement follow the
-    scaled excess |X|/E - sqrt(P_A P_B)/E, E = exp(-(a^2 + b^2)/2), which
-    keeps its sign change where P_A P_B and |X| underflow; ``value`` is
-    ``correlation_excess`` at the location.  Grid points that an envelope
-    of |X|/E certifies non-harvesting are not evaluated, and the walk stops
-    at the first block holding a harvesting point; neither changes the
-    answer, which is bit for bit that of evaluating every grid point.  The
-    returned location does not depend on the coupling (the excess scales
-    globally by its square).  One problem per call; :func:`find_lmax_many`
-    solves arrays of them.
+    The grid ends where an envelope of |X|/E certifies every larger
+    separation non-harvesting, or at ``scan_bound`` where one is given and
+    lies below that end.  The scan walks downward from the grid's end in
+    steps of ``scan_step`` and refines the first bracket whose
+    smaller-separation side still harvests, by safeguarded Newton steps to
+    a certified bracket of at most 8 ulps (``iterations`` counts the
+    steps); downward scanning is what makes the *largest* root the one
+    found when the boundary oscillates.  The scan, certificate and
+    refinement follow the scaled excess |X|/E - sqrt(P_A P_B)/E, E =
+    exp(-(a^2 + b^2)/2), at unit coupling: it keeps its sign change where
+    P_A P_B and |X| underflow, and the excess scales by the coupling's
+    square, so only ``value``, ``correlation_excess`` at the location,
+    depends on the coupling.  The answer is bit for bit that of evaluating
+    every grid point.  One problem per call; :func:`find_lmax_many` solves
+    arrays of them.
 
-    Raises :exc:`NoHarvestingRegion` if nothing on the grid harvests and
-    :exc:`BracketingFailure` if harvesting persists at the bound itself.
+    Raises :exc:`NoHarvestingRegion` if no grid point harvests, and
+    :exc:`BracketingFailure` if a given ``scan_bound`` lies below the
+    boundary: harvesting persists at the capped grid's last point.
     """
     batch = find_lmax_many(omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step)
     error = batch.error[()]
-    if error and scan_bound is None:
-        scan_bound = float(_default_scan_bound(omega_a_sigma, delta_omega_sigma))
     if error == BracketingFailure.__name__:
-        raise BracketingFailure(
-            f"excess still positive at scan bound {scan_bound}; the harvesting "
-            "boundary lies above it",
-            lower_bound=scan_bound,
-        )
+        top = scan_step + float(_grid_size(scan_bound, scan_step) - 1) * scan_step
+        raise BracketingFailure(f"excess still positive at {top!r}, the last grid point below "
+                                f"scan bound {scan_bound}; the harvesting boundary lies above it",
+                                lower_bound=top)
     if error == NoHarvestingRegion.__name__:
-        raise NoHarvestingRegion(
-            f"no positive concurrence for separations up to {scan_bound}"
-        )
+        raise NoHarvestingRegion("no positive concurrence on the scan grid " + (
+            "nor past its end, where the envelope certifies none" if scan_bound is None
+            else f"up to {scan_bound}"))
     return _single(batch)
 
 
@@ -767,31 +768,28 @@ def find_crossover_many(
     """
     if np.any(np.asarray(delta_omega_sigma) <= 0):
         raise ValueError("delta_omega_sigma must be > 0 to compare against identical")
-    a, d, bound = _separation_problems(
+    a, d, n = _separation_problems(
         omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
     )
-    # both pairs' sqrt(P_A P_B) and sqrt(P~_A P~_B) along a leading axis of
-    # two (leading, so that numpy's inner loops run along the points); the
-    # pairs' scales E differ by the ratio exp(-d(2a + d)/2)
+    # both pairs' sqrt(P_A P_B), and sqrt(P~_A P~_B) at unit coupling, along
+    # a leading axis of two (leading, so that numpy's inner loops run along
+    # the points); the pairs' scales E differ by the ratio exp(-d(2a + d)/2)
     ds = np.stack([d, np.zeros(d.shape)])
     gms, scaled_gms, brackets = _geometric_means(a, ds, coupling)
     ratio = np.exp(-d * (2.0 * a + d) / 2.0)
-    row_d, row_ratio, row_bound = (x.ravel() for x in (d, ratio, bound))
+    row_d, row_ratio, row_n = (x.ravel() for x in (d, ratio, n))
     row_gms, row_ds = scaled_gms.reshape(2, -1), ds.reshape(2, -1)
 
     def positive(rows, l):
-        unequal, equal = _x_abs(row_ds[:, rows, None], l, coupling) - row_gms[:, rows, None]
+        unequal, equal = _x_abs(row_ds[:, rows, None], l) - row_gms[:, rows, None]
         return _lead(unequal, equal, row_ratio[rows, None], equal > 0.0) > 0.0
 
-    # the walk starts at the first point where the identical pair is not
-    # certified ahead; at a point the envelope certifies the non-identical
-    # concurrence is 0, so the difference cannot turn positive there: the
-    # walk ends at the last point that is not certified, or at the first
-    # sign change
-    grid = _grids(row_bound, scan_step, upward=True)
-    floor = _floors(*grid, row_gms, row_ratio, row_d, coupling)
-    k, at, below = _separation_scan(grid, row_gms[0], row_d, coupling, positive, upward=True,
-                                    floor=floor)
+    # the walk runs from the first point where the identical pair is not
+    # certified ahead to the grid's end, from which on the envelope
+    # certifies the non-identical concurrence 0: no sign change is left
+    cut = _cuts(scan_step, row_n, row_gms[0], row_d)
+    floor = _floors(scan_step, cut, row_gms, row_ratio, row_d)
+    k, at, below = _separation_scan(scan_step, floor, cut, positive)
     k = k.reshape(a.shape)
     error = _blank(a.shape)
     error[k < 0] = NoCrossover.__name__
@@ -801,7 +799,7 @@ def find_crossover_many(
     lo = np.where(k > 0, below.reshape(a.shape), hi)  # g(lo) <= 0 < g(hi)
 
     def g(l):
-        x_abs, slope = _x_abs_slope(ds, l, coupling)
+        x_abs, slope = _x_abs_slope(ds, l)
         (unequal, equal), (slope_u, slope_i) = x_abs - scaled_gms, slope
         harvests = equal > 0.0
         return _lead(unequal, equal, ratio, harvests), _lead(slope_u, slope_i, ratio, harvests)
@@ -813,7 +811,7 @@ def find_crossover_many(
     b_re, b_im = _x_bracket(np.concatenate([ds, ds[1:]]), np.stack([loc, loc, hi]))[:2]
     unequal, equal = _clamp(_x_excess(a, ds, loc, coupling, gms, brackets,
                                       (b_re[:2], b_im[:2]))[1])
-    identical_at_hi = _over_scale(b_re[2], b_im[2], ds[1], hi, coupling)[0] - scaled_gms[1]
+    identical_at_hi = _over_scale(b_re[2], b_im[2], ds[1], hi, 1.0)[0] - scaled_gms[1]
     note = np.where(identical_at_hi > 0.0, "",
                     "identical-pair concurrence already zero here").astype(object)
     # the grid's first point leads: the crossover lies in (0, that point]
@@ -842,32 +840,29 @@ def find_crossover(
     crossing of two positive curves.  The note is read at the bracket's
     end, not from the concurrences at the location, which lie within ulps
     of zero where the crossover is the identical pair's own lmax.  The
-    scan ends at the first sign change, or at the last grid point the
-    envelope of |X|/E does not certify non-harvesting for the
-    non-identical pair: above it that pair's concurrence is exactly zero,
-    so the difference cannot turn positive.  It starts at the first grid
-    point where a lower bound on the identical pair's |X|/E (through
-    Dawson's integral, no Faddeeva evaluation) no longer certifies that
-    pair ahead of the non-identical pair's envelope; from there a
-    positive first point is a sign change.  A difference already positive
-    at the grid's first point l_1 is returned there, in the bracket (0,
-    l_1], with 0 iterations and the note "non-identical pair ahead from
-    the first scanned separation".  Neither cut changes the answer, which
-    is that of the full scan bit for bit.  Both pairs are compared through
-    their scaled excesses, as :func:`find_lmax` follows one, and the ratio
-    of their scales; ``value`` is the difference of their
-    ``concurrence_values``.  Raises :exc:`NoCrossover` when the difference
-    is positive nowhere on the grid.  One problem per call;
-    :func:`find_crossover_many` solves arrays of them.
+    grid ends at its first point that the envelope of |X|/E certifies
+    non-harvesting for the non-identical pair, or at ``scan_bound`` where
+    one is given and lies below: from there on the difference cannot turn
+    positive.  The scan starts at the first grid point where a lower bound
+    on the identical pair's |X|/E (through Dawson's integral, no Faddeeva
+    evaluation) no longer certifies that pair ahead of the non-identical
+    pair's envelope; from there a positive first point is a sign change.
+    A difference already positive at the grid's first point l_1 is
+    returned there, in the bracket (0, l_1], with 0 iterations and the note
+    "non-identical pair ahead from the first scanned separation".  The
+    answer is that of the full scan bit for bit.  Both pairs are compared
+    through their scaled excesses at unit coupling, as :func:`find_lmax`
+    follows one, and the ratio of their scales; only ``value``, the
+    difference of their ``concurrence_values``, depends on the coupling.
+    Raises :exc:`NoCrossover` when the difference is positive nowhere on
+    the grid.  One problem per call; :func:`find_crossover_many` solves
+    arrays of them.
     """
     batch = find_crossover_many(omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step)
     if batch.error[()] == NoCrossover.__name__:
-        if scan_bound is None:
-            scan_bound = float(_default_scan_bound(omega_a_sigma, delta_omega_sigma))
-        raise NoCrossover(
-            "non-identical concurrence never exceeds identical below "
-            f"separation {scan_bound}"
-        )
+        raise NoCrossover("non-identical concurrence never exceeds identical " + (
+            "on the scan grid, past whose end the envelope certifies it zero"
+            if scan_bound is None else f"below separation {scan_bound}"))
     return _single(batch)
 
 

@@ -653,7 +653,7 @@ def _build_parser():
     p.add_argument("--omega-a", type=float, required=True)
     p.add_argument("--delta-omega", type=float, required=True)
     p.add_argument("--scan-bound", type=float, default=None,
-                   help="upper end of the downward scan (default: 4x the large-gap estimate, >= 10)")
+                   help="cap on the scan (default: none; it ends where harvesting certifiably ends)")
     p.add_argument("--scan-step", type=float, default=0.01)
 
     p = add_parser("peak", parents=[common], help="concurrence-maximizing gap difference")
@@ -669,7 +669,7 @@ def _build_parser():
     p.add_argument("--omega-a", type=float, required=True)
     p.add_argument("--delta-omega", type=float, required=True)
     p.add_argument("--scan-bound", type=float, default=None,
-                   help="upper end of the upward scan (default: 4x the large-gap estimate, >= 10)")
+                   help="cap on the scan (default: none; it ends where harvesting certifiably ends)")
     p.add_argument("--scan-step", type=float, default=0.01)
 
     p = add_parser("figure", help="regenerate survey-figure data")

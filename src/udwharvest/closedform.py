@@ -22,11 +22,12 @@ double range while the harvesting excess is still decided by their ratio;
 where P_A P_B is not a normal double the excess is therefore evaluated as
 E S, with the scaled excess S = |X|/E - sqrt(P_A P_B)/E of order one and
 E = exp(-(a^2 + b^2)/2) (:func:`correlation_excess`).  The separation
-searches decide every scenario by S, from its terms |X|/E (a function of
-the gap difference and the separation alone) and sqrt(P_A P_B)/E, from
-bounds on |X|/E that cost no Faddeeva evaluation, and from the slope of
-|X|/E in the separation (:func:`_x_abs`, :func:`_scaled_gm`,
-:func:`_scaled_x_envelope`, :func:`_x_abs_slope`).  The upper bound takes
+searches decide every scenario by S at unit coupling (S scales by its
+square), from its terms |X|/E (a function of the gap difference and the
+separation alone) and sqrt(P_A P_B)/E, from bounds on |X|/E that cost no
+Faddeeva evaluation, and from the slope of |X|/E in the separation
+(:func:`_x_abs`, :func:`_scaled_gm`, :func:`_scaled_x_envelope`,
+:func:`_x_abs_slope`).  The upper bound takes
 w(z) to third order in 1/|z|, with a remainder bounded by
 Phragmen-Lindelof, and lies within about 0.1 % of |X|/E at large
 separations.
@@ -314,15 +315,17 @@ def _scaled_gm(a, d, coupling, brackets=(None, None)):
 
 
 def _geometric_means(a, d, coupling):
-    """(sqrt(P_A P_B), sqrt(P~_A P~_B), (bracket_a, bracket_b)) for the gaps
-    a and b = a + d, from one :func:`_probability_terms` evaluation per gap.
-    The first has the bits of :func:`geometric_mean_probability`; the
-    brackets are those :func:`_scaled_gm` and :func:`_x_excess` take."""
+    """(np.sqrt(P_A P_B), sqrt(P~_A P~_B) at unit coupling, (bracket_a,
+    bracket_b)) for the gaps a and b = a + d, from one
+    :func:`_probability_terms` evaluation per gap: the gm, scaled gm and
+    brackets :func:`_x_excess` and the separation searches take.  The first
+    has the bits of :func:`geometric_mean_probability` only where P_A P_B
+    is a normal double, and :func:`_x_excess` uses it only there."""
     a = np.asarray(a, dtype=float)
     p_a, bracket_a = _probability_terms(a, coupling)
     p_b, bracket_b = _probability_terms(a + np.asarray(d, dtype=float), coupling)
     brackets = (bracket_a, bracket_b)
-    return np.sqrt(p_a * p_b), _scaled_gm(a, d, coupling, brackets), brackets
+    return np.sqrt(p_a * p_b), _scaled_gm(a, d, 1.0, brackets), brackets
 
 
 def _sqrt_product(p_a, p_b):
@@ -335,13 +338,14 @@ def _sqrt_product(p_a, p_b):
 
 
 def geometric_mean_probability(omega_a_sigma, delta_omega_sigma, coupling):
-    """sqrt(P_A * P_B) for gaps a and a + d.  Accepts arrays."""
+    """sqrt(P_A * P_B) for gaps a and a + d (:func:`_sqrt_product`, which
+    does not underflow where the product does).  Accepts arrays."""
     pa = transition_probability(omega_a_sigma, coupling)
     pb = transition_probability(
         np.asarray(omega_a_sigma, dtype=float) + np.asarray(delta_omega_sigma, dtype=float),
         coupling,
     )
-    return np.sqrt(pa * pb)
+    return _sqrt_product(pa, pb)
 
 
 def correlation_x_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
@@ -412,14 +416,14 @@ def _over_scale(b_re, b_im, d, l, coupling):
     return pref * np.sqrt(b_re * b_re + b_im * b_im), pref
 
 
-def _x_abs(d, l, coupling):
-    """|X|/E, E = exp(-(a^2 + b^2)/2), from one Faddeeva evaluation per
-    point (:func:`_over_scale`): the scaled |X| the separation searches
+def _x_abs(d, l):
+    """|X|/E at unit coupling, E = exp(-(a^2 + b^2)/2), from one Faddeeva
+    evaluation per point (:func:`_over_scale`): what the separation searches
     compare with sqrt(P~_A P~_B), a function of d and l alone."""
     d = np.asarray(d, dtype=float)
     l = np.asarray(l, dtype=float)
     b_re, b_im = _x_bracket(d, l)[:2]
-    return _over_scale(b_re, b_im, d, l, coupling)[0]
+    return _over_scale(b_re, b_im, d, l, 1.0)[0]
 
 
 def _x_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, gm,
@@ -458,10 +462,10 @@ def _x_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, gm,
     return x, excess[()]
 
 
-def _x_abs_slope(d, l, coupling):
-    """(|X|/E, d(|X|/E)/dl) from one Faddeeva evaluation per point, |X|/E
-    with the bits of :func:`_x_abs`.  With z = (l+id)/2, dz/dl = 1/2 and
-    w'(z) = 2i/sqrt(pi) - 2 z w(z) (DLMF 7.10.2), so
+def _x_abs_slope(d, l):
+    """(|X|/E, d(|X|/E)/dl) at unit coupling from one Faddeeva evaluation
+    per point, |X|/E with the bits of :func:`_x_abs`.  With z = (l+id)/2,
+    dz/dl = 1/2 and w'(z) = 2i/sqrt(pi) - 2 z w(z) (DLMF 7.10.2), so
 
         d Im w / dl = 1/sqrt(pi) - (l Im w + d Re w)/2,
 
@@ -482,7 +486,7 @@ def _x_abs_slope(d, l, coupling):
     dw_imag = 1.0 / _SQRT_PI - 0.5 * (l * w.imag + d * w.real)
     db_im = gauss_d * (-2.0 * dw_imag) + d_swing
     b_abs = np.hypot(b_re, b_im)
-    x_abs, pref = _over_scale(b_re, b_im, d, l, coupling)
+    x_abs, pref = _over_scale(b_re, b_im, d, l, 1.0)
     return x_abs, pref * ((b_re * db_re + b_im * db_im) / b_abs - b_abs / l)
 
 
@@ -497,11 +501,11 @@ _ZW_BOUND = 0.7489
 _ZW3_BOUND = 0.5142
 
 
-def _scaled_x_envelope(d, l, coupling):
-    """Upper bound on |X|/E, E = exp(-(a^2 + b^2)/2), from :func:`_x_abs`,
-    non-increasing in l:
+def _scaled_x_envelope(d, l):
+    """Upper bound on |X|/E at unit coupling, E = exp(-(a^2 + b^2)/2), from
+    :func:`_x_abs`, non-increasing in l:
 
-        coupling^2/(4 sqrt(pi) l) * (W + exp((d^2 - l^2)/4)),
+        1/(4 sqrt(pi) l) * (W + exp((d^2 - l^2)/4)),
         W = min(1, 2 M/rho, 2 l/(sqrt(pi) rho^2) + 8 M3/rho^3),
 
     rho = sqrt(l^2 + d^2), M = ``_ZW_BOUND`` and M3 = ``_ZW3_BOUND``.  The
@@ -529,14 +533,14 @@ def _scaled_x_envelope(d, l, coupling):
     cube = cube * cube * cube
     third = (2.0 / _SQRT_PI) * l / (ll + dd) + _ZW3_BOUND * cube
     w_bound = np.minimum(np.minimum(1.0, _ZW_BOUND * inv), third)
-    return coupling**2 / (4.0 * _SQRT_PI) * (w_bound + np.exp((dd - ll) / 4.0)) / l
+    return (w_bound + np.exp((dd - ll) / 4.0)) / (4.0 * _SQRT_PI) / l
 
 
-def _scaled_x_floor(l, coupling):
-    """Lower bound on |X(a, 0, l)|/E, E = exp(-a^2), for identical gaps,
-    decreasing in l:
+def _scaled_x_floor(l):
+    """Lower bound on |X(a, 0, l)|/E at unit coupling, E = exp(-a^2), for
+    identical gaps, decreasing in l:
 
-        coupling^2 / (2 pi (2 + l^2)).
+        1 / (2 pi (2 + l^2)).
 
     At d = 0 the bracket B of :func:`correlation_x_values` has |B| >= |Im B|
     = 2 Im w(l/2) = (4/sqrt(pi)) F(l/2), F being Dawson's integral (DLMF
@@ -545,7 +549,7 @@ def _scaled_x_floor(l, coupling):
     has (h e^{x^2})' > 0 and h(0) = 0.  At large l the bound is about 1 -
     4/l^2 of |X|/E.  Costs no Faddeeva evaluation; every operation rounds
     monotonically, so the computed bound does not increase in l either."""
-    return coupling**2 / (2.0 * np.pi * (2.0 + l * l))
+    return 1.0 / (2.0 * np.pi * (2.0 + l * l))
 
 
 def correlation_x(cfg: DetectorPairConfig) -> complex:

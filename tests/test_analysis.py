@@ -313,18 +313,19 @@ def _is_scaled(a, d, coupling):
     return product < np.finfo(float).tiny
 
 
-def _scaled_excess(a, d, l, coupling):
-    """S = |X|/E - sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2), per point from
-    the closed forms' scaled pieces, which ``TestScaledExcess`` checks
-    against 50 digits."""
-    return closedform._x_abs(d, l, coupling) - closedform._scaled_gm(a, d, coupling)
+def _scaled_excess(a, d, l):
+    """S = |X|/E - sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2), at unit
+    coupling, where the searches decide (S scales by the coupling's
+    square), per point from the closed forms' scaled pieces, which
+    ``TestScaledExcess`` checks against 50 digits."""
+    return closedform._x_abs(d, l) - closedform._scaled_gm(a, d, 1.0)
 
 
-def _crossover_sign(a, d, l, coupling):
+def _crossover_sign(a, d, l):
     """A function with the sign of the concurrence difference C(a, d, l) -
     C(a, 0, l): +-1 from 2 E_u max(0, S_u) > 2 E_i max(0, S_e) with the
     pairs' scaled excesses and the ratio E_u/E_i.  Arrays broadcast."""
-    unequal, equal = _scaled_excess(a, d, l, coupling), _scaled_excess(a, 0.0, l, coupling)
+    unequal, equal = _scaled_excess(a, d, l), _scaled_excess(a, 0.0, l)
     ratio = np.exp(-d * (2.0 * a + d) / 2.0)
     ahead = (unequal > 0.0) & ((equal <= 0.0) | (ratio * unequal > equal))
     return np.where(ahead, 1.0, -1.0)
@@ -399,24 +400,26 @@ def _assert_refines(got, want, ulps=64):
 
 
 def _lmax_loop(a, d, coupling, bound=None, step=0.01):
-    """find_lmax as a scalar loop over the scaled excess on the full grid,
-    with the public correlation_excess as its value."""
-    bound = bound or max(10.0, 4.0 * lmax_large_gap_estimate(a, d))
-    grid = np.arange(bound, 0.5 * step, -step)
+    """find_lmax as a scalar loop over the scaled excess on the full grid
+    up to its certified end (:func:`_reference_cut`), with the public
+    correlation_excess as its value.  No point at or past the end
+    harvests."""
+    grid, cut = _reference_cut(a, d, bound, step)
 
     def value(l):
         return correlation_excess(a, d, l, coupling)
 
     def f(l):
-        return _scaled_excess(a, d, l, coupling)
+        return _scaled_excess(a, d, l)
 
     positive = f(grid) > 0.0
-    if positive[0]:
-        return "BracketingFailure"
+    assert not positive[cut:].any()
     if not positive.any():
         return "NoHarvestingRegion"
-    k = int(np.argmax(positive))
-    cell = float(grid[k]), float(grid[k - 1])
+    k = int(np.flatnonzero(positive)[-1])
+    if k + 1 == grid.size:  # the last point of a capped grid
+        return "BracketingFailure"
+    cell = float(grid[k]), float(grid[k + 1])
     lo, hi, n = _bisect_loop(f, *cell, True)
     return _Root(cell, 0.5 * (lo + hi), n, f, True, lambda l: _mp_excess(a, d, l, coupling),
                  value)
@@ -457,28 +460,30 @@ _AHEAD = "non-identical pair ahead from the first scanned separation"
 
 
 def _crossover_loop(a, d, coupling, bound=None, step=0.01):
-    """find_crossover as a scalar loop on the full grid over the sign of
-    the concurrence difference 2 E_u max(0, S_u) - 2 E_i max(0, S_e) from
-    the pairs' scaled excesses and the ratio E_u/E_i, with the difference
-    of the public concurrence_values as its value and a note from the
-    identical pair's scaled excess at the bracket's upper end.  Where the
-    difference is positive at the grid's first point the result is that point, in the
-    bracket (0, point], with no iterations and a note."""
+    """find_crossover as a scalar loop on the full grid up to its certified
+    end (:func:`_reference_cut`) over the sign of the concurrence
+    difference 2 E_u max(0, S_u) - 2 E_i max(0, S_e) from the pairs' scaled
+    excesses and the ratio E_u/E_i, with the difference of the public
+    concurrence_values as its value and a note from the identical pair's
+    scaled excess at the bracket's upper end.  Where the difference is
+    positive at the grid's first point the result is that point, in the
+    bracket (0, point], with no iterations and a note.  The difference is
+    positive at no point at or past the end."""
 
     def value(l):
         return concurrence_values(a, d, l, coupling) - concurrence_values(a, 0.0, l, coupling)
 
     def g(l):
-        return _crossover_sign(a, d, l, coupling)
+        return _crossover_sign(a, d, l)
 
     def note(bracket):
         # whether the identical pair harvests at the bracket's upper end
-        harvests = _scaled_excess(a, 0.0, bracket[1], coupling) > 0.0
+        harvests = _scaled_excess(a, 0.0, bracket[1]) > 0.0
         return "" if harvests else "identical-pair concurrence already zero here"
 
-    bound = bound or max(10.0, 4.0 * lmax_large_gap_estimate(a, d))
-    grid = np.arange(step, bound + 0.5 * step, step)
+    grid, cut = _reference_cut(a, d, bound, step)
     positive = g(grid) > 0.0
+    assert not positive[cut:].any()
     if positive[0]:  # ahead from the first point: no refinement
         return _as_outcome(grid[0], value(grid[0]), 0.0, grid[0], 0, _AHEAD)
     transitions = np.flatnonzero(positive[1:] & ~positive[:-1])
@@ -505,9 +510,10 @@ class TestAgainstScalarLoops:
     def test_find_lmax(self, a, d):
         _assert_refines(_result(find_lmax, a, d), _lmax_loop(a, d, 0.1))
 
-    # scan bound 200: most of the grid lies above the certified start; the
-    # roots of (0.5, 0.25) and (4, 0) lie in the first block below it, and
-    # at step 0.001 the root of (0.5, 0.25) lies in the second
+    # scan bound 200: the grid ends at its certified cut far below it; the
+    # roots of (0.5, 0.25) and (4, 0) lie in the first block below the cut,
+    # and at step 0.001 the root of (0.5, 0.25) lies in the second; bound 15
+    # at step 0.003 caps the grid of (1.2, 3.6) below its cut
     @pytest.mark.parametrize("a, d, bound, step", [
         (0.5, 0.25, 200.0, 0.01), (4.0, 0.0, 200.0, 0.01), (1.0, 20.0, 200.0, 0.01),
         (0.2, 0.0, 200.0, 0.01), (0.5, 0.25, None, 0.001), (1.2, 3.6, 15.0, 0.003)])
@@ -515,17 +521,16 @@ class TestAgainstScalarLoops:
         got = _result(find_lmax, a, d, scan_bound=bound, scan_step=step)
         _assert_refines(got, _lmax_loop(a, d, 0.1, bound, step))
 
-    # the third-order term of the envelope moves these rows' downward cuts
-    # toward their roots, by 137, 6 and 1 grid points: the walk of (5, 30)
-    # turns at the cut's own point, that of (1, 20) at the point after it
-    @pytest.mark.parametrize("a, d, moved", [(3.0, 12.0, 137), (5.0, 30.0, 6), (1.0, 20.0, 1)])
+    # the third-order term of the envelope moves these rows' cuts, the
+    # grids' ends, toward their roots, by 138, 6 and 1 grid points: the
+    # downward walk of (5, 30) turns at its first point, the one below the
+    # cut, that of (1, 20) at its second
+    @pytest.mark.parametrize("a, d, moved", [(3.0, 12.0, 138), (5.0, 30.0, 6), (1.0, 20.0, 1)])
     def test_find_lmax_where_the_third_order_term_moves_the_cut(self, a, d, moved):
-        bound = float(analysis._default_scan_bound(a, d))
-        cut = _reference_cut(a, d, bound, 0.1, upward=False)
-        assert cut - _reference_cut(a, d, bound, 0.1, upward=False,
-                                    envelope=_first_order_envelope) == moved
+        grid, cut = _reference_cut(a, d)
+        assert _reference_cut(a, d, envelope=_first_order_envelope)[1] - cut == moved
         want = _lmax_loop(a, d, 0.1)
-        assert want.cell[0] <= _reference_grid(bound, 0.01, upward=False)[cut]
+        assert want.cell[1] <= grid[cut]
         _assert_refines(_result(find_lmax, a, d), want)
 
     @pytest.mark.parametrize("a, l, bound", [(0.5, 0.5, None), (0.5, 2.0, None), (1.2, 4.0, None),
@@ -566,11 +571,10 @@ class TestAgainstScalarLoops:
         (39.7480425277298, 25.344339009657954, 60.0, 0.01, 6000),
         (2.0, 1.0, None, 0.01, 0)])
     def test_find_crossover_from_the_lower_cut(self, a, d, bound, step, floor):
-        bound = bound or float(analysis._default_scan_bound(a, d))
-        grid = _reference_grid(bound, step, upward=True)
-        assert _reference_floor(a, d, bound, 0.1, step) == floor
+        grid, cut = _reference_cut(a, d, bound, step)
+        assert _reference_floor(a, d, bound, step) == floor
         want = _crossover_loop(a, d, 0.1, bound, step)
-        if floor == grid.size:
+        if floor == cut:
             assert want == "NoCrossover"
         elif floor > 0:
             assert want.cell[1] == grid[floor]
@@ -677,8 +681,8 @@ class TestNewtonRefinement:
         assert (lmax.error == "").all() and 30 <= (crossover.error == "").sum() < a.size
 
         for batch, (start, end), f, exact, positive_at_lo in (
-                (lmax, cells[0], lambda l: _scaled_excess(a, d, l, 0.1), _mp_excess, True),
-                (crossover, cells[1], lambda l: _crossover_sign(a, d, l, 0.1), _mp_difference,
+                (lmax, cells[0], lambda l: _scaled_excess(a, d, l), _mp_excess, True),
+                (crossover, cells[1], lambda l: _crossover_sign(a, d, l), _mp_difference,
                  False)):
             ok = batch.error == ""
             bound = [_step_bound(c) for c in zip(start[ok], end[ok])]
@@ -741,9 +745,10 @@ class TestLargeGaps:
         _assert_refines(res, _crossover_loop(a, d, 0.1))
 
     def test_scaled_rows_evaluate_a_few_blocks(self, monkeypatch):
-        # the scaled certificate cuts the grid near the root: (30, 0) walks
-        # one block, 256 of its 24 000 points (three blocks under the
-        # first-order envelope), where the unscaled scan walked every one
+        # the scaled certificate ends the grid near the root: (30, 0) walks
+        # one block, 256 of the 6 007 points below its cut (three blocks
+        # under the first-order envelope), where the unscaled scan walked
+        # every point of a 24 000-point grid
         calls = _closed_form_calls(monkeypatch)
         res = find_lmax(30.0, 0.0)
         assert abs(res.location - 60.0666) <= 5e-5
@@ -772,6 +777,85 @@ class TestLargeGaps:
             batch = many(a, d, 0.1)
             assert [_row(batch, i) for i in range(a.size)] == \
                 [_outcome(one, x, y, 0.1) for x, y in zip(a, d)], one.__name__
+
+
+class TestCertifiedEnd:
+    """Each separation grid ends where the envelope certifies every larger
+    separation: no guessed bound refuses a row whose boundary the gap
+    difference carries past it, and no point limit a row at large gaps."""
+
+    def test_every_default_lmax_on_the_small_gap_grid_answers(self):
+        # 49 of these 468 rows raised BracketingFailure under the guessed
+        # bound max(10, 4 * 2 sqrt(a(a + d))): every d >= 10 at a = 0, 20
+        # rows at a = 0.25 and 3 at a = 0.5
+        a, d = np.meshgrid(np.arange(0.0, 3.125, 0.25), np.arange(36.0), indexing="ij")
+        batch = find_lmax_many(a, d)
+        assert a.size == 468 and (batch.error == "").all()
+        for x, y, bracket in zip(a.ravel(), d.ravel(), batch.bracket.reshape(-1, 2)):
+            _assert_exact_sign_change(lambda l: _mp_excess(x, y, l), bracket, True)
+
+    @pytest.mark.parametrize("a, d, want", [(0.0, 35.0, 35.050851207004065),
+                                            (0.25, 16.0, 16.138257139780134)])
+    def test_rows_past_the_guessed_bound(self, a, d, want):
+        # the guessed bounds were 10 and 16.1245
+        res = find_lmax(a, d)
+        assert res.location == want
+        _assert_refines(res, _lmax_loop(a, d, 0.1))
+
+    def test_a_grid_of_millions_of_points_answers(self, monkeypatch):
+        # "a scan grid of 2.4e+07 points exceeds the limit" before; the cut
+        # lies a few points above the root, 6 M points up the grid, and the
+        # walk is one block
+        points = []
+        original = closedform.faddeeva_w
+        monkeypatch.setattr(closedform, "faddeeva_w",
+                            lambda z: points.append(np.size(z)) or original(z))
+        res = find_lmax(3e4, 0.0)
+        assert abs(res.location - 60000.0000667) <= 1e-7
+        assert points[0] == analysis._SCAN_BLOCK and sum(points) <= 262
+        _assert_exact_sign_change(lambda l: _mp_excess(3e4, 0.0, l), res.bracket, True)
+
+    def test_only_a_bound_below_the_end_gives_a_bracketing_failure(self):
+        # the capped grid's last point, 1.0, harvests
+        with pytest.raises(BracketingFailure, match="positive at 1.0, the last grid point"):
+            find_lmax(0.5, 0.0, scan_bound=1.0)
+        assert find_lmax(0.5, 0.0, scan_bound=3.0) == find_lmax(0.5, 0.0)
+
+    def test_default_failures_say_they_are_certified(self):
+        with pytest.raises(NoCrossover, match="past whose end the envelope certifies it zero"):
+            find_crossover(1.1, 2.7)
+        with pytest.raises(NoHarvestingRegion, match="where the envelope certifies none"):
+            find_lmax(0.2, 0.0, scan_step=5.0)
+
+
+class TestCouplings:
+    """The excess scales by the coupling's square, so the searches decide
+    at unit coupling: location, bracket, iterations and note do not depend
+    on the coupling, and only ``value`` is evaluated at it."""
+
+    # at coupling 1e-160 sqrt(P~_A P~_B) was not a normal double, so nothing
+    # was certified and find_lmax raised BracketingFailure at the guessed
+    # bound 10; at 1e-200 it underflowed to zero and the excess with it
+    # (NoHarvestingRegion), and find_crossover raised NoCrossover at both
+    @pytest.mark.parametrize("coupling", [1e-200, 1e-160, 1.0])
+    def test_tiny_couplings_answer(self, coupling):
+        assert find_lmax(0.5, 0.5, coupling).location == 2.8191259893741174
+        assert find_crossover(0.5, 0.5, coupling).location == 1.746091827701484
+
+    def test_answers_do_not_depend_on_the_coupling(self):
+        # from 0.1 to 1 the decisions at the caller's coupling moved 1 033 of
+        # 2 000 such lmax locations and 877 crossovers by up to 1.1e-14
+        # relative, and changed 3 notes
+        rng = np.random.default_rng(24)
+        a, d = rng.uniform(0.0, 40.0, 200), rng.uniform(1e-3, 35.0, 200)
+        for many in (find_lmax_many, find_crossover_many):
+            rows = []
+            for coupling in (1e-200, 1e-3, 0.1, 1.0, 10.0):
+                batch = many(a, d, coupling)
+                rows.append([(_bits(batch.location), _bits(batch.bracket),
+                              batch.iterations.tolist(), batch.note.tolist(),
+                              batch.error.tolist())])
+            assert all(r == rows[0] for r in rows), many.__name__
 
 
 class TestBatchedSearches:
@@ -841,11 +925,11 @@ class TestBatchedSearches:
     @pytest.mark.parametrize("step", [0.01, 0.5])
     def test_crossover_rows_from_their_lower_cuts_match_scalar_bitwise(self, step):
         # rows over the domain, most of which walk from a lower cut above 0,
-        # and bounds short of some crossovers
+        # and bounds short of some crossovers; the other rows' bound 1e6
+        # lies far above their certified ends, where their grids end
         rng = np.random.default_rng(18)
         a, d = rng.uniform(0.0, 40.0, 30), 35.0 - rng.uniform(0.0, 35.0, 30)
-        bound = np.where(rng.uniform(size=30) < 0.3, rng.uniform(1.0, 60.0, 30),
-                         analysis._default_scan_bound(a, d))
+        bound = np.where(rng.uniform(size=30) < 0.3, rng.uniform(1.0, 60.0, 30), 1e6)
         batch = find_crossover_many(a, d, 0.1, bound, step)
         assert [_row(batch, i) for i in range(a.size)] == \
             [_outcome(find_crossover, x, y, 0.1, b, step) for x, y, b in zip(a, d, bound)]
@@ -895,17 +979,32 @@ class TestBatchedSearches:
             find_optimal_gap(0.5, 2.0, gap_bound=bound)
 
     def test_scan_grids_that_cannot_be_built_raise_value_error(self):
-        # numpy would refuse an infinite bound ("Maximum allowed size
-        # exceeded") and fail to allocate a 1e14-point grid; both are
-        # checked before any grid is built
+        # a bound must be finite, and past scan_step*2^52 the grid points
+        # step + i*step stop being distinct doubles
         with pytest.raises(ValueError, match="must be finite"):
             find_lmax_many([0.5, 0.5], [0.0, 0.0], scan_bound=[10.0, np.inf])
         with pytest.raises(ValueError, match="must be finite"):
             find_crossover(0.5, 0.25, scan_bound=np.nan)
-        with pytest.raises(ValueError, match="exceeds the limit"):
-            find_lmax(0.5, 0.25, scan_bound=1e12)
-        with pytest.raises(ValueError, match="exceeds the limit"):
-            find_crossover_many(0.5, 0.25, scan_bound=1e3, scan_step=1e-5)
+        with pytest.raises(ValueError, match="distinct doubles"):
+            find_lmax(0.5, 0.25, scan_bound=1e14)
+        with pytest.raises(ValueError, match="distinct doubles"):
+            find_crossover_many(0.5, 0.25, scan_bound=1e3, scan_step=1e-13)
+        # no bound, and nothing certified below scan_step*2^52: the root lies
+        # near 2e14, or the product P~_A P~_B underflows to zero
+        with pytest.raises(ValueError, match="certifies no separation"):
+            find_lmax(1e14, 0.0)
+        with pytest.raises(ValueError, match="certifies no separation"):
+            find_crossover_many([0.5, 1e100], 0.25, scan_step=1e90)
+        with pytest.raises(ValueError, match="scan_step"):
+            find_lmax(0.5, 0.25, scan_step=0.0)
+        with pytest.raises(ValueError, match="scan_step"):
+            find_crossover(0.5, 0.25, scan_step=1e300)
+
+    def test_a_bound_far_above_the_certified_end_changes_nothing(self):
+        # the grid ends at its certified cut: a cap above it, even one of 1e14
+        # points, which the 1e7-point limit refused, gives the uncapped answer
+        for search in (find_lmax, find_crossover):
+            assert _outcome(search, 0.5, 0.25, scan_bound=1e12) == _outcome(search, 0.5, 0.25)
 
     def test_a_row_outside_the_domain_raises_for_the_whole_batch(self):
         # one bad row fails the batch with that row's domain message, the
@@ -1001,8 +1100,9 @@ class TestBatchedSearches:
 
 def _lmax_rows():
     """24 find_lmax problems at scan step 0.001 whose grids span several
-    chunks of rows: mixed bounds, rows raising BracketingFailure (bounds
-    below the root), (30, 0), whose product underflows, so that it is
+    chunks of rows: mixed bounds, most above the rows' certified ends,
+    rows raising BracketingFailure (bounds below the root), (30, 0), whose
+    product underflows, so that it is
     scanned in scaled form beside the others (the unscaled excess certified
     nothing there, walked every block and raised NoHarvestingRegion), and
     (0.5, 0.25), whose root lies in its second block."""
@@ -1014,14 +1114,13 @@ def _lmax_rows():
 
 
 def _crossover_rows():
-    """40 find_crossover problems over several chunks of rows: default
-    bounds, bound 200 (a row longer than a chunk) and bound 1 (no
-    crossover); most crossovers lie past their first block."""
+    """40 find_crossover problems over several chunks of rows: bounds 1e6
+    and 200, far above the rows' certified ends, where their grids end, and
+    bound 1 (no crossover); most crossovers lie past their first block."""
     rng = np.random.default_rng(9)
     a, d = rng.uniform(0.0, 3.0, 40), rng.uniform(0.02, 3.0, 40)
     bound = rng.choice([np.nan, np.nan, 200.0, 1.0], 40)
-    bound = np.where(np.isnan(bound), analysis._default_scan_bound(a, d), bound)
-    return a, d, bound
+    return a, d, np.where(np.isnan(bound), 1e6, bound)
 
 
 def _fig5_rows():
@@ -1031,53 +1130,56 @@ def _fig5_rows():
     return a.ravel(), d.ravel()
 
 
-def _reference_grid(bound, step, upward):
-    """A row's separation grid built in full by np.arange."""
-    if upward:
-        return np.arange(step, bound + 0.5 * step, step)
-    return np.arange(bound, 0.5 * step, -step)
+def _reference_grid(bound, step):
+    """A row's separation grid up to ``bound``, built in full by np.arange."""
+    return np.arange(step, bound + 0.5 * step, step)
 
 
-def _first_order_envelope(d, l, coupling):
+def _first_order_envelope(d, l):
     """The scaled envelope through |Im w(z)| <= min(1, M/|z|) alone, without
-    the third-order term."""
+    the third-order term, at unit coupling."""
     w_bound = np.minimum(1.0, 2.0 * closedform._ZW_BOUND / np.sqrt(l * l + d * d))
-    return coupling**2 / (8.0 * np.sqrt(np.pi) * l) * (
-        2.0 * w_bound + 2.0 * np.exp((d * d - l * l) / 4.0))
+    return 1.0 / (8.0 * np.sqrt(np.pi) * l) * (2.0 * w_bound + 2.0 * np.exp((d * d - l * l) / 4.0))
 
 
-def _reference_cut(a, d, bound, coupling, upward, step=0.01,
-                   envelope=closedform._scaled_x_envelope):
-    """A row's cut from the envelope certificate of every point of its full
-    grid: the first open point downward, one past the last open point
-    upward (the grid's size, or 0, where every point is open).  The
-    certificate compares the scaled envelope with sqrt(P~_A P~_B)."""
-    grid = _reference_grid(bound, step, upward)
-    gm = closedform._scaled_gm(a, d, coupling)
-    envelope = envelope(d, grid, coupling)
-    open_ = np.flatnonzero(~(envelope * (1.0 + analysis._ENVELOPE_MARGIN) < gm))
-    if upward:
-        return open_[-1] + 1 if open_.size else 0
-    return open_[0] if open_.size else grid.size
+def _reference_cut(a, d, bound=None, step=0.01, envelope=closedform._scaled_x_envelope):
+    """A row's grid and its end from the envelope certificate of every
+    point: the first certified point, or the grid's size where the bound
+    caps it first.  The grid runs to the bound, or to the first multiple of
+    10 times a power of two, up to the bound, whose point is certified.  The
+    certificate compares the scaled envelope with sqrt(P~_A P~_B), both at
+    unit coupling.  Checks that the certified points are a suffix of the
+    grid."""
+    gm = closedform._scaled_gm(a, d, 1.0)
+    assert gm >= np.finfo(float).tiny
+    top = 10.0
+    while True:
+        grid = _reference_grid(top if bound is None else min(top, bound), step)
+        certified = envelope(d, grid) * (1.0 + analysis._ENVELOPE_MARGIN) < gm
+        if certified[-1] or (bound is not None and top >= bound):
+            break
+        top *= 2.0
+    k = int(np.argmax(certified)) if certified.any() else grid.size
+    assert certified[k:].all() and not certified[:k].any()
+    return grid, k
 
 
-def _reference_floor(a, d, bound, coupling, step=0.01):
+def _reference_floor(a, d, bound=None, step=0.01):
     """A crossover row's lower cut from the certificate of every point of
-    its full upward grid: the first point where the Dawson bound on the
-    identical pair's |X|, less the margin, minus its sqrt(P_A P_B) does not
-    exceed r max(0, U_u (1 + margin) - sqrt(P_A P_B)) of the non-identical
-    pair, U_u its envelope at the grid's first point and r the ratio of the
-    pairs' scales, every term divided by its pair's E; 0 where a
-    sqrt(P~_A P~_B) is not normal.  Checks that the certified points are a
-    prefix of the grid."""
-    grid = _reference_grid(bound, step, upward=True)
+    its grid below its end (:func:`_reference_cut`): the first point where
+    the Dawson bound on the identical pair's |X|, less the margin, minus
+    its sqrt(P_A P_B) does not exceed r max(0, U_u (1 + margin) - sqrt(P_A
+    P_B)) of the non-identical pair, U_u its envelope at the grid's first
+    point and r the ratio of the pairs' scales, every term divided by its
+    pair's E and at unit coupling; the end where every point is certified.
+    Checks that the certified points are a prefix of the grid."""
+    grid, cut = _reference_cut(a, d, bound, step)
+    grid = grid[:cut]
     margin = analysis._ENVELOPE_MARGIN
-    gm_u, gm_e = closedform._scaled_gm(a, d, coupling), closedform._scaled_gm(a, 0.0, coupling)
-    ceiling = closedform._scaled_x_envelope(d, grid[0], coupling)
-    floor = closedform._scaled_x_floor(grid, coupling)
+    gm_u, gm_e = closedform._scaled_gm(a, d, 1.0), closedform._scaled_gm(a, 0.0, 1.0)
+    ceiling = closedform._scaled_x_envelope(d, step)
+    floor = closedform._scaled_x_floor(grid)
     ratio = np.exp(-d * (2.0 * a + d) / 2.0)
-    if not min(gm_u, gm_e) >= np.finfo(float).tiny:
-        return 0
     certified = floor * (1.0 - margin) - gm_e > ratio * max(0.0, ceiling * (1.0 + margin) - gm_u)
     k = grid.size if certified.all() else int(np.argmin(certified))
     assert certified[:k].all() and not certified[k:].any()
@@ -1085,72 +1187,66 @@ def _reference_floor(a, d, bound, coupling, step=0.01):
 
 
 class TestScanGrids:
-    """The separation scans build no grid: point i is start + i*delta, and
-    the certified points end at a cut found by one lockstep search."""
+    """The separation scans build no grid: point i is step + i*step, and
+    each grid ends at its first certified point, its cut, found by one
+    lockstep search that doubles from one block."""
 
     @pytest.mark.parametrize("step", [0.4, 0.01, 0.001])
-    @pytest.mark.parametrize("upward", [False, True])
-    def test_index_arithmetic_is_arange_bit_for_bit(self, step, upward):
+    def test_index_arithmetic_is_arange_bit_for_bit(self, step):
         rng = np.random.default_rng(15)
         bound = np.concatenate([
             rng.uniform(step, 2.0 * step, 100),  # between one and two steps
             rng.uniform(step, min(400.0, 4e4 * step), 100),
             [np.nextafter(step, np.inf), 2.0 * step, 3.0 * step, 1.0, 10.0, 40.0]])
         bound = bound[bound > step]
-        start, delta, n = analysis._grids(bound, step, upward)
+        n = analysis._grid_size(bound, step)
         for i, b in enumerate(bound):
-            grid = start[i] + np.arange(n[i]) * delta[i]
-            assert grid.tobytes() == _reference_grid(b, step, upward).tobytes(), b
+            grid = step + np.arange(n[i]) * step
+            assert grid.tobytes() == _reference_grid(b, step).tobytes(), b
 
-    @pytest.mark.parametrize("upward", [False, True])
-    def test_bisected_cut_is_the_edge_of_the_per_point_mask(self, upward):
+    def test_bisected_cut_is_the_edge_of_the_per_point_mask(self):
         # fig5's rows, and rows over the whole domain, where the products
-        # underflow at large gaps and the scaled certificate cuts every
-        # grid; as one batch (a bisection), in batches of 40 rows (6 indices
-        # per row and step) and one row at a time (256 indices per step)
+        # underflow at large gaps, on grids that no bound caps and on grids
+        # capped near their cuts; as one batch (one rung of the doubling per
+        # call, then a bisection), in batches of 40 rows (6 indices per row
+        # and call) and one row at a time (256 indices per call: every rung
+        # in the first)
         rng = np.random.default_rng(16)
         edges = set()
-        for (a, d), coupling in ((_fig5_rows(), 1.0),
-                                 ((rng.uniform(0.0, 40.0, 400), rng.uniform(0.0, 35.0, 400)), 0.1)):
-            bound = analysis._default_scan_bound(a, d)
-            start, delta, n = analysis._grids(bound, 0.01, upward)
-            gm, scaled = closedform._scaled_gm(a, d, coupling), _is_scaled(a, d, coupling)
-            want = [_reference_cut(x, y, b, coupling, upward) for x, y, b in zip(a, d, bound)]
-            for size in (a.size, 40, 1):
-                rows = [slice(i, i + size) for i in range(0, min(a.size, 100 * size), size)]
-                got = [analysis._cuts(start[r], delta[r], n[r], gm[r], d[r], coupling, upward)
-                       for r in rows]
-                assert np.concatenate(got).tolist() == want[:rows[-1].stop], size
-            at_end = np.array(want) % n == 0
-            edges |= set(at_end)
-            # a scaled row's cut lies inside its grid unless it harvests at
-            # its bound (one row here, where d >> a)
-            harvests = _scaled_excess(a, d, bound, coupling) > 0.0
-            assert (harvests | ~at_end)[scaled].all() and scaled.sum() in (0, 330)
-        assert edges == {False, True}  # cuts inside grids and at their ends
+        for a, d in (_fig5_rows(), (rng.uniform(0.0, 40.0, 400), rng.uniform(0.0, 35.0, 400))):
+            gm = closedform._scaled_gm(a, d, 1.0)
+            cuts = np.array([_reference_cut(x, y)[1] for x, y in zip(a, d)])
+            capped = analysis._grid_size(rng.uniform(0.5, 2.0, a.size) * 0.01 * (cuts + 2), 0.01)
+            for n, want in ((np.full(a.size, analysis._GRID_POINTS), cuts),
+                            (capped, np.minimum(cuts, capped))):
+                for size in (a.size, 40, 1):
+                    rows = [slice(i, i + size) for i in range(0, min(a.size, 100 * size), size)]
+                    got = [analysis._cuts(0.01, n[r], gm[r], d[r]) for r in rows]
+                    assert np.concatenate(got).tolist() == want[:rows[-1].stop].tolist(), size
+                edges |= set(want == n)
+        assert edges == {False, True}  # cuts inside capped grids and at their ends
 
     def test_lower_cut_is_the_edge_of_the_per_point_mask(self, monkeypatch):
         # the floors find_crossover_many walks from, over the domain at three
-        # couplings, with default bounds and bounds short of the crossovers;
-        # as one batch, in batches of 40 rows and one row at a time
+        # couplings, which they do not depend on, with bounds far above the
+        # rows' certified ends and bounds short of the crossovers; as one
+        # batch, in batches of 40 rows and one row at a time
         floors = []
         original = analysis._floors
         monkeypatch.setattr(analysis, "_floors",
                             lambda *args: floors.append(original(*args)) or floors[-1])
         rng = np.random.default_rng(18)
         a, d = rng.uniform(0.0, 40.0, 120), 35.0 - rng.uniform(0.0, 35.0, 120)
-        bound = np.where(rng.uniform(size=120) < 0.25, rng.uniform(1.0, 60.0, 120),
-                         analysis._default_scan_bound(a, d))
-        kinds = set()
+        bound = np.where(rng.uniform(size=120) < 0.25, rng.uniform(1.0, 60.0, 120), 1e6)
+        want = [_reference_floor(x, y, b) for x, y, b in zip(a, d, bound)]
         for coupling in (1e-3, 0.1, 1.0):
-            want = [_reference_floor(x, y, b, coupling) for x, y, b in zip(a, d, bound)]
             for size in (a.size, 40, 1):
                 floors.clear()
                 for i in range(0, a.size, size):
                     find_crossover_many(a[i:i + size], d[i:i + size], coupling, bound[i:i + size])
                 assert np.concatenate(floors).tolist() == want, (coupling, size)
-            n = analysis._grids(bound, 0.01, upward=True)[2]
-            kinds |= {0 if f == 0 else "end" if f == m else "inside" for f, m in zip(want, n)}
+        cuts = [_reference_cut(x, y, b)[1] for x, y, b in zip(a, d, bound)]
+        kinds = {0 if f == 0 else "end" if f == c else "inside" for f, c in zip(want, cuts)}
         assert kinds == {0, "inside", "end"}
 
 
@@ -1188,14 +1284,13 @@ class TestChunkedScanCalls:
         # // rows points of each row, so its calls are far fewer than its
         # rows' blocks
         a, d = _fig5_rows()
-        bound = analysis._default_scan_bound(a, d)
         walked, to_root = [], []
-        for x, y, b in zip(a, d, bound):
-            grid = _reference_grid(b, 0.01, False)
-            cut = _reference_cut(x, y, b, 1.0, False)
-            positive = _scaled_excess(x, y, grid[cut:cut + 512], 1.0) > 0.0
+        for x, y in zip(a, d):
+            grid, cut = _reference_cut(x, y)
+            # the walk runs down from the point below the cut
+            positive = _scaled_excess(x, y, grid[max(cut - 512, 0):cut][::-1]) > 0.0
             assert positive.any()
-            walked.append(grid.size - cut)
+            walked.append(cut)
             to_root.append(np.argmax(positive) + 1)
         chunks = list(analysis._chunks(walked))
         full = sum(walked) / analysis._SCAN_CHUNK
@@ -1227,12 +1322,11 @@ class TestChunkedScanCalls:
         a, d, bound = _crossover_rows()
         ends, walks, floors = [], [], []
         for x, y, b in zip(a, d, bound):
-            grid = _reference_grid(b, 0.01, upward=True)
-            floor = _reference_floor(x, y, b, 0.1)
-            stop = _reference_cut(x, y, b, 0.1, upward=True)
+            grid, stop = _reference_cut(x, y, b)
+            floor = _reference_floor(x, y, b)
             walks.append(stop - floor)
             floors.append(floor)
-            positive = concurrence_values(x, y, grid, 0.1) > concurrence_values(x, 0.0, grid, 0.1)
+            positive = _crossover_sign(x, y, grid) > 0.0
             turns = floor + np.flatnonzero(positive[floor:stop])
             ends.append(turns[0] + 1 if turns.size else stop)
         assert 0 < np.count_nonzero(floors) < a.size
@@ -1265,47 +1359,82 @@ class TestChunkedScanCalls:
         assert sum(points) <= 135_000
 
     def test_separation_chunks_stay_within_the_chunk_size(self, monkeypatch):
-        # rows of 10, 200 and 1 switching lengths side by side: each round,
-        # over the walks of a chunk padded to the longest, holds at most a
-        # chunk's points unless it holds one row; the lower cut takes one
-        # envelope call at the grids' first points, and the cuts one per
-        # step, of at most a first block's points
+        # rows ending at their certified cuts and at 1 switching length side
+        # by side: each round, over the walks of a chunk padded to the
+        # longest, holds at most a chunk's points unless it holds one row;
+        # the cuts take one envelope call per step, of at most a first
+        # block's points, and the lower cut one at the grids' first points
         a, d, bound = _crossover_rows()
         envelope = _envelope_shapes(monkeypatch)
         calls = _closed_form_calls(monkeypatch)
         find_crossover_many(a, d, 0.1, scan_bound=bound)
-        ceiling, *envelope = envelope
-        assert ceiling == a.shape
+        *envelope, ceiling = envelope
+        assert ceiling == ()  # the grids' common first point
         rounds = [np.shape(l) for _, _, l in calls if np.ndim(l) == 2]
         assert len(rounds) > 3 and any(s[0] > 1 for s in rounds)
         assert all(s[0] == 1 or np.prod(s) <= analysis._SCAN_CHUNK for s in rounds)
-        # 40 rows probe 6 indices each per step, so a step divides every
-        # bracket by 7 or more
-        n = analysis._grids(bound, 0.01, upward=True)[2]
-        steps = next(k for k in range(1, 64) if 7**k > n.max())
-        assert 0 < len(envelope) <= steps
+        # 40 rows probe 6 indices each per step: the first probes the rungs
+        # up to 256 * 2^5 of every row, past every cut here, which leaves
+        # brackets of at most max(256, cut) indices, and each later step
+        # divides every bracket by 7 or more
+        cuts = [_reference_cut(x, y, b)[1] for x, y, b in zip(a, d, bound)]
+        assert max(cuts) <= analysis._SCAN_BLOCK * 2**5
+        steps = next(k for k in range(1, 64) if 7**k > max(256, *cuts))
+        assert 0 < len(envelope) <= 1 + steps
         assert all(s[0] <= a.size and s[1] == 6 for s in envelope)
 
+    def test_a_walk_longer_than_a_chunk_calls_at_most_a_chunk(self, monkeypatch):
+        # the Dawson floor certifies nothing here, so the walk runs from the
+        # grid's first point through 400 000 points to the certified end;
+        # its blocks stop doubling at a chunk's points, where they grew to
+        # 138 112 points a call, 276 k Faddeeva points over both pairs (at
+        # a = 5e4 the walk of 1e7 points held 730 MB)
+        calls = _closed_form_calls(monkeypatch)
+        _result(find_crossover, 2000.0, 1e-3)
+        walked = [np.size(l) for name, _, l in calls if name == "_x_abs"]
+        assert sum(walked) > 40 * analysis._SCAN_CHUNK
+        assert max(walked) == analysis._SCAN_CHUNK
+
+    def test_one_problem_cut_searches_take_at_most_two_envelope_calls(self, monkeypatch):
+        # a one-problem cut search probes 212 rungs a block apart, then the
+        # doublings to 2^52 points, in its first call, and 256 indices per
+        # call after it, so a cut below 54 272 points takes at most two
+        # calls, as the guessed bound's grids did: the rows here, explore's
+        # kind and rows that bound refused, at both searches
+        counts = []
+        envelope = _envelope_shapes(monkeypatch)
+        original = analysis._cuts
+        monkeypatch.setattr(analysis, "_cuts", lambda *args: (
+            envelope.clear(), original(*args), counts.append(len(envelope)))[1])
+        rng = np.random.default_rng(19)
+        a = np.concatenate([[0.0, 0.25, 30.0, 50.0, 0.5], rng.uniform(0.0, 40.0, 60)])
+        d = np.concatenate([[35.0, 16.0, 0.0, 0.0, 0.25], rng.uniform(1e-3, 35.0, 60)])
+        for x, y in zip(a, d):
+            _result(find_lmax, x, y)
+            if y > 0.0:
+                _result(find_crossover, x, y)
+        assert len(counts) == 2 * a.size - 2 and max(counts) <= 2
+
     def test_certificate_needs_a_normal_finite_gm(self, monkeypatch):
-        # at (27, 0) P_A P_B underflows to zero, and the scan compares the
-        # scaled envelope with sqrt(P~_A P~_B) = gm: at l = 100, past the
-        # root near 54, it certifies the true excess (50 digits) as
-        # negative.  A one-point grid at l = 100 is cut past its point
-        # (downward) or before it (upward) only where gm is normal and
-        # finite: the margin is relative
-        assert geometric_mean_probability(27.0, 0.0, 0.1) == 0.0
-        gm = closedform._scaled_gm(27.0, 0.0, 0.1)
-        assert closedform._scaled_x_envelope(0.0, 100.0, 0.1) < gm
+        # at (27, 0) P_A P_B underflows to zero at coupling 0.1, and the scan
+        # compares the scaled envelope with sqrt(P~_A P~_B) = gm at unit
+        # coupling: at l = 100, past the root near 54, it certifies the true
+        # excess (50 digits) as negative.  A one-point grid at l = 100 ends
+        # before its point only where gm is normal and finite: the margin is
+        # relative
+        assert transition_probability(27.0, 0.1) ** 2 == 0.0
+        gm = closedform._scaled_gm(27.0, 0.0, 1.0)
+        assert closedform._scaled_x_envelope(0.0, 100.0) < gm
         assert _mp_excess(27.0, 0.0, 100.0) < 0
         gm = np.array([gm, 1e-310, 0.0, np.inf, np.nan])
-        d, start, n = np.zeros(5), np.full(5, 100.0), np.ones(5, dtype=int)
-        down = analysis._cuts(start, np.full(5, -0.01), n, gm, d, 0.1, upward=False)
-        up = analysis._cuts(start, np.full(5, 0.01), n, gm, d, 0.1, upward=True)
-        assert down.tolist() == [1, 0, 0, 0, 0] and up.tolist() == [0, 1, 1, 1, 1]
+        d, n = np.zeros(5), np.ones(5, dtype=np.int64)
+        assert analysis._cuts(100.0, n, gm, d).tolist() == [0, 1, 1, 1, 1]
+        # nor where gm is normal but its square P~_A P~_B subnormal (1e-320),
+        # which the margin does not cover; at l = 1e150 the envelope is 1e-301
+        assert analysis._cuts(1e150, n[:2], np.array([1e-150, 1e-160]), d[:2]).tolist() == [0, 1]
         # where no row may certify, no envelope is evaluated
         envelope = _envelope_shapes(monkeypatch)
-        assert analysis._cuts(start[1:], np.full(4, -0.01), n[1:], gm[1:], d[1:], 0.1,
-                              upward=False).tolist() == [0, 0, 0, 0]
+        assert analysis._cuts(100.0, n[1:], gm[1:], d[1:]).tolist() == [1, 1, 1, 1]
         assert envelope == []
 
 
@@ -1323,7 +1452,7 @@ def _envelope_shapes(monkeypatch):
     shapes = []
     original = analysis._scaled_x_envelope
     monkeypatch.setattr(analysis, "_scaled_x_envelope",
-                        lambda d, l, c: shapes.append(np.shape(l)) or original(d, l, c))
+                        lambda d, l: shapes.append(np.shape(l)) or original(d, l))
     return shapes
 
 

@@ -304,16 +304,30 @@ class TestSearchCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "gap_bound must be finite" in err
 
-    # numpy would refuse an infinite bound ("Maximum allowed size exceeded")
-    # and fail to allocate a 1e14-point grid; both exit like a domain error
+    # a bound must be finite, and past scan_step*2^52 (4.5e13 at the default
+    # step) the grid points stop being distinct doubles; both exit like a
+    # domain error
     @pytest.mark.parametrize("command", ["lmax", "crossover"])
     @pytest.mark.parametrize("bound, message", [("inf", "scan_bound must be finite"),
-                                                ("1e12", "exceeds the limit")])
+                                                ("1e14", "distinct doubles")])
     def test_scan_grids_that_cannot_be_built_exit_3(self, command, bound, message, capsys):
         argv = [command, "--omega-a", "0.5", "--delta-omega", "0.25", "--scan-bound", bound]
         assert run(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    # the grid ends at its certified cut, so a bound far above it answers as
+    # the default does; the 1e7-point limit refused it
+    @pytest.mark.parametrize("command", ["lmax", "crossover"])
+    def test_a_bound_far_above_the_certified_end_answers(self, command, tmp_path):
+        results = []
+        for extra in ([], ["--scan-bound", "1e12"]):
+            out = tmp_path / f"{command}{len(extra)}.json"
+            argv = [command, "--omega-a", "0.5", "--delta-omega", "0.25", "--format", "record",
+                    "--out", str(out)]
+            assert run(argv + extra) == 0
+            results.append(json.loads(out.read_text())["result"])
+        assert results[0] == results[1]
 
 
 class TestFigure:

@@ -151,10 +151,11 @@ class TestCorrelationX:
         assert abs(correlation_x(cfg) - x_oracle) <= 1e-8 * abs(x_oracle)
 
 
-def _first_order_envelope(d, l, coupling):
-    """The envelope through |Im w(z)| <= min(1, M/|z|) alone."""
+def _first_order_envelope(d, l):
+    """The envelope through |Im w(z)| <= min(1, M/|z|) alone, at unit
+    coupling."""
     w_bound = np.minimum(1.0, 2.0 * _ZW_BOUND / np.sqrt(l * l + d * d))
-    return coupling**2 / (8.0 * SQRT_PI * l) * (2.0 * w_bound + 2.0 * np.exp((d * d - l * l) / 4.0))
+    return 1.0 / (8.0 * SQRT_PI * l) * (2.0 * w_bound + 2.0 * np.exp((d * d - l * l) / 4.0))
 
 
 class TestXEnvelope:
@@ -198,16 +199,16 @@ class TestXEnvelope:
     def test_envelope_does_not_increase_in_l(self):
         l = np.arange(0.01, 120.0, 0.001)
         for d in np.arange(0.0, 35.0 + 0.125, 0.25):
-            assert np.all(np.diff(_scaled_x_envelope(d, l, 0.1)) <= 0.0), d
+            assert np.all(np.diff(_scaled_x_envelope(d, l)) <= 0.0), d
 
     def test_envelope_is_within_1_percent_of_x_at_large_separations(self):
         # the first-order envelope lies 32-40 % above |X|/E there
         d = np.linspace(0.0, 35.0, 71)[:, None]
         l = np.geomspace(0.01, 440.0, 500)
         far = (l >= 20.0) & (l * l - d * d >= 160.0)
-        ratio = _scaled_x_envelope(d, l, 0.1) / _x_abs(d, l, 0.1)
+        ratio = _scaled_x_envelope(d, l) / _x_abs(d, l)
         assert far.sum() > 5000 and ratio[far].max() < 1.01
-        assert (_first_order_envelope(d, l, 0.1) / _x_abs(d, l, 0.1))[far].min() > 1.3
+        assert (_first_order_envelope(d, l) / _x_abs(d, l))[far].min() > 1.3
 
     def test_envelope_raises_no_warning_far_out(self):
         # (1/|z|)^3 underflows to 0 at large |z| rather than overflowing,
@@ -216,12 +217,12 @@ class TestXEnvelope:
         l = np.geomspace(1e-150, 1e150, 601)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            env = _scaled_x_envelope(d, l, 0.1)
-            assert _scaled_x_envelope(0.0, 1e150, 0.1) == env[0, -1]
+            env = _scaled_x_envelope(d, l)
+            assert _scaled_x_envelope(0.0, 1e150) == env[0, -1]
         assert np.all(np.isfinite(env)) and np.all(env > 0.0)
         # never above the first-order envelope, up to the roundings of the
         # prefactor's two forms
-        assert np.all(env <= _first_order_envelope(d, l, 0.1) * (1.0 + 1e-15))
+        assert np.all(env <= _first_order_envelope(d, l) * (1.0 + 1e-15))
 
 
 class TestIdenticalXFloor:
@@ -239,19 +240,18 @@ class TestIdenticalXFloor:
                 dawson = mp.sqrt(mp.pi) / 2 * mp.exp(-x * x) * mp.erfi(x)
                 assert dawson > x / (1 + 2 * x * x), x
 
-    @pytest.mark.parametrize("coupling", [0.1, 1.0])
-    def test_floor_lies_below_x_across_the_domain(self, coupling):
+    def test_floor_lies_below_x_across_the_domain(self):
         # |X(a, 0, l)|/E depends on l alone
         l = np.geomspace(0.01, 440.0, 2000)
         margin = 1.0 - analysis._ENVELOPE_MARGIN
-        scaled = _x_abs(0.0, l, coupling)
-        assert np.all(_scaled_x_floor(l, coupling) * margin <= scaled)
+        scaled = _x_abs(0.0, l)
+        assert np.all(_scaled_x_floor(l) * margin <= scaled)
         # the bound is strict, within 1 - 4/l^2 of |X|/E at large l: 2e-5 at 440
-        assert (_scaled_x_floor(l, coupling) / scaled).max() < 1.0 - 2e-5
+        assert (_scaled_x_floor(l) / scaled).max() < 1.0 - 2e-5
 
     def test_floor_decreases_in_l(self):
         l = np.arange(0.01, 440.0, 0.001)
-        assert np.all(np.diff(_scaled_x_floor(l, 0.1)) <= 0.0)
+        assert np.all(np.diff(_scaled_x_floor(l)) <= 0.0)
 
 
 class TestConcurrence:
@@ -518,23 +518,23 @@ def _textbook_x_abs(a, d, l, lam):
 
 
 class TestXAbsSlope:
-    """``_x_abs_slope`` gives |X|/E, E = exp(-(a^2 + b^2)/2), and its slope
-    in the separation from one Faddeeva evaluation, for the root
-    refinement; neither depends on a."""
+    """``_x_abs_slope`` gives |X|/E at unit coupling, E = exp(-(a^2 +
+    b^2)/2), and its slope in the separation from one Faddeeva evaluation,
+    for the root refinement; neither depends on a."""
 
     @pytest.mark.parametrize("a", [0.2, 4.0])
     @pytest.mark.parametrize("d", [0.0, 1.5])
     @pytest.mark.parametrize("l", [0.05, 1.0, 30.0])
     def test_slope_against_a_50_digit_derivative(self, a, d, l):
-        x_abs, slope = _x_abs_slope(d, l, 0.1)
+        x_abs, slope = _x_abs_slope(d, l)
         with mp.workdps(50):
             def want(s):
-                return _textbook_x_abs(a, d, s, 0.1) / _textbook_scale(a, d)
+                return _textbook_x_abs(a, d, s, 1.0) / _textbook_scale(a, d)
 
             assert abs(x_abs - want(l)) <= 1e-12 * want(l)
             derivative = mp.diff(want, mp.mpf(l))
             assert abs(slope - derivative) <= 1e-12 * abs(derivative)
-        assert x_abs == _x_abs(d, l, 0.1)
+        assert x_abs == _x_abs(d, l)
 
     def test_same_bits_for_every_shape_of_call(self):
         # the calls the searches make: one problem, a row of problems, and
@@ -542,13 +542,13 @@ class TestXAbsSlope:
         rng = np.random.default_rng(14)
         d, l = rng.uniform(0.0, 35.0, 200), rng.uniform(0.05, 120.0, 200)
         d[:3], l[:3] = [0.0, 0.0, 0.25], [0.05, 30.0, 1.7]
-        x_abs, slope = _x_abs_slope(d, l, 0.1)
-        assert _bits(x_abs) == _bits(_x_abs(d, l, 0.1))
-        one = [_x_abs_slope(*p, 0.1) for p in zip(d.tolist(), l.tolist())]
+        x_abs, slope = _x_abs_slope(d, l)
+        assert _bits(x_abs) == _bits(_x_abs(d, l))
+        one = [_x_abs_slope(*p) for p in zip(d.tolist(), l.tolist())]
         assert _bits([v for v, _ in one]) == _bits(x_abs)
         assert _bits([s for _, s in one]) == _bits(slope)
-        stacked_abs, stacked_slope = _x_abs_slope(np.stack([d, np.zeros(200)]), l, 0.1)
-        identical = _x_abs_slope(0.0, l, 0.1)
+        stacked_abs, stacked_slope = _x_abs_slope(np.stack([d, np.zeros(200)]), l)
+        identical = _x_abs_slope(0.0, l)
         assert _bits(stacked_abs) == _bits(np.stack([x_abs, identical[0]]))
         assert _bits(stacked_slope) == _bits(np.stack([slope, identical[1]]))
         assert np.isfinite(slope).all() and (slope[:3] != 0.0).all()
@@ -588,26 +588,35 @@ class TestScaledExcess:
                                          (15.4, 20.6, 42.5), (4.5, 34.6, 9.4), (0.5, 35.0, 120.0),
                                          (40.0, 35.0, 3.0)])
     def test_scaled_x_abs_and_slope(self, a, d, l):
-        x_abs, slope = _x_abs_slope(d, l, 0.1)
-        assert x_abs == _x_abs(d, l, 0.1)
+        x_abs, slope = _x_abs_slope(d, l)
+        assert x_abs == _x_abs(d, l)
         with mp.workdps(50):
             def want(s):
-                return _textbook_x_abs(a, d, s, 0.1) / _textbook_scale(a, d)
+                return _textbook_x_abs(a, d, s, 1.0) / _textbook_scale(a, d)
 
             assert abs(x_abs - want(l)) <= 1e-12 * want(l)
             derivative = mp.diff(want, mp.mpf(l))
             assert abs(slope - derivative) <= 1e-11 * abs(derivative)
 
-    @pytest.mark.parametrize("coupling", [0.1, 1.0])
-    def test_scaled_envelope_bounds_scaled_x_across_the_domain(self, coupling):
+    def test_scaled_envelope_bounds_scaled_x_across_the_domain(self):
         # |X|/E depends on d and l alone
         d = np.linspace(0.0, 35.0, 71)[:, None]
         l = np.geomspace(0.01, 440.0, 500)
-        x = _x_abs(d, l, coupling)
-        env = _scaled_x_envelope(d, l, coupling)
+        x = _x_abs(d, l)
+        env = _scaled_x_envelope(d, l)
         assert np.isfinite(x).all() and (x > 0.0).all()
         assert np.all(x <= env * (1.0 + 1e-12))
         assert np.all(np.diff(env, axis=-1) <= 0.0)
+
+    # np.sqrt(P_A P_B) underflowed to 0.0 at these rows, where the report's
+    # geometric_mean gave 1.898e-180, 5.878e-172 and 2.809e-191
+    @pytest.mark.parametrize("a, d", [(20.0, 0.0), (19.0, 1.0), (15.0, 10.0)])
+    def test_geometric_mean_probability_does_not_underflow(self, a, d):
+        gm = geometric_mean_probability(a, d, 0.1)
+        assert gm == concurrence(DetectorPairConfig(a, d, 1.0, 0.1)).geometric_mean
+        with mp.workdps(50):
+            want = mp.sqrt(_textbook_p(a, 0.1) * _textbook_p(a + d, 0.1))
+            assert abs(gm - want) <= 1e-12 * want
 
     def test_the_switch_is_where_the_product_is_not_normal(self):
         # sqrt is correctly rounded and sqrt(2^-1022) = 2^-511, so gm below
