@@ -591,8 +591,8 @@ def find_lmax_many(
     def positive(rows, l):
         return _x_abs(row_d[rows, None], l) - row_gm[rows, None] > 0.0
 
-    # the walk runs down from below the grid's end, its first certified
-    # point, to the first positive one: a capped grid's last point fails
+    # the walk runs down from below the grid's end, its first certified point,
+    # to the first positive point: a bracketing failure at a capped grid's last
     cut = _cuts(scan_step, row_n, row_gm, row_d)
     k, at, above = _separation_scan(scan_step, cut - 1, np.full(cut.shape, -1), positive)
     k = k.reshape(a.shape)
