@@ -19,7 +19,7 @@ Three searches cover the quantities the closed forms do not give directly:
 The two separation searches decide every row by the scaled excess S =
 |X|/E - sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2), whose terms stay of
 order one where P_A P_B and |X| underflow and which keeps the sign change
-of the excess there (:func:`~udwharvest.closedform._x_excess`); |X|/E
+of the excess there (:func:`~udwharvest.closedform._ingredients`); |X|/E
 depends on the gap difference and the separation alone.  S scales by the
 coupling's square, so the searches decide at unit coupling: only
 ``value`` depends on the coupling.  The scans build no grid and evaluate
@@ -117,16 +117,14 @@ from .closedform import (
     DetectorPairConfig,
     _clamp,
     _domain_errors,
-    _geometric_means,
     _ingredients,
     _over_scale,
-    _probability_terms,
+    _scaled_gm,
     _scaled_x_envelope,
     _scaled_x_floor,
     _x_abs,
     _x_abs_slope,
     _x_bracket,
-    _x_excess,
     transition_probability,
 )
 
@@ -425,19 +423,6 @@ def _separation_scan(step, first, last, positive):
     return k, at, np.where((k >= 0) & (before >= 0), step + before * step, np.nan)
 
 
-# The closed forms below are evaluated with row-constant factors computed
-# once per search; each helper does the arithmetic of the closed form it
-# names, so it gives that function's bits.
-
-
-def _gap_concurrence(p_a, a, d, l, coupling, x_bracket=None):
-    """``concurrence_values`` with P_A, and X's bracket where the caller
-    has it (:func:`~udwharvest.closedform._x_terms`), passed in."""
-    p_b, bracket_b = _probability_terms(a + d, coupling)
-    return _clamp(_x_excess(a, d, l, coupling, np.sqrt(p_a * p_b), (None, bracket_b),
-                            x_bracket)[1])
-
-
 def _lead(unequal, equal, ratio, harvests):
     """A function of the separation that is positive exactly where the
     non-identical pair's concurrence exceeds the identical pair's, from
@@ -585,7 +570,7 @@ def find_lmax_many(
     )
     # every row is scanned and refined in scaled form at unit coupling:
     # |X|/E against sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2)
-    gm, scaled_gm, brackets = _geometric_means(a, d, coupling)
+    scaled_gm = _scaled_gm(a, d, 1.0)
     row_d, row_gm, row_n = (x.ravel() for x in (d, scaled_gm, n))
 
     def positive(rows, l):
@@ -610,7 +595,7 @@ def find_lmax_many(
 
     lo, hi, iterations = _refine(f, lo, hi, positive_at_lo=True)
     loc = 0.5 * (lo + hi)
-    return _batch(loc, _x_excess(a, d, loc, coupling, gm, brackets)[1], lo, hi, iterations,
+    return _batch(loc, _ingredients(a, d, loc, coupling)[3], lo, hi, iterations,
                   _blank(a.shape), error)
 
 
@@ -685,7 +670,6 @@ def find_optimal_gap_many(
         raise ValueError("gap_bound must be finite")
     if np.any(bound <= 0):
         raise ValueError("gap_bound must be > 0")
-    p_a = np.asarray(transition_probability(a, coupling))
     # every row's scan is _GAP_SCAN_POINTS samples; a chunk of rows is one
     # call over a (rows, samples) grid.  The grid, and X's bracket on it,
     # depend on the row's separation and gap bound alone, so the rows are
@@ -694,7 +678,7 @@ def find_optimal_gap_many(
     n, last = a.size, _GAP_SCAN_POINTS - 1
     best, first = np.empty(n, dtype=int), np.empty(n)
     lo, hi = np.empty(n), np.empty(n)
-    row_a, row_l, row_bound, row_p_a = (x.ravel() for x in (a, l, bound, p_a))
+    row_a, row_l, row_bound = (x.ravel() for x in (a, l, bound))
     order = np.lexsort((row_bound, row_l))
     for chunk in _chunks(np.full(n, _GAP_SCAN_POINTS)):
         rows = order[chunk]
@@ -704,8 +688,8 @@ def find_optimal_gap_many(
         grid = np.linspace(0.0, bounds[heads], _GAP_SCAN_POINTS, axis=-1)
         b_re, b_im = _x_bracket(grid, ls[heads, None])[:2]
         grid = grid[run]
-        values = _gap_concurrence(row_p_a[rows, None], row_a[rows, None], grid, ls[:, None],
-                                  coupling, (b_re[run], b_im[run]))
+        values = _clamp(_ingredients(row_a[rows, None], grid, ls[:, None], coupling,
+                                     x_bracket=(b_re[run], b_im[run]))[3])
         k = np.argmax(values, axis=-1)
         r = np.arange(k.size)
         best[rows], first[rows] = k, values[:, 0]
@@ -724,10 +708,13 @@ def find_optimal_gap_many(
     iterations = np.zeros(a.shape, dtype=int)
     interior = hi > lo
     if interior.any():
+        # P_A does not depend on the gap difference: one evaluation serves
+        # every step
+        p_a = np.asarray(transition_probability(a, coupling))
         lo, hi, iterations = _golden(
-            lambda d, p_a, a, l: _gap_concurrence(p_a, a, d, l, coupling), lo, hi, p_a, a, l
-        )
-        peak = _gap_concurrence(p_a, a, 0.5 * (lo + hi), l, coupling)
+            lambda d, p_a, a, l: _clamp(_ingredients(a, d, l, coupling, p_a)[3]),
+            lo, hi, p_a, a, l)
+        peak = _clamp(_ingredients(a, 0.5 * (lo + hi), l, coupling, p_a)[3])
         value = np.where(interior, peak, value)
     return _batch(0.5 * (lo + hi), value, lo, hi, iterations, note, _blank(a.shape))
 
@@ -771,11 +758,11 @@ def find_crossover_many(
     a, d, n = _separation_problems(
         omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
     )
-    # both pairs' sqrt(P_A P_B), and sqrt(P~_A P~_B) at unit coupling, along
-    # a leading axis of two (leading, so that numpy's inner loops run along
-    # the points); the pairs' scales E differ by the ratio exp(-d(2a + d)/2)
+    # both pairs' sqrt(P~_A P~_B) at unit coupling, along a leading axis of
+    # two (leading, so that numpy's inner loops run along the points); the
+    # pairs' scales E differ by the ratio exp(-d(2a + d)/2)
     ds = np.stack([d, np.zeros(d.shape)])
-    gms, scaled_gms, brackets = _geometric_means(a, ds, coupling)
+    scaled_gms = _scaled_gm(a, ds, 1.0)
     ratio = np.exp(-d * (2.0 * a + d) / 2.0)
     row_d, row_ratio, row_n = (x.ravel() for x in (d, ratio, n))
     row_gms, row_ds = scaled_gms.reshape(2, -1), ds.reshape(2, -1)
@@ -809,8 +796,8 @@ def find_crossover_many(
     # one Faddeeva evaluation for both pairs at the location and for the
     # identical pair at the bracket's upper end, where the note is decided
     b_re, b_im = _x_bracket(np.concatenate([ds, ds[1:]]), np.stack([loc, loc, hi]))[:2]
-    unequal, equal = _clamp(_x_excess(a, ds, loc, coupling, gms, brackets,
-                                      (b_re[:2], b_im[:2]))[1])
+    unequal, equal = _clamp(_ingredients(a, ds, loc, coupling,
+                                         x_bracket=(b_re[:2], b_im[:2]))[3])
     identical_at_hi = _over_scale(b_re[2], b_im[2], ds[1], hi, 1.0)[0] - scaled_gms[1]
     note = np.where(identical_at_hi > 0.0, "",
                     "identical-pair concurrence already zero here").astype(object)

@@ -314,20 +314,6 @@ def _scaled_gm(a, d, coupling, brackets=(None, None)):
     return np.sqrt(scaled_a * scaled_b)
 
 
-def _geometric_means(a, d, coupling):
-    """(np.sqrt(P_A P_B), sqrt(P~_A P~_B) at unit coupling, (bracket_a,
-    bracket_b)) for the gaps a and b = a + d, from one
-    :func:`_probability_terms` evaluation per gap: the gm, scaled gm and
-    brackets :func:`_x_excess` and the separation searches take.  The first
-    has the bits of :func:`geometric_mean_probability` only where P_A P_B
-    is a normal double, and :func:`_x_excess` uses it only there."""
-    a = np.asarray(a, dtype=float)
-    p_a, bracket_a = _probability_terms(a, coupling)
-    p_b, bracket_b = _probability_terms(a + np.asarray(d, dtype=float), coupling)
-    brackets = (bracket_a, bracket_b)
-    return np.sqrt(p_a * p_b), _scaled_gm(a, d, 1.0, brackets), brackets
-
-
 def _sqrt_product(p_a, p_b):
     """sqrt(P_A P_B) from the probabilities, as sqrt(P_A) sqrt(P_B) where
     the product is not a normal double and would have lost bits or
@@ -424,42 +410,6 @@ def _x_abs(d, l):
     l = np.asarray(l, dtype=float)
     b_re, b_im = _x_bracket(d, l)[:2]
     return _over_scale(b_re, b_im, d, l, 1.0)[0]
-
-
-def _x_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, gm,
-              brackets=(None, None), x_bracket=None):
-    """(X, |X| - sqrt(P_A P_B)) with sqrt(P_A P_B) = gm passed in, from one
-    Faddeeva evaluation per point; ``brackets`` as :func:`_scaled_gm` takes
-    them, ``x_bracket`` as :func:`_x_terms` does.  Where P_A P_B is not a
-    normal double (gm below ``_SCALED_BELOW``) the excess is E S, for the
-    scaled excess S = |X|/E - sqrt(P~_A P~_B) (:func:`_scaled_gm`), formed
-    as sign(S) exp(log|S| - (a^2 + b^2)/2): E alone underflows where |X|
-    may still be normal, while this has the sign of S and underflows only
-    where E S does (to +0: adding 0 turns -0 into +0, which the clamp of
-    the concurrence would keep).  Where S is not finite, which takes a gap
-    difference or a separation outside the admitted domain, the excess
-    stays |X| - gm."""
-    x, b_re, b_im = _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling,
-                             x_bracket)
-    excess = np.abs(x) - gm
-    scaled = np.asarray(gm) < _SCALED_BELOW
-    if not scaled.any():
-        return x, excess
-    a = np.asarray(omega_a_sigma, dtype=float)
-    d = np.asarray(delta_omega_sigma, dtype=float)
-    b = a + d
-    l = np.asarray(l_over_sigma, dtype=float)
-    # outside the domain, S may overflow (and is then not used)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = _over_scale(b_re, b_im, d, l, coupling)[0] - _scaled_gm(a, d, coupling, brackets)
-        log_excess = np.log(np.abs(s)) - (a * a + b * b) / 2.0
-        # exp is evaluated only where it does not underflow to zero: its
-        # vector loop falls back to a scalar one, 10 to 100 times slower,
-        # where it underflows
-        magnitude = np.zeros(log_excess.shape)
-        np.exp(log_excess, out=magnitude, where=log_excess > -746.0)
-        excess = np.where(scaled & np.isfinite(s), np.copysign(magnitude, s) + 0.0, excess)
-    return x, excess[()]
 
 
 def _x_abs_slope(d, l):
@@ -559,14 +509,45 @@ def correlation_x(cfg: DetectorPairConfig) -> complex:
     )
 
 
-def _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
-    """(P_A, P_B, X, |X| - sqrt(P_A P_B)) for raw parameter arrays, the
-    excess from :func:`_x_excess`."""
+def _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, p_a=None,
+                 x_bracket=None):
+    """(P_A, P_B, X, |X| - sqrt(P_A P_B)) for raw parameter arrays, from one
+    Faddeeva evaluation per point: every excess the package reports is
+    assembled here.  ``p_a`` is P_A as an array where the caller has it,
+    ``x_bracket`` (Re B, Im B) as :func:`_x_terms` takes it.  Where P_A P_B
+    is not a normal double (sqrt(P_A P_B) below ``_SCALED_BELOW``) the
+    excess is E S, for the scaled excess S = |X|/E - sqrt(P~_A P~_B)
+    (:func:`_scaled_gm`), formed as sign(S) exp(log|S| - (a^2 + b^2)/2): E
+    alone underflows where |X| may still be normal, while this has the sign
+    of S and underflows only where E S does (to +0: adding 0 turns -0 into
+    +0, which the clamp of the concurrence would keep).  Where S is not
+    finite, which takes a gap difference or a separation outside the
+    admitted domain, the excess stays |X| - sqrt(P_A P_B)."""
     a = np.asarray(omega_a_sigma, dtype=float)
     d = np.asarray(delta_omega_sigma, dtype=float)
-    p_a, bracket_a = _probability_terms(a, coupling)
-    p_b, bracket_b = _probability_terms(a + d, coupling)
-    x, excess = _x_excess(a, d, l_over_sigma, coupling, np.sqrt(p_a * p_b), (bracket_a, bracket_b))
+    bracket_a = None
+    if p_a is None:
+        p_a, bracket_a = _probability_terms(a, coupling)
+    b = a + d
+    p_b, bracket_b = _probability_terms(b, coupling)
+    gm = np.sqrt(p_a * p_b)
+    x, b_re, b_im = _x_terms(a, d, l_over_sigma, coupling, x_bracket)
+    excess = np.abs(x) - gm
+    scaled = gm < _SCALED_BELOW
+    if scaled.any():
+        l = np.asarray(l_over_sigma, dtype=float)
+        # outside the domain, S may overflow (and is then not used)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s = (_over_scale(b_re, b_im, d, l, coupling)[0]
+                 - _scaled_gm(a, d, coupling, (bracket_a, bracket_b)))
+            log_excess = np.log(np.abs(s)) - (a * a + b * b) / 2.0
+            # exp is evaluated only where it does not underflow to zero: its
+            # vector loop falls back to a scalar one, 10 to 100 times slower,
+            # where it underflows
+            magnitude = np.zeros(log_excess.shape)
+            np.exp(log_excess, out=magnitude, where=log_excess > -746.0)
+            excess = np.where(scaled & np.isfinite(s), np.copysign(magnitude, s) + 0.0, excess)
+        excess = excess[()]
     return _scalar(p_a), _scalar(p_b), _scalar(x), excess
 
 
@@ -581,7 +562,7 @@ def correlation_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
     Unlike the clamped concurrence this changes sign smoothly through the
     harvesting boundary, which is what root bracketing needs.  Where P_A
     P_B is not a normal double it is E S for the scaled excess S (see
-    :func:`_x_excess`): it keeps the sign of S, and rounds to zero only
+    :func:`_ingredients`): it keeps the sign of S, and rounds to zero only
     where the true excess is below the double range.
     """
     return _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)[3]

@@ -170,7 +170,7 @@ class TestFindCrossover:
         res = find_crossover(0.5, 0.25)
         assert res.iterations <= 8
         assert [name for name, _, _ in calls] == (
-            ["_x_abs"] + ["_x_abs_slope"] * res.iterations + ["_x_excess"])
+            ["_x_abs"] + ["_x_abs_slope"] * res.iterations + ["_ingredients"])
 
     def test_batched_refinement_makes_one_closed_form_call_per_step(self, monkeypatch):
         # every call carries both pairs along a leading axis of two; the
@@ -180,18 +180,20 @@ class TestFindCrossover:
         batch = find_crossover_many([0.5, 0.5, 1.0], [0.25, 0.5, 0.5])
         assert all(np.shape(d)[0] == 2 for _, d, _ in calls)
         whole = [name for name, d, _ in calls if np.shape(d) == (2, 3)]
-        assert whole == ["_x_abs_slope"] * batch.iterations.max() + ["_x_excess"]
+        assert whole == ["_x_abs_slope"] * batch.iterations.max() + ["_ingredients"]
 
     @pytest.mark.parametrize("coupling", [0.1, 0.3])
     def test_pair_concurrences_are_the_two_separate_calls(self, coupling):
-        # one stacked call gives each pair's concurrence_values bit for bit
+        # one stacked call gives each pair's concurrence_values bit for bit,
+        # with X's bracket gathered from one evaluation that also covers the
+        # identical pair at a second separation, as the crossover's last step
         a, d = np.array([0.5, 1.0, 2.0]), np.array([0.25, 0.5, 1.5])
         l = np.array([1.0, 1.5, 0.5])
         ds = np.stack([d, np.zeros(3)])
-        gms, _, brackets = closedform._geometric_means(a, ds, coupling)
-        assert _bits(gms) == _bits(np.stack([geometric_mean_probability(a, d, coupling),
-                                             geometric_mean_probability(a, 0.0, coupling)]))
-        unequal, equal = analysis._clamp(analysis._x_excess(a, ds, l, coupling, gms, brackets)[1])
+        b_re, b_im = closedform._x_bracket(np.concatenate([ds, ds[1:]]),
+                                           np.stack([l, l, 2.0 * l]))[:2]
+        unequal, equal = analysis._clamp(analysis._ingredients(
+            a, ds, l, coupling, x_bracket=(b_re[:2], b_im[:2]))[3])
         assert (unequal > 0).all() and (equal > 0).all()
         assert np.array_equal(unequal, concurrence_values(a, d, l, coupling))
         assert np.array_equal(equal, concurrence_values(a, 0.0, l, coupling))
@@ -253,13 +255,14 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 def _closed_form_calls(monkeypatch):
     """Record every closed-form call of the searches, in order, as (name,
     d, l): the separation scans call _x_abs, each refinement step
-    _x_abs_slope (both take d, l first), and the gap scans and the final
-    evaluation _x_excess (which takes a, d, l)."""
+    _x_abs_slope (both take d, l first), and the gap scans, the golden
+    steps and the final evaluation _ingredients (which takes a, d, l, and
+    its caches by keyword)."""
     calls = []
-    for name, skip in (("_x_abs", 0), ("_x_abs_slope", 0), ("_x_excess", 1)):
-        def spy(*args, name=name, skip=skip, original=getattr(analysis, name)):
+    for name, skip in (("_x_abs", 0), ("_x_abs_slope", 0), ("_ingredients", 1)):
+        def spy(*args, name=name, skip=skip, original=getattr(analysis, name), **kwargs):
             calls.append((name, *args[skip:skip + 2]))
-            return original(*args)
+            return original(*args, **kwargs)
         monkeypatch.setattr(analysis, name, spy)
     return calls
 
@@ -1454,6 +1457,42 @@ def _envelope_shapes(monkeypatch):
     monkeypatch.setattr(analysis, "_scaled_x_envelope",
                         lambda d, l: shapes.append(np.shape(l)) or original(d, l))
     return shapes
+
+
+class TestLastEvaluation:
+    """After its refinement each search makes one Faddeeva call, over every
+    row at once: both pairs at the location and the identical pair at the
+    bracket's upper end for a crossover, the location for an lmax, the peak
+    for a gap search.  Counted at the kernel, so that a value re-evaluating
+    X's bracket shows."""
+
+    @pytest.mark.parametrize("search, refinement, args, per_row", [
+        (find_crossover, "_refine", (0.5, 0.25), 3),
+        (find_crossover_many, "_refine", ([[0.5, 1.0, 1.2], [0.2, 20.0, 0.5]],
+                                          [[0.25, 0.5, 1.44], [0.04, 5.0, 0.01]]), 3),
+        (find_lmax, "_refine", (0.5, 0.25), 1),
+        (find_lmax_many, "_refine", ([[0.5, 1.0, 1.2], [0.2, 20.0, 35.0]],
+                                     [[0.25, 0.5, 1.44], [0.0, 5.0, 30.0]]), 1),
+        (find_optimal_gap, "_golden", (0.5, 2.0), 1),
+        (find_optimal_gap_many, "_golden", ([[0.5, 1.0, 1.2], [0.2, 0.7, 3.0]],
+                                            [[2.0, 3.0, 1.0], [4.1, 1.94, 12.0]]), 1),
+    ])
+    def test_one_kernel_call_after_the_refinement(self, monkeypatch, search, refinement, args,
+                                                  per_row):
+        points, refined = [], []
+        kernel, refine = closedform.faddeeva_w, getattr(analysis, refinement)
+        monkeypatch.setattr(closedform, "faddeeva_w",
+                            lambda z: points.append(np.size(z)) or kernel(z))
+
+        def spy(*a, **k):
+            result = refine(*a, **k)
+            refined.append(len(points))
+            return result
+
+        monkeypatch.setattr(analysis, refinement, spy)
+        search(*args)
+        assert len(refined) == 1
+        assert points[refined[0]:] == [per_row * np.size(args[0])]
 
 
 class TestSweep:

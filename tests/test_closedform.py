@@ -33,8 +33,8 @@ from udwharvest import (
 )
 from udwharvest import analysis
 from udwharvest.closedform import (
-    _SCALED_BELOW, _ZW3_BOUND, _ZW_BOUND, _clamp, _probability_terms, _scaled_gm,
-    _scaled_probability, _scaled_x_envelope, _scaled_x_floor, _x_abs, _x_abs_slope, _x_excess,
+    _SCALED_BELOW, _ZW3_BOUND, _ZW_BOUND, _clamp, _ingredients, _probability_terms, _scaled_gm,
+    _scaled_probability, _scaled_x_envelope, _scaled_x_floor, _x_abs, _x_abs_slope, _x_bracket,
 )
 
 FOUR_PI = 4.0 * np.pi
@@ -465,13 +465,11 @@ class TestScalarArrayBitwise:
         d = rng.uniform(0.0, 35.0, rows)
         l = rng.uniform(0.05, 120.0, rows)
         a[:4], d[:4] = [0.2, 0.5, 1.0, 1.2], [0.0, 0.25, 1.5, 3.6]  # the survey's gaps
-        p_a = transition_probability(a, lam)
-        gm = geometric_mean_probability(a, d, lam)
         # gap scans: the gap difference runs along the rows
         gaps = np.sort(rng.uniform(0.0, 35.0, (rows, points)), axis=-1)
         p_b = transition_probability(a[:, None] + gaps, lam)
         x = correlation_x_values(a[:, None], gaps, l[:, None], lam)
-        conc = analysis._gap_concurrence(p_a[:, None], a[:, None], gaps, l[:, None], lam)
+        conc = _clamp(_ingredients(a[:, None], gaps, l[:, None], lam)[3])
         for i in range(rows):
             assert _bits(p_b[i]) == _bits(transition_probability(a[i] + gaps[i], lam))
             assert _bits(x[i]) == _bits(correlation_x_values(a[i], gaps[i], l[i], lam))
@@ -479,7 +477,7 @@ class TestScalarArrayBitwise:
         # separation scans: the separation runs along the rows
         seps = np.sort(rng.uniform(0.01, 120.0, (rows, points)), axis=-1)
         x = correlation_x_values(a[:, None], d[:, None], seps, lam)
-        conc = _clamp(_x_excess(a[:, None], d[:, None], seps, lam, gm[:, None])[1])
+        conc = _clamp(_ingredients(a[:, None], d[:, None], seps, lam)[3])
         for i in range(rows):
             assert _bits(x[i]) == _bits(correlation_x_values(a[i], d[i], seps[i], lam))
             assert _bits(conc[i]) == _bits(concurrence_values(a[i], d[i], seps[i], lam))
@@ -507,6 +505,40 @@ class TestScalarArrayBitwise:
             walk = g[start[i]:stop[i]][:256]
             assert _bits(gathered[i, :walk.size]) == _bits(walk)
             assert (gathered[i, walk.size:] == g[stop[i] - 1]).all()
+
+
+class TestIngredientCaches:
+    """The caches _ingredients takes, a row's P_A and X's bracket gathered
+    from a grid shared by rows with equal (separation, gap bound), change
+    none of its four fields' bits, wherever P_A P_B is a normal double, is
+    subnormal or underflows to zero."""
+
+    @pytest.mark.parametrize("cache", ["p_a", "x_bracket", "both"])
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    def test_caches_keep_every_bit(self, lam, cache):
+        rng = np.random.default_rng(25)
+        rows = 48
+        a = np.sort(rng.uniform(0.0, 40.0, rows))[:, None]
+        # the gap scan's shared grids: one per (separation, bound) key, each
+        # row gathering its key's grid and bracket
+        ls, bounds = np.array([0.3, 2.5, 9.0, 60.0]), np.array([4.0, 12.0, 35.0, 35.0])
+        run = rng.integers(0, ls.size, rows)
+        grid = np.linspace(0.0, bounds, 256, axis=-1)
+        b_re, b_im = _x_bracket(grid, ls[:, None])[:2]
+        d, l = grid[run], ls[run, None]
+        p_a = transition_probability(a[:, 0], lam)[:, None]
+        kwargs = {"p_a": p_a, "x_bracket": (b_re[run], b_im[run])}
+        if cache != "both":
+            kwargs = {cache: kwargs[cache]}
+        want = _ingredients(a, d, l, lam)
+        got = _ingredients(a, d, l, lam, **kwargs)
+        for field, value, expected in zip(("p_a", "p_b", "x", "excess"), got, want):
+            assert np.shape(value) == np.shape(expected), field
+            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes(), field
+        product = want[0] * want[1]
+        tiny = np.finfo(float).tiny
+        assert (product >= tiny).any() and (product == 0.0).any()
+        assert ((product > 0.0) & (product < tiny)).any()
 
 
 def _textbook_x_abs(a, d, l, lam):
