@@ -53,15 +53,18 @@ its answer; a crossover row positive at the grid's first point has the
 non-identical pair ahead from the first scanned separation, and returns
 that point, in the bracket (0, point], with a note.  The rest is walked
 in blocks, each twice the one before and at most a chunk's points, up to
-the first block that holds the answer.  The first block of each of the rows walked together is 256
-// rows points (at least one), so a row walking alone starts with 256
-points and the first call over many rows holds about 256 in all.  A
-closed-form call gives the same bits for a point whatever the shape of
-the call, so every answer, bracket and raised error is bit for bit that
-of evaluating the whole grid.  A crossover row compares the two pairs'
-scaled excesses through the ratio of their scales, exp(-d(2a + d)/2), in
-a form whose sign does not rest on that ratio where it underflows
-(:func:`_lead`).
+the first block that holds the answer.  A walk that starts next to a
+cut, down from the upper one or up from a lower one above the grid's
+first point, starts with a block of 32 points, within which nearly every
+turn lies; a walk from the grid's first point starts with 256.  Rows
+walked together take 256 // rows points each instead where that is fewer
+(at least one), so that the first call over many rows holds about 256 in
+all.  A closed-form call gives the same bits for a point whatever the
+shape of the call, so every answer, bracket and raised error is bit for
+bit that of evaluating the whole grid.  A crossover row compares the two
+pairs' scaled excesses through the ratio of their scales, exp(-d(2a +
+d)/2), in a form whose sign does not rest on that ratio where it
+underflows (:func:`_lead`).
 
 The sign change a separation scan finds is refined by safeguarded Newton
 steps (:func:`_refine`), whose slope costs no further Faddeeva evaluation
@@ -87,16 +90,17 @@ evaluation of the bracket.  The separation scans search the cuts of all
 rows in one envelope call per step, then chunk consecutive rows by the
 points they walk: a chunk is one closed-form call per round of blocks
 over the rows that have not found their answer yet, each row walking its
-own next block.  Then all rows are refined in lockstep: one closed-form array
-call per Newton or golden-section step, with each finished row frozen in
-place.  A row where the one-problem search would raise carries NaN
-and the exception's class name in ``error``, so one failing problem
-cannot abort a grid; gaps, a separation or a coupling outside the
+own next block.  Then all rows are refined in lockstep: one closed-form
+array call per Newton or golden-section step, with each finished row's
+bracket frozen in place.  A row where the one-problem search would raise
+carries NaN and the exception's class name in ``error``, so one failing
+problem cannot abort a grid; gaps, a separation or a coupling outside the
 scenario domain raise ValueError, for the whole batch.  The one-problem
-functions run the same core on 0-d inputs, as chunks of one row, and
-raise as before; they keep returning a :class:`SearchResult` of Python
-numbers, because callers (the benchmark's tracer among them) read its
-fields as scalars, so arrays get their own names.
+functions run the same core on 0-d inputs, as chunks of one row whose
+refinement runs on numpy scalars, and raise as before; they keep
+returning a :class:`SearchResult` of Python numbers, because callers
+(the benchmark's tracer among them) read its fields as scalars, so arrays
+get their own names.
 
 :func:`sweep` evaluates the closed-form pipeline over one axis of the
 scenario with one array call; points outside the admitted domain are
@@ -119,6 +123,7 @@ from .closedform import (
     _domain_errors,
     _ingredients,
     _over_scale,
+    _probability_bracket,
     _scaled_gm,
     _scaled_x_envelope,
     _scaled_x_floor,
@@ -155,12 +160,19 @@ _GAP_SCAN_POINTS = 256
 _GRID_POINTS = 2**52
 
 # Points of one call of a lockstep search over rows: a separation scan's
-# first block is _SCAN_BLOCK // rows points of each of a chunk's rows (at
-# least one), and each later block is twice the one before, so a scan that
-# stops early evaluates little past its answer and one that runs to the end
-# costs a few calls more than one call; a search for the cuts probes as
-# many points per step (:func:`_edges`).
+# first block is at most _SCAN_BLOCK // rows points of each of a chunk's
+# rows (at least one), and each later block is twice the one before, so a
+# scan that stops early evaluates little past its answer and one that runs
+# to the end costs a few calls more than one call; a search for the cuts
+# probes as many points per step (:func:`_edges`).
 _SCAN_BLOCK = 256
+
+# Points of the first block of a walk that starts next to a cut, where
+# nearly every turn lies within a few points of its start: down from the
+# upper cut (:func:`_cuts`) or up from a lower cut above the grid's first
+# point (:func:`_floors`).  A walk from the grid's first point starts with
+# _SCAN_BLOCK points.
+_CUT_BLOCK = 32
 
 # Points of one chunk of scanned rows, each padded to the longest (a
 # separation scan counts the points it walks): the rows of a chunk share
@@ -289,7 +301,7 @@ def _normal(gm):
     return np.isfinite(gm) & (gm >= _SCALED_BELOW)
 
 
-def _edges(lo, hi, hit):
+def _edges(lo, hi, hit, guess=None):
     """Each row's first grid index in [lo, hi) that ``hit(rows, i)`` marks
     (rows an index array, one row of grid indices i per row), hi where
     there is none; along each row's grid hit must be False, then True.
@@ -297,18 +309,46 @@ def _edges(lo, hi, hit):
     indices of every row, splitting its bracket evenly: one, a bisection,
     for ``_SCAN_BLOCK`` rows or more, else about ``_SCAN_BLOCK`` points per
     call, which takes a one-problem search to its edge in two or three calls
-    where bisection takes ten."""
+    where bisection takes ten.  ``guess(rows)``, where given, places the
+    first call's probes instead: grid indices as floats, increasing along
+    each row, clipped into its bracket."""
     probes = max(1, _SCAN_BLOCK // max(lo.size, 1))
+    split = np.arange(1, probes + 1)
     while (live := np.flatnonzero(lo < hi)).size:
         low, high = lo[live, None], hi[live, None]
-        probe = low + (high - low) * np.arange(1, probes + 1) // (probes + 1)
-        hits = hit(live, probe)
-        # the first probe at or past the edge (else hi) and the one before it
-        first = np.argmax(np.concatenate([hits, np.ones_like(low, dtype=bool)], axis=1), axis=1)
-        ends = np.concatenate([low - 1, probe, high], axis=1)
-        rows = np.arange(live.size)
-        lo[live], hi[live] = ends[rows, first] + 1, ends[rows, first + 1]
+        if guess is None:
+            probe = low + (high - low) * split // (probes + 1)
+        else:
+            probe, guess = np.clip(guess(live), low, high - 1).astype(np.int64), None
+        _narrow(lo, hi, live, probe, hit(live, probe))
     return lo
+
+
+def _narrow(lo, hi, rows, probe, hits):
+    """Narrow the brackets [lo, hi] of the ``rows`` (an index array) in
+    place to the probes around each row's edge, given its probes (grid
+    indices, increasing) and ``hits``, whether each is at or past the edge.
+    Returns whether each row has a probe at or past its edge."""
+    # the first probe at or past the edge (else hi) and the one before it
+    first = np.argmax(np.concatenate([hits, np.ones((rows.size, 1), dtype=bool)], axis=1), axis=1)
+    ends = np.concatenate([lo[rows, None] - 1, probe, hi[rows, None]], axis=1)
+    at = np.arange(rows.size)
+    lo[rows], hi[rows] = ends[at, first] + 1, ends[at, first + 1]
+    return first < probe.shape[1]
+
+
+def _ladder(probes):
+    """The rungs of a cut search that probes ``probes`` indices of each row
+    per call (:func:`_cuts`): a block apart while a call has room for the
+    doublings to 2^52 points too, then doubling, up to the first rung at
+    2^52 points or past."""
+    even = max(1, probes - 44)  # 2^52 points are a block doubled 44 times
+    k = np.arange(1, even + 45)
+    return _SCAN_BLOCK * np.minimum(k, even) << np.maximum(k - even, 0)
+
+
+# A one-problem cut search's ladder, which its first call probes whole
+_ONE_ROW_LADDER = _ladder(_SCAN_BLOCK)
 
 
 def _cuts(step, n, gm, d):
@@ -327,26 +367,25 @@ def _cuts(step, n, gm, d):
 
     def hit(rows, i):
         envelope = _scaled_x_envelope(d[rows, None], step + i * step)
-        return (envelope * (1.0 + _ENVELOPE_MARGIN) < gm[rows, None]) | (i >= n[rows, None])
+        return envelope * (1.0 + _ENVELOPE_MARGIN) < gm[rows, None]
 
     usable = _normal(gm)
     lo, hi = np.where(usable, 0, n), n.copy()
-    probes, first = max(1, _SCAN_BLOCK // max(n.size, 1)), 0
-    even = max(1, probes - 44)  # 2^52 points are a block doubled 44 times
+    probes = max(1, _SCAN_BLOCK // max(n.size, 1))
+    ladder = _ONE_ROW_LADDER if probes == _SCAN_BLOCK else _ladder(probes)
     rows = np.flatnonzero(usable)
-    while rows.size:
-        k = np.arange(first + 1, first + probes + 1)
-        rung = _SCAN_BLOCK * np.minimum(k, even) * 2.0 ** np.maximum(k - even, 0)
-        rung = np.minimum(rung, n[rows, None]).astype(np.int64)
-        hits = hit(rows, rung)
-        found = hits.any(axis=1)
-        # every rung before the first certified one, or before none, is not
-        j = np.where(found, np.argmax(hits, axis=1), hits.shape[1])
-        lo[rows] = np.where(j > 0, rung[np.arange(rows.size), j - 1] + 1, lo[rows])
-        hi[rows[found]] = rung[found, j[found]]
-        rows, first = rows[~found], first + probes
+    # each call probes the next rungs of every row not certified so far; a
+    # rung at n, the grid's end, counts as certified, so the ladder's last
+    # rung ends every search
+    for first in range(0, ladder.size, probes):
+        if not rows.size:
+            break
+        top = n[rows, None]
+        rung = np.minimum(ladder[first:first + probes], top)
+        rows = rows[~_narrow(lo, hi, rows, rung, hit(rows, rung) | (rung == top))]
+    # every probe of the edge search lies below n
     cut = _edges(lo, hi, hit)
-    if np.any(cut == _GRID_POINTS):
+    if (cut == _GRID_POINTS).any():
         raise ValueError("the envelope certifies no separation below scan_step*2^52, and past "
                          "it the grid points stop being distinct doubles")
     return cut
@@ -370,57 +409,77 @@ def _floors(step, cut, gms, ratio, d):
     one and its own positive part: the walk's sign test (:func:`_lead`) is
     not positive.  L decreases in l and the right side is fixed, so the
     certified points are a prefix of the grid, whose end :func:`_edges`
-    finds for the rows certified at their first point."""
+    finds for the rows certified at their first point.  L = 1/(2 pi (2 +
+    l^2)) meets the right side where l^2 = (1 - m)/(2 pi (gm_e + right
+    side)) - 2, so the search's first call probes the points around there,
+    where the prefix ends but for rounding."""
     gm_u, gm_e = gms
     ceiling = _scaled_x_envelope(d, step) * (1.0 + _ENVELOPE_MARGIN)
     ceiling = ratio * np.maximum(0.0, ceiling - gm_u)
 
-    def uncertified(rows, i):
-        floor = _scaled_x_floor(step + i * step) * (1.0 - _ENVELOPE_MARGIN)
-        return ~(floor - gm_e[rows, None] > ceiling[rows, None])
+    def lead(l, gm_e, ceiling):
+        return _scaled_x_floor(l) * (1.0 - _ENVELOPE_MARGIN) - gm_e > ceiling
 
-    first = np.zeros((cut.size, 1), dtype=np.int64)
-    usable = _normal(gm_u) & _normal(gm_e) & ~uncertified(np.arange(cut.size), first)[:, 0]
-    # point 0 of a usable row is certified: its search starts at point 1
-    return _edges(usable.astype(int), np.where(usable, cut, 0), uncertified)
+    def around(rows):
+        meet = (1.0 - _ENVELOPE_MARGIN) / (2.0 * np.pi * (gm_e[rows] + ceiling[rows])) - 2.0
+        return np.ceil(np.sqrt(np.maximum(meet, 0.0)) / step)[:, None] + np.arange(-3.0, 1.0)
+
+    # point 0 (l = step) of a usable row is certified: its search starts at
+    # point 1
+    usable = _normal(gm_u) & _normal(gm_e) & lead(step, gm_e, ceiling)
+    return _edges(usable.astype(int), np.where(usable, cut, 0), lambda rows, i: ~lead(
+        step + i * step, gm_e[rows, None], ceiling[rows, None]), around)
 
 
 def _separation_scan(step, first, last, positive):
-    """Walk every row's separation grid from index ``first`` toward
-    ``last``, which it does not reach, to its first positive point; 1-D
-    index arrays, either direction.
+    """Each row's turn: the index of the first positive point of its walk
+    over its separation grid from index ``first`` toward ``last``, which it
+    does not reach, -1 where there is none; 1-D index arrays, either
+    direction.
 
     ``positive(rows, l)`` is the sign test of the rows (an index array) at
     separations l, one row of l per row.  A walk starts as if after a
-    non-positive point, so its first positive point is its turn: the first
-    sign change, or the walk's first point.  The rows are chunked by the
-    points they walk.  Per chunk the walks run in lockstep rounds of
-    blocks, each twice the one before up to ``_SCAN_CHUNK`` points, the
-    first of ``_SCAN_BLOCK // rows`` points (at least one), so that the
-    first round's call holds about ``_SCAN_BLOCK`` points, as a step of
-    :func:`_edges` does: a round is one call over the next block of every
-    row without a turn so far, a shorter walk padded with its last point.
-    Returns each row's turn index k (-1 where there is none), and its grid
-    point at k and at the index walked before k (NaN where there is no such
-    point)."""
+    non-positive point, so its turn is the first sign change, or the walk's
+    first point.  The rows are chunked by the points they walk.  Per chunk
+    the walks run in lockstep rounds of blocks, each twice the one before
+    up to ``_SCAN_CHUNK`` points: a round is one call over the next block of
+    every row without a turn so far, a shorter walk padded with its last
+    point.  The first block is ``_SCAN_BLOCK`` points where a row of the
+    chunk walks from the grid's first point, and ``_CUT_BLOCK`` where each
+    walks from next to a cut, or ``_SCAN_BLOCK // rows`` points (at least
+    one) where that is fewer, so that the first round's call holds at most
+    about ``_SCAN_BLOCK`` points, as a step of :func:`_edges` does."""
     sign, length = np.sign(last - first), np.abs(last - first)
+    stop = length - 1
     # a row leaves at its first positive point or at its end
     k = np.full(first.shape, -1)
     for chunk in _chunks(length):
         rows = chunk.start + np.flatnonzero(length[chunk] > 0)
-        offset, size = 0, max(1, _SCAN_BLOCK // max(rows.size, 1))
+        if not rows.size:
+            continue
+        offset, size = 0, max(1, _SCAN_BLOCK // rows.size)
+        if size > _CUT_BLOCK and not (first[rows] == 0).any():
+            size = _CUT_BLOCK
         while rows.size:
-            walked = np.minimum(offset + np.arange(min(size, np.max(length[rows] - offset))),
-                                length[rows, None] - 1)
+            walked = np.minimum(offset + np.arange(min(size, np.max(length[rows]) - offset)),
+                                stop[rows, None])
             idx = first[rows, None] + sign[rows, None] * walked
             pos = positive(rows, step + idx * step)
             turned = pos.any(axis=1)
             k[rows[turned]] = idx[turned, np.argmax(pos[turned], axis=1)]
             rows = rows[~turned & (offset + size < length[rows])]
             offset, size = offset + size, min(2 * size, _SCAN_CHUNK)
-    before = k - sign
-    at = np.where(k >= 0, step + k * step, np.nan)
-    return k, at, np.where((k >= 0) & (before >= 0), step + before * step, np.nan)
+    return k
+
+
+def _where(condition, x, y):
+    """np.where(condition, x, y), and for a scalar condition the chosen
+    scalar itself: a one-row search selects without numpy's array
+    machinery, which costs more than the rest of a refinement step's
+    bookkeeping on numpy scalars."""
+    if isinstance(condition, np.bool_):
+        return x if condition else y
+    return np.where(condition, x, y)
 
 
 def _lead(unequal, equal, ratio, harvests):
@@ -434,7 +493,7 @@ def _lead(unequal, equal, ratio, harvests):
     sign of the concurrence difference and, unlike it, stays smooth where
     the non-identical pair starts to harvest: the crossover where the
     identical pair's concurrence is already zero."""
-    return np.where(harvests, ratio * unequal - equal, unequal)
+    return _where(harvests, ratio * unequal - equal, unequal)
 
 
 def _refine(f, lo, hi, positive_at_lo):
@@ -457,28 +516,38 @@ def _refine(f, lo, hi, positive_at_lo):
     cell to width 2 eps plus ``_NEWTON_SLACK``: the projection of ITP
     (Oliveira and Takahashi, ACM TOMS 47(1), 2020), which keeps the width
     after k steps at most 2 eps 2^(n - k), so a row takes at most n steps.
-    A row with lo = hi is left alone."""
+    A row with lo = hi is left alone.  f runs outside any ``np.errstate``:
+    the Newton step divides by NaN, not by a zero slope, and the row
+    bisects.  On 0-d inputs the loop runs on numpy scalars (:func:`_where`),
+    whose arithmetic has the bits of 0-d arrays' without their machinery."""
+    lo, hi = np.asarray(lo)[()], np.asarray(hi)[()]
     eps = 4.0 * np.spacing(lo)
-    n = np.ceil(np.log2(np.maximum((hi - lo) / (2.0 * eps), 1.0))) + _NEWTON_SLACK
+    two_eps = 2.0 * eps
+    n = np.ceil(np.log2(np.maximum((hi - lo) / two_eps, 1.0))) + _NEWTON_SLACK
+    # 2^(n - k) eps after k steps, halved at each: eps is a power of two,
+    # so every halving is exact
+    cap = eps * 2.0**n
     x = 0.5 * (lo + hi)
-    live = hi - lo > 2.0 * eps
-    iterations = np.zeros(np.shape(lo), dtype=int)
+    live = hi - lo > two_eps
+    iterations = np.zeros(np.shape(lo), dtype=int)[()]
     reach = eps
-    while live.any():
+    while np.count_nonzero(live):
         iterations += live
         value, slope = f(x)
-        move_lo = (value > 0.0) == positive_at_lo
-        lo = np.where(live & move_lo, x, lo)
-        hi = np.where(live & ~move_lo, x, hi)
-        live &= hi - lo > 2.0 * eps
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 and x/0 bisect
-            newton = x - value / slope
+        to_lo = live & ((value > 0.0) == positive_at_lo)
+        lo = _where(to_lo, x, lo)
+        hi = _where(live ^ to_lo, x, hi)
+        width = hi - lo
+        live &= width > two_eps
+        newton = x - value / _where(slope == 0.0, np.nan, slope)
         mid = 0.5 * (lo + hi)
-        reach = np.where(value == 0.0, 2.0 * reach, eps)
-        near = (lo - reach < newton) & (newton < hi + reach) & (hi - lo > 2.0 * reach)
-        guess = np.where(near, np.clip(newton, lo + reach, hi - reach), mid)
-        r = eps * 2.0 ** (n - iterations) - 0.5 * (hi - lo)
-        x = np.where(live, np.clip(guess, mid - r, mid + r), x)
+        reach = _where(value == 0.0, 2.0 * reach, eps)
+        near = (lo - reach < newton) & (newton < hi + reach) & (width > 2.0 * reach)
+        guess = _where(near, np.minimum(np.maximum(newton, lo + reach), hi - reach), mid)
+        cap = 0.5 * cap
+        r = cap - 0.5 * width
+        # a finished row's x no longer moves its bracket
+        x = np.minimum(np.maximum(guess, mid - r), mid + r)
     return lo, hi, iterations
 
 
@@ -527,15 +596,13 @@ def _blank(shape):
 def _batch(location, value, lo, hi, iterations, note, error):
     """Assemble a :class:`SearchBatch`, blanking the rows with an error."""
     ok = error == ""
-    return SearchBatch(
-        location=np.where(ok, location, np.nan),
-        value=np.where(ok, value, np.nan),
-        bracket=np.stack([np.where(ok, lo, np.nan), np.where(ok, hi, np.nan)], axis=-1),
-        iterations=np.where(ok, iterations, 0),
-        converged=ok,
-        note=np.where(ok, note, ""),
-        error=error,
-    )
+    location, value, iterations, note = (np.array(x) for x in (location, value, iterations, note))
+    bracket = np.stack([lo, hi], axis=-1)
+    failed = ~ok
+    if failed.any():
+        location[failed] = value[failed] = bracket[failed] = np.nan
+        iterations[failed], note[failed] = 0, ""
+    return SearchBatch(location, value, bracket, iterations, ok, note, error)
 
 
 def _single(batch):
@@ -569,8 +636,10 @@ def find_lmax_many(
         omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
     )
     # every row is scanned and refined in scaled form at unit coupling:
-    # |X|/E against sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2)
-    scaled_gm = _scaled_gm(a, d, 1.0)
+    # |X|/E against sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2); the gaps'
+    # brackets serve the value too
+    brackets = tuple(_probability_bracket(np.array([a, a + d])))
+    scaled_gm = _scaled_gm(a, d, 1.0, brackets)
     row_d, row_gm, row_n = (x.ravel() for x in (d, scaled_gm, n))
 
     def positive(rows, l):
@@ -579,15 +648,16 @@ def find_lmax_many(
     # the walk runs down from below the grid's end, its first certified point,
     # to the first positive point: a bracketing failure at a capped grid's last
     cut = _cuts(scan_step, row_n, row_gm, row_d)
-    k, at, above = _separation_scan(scan_step, cut - 1, np.full(cut.shape, -1), positive)
-    k = k.reshape(a.shape)
+    k = _separation_scan(scan_step, cut - 1, np.full(cut.shape, -1), positive).reshape(a.shape)
     error = _blank(a.shape)
     error[k < 0] = NoHarvestingRegion.__name__
     error[k == n - 1] = BracketingFailure.__name__
-    # a failed row sits at lo = hi, where the refinement leaves it alone
-    failed = error != ""
-    lo = np.where(failed, scan_step, at.reshape(a.shape))  # f(lo) > 0 >= f(hi)
-    hi = np.where(failed, scan_step, above.reshape(a.shape))
+    # a failed row sits at lo = hi = scan_step (point 0), where the
+    # refinement leaves it alone; f(lo) > 0 >= f(hi) on every other row
+    ok = error == ""
+    k = np.where(ok, k, 0)
+    lo = scan_step + k * scan_step
+    hi = np.where(ok, scan_step + (k + 1) * scan_step, lo)
 
     def f(l):
         x_abs, slope = _x_abs_slope(d, l)
@@ -595,8 +665,8 @@ def find_lmax_many(
 
     lo, hi, iterations = _refine(f, lo, hi, positive_at_lo=True)
     loc = 0.5 * (lo + hi)
-    return _batch(loc, _ingredients(a, d, loc, coupling)[3], lo, hi, iterations,
-                  _blank(a.shape), error)
+    return _batch(loc, _ingredients(a, d, loc, coupling, brackets=brackets)[3], lo, hi,
+                  iterations, _blank(a.shape), error)
 
 
 def find_lmax(
@@ -753,16 +823,19 @@ def find_crossover_many(
     Newton steps in lockstep.  A row without a crossover carries
     ``"NoCrossover"`` in ``error``.
     """
-    if np.any(np.asarray(delta_omega_sigma) <= 0):
+    if (np.asarray(delta_omega_sigma) <= 0).any():
         raise ValueError("delta_omega_sigma must be > 0 to compare against identical")
     a, d, n = _separation_problems(
         omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
     )
     # both pairs' sqrt(P~_A P~_B) at unit coupling, along a leading axis of
-    # two (leading, so that numpy's inner loops run along the points); the
-    # pairs' scales E differ by the ratio exp(-d(2a + d)/2)
-    ds = np.stack([d, np.zeros(d.shape)])
-    scaled_gms = _scaled_gm(a, ds, 1.0)
+    # two (leading, so that numpy's inner loops run along the points), from
+    # one bracket per gap, which serves the values too; the pairs' scales E
+    # differ by the ratio exp(-d(2a + d)/2)
+    ds = np.array([d, np.zeros(d.shape)])
+    bracket_a, bracket_b = _probability_bracket(np.array([a, a + d]))
+    brackets = bracket_a, np.array([bracket_b, bracket_a])
+    scaled_gms = _scaled_gm(a, ds, 1.0, brackets)
     ratio = np.exp(-d * (2.0 * a + d) / 2.0)
     row_d, row_ratio, row_n = (x.ravel() for x in (d, ratio, n))
     row_gms, row_ds = scaled_gms.reshape(2, -1), ds.reshape(2, -1)
@@ -776,14 +849,14 @@ def find_crossover_many(
     # certifies the non-identical concurrence 0: no sign change is left
     cut = _cuts(scan_step, row_n, row_gms[0], row_d)
     floor = _floors(scan_step, cut, row_gms, row_ratio, row_d)
-    k, at, below = _separation_scan(scan_step, floor, cut, positive)
-    k = k.reshape(a.shape)
+    k = _separation_scan(scan_step, floor, cut, positive).reshape(a.shape)
     error = _blank(a.shape)
     error[k < 0] = NoCrossover.__name__
     # a failed row, and one ahead from the grid's first point (k = 0), sits
-    # at lo = hi, where the refinement leaves it alone
-    hi = np.where(k < 0, scan_step, at.reshape(a.shape))
-    lo = np.where(k > 0, below.reshape(a.shape), hi)  # g(lo) <= 0 < g(hi)
+    # at lo = hi, where the refinement leaves it alone; g(lo) <= 0 < g(hi)
+    # on every other row
+    hi = scan_step + np.maximum(k, 0) * scan_step
+    lo = np.where(k > 0, scan_step + (k - 1) * scan_step, hi)
 
     def g(l):
         x_abs, slope = _x_abs_slope(ds, l)
@@ -795,8 +868,8 @@ def find_crossover_many(
     loc = 0.5 * (lo + hi)
     # one Faddeeva evaluation for both pairs at the location and for the
     # identical pair at the bracket's upper end, where the note is decided
-    b_re, b_im = _x_bracket(np.concatenate([ds, ds[1:]]), np.stack([loc, loc, hi]))[:2]
-    unequal, equal = _clamp(_ingredients(a, ds, loc, coupling,
+    b_re, b_im = _x_bracket(np.concatenate([ds, ds[1:]]), np.array([loc, loc, hi]))[:2]
+    unequal, equal = _clamp(_ingredients(a, ds, loc, coupling, brackets=brackets,
                                          x_bracket=(b_re[:2], b_im[:2]))[3])
     identical_at_hi = _over_scale(b_re[2], b_im[2], ds[1], hi, 1.0)[0] - scaled_gms[1]
     note = np.where(identical_at_hi > 0.0, "",

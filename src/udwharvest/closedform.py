@@ -255,7 +255,7 @@ def transition_probability(omega_sigma, coupling):
     representable; beyond x ~ 27.5 it underflows to the correctly rounded
     zero.  Accepts arrays.
     """
-    return _scalar(_probability_terms(omega_sigma, coupling)[0])
+    return _scalar(_probability(omega_sigma, _probability_bracket(omega_sigma), coupling))
 
 
 def _scalar(v):
@@ -269,22 +269,27 @@ def _scalar(v):
 _SCALED_BELOW = 2.0**-511
 
 
-def _probability_terms(x, coupling):
-    """(P, 1 - sqrt(pi)|x| erfcx(|x|)) at gaps x, as arrays: P as
-    :func:`transition_probability` gives it, and the bracket it shares with
-    the scaled probability (:func:`_scaled_probability`)."""
+def _probability_bracket(x):
+    """1 - sqrt(pi)|x| erfcx(|x|) at gaps x, as an array: the bracket that P
+    (:func:`_probability`) and the scaled P~ (:func:`_scaled_probability`)
+    share, and their one erfcx evaluation."""
+    ax = np.abs(np.asarray(x, dtype=float))
+    return 1.0 - _SQRT_PI * ax * erfcx_real(ax)
+
+
+def _probability(x, bracket, coupling):
+    """P at gaps x, as :func:`transition_probability` gives it, from their
+    bracket (:func:`_probability_bracket`), as an array."""
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
-    bracket = 1.0 - _SQRT_PI * ax * erfcx_real(ax)
     core = np.exp(-ax * ax) * bracket
     # erfc(-x) = 2 - erfc(x) adds a linear term for inverted gaps
-    p = coupling**2 * (core / (4.0 * np.pi) + np.where(x < 0, ax / (2.0 * _SQRT_PI), 0.0))
-    return p, bracket
+    return coupling**2 * (core / (4.0 * np.pi) + np.where(x < 0, ax / (2.0 * _SQRT_PI), 0.0))
 
 
 def _scaled_probability(x, bracket, coupling):
     """P~ = P exp(x^2) = coupling^2 (1 - sqrt(pi) x erfcx(x))/4 pi at gaps
-    x from the bracket :func:`_probability_terms` returns: of order 1/x^2
+    x from their bracket (:func:`_probability_bracket`): of order 1/x^2
     where P underflows.  The bracket loses about 1e-12 relative at x = 100
     and 3e-8 at 1e4, so from x = 50 on P~ is the 7-term series sum_m
     (-1)^(m+1) (2m-1)!!/(2x^2)^m (DLMF 7.12.1), exact to rounding there.
@@ -303,13 +308,12 @@ def _scaled_probability(x, bracket, coupling):
 def _scaled_gm(a, d, coupling, brackets=(None, None)):
     """sqrt(P~_A P~_B) for the gaps a and b = a + d (:func:`_scaled_probability`):
     sqrt(P_A P_B) divided by E = exp(-(a^2 + b^2)/2), representable at any
-    gaps the domain admits.  ``brackets`` holds the gaps' brackets from
-    :func:`_probability_terms` that the caller has, None for the others."""
+    gaps the domain admits.  ``brackets`` holds the gaps' brackets
+    (:func:`_probability_bracket`) that the caller has, None for the others."""
     a = np.asarray(a, dtype=float)
     b = a + np.asarray(d, dtype=float)
     scaled_a, scaled_b = (
-        _scaled_probability(x, _probability_terms(x, coupling)[1] if bracket is None else bracket,
-                            coupling)
+        _scaled_probability(x, _probability_bracket(x) if bracket is None else bracket, coupling)
         for x, bracket in zip((a, b), brackets))
     return np.sqrt(scaled_a * scaled_b)
 
@@ -374,7 +378,7 @@ def _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, x_bracket
     a = np.asarray(omega_a_sigma, dtype=float)
     d = np.asarray(delta_omega_sigma, dtype=float)
     l = np.asarray(l_over_sigma, dtype=float)
-    if np.any(l <= 0):
+    if (l <= 0).any():
         raise ValueError("l_over_sigma must be > 0 (zero separation diverges)")
     # X is assembled from real parts around a real prefactor: numpy rounds
     # complex division, scalar ``** 2`` and (through fused multiply-adds)
@@ -475,13 +479,14 @@ def _scaled_x_envelope(d, l):
     0.1 % of |X|/E.  Costs no Faddeeva evaluation.  Arrays d, l
     broadcast."""
     ll, dd = l * l, d * d
-    inv = 2.0 / np.sqrt(ll + dd)  # 1/|z|
+    rho2 = ll + dd
+    inv = 2.0 / np.sqrt(rho2)  # 1/|z|
     # 1/|z|^3 as a cube of 1/|z|, which underflows to 0 at large |z|; capped
     # at 1/|z| = 2, where the third-order bound already exceeds 1, so that it
     # does not overflow at small |z| either
     cube = np.minimum(inv, 2.0)
     cube = cube * cube * cube
-    third = (2.0 / _SQRT_PI) * l / (ll + dd) + _ZW3_BOUND * cube
+    third = (2.0 / _SQRT_PI) * l / rho2 + _ZW3_BOUND * cube
     w_bound = np.minimum(np.minimum(1.0, _ZW_BOUND * inv), third)
     return (w_bound + np.exp((dd - ll) / 4.0)) / (4.0 * _SQRT_PI) / l
 
@@ -510,10 +515,12 @@ def correlation_x(cfg: DetectorPairConfig) -> complex:
 
 
 def _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, p_a=None,
-                 x_bracket=None):
+                 brackets=(None, None), x_bracket=None):
     """(P_A, P_B, X, |X| - sqrt(P_A P_B)) for raw parameter arrays, from one
     Faddeeva evaluation per point: every excess the package reports is
     assembled here.  ``p_a`` is P_A as an array where the caller has it,
+    ``brackets`` the brackets of the gaps a and b = a + d
+    (:func:`_probability_bracket`) that it has, None for the others, and
     ``x_bracket`` (Re B, Im B) as :func:`_x_terms` takes it.  Where P_A P_B
     is not a normal double (sqrt(P_A P_B) below ``_SCALED_BELOW``) the
     excess is E S, for the scaled excess S = |X|/E - sqrt(P~_A P~_B)
@@ -525,11 +532,15 @@ def _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, p_a=N
     admitted domain, the excess stays |X| - sqrt(P_A P_B)."""
     a = np.asarray(omega_a_sigma, dtype=float)
     d = np.asarray(delta_omega_sigma, dtype=float)
-    bracket_a = None
-    if p_a is None:
-        p_a, bracket_a = _probability_terms(a, coupling)
     b = a + d
-    p_b, bracket_b = _probability_terms(b, coupling)
+    bracket_a, bracket_b = brackets
+    if p_a is None:
+        if bracket_a is None:
+            bracket_a = _probability_bracket(a)
+        p_a = _probability(a, bracket_a, coupling)
+    if bracket_b is None:
+        bracket_b = _probability_bracket(b)
+    p_b = _probability(b, bracket_b, coupling)
     gm = np.sqrt(p_a * p_b)
     x, b_re, b_im = _x_terms(a, d, l_over_sigma, coupling, x_bracket)
     excess = np.abs(x) - gm

@@ -584,7 +584,8 @@ class TestAgainstScalarLoops:
         _assert_refines(_result(find_crossover, a, d, scan_bound=bound, scan_step=step), want)
 
     # explore's slowest crossovers walked 11 588, 7 732 and 5 586 points up
-    # from the grid's start; their lower cuts lie 2-5 points below the turn
+    # from the grid's start; their lower cuts lie 2-5 points below the turn,
+    # so the walk's first block from the cut holds it
     @pytest.mark.parametrize("a, d", [(39.7480425277298, 25.344339009657954),
                                       (31.098175648818987, 5.154346003902834),
                                       (21.03844208924844, 7.056636712663124)])
@@ -592,7 +593,7 @@ class TestAgainstScalarLoops:
         calls = _closed_form_calls(monkeypatch)
         result = find_crossover(a, d)
         walked = [np.size(l) for name, _, l in calls if name == "_x_abs"]
-        assert result.converged and len(walked) == 1 and walked[0] <= analysis._SCAN_BLOCK
+        assert result.converged and walked == [analysis._CUT_BLOCK]
 
     def test_find_lmax_evaluates_under_half_its_grid(self, monkeypatch):
         # bound 10, 1000 points; the root near 2.63 lies just below the
@@ -749,14 +750,14 @@ class TestLargeGaps:
 
     def test_scaled_rows_evaluate_a_few_blocks(self, monkeypatch):
         # the scaled certificate ends the grid near the root: (30, 0) walks
-        # one block, 256 of the 6 007 points below its cut (three blocks
-        # under the first-order envelope), where the unscaled scan walked
-        # every point of a 24 000-point grid
+        # one block, 32 of the 6 007 points below its cut (three blocks of
+        # 256 under the first-order envelope), where the unscaled scan
+        # walked every point of a 24 000-point grid
         calls = _closed_form_calls(monkeypatch)
         res = find_lmax(30.0, 0.0)
         assert abs(res.location - 60.0666) <= 5e-5
         walked = sum(np.size(l) for name, _, l in calls if name == "_x_abs")
-        assert walked <= analysis._SCAN_BLOCK
+        assert walked == analysis._CUT_BLOCK
 
     # the cut lies 1-3 points above the root, so the walk's first block holds
     # it, and the rest is the refinement's 4-5 points and the value's; the
@@ -769,8 +770,8 @@ class TestLargeGaps:
         monkeypatch.setattr(closedform, "faddeeva_w",
                             lambda z: points.append(np.size(z)) or original(z))
         res = find_lmax(a, d)
-        assert res.converged and sum(points) <= 262
-        assert points[0] == analysis._SCAN_BLOCK and points[1:] == [1] * (len(points) - 1)
+        assert res.converged and sum(points) <= analysis._CUT_BLOCK + 6
+        assert points[0] == analysis._CUT_BLOCK and points[1:] == [1] * (len(points) - 1)
 
     def test_a_batch_over_large_gaps_matches_one_problem_calls(self):
         rng = np.random.default_rng(17)
@@ -815,7 +816,7 @@ class TestCertifiedEnd:
                             lambda z: points.append(np.size(z)) or original(z))
         res = find_lmax(3e4, 0.0)
         assert abs(res.location - 60000.0000667) <= 1e-7
-        assert points[0] == analysis._SCAN_BLOCK and sum(points) <= 262
+        assert points[0] == analysis._CUT_BLOCK and sum(points) <= analysis._CUT_BLOCK + 6
         _assert_exact_sign_change(lambda l: _mp_excess(3e4, 0.0, l), res.bracket, True)
 
     def test_only_a_bound_below_the_end_gives_a_bracketing_failure(self):
@@ -1321,7 +1322,8 @@ class TestChunkedScanCalls:
         # the walk starts at the lower cut of the per-point mask and ends at
         # its cut or with the block that holds the first positive point; a
         # chunk's first block is _SCAN_BLOCK // rows points of each of the
-        # rows that walk
+        # rows that walk, or _CUT_BLOCK where that is fewer and each of them
+        # starts from a lower cut above the grid's first point
         a, d, bound = _crossover_rows()
         ends, walks, floors = [], [], []
         for x, y, b in zip(a, d, bound):
@@ -1336,7 +1338,10 @@ class TestChunkedScanCalls:
         chunks = list(analysis._chunks(walks))
         blocks = np.zeros(a.size, dtype=int)
         for c in chunks:
-            size = analysis._SCAN_BLOCK // max(np.count_nonzero(np.array(walks[c]) > 0), 1)
+            walking = np.array(walks[c]) > 0
+            size = analysis._SCAN_BLOCK // max(np.count_nonzero(walking), 1)
+            if (np.array(floors[c])[walking] > 0).all():
+                size = min(size, analysis._CUT_BLOCK)
             blocks[c] = [_blocks(size, end - floor) for floor, end in zip(floors[c], ends[c])]
         rounds = [max(blocks[c]) for c in chunks]
         assert any(c.stop - c.start > 1 and r > 1 for c, r in zip(chunks, rounds))
@@ -1457,6 +1462,49 @@ def _envelope_shapes(monkeypatch):
     monkeypatch.setattr(analysis, "_scaled_x_envelope",
                         lambda d, l: shapes.append(np.shape(l)) or original(d, l))
     return shapes
+
+
+class TestOneProblemPath:
+    """A one-problem walk that starts next to a cut, down from the upper
+    cut (find_lmax) or up from a lower cut above the grid's first point
+    (find_crossover), has a first block of _CUT_BLOCK separations: nearly
+    every turn lies within a few points of the cut.  A walk from the
+    grid's first point keeps _SCAN_BLOCK.  Each search evaluates erfcx
+    once per distinct gap: the brackets that decide the walk serve the
+    value too."""
+
+    @pytest.mark.parametrize("search", [find_lmax, find_crossover])
+    def test_a_walk_from_a_cut_starts_with_a_short_block(self, monkeypatch, search):
+        # explore's kind of row; every crossover among them has a lower cut
+        floors = []
+        original = analysis._floors
+        monkeypatch.setattr(analysis, "_floors",
+                            lambda *args: floors.append(original(*args)) or floors[-1])
+        calls = _closed_form_calls(monkeypatch)
+        rng = np.random.default_rng(26)
+        for a, d in zip(rng.uniform(0.0, 40.0, 12), rng.uniform(1e-3, 35.0, 12)):
+            calls.clear()
+            assert _result(search, a, d).converged
+            walked = [np.size(l) for name, _, l in calls if name == "_x_abs"]
+            assert 0 < walked[0] <= analysis._CUT_BLOCK
+        assert all(floor > 0 for floor in floors)
+
+    def test_a_walk_from_the_grids_first_point_keeps_a_full_block(self, monkeypatch):
+        # no lower cut: the turn lies 157 points up the grid, in one call
+        calls = _closed_form_calls(monkeypatch)
+        find_crossover(0.5, 0.25)
+        assert [np.size(l) for name, _, l in calls if name == "_x_abs"] == [analysis._SCAN_BLOCK]
+
+    @pytest.mark.parametrize("search", [find_lmax, find_crossover])
+    @pytest.mark.parametrize("a, d", [(0.5, 0.25), (20.0, 5.0)])
+    def test_one_erfcx_evaluation_per_gap(self, monkeypatch, search, a, d):
+        # (20, 5) is decided and valued in scaled form: P_A P_B underflows
+        gaps = []
+        original = closedform.erfcx_real
+        monkeypatch.setattr(closedform, "erfcx_real",
+                            lambda x: gaps.extend(np.ravel(x)) or original(x))
+        search(a, d)
+        assert sorted(gaps) == [a, a + d]
 
 
 class TestLastEvaluation:

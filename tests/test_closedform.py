@@ -33,7 +33,7 @@ from udwharvest import (
 )
 from udwharvest import analysis
 from udwharvest.closedform import (
-    _SCALED_BELOW, _ZW3_BOUND, _ZW_BOUND, _clamp, _ingredients, _probability_terms, _scaled_gm,
+    _SCALED_BELOW, _ZW3_BOUND, _ZW_BOUND, _clamp, _ingredients, _probability_bracket, _scaled_gm,
     _scaled_probability, _scaled_x_envelope, _scaled_x_floor, _x_abs, _x_abs_slope, _x_bracket,
 )
 
@@ -508,12 +508,13 @@ class TestScalarArrayBitwise:
 
 
 class TestIngredientCaches:
-    """The caches _ingredients takes, a row's P_A and X's bracket gathered
-    from a grid shared by rows with equal (separation, gap bound), change
-    none of its four fields' bits, wherever P_A P_B is a normal double, is
-    subnormal or underflows to zero."""
+    """The caches _ingredients takes, a row's P_A, the gaps' probability
+    brackets and X's bracket gathered from a grid shared by rows with equal
+    (separation, gap bound), change none of its four fields' bits, wherever
+    P_A P_B is a normal double, is subnormal or underflows to zero."""
 
-    @pytest.mark.parametrize("cache", ["p_a", "x_bracket", "both"])
+    @pytest.mark.parametrize("cache", ["p_a", "x_bracket", "both", "brackets",
+                                       "brackets+x_bracket"])
     @pytest.mark.parametrize("lam", [0.1, 1.0])
     def test_caches_keep_every_bit(self, lam, cache):
         rng = np.random.default_rng(25)
@@ -527,9 +528,10 @@ class TestIngredientCaches:
         b_re, b_im = _x_bracket(grid, ls[:, None])[:2]
         d, l = grid[run], ls[run, None]
         p_a = transition_probability(a[:, 0], lam)[:, None]
-        kwargs = {"p_a": p_a, "x_bracket": (b_re[run], b_im[run])}
-        if cache != "both":
-            kwargs = {cache: kwargs[cache]}
+        brackets = _probability_bracket(a), _probability_bracket(a + d)
+        kwargs = {"p_a": p_a, "brackets": brackets, "x_bracket": (b_re[run], b_im[run])}
+        keys = ["p_a", "x_bracket"] if cache == "both" else cache.split("+")
+        kwargs = {key: kwargs[key] for key in keys}
         want = _ingredients(a, d, l, lam)
         got = _ingredients(a, d, l, lam, **kwargs)
         for field, value, expected in zip(("p_a", "p_b", "x", "excess"), got, want):
@@ -606,7 +608,7 @@ class TestScaledExcess:
     def test_scaled_probability(self, x):
         with mp.workdps(50):
             want = _textbook_p(x, 0.1) * mp.exp(mp.mpf(x) ** 2)
-            got = _scaled_probability(x, _probability_terms(x, 0.1)[1], 0.1)
+            got = _scaled_probability(x, _probability_bracket(x), 0.1)
             assert abs(got - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("a, d", [(20.0, 0.0), (15.36, 6.33), (4.5, 34.6), (40.0, 35.0)])

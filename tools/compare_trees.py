@@ -18,7 +18,18 @@ The set covers what the package reports:
   l in [0.05, 120], and over a in [0, 3], d in (0, 8] and l in [0.05, 12],
   at couplings 0.1 and 1;
 * one-problem calls of each search at six rows, among them the row of
-  explore seed 1's failed check;
+  explore seed 1's failed check, and at six named rows that take the
+  separation searches' longer paths:
+  - (22.100854834257316, 0.08112977215348849): a crossover walk of 4 428
+    points from the grid's first point;
+  - (1e3, 1) and (3e4, 0): find_lmax cut searches of four envelope calls;
+  - (2000, 1e-3): a crossover walk over more than 40 chunks;
+  - (0.01, 0.01): a crossover refinement of 58 Newton steps;
+  - (4.5088116955865685, 34.61449538201831): a crossover where the ratio
+    of the pairs' scales underflows;
+* one-problem calls of each search at 40 stratified rows (seed 26) over
+  explore's domain: a in [0, 40], d in [0, 35] (in (0, 35] for crossovers), and l
+  from 0.05 to max(4a, 4) for the gap search;
 * a sweep per axis, 2 000 ``concurrence_values`` and ``correlation_excess``
   rows per coupling, and 50 ``concurrence`` reports;
 * the data sections (all but the manifest, which carries a timestamp) of
@@ -42,6 +53,12 @@ import warnings
 # gap search
 ROWS = ((0.5, 0.25), (20.0, 5.0), (35.0, 30.0), (3.0, 12.0), (0.70, 1.94),
         (21.871735800415525, 43.83058180105828))
+# one-problem rows that take the searches' longer paths (the module's
+# docstring says which)
+NAMED_ROWS = ((22.100854834257316, 0.08112977215348849), (1e3, 1.0), (3e4, 0.0),
+              (2000.0, 1e-3), (0.01, 0.01), (4.5088116955865685, 34.61449538201831))
+# stratified one-problem rows per search
+STRATIFIED_ROWS = 40
 SURVEY_GAPS = SURVEY_RATIOS = (0.2, 0.5, 1.0, 1.2)
 COUPLINGS = (0.1, 1.0)
 # (name, a range, upper end of d's range, l range) of the batches
@@ -90,6 +107,23 @@ def _outcome(call, *args, **kwargs):
         return f"raises {type(exc).__name__}: {exc}"
 
 
+def _stratified_rows(rng, n):
+    """(search name, n rows) for each search over explore's domain, each
+    variable drawn once per equal-width stratum, shuffled."""
+    import numpy as np
+
+    def stratified(lo, hi):
+        return lo + (hi - lo) * (rng.permutation(n) + rng.random(n)) / n
+
+    a, d = stratified(0.0, 40.0), stratified(0.0, 35.0)
+    yield "find_lmax", list(zip(a.tolist(), d.tolist()))
+    a, d = stratified(0.0, 40.0), 35.0 - stratified(0.0, 35.0)  # in (0, 35]
+    yield "find_crossover", list(zip(a.tolist(), d.tolist()))
+    a = stratified(0.0, 40.0)
+    l = 0.05 + stratified(0.0, 1.0) * (np.maximum(4.0 * a, 4.0) - 0.05)
+    yield "find_optimal_gap", list(zip(a.tolist(), l.tolist()))
+
+
 def _cli_data(argv):
     """The JSON record ``cli.main`` writes for ``argv``, less its manifest."""
     from udwharvest import cli
@@ -128,9 +162,12 @@ def _outputs():
             out[f"{key}/find_crossover_many"] = analysis.find_crossover_many(a, d, coupling)
             out[f"{key}/find_optimal_gap_many"] = analysis.find_optimal_gap_many(a, l, coupling)
 
-    for x, y in ROWS:
+    for x, y in ROWS + NAMED_ROWS:
         for search in (analysis.find_lmax, analysis.find_crossover, analysis.find_optimal_gap):
             out[f"one-problem/{search.__name__}/{x!r}/{y!r}"] = _outcome(search, x, y)
+    for search, rows in _stratified_rows(np.random.default_rng(26), STRATIFIED_ROWS):
+        for i, (x, y) in enumerate(rows):
+            out[f"stratified/{search}/{i}"] = _outcome(getattr(analysis, search), x, y)
 
     fixed = closedform.DetectorPairConfig(0.5, 0.25, 1.0)
     for axis, values in (("l_over_sigma", np.linspace(0.05, 60.0, 500)),

@@ -1,0 +1,101 @@
+"""Time the one-problem searches of two checkouts of udwharvest side by side.
+
+    python tools/search_latency.py PARENT_CHECKOUT CHANGE_CHECKOUT
+
+Each checkout's ``src/udwharvest`` is copied into a temporary directory
+under a package name of its own (``udwharvest_parent``,
+``udwharvest_change``), and both are imported into this one interpreter;
+the package imports itself only relatively, so each copy runs its own code.
+The rows are explore's searches for seeds 1-3, taken from the benchmark's
+own workload (``perfbench/workloads.py`` next to this tool): 40 problems of
+each of ``find_lmax``, ``find_optimal_gap`` and ``find_crossover`` per
+seed.  Every row is called once per tree to warm up, and the two outcomes
+(the repr of the result's fields, or the class and message raised) must
+be equal.  Then each row is timed 9 times per tree, one call at a time,
+the trees alternating and their order flipping at each repeat, so that the
+machine's drift falls on both alike.  A row's time is the minimum of its
+repeats, a raised search error included.
+
+Prints, per search and over all of them, the median of the rows' times
+for each tree and the change/parent ratio of those medians.  Exits 1 if
+an outcome differs, else 0.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+import warnings
+
+SEEDS = (1, 2, 3)
+REPEATS = 9
+TREES = ("parent", "change")
+
+
+def _import(tree, name, tmp):
+    """The checkout ``tree``'s package, copied to ``tmp`` as ``name``."""
+    shutil.copytree(os.path.join(tree, "src", "udwharvest"), os.path.join(tmp, name),
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
+
+
+def _outcome(call):
+    """A search's result as the repr of its fields, or the class and message
+    of what it raised."""
+    try:
+        return repr(dataclasses.astuple(call()))
+    except Exception as exc:  # every outcome is compared, raised or returned
+        return f"raises {type(exc).__name__}: {exc}"
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench.workloads import Explore
+
+    warnings.simplefilter("ignore")
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        pkgs = [_import(tree, f"udwharvest_{name}", tmp) for tree, name in zip(argv, TREES)]
+        rows = [row for seed in SEEDS for row in Explore(seed, pkgs[0], tmp).searches]
+        calls = [[(lambda f=getattr(pkg.analysis, kind), x=x, y=y: f(x, y)) for pkg in pkgs]
+                 for kind, x, y in rows]
+        differ = 0
+        for (kind, x, y), pair in zip(rows, calls):
+            parent, change = (_outcome(call) for call in pair)
+            if parent != change:
+                differ += 1
+                print(f"differs: {kind}({x!r}, {y!r})")
+        best = [[float("inf")] * len(rows) for _ in TREES]
+        clock = time.perf_counter
+        for rep in range(REPEATS):
+            order = (0, 1) if rep % 2 == 0 else (1, 0)
+            for i, pair in enumerate(calls):
+                for t in order:
+                    start = clock()
+                    try:
+                        pair[t]()
+                    except Exception:  # a raised search error is an outcome too
+                        pass
+                    best[t][i] = min(best[t][i], clock() - start)
+    print(f"{len(rows)} rows (seeds {SEEDS[0]}-{SEEDS[-1]}), minimum of {REPEATS} calls "
+          "per row and tree; median over rows in ms")
+    print(f"{'search':18s} {'rows':>5s} {'parent':>9s} {'change':>9s} {'ratio':>7s}")
+    kinds = sorted({kind for kind, _, _ in rows}) + ["all"]
+    for kind in kinds:
+        index = [i for i, row in enumerate(rows) if kind in ("all", row[0])]
+        parent, change = (statistics.median(best[t][i] for i in index) * 1e3 for t in (0, 1))
+        print(f"{kind:18s} {len(index):5d} {parent:9.4f} {change:9.4f} {change / parent:7.3f}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
