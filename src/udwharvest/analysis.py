@@ -91,16 +91,21 @@ rows in one envelope call per step, then chunk consecutive rows by the
 points they walk: a chunk is one closed-form call per round of blocks
 over the rows that have not found their answer yet, each row walking its
 own next block.  Then all rows are refined in lockstep: one closed-form
-array call per Newton or golden-section step, with each finished row's
-bracket frozen in place.  A row where the one-problem search would raise
+array call per Newton or golden-section step (two for a crossover's
+Newton step, one per pair), with each finished row's bracket frozen in
+place.  A row where the one-problem search would raise
 carries NaN and the exception's class name in ``error``, so one failing
 problem cannot abort a grid; gaps, a separation or a coupling outside the
 scenario domain raise ValueError, for the whole batch.  The one-problem
-functions run the same core on 0-d inputs, as chunks of one row whose
-refinement runs on numpy scalars, and raise as before; they keep
-returning a :class:`SearchResult` of Python numbers, because callers
-(the benchmark's tracer among them) read its fields as scalars, so arrays
-get their own names.
+functions run the same core on 0-d inputs, as chunks of one row, and
+raise as before.  Their gaps are numpy scalars from the start, so the
+refinement, each of its closed-form calls and the final value run on
+numpy scalars, which keep the bits of 0-d arrays at a fraction of their
+cost (:mod:`~udwharvest.closedform`'s rule for 0-d values); the cut
+search and the walk run on one-row arrays.  They keep returning a
+:class:`SearchResult` of Python numbers, because callers (the
+benchmark's tracer among them) read its fields as scalars, so arrays get
+their own names.
 
 :func:`sweep` evaluates the closed-form pipeline over one axis of the
 scenario with one array call; points outside the admitted domain are
@@ -127,6 +132,7 @@ from .closedform import (
     _scaled_gm,
     _scaled_x_envelope,
     _scaled_x_floor,
+    _where,
     _x_abs,
     _x_abs_slope,
     _x_bracket,
@@ -259,7 +265,8 @@ def _check_domain(a, d, l, coupling):
 
 
 def _separation_problems(omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step):
-    """Broadcast (a, d) and each row's grid size, uncapped ``_GRID_POINTS``."""
+    """Broadcast (a, d), numpy scalars for one problem, and each row's grid
+    size, uncapped ``_GRID_POINTS``."""
     a, d = np.broadcast_arrays(
         np.asarray(omega_a_sigma, dtype=float), np.asarray(delta_omega_sigma, dtype=float)
     )
@@ -268,12 +275,12 @@ def _separation_problems(omega_a_sigma, delta_omega_sigma, coupling, scan_bound,
     if not 0.0 < limit < np.inf:
         raise ValueError("need scan_step > 0 with scan_step*2^52 finite")
     if scan_bound is None:
-        return a, d, np.full(a.shape, _GRID_POINTS)
+        return a[()], d[()], np.full(a.shape, _GRID_POINTS)
     a, d, bound = np.broadcast_arrays(a, d, np.asarray(scan_bound, dtype=float))
     if not np.all((bound > scan_step) & (bound <= limit)):
         raise ValueError(f"scan_bound must be finite, above scan_step and at most scan_step*2^52"
                          f" = {limit:.6g}: past it the grid points stop being distinct doubles")
-    return a, d, _grid_size(bound, scan_step)
+    return a[()], d[()], _grid_size(bound, scan_step)
 
 
 def _grid_size(bound, step):
@@ -472,14 +479,13 @@ def _separation_scan(step, first, last, positive):
     return k
 
 
-def _where(condition, x, y):
-    """np.where(condition, x, y), and for a scalar condition the chosen
-    scalar itself: a one-row search selects without numpy's array
-    machinery, which costs more than the rest of a refinement step's
-    bookkeeping on numpy scalars."""
-    if isinstance(condition, np.bool_):
-        return x if condition else y
-    return np.where(condition, x, y)
+def _clip(x, low, high):
+    """np.minimum(np.maximum(x, low), high), and for a numpy scalar x the
+    same value through Python's max and min, which cost a fraction of a
+    ufunc call on it; a NaN x stays NaN either way."""
+    if isinstance(x, np.generic):
+        return min(max(x, low), high)
+    return np.minimum(np.maximum(x, low), high)
 
 
 def _lead(unequal, equal, ratio, harvests):
@@ -518,7 +524,9 @@ def _refine(f, lo, hi, positive_at_lo):
     after k steps at most 2 eps 2^(n - k), so a row takes at most n steps.
     A row with lo = hi is left alone.  f runs outside any ``np.errstate``:
     the Newton step divides by NaN, not by a zero slope, and the row
-    bisects.  On 0-d inputs the loop runs on numpy scalars (:func:`_where`),
+    bisects.  On 0-d inputs the loop runs on numpy scalars, selecting
+    through :func:`~udwharvest.closedform._where` and :func:`_clip`, and
+    calls f on them; f is to keep them scalars, as the closed forms do,
     whose arithmetic has the bits of 0-d arrays' without their machinery."""
     lo, hi = np.asarray(lo)[()], np.asarray(hi)[()]
     eps = 4.0 * np.spacing(lo)
@@ -543,11 +551,11 @@ def _refine(f, lo, hi, positive_at_lo):
         mid = 0.5 * (lo + hi)
         reach = _where(value == 0.0, 2.0 * reach, eps)
         near = (lo - reach < newton) & (newton < hi + reach) & (width > 2.0 * reach)
-        guess = _where(near, np.minimum(np.maximum(newton, lo + reach), hi - reach), mid)
+        guess = _where(near, _clip(newton, lo + reach, hi - reach), mid)
         cap = 0.5 * cap
         r = cap - 0.5 * width
         # a finished row's x no longer moves its bracket
-        x = np.minimum(np.maximum(guess, mid - r), mid + r)
+        x = _clip(guess, mid - r, mid + r)
     return lo, hi, iterations
 
 
@@ -858,9 +866,14 @@ def find_crossover_many(
     hi = scan_step + np.maximum(k, 0) * scan_step
     lo = np.where(k > 0, scan_step + (k - 1) * scan_step, hi)
 
+    gm_u, gm_e = scaled_gms
+
     def g(l):
-        x_abs, slope = _x_abs_slope(ds, l)
-        (unequal, equal), (slope_u, slope_i) = x_abs - scaled_gms, slope
+        # one call per pair: on one problem, two calls on numpy scalars cost
+        # less than one on the pairs stacked in a (2,) array
+        unequal, slope_u = _x_abs_slope(d, l)
+        equal, slope_i = _x_abs_slope(0.0, l)
+        unequal, equal = unequal - gm_u, equal - gm_e
         harvests = equal > 0.0
         return _lead(unequal, equal, ratio, harvests), _lead(slope_u, slope_i, ratio, harvests)
 

@@ -269,22 +269,35 @@ def _scalar(v):
 _SCALED_BELOW = 2.0**-511
 
 
+# A 0-d value flows through the private helpers as a numpy scalar, which
+# np.asarray(x, dtype=float)[()] gives (an array it leaves as it is): numpy
+# computes on a scalar without its array machinery, in a fraction of the
+# time, and with the bits of a 0-d array (see _x_terms).  Python floats
+# would leave numpy's exp and complex loops, and raise where numpy warns.
+def _where(condition, x, y):
+    """np.where(condition, x, y), and for a scalar condition the chosen
+    value itself, so that a 0-d value stays a numpy scalar."""
+    if isinstance(condition, np.bool_):
+        return x if condition else y
+    return np.where(condition, x, y)
+
+
 def _probability_bracket(x):
-    """1 - sqrt(pi)|x| erfcx(|x|) at gaps x, as an array: the bracket that P
+    """1 - sqrt(pi)|x| erfcx(|x|) at gaps x: the bracket that P
     (:func:`_probability`) and the scaled P~ (:func:`_scaled_probability`)
     share, and their one erfcx evaluation."""
-    ax = np.abs(np.asarray(x, dtype=float))
+    ax = np.abs(np.asarray(x, dtype=float)[()])
     return 1.0 - _SQRT_PI * ax * erfcx_real(ax)
 
 
 def _probability(x, bracket, coupling):
     """P at gaps x, as :func:`transition_probability` gives it, from their
-    bracket (:func:`_probability_bracket`), as an array."""
-    x = np.asarray(x, dtype=float)
+    bracket (:func:`_probability_bracket`)."""
+    x = np.asarray(x, dtype=float)[()]
     ax = np.abs(x)
     core = np.exp(-ax * ax) * bracket
     # erfc(-x) = 2 - erfc(x) adds a linear term for inverted gaps
-    return coupling**2 * (core / (4.0 * np.pi) + np.where(x < 0, ax / (2.0 * _SQRT_PI), 0.0))
+    return coupling**2 * (core / (4.0 * np.pi) + _where(x < 0, ax / (2.0 * _SQRT_PI), 0.0))
 
 
 def _scaled_probability(x, bracket, coupling):
@@ -294,14 +307,14 @@ def _scaled_probability(x, bracket, coupling):
     and 3e-8 at 1e4, so from x = 50 on P~ is the 7-term series sum_m
     (-1)^(m+1) (2m-1)!!/(2x^2)^m (DLMF 7.12.1), exact to rounding there.
     The scaled excess takes no inverted gap x < 0, and P~ is NaN there."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)[()]
     if (x >= 50.0).any():
         t = 0.5 / np.maximum(x * x, 2500.0)
         series = t * (1.0 - t * (3.0 - t * (15.0 - t * (105.0 - t * (945.0 - t * (
             10395.0 - t * 135135.0))))))
-        bracket = np.where(x >= 50.0, series, bracket)
+        bracket = _where(x >= 50.0, series, bracket)
     if (x < 0).any():
-        bracket = np.where(x < 0, np.nan, bracket)
+        bracket = _where(x < 0, np.nan, bracket)
     return coupling**2 / (4.0 * np.pi) * bracket
 
 
@@ -310,8 +323,8 @@ def _scaled_gm(a, d, coupling, brackets=(None, None)):
     sqrt(P_A P_B) divided by E = exp(-(a^2 + b^2)/2), representable at any
     gaps the domain admits.  ``brackets`` holds the gaps' brackets
     (:func:`_probability_bracket`) that the caller has, None for the others."""
-    a = np.asarray(a, dtype=float)
-    b = a + np.asarray(d, dtype=float)
+    a = np.asarray(a, dtype=float)[()]
+    b = a + np.asarray(d, dtype=float)[()]
     scaled_a, scaled_b = (
         _scaled_probability(x, _probability_bracket(x) if bracket is None else bracket, coupling)
         for x, bracket in zip((a, b), brackets))
@@ -372,25 +385,29 @@ def _x_bracket(d, l):
 
 
 def _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, x_bracket=None):
-    """X as an array, and the real and imaginary parts of its bracket;
+    """X, and the real and imaginary parts of its bracket;
     ``x_bracket`` is (Re B, Im B) from :func:`_x_bracket` where the caller
     has it (the bracket depends on d and l alone)."""
-    a = np.asarray(omega_a_sigma, dtype=float)
-    d = np.asarray(delta_omega_sigma, dtype=float)
-    l = np.asarray(l_over_sigma, dtype=float)
+    a = np.asarray(omega_a_sigma, dtype=float)[()]
+    d = np.asarray(delta_omega_sigma, dtype=float)[()]
+    l = np.asarray(l_over_sigma, dtype=float)[()]
     if (l <= 0).any():
         raise ValueError("l_over_sigma must be > 0 (zero separation diverges)")
-    # X is assembled from real parts around a real prefactor: numpy rounds
-    # complex division, scalar ``** 2`` and (through fused multiply-adds)
-    # the signs of zero products differently for scalars and arrays, while
-    # real operations give the same bits at any shape.
+    # X is assembled from real parts around a real prefactor.  Real
+    # arithmetic, and ufuncs called by name (np.exp, np.abs, np.hypot), give
+    # the same bits on a numpy scalar, a 0-d array and an array element.
+    # Not so ``**`` and the built-in abs of a complex on any scalar, Python's
+    # or numpy's, nor complex products, which array loops form with fused
+    # multiply-adds; complex division rounds differently on Python scalars
+    # only.  _x_bracket's two complex expressions multiply by a real or an
+    # imaginary factor, whose cross products are exact zeros.
     s = 2.0 * a + d
     pref = coupling**2 / (8.0 * _SQRT_PI * l) * np.exp(-(s * s) / 4.0)
     b_re, b_im = _x_bracket(d, l)[:2] if x_bracket is None else x_bracket
     x_re = pref * b_im  # X = -i * pref * bracket
     x = np.empty(x_re.shape, dtype=complex)
     x.real, x.imag = x_re, -(pref * b_re)
-    return x, b_re, b_im
+    return x[()], b_re, b_im
 
 
 def _over_scale(b_re, b_im, d, l, coupling):
@@ -410,8 +427,8 @@ def _x_abs(d, l):
     """|X|/E at unit coupling, E = exp(-(a^2 + b^2)/2), from one Faddeeva
     evaluation per point (:func:`_over_scale`): what the separation searches
     compare with sqrt(P~_A P~_B), a function of d and l alone."""
-    d = np.asarray(d, dtype=float)
-    l = np.asarray(l, dtype=float)
+    d = np.asarray(d, dtype=float)[()]
+    l = np.asarray(l, dtype=float)[()]
     b_re, b_im = _x_bracket(d, l)[:2]
     return _over_scale(b_re, b_im, d, l, 1.0)[0]
 
@@ -430,8 +447,8 @@ def _x_abs_slope(d, l):
     for the bracket B, whose terms are all of order one.  Assembled from
     real parts, like X, so the bits do not depend on the shape of the
     call."""
-    d = np.asarray(d, dtype=float)
-    l = np.asarray(l, dtype=float)
+    d = np.asarray(d, dtype=float)[()]
+    l = np.asarray(l, dtype=float)[()]
     b_re, b_im, w, gauss_d, swing = _x_bracket(d, l)
     # swing = 2 exp(-l^2/4) Im e^{-ild/2} and Re B = 2 exp(-l^2/4) Re e^{-ild/2}
     # turn into each other under d/dl, up to the Gaussian's -l/2
@@ -477,18 +494,24 @@ def _scaled_x_envelope(d, l):
     envelope.  The M term is the least only for 0.75 < |z| < 1.67; at
     large separations the third-order one puts the envelope within about
     0.1 % of |X|/E.  Costs no Faddeeva evaluation.  Arrays d, l
-    broadcast."""
-    ll, dd = l * l, d * d
-    rho2 = ll + dd
-    inv = 2.0 / np.sqrt(rho2)  # 1/|z|
-    # 1/|z|^3 as a cube of 1/|z|, which underflows to 0 at large |z|; capped
-    # at 1/|z| = 2, where the third-order bound already exceeds 1, so that it
-    # does not overflow at small |z| either
-    cube = np.minimum(inv, 2.0)
-    cube = cube * cube * cube
-    third = (2.0 / _SQRT_PI) * l / rho2 + _ZW3_BOUND * cube
-    w_bound = np.minimum(np.minimum(1.0, _ZW_BOUND * inv), third)
-    return (w_bound + np.exp((dd - ll) / 4.0)) / (4.0 * _SQRT_PI) / l
+    broadcast.
+
+    Below l of about 1e-176 (at d = 35; about 1e-309 at small d) the bound
+    overflows to +inf, and where l^2 + d^2 underflows to 0 (d = 0 and l
+    below about 1.6e-162) 1/|z| is +inf and W is 1: each is a bound that
+    holds and certifies nothing, so neither warns."""
+    with np.errstate(over="ignore", divide="ignore"):
+        ll, dd = l * l, d * d
+        rho2 = ll + dd
+        inv = 2.0 / np.sqrt(rho2)  # 1/|z|
+        # 1/|z|^3 as a cube of 1/|z|, which underflows to 0 at large |z|;
+        # capped at 1/|z| = 2, where the third-order bound already exceeds
+        # 1, so that it does not overflow at small |z| either
+        cube = np.minimum(inv, 2.0)
+        cube = cube * cube * cube
+        third = (2.0 / _SQRT_PI) * l / rho2 + _ZW3_BOUND * cube
+        w_bound = np.minimum(np.minimum(1.0, _ZW_BOUND * inv), third)
+        return (w_bound + np.exp((dd - ll) / 4.0)) / (4.0 * _SQRT_PI) / l
 
 
 def _scaled_x_floor(l):
@@ -530,8 +553,8 @@ def _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, p_a=N
     +0, which the clamp of the concurrence would keep).  Where S is not
     finite, which takes a gap difference or a separation outside the
     admitted domain, the excess stays |X| - sqrt(P_A P_B)."""
-    a = np.asarray(omega_a_sigma, dtype=float)
-    d = np.asarray(delta_omega_sigma, dtype=float)
+    a = np.asarray(omega_a_sigma, dtype=float)[()]
+    d = np.asarray(delta_omega_sigma, dtype=float)[()]
     b = a + d
     bracket_a, bracket_b = brackets
     if p_a is None:
@@ -546,7 +569,7 @@ def _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, p_a=N
     excess = np.abs(x) - gm
     scaled = gm < _SCALED_BELOW
     if scaled.any():
-        l = np.asarray(l_over_sigma, dtype=float)
+        l = np.asarray(l_over_sigma, dtype=float)[()]
         # outside the domain, S may overflow (and is then not used)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             s = (_over_scale(b_re, b_im, d, l, coupling)[0]
@@ -557,8 +580,7 @@ def _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, p_a=N
             # where it underflows
             magnitude = np.zeros(log_excess.shape)
             np.exp(log_excess, out=magnitude, where=log_excess > -746.0)
-            excess = np.where(scaled & np.isfinite(s), np.copysign(magnitude, s) + 0.0, excess)
-        excess = excess[()]
+            excess = _where(scaled & np.isfinite(s), np.copysign(magnitude, s) + 0.0, excess)
     return _scalar(p_a), _scalar(p_b), _scalar(x), excess
 
 

@@ -1,5 +1,6 @@
 """Searches and sweeps: roots, peaks, crossovers, grid evaluation."""
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -164,23 +165,28 @@ class TestFindCrossover:
         assert concurrence_values(0.5, 0.25, res.location, 0.1) > 0
 
     def test_one_closed_form_call_per_step(self, monkeypatch):
-        # both pairs share each call: one scan block, one value-and-slope
-        # call per Newton step (bisection took 46) and the final evaluation
+        # one scan block for both pairs, one value-and-slope call per pair
+        # and Newton step (bisection took 46), the non-identical pair's
+        # first, and the final evaluation of both pairs
         calls = _closed_form_calls(monkeypatch)
         res = find_crossover(0.5, 0.25)
         assert res.iterations <= 8
         assert [name for name, _, _ in calls] == (
-            ["_x_abs"] + ["_x_abs_slope"] * res.iterations + ["_ingredients"])
+            ["_x_abs"] + ["_x_abs_slope"] * 2 * res.iterations + ["_ingredients"])
+        pairs = [d for name, d, _ in calls if name == "_x_abs_slope"]
+        assert pairs == [0.25, 0.0] * res.iterations
 
     def test_batched_refinement_makes_one_closed_form_call_per_step(self, monkeypatch):
-        # every call carries both pairs along a leading axis of two; the
-        # calls over the whole batch are its lockstep Newton steps and the
-        # final evaluation
+        # the scan's calls carry both pairs along a leading axis of two; the
+        # calls over the whole batch are its lockstep Newton steps, two per
+        # step (the non-identical pairs', then the identical pairs' at d =
+        # 0), and the final evaluation of both pairs
         calls = _closed_form_calls(monkeypatch)
         batch = find_crossover_many([0.5, 0.5, 1.0], [0.25, 0.5, 0.5])
-        assert all(np.shape(d)[0] == 2 for _, d, _ in calls)
-        whole = [name for name, d, _ in calls if np.shape(d) == (2, 3)]
-        assert whole == ["_x_abs_slope"] * batch.iterations.max() + ["_ingredients"]
+        assert all(np.shape(d)[0] == 2 for name, d, _ in calls if name == "_x_abs")
+        whole = [(name, np.shape(d)) for name, d, l in calls if np.shape(l) == (3,)]
+        assert whole == ([("_x_abs_slope", (3,)), ("_x_abs_slope", ())] * batch.iterations.max()
+                         + [("_ingredients", (2, 3))])
 
     @pytest.mark.parametrize("coupling", [0.1, 0.3])
     def test_pair_concurrences_are_the_two_separate_calls(self, coupling):
@@ -1004,6 +1010,19 @@ class TestBatchedSearches:
         with pytest.raises(ValueError, match="scan_step"):
             find_crossover(0.5, 0.25, scan_step=1e300)
 
+    # at separations below about 1e-176 the envelope overflows to +inf, and
+    # l^2 + d^2 underflows to 0 at d = 0: bounds that certify nothing.  Both
+    # warned (overflow, division by zero) before the search raised
+    @pytest.mark.parametrize("search, a, d, step", [
+        (find_lmax, 0.5, 0.25, 1e-320), (find_crossover, 0.5, 0.25, 1e-320),
+        (find_lmax, 0.5, 35.0, 1e-200), (find_crossover, 0.5, 35.0, 1e-200),
+        (find_lmax, 0.5, 0.0, 1e-170)])
+    def test_a_tiny_scan_step_raises_without_a_warning(self, search, a, d, step):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="certifies no separation"):
+                search(a, d, scan_step=step)
+
     def test_a_bound_far_above_the_certified_end_changes_nothing(self):
         # the grid ends at its certified cut: a cap above it, even one of 1e14
         # points, which the 1e7-point limit refused, gives the uncapped answer
@@ -1347,7 +1366,8 @@ class TestChunkedScanCalls:
         assert any(c.stop - c.start > 1 and r > 1 for c, r in zip(chunks, rounds))
         calls = _closed_form_calls(monkeypatch)
         batch = find_crossover_many(a, d, 0.1, scan_bound=bound)
-        assert len(calls) - batch.iterations.max() - 1 == sum(rounds) < sum(blocks)
+        # two refinement calls per Newton step, one per pair
+        assert len(calls) - 2 * batch.iterations.max() - 1 == sum(rounds) < sum(blocks)
 
     def test_figures_evaluate_the_kernel_at_few_points(self, monkeypatch):
         # fig4's gap scans share one grid and bracket per separation: 400
@@ -1505,6 +1525,29 @@ class TestOneProblemPath:
                             lambda x: gaps.extend(np.ravel(x)) or original(x))
         search(a, d)
         assert sorted(gaps) == [a, a + d]
+
+
+    @pytest.mark.parametrize("search", [find_lmax, find_crossover])
+    @pytest.mark.parametrize("a, d", [(0.5, 0.25), (20.0, 5.0)])
+    def test_the_refinement_runs_on_numpy_scalars(self, monkeypatch, search, a, d):
+        # each Newton step of a one-problem search costs a few microseconds
+        # on numpy scalars, about three times that on 0-d arrays
+        args = []
+        original = analysis._x_abs_slope
+        monkeypatch.setattr(analysis, "_x_abs_slope",
+                            lambda *x: args.extend(x) or original(*x))
+        assert search(a, d).iterations > 0
+        assert args and not any(isinstance(x, np.ndarray) for x in args)
+
+    # the public fields stay Python numbers, whatever form the inputs take
+    @pytest.mark.parametrize("form", [float, np.float64, np.array])
+    @pytest.mark.parametrize("search", [find_lmax, find_crossover, find_optimal_gap])
+    def test_results_are_python_scalars(self, search, form):
+        res = search(form(0.5), form(0.25 if search is not find_optimal_gap else 2.0))
+        fields = (res.location, res.value, *res.bracket)
+        assert all(type(x) is float for x in fields)
+        assert type(res.iterations) is int and type(res.converged) is bool
+        assert type(res.note) is str
 
 
 class TestLastEvaluation:

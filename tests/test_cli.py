@@ -638,6 +638,16 @@ class TestSubprocess:
         done = self.spawn("-m", "udwharvest", *CROSSOVER, "--no-such-flag")
         assert done.returncode == 2 and "unrecognized arguments" in done.stderr
 
+    # the search raised its ValueError after an overflow warning of the
+    # envelope: with warnings as errors the command exited 1 with a traceback
+    @pytest.mark.parametrize("command", ["lmax", "crossover"])
+    def test_a_subnormal_scan_step_exits_3_without_a_warning(self, command):
+        done = self.spawn("-W", "error::RuntimeWarning", "-m", "udwharvest", command,
+                          "--omega-a", "0.5", "--delta-omega", "0.25", "--scan-step", "1e-320")
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("error: ") and "certifies no separation" in done.stderr
+        assert len(done.stderr.splitlines()) == 1
+
     def test_importing_the_cli_builds_no_parser(self):
         done = self.spawn("-c", "import udwharvest.cli as c; "
                                 "print(c._build_parser.cache_info().misses)")

@@ -33,8 +33,9 @@ from udwharvest import (
 )
 from udwharvest import analysis
 from udwharvest.closedform import (
-    _SCALED_BELOW, _ZW3_BOUND, _ZW_BOUND, _clamp, _ingredients, _probability_bracket, _scaled_gm,
-    _scaled_probability, _scaled_x_envelope, _scaled_x_floor, _x_abs, _x_abs_slope, _x_bracket,
+    _SCALED_BELOW, _ZW3_BOUND, _ZW_BOUND, _clamp, _ingredients, _probability, _probability_bracket,
+    _scaled_gm, _scaled_probability, _scaled_x_envelope, _scaled_x_floor, _x_abs, _x_abs_slope,
+    _x_bracket, _x_terms,
 )
 
 FOUR_PI = 4.0 * np.pi
@@ -223,6 +224,16 @@ class TestXEnvelope:
         # never above the first-order envelope, up to the roundings of the
         # prefactor's two forms
         assert np.all(env <= _first_order_envelope(d, l) * (1.0 + 1e-15))
+
+    def test_envelope_is_infinite_without_a_warning_at_tiny_separations(self):
+        # the bound overflows below l of about 1e-176, and l^2 + d^2
+        # underflows to 0 at d = 0 below about 1.6e-162: +inf holds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _scaled_x_envelope(0.25, 1e-320) == np.inf
+            assert _scaled_x_envelope(35.0, 1e-200) == np.inf
+            # W is 1 where 1/|z| is +inf
+            assert _scaled_x_envelope(0.0, 1e-170) == 2.0 / (4.0 * SQRT_PI) / 1e-170
 
 
 class TestIdenticalXFloor:
@@ -413,6 +424,11 @@ def _bits(values):
     return np.asarray(values).tobytes()
 
 
+def _outputs(values):
+    """A helper's outputs, one value or a tuple of them, as a tuple."""
+    return values if isinstance(values, tuple) else (values,)
+
+
 class TestScalarArrayBitwise:
     """A point's closed-form values do not depend on the shape of the call:
     scalar calls, one array call over scattered points, and one-axis
@@ -483,6 +499,55 @@ class TestScalarArrayBitwise:
             assert _bits(conc[i]) == _bits(concurrence_values(a[i], d[i], seps[i], lam))
         assert (conc > 0.0).any() and (conc == 0.0).any()
 
+    # the helpers a one-problem search calls, as functions of a point (a, d,
+    # l), the brackets of its gaps a and b = a + d, and the coupling
+    HELPERS = {
+        "_probability_bracket": lambda a, d, l, ba, bb, lam: _probability_bracket(a + d),
+        "_x_bracket": lambda a, d, l, ba, bb, lam: _x_bracket(d, l),
+        "_x_abs": lambda a, d, l, ba, bb, lam: _x_abs(d, l),
+        "_x_abs_slope": lambda a, d, l, ba, bb, lam: _x_abs_slope(d, l),
+    }
+    COUPLED_HELPERS = {
+        "_probability": lambda a, d, l, ba, bb, lam: _probability(a + d, bb, lam),
+        "_scaled_probability": lambda a, d, l, ba, bb, lam: _scaled_probability(a + d, bb, lam),
+        "_scaled_gm": lambda a, d, l, ba, bb, lam: _scaled_gm(a, d, lam, (ba, bb)),
+        "_x_terms": lambda a, d, l, ba, bb, lam: _x_terms(a, d, l, lam),
+        "_ingredients": lambda a, d, l, ba, bb, lam: _ingredients(a, d, l, lam),
+    }
+
+    @pytest.mark.parametrize("lam", [None, 0.1, 1.0])
+    def test_helpers_give_the_same_bits_on_numpy_scalars_and_0d_arrays(self, lam):
+        # a one-problem search runs the helpers on numpy scalars, which
+        # numpy computes without its array machinery; a point's bits must
+        # be those of a 0-d array and of its element of a 1-D call.  10 000
+        # points stratified over the domain, every tenth at d = 0.  On about
+        # four fifths of them P_A P_B is not normal and the excess scaled.
+        # The helpers that take no coupling run once (lam None)
+        n = 10_000
+        rng = np.random.default_rng(27)
+
+        def stratified(lo, hi):
+            return lo + (hi - lo) * (rng.permutation(n) + rng.random(n)) / n
+
+        a, d, l = stratified(0.0, 40.0), stratified(0.0, 35.0), stratified(0.05, 120.0)
+        d[::10] = 0.0
+        ba, bb = _probability_bracket(a), _probability_bracket(a + d)
+        scaled = np.sqrt(_probability(a, ba, 1.0) * _probability(a + d, bb, 1.0)) < _SCALED_BELOW
+        assert 0.1 < scaled.mean() < 0.9
+        columns = (a, d, l, ba, bb)
+        forms = {"numpy scalars": list(zip(*(map(np.float64, c) for c in columns))),
+                 "0-d arrays": list(zip(*(map(np.array, c) for c in columns)))}
+        for name, helper in (self.HELPERS if lam is None else self.COUPLED_HELPERS).items():
+            whole = _outputs(helper(*columns, lam))
+            for form, points in forms.items():
+                one = [_outputs(helper(*p, lam)) for p in points]
+                for k, part in enumerate(whole):
+                    got = np.array([o[k] for o in one])
+                    assert got.dtype == part.dtype and _bits(got) == _bits(part), (name, form, k)
+            # a 0-d value never turns back into an array (_ingredients
+            # returns P_A, P_B and X as Python numbers, as the report does)
+            assert not any(isinstance(v, np.ndarray) for v in one[0]), name
+
     def test_row_chunk_grids_equal_per_row_grids(self):
         # a gap scan chunk's linspace grid, and a separation scan chunk's
         # first blocks gathered from its rows' grids padded with their last
@@ -505,6 +570,24 @@ class TestScalarArrayBitwise:
             walk = g[start[i]:stop[i]][:256]
             assert _bits(gathered[i, :walk.size]) == _bits(walk)
             assert (gathered[i, walk.size:] == g[stop[i] - 1]).all()
+
+
+class TestPublicTypes:
+    """The public closed forms return the same types for a Python float, a
+    numpy scalar and a 0-d array."""
+
+    @pytest.mark.parametrize("form", [float, np.float64, np.array])
+    def test_scalar_inputs(self, form):
+        a, d, l = form(0.5), form(0.25), form(2.0)
+        assert type(transition_probability(a, 0.1)) is float
+        assert type(correlation_x_values(a, d, l, 0.1)) is complex
+        assert type(correlation_excess(a, d, l, 0.1)) is np.float64
+        assert type(concurrence_values(a, d, l, 0.1)) is np.float64
+        # the scaled excess too
+        assert type(correlation_excess(form(30.0), d, form(50.0), 0.1)) is np.float64
+        report = concurrence(DetectorPairConfig(a, d, l, 0.1))
+        assert [type(v) for v in (report.p_a, report.p_b, report.x, report.concurrence)] == [
+            float, float, complex, float]
 
 
 class TestIngredientCaches:

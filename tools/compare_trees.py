@@ -30,6 +30,13 @@ The set covers what the package reports:
 * one-problem calls of each search at 40 stratified rows (seed 26) over
   explore's domain: a in [0, 40], d in [0, 35] (in (0, 35] for crossovers), and l
   from 0.05 to max(4a, 4) for the gap search;
+* one-problem calls of each search at the six rows at couplings 1e-160
+  and 10, and of the separation searches at five of them with a
+  ``scan_bound`` 0.05 below the row's lmax (a bracketing failure) and one
+  1 above it (a capped grid);
+* ``transition_probability``, ``correlation_x_values`` and ``concurrence``
+  at the six rows on Python floats, numpy scalars and 0-d arrays, each
+  output with the name of its type;
 * a sweep per axis, 2 000 ``concurrence_values`` and ``correlation_excess``
   rows per coupling, and 50 ``concurrence`` reports;
 * the data sections (all but the manifest, which carries a timestamp) of
@@ -61,6 +68,8 @@ NAMED_ROWS = ((22.100854834257316, 0.08112977215348849), (1e3, 1.0), (3e4, 0.0),
 STRATIFIED_ROWS = 40
 SURVEY_GAPS = SURVEY_RATIOS = (0.2, 0.5, 1.0, 1.2)
 COUPLINGS = (0.1, 1.0)
+# couplings of the one-problem rows besides the default
+ROW_COUPLINGS = (1e-160, 10.0)
 # (name, a range, upper end of d's range, l range) of the batches
 DOMAINS = (("wide", (0.0, 40.0), 35.0, (0.05, 120.0)),
            ("small", (0.0, 3.0), 8.0, (0.05, 12.0)))
@@ -94,6 +103,14 @@ def _encode(value):
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
     raise TypeError(f"cannot encode {type(value).__name__}")
+
+
+def _typed(value):
+    """``value`` with the name of its type, and of each field's type for a
+    dataclass."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _typed(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return [type(value).__name__, value]
 
 
 def _outcome(call, *args, **kwargs):
@@ -168,6 +185,30 @@ def _outputs():
     for search, rows in _stratified_rows(np.random.default_rng(26), STRATIFIED_ROWS):
         for i, (x, y) in enumerate(rows):
             out[f"stratified/{search}/{i}"] = _outcome(getattr(analysis, search), x, y)
+    for x, y in ROWS:
+        for coupling in ROW_COUPLINGS:
+            for search in (analysis.find_lmax, analysis.find_crossover,
+                           analysis.find_optimal_gap):
+                out[f"coupling/{search.__name__}/{x!r}/{y!r}/{coupling!r}"] = _outcome(
+                    search, x, y, coupling)
+        lmax = _outcome(analysis.find_lmax, x, y)
+        if isinstance(lmax, str):  # (21.87..., 43.83...) lies outside the domain
+            continue
+        for bound in (lmax.location - 0.05, lmax.location + 1.0):
+            for search in (analysis.find_lmax, analysis.find_crossover):
+                out[f"bounded/{search.__name__}/{x!r}/{y!r}/{bound!r}"] = _outcome(
+                    search, x, y, scan_bound=bound)
+
+    for name, form in (("float", float), ("float64", np.float64), ("0-d", np.array)):
+        for x, y in ROWS:
+            a, d, l = form(x), form(min(y, 35.0)), form(2.5)
+            key = f"scalar/{name}/{x!r}/{y!r}"
+            out[f"{key}/transition_probability"] = _typed(
+                closedform.transition_probability(a, 0.1))
+            out[f"{key}/correlation_x_values"] = _typed(
+                closedform.correlation_x_values(a, d, l, 0.1))
+            out[f"{key}/concurrence"] = _typed(
+                closedform.concurrence(closedform.DetectorPairConfig(a, d, l, 0.1)))
 
     fixed = closedform.DetectorPairConfig(0.5, 0.25, 1.0)
     for axis, values in (("l_over_sigma", np.linspace(0.05, 60.0, 500)),

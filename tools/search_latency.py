@@ -6,18 +6,21 @@ Each checkout's ``src/udwharvest`` is copied into a temporary directory
 under a package name of its own (``udwharvest_parent``,
 ``udwharvest_change``), and both are imported into this one interpreter;
 the package imports itself only relatively, so each copy runs its own code.
-The rows are explore's searches for seeds 1-3, taken from the benchmark's
-own workload (``perfbench/workloads.py`` next to this tool): 40 problems of
-each of ``find_lmax``, ``find_optimal_gap`` and ``find_crossover`` per
-seed.  Every row is called once per tree to warm up, and the two outcomes
+The rows are taken from the benchmark's own workloads
+(``perfbench/workloads.py`` next to this tool): explore's searches for
+seeds 1-3, 40 problems of each of ``find_lmax``, ``find_optimal_gap`` and
+``find_crossover`` per seed, and survey's 16 crossovers (``find_crossover``
+at each smaller gap a of ``CROSSOVER_GAPS`` and gap difference a*r for
+each r of ``CROSSOVER_RATIOS``, as its ``crossover`` commands ask).  Every row is called once per tree to warm up, and the two outcomes
 (the repr of the result's fields, or the class and message raised) must
 be equal.  Then each row is timed 9 times per tree, one call at a time,
 the trees alternating and their order flipping at each repeat, so that the
 machine's drift falls on both alike.  A row's time is the minimum of its
 repeats, a raised search error included.
 
-Prints, per search and over all of them, the median of the rows' times
-for each tree and the change/parent ratio of those medians.  Exits 1 if
+Prints, per explore search, over all of explore's searches and for
+survey's crossovers, the median of the rows' times for each tree and the
+change/parent ratio of those medians.  Exits 1 if
 an outcome differs, else 0.
 """
 
@@ -59,17 +62,21 @@ def main(argv):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    from perfbench.workloads import Explore
+    from perfbench.workloads import CROSSOVER_GAPS, CROSSOVER_RATIOS, Explore
 
     warnings.simplefilter("ignore")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         pkgs = [_import(tree, f"udwharvest_{name}", tmp) for tree, name in zip(argv, TREES)]
-        rows = [row for seed in SEEDS for row in Explore(seed, pkgs[0], tmp).searches]
+        # (group, search, x, y)
+        rows = [(kind, kind, x, y)
+                for seed in SEEDS for kind, x, y in Explore(seed, pkgs[0], tmp).searches]
+        rows += [("survey crossover", "find_crossover", a, a * r)
+                 for a in CROSSOVER_GAPS for r in CROSSOVER_RATIOS]
         calls = [[(lambda f=getattr(pkg.analysis, kind), x=x, y=y: f(x, y)) for pkg in pkgs]
-                 for kind, x, y in rows]
+                 for _, kind, x, y in rows]
         differ = 0
-        for (kind, x, y), pair in zip(rows, calls):
+        for (_, kind, x, y), pair in zip(rows, calls):
             parent, change = (_outcome(call) for call in pair)
             if parent != change:
                 differ += 1
@@ -86,14 +93,15 @@ def main(argv):
                     except Exception:  # a raised search error is an outcome too
                         pass
                     best[t][i] = min(best[t][i], clock() - start)
-    print(f"{len(rows)} rows (seeds {SEEDS[0]}-{SEEDS[-1]}), minimum of {REPEATS} calls "
-          "per row and tree; median over rows in ms")
+    print(f"{len(rows)} rows (explore seeds {SEEDS[0]}-{SEEDS[-1]}, survey), minimum of "
+          f"{REPEATS} calls per row and tree; median over rows in ms")
     print(f"{'search':18s} {'rows':>5s} {'parent':>9s} {'change':>9s} {'ratio':>7s}")
-    kinds = sorted({kind for kind, _, _ in rows}) + ["all"]
-    for kind in kinds:
-        index = [i for i, row in enumerate(rows) if kind in ("all", row[0])]
+    explore = sorted({group for group, kind, _, _ in rows if group == kind})
+    for group in explore + ["all"] + ["survey crossover"]:
+        index = [i for i, row in enumerate(rows)
+                 if row[0] == group or (group == "all" and row[0] in explore)]
         parent, change = (statistics.median(best[t][i] for i in index) * 1e3 for t in (0, 1))
-        print(f"{kind:18s} {len(index):5d} {parent:9.4f} {change:9.4f} {change / parent:7.3f}")
+        print(f"{group:18s} {len(index):5d} {parent:9.4f} {change:9.4f} {change / parent:7.3f}")
     return 1 if differ else 0
 
 
