@@ -52,8 +52,8 @@ starts as if after a non-positive point, so its first positive point is
 its answer; a crossover row positive at the grid's first point has the
 non-identical pair ahead from the first scanned separation, and returns
 that point, in the bracket (0, point], with a note.  The rest is walked
-in blocks, each twice the one before and at most a chunk's points, up to
-the first block that holds the answer.  A walk that starts next to a
+in blocks, each twice the one before, up to the first block that holds
+the answer.  A walk that starts next to a
 cut, down from the upper one or up from a lower one above the grid's
 first point, starts with a block of 32 points, within which nearly every
 turn lies; a walk from the grid's first point starts with 256.  Rows
@@ -79,25 +79,25 @@ gap search keeps its golden section.
 Each search has a batched form, :func:`find_lmax_many`,
 :func:`find_optimal_gap_many` and :func:`find_crossover_many`, which takes
 broadcast arrays of problems and returns a :class:`SearchBatch` of arrays
-of their shape.  Every row is scanned on its own grid, in chunks of rows
-holding at most 8 k scanned points when each is padded to the longest of
-them (a longer row is a chunk of its own), so memory stays that of one
-chunk.  A chunk of gap scans is one closed-form call over a (rows, 256)
-grid.  The grid, and X's bracket on it, depend on a row's separation and
-gap bound alone, so the gap scans visit the rows in (separation, bound)
-order, and each run of equal keys in a chunk shares one Faddeeva
-evaluation of the bracket.  The separation scans search the cuts of all
-rows in one envelope call per step, then chunk consecutive rows by the
-points they walk: a chunk is one closed-form call per round of blocks
-over the rows that have not found their answer yet, each row walking its
-own next block.  Then all rows are refined in lockstep: one closed-form
+of their shape.  Every row is scanned on its own grid, and no scan call
+holds more than 8 k points, or one per row where more rows share it, so
+memory stays that of one such call.  The gap scans take 32 rows per
+closed-form call over a (rows, 256) grid.  The grid, and X's bracket on
+it, depend on a row's separation and gap bound alone, so the gap scans
+visit the rows in (separation, bound) order, and each run of equal keys
+in a call shares one Faddeeva evaluation of the bracket.  The separation
+scans search the cuts of all rows in one envelope call per step, then
+walk all rows in one lockstep: a round is one closed-form call over the
+rows that have not found their answer yet, each row walking its own next
+block, and the blocks double while the call stays within the cap.  Then
+all rows are refined in lockstep: one closed-form
 array call per Newton or golden-section step (two for a crossover's
 Newton step, one per pair), with each finished row's bracket frozen in
 place.  A row where the one-problem search would raise
 carries NaN and the exception's class name in ``error``, so one failing
 problem cannot abort a grid; gaps, a separation or a coupling outside the
 scenario domain raise ValueError, for the whole batch.  The one-problem
-functions run the same core on 0-d inputs, as chunks of one row, and
+functions run the same core on 0-d inputs, as batches of one row, and
 raise as before.  Their gaps are numpy scalars from the start, so the
 refinement, each of its closed-form calls and the final value run on
 numpy scalars, which keep the bits of 0-d arrays at a fraction of their
@@ -166,10 +166,10 @@ _GAP_SCAN_POINTS = 256
 _GRID_POINTS = 2**52
 
 # Points of one call of a lockstep search over rows: a separation scan's
-# first block is at most _SCAN_BLOCK // rows points of each of a chunk's
-# rows (at least one), and each later block is twice the one before, so a
-# scan that stops early evaluates little past its answer and one that runs
-# to the end costs a few calls more than one call; a search for the cuts
+# first block is at most _SCAN_BLOCK // rows points of each row that walks
+# (at least one), and each later block is twice the one before, so a scan
+# that stops early evaluates little past its answer and one that runs to
+# the end costs a few calls more than one call; a search for the cuts
 # probes as many points per step (:func:`_edges`).
 _SCAN_BLOCK = 256
 
@@ -180,11 +180,11 @@ _SCAN_BLOCK = 256
 # _SCAN_BLOCK points.
 _CUT_BLOCK = 32
 
-# Points of one chunk of scanned rows, each padded to the longest (a
-# separation scan counts the points it walks): the rows of a chunk share
-# each call of their scans, and the chunk bounds the memory of those calls.
-# A row longer than a chunk is a chunk of its own, whose blocks stop
-# doubling at a chunk's points.
+# Points of one scan call, each row padded to the longest: it bounds the
+# memory of a call.  A gap scan call takes _SCAN_CHUNK // _GAP_SCAN_POINTS
+# rows (at least one); a separation scan's blocks stop doubling where a
+# call over the rows still walking would hold more, or hold one point per
+# row where more rows walk.
 _SCAN_CHUNK = 8192
 
 # Relative margin of the envelope certificate: it covers the Faddeeva
@@ -286,20 +286,6 @@ def _separation_problems(omega_a_sigma, delta_omega_sigma, coupling, scan_bound,
 def _grid_size(bound, step):
     """np.arange's count of the points step + i*step below bound + step/2."""
     return np.ceil((bound + 0.5 * step - step) / step).astype(np.int64)
-
-
-def _chunks(points):
-    """Slices of consecutive rows that hold at most ``_SCAN_CHUNK`` scan
-    points when each is padded to the longest of them (a longer row is a
-    slice of its own), given each row's points."""
-    start, widest = 0, 0
-    for i, n in enumerate(points):
-        widest = max(widest, n)
-        if i > start and (i + 1 - start) * widest > _SCAN_CHUNK:
-            yield slice(start, i)
-            start, widest = i, n
-    if start < len(points):
-        yield slice(start, len(points))
 
 
 def _normal(gm):
@@ -447,35 +433,34 @@ def _separation_scan(step, first, last, positive):
     ``positive(rows, l)`` is the sign test of the rows (an index array) at
     separations l, one row of l per row.  A walk starts as if after a
     non-positive point, so its turn is the first sign change, or the walk's
-    first point.  The rows are chunked by the points they walk.  Per chunk
-    the walks run in lockstep rounds of blocks, each twice the one before
-    up to ``_SCAN_CHUNK`` points: a round is one call over the next block of
-    every row without a turn so far, a shorter walk padded with its last
-    point.  The first block is ``_SCAN_BLOCK`` points where a row of the
-    chunk walks from the grid's first point, and ``_CUT_BLOCK`` where each
-    walks from next to a cut, or ``_SCAN_BLOCK // rows`` points (at least
-    one) where that is fewer, so that the first round's call holds at most
-    about ``_SCAN_BLOCK`` points, as a step of :func:`_edges` does."""
+    first point.  All rows with a walk run in one lockstep of rounds: a
+    round is one call over the next block of every row without a turn so
+    far, a shorter walk padded with its last point.  The first block is
+    ``_SCAN_BLOCK`` points where a row walks from the grid's first point,
+    and ``_CUT_BLOCK`` where each walks from next to a cut, or
+    ``_SCAN_BLOCK // rows`` points (at least one) where that is fewer, so
+    that the first round's call holds at most about ``_SCAN_BLOCK`` points,
+    as a step of :func:`_edges` does.  Each later block is twice the one
+    before, capped so that a call holds at most ``_SCAN_CHUNK`` points, or
+    one per row where more rows still walk; rows only leave, so the blocks
+    never shrink."""
     sign, length = np.sign(last - first), np.abs(last - first)
     stop = length - 1
     # a row leaves at its first positive point or at its end
     k = np.full(first.shape, -1)
-    for chunk in _chunks(length):
-        rows = chunk.start + np.flatnonzero(length[chunk] > 0)
-        if not rows.size:
-            continue
-        offset, size = 0, max(1, _SCAN_BLOCK // rows.size)
-        if size > _CUT_BLOCK and not (first[rows] == 0).any():
-            size = _CUT_BLOCK
-        while rows.size:
-            walked = np.minimum(offset + np.arange(min(size, np.max(length[rows]) - offset)),
-                                stop[rows, None])
-            idx = first[rows, None] + sign[rows, None] * walked
-            pos = positive(rows, step + idx * step)
-            turned = pos.any(axis=1)
-            k[rows[turned]] = idx[turned, np.argmax(pos[turned], axis=1)]
-            rows = rows[~turned & (offset + size < length[rows])]
-            offset, size = offset + size, min(2 * size, _SCAN_CHUNK)
+    rows = np.flatnonzero(length > 0)
+    offset, size = 0, max(1, _SCAN_BLOCK // max(rows.size, 1))
+    if size > _CUT_BLOCK and not (first[rows] == 0).any():
+        size = _CUT_BLOCK
+    while rows.size:
+        walked = np.minimum(offset + np.arange(min(size, np.max(length[rows]) - offset)),
+                            stop[rows, None])
+        idx = first[rows, None] + sign[rows, None] * walked
+        pos = positive(rows, step + idx * step)
+        turned = pos.any(axis=1)
+        k[rows[turned]] = idx[turned, np.argmax(pos[turned], axis=1)]
+        rows = rows[~turned & (offset + size < length[rows])]
+        offset, size = offset + size, max(1, min(2 * size, _SCAN_CHUNK // max(rows.size, 1)))
     return k
 
 
@@ -731,9 +716,10 @@ def find_optimal_gap_many(
     """:func:`find_optimal_gap` for broadcast arrays of smaller gaps and
     separations (and gap bounds).  ``coupling`` is shared by all rows.
 
-    Each row is scanned on its own grid of 256 samples; rows with the same
-    separation and gap bound share the grid, and the Faddeeva evaluation
-    of X's bracket on it, which do not depend on the smaller gap.  Then
+    Each row is scanned on its own grid of 256 samples, 32 rows per
+    closed-form call (8 k points); rows of a call with the same separation
+    and gap bound share the grid, and the Faddeeva evaluation of X's
+    bracket on it, which do not depend on the smaller gap.  Then
     all interior rows are refined by golden section in lockstep.  No row
     fails: every ``error`` is empty.
     """
@@ -748,18 +734,19 @@ def find_optimal_gap_many(
         raise ValueError("gap_bound must be finite")
     if np.any(bound <= 0):
         raise ValueError("gap_bound must be > 0")
-    # every row's scan is _GAP_SCAN_POINTS samples; a chunk of rows is one
-    # call over a (rows, samples) grid.  The grid, and X's bracket on it,
-    # depend on the row's separation and gap bound alone, so the rows are
-    # visited in (l, bound) order and each run of equal keys in a chunk
-    # shares one bracket evaluation
+    # every row's scan is _GAP_SCAN_POINTS samples; a call takes as many
+    # rows as fit in _SCAN_CHUNK points, over a (rows, samples) grid.  The
+    # grid, and X's bracket on it, depend on the row's separation and gap
+    # bound alone, so the rows are visited in (l, bound) order and each run
+    # of equal keys in a call shares one bracket evaluation
     n, last = a.size, _GAP_SCAN_POINTS - 1
     best, first = np.empty(n, dtype=int), np.empty(n)
     lo, hi = np.empty(n), np.empty(n)
     row_a, row_l, row_bound = (x.ravel() for x in (a, l, bound))
     order = np.lexsort((row_bound, row_l))
-    for chunk in _chunks(np.full(n, _GAP_SCAN_POINTS)):
-        rows = order[chunk]
+    per_call = max(1, _SCAN_CHUNK // _GAP_SCAN_POINTS)
+    for start in range(0, n, per_call):
+        rows = order[start:start + per_call]
         ls, bounds = row_l[rows], row_bound[rows]
         starts = np.concatenate([[True], (ls[1:] != ls[:-1]) | (bounds[1:] != bounds[:-1])])
         run, heads = np.cumsum(starts) - 1, np.flatnonzero(starts)

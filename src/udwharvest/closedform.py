@@ -112,6 +112,10 @@ class ConcurrenceRegime(enum.Enum):
 # Every admitted value is finite and lies in [low, high]; the smallest
 # positive double as low admits exactly the positive values.
 _LARGEST, _SMALLEST = np.finfo(float).max, np.nextafter(0.0, 1.0)
+# The largest coupling for which the largest P_A P_B, (coupling^2/4 pi)^2 at
+# zero gap, is a finite double: above it the product overflows, and the
+# concurrence with it
+_MAX_COUPLING = float(np.sqrt(4.0 * np.pi) * _LARGEST**0.25)
 _DOMAIN = (
     ("omega_a_sigma", 0.0, _LARGEST, "omega_a_sigma must be >= 0 (A has the smaller gap)", ""),
     ("delta_omega_sigma", 0.0, MAX_DELTA_OMEGA_SIGMA,
@@ -120,7 +124,9 @@ _DOMAIN = (
      "scaled intermediates would overflow double precision"),
     ("l_over_sigma", _SMALLEST, _LARGEST, "l_over_sigma must be > 0 (zero separation diverges)",
      ""),
-    ("coupling", _SMALLEST, _LARGEST, "coupling must be > 0", ""),
+    ("coupling", _SMALLEST, _MAX_COUPLING, "coupling must be > 0",
+     f"coupling={{}} exceeds {_MAX_COUPLING!r}; P_A P_B, (coupling^2/4 pi)^2 at zero gap, "
+     "would overflow double precision"),
 )
 _DOMAIN_LOW, _DOMAIN_HIGH = (np.array([rule[i] for rule in _DOMAIN])[:, None] for i in (1, 2))
 

@@ -1,5 +1,6 @@
 """Searches and sweeps: roots, peaks, crossovers, grid evaluation."""
 
+import re
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -867,6 +868,35 @@ class TestCouplings:
                               batch.error.tolist())])
             assert all(r == rows[0] for r in rows), many.__name__
 
+    # past the coupling bound P_A P_B overflowed: find_lmax(0.5, 0.25, 1e100)
+    # returned a value of -inf, and from about 1.3e154 on coupling**2 raised
+    # OverflowError
+    def test_searches_answer_at_the_coupling_bound_and_raise_past_it(self):
+        bound = closedform._MAX_COUPLING
+        above = float(np.nextafter(bound, np.inf))
+        for search in (find_lmax, find_crossover, find_optimal_gap):
+            at, weak = search(0.5, 0.25, bound), search(0.5, 0.25, 0.1)
+            assert at.location == weak.location and at.bracket == weak.bracket
+            assert at.value / bound**2 == pytest.approx(weak.value / 0.01, rel=1e-12)
+            with pytest.raises(ValueError, match=re.escape(f"coupling={above!r} exceeds")):
+                search(0.5, 0.25, above)
+
+    @pytest.mark.filterwarnings("ignore:coupling=.*weak-coupling:UserWarning")
+    def test_a_sweep_flags_every_point_past_the_coupling_bound(self):
+        bound = closedform._MAX_COUPLING
+        above = float(np.nextafter(bound, np.inf))
+        fixed = DetectorPairConfig(0.5, 0.25, 1.0, bound)
+        grid = sweep("l_over_sigma", [0.5, 2.0], fixed)
+        assert grid.errors.tolist() == ["", ""] and np.isfinite(grid.concurrence).all()
+        # a config past the bound cannot be built; forced, each point is
+        # flagged with the message it raises
+        object.__setattr__(fixed, "coupling", above)
+        grid = sweep("l_over_sigma", [0.5, 2.0], fixed)
+        with pytest.raises(ValueError) as exc:
+            DetectorPairConfig(0.5, 0.25, 1.0, above)
+        assert grid.errors.tolist() == [str(exc.value)] * 2
+        assert np.isnan(grid.concurrence).all()
+
 
 class TestBatchedSearches:
     """Each ``*_many`` row is the one-problem search of that row, bit for
@@ -1098,9 +1128,9 @@ class TestBatchedSearches:
         assert len({r[-1] for r in rows}) > 1
 
     def test_rows_do_not_depend_on_the_chunk_and_block_sizes(self, monkeypatch):
-        # tiny chunks and blocks: nearly every row is a chunk of its own and
-        # walks many later blocks; every row keeps the bits of the search
-        # at the module's sizes
+        # tiny caps and blocks: a gap scan call takes 2 rows, and every
+        # walk runs many later blocks, capped at 700 points a call; every
+        # row keeps the bits of the search at the module's sizes
         a, d, bound = _lmax_rows()
         lmax = find_lmax_many(a, d, 0.1, scan_bound=bound, scan_step=0.001)
         a2, d2, bound2 = _crossover_rows()
@@ -1274,8 +1304,10 @@ class TestScanGrids:
 
 
 class TestChunkedScanCalls:
-    """The scans run over chunks of rows: one closed-form call per chunk,
-    for a separation scan per chunk and round of blocks."""
+    """The gap scans run over fixed slices of rows, one closed-form call
+    per slice; a separation scan walks all its rows in one lockstep, one
+    call per round of blocks, each call capped at _SCAN_CHUNK points or one
+    per row where more rows walk."""
 
     def test_fig4_scans_in_one_call_per_chunk(self, monkeypatch):
         # fig4's 1600 gap scans take ceil(1600 * 256 / chunk) calls over
@@ -1298,14 +1330,14 @@ class TestChunkedScanCalls:
         assert golden == sorted(golden, reverse=True)
         assert sum(golden) == np.sum(batch.iterations[interior] + 1)
 
-    def test_fig5_scans_in_one_call_per_chunk_per_round(self, monkeypatch):
+    def test_fig5_walks_in_one_call_per_round(self, monkeypatch):
         # fig5's 1600 rows: at most 12 envelope points a row for the cuts
         # (a mask over every grid point takes 1.9 M), then one call per
-        # chunk of walked points and round of blocks, as many rounds as the
-        # chunk's longest walk to its root has blocks, then one per Newton
-        # step and one at the roots.  A chunk's first block is _SCAN_BLOCK
-        # // rows points of each row, so its calls are far fewer than its
-        # rows' blocks
+        # round of blocks over every row still walking, as many rounds as
+        # the slowest walk to its root needs, then one per Newton step and
+        # one at the roots.  The first block is one point of each row
+        # (_SCAN_BLOCK // 1600 is 0), and the blocks double up to
+        # _SCAN_CHUNK // rows still walking
         a, d = _fig5_rows()
         walked, to_root = [], []
         for x, y in zip(a, d):
@@ -1315,34 +1347,26 @@ class TestChunkedScanCalls:
             assert positive.any()
             walked.append(cut)
             to_root.append(np.argmax(positive) + 1)
-        chunks = list(analysis._chunks(walked))
-        full = sum(walked) / analysis._SCAN_CHUNK
-        assert full <= len(chunks) <= 1.1 * full + 1
-        rounds, blocks = 0, 0
-        for c in chunks:
-            need = [_blocks(analysis._SCAN_BLOCK // (c.stop - c.start), n) for n in to_root[c]]
-            rounds, blocks = rounds + max(need), blocks + sum(need)
-        assert len(chunks) < rounds < blocks
+        want = _walk_shapes(1, to_root, walked)
+        rounds = len(want)
+        assert rounds < sum(_blocks(1, n) for n in to_root)
         envelope = _envelope_shapes(monkeypatch)
         calls = _closed_form_calls(monkeypatch)
         batch = find_lmax_many(a.reshape(4, 400), d.reshape(4, 400), 1.0)
         assert sum(np.prod(s) for s in envelope) <= 1600 * 12
         shapes = [np.shape(l) for _, _, l in calls]
-        assert shapes.index((4, 400)) == rounds
+        assert shapes[:rounds] == want and shapes.index((4, 400)) == rounds
         assert len(shapes) == rounds + batch.iterations.max() + 1
 
-    def test_later_blocks_make_one_call_per_chunk_per_round(self, monkeypatch):
-        # round r walks block r of every row of a chunk still walking, in one
-        # call, so a chunk makes as many calls as its longest walk has
-        # blocks: counted here on the full grid, with the walk starting at
-        # the lower cut of the per-point mask and ending at its cut or with
-        # the block that holds the first sign change, and the rows chunked
-        # by those walks
-        # the walk starts at the lower cut of the per-point mask and ends at
-        # its cut or with the block that holds the first positive point; a
-        # chunk's first block is _SCAN_BLOCK // rows points of each of the
-        # rows that walk, or _CUT_BLOCK where that is fewer and each of them
-        # starts from a lower cut above the grid's first point
+    def test_later_blocks_make_one_call_per_round(self, monkeypatch):
+        # round r walks block r of every row still walking, in one call, so
+        # the scan makes as many calls as the rule's blocks take to cover
+        # the slowest walk: counted here on the full grid, with the walk
+        # starting at the lower cut of the per-point mask and ending at its
+        # cut or with the block that holds the first positive point.  The
+        # first block is _SCAN_BLOCK // rows points of each of the rows that
+        # walk, or _CUT_BLOCK where that is fewer and each of them starts
+        # from a lower cut above the grid's first point
         a, d, bound = _crossover_rows()
         ends, walks, floors = [], [], []
         for x, y, b in zip(a, d, bound):
@@ -1354,26 +1378,26 @@ class TestChunkedScanCalls:
             turns = floor + np.flatnonzero(positive[floor:stop])
             ends.append(turns[0] + 1 if turns.size else stop)
         assert 0 < np.count_nonzero(floors) < a.size
-        chunks = list(analysis._chunks(walks))
-        blocks = np.zeros(a.size, dtype=int)
-        for c in chunks:
-            walking = np.array(walks[c]) > 0
-            size = analysis._SCAN_BLOCK // max(np.count_nonzero(walking), 1)
-            if (np.array(floors[c])[walking] > 0).all():
-                size = min(size, analysis._CUT_BLOCK)
-            blocks[c] = [_blocks(size, end - floor) for floor, end in zip(floors[c], ends[c])]
-        rounds = [max(blocks[c]) for c in chunks]
-        assert any(c.stop - c.start > 1 and r > 1 for c, r in zip(chunks, rounds))
+        walks, floors, ends = (np.array(x) for x in (walks, floors, ends))
+        walking = walks > 0
+        size = analysis._SCAN_BLOCK // np.count_nonzero(walking)
+        if (floors[walking] > 0).all():
+            size = min(size, analysis._CUT_BLOCK)
+        ends = (ends - floors)[walking]
+        want = _walk_shapes(size, ends, walks[walking])
+        blocks = [_blocks(size, n) for n in ends]
+        assert want[0][0] > 1 and len(want) > 1
         calls = _closed_form_calls(monkeypatch)
         batch = find_crossover_many(a, d, 0.1, scan_bound=bound)
+        assert [np.shape(l) for name, _, l in calls if name == "_x_abs"] == want
         # two refinement calls per Newton step, one per pair
-        assert len(calls) - 2 * batch.iterations.max() - 1 == sum(rounds) < sum(blocks)
+        assert len(calls) - 2 * batch.iterations.max() - 1 == len(want) < sum(blocks)
 
     def test_figures_evaluate_the_kernel_at_few_points(self, monkeypatch):
         # fig4's gap scans share one grid and bracket per separation: 400
         # scans of 256 points, then the golden section over all 1600 rows,
         # two probes to start, one per step and one at the peaks.  fig5's
-        # walks take first blocks of about _SCAN_BLOCK points per chunk
+        # walks start with one point of each row
         gaps = np.array([0.2, 0.5, 1.0, 1.2])[:, None]
         steps = find_optimal_gap_many(gaps, np.linspace(0.5, 4.1, 400), 1.0).iterations.max()
         points = []
@@ -1386,12 +1410,13 @@ class TestChunkedScanCalls:
         cli.build_figure("fig5", 400)
         assert sum(points) <= 135_000
 
-    def test_separation_chunks_stay_within_the_chunk_size(self, monkeypatch):
+    def test_separation_scan_calls_stay_within_the_cap(self, monkeypatch):
         # rows ending at their certified cuts and at 1 switching length side
-        # by side: each round, over the walks of a chunk padded to the
-        # longest, holds at most a chunk's points unless it holds one row;
-        # the cuts take one envelope call per step, of at most a first
-        # block's points, and the lower cut one at the grids' first points
+        # by side: each round, over the walks of the rows still walking
+        # padded to the longest, holds at most _SCAN_CHUNK points, or one
+        # point per row where more rows walk; the cuts take one envelope
+        # call per step, of at most a first block's points, and the lower
+        # cut one at the grids' first points
         a, d, bound = _crossover_rows()
         envelope = _envelope_shapes(monkeypatch)
         calls = _closed_form_calls(monkeypatch)
@@ -1400,7 +1425,7 @@ class TestChunkedScanCalls:
         assert ceiling == ()  # the grids' common first point
         rounds = [np.shape(l) for _, _, l in calls if np.ndim(l) == 2]
         assert len(rounds) > 3 and any(s[0] > 1 for s in rounds)
-        assert all(s[0] == 1 or np.prod(s) <= analysis._SCAN_CHUNK for s in rounds)
+        assert all(np.prod(s) <= max(analysis._SCAN_CHUNK, s[0]) for s in rounds)
         # 40 rows probe 6 indices each per step: the first probes the rungs
         # up to 256 * 2^5 of every row, past every cut here, which leaves
         # brackets of at most max(256, cut) indices, and each later step
@@ -1410,6 +1435,24 @@ class TestChunkedScanCalls:
         steps = next(k for k in range(1, 64) if 7**k > max(256, *cuts))
         assert 0 < len(envelope) <= 1 + steps
         assert all(s[0] <= a.size and s[1] == 6 for s in envelope)
+
+    def test_more_rows_than_the_cap_walk_one_point_per_row(self, monkeypatch):
+        # 9 000 rows over small gaps: while more than _SCAN_CHUNK rows walk,
+        # each call holds one point of each; then the blocks double within
+        # the cap.  Every row keeps the bits of the batch run as two halves,
+        # whose calls start with one point per row and double sooner
+        rng = np.random.default_rng(28)
+        a, d = rng.uniform(0.0, 3.0, 9000), rng.uniform(0.0, 3.0, 9000)
+        calls = _closed_form_calls(monkeypatch)
+        batch = find_lmax_many(a, d, 0.1)
+        walks = [np.shape(l) for name, _, l in calls if name == "_x_abs"]
+        crowded = [s for s in walks if s[0] > analysis._SCAN_CHUNK]
+        assert len(crowded) > 1 and all(s[1] == 1 for s in crowded)
+        assert walks[:len(crowded)] == crowded and max(s[1] for s in walks) > 1
+        assert all(np.prod(s) <= max(analysis._SCAN_CHUNK, s[0]) for s in walks)
+        halves = [find_lmax_many(a[h], d[h], 0.1) for h in (slice(0, 4500), slice(4500, None))]
+        assert [_row(batch, i) for i in range(a.size)] == \
+            [_row(h, i) for h in halves for i in range(4500)]
 
     def test_a_walk_longer_than_a_chunk_calls_at_most_a_chunk(self, monkeypatch):
         # the Dawson floor certifies nothing here, so the walk runs from the
@@ -1464,6 +1507,23 @@ class TestChunkedScanCalls:
         envelope = _envelope_shapes(monkeypatch)
         assert analysis._cuts(100.0, n[1:], gm[1:], d[1:]).tolist() == [1, 1, 1, 1]
         assert envelope == []
+
+
+def _walk_shapes(first, ends, lengths):
+    """The (rows, points) shapes of the calls of a lockstep walk over rows
+    whose blocks must cover ``ends`` points (at least one each) of walks of
+    ``lengths`` points: the first block of ``first`` points, each later one
+    twice the one before but at most _SCAN_CHUNK // rows still walking (at
+    least one), each call as wide as its block or the longest walk's
+    rest."""
+    ends, lengths = np.asarray(ends), np.asarray(lengths)
+    shapes, offset, size = [], 0, first
+    while ends.size:
+        shapes.append((ends.size, min(size, int(lengths.max()) - offset)))
+        offset += size
+        ends, lengths = ends[ends > offset], lengths[ends > offset]
+        size = max(1, min(2 * size, analysis._SCAN_CHUNK // max(ends.size, 1)))
+    return shapes
 
 
 def _blocks(size, points):

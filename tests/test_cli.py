@@ -297,6 +297,26 @@ class TestSearchCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and ("omega_a_sigma" in err or "delta_omega" in err)
 
+    # past the coupling bound P_A P_B overflows; from about 1.3e154 on
+    # coupling**2 raised OverflowError and each command exited 1
+    @pytest.mark.filterwarnings("ignore:coupling=.*weak-coupling:UserWarning")
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--omega-a", "0.5", "--delta-omega", "0.25", "--l", "1"],
+        ["sweep", "--axis", "l", "--start", "0.5", "--stop", "2", "--points", "3",
+         "--omega-a", "0.5", "--delta-omega", "0.25"],
+        ["lmax", "--omega-a", "0.5", "--delta-omega", "0.25"],
+        ["peak", "--omega-a", "0.5", "--l", "2"],
+        ["crossover", "--omega-a", "0.5", "--delta-omega", "0.25"],
+    ], ids=lambda argv: argv[0])
+    def test_couplings_past_the_bound_exit_3(self, argv, tmp_path, capsys):
+        from udwharvest.closedform import _MAX_COUPLING
+        above = float(np.nextafter(_MAX_COUPLING, np.inf))
+        assert run(argv + ["--lambda", repr(_MAX_COUPLING), "--out", str(tmp_path / "o")]) == 0
+        assert run(argv + ["--lambda", repr(above)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: coupling={above!r} exceeds {_MAX_COUPLING!r}; P_A P_B, " \
+            "(coupling^2/4 pi)^2 at zero gap, would overflow double precision\n"
+
     # a NaN or infinite gap bound printed "value nan" and "converged True"
     @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
     def test_non_finite_gap_bound_exits_3(self, bound, capsys):

@@ -1,5 +1,6 @@
 """Closed forms: reductions, symmetries, asymptotics, oracle agreement."""
 
+import re
 import warnings
 
 import mpmath as mp
@@ -31,7 +32,7 @@ from udwharvest import (
     transition_probability,
     x_single_integral_pv,
 )
-from udwharvest import analysis
+from udwharvest import analysis, closedform
 from udwharvest.closedform import (
     _SCALED_BELOW, _ZW3_BOUND, _ZW_BOUND, _clamp, _ingredients, _probability, _probability_bracket,
     _scaled_gm, _scaled_probability, _scaled_x_envelope, _scaled_x_floor, _x_abs, _x_abs_slope,
@@ -61,6 +62,30 @@ class TestConfig:
             DetectorPairConfig(0.5, 0.0, 1.0, coupling=0.0)
         with pytest.raises(ValueError):
             DetectorPairConfig(np.inf, 0.0, 1.0)
+
+    # P_A P_B overflowed from a coupling of about 4.1e77 on: at 1e78,
+    # concurrence() reported 0 and a geometric mean of inf, and from about
+    # 1.3e154 on coupling**2 raised OverflowError
+    @pytest.mark.filterwarnings("ignore:coupling=.*weak-coupling:UserWarning")
+    def test_coupling_bound_is_where_the_largest_product_overflows(self):
+        bound = closedform._MAX_COUPLING
+        above = float(np.nextafter(bound, np.inf))
+        # (coupling^2/4 pi)^2, P at zero gap squared, is finite at the bound
+        # and overflows one ulp above it
+        p = np.float64(transition_probability(0.0, bound))
+        assert np.isfinite(p * p)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            np.float64(transition_probability(0.0, above)) ** 2
+        for cfg in (DetectorPairConfig(0.0, 0.0, 1.0, bound),
+                    DetectorPairConfig(0.5, 0.25, 1.0, bound)):
+            report = concurrence(cfg)
+            assert np.isfinite(report.geometric_mean) and report.concurrence > 0.0
+            weak = concurrence(DetectorPairConfig(cfg.omega_a_sigma, cfg.delta_omega_sigma, 1.0))
+            assert report.concurrence / bound**2 == pytest.approx(weak.concurrence / 0.01,
+                                                                   rel=1e-12)
+        message = f"coupling={above!r} exceeds {bound!r}; P_A P_B"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DetectorPairConfig(0.5, 0.25, 1.0, above)
 
     def test_warns_on_strong_coupling(self):
         with pytest.warns(UserWarning):

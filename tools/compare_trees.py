@@ -17,13 +17,22 @@ The set covers what the package reports:
 * 400-row batches of each search over a in [0, 40], d in (0, 35] and
   l in [0.05, 120], and over a in [0, 3], d in (0, 8] and l in [0.05, 12],
   at couplings 0.1 and 1;
+* a batch of each separation search that walks the named rows below
+  (those with d > 0 for crossovers) beside 40 short stratified rows, so
+  that long and short walks share the lockstep's calls;
+* a 40-row ``find_lmax_many`` batch over a, d in [0, 3] with an array
+  ``scan_bound``: 0.9 times each row's lmax on every other row (a
+  bracketing failure) and 1.1 times it on the rest (a capped grid);
+* a 10 000-row ``find_lmax_many`` batch over a, d in [0, 3], where more
+  rows walk than a scan call holds points;
 * one-problem calls of each search at six rows, among them the row of
   explore seed 1's failed check, and at six named rows that take the
   separation searches' longer paths:
   - (22.100854834257316, 0.08112977215348849): a crossover walk of 4 428
     points from the grid's first point;
   - (1e3, 1) and (3e4, 0): find_lmax cut searches of four envelope calls;
-  - (2000, 1e-3): a crossover walk over more than 40 chunks;
+  - (2000, 1e-3): a crossover walk of more than 40 calls, each capped
+    at 8 192 points;
   - (0.01, 0.01): a crossover refinement of 58 Newton steps;
   - (4.5088116955865685, 34.61449538201831): a crossover where the ratio
     of the pairs' scales underflows;
@@ -64,7 +73,7 @@ ROWS = ((0.5, 0.25), (20.0, 5.0), (35.0, 30.0), (3.0, 12.0), (0.70, 1.94),
 # docstring says which)
 NAMED_ROWS = ((22.100854834257316, 0.08112977215348849), (1e3, 1.0), (3e4, 0.0),
               (2000.0, 1e-3), (0.01, 0.01), (4.5088116955865685, 34.61449538201831))
-# stratified one-problem rows per search
+# stratified one-problem rows per search, and short rows of the mixed batches
 STRATIFIED_ROWS = 40
 SURVEY_GAPS = SURVEY_RATIOS = (0.2, 0.5, 1.0, 1.2)
 COUPLINGS = (0.1, 1.0)
@@ -73,6 +82,8 @@ ROW_COUPLINGS = (1e-160, 10.0)
 # (name, a range, upper end of d's range, l range) of the batches
 DOMAINS = (("wide", (0.0, 40.0), 35.0, (0.05, 120.0)),
            ("small", (0.0, 3.0), 8.0, (0.05, 12.0)))
+# rows of the bounded and of the large find_lmax_many batch over a, d in [0, 3]
+BOUNDED_ROWS, LARGE_ROWS = 40, 10_000
 
 
 def _encode(value):
@@ -178,6 +189,20 @@ def _outputs():
             out[f"{key}/find_lmax_many"] = analysis.find_lmax_many(a, d, coupling)
             out[f"{key}/find_crossover_many"] = analysis.find_crossover_many(a, d, coupling)
             out[f"{key}/find_optimal_gap_many"] = analysis.find_optimal_gap_many(a, l, coupling)
+
+    rng_batches = np.random.default_rng(28)
+    short = dict(_stratified_rows(rng_batches, STRATIFIED_ROWS))
+    for many, search in ((analysis.find_lmax_many, "find_lmax"),
+                         (analysis.find_crossover_many, "find_crossover")):
+        a, d = np.array([row for row in NAMED_ROWS + tuple(short[search])
+                         if search == "find_lmax" or row[1] > 0.0]).T
+        out[f"mixed/{many.__name__}"] = many(a, d)
+    a, d = (rng_batches.uniform(0.0, 3.0, BOUNDED_ROWS) for _ in range(2))
+    lmax = analysis.find_lmax_many(a, d).location
+    bound = lmax * np.resize([0.9, 1.1], BOUNDED_ROWS)
+    out["bounded-batch/find_lmax_many"] = analysis.find_lmax_many(a, d, scan_bound=bound)
+    a, d = (rng_batches.uniform(0.0, 3.0, LARGE_ROWS) for _ in range(2))
+    out["large-batch/find_lmax_many"] = analysis.find_lmax_many(a, d)
 
     for x, y in ROWS + NAMED_ROWS:
         for search in (analysis.find_lmax, analysis.find_crossover, analysis.find_optimal_gap):
