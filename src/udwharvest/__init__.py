@@ -25,7 +25,6 @@ from .closedform import (
     DetectorPairConfig,
     GapRegime,
     HarvestReport,
-    Method,
     SeparationRegime,
     asymptotic_concurrence,
     asymptotic_gm_probability,
@@ -82,7 +81,6 @@ __all__ = [
     "DetectorPairConfig",
     "GapRegime",
     "HarvestReport",
-    "Method",
     "SeparationRegime",
     "asymptotic_concurrence",
     "asymptotic_gm_probability",

@@ -53,7 +53,6 @@ from .specfun import erf_real, erfcx_real, faddeeva_w
 __all__ = [
     "MAX_DELTA_OMEGA_SIGMA",
     "COUPLING_WARN_THRESHOLD",
-    "Method",
     "GapRegime",
     "SeparationRegime",
     "ConcurrenceRegime",
@@ -84,13 +83,6 @@ MAX_DELTA_OMEGA_SIGMA = 35.0
 COUPLING_WARN_THRESHOLD = 0.3
 
 
-class Method(enum.Enum):
-    """Which pipeline produced a report."""
-
-    CLOSED_FORM = "closed-form"
-    ORACLE_SINGLE_INTEGRAL = "oracle-single-integral"
-
-
 class GapRegime(enum.Enum):
     SMALL_GAPS = "small-gaps"
     LARGE_GAPS = "large-gaps"
@@ -116,8 +108,15 @@ _LARGEST, _SMALLEST = np.finfo(float).max, np.nextafter(0.0, 1.0)
 # zero gap, is a finite double: above it the product overflows, and the
 # concurrence with it
 _MAX_COUPLING = float(np.sqrt(4.0 * np.pi) * _LARGEST**0.25)
+# The largest smaller gap a for which X's prefactor exp(-(2a + d)^2/4)
+# squares 2a + d to a finite double: there the gap difference d <= 35 lies
+# far below half an ulp of 2a, so 2a + d rounds to 2a, whose square
+# overflows above sqrt(largest double)
+_MAX_OMEGA_A = float(np.sqrt(_LARGEST) / 2.0)
 _DOMAIN = (
-    ("omega_a_sigma", 0.0, _LARGEST, "omega_a_sigma must be >= 0 (A has the smaller gap)", ""),
+    ("omega_a_sigma", 0.0, _MAX_OMEGA_A, "omega_a_sigma must be >= 0 (A has the smaller gap)",
+     f"omega_a_sigma={{}} exceeds {_MAX_OMEGA_A!r} = sqrt(largest double)/2; "
+     "(2 omega_a_sigma + delta_omega_sigma)^2 in X's prefactor would overflow double precision"),
     ("delta_omega_sigma", 0.0, MAX_DELTA_OMEGA_SIGMA,
      "delta_omega_sigma must be >= 0 (A has the smaller gap)",
      f"delta_omega_sigma={{}} exceeds {MAX_DELTA_OMEGA_SIGMA}; "
@@ -227,16 +226,12 @@ class DetectorPairConfig:
 @dataclass(frozen=True)
 class HarvestReport:
     """Transition probabilities, correlation amplitude, and concurrence for
-    one scenario, tagged with the pipeline that produced it.  The exchange
-    correlation ``c_corr`` is filled only by the oracle pipeline (there is
-    no closed form for it)."""
+    one scenario, from the closed forms (:func:`concurrence`)."""
 
     p_a: float
     p_b: float
     x: complex
     concurrence: float
-    method: Method
-    c_corr: complex | None = None
 
     @property
     def x_abs(self) -> float:
@@ -618,7 +613,7 @@ def concurrence(cfg: DetectorPairConfig) -> HarvestReport:
     p_a, p_b, x, excess = _ingredients(
         cfg.omega_a_sigma, cfg.delta_omega_sigma, cfg.l_over_sigma, cfg.coupling
     )
-    return HarvestReport(p_a, p_b, x, float(_clamp(excess)), Method.CLOSED_FORM)
+    return HarvestReport(p_a, p_b, x, float(_clamp(excess)))
 
 
 def asymptotic_gm_probability(cfg: DetectorPairConfig, regime: GapRegime) -> float:

@@ -1,5 +1,9 @@
-"""Quadrature oracles that recompute everything from the regulated
-vacuum two-point function, independently of the closed forms.
+"""Quadrature oracles that recompute the probabilities and correlations
+from the regulated vacuum two-point function, independently of the closed
+forms.  The concurrence they imply is compared with the closed form by
+``udwharvest verify`` (:func:`udwharvest.cli.run_verification`), and
+:func:`assemble_rho` builds the joint detector state from the closed forms
+plus the exchange correlation, whose only route is quadrature.
 
 Two kinds of evaluation live here:
 
@@ -78,8 +82,6 @@ import numpy as np
 
 from .closedform import (
     DetectorPairConfig,
-    HarvestReport,
-    Method,
     correlation_x,
     transition_probability,
 )
@@ -100,7 +102,6 @@ __all__ = [
     "c_double_integral",
     "DensityMatrix4",
     "assemble_rho",
-    "harvest_report",
 ]
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -788,23 +789,3 @@ def assemble_rho(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SET
     m[3, 0] = np.conj(x)
     return DensityMatrix4(m).validate()
 
-
-def harvest_report(
-    cfg: DetectorPairConfig,
-    settings: OracleSettings = DEFAULT_SETTINGS,
-    include_c: bool = False,
-):
-    """Full oracle recomputation of a scenario.
-
-    The correlation comes from the single-integral principal-value route
-    (~1e-9), the probabilities from the double-integral route; with
-    ``include_c`` the exchange correlation is added from
-    :func:`c_quadrature`.
-    """
-    x = x_single_integral_pv(cfg, settings)
-    p_a, p_b = pd_double_integral_many(
-        [cfg.omega_a_sigma, cfg.omega_b_sigma], cfg.coupling, settings
-    ).tolist()
-    conc = 2.0 * max(0.0, float(np.abs(x)) - float(np.sqrt(p_a * p_b)))
-    c = c_quadrature(cfg, settings) if include_c else None
-    return HarvestReport(p_a, p_b, x, conc, Method.ORACLE_SINGLE_INTEGRAL, c)

@@ -789,6 +789,40 @@ class TestLargeGaps:
             assert [_row(batch, i) for i in range(a.size)] == \
                 [_outcome(one, x, y, 0.1) for x, y in zip(a, d)], one.__name__
 
+    # above the bound X's prefactor overflowed: find_optimal_gap(1e154, 1.0)
+    # raised RuntimeWarning
+    def test_searches_answer_or_refuse_at_the_omega_a_bound_and_raise_past_it(self):
+        bound = closedform._MAX_OMEGA_A
+        above = float(np.nextafter(bound, np.inf))
+        past = re.escape(f"omega_a_sigma={above!r} exceeds")
+        res = find_optimal_gap(bound, 1.0)
+        assert res.converged and res.location == 0.0 and res.value == 0.0
+        with pytest.raises(ValueError, match=past):
+            find_optimal_gap(above, 1.0)
+        # the separation searches refuse at the bound with the envelope's
+        # ValueError: it certifies no separation there
+        for search, d in ((find_lmax, 0.0), (find_lmax, 0.5), (find_lmax, 35.0),
+                          (find_crossover, 0.5), (find_crossover, 35.0)):
+            with pytest.raises(ValueError, match="the envelope certifies no separation"):
+                search(bound, d)
+            with pytest.raises(ValueError, match=past):
+                search(above, d)
+
+    # sweep("omega_a_sigma", [1.0, 1e154], ...) raised RuntimeWarning
+    # instead of flagging the point
+    def test_a_sweep_flags_the_point_past_the_omega_a_bound(self):
+        bound = closedform._MAX_OMEGA_A
+        above = float(np.nextafter(bound, np.inf))
+        grid = sweep("omega_a_sigma", [1.0, bound, above, 1e154],
+                     DetectorPairConfig(1.0, 0.5, 1.0))
+        with pytest.raises(ValueError) as exc:
+            DetectorPairConfig(above, 0.5, 1.0)
+        message = str(exc.value).replace(repr(above), "{}")
+        assert grid.errors.tolist() == ["", "", message.format(repr(above)),
+                                        message.format(repr(1e154))]
+        assert grid.concurrence[0] > 0.0 and grid.concurrence[1] == 0.0
+        assert np.isnan(grid.concurrence[2:]).all()
+
 
 class TestCertifiedEnd:
     """Each separation grid ends where the envelope certifies every larger

@@ -317,6 +317,24 @@ class TestSearchCommands:
         assert err == f"error: coupling={above!r} exceeds {_MAX_COUPLING!r}; P_A P_B, " \
             "(coupling^2/4 pi)^2 at zero gap, would overflow double precision\n"
 
+    # past the omega_a bound X's prefactor overflowed, and eval, sweep and
+    # peak exited 1 with a RuntimeWarning traceback
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--delta-omega", "0.25", "--l", "1"],
+        ["sweep", "--axis", "l", "--start", "0.5", "--stop", "2", "--points", "3",
+         "--delta-omega", "0.25"],
+        ["peak", "--l", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_omega_a_past_the_bound_exits_3(self, argv, tmp_path, capsys):
+        from udwharvest.closedform import _MAX_OMEGA_A
+        above = float(np.nextafter(_MAX_OMEGA_A, np.inf))
+        assert run(argv + ["--omega-a", repr(_MAX_OMEGA_A), "--out", str(tmp_path / "o")]) == 0
+        assert run(argv + ["--omega-a", repr(above)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: omega_a_sigma={above!r} exceeds {_MAX_OMEGA_A!r} = sqrt(largest " \
+            "double)/2; (2 omega_a_sigma + delta_omega_sigma)^2 in X's prefactor would " \
+            "overflow double precision\n"
+
     # a NaN or infinite gap bound printed "value nan" and "converged True"
     @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
     def test_non_finite_gap_bound_exits_3(self, bound, capsys):

@@ -1,5 +1,6 @@
 """Closed forms: reductions, symmetries, asymptotics, oracle agreement."""
 
+import dataclasses
 import re
 import warnings
 
@@ -12,7 +13,7 @@ from udwharvest import (
     ConcurrenceRegime,
     DetectorPairConfig,
     GapRegime,
-    Method,
+    HarvestReport,
     OracleSettings,
     SeparationRegime,
     asymptotic_concurrence,
@@ -86,6 +87,41 @@ class TestConfig:
         message = f"coupling={above!r} exceeds {bound!r}; P_A P_B"
         with pytest.raises(ValueError, match=re.escape(message)):
             DetectorPairConfig(0.5, 0.25, 1.0, above)
+
+    # above the bound X's prefactor squared 2a + d to inf:
+    # concurrence(DetectorPairConfig(6.703903964971299e153, 0.5, 1.0)) raised
+    # "RuntimeWarning: overflow encountered in scalar multiply"
+    def test_omega_a_bound_is_where_the_prefactor_square_overflows(self):
+        bound = closedform._MAX_OMEGA_A
+        above = float(np.nextafter(bound, np.inf))
+        for d in (0.0, 35.0):
+            assert np.isfinite((np.float64(2.0 * bound) + d) ** 2)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                (np.float64(2.0 * above) + d) ** 2
+        message = (f"omega_a_sigma={above!r} exceeds {bound!r} = sqrt(largest double)/2; "
+                   "(2 omega_a_sigma + delta_omega_sigma)^2 in X's prefactor would overflow")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DetectorPairConfig(above, 0.5, 1.0)
+
+    @pytest.mark.parametrize("d", [0.0, 0.5, 35.0])
+    @pytest.mark.parametrize("l", [1e-3, 1.0, 50.0])
+    def test_closed_forms_answer_at_the_omega_a_bound(self, d, l):
+        a = closedform._MAX_OMEGA_A
+        cfg = DetectorPairConfig(a, d, l, 0.1)
+        assert transition_probability(a, 0.1) == 0.0
+        assert geometric_mean_probability(a, d, 0.1) == 0.0
+        assert correlation_x_values(a, d, l, 0.1) == 0.0 and correlation_x(cfg) == 0.0
+        assert correlation_excess(a, d, l, 0.1) == 0.0 == concurrence_values(a, d, l, 0.1)
+        report = concurrence(cfg)
+        assert (report.p_a, report.p_b, report.x, report.concurrence) == (0.0, 0.0, 0.0, 0.0)
+        for regime in GapRegime:
+            assert np.isfinite(asymptotic_gm_probability(cfg, regime))
+        for regime in SeparationRegime:
+            assert np.isfinite(asymptotic_x(cfg, regime))
+        for regime in ConcurrenceRegime:
+            assert np.isfinite(asymptotic_concurrence(cfg, regime))
+        assert np.isfinite(lmax_large_gap_estimate(a, d))
+        assert np.isfinite(concurrence_gap_derivative_estimate(cfg))
 
     def test_warns_on_strong_coupling(self):
         with pytest.warns(UserWarning):
@@ -303,10 +339,8 @@ class TestConcurrence:
     def test_report_consistency(self):
         cfg = DetectorPairConfig(0.7, 0.3, 1.2, 0.1)
         rep = concurrence(cfg)
-        assert rep.method is Method.CLOSED_FORM
         assert rep.concurrence == 2.0 * max(0.0, rep.x_abs - rep.geometric_mean)
         assert rep.p_a >= rep.p_b
-        assert rep.c_corr is None
         rng = np.random.default_rng(11)
         for a, d, l in zip(rng.uniform(0, 3, 500), rng.uniform(0, 3, 500),
                            rng.uniform(0.05, 6, 500)):
@@ -613,6 +647,10 @@ class TestPublicTypes:
         report = concurrence(DetectorPairConfig(a, d, l, 0.1))
         assert [type(v) for v in (report.p_a, report.p_b, report.x, report.concurrence)] == [
             float, float, complex, float]
+
+    def test_report_fields(self):
+        assert tuple(f.name for f in dataclasses.fields(HarvestReport)) == (
+            "p_a", "p_b", "x", "concurrence")
 
 
 class TestIngredientCaches:

@@ -7,7 +7,6 @@ import pytest
 from udwharvest import (
     DEFAULT_SETTINGS,
     DetectorPairConfig,
-    Method,
     NonConvergence,
     OracleSettings,
     assemble_rho,
@@ -27,7 +26,7 @@ from udwharvest import (
 )
 from udwharvest import cli, oracle
 from udwharvest.cli import VERIFICATION_GRID, run_verification
-from udwharvest.oracle import extrapolate_to_zero, harvest_report
+from udwharvest.oracle import extrapolate_to_zero
 
 FOUR_PI = 4.0 * np.pi
 # a non-asymptotic regulator schedule whose extrapolation cannot converge
@@ -228,15 +227,6 @@ class TestAssembledState:
         cfg = DetectorPairConfig(0.5, 0.5, 2.0, 0.1)
         rho = assemble_rho(cfg)
         assert rho.concurrence() == pytest.approx(concurrence(cfg).concurrence, rel=1e-6)
-
-    def test_oracle_report(self):
-        cfg = DetectorPairConfig(0.5, 0.5, 2.0, 0.1)
-        rep = harvest_report(cfg, include_c=True)
-        assert rep.method is Method.ORACLE_SINGLE_INTEGRAL
-        assert rep.c_corr is not None
-        ref = concurrence(cfg)
-        assert rep.concurrence == pytest.approx(ref.concurrence, rel=1e-3)
-        assert rep.p_a == pytest.approx(ref.p_a, rel=1e-4)
 
 
 class TestRegulatorConvergence:

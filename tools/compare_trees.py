@@ -7,8 +7,11 @@ path.  There it evaluates a fixed set of inputs (below) and writes every
 output as exact bit patterns: each float as ``float.hex``, each complex as
 its two parts, each raised search error as its class and message.  The two
 sets are then compared key by key; every key whose bits differ, or that
-only one tree has, is printed.  The exit status is 1 on any difference and
-0 when every bit is kept.
+only one tree has, is printed.  A differing key is followed by the paths
+inside its value that differ and those that only one tree has, e.g.
+``differs: report/0.1/3: differs at: x/1; only in parent: note`` for a
+changed imaginary part of ``x`` and a field the change dropped.  The exit
+status is 1 on any difference and 0 when every bit is kept.
 
 The set covers what the package reports:
 
@@ -284,6 +287,39 @@ def _run(tree, path):
     return outputs
 
 
+# paths shown per kind of difference inside one key
+MAX_PATHS = 8
+
+
+def _inner(parent, change, path, found):
+    """Collect into ``found`` the paths inside two encoded values that
+    differ (``"differs at"``) or that only one of them has."""
+    prefix = f"{path}/" if path else ""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        for k in list(parent) + [k for k in change if k not in parent]:
+            if k not in change:
+                found["only in parent"].append(prefix + k)
+            elif k not in parent:
+                found["only in change"].append(prefix + k)
+            else:
+                _inner(parent[k], change[k], prefix + k, found)
+    elif isinstance(parent, list) and isinstance(change, list) and len(parent) == len(change):
+        for i, (p, c) in enumerate(zip(parent, change)):
+            _inner(p, c, f"{prefix}{i}", found)
+    elif parent != change:
+        found["differs at"].append(path or "the whole value")
+
+
+def _detail(parent, change):
+    """Where two encoded values of one key differ, as one line."""
+    found = {"differs at": [], "only in parent": [], "only in change": []}
+    _inner(parent, change, "", found)
+    return "; ".join(
+        f"{kind}: {', '.join(paths[:MAX_PATHS])}"
+        + (f", ... ({len(paths)} in all)" if len(paths) > MAX_PATHS else "")
+        for kind, paths in found.items() if paths)
+
+
 def main(argv):
     if len(argv) == 2 and argv[0] == "--dump":
         _dump(argv[1])
@@ -296,7 +332,8 @@ def main(argv):
                           for i, tree in enumerate(argv))
     differ = sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
     for key in differ:
-        print(f"differs: {key}" if key in parent and key in change
+        print(f"differs: {key}: {_detail(parent[key], change[key])}"
+              if key in parent and key in change
               else f"only in {'parent' if key in parent else 'change'}: {key}")
     print(f"{len(parent.keys() | change.keys())} keys compared, {len(differ)} differ")
     return 1 if differ else 0
