@@ -48,12 +48,9 @@ from .oracle import (
     c_double_integral,
     c_quadrature,
     pd_double_integral,
-    pd_double_integral_many,
     pv_gaussian_pole_integral,
     x_double_integral,
-    x_double_integral_many,
     x_single_integral_pv,
-    x_single_integral_pv_many,
 )
 from .analysis import (
     BracketingFailure,
@@ -102,12 +99,9 @@ __all__ = [
     "c_double_integral",
     "c_quadrature",
     "pd_double_integral",
-    "pd_double_integral_many",
     "pv_gaussian_pole_integral",
     "x_double_integral",
-    "x_double_integral_many",
     "x_single_integral_pv",
-    "x_single_integral_pv_many",
     "BracketingFailure",
     "NoCrossover",
     "NoHarvestingRegion",

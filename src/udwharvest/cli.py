@@ -56,9 +56,9 @@ from .oracle import (
     DEFAULT_SETTINGS,
     NonConvergence,
     OracleSettings,
-    pd_double_integral_many,
-    x_double_integral_many,
-    x_single_integral_pv_many,
+    pd_double_integral,
+    x_double_integral,
+    x_single_integral_pv,
 )
 from .analysis import (
     BracketingFailure,
@@ -292,11 +292,11 @@ def run_verification(
     )
     x_closed = correlation_x_values(omega_a, delta, sep, coupling)
     c_closed = concurrence_values(omega_a, delta, sep, coupling)
-    x_dbls = x_double_integral_many(omega_a, omega_b, sep, coupling, settings)
-    x_pvs = x_single_integral_pv_many(omega_a, omega_b, sep, coupling, settings)
+    x_dbls = x_double_integral(omega_a, omega_b, sep, coupling, settings)
+    x_pvs = x_single_integral_pv(omega_a, omega_b, sep, coupling, settings)
     gaps = sorted({0.0, *omega_a.tolist(), *omega_b.tolist()})
     # the zero-gap anchor at unit coupling rides along as the last row
-    p_oracle = pd_double_integral_many(gaps + [0.0], [coupling] * len(gaps) + [1.0], settings)
+    p_oracle = pd_double_integral(gaps + [0.0], [coupling] * len(gaps) + [1.0], settings)
     p_by_gap = dict(zip(gaps, p_oracle.tolist()))
     for (a, r, l), cfg, x, c, x_dbl, x_pv in zip(grid, cfgs, x_closed, c_closed, x_dbls, x_pvs):
         tag = f"a={a} dw/wa={r} l={l}"

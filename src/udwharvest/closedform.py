@@ -113,6 +113,9 @@ _MAX_COUPLING = float(np.sqrt(4.0 * np.pi) * _LARGEST**0.25)
 # far below half an ulp of 2a, so 2a + d rounds to 2a, whose square
 # overflows above sqrt(largest double)
 _MAX_OMEGA_A = float(np.sqrt(_LARGEST) / 2.0)
+# The largest separation l whose square l*l, in X's exp(-l^2/4) and the
+# terms built on it, is a finite double
+_MAX_SEPARATION = float(np.sqrt(_LARGEST))
 _DOMAIN = (
     ("omega_a_sigma", 0.0, _MAX_OMEGA_A, "omega_a_sigma must be >= 0 (A has the smaller gap)",
      f"omega_a_sigma={{}} exceeds {_MAX_OMEGA_A!r} = sqrt(largest double)/2; "
@@ -121,8 +124,10 @@ _DOMAIN = (
      "delta_omega_sigma must be >= 0 (A has the smaller gap)",
      f"delta_omega_sigma={{}} exceeds {MAX_DELTA_OMEGA_SIGMA}; "
      "scaled intermediates would overflow double precision"),
-    ("l_over_sigma", _SMALLEST, _LARGEST, "l_over_sigma must be > 0 (zero separation diverges)",
-     ""),
+    ("l_over_sigma", _SMALLEST, _MAX_SEPARATION,
+     "l_over_sigma must be > 0 (zero separation diverges)",
+     f"l_over_sigma={{}} exceeds {_MAX_SEPARATION!r} = sqrt(largest double); "
+     "l_over_sigma^2 would overflow double precision"),
     ("coupling", _SMALLEST, _MAX_COUPLING, "coupling must be > 0",
      f"coupling={{}} exceeds {_MAX_COUPLING!r}; P_A P_B, (coupling^2/4 pi)^2 at zero gap, "
      "would overflow double precision"),

@@ -53,15 +53,15 @@ neither the regulator nor the kernel, so the outer time sum is taken
 first: one product of the matrix with the phase weights of an outer
 frequency, forward and reversed, gives both halves' outer sums, and per
 regulator there remains one sum over the offsets per problem.  The
-double-integral routes are therefore row-vectorized: a batch
-(``pd_double_integral_many``, ``x_double_integral_many``) builds one
-matrix per pole, graded for the smallest regulator, multiplies it once
-per distinct outer frequency and applies it to every regulator and every
-problem with that pole.  The principal-value routes are row-vectorized
-the same way: their panels depend on the separation alone, so a batch
-(``x_single_integral_pv_many``) makes one panel sum per separation and
-order.  The one-problem functions are one-row batches.  No matrix
-outlives the call that builds it.
+double-integral routes are therefore row-vectorized: a call of
+:func:`pd_double_integral` or :func:`x_double_integral` on broadcast arrays
+builds one matrix per pole, graded for the smallest regulator, multiplies
+it once per distinct outer frequency and applies it to every regulator and
+every problem with that pole.  The principal-value routes are
+row-vectorized the same way: their panels depend on the separation alone,
+so :func:`x_single_integral_pv` makes one panel sum per separation and
+order.  A call on scalars is a one-row batch and returns a Python number.
+No matrix outlives the call that builds it.
 
 Trust: a double-integral value is a sum of terms of fixed size, while
 the value falls exponentially with the gaps (P like exp(-gap^2), X like
@@ -74,7 +74,6 @@ gaps of about 3.8 and the correlation route up to a gap sum of about 9
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,6 +81,7 @@ import numpy as np
 
 from .closedform import (
     DetectorPairConfig,
+    _scalar,
     correlation_x,
     transition_probability,
 )
@@ -92,12 +92,9 @@ __all__ = [
     "DEFAULT_SETTINGS",
     "extrapolate_to_zero",
     "pd_double_integral",
-    "pd_double_integral_many",
     "pv_gaussian_pole_integral",
     "x_single_integral_pv",
-    "x_single_integral_pv_many",
     "x_double_integral",
-    "x_double_integral_many",
     "c_quadrature",
     "c_double_integral",
     "DensityMatrix4",
@@ -433,32 +430,32 @@ def _problems(*args):
 
 
 def _shaped(values, extrapolants, shape, return_extrapolants):
-    values = values.reshape(shape)
+    """``values`` in the broadcast shape, a Python number for a 0-d call,
+    and with ``return_extrapolants`` the extrapolants of shape
+    ``shape + (len(epsilon_schedule),)``."""
+    values = _scalar(values.reshape(shape))
     if return_extrapolants:
         return values, extrapolants.reshape(shape + extrapolants.shape[1:])
     return values
 
 
-def _order_doubled(kappa, l, value, settings, what):
+def _order_doubled(kappa, l, value, order, what):
     """``value(pv)`` of every row's principal value pv, the
     :func:`pv_gaussian_pole_integral` at the row's ``kappa`` and separation
-    ``l``, taken at twice the panel order.  Rows with the same separation
-    share one panel sum per order.  Each row is gated on the shift from the
-    nominal order: the first row above 1e-8 relative raises
+    ``l``, taken at twice the panel ``order``.  Rows with the same
+    separation share one panel sum per order.  Each row is gated on the
+    shift from the nominal order: the first row above 1e-8 relative raises
     :exc:`NonConvergence` with the message of its one-row call."""
 
-    def principal_values(s):
+    def principal_values(n):
         pv = np.empty(l.size, dtype=complex)
         for sep in np.unique(l):
             rows = np.flatnonzero(l == sep)
-            pv[rows] = pv_gaussian_pole_integral(kappa[rows], sep, s)
+            pv[rows] = pv_gaussian_pole_integral(kappa[rows], sep, n)
         return pv
 
-    coarse = value(principal_values(settings))
-    # the doubled order may lie above the cap on the orders callers pass
-    doubled = copy.copy(settings)
-    object.__setattr__(doubled, "quadrature_nodes", 2 * settings.quadrature_nodes)
-    fine = value(principal_values(doubled))
+    coarse = value(principal_values(order))
+    fine = value(principal_values(2 * order))
     shift = np.abs(fine - coarse)
     failed = np.flatnonzero(shift > 1e-8 * np.maximum(np.abs(fine), 1e-300))
     if failed.size:
@@ -468,35 +465,6 @@ def _order_doubled(kappa, l, value, settings, what):
             f"by {shift[i]:.3e} (value {abs(fine[i]):.3e})"
         )
     return fine
-
-
-def pd_double_integral_many(
-    omega_sigma,
-    coupling,
-    settings: OracleSettings = DEFAULT_SETTINGS,
-    return_extrapolants: bool = False,
-):
-    """:func:`pd_double_integral` for broadcast arrays of gaps and
-    couplings, returned as a float array of the broadcast shape (with
-    ``return_extrapolants``, also the extrapolants along a last axis).
-
-    Every row has its pole at zero offset, so all rows share one
-    cross-Gaussian matrix, graded for the smallest regulator.  A non-finite
-    argument raises ValueError for the whole batch; the first row whose
-    self-checks fail raises :exc:`NonConvergence` with the message of its
-    one-problem call.
-    """
-    shape, (omega, lam) = _problems(omega_sigma, coupling)
-    # inner time = outer + o; the kernel depends on the offset alone
-    values, extrapolants = _regulated_double_integral(
-        settings,
-        pole=np.zeros(omega.size),
-        outer_freq=np.zeros(omega.size),
-        later_k=omega,
-        prefactor=-lam**2 / (4.0 * np.pi**2),
-        rel_tol=1e-5,
-    )
-    return _shaped(values.real, extrapolants, shape, return_extrapolants)
 
 
 def pd_double_integral(
@@ -514,32 +482,41 @@ def pd_double_integral(
     part is the value.
 
     Both the quadrature error bound and the extrapolation must
-    self-certify to 1e-5; violations raise :exc:`NonConvergence`.  The quadrature sum keeps a fixed size while P
-    falls like exp(-gap^2), so at the default settings gaps above about
-    3.8 raise: their round-off exceeds 1e-5 of the value.  With
-    ``return_extrapolants`` the increasing-order extrapolant sequence is
-    returned alongside the value, for convergence diagnostics.  One problem
-    per call; :func:`pd_double_integral_many` solves arrays of them.
+    self-certify to 1e-5; violations raise :exc:`NonConvergence`.  The
+    quadrature sum keeps a fixed size while P falls like exp(-gap^2), so at
+    the default settings gaps above about 3.8 raise: their round-off
+    exceeds 1e-5 of the value.
+
+    Takes broadcast arrays of gaps and couplings and returns a float array
+    of the broadcast shape, a Python float for scalars; with
+    ``return_extrapolants`` also the increasing-order extrapolant sequence,
+    for convergence diagnostics, as a complex array with one more axis.
+    Every row has its pole at zero offset, so all rows share one
+    cross-Gaussian matrix.  A non-finite argument raises ValueError for the
+    whole batch; the first row whose self-checks fail raises
+    :exc:`NonConvergence` with the message of its one-row call.
     """
-    value, extrapolants = pd_double_integral_many(
-        omega_sigma, coupling, settings, return_extrapolants=True
+    shape, (omega, lam) = _problems(omega_sigma, coupling)
+    # inner time = outer + o; the kernel depends on the offset alone
+    values, extrapolants = _regulated_double_integral(
+        settings,
+        pole=np.zeros(omega.size),
+        outer_freq=np.zeros(omega.size),
+        later_k=omega,
+        prefactor=-lam**2 / (4.0 * np.pi**2),
+        rel_tol=1e-5,
     )
-    if return_extrapolants:
-        return float(value), tuple(complex(z) for z in extrapolants)
-    return float(value)
+    return _shaped(values.real, extrapolants, shape, return_extrapolants)
 
 
-def pv_gaussian_pole_integral(
-    kappa,
-    l_over_sigma,
-    settings: OracleSettings = DEFAULT_SETTINGS,
-):
+def pv_gaussian_pole_integral(kappa, l_over_sigma, order: int = 64):
     """Principal value of the Gaussian-windowed two-pole integral
 
         PV int exp(-v^2/4) exp(-i kappa v / 2) / (v^2 - l^2) dv,
 
-    for a scalar or an array of ``kappa`` at one separation l; the panels
-    depend on l alone, so an array is one panel sum.
+    for a scalar or an array of ``kappa`` at one separation l, with
+    ``order`` Gauss-Legendre nodes per panel; the panels depend on l alone,
+    so an array is one panel sum.
 
     Writes g(v) for the numerator and subtracts
     [g(l)/(2l)] h(v-l) - [g(-l)/(2l)] h(v+l) with h(u) = exp(-u^2)/u, an
@@ -558,7 +535,7 @@ def pv_gaussian_pole_integral(
     cp = g(l) / (2.0 * l)
     cm = g(-l) / (2.0 * l)
     edges = _fill_edges([-_HALFWIDTH, -l, l, _HALFWIDTH], max_width=1.0)
-    v, w = _panelize(edges, settings.quadrature_nodes)
+    v, w = _panelize(edges, order)
     u_p = v - l
     u_m = v + l
     remainder = (
@@ -569,21 +546,27 @@ def pv_gaussian_pole_integral(
     return np.sum(w * remainder, axis=-1)
 
 
-def x_single_integral_pv_many(
+def x_single_integral_pv(
     omega_a_sigma,
     omega_b_sigma,
     l_over_sigma,
     coupling,
     settings: OracleSettings = DEFAULT_SETTINGS,
 ):
-    """:func:`x_single_integral_pv` for broadcast arrays of both gaps, the
-    separation and the coupling, returned as a complex array of the
-    broadcast shape.
+    """Pair-correlation amplitude via the single-integral reduction: the
+    double integral collapses (Gaussian in the mean time, principal value
+    plus a lightcone residue in the time difference).
 
-    Rows with the same separation share the panels, and one panel sum per
-    order.  A non-finite argument or a separation <= 0 raises ValueError
-    for the whole batch; otherwise the first row whose order doubling fails
-    raises :exc:`NonConvergence` with the message of its one-problem call.
+    Self-checks by doubling the panel order; a relative shift above 1e-8
+    raises :exc:`NonConvergence`.  Returns the doubled-order value.
+
+    Takes broadcast arrays of both gaps, the separation and the coupling
+    and returns a complex array of the broadcast shape, a Python complex
+    for scalars.  Rows with the same separation share the panels, and one
+    panel sum per order.  A non-finite argument or a separation <= 0 raises
+    ValueError for the whole batch; otherwise the first row whose order
+    doubling fails raises :exc:`NonConvergence` with the message of its
+    one-row call.
     """
     shape, (a, b, l, lam) = _problems(omega_a_sigma, omega_b_sigma, l_over_sigma, coupling)
     if (l <= 0).any():
@@ -598,26 +581,12 @@ def x_single_integral_pv_many(
         * np.exp(-((a + b) ** 2 + l * l) / 4.0)
         * np.cos(0.5 * d * l)
     )
-    values = _order_doubled(d, l, lambda pv: pref * pv + residue, settings, "principal-value")
-    return values.reshape(shape)
+    values = _order_doubled(d, l, lambda pv: pref * pv + residue, settings.quadrature_nodes,
+                            "principal-value")
+    return _scalar(values.reshape(shape))
 
 
-def x_single_integral_pv(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SETTINGS):
-    """Pair-correlation amplitude via the single-integral reduction: the
-    double integral collapses (Gaussian in the mean time, principal value
-    plus a lightcone residue in the time difference).
-
-    Self-checks by doubling the panel order; a relative shift above 1e-8
-    raises :exc:`NonConvergence`.  Returns the doubled-order value.  One
-    problem per call; :func:`x_single_integral_pv_many` solves arrays of
-    them.
-    """
-    return complex(x_single_integral_pv_many(
-        cfg.omega_a_sigma, cfg.omega_b_sigma, cfg.l_over_sigma, cfg.coupling, settings
-    ))
-
-
-def x_double_integral_many(
+def x_double_integral(
     omega_a_sigma,
     omega_b_sigma,
     l_over_sigma,
@@ -625,19 +594,28 @@ def x_double_integral_many(
     settings: OracleSettings = DEFAULT_SETTINGS,
     return_extrapolants: bool = False,
 ):
-    """:func:`x_double_integral` for broadcast arrays of both gaps, the
-    separation and the coupling, returned as a complex array of the
-    broadcast shape (with ``return_extrapolants``, also the extrapolants
-    along a last axis).  The result does not depend on which detector
-    carries which gap.
+    """Pair-correlation amplitude by direct time-ordered double
+    integration, fully independent of the single-integral reduction.
 
-    Rows with the same separation share one cross-Gaussian matrix, graded
-    for the smallest regulator, and one outer-rule certificate per
-    regulator, taken at their largest gap sum.  A
-    non-finite argument or a separation <= 0 raises ValueError for the
-    whole batch, and so does a failed certificate, as
+    The time ordering splits the domain along the equal-time diagonal; each
+    triangle is integrated with the inner variable offset from the outer by
+    s > 0, with panels refined toward the lightcone pole at s = l.  The
+    regulator schedule, extrapolation and quadrature error bound mirror the
+    probability route, with the self-checks at this route's 1e-3 accuracy
+    target.  X falls like exp(-(gap_A + gap_B)^2 / 4) while the quadrature
+    sum does not, so at the default settings a gap sum above about 9 (less
+    at large separations and unequal gaps) raises :exc:`NonConvergence`.
+
+    Takes broadcast arrays of both gaps, the separation and the coupling
+    and returns a complex array of the broadcast shape, a Python complex
+    for scalars; with ``return_extrapolants`` also the extrapolants along
+    one more axis.  The result does not depend on which detector carries
+    which gap.  Rows with the same separation share one cross-Gaussian
+    matrix and one outer-rule certificate per regulator, taken at their
+    largest gap sum.  A non-finite argument or a separation <= 0 raises
+    ValueError for the whole batch, and so does a failed certificate, as
     :exc:`NonConvergence`; otherwise the first row whose self-check fails
-    raises :exc:`NonConvergence` with the message of its one-problem call.
+    raises :exc:`NonConvergence` with the message of its one-row call.
     """
     shape, (a, b, l, lam) = _problems(omega_a_sigma, omega_b_sigma, l_over_sigma, coupling)
     if (l <= 0).any():
@@ -654,38 +632,6 @@ def x_double_integral_many(
         time_ordered=True,
     )
     return _shaped(values, extrapolants, shape, return_extrapolants)
-
-
-def x_double_integral(
-    cfg: DetectorPairConfig,
-    settings: OracleSettings = DEFAULT_SETTINGS,
-    return_extrapolants: bool = False,
-):
-    """Pair-correlation amplitude by direct time-ordered double
-    integration, fully independent of the single-integral reduction.
-
-    The time ordering splits the domain along the equal-time diagonal; each
-    triangle is integrated with the inner variable offset from the outer by
-    s > 0, with panels refined toward the lightcone pole at s = l.  The
-    regulator schedule, extrapolation and quadrature error bound mirror the
-    probability route, with the self-checks at this route's 1e-3 accuracy
-    target.  X falls like exp(-(gap_A + gap_B)^2 / 4) while the quadrature
-    sum does not, so at the default settings a gap sum above about 9 (less
-    at large separations and unequal gaps) raises :exc:`NonConvergence`.
-    One problem per call; :func:`x_double_integral_many` solves arrays of
-    them.
-    """
-    value, extrapolants = x_double_integral_many(
-        cfg.omega_a_sigma,
-        cfg.omega_b_sigma,
-        cfg.l_over_sigma,
-        cfg.coupling,
-        settings,
-        return_extrapolants=True,
-    )
-    if return_extrapolants:
-        return complex(value), tuple(complex(z) for z in extrapolants)
-    return complex(value)
 
 
 def c_quadrature(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SETTINGS):
@@ -706,9 +652,8 @@ def c_quadrature(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SET
     kappa = 2.0 * a + d
     pref = -cfg.coupling**2 * _SQRT_PI / (4.0 * np.pi**2) * np.exp(-d * d / 4.0)
     residue = np.pi / l * np.exp(-l * l / 4.0) * np.sin(0.5 * kappa * l)
-    values = _order_doubled(
-        kappa, l, lambda pv: pref * (pv + residue), settings, "exchange-correlation"
-    )
+    values = _order_doubled(kappa, l, lambda pv: pref * (pv + residue),
+                            settings.quadrature_nodes, "exchange-correlation")
     return complex(values[0])
 
 

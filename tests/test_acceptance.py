@@ -30,10 +30,10 @@ from udwharvest import (
     find_optimal_gap_many,
     geometric_mean_probability,
     lmax_large_gap_estimate,
-    pd_double_integral_many,
+    pd_double_integral,
     sweep,
     transition_probability,
-    x_double_integral_many,
+    x_double_integral,
     x_single_integral_pv,
 )
 from udwharvest.closedform import ConcurrenceRegime, GapRegime
@@ -60,9 +60,8 @@ def test_criterion_1_pv_oracle_agreement():
     t0 = time.perf_counter()
     worst = 0.0
     for a, d, l in GRID:
-        cfg = DetectorPairConfig(a, d, l, 0.1)
-        x_exact = correlation_x(cfg)
-        x_pv = x_single_integral_pv(cfg)
+        x_exact = correlation_x(DetectorPairConfig(a, d, l, 0.1))
+        x_pv = x_single_integral_pv(a, a + d, l, 0.1)
         worst = max(worst, abs(x_pv - x_exact) / abs(x_exact))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-8, f"worst relative error {worst:.3e}"
@@ -74,13 +73,12 @@ def test_criterion_2_double_integral_oracle_agreement():
     t0 = time.perf_counter()
     worst = worst_paths = 0.0
     a, d, l = np.transpose(GRID)
-    x_dbls = x_double_integral_many(a, a + d, l, 0.1)
-    for (a, d, l), x_dbl in zip(GRID, x_dbls):
-        cfg = DetectorPairConfig(a, d, l, 0.1)
-        x_exact = correlation_x(cfg)
+    x_dbls = x_double_integral(a, a + d, l, 0.1)
+    # the two oracle routes must also agree with each other
+    x_pvs = x_single_integral_pv(a, a + d, l, 0.1)
+    for (a, d, l), x_dbl, x_pv in zip(GRID, x_dbls, x_pvs):
+        x_exact = correlation_x(DetectorPairConfig(a, d, l, 0.1))
         worst = max(worst, abs(x_dbl - x_exact) / abs(x_exact))
-        # the two oracle routes must also agree with each other
-        x_pv = x_single_integral_pv(cfg)
         worst_paths = max(worst_paths, abs(x_dbl - x_pv) / abs(x_pv))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-3, f"worst relative error {worst:.3e}"
@@ -93,7 +91,7 @@ def test_criterion_3_probability_oracle_agreement():
     t0 = time.perf_counter()
     gaps = (0.0, 0.5, 2.0)
     # the zero-gap anchor at unit coupling is the last row
-    *p_oracles, anchor = pd_double_integral_many([*gaps, 0.0], [0.1, 0.1, 0.1, 1.0])
+    *p_oracles, anchor = pd_double_integral([*gaps, 0.0], [0.1, 0.1, 0.1, 1.0])
     for gap, p_oracle in zip(gaps, p_oracles):
         p_exact = transition_probability(gap, 0.1)
         assert abs(p_oracle - p_exact) <= 1e-4 * p_exact, f"gap {gap}"

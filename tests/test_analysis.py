@@ -824,6 +824,34 @@ class TestLargeGaps:
         assert np.isnan(grid.concurrence[2:]).all()
 
 
+    # above the bound l*l overflowed: find_optimal_gap(0.5, 1.3407807929942597e154)
+    # raised RuntimeWarning, with the default gap bound and with one given
+    def test_gap_search_answers_at_the_separation_bound_and_raises_past_it(self):
+        bound = closedform._MAX_SEPARATION
+        above = float(np.nextafter(bound, np.inf))
+        past = re.escape(f"l_over_sigma={above!r} exceeds")
+        for kwargs in ({}, {"gap_bound": 10.0}):
+            res = find_optimal_gap(0.5, bound, **kwargs)
+            assert res.converged and res.location == 0.0 and res.value == 0.0
+            with pytest.raises(ValueError, match=past):
+                find_optimal_gap(0.5, above, **kwargs)
+
+    # sweep("l_over_sigma", [1.0, 1.3407807929942597e154], ...) raised
+    # RuntimeWarning instead of flagging the point
+    def test_a_sweep_flags_the_point_past_the_separation_bound(self):
+        bound = closedform._MAX_SEPARATION
+        above = float(np.nextafter(bound, np.inf))
+        grid = sweep("l_over_sigma", [1.0, bound, above, 1e300],
+                     DetectorPairConfig(0.5, 0.5, 1.0))
+        with pytest.raises(ValueError) as exc:
+            DetectorPairConfig(0.5, 0.5, above)
+        message = str(exc.value).replace(repr(above), "{}")
+        assert grid.errors.tolist() == ["", "", message.format(repr(above)),
+                                        message.format(repr(1e300))]
+        assert grid.concurrence[0] > 0.0 and grid.concurrence[1] == 0.0
+        assert np.isnan(grid.concurrence[2:]).all()
+
+
 class TestCertifiedEnd:
     """Each separation grid ends where the envelope certifies every larger
     separation: no guessed bound refuses a row whose boundary the gap

@@ -137,8 +137,8 @@ class TestVerify:
     def test_perturbed_oracle_fails_the_concurrence_check(self, monkeypatch):
         # |x_pv| 1e-3 too large moves every harvesting scenario's oracle
         # concurrence by more than 1e-3 of itself
-        x_pv = cli.x_single_integral_pv_many
-        monkeypatch.setattr(cli, "x_single_integral_pv_many",
+        x_pv = cli.x_single_integral_pv
+        monkeypatch.setattr(cli, "x_single_integral_pv",
                             lambda *args: x_pv(*args) * (1.0 + 1e-3))
         harvesting = {
             f"a={a} dw/wa={r} l={l}"
@@ -334,6 +334,23 @@ class TestSearchCommands:
         assert err == f"error: omega_a_sigma={above!r} exceeds {_MAX_OMEGA_A!r} = sqrt(largest " \
             "double)/2; (2 omega_a_sigma + delta_omega_sigma)^2 in X's prefactor would " \
             "overflow double precision\n"
+
+    # past the separation bound l*l overflowed, and eval, sweep and peak
+    # exited 1 with a RuntimeWarning traceback
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--omega-a", "0.5", "--delta-omega", "0.25"],
+        ["sweep", "--axis", "delta-omega", "--start", "0", "--stop", "1", "--points", "3",
+         "--omega-a", "0.5"],
+        ["peak", "--omega-a", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_separation_past_the_bound_exits_3(self, argv, tmp_path, capsys):
+        from udwharvest.closedform import _MAX_SEPARATION
+        above = float(np.nextafter(_MAX_SEPARATION, np.inf))
+        assert run(argv + ["--l", repr(_MAX_SEPARATION), "--out", str(tmp_path / "o")]) == 0
+        assert run(argv + ["--l", repr(above)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: l_over_sigma={above!r} exceeds {_MAX_SEPARATION!r} = sqrt(" \
+            "largest double); l_over_sigma^2 would overflow double precision\n"
 
     # a NaN or infinite gap bound printed "value nan" and "converged True"
     @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])

@@ -123,6 +123,40 @@ class TestConfig:
         assert np.isfinite(lmax_large_gap_estimate(a, d))
         assert np.isfinite(concurrence_gap_derivative_estimate(cfg))
 
+    # above the bound l*l overflowed:
+    # concurrence(DetectorPairConfig(0.5, 0.5, 1.3407807929942597e154)) raised
+    # "RuntimeWarning: overflow encountered in scalar multiply"
+    def test_separation_bound_is_where_its_square_overflows(self):
+        bound = closedform._MAX_SEPARATION
+        above = float(np.nextafter(bound, np.inf))
+        assert np.isfinite(np.float64(bound) * bound)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            np.float64(above) * above
+        message = (f"l_over_sigma={above!r} exceeds {bound!r} = sqrt(largest double); "
+                   "l_over_sigma^2 would overflow double precision")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DetectorPairConfig(0.5, 0.5, above)
+
+    # a > 0: the large-gap asymptotic divides by a (a + d) at any separation
+    @pytest.mark.parametrize("d", [0.0, 0.5, 35.0])
+    @pytest.mark.parametrize("a", [0.5, 30.0, closedform._MAX_OMEGA_A])
+    def test_closed_forms_answer_at_the_separation_bound(self, a, d):
+        l = closedform._MAX_SEPARATION
+        cfg = DetectorPairConfig(a, d, l, 0.1)
+        x = correlation_x_values(a, d, l, 0.1)
+        assert np.isfinite(x) and correlation_x(cfg) == x
+        assert np.isfinite(correlation_excess(a, d, l, 0.1))
+        assert concurrence_values(a, d, l, 0.1) == 0.0
+        report = concurrence(cfg)
+        assert report.x == x and report.concurrence == 0.0
+        for regime in GapRegime:
+            assert np.isfinite(asymptotic_gm_probability(cfg, regime))
+        for regime in SeparationRegime:
+            assert np.isfinite(asymptotic_x(cfg, regime))
+        for regime in ConcurrenceRegime:
+            assert np.isfinite(asymptotic_concurrence(cfg, regime))
+        assert np.isfinite(concurrence_gap_derivative_estimate(cfg))
+
     def test_warns_on_strong_coupling(self):
         with pytest.warns(UserWarning):
             DetectorPairConfig(0.5, 0.0, 1.0, coupling=0.5)
@@ -209,7 +243,7 @@ class TestCorrelationX:
 
     def test_against_pv_oracle(self):
         cfg = DetectorPairConfig(0.5, 0.5, 2.0, 0.1)
-        x_oracle = x_single_integral_pv(cfg)
+        x_oracle = x_single_integral_pv(0.5, 1.0, 2.0, 0.1)
         assert abs(correlation_x(cfg) - x_oracle) <= 1e-8 * abs(x_oracle)
 
 
@@ -351,7 +385,8 @@ class TestConcurrence:
         cfg = DetectorPairConfig(0.5, 0.5, 2.0, 0.1)
         p_a = pd_double_integral(cfg.omega_a_sigma, cfg.coupling, FINE)
         p_b = pd_double_integral(cfg.omega_b_sigma, cfg.coupling, FINE)
-        x = x_single_integral_pv(cfg, FINE)
+        x = x_single_integral_pv(cfg.omega_a_sigma, cfg.omega_b_sigma, cfg.l_over_sigma,
+                                 cfg.coupling, FINE)
         oracle_conc = 2.0 * max(0.0, abs(x) - np.sqrt(p_a * p_b))
         got = concurrence(cfg).concurrence
         assert got > 0

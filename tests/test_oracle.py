@@ -16,13 +16,10 @@ from udwharvest import (
     correlation_x,
     correlation_x_values,
     pd_double_integral,
-    pd_double_integral_many,
     pv_gaussian_pole_integral,
     transition_probability,
     x_double_integral,
-    x_double_integral_many,
     x_single_integral_pv,
-    x_single_integral_pv_many,
 )
 from udwharvest import cli, oracle
 from udwharvest.cli import VERIFICATION_GRID, run_verification
@@ -38,6 +35,12 @@ GRID = [
     for r in (0.0, 0.5, 1.2)
     for l in (0.5, 2.0, 6.0)
 ]
+
+
+def _pair(cfg):
+    """The correlation oracles' arguments for a scenario: both gaps, the
+    separation and the coupling."""
+    return cfg.omega_a_sigma, cfg.omega_b_sigma, cfg.l_over_sigma, cfg.coupling
 
 
 def test_settings_validation():
@@ -65,7 +68,7 @@ def test_settings_validation():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("route", [
     lambda s: pd_double_integral(0.5, 0.1, s),
-    lambda s: x_double_integral(DetectorPairConfig(0.5, 0.25, 0.5), s),
+    lambda s: x_double_integral(*_pair(DetectorPairConfig(0.5, 0.25, 0.5)), s),
     lambda s: c_double_integral(DetectorPairConfig(0.5, 0.25, 0.5), s),
 ], ids=["pd", "x", "c"])
 def test_underflowed_regulator_limit_is_not_certified(route):
@@ -127,7 +130,7 @@ class TestTransitionProbabilityOracle:
         # imaginary part is round-off (1.9e-15 lam^2 at most here); the
         # value is the last extrapolant, and its real part is returned
         gaps = [0.0, 0.5, 1.2, 2.64, 3.5]
-        values, extrapolants = pd_double_integral_many(gaps, lam, return_extrapolants=True)
+        values, extrapolants = pd_double_integral(gaps, lam, return_extrapolants=True)
         assert np.all(np.abs(extrapolants[:, -1].imag) < 1e-13 * lam**2)
         assert np.array_equal(values, extrapolants[:, -1].real)
 
@@ -139,7 +142,7 @@ class TestCorrelationPVOracle:
     )
     def test_matches_closed_form(self, a, d, l):
         cfg = DetectorPairConfig(a, d, l, 0.1)
-        x = x_single_integral_pv(cfg)
+        x = x_single_integral_pv(*_pair(cfg))
         x_exact = correlation_x(cfg)
         assert abs(x - x_exact) <= 1e-8 * abs(x_exact)
 
@@ -151,7 +154,7 @@ class TestCorrelationPVOracle:
         assert np.cos(0.5 * d * l) == pytest.approx(0.0, abs=1e-15)
         pref = cfg.coupling**2 / (4.0 * np.pi**1.5) * np.exp(-((2 * 0.5 + d) ** 2) / 4.0)
         pv = pv_gaussian_pole_integral(d, l)
-        x = x_single_integral_pv(cfg)
+        x = x_single_integral_pv(*_pair(cfg))
         assert x.imag == pytest.approx(pref * pv.imag, rel=1e-10)
         # and the odd component is genuinely what carries it
         pv_even = pv_gaussian_pole_integral(0.0, l)
@@ -161,7 +164,7 @@ class TestCorrelationPVOracle:
 class TestCorrelationDoubleIntegralOracle:
     def test_matches_closed_form(self):
         cfg = DetectorPairConfig(0.5, 0.25, 2.0, 0.1)
-        x = x_double_integral(cfg)
+        x = x_double_integral(*_pair(cfg))
         x_exact = correlation_x(cfg)
         assert abs(x - x_exact) <= 1e-3 * abs(x_exact)
 
@@ -170,17 +173,17 @@ class TestCorrelationDoubleIntegralOracle:
         # absolute below 1e-3 of the coupling scale
         cfg = DetectorPairConfig.with_omega_b(3.0, 4.0, 2.0, 0.1)
         with pytest.raises(NonConvergence, match="regulator extrapolation"):
-            x_double_integral(cfg, COARSE_SCHEDULE)
+            x_double_integral(*_pair(cfg), COARSE_SCHEDULE)
 
     def test_swap_symmetry(self):
         # relabeling which static detector carries which gap cannot matter
-        x_ab, x_ba = x_double_integral_many([0.3, 0.7], [0.7, 0.3], 1.5, 0.1, DEFAULT_SETTINGS)
+        x_ab, x_ba = x_double_integral([0.3, 0.7], [0.7, 0.3], 1.5, 0.1, DEFAULT_SETTINGS)
         assert abs(x_ab - x_ba) <= 1e-3 * abs(x_ab)
 
     def test_quadratic_coupling_scaling(self):
         cfg1 = DetectorPairConfig(0.5, 0.25, 2.0, 0.1)
         cfg2 = DetectorPairConfig(0.5, 0.25, 2.0, 0.2)
-        x1, x2 = x_double_integral(cfg1), x_double_integral(cfg2)
+        x1, x2 = x_double_integral(*_pair(cfg1)), x_double_integral(*_pair(cfg2))
         assert abs(x2 - 4.0 * x1) <= 1e-12 * abs(x2)
 
 
@@ -242,7 +245,7 @@ class TestRegulatorConvergence:
     @pytest.mark.parametrize("a,d,l", GRID)
     def test_correlation_route(self, a, d, l):
         cfg = DetectorPairConfig(a, d, l, 0.1)
-        _, diag = x_double_integral(cfg, return_extrapolants=True)
+        _, diag = x_double_integral(*_pair(cfg), return_extrapolants=True)
         steps = [abs(b - a) for a, b in zip(diag, diag[1:])]
         assert all(s2 <= 0.5 * s1 for s1, s2 in zip(steps, steps[1:]))
 
@@ -270,46 +273,71 @@ class TestQuadratureRefinementStability:
     @pytest.mark.parametrize("a,d,l", [(0.5, 0.25, 2.0), (1.2, 1.44, 6.0), (0.2, 0.0, 0.5)])
     def test_correlation_routes(self, a, d, l):
         cfg = DetectorPairConfig(a, d, l, 0.1)
-        x64 = x_double_integral(cfg)
-        x128 = x_double_integral(cfg, OracleSettings(quadrature_nodes=128))
+        x64 = x_double_integral(*_pair(cfg))
+        x128 = x_double_integral(*_pair(cfg), OracleSettings(quadrature_nodes=128))
         assert abs(x64 - x128) <= 1e-3 * abs(x64)
         # the PV route self-checks by doubling internally; run it for effect
-        x_single_integral_pv(cfg)
+        x_single_integral_pv(*_pair(cfg))
 
 
 class TestBatchedOracles:
-    """A batched row is its one-problem call: the rows of a batch share the
-    cross-Gaussian matrices, never the numbers that make a row differ."""
+    """A batched row is the 0-d call of the same function at that row: the
+    rows of a batch share the cross-Gaussian matrices, never the numbers
+    that make a row differ."""
 
     # per-row couplings, so that rows sharing a matrix differ in scale too
     COUPLINGS = np.resize([0.1, 0.05, 0.2], len(GRID))
 
-    def test_x_rows_match_one_problem_calls(self):
+    def test_x_rows_match_0d_calls(self):
         a, d, l = np.transpose(GRID)
-        values, extrapolants = x_double_integral_many(
+        values, extrapolants = x_double_integral(
             a, a + d, l, self.COUPLINGS, return_extrapolants=True
         )
         assert values.shape == (len(GRID),) and extrapolants.shape == (len(GRID), 3)
         for (a, d, l), lam, x, diag in zip(GRID, self.COUPLINGS, values, extrapolants):
-            x1, diag1 = x_double_integral(
-                DetectorPairConfig(a, d, l, lam), return_extrapolants=True
-            )
+            x1, diag1 = x_double_integral(a, a + d, l, lam, return_extrapolants=True)
             assert x == x1 and np.array_equal(diag, diag1)
 
-    def test_pd_rows_match_one_problem_calls(self):
+    def test_pd_rows_match_0d_calls(self):
         gaps = sorted({g for a, d, _ in GRID for g in (a, a + d)}) + [0.0]
         lams = np.resize(self.COUPLINGS, len(gaps))
         lams[-1] = 1.0  # the zero-gap anchor
-        values, extrapolants = pd_double_integral_many(gaps, lams, return_extrapolants=True)
+        values, extrapolants = pd_double_integral(gaps, lams, return_extrapolants=True)
         assert values.dtype == float and extrapolants.shape == (len(gaps), 3)
         for gap, lam, p, diag in zip(gaps, lams, values, extrapolants):
             p1, diag1 = pd_double_integral(gap, lam, return_extrapolants=True)
             assert p == p1 and np.array_equal(diag, diag1)
 
     def test_broadcast_shape(self):
-        p = pd_double_integral_many([[0.5], [2.0]], [0.1, 0.2, 0.3])
+        p = pd_double_integral([[0.5], [2.0]], [0.1, 0.2, 0.3])
         assert p.shape == (2, 3)
         assert p[1, 2] == pytest.approx(pd_double_integral(2.0, 0.3), rel=1e-13)
+
+    def test_0d_calls_return_python_numbers(self):
+        # Python floats, numpy scalars and 0-d arrays are all 0-d calls; an
+        # array of one row stays an array
+        fine = OracleSettings(epsilon_schedule=(0.04, 0.02, 0.01, 0.005))
+        for gap in (0.5, np.float64(0.5), np.array(0.5)):
+            assert type(pd_double_integral(gap, 0.1)) is float
+            assert type(x_double_integral(gap, 0.75, 2.0, 0.1)) is complex
+            assert type(x_single_integral_pv(gap, 0.75, 2.0, 0.1)) is complex
+        p, p_diag = pd_double_integral(0.5, 0.1, fine, return_extrapolants=True)
+        x, x_diag = x_double_integral(0.5, 0.75, 2.0, 0.1, fine, return_extrapolants=True)
+        assert type(p) is float and type(x) is complex
+        assert p_diag.shape == x_diag.shape == (4,)
+        assert p_diag.dtype == x_diag.dtype == complex
+        assert pd_double_integral([0.5], 0.1).shape == (1,)
+        assert x_single_integral_pv([0.5], 0.75, 2.0, 0.1).shape == (1,)
+
+    def test_extrapolants_take_one_more_axis(self):
+        fine = OracleSettings(epsilon_schedule=(0.04, 0.02, 0.01, 0.005))
+        x, diag = x_double_integral([[0.5], [1.2]], 1.5, [0.5, 2.0, 6.0], 0.1,
+                                    return_extrapolants=True)
+        assert x.shape == (2, 3) and diag.shape == (2, 3, 3)
+        assert np.array_equal(x, diag[..., -1])
+        p, diag = pd_double_integral([[0.5], [2.0]], [0.1, 0.2], fine, return_extrapolants=True)
+        assert p.shape == (2, 2) and diag.shape == (2, 2, 4)
+        assert np.array_equal(p, diag[..., -1].real)
 
     def test_nonconvergent_pd_batch_raises_first_failing_row(self):
         # gaps 6 and 5.5 cancel to round-off (TestQuadratureErrorGuard), so
@@ -318,7 +346,7 @@ class TestBatchedOracles:
         with pytest.raises(NonConvergence) as first:
             pd_double_integral(6.0, 0.2)
         with pytest.raises(NonConvergence) as err:
-            pd_double_integral_many([1.0, 6.0, 5.5], [0.1, 0.2, 0.1])
+            pd_double_integral([1.0, 6.0, 5.5], [0.1, 0.2, 0.1])
         assert str(err.value) == str(first.value)
 
     def test_nonconvergent_x_batch_raises_first_failing_row(self):
@@ -327,48 +355,44 @@ class TestBatchedOracles:
         # (TestQuadratureErrorGuard)
         rows = [(0.5, 1.0, 2.0), (4.0, 8.0, 8.0), (1.0, 2.0, 2.0)]
         for row in rows[::2]:
-            x_double_integral(DetectorPairConfig.with_omega_b(*row, 0.1))
+            x_double_integral(*row, 0.1)
         with pytest.raises(NonConvergence) as first:
-            x_double_integral(DetectorPairConfig.with_omega_b(*rows[1], 0.1))
+            x_double_integral(*rows[1], 0.1)
         a, b, l = np.transpose(rows)
         with pytest.raises(NonConvergence) as err:
-            x_double_integral_many(a, b, l, 0.1)
+            x_double_integral(a, b, l, 0.1)
         assert str(err.value) == str(first.value)
 
     def test_argument_errors_raise_for_the_whole_batch(self):
         with pytest.raises(ValueError):
-            pd_double_integral_many([0.5, np.nan], 0.1)
+            pd_double_integral([0.5, np.nan], 0.1)
         with pytest.raises(ValueError):
-            pd_double_integral_many([0.5, 2.0], [0.1, 0.1, 0.1])
+            pd_double_integral([0.5, 2.0], [0.1, 0.1, 0.1])
         with pytest.raises(ValueError):
-            x_double_integral_many(0.5, 1.0, [2.0, 0.0], 0.1)
+            x_double_integral(0.5, 1.0, [2.0, 0.0], 0.1)
         with pytest.raises(ValueError):
-            x_double_integral_many(0.5, [1.0, np.inf], 2.0, 0.1)
+            x_double_integral(0.5, [1.0, np.inf], 2.0, 0.1)
 
-    def test_pv_rows_match_one_problem_calls(self):
+    def test_pv_rows_match_0d_calls(self):
         # mixed separations, per-row couplings, and the gaps in both orders
         rows = GRID + [(a + d, -d, l) for a, d, l in GRID[::4]]
         lams = np.resize(self.COUPLINGS, len(rows))
         a, d, l = np.transpose(rows)
-        values = x_single_integral_pv_many(a, a + d, l, lams)
+        values = x_single_integral_pv(a, a + d, l, lams)
         assert values.shape == (len(rows),) and values.dtype == complex
         for (a, d, l), lam, x in zip(rows, lams, values):
-            if d >= 0:
-                x1 = x_single_integral_pv(DetectorPairConfig(a, d, l, lam))
-            else:
-                x1 = x_single_integral_pv_many(a, a + d, l, lam)[()]
-            assert x == x1
+            assert x == x_single_integral_pv(a, a + d, l, lam)
 
     def test_pv_rows_are_within_1e_8_of_the_closed_form(self):
         a, d, l = np.transpose(GRID)
-        x = x_single_integral_pv_many(a, a + d, l, self.COUPLINGS)
+        x = x_single_integral_pv(a, a + d, l, self.COUPLINGS)
         exact = correlation_x_values(a, d, l, self.COUPLINGS)
         assert np.all(np.abs(x - exact) <= 1e-8 * np.abs(exact))
 
     def test_pv_broadcast_shape(self):
-        x = x_single_integral_pv_many([[0.5], [1.2]], 1.5, [0.5, 2.0, 6.0], 0.1)
+        x = x_single_integral_pv([[0.5], [1.2]], 1.5, [0.5, 2.0, 6.0], 0.1)
         assert x.shape == (2, 3)
-        assert x[1, 2] == x_single_integral_pv(DetectorPairConfig.with_omega_b(1.2, 1.5, 6.0))
+        assert x[1, 2] == x_single_integral_pv(1.2, 1.5, 6.0, 0.1)
 
     def test_nonconvergent_pv_batch_raises_first_failing_row(self):
         # at 4 nodes per panel rows 1 and 2 fail order doubling; row 1
@@ -377,22 +401,22 @@ class TestBatchedOracles:
         coarse = OracleSettings(quadrature_nodes=4)
         rows = [(0.5, 0.5, 1.0), (2.0, 10.0, 1.0), (0.5, 0.5, 0.5), (0.5, 0.75, 1.0)]
         for row in rows[::3]:
-            x_single_integral_pv(DetectorPairConfig.with_omega_b(*row, 0.1), coarse)
+            x_single_integral_pv(*row, 0.1, coarse)
         messages = []
         for row in rows[1:3]:
             with pytest.raises(NonConvergence, match="order doubling moved") as one:
-                x_single_integral_pv(DetectorPairConfig.with_omega_b(*row, 0.1), coarse)
+                x_single_integral_pv(*row, 0.1, coarse)
             messages.append(str(one.value))
         a, b, l = np.transpose(rows)
         with pytest.raises(NonConvergence) as err:
-            x_single_integral_pv_many(a, b, l, 0.1, coarse)
+            x_single_integral_pv(a, b, l, 0.1, coarse)
         assert str(err.value) == messages[0] != messages[1]
 
     def test_pv_argument_errors_raise_for_the_whole_batch(self):
         with pytest.raises(ValueError, match="> 0"):
-            x_single_integral_pv_many(0.5, 1.0, [2.0, 0.0], 0.1)
+            x_single_integral_pv(0.5, 1.0, [2.0, 0.0], 0.1)
         with pytest.raises(ValueError, match="finite"):
-            x_single_integral_pv_many(0.5, [1.0, np.nan], 2.0, 0.1)
+            x_single_integral_pv(0.5, [1.0, np.nan], 2.0, 0.1)
 
     def test_pole_integral_rows_match_one_kappa_calls(self):
         kappa = np.array([0.0, 0.5, -1.3, 2.64, 7.0])
@@ -401,7 +425,7 @@ class TestBatchedOracles:
         assert all(p == pv_gaussian_pole_integral(k, 2.0) for k, p in zip(kappa, pv))
         assert np.ndim(pv_gaussian_pole_integral(0.5, 2.0)) == 0
 
-    def test_rows_sharing_an_outer_frequency_match_one_problem_calls(self):
+    def test_rows_sharing_an_outer_frequency_match_0d_calls(self):
         # swapped gaps and equal gap sums share their separation's outer sums,
         # a repeated row shares everything, and every probability row has
         # outer frequency 0
@@ -409,12 +433,12 @@ class TestBatchedOracles:
                 (0.5, 1.0, 2.0, 0.1), (0.5, 1.0, 6.0, 0.1), (0.2, 1.3, 6.0, 0.3),
                 (1.5, 0.0, 0.5, 0.1)]
         a, b, l, lam = np.transpose(rows)
-        values, extrapolants = x_double_integral_many(a, b, l, lam, return_extrapolants=True)
+        values, extrapolants = x_double_integral(a, b, l, lam, return_extrapolants=True)
         for row, x, diag in zip(rows, values, extrapolants):
-            x1, diag1 = x_double_integral_many(*row, return_extrapolants=True)
+            x1, diag1 = x_double_integral(*row, return_extrapolants=True)
             assert x == x1 and np.array_equal(diag, diag1)
         gaps, lams = [0.5, 1.0, 0.5, 0.0, 1.0, 0.0, 2.64], [0.1, 0.1, 0.3, 1.0, 0.1, 0.1, 0.2]
-        values, extrapolants = pd_double_integral_many(gaps, lams, return_extrapolants=True)
+        values, extrapolants = pd_double_integral(gaps, lams, return_extrapolants=True)
         for gap, lam, p, diag in zip(gaps, lams, values, extrapolants):
             p1, diag1 = pd_double_integral(gap, lam, return_extrapolants=True)
             assert p == p1 and np.array_equal(diag, diag1)
@@ -432,14 +456,14 @@ class TestBatchedOracles:
         called = []
         pv_sums = []
         for module in (oracle, cli):
-            for name in ("assemble_rho", "c_quadrature", "concurrence", "x_single_integral_pv"):
+            for name in ("assemble_rho", "c_quadrature", "concurrence"):
                 monkeypatch.setattr(module, name, lambda *args, name=name: called.append(name),
                                     raising=False)
         pole_integral = oracle.pv_gaussian_pole_integral
 
-        def counting_pole_integral(kappa, l, settings):
-            pv_sums.append((np.size(kappa), l, settings.quadrature_nodes))
-            return pole_integral(kappa, l, settings)
+        def counting_pole_integral(kappa, l, order):
+            pv_sums.append((np.size(kappa), l, order))
+            return pole_integral(kappa, l, order)
 
         monkeypatch.setattr(oracle, "pv_gaussian_pole_integral", counting_pole_integral)
 
@@ -558,9 +582,9 @@ class TestQuadratureErrorGuard:
         # x(4, 8, 8) is refused by the outer rule's certificate, x(0, 8, 10)
         # passes it and is refused as round-off
         with pytest.raises(NonConvergence, match="not certified at 16"):
-            x_double_integral(DetectorPairConfig.with_omega_b(4.0, 8.0, 8.0, 0.1))
+            x_double_integral(4.0, 8.0, 8.0, 0.1)
         with pytest.raises(NonConvergence, match="cancels"):
-            x_double_integral(DetectorPairConfig.with_omega_b(0.0, 8.0, 10.0, 0.1))
+            x_double_integral(0.0, 8.0, 10.0, 0.1)
 
     def test_probability_inside_the_trusted_range_is_accurate(self):
         p = pd_double_integral(3.5, 0.1)
@@ -607,7 +631,7 @@ class TestOuterRule:
                 return out
 
         monkeypatch.setattr(oracle, "np", MatrixNumpy())
-        _, extrapolants = x_double_integral_many(a, b, l, lam, return_extrapolants=True)
+        _, extrapolants = x_double_integral(a, b, l, lam, return_extrapolants=True)
         monkeypatch.undo()
         assert len(matrices) == 1 and np.array_equal(sign_minus, matrices[0][::-1])
         m = np.ascontiguousarray(sign_minus[::-1])
@@ -628,19 +652,19 @@ class TestOuterRule:
     def test_verification_grid_is_certified_at_16_nodes(self):
         # every pole group of verify's batches passes the certificate
         a, r, l = np.transpose(VERIFICATION_GRID)
-        x_double_integral_many(a, a * (1.0 + r), l, 0.1)
-        pd_double_integral_many(np.concatenate([a, a * (1.0 + r), [0.0]]), 0.1)
+        x_double_integral(a, a * (1.0 + r), l, 0.1)
+        pd_double_integral(np.concatenate([a, a * (1.0 + r), [0.0]]), 0.1)
 
     @pytest.mark.parametrize("gap", [6.5, 150.0])
     def test_raises_when_the_outer_rule_fails_its_certificate(self, gap):
         # outer frequencies of 13 and 300: more nodes would only certify a
         # value that cancels to round-off (13) or resolve nothing (300)
         with pytest.raises(NonConvergence, match="outer quadrature not certified at 16"):
-            x_double_integral_many(gap, gap, 2.0, 0.1)
+            x_double_integral(gap, gap, 2.0, 0.1)
 
     def test_a_failed_certificate_fails_the_whole_batch(self):
         # x(0.5, 0.5, 1) returns on its own; its batch-mate at separation 2
         # has outer frequency 300, and the refusal names it
-        x_double_integral_many(0.5, 0.5, 1.0, 0.1)
+        x_double_integral(0.5, 0.5, 1.0, 0.1)
         with pytest.raises(NonConvergence, match="not certified at 16 .* 3.000e[+]02"):
-            x_double_integral_many([0.5, 150.0], [0.5, 150.0], [1.0, 2.0], 0.1)
+            x_double_integral([0.5, 150.0], [0.5, 150.0], [1.0, 2.0], 0.1)

@@ -52,7 +52,9 @@ The set covers what the package reports:
 * a sweep per axis, 2 000 ``concurrence_values`` and ``correlation_excess``
   rows per coupling, and 50 ``concurrence`` reports;
 * the data sections (all but the manifest, which carries a timestamp) of
-  ``eval`` at six scenarios and of ``verify --format record``.
+  ``eval`` at six scenarios and of ``verify --format record``, at the
+  default oracle settings and at 48 nodes per panel with the four-regulator
+  schedule 0.04, 0.02, 0.01, 0.005.
 """
 
 from __future__ import annotations
@@ -260,6 +262,8 @@ def _outputs():
             ["eval", "--omega-a", repr(x), "--delta-omega", repr(min(y, 35.0)), "--l", "2.5",
              "--format", "record"])
     out["verify"] = _cli_data(["verify", "--format", "record"])
+    out["verify/settings"] = _cli_data(["verify", "--format", "record", "--quad-nodes", "48",
+                                        "--eps-schedule", "0.04,0.02,0.01,0.005"])
     return {key: _encode(value) for key, value in out.items()}
 
 
