@@ -29,8 +29,9 @@ envelope of |X|/E, non-increasing in the separation and costing no
 Faddeeva evaluation, certifies a point non-harvesting wherever it lies
 below sqrt(P~_A P~_B) by a relative margin of 1e-6, and with it every
 larger separation.  A row's grid ends at its first certified point, its
-cut, which a lockstep search finds by doubling from one block, then
-splitting the last doubling (:func:`_cuts`).  The envelope bounds the
+cut, which a lockstep search finds below a closed-form separation past
+which the envelope certifies every point (:func:`_cuts`), at most about
+2.3 times the cut for gaps up to 40 and 35.  The envelope bounds the
 Faddeeva term to third order in 1/|z|
 (:func:`~udwharvest.closedform._scaled_x_envelope`), which puts the cut a
 few grid points above the root at large separations.  A ``scan_bound``
@@ -123,6 +124,8 @@ import numpy as np
 
 from .closedform import (
     _SCALED_BELOW,
+    _SQRT_PI,
+    _ZW_BOUND,
     DetectorPairConfig,
     _clamp,
     _domain_errors,
@@ -313,35 +316,29 @@ def _edges(lo, hi, hit, guess=None):
             probe = low + (high - low) * split // (probes + 1)
         else:
             probe, guess = np.clip(guess(live), low, high - 1).astype(np.int64), None
-        _narrow(lo, hi, live, probe, hit(live, probe))
+        # narrow to each row's first probe that hit marks (else hi) and the one before
+        hits = np.concatenate([hit(live, probe), np.ones(low.shape, dtype=bool)], axis=1)
+        first, at = np.argmax(hits, axis=1), np.arange(live.size)
+        ends = np.concatenate([low - 1, probe, high], axis=1)
+        lo[live], hi[live] = ends[at, first] + 1, ends[at, first + 1]
     return lo
 
 
-def _narrow(lo, hi, rows, probe, hits):
-    """Narrow the brackets [lo, hi] of the ``rows`` (an index array) in
-    place to the probes around each row's edge, given its probes (grid
-    indices, increasing) and ``hits``, whether each is at or past the edge.
-    Returns whether each row has a probe at or past its edge."""
-    # the first probe at or past the edge (else hi) and the one before it
-    first = np.argmax(np.concatenate([hits, np.ones((rows.size, 1), dtype=bool)], axis=1), axis=1)
-    ends = np.concatenate([lo[rows, None] - 1, probe, hi[rows, None]], axis=1)
-    at = np.arange(rows.size)
-    lo[rows], hi[rows] = ends[at, first] + 1, ends[at, first + 1]
-    return first < probe.shape[1]
+def _cut_bound(d, gm):
+    """A separation l* past which the envelope certifies every point of a
+    row whose gm is normal (:func:`_cuts`): U(l) (1 + m) < gm for the
+    envelope U and the margin m.  With M = ``_ZW_BOUND``,
 
+        4 sqrt(pi) U(l) = (W + exp((d^2 - l^2)/4))/l,  W <= 2 M/rho <= 2 M/l
 
-def _ladder(probes):
-    """The rungs of a cut search that probes ``probes`` indices of each row
-    per call (:func:`_cuts`): a block apart while a call has room for the
-    doublings to 2^52 points too, then doubling, up to the first rung at
-    2^52 points or past."""
-    even = max(1, probes - 44)  # 2^52 points are a block doubled 44 times
-    k = np.arange(1, even + 45)
-    return _SCAN_BLOCK * np.minimum(k, even) << np.maximum(k - even, 0)
-
-
-# A one-problem cut search's ladder, which its first call probes whole
-_ONE_ROW_LADDER = _ladder(_SCAN_BLOCK)
+    (:func:`~udwharvest.closedform._scaled_x_envelope`).  Let t = 4
+    sqrt(pi) gm/(1 + m) (1 - 1e-3), whose slack covers the roundings.
+    Where l^2 >= max(4 M/t, d^2 + 4 ln(2/t)), each term is at most t/2, so
+    U(l) (1 + m) < gm; the second term's bound needs l >= 1, which holds
+    there: gm <= 1/(4 pi) at unit coupling, so 4 M/t > 5.  At large gaps,
+    where 4 M/t leads, l* is about sqrt(M sqrt(pi)) = 1.15 times the cut."""
+    t = 4.0 * _SQRT_PI * (1.0 - 1e-3) / (1.0 + _ENVELOPE_MARGIN) * gm
+    return np.sqrt(np.maximum(4.0 * _ZW_BOUND / t, d * d - 4.0 * np.log(0.5 * t)))
 
 
 def _cuts(step, n, gm, d):
@@ -351,33 +348,20 @@ def _cuts(step, n, gm, d):
     kernel's and the roundings' relative error, certifies the scaled
     excess |X|/E - gm, gm = sqrt(P~_A P~_B), non-positive where it lies
     below gm, and every larger separation with it: it does not increase in
-    l.  Lockstep calls of as many probes per row as a step of
-    :func:`_edges` probe rungs up to the first certified one: a block
-    apart, while a call has room for the doublings to 2^52 points too (one
-    problem: 212 blocks), then doubling.  :func:`_edges` then finds the
-    edge above the last rung not certified.  A grid of 2^52 points
-    certified nowhere raises ValueError."""
+    l.  Where gm is normal, :func:`_edges` finds the cut below the index
+    of :func:`_cut_bound`'s separation, or below n where that is less: on
+    one problem in one call for an index below 257, and in two below 257^2.
+    A grid of 2^52 points certified nowhere raises ValueError."""
 
     def hit(rows, i):
         envelope = _scaled_x_envelope(d[rows, None], step + i * step)
         return envelope * (1.0 + _ENVELOPE_MARGIN) < gm[rows, None]
 
     usable = _normal(gm)
-    lo, hi = np.where(usable, 0, n), n.copy()
-    probes = max(1, _SCAN_BLOCK // max(n.size, 1))
-    ladder = _ONE_ROW_LADDER if probes == _SCAN_BLOCK else _ladder(probes)
-    rows = np.flatnonzero(usable)
-    # each call probes the next rungs of every row not certified so far; a
-    # rung at n, the grid's end, counts as certified, so the ladder's last
-    # rung ends every search
-    for first in range(0, ladder.size, probes):
-        if not rows.size:
-            break
-        top = n[rows, None]
-        rung = np.minimum(ladder[first:first + probes], top)
-        rows = rows[~_narrow(lo, hi, rows, rung, hit(rows, rung) | (rung == top))]
-    # every probe of the edge search lies below n
-    cut = _edges(lo, hi, hit)
+    # an unusable row's gm may be 0 or NaN; the index may overflow or pass 2^63
+    with np.errstate(all="ignore"):
+        end = np.minimum(_cut_bound(d, gm) / step + 1.0, n)
+    cut = _edges(np.where(usable, 0, n), np.where(usable, end, n).astype(np.int64), hit)
     if (cut == _GRID_POINTS).any():
         raise ValueError("the envelope certifies no separation below scan_step*2^52, and past "
                          "it the grid points stop being distinct doubles")

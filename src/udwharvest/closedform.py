@@ -635,14 +635,26 @@ def asymptotic_gm_probability(cfg: DetectorPairConfig, regime: GapRegime) -> flo
     if regime is GapRegime.SMALL_GAPS:
         return lam2 / (4.0 * np.pi) * gauss
     if regime is GapRegime.LARGE_GAPS:
-        return (
-            lam2
-            / (8.0 * np.pi)
-            * gauss
-            / (a * b)
-            * (1.0 - 3.0 / (4.0 * a * a) - 3.0 / (4.0 * b * b))
-        )
+        return _large_gap(lambda a, b: lam2 / (8.0 * np.pi) * gauss / (a * b)
+                          * (1.0 - 3.0 / (4.0 * a * a) - 3.0 / (4.0 * b * b)), a, b)
     raise TypeError(f"unknown gap regime {regime!r}")
+
+
+def _large_gap(form, a, b):
+    """``form(a, b)``, a large-gap form, on numpy doubles with their
+    floating-point errors ignored, where it has a value.  Both large-gap
+    forms divide by a b, and the gm form also by a^2: where 2 a b is zero
+    (a = 0 among them), or where a quotient leaves the double range so that
+    the form is not finite, ValueError says so.  The concurrence form's
+    clamp keeps its 0 where 1/(2 a b) overflows to inf."""
+    a, b = np.float64(a), np.float64(b)
+    with np.errstate(all="ignore"):
+        value = form(a, b)
+    if not (2.0 * a * b and np.isfinite(value)):
+        raise ValueError(f"the large-gap forms divide by omega_a_sigma*omega_b_sigma, and the gm "
+                         f"form also by omega_a_sigma^2: at omega_a_sigma={float(a)!r}, "
+                         f"omega_b_sigma={float(b)!r} they have no finite value")
+    return value
 
 
 def asymptotic_x(cfg: DetectorPairConfig, regime: SeparationRegime) -> complex:
@@ -684,9 +696,8 @@ def asymptotic_concurrence(cfg: DetectorPairConfig, regime: ConcurrenceRegime) -
     if regime is ConcurrenceRegime.LARGE_SEPARATION_SMALL_GAPS:
         return max(0.0, lam2 / (2.0 * np.pi) * gauss * (2.0 / (l * l) - 1.0))
     if regime is ConcurrenceRegime.LARGE_SEPARATION_LARGE_GAPS:
-        return max(
-            0.0, lam2 / (2.0 * np.pi) * gauss * (2.0 / (l * l) - 1.0 / (2.0 * a * b))
-        )
+        return _large_gap(lambda a, b: max(
+            0.0, lam2 / (2.0 * np.pi) * gauss * (2.0 / (l * l) - 1.0 / (2.0 * a * b))), a, b)
     raise TypeError(f"unknown concurrence regime {regime!r}")
 
 

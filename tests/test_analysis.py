@@ -1,11 +1,13 @@
 """Searches and sweeps: roots, peaks, crossovers, grid evaluation."""
 
+import functools
 import re
+import sys
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -30,6 +32,10 @@ from udwharvest import (
 )
 from udwharvest import analysis, cli, closedform
 from udwharvest.analysis import SweepGrid
+
+# the benchmark's 50-digit reference, imported by path
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference  # noqa: E402
 
 
 class TestFindLmax:
@@ -349,20 +355,20 @@ def _result(search, *args, **kwargs):
         return type(exc).__name__
 
 
+@functools.cache
+def _reference(coupling):
+    """The 50-digit textbook P, X and excess at ``coupling``, one instance
+    per coupling."""
+    return reference.Reference(coupling)
+
+
 def _mp_excess(a, d, l, coupling=0.1):
     """|X| - sqrt(P_A P_B) from the textbook expressions in Erfi and erfc
-    at 50 digits, sharing no algebra with the scaled Faddeeva forms."""
-    with mp.workdps(50):
-        a, d, l, lam = (mp.mpf(v) for v in (a, d, l, coupling))
-        b = a + d
-
-        def p(x):
-            return lam**2 / (4 * mp.pi) * (mp.exp(-x * x) - mp.sqrt(mp.pi) * x * mp.erfc(x))
-
-        bracket = mp.mpc(mp.re(mp.exp(mp.mpc(0, -d * l / 2)) * mp.erfi(mp.mpc(l, d) / 2)),
-                         mp.cos(d * l / 2))
-        x = lam**2 / (4 * mp.sqrt(mp.pi) * l) * mp.exp(-((a + b) ** 2 + l * l) / 4) * abs(bracket)
-        return x - mp.sqrt(p(a) * p(b))
+    at 50 digits, sharing no algebra with the scaled Faddeeva forms.  The
+    gaps enter as 50-digit numbers, so that b = a + d is exact, as in the
+    scaled forms' E = exp(-(a^2 + b^2)/2)."""
+    ref = _reference(coupling)
+    return ref.excess(ref.mp.mpf(a), ref.mp.mpf(d), l)
 
 
 def _assert_exact_sign_change(f, bracket, positive_at_lo, widen=1e-8):
@@ -740,9 +746,8 @@ class TestLargeGaps:
     def test_find_lmax_within_1e_14_of_the_50_digit_root(self, a, d):
         assert not _is_scaled(a, d, 0.1)
         res = find_lmax(a, d)
-        with mp.workdps(50):
-            root = mp.findroot(lambda l: _mp_excess(a, d, l), mp.mpf(res.location))
-            assert abs(res.location - root) <= 1e-14 * root
+        root = _reference(0.1).mp.findroot(lambda l: _mp_excess(a, d, l), res.location)
+        assert abs(res.location - root) <= 1e-14 * root
 
     def test_find_crossover_where_the_ratio_of_scales_underflows(self):
         # exp(-d(2a + d)/2) underflows to zero, so the sign of r S_u -
@@ -1304,7 +1309,7 @@ def _reference_floor(a, d, bound=None, step=0.01):
 class TestScanGrids:
     """The separation scans build no grid: point i is step + i*step, and
     each grid ends at its first certified point, its cut, found by one
-    lockstep search that doubles from one block."""
+    lockstep search below a closed-form end."""
 
     @pytest.mark.parametrize("step", [0.4, 0.01, 0.001])
     def test_index_arithmetic_is_arange_bit_for_bit(self, step):
@@ -1322,10 +1327,9 @@ class TestScanGrids:
     def test_bisected_cut_is_the_edge_of_the_per_point_mask(self):
         # fig5's rows, and rows over the whole domain, where the products
         # underflow at large gaps, on grids that no bound caps and on grids
-        # capped near their cuts; as one batch (one rung of the doubling per
-        # call, then a bisection), in batches of 40 rows (6 indices per row
-        # and call) and one row at a time (256 indices per call: every rung
-        # in the first)
+        # capped near their cuts; as one batch (a bisection per call), in
+        # batches of 40 rows (6 indices per row and call) and one row at a
+        # time (256 indices per call)
         rng = np.random.default_rng(16)
         edges = set()
         for a, d in (_fig5_rows(), (rng.uniform(0.0, 40.0, 400), rng.uniform(0.0, 35.0, 400))):
@@ -1340,6 +1344,24 @@ class TestScanGrids:
                     assert np.concatenate(got).tolist() == want[:rows[-1].stop].tolist(), size
                 edges |= set(want == n)
         assert edges == {False, True}  # cuts inside capped grids and at their ends
+
+    @pytest.mark.parametrize("step", [0.4, 0.01, 0.001, 1e-6])
+    def test_closed_form_end_is_certified(self, step):
+        # the cut search's bracket ends at the grid point of _cut_bound's
+        # separation, which the envelope must certify: else the search could
+        # return an uncertified point as the cut, and find_lmax would walk
+        # down from below a harvesting region.  Rows with a = 0 or a up to
+        # 1e76, where gm nears the end of the normal range, and d up to 35
+        rng = np.random.default_rng(31)
+        a = np.where(rng.random(3000) < 0.2, 0.0, np.exp(rng.uniform(-7.0, np.log(1e76), 3000)))
+        d = np.where(rng.random(3000) < 0.1, 35.0, rng.uniform(0.0, 35.0, 3000))
+        gm = closedform._scaled_gm(a, d, 1.0)
+        assert analysis._normal(gm).all()
+        end = np.floor(analysis._cut_bound(d, gm) / step + 1.0)
+        inside = end < analysis._GRID_POINTS
+        assert inside.sum() > 500
+        envelope = closedform._scaled_x_envelope(d[inside], step + end[inside] * step)
+        assert (envelope * (1.0 + analysis._ENVELOPE_MARGIN) < gm[inside]).all()
 
     def test_lower_cut_is_the_edge_of_the_per_point_mask(self, monkeypatch):
         # the floors find_crossover_many walks from, over the domain at three
@@ -1488,10 +1510,9 @@ class TestChunkedScanCalls:
         rounds = [np.shape(l) for _, _, l in calls if np.ndim(l) == 2]
         assert len(rounds) > 3 and any(s[0] > 1 for s in rounds)
         assert all(np.prod(s) <= max(analysis._SCAN_CHUNK, s[0]) for s in rounds)
-        # 40 rows probe 6 indices each per step: the first probes the rungs
-        # up to 256 * 2^5 of every row, past every cut here, which leaves
-        # brackets of at most max(256, cut) indices, and each later step
-        # divides every bracket by 7 or more
+        # 40 rows probe 6 indices each per step, which divides every bracket
+        # by 7 or more; the brackets start at the closed-form ends, below
+        # twice max(256, cut) here
         cuts = [_reference_cut(x, y, b)[1] for x, y, b in zip(a, d, bound)]
         assert max(cuts) <= analysis._SCAN_BLOCK * 2**5
         steps = next(k for k in range(1, 64) if 7**k > max(256, *cuts))
@@ -1529,11 +1550,11 @@ class TestChunkedScanCalls:
         assert max(walked) == analysis._SCAN_CHUNK
 
     def test_one_problem_cut_searches_take_at_most_two_envelope_calls(self, monkeypatch):
-        # a one-problem cut search probes 212 rungs a block apart, then the
-        # doublings to 2^52 points, in its first call, and 256 indices per
-        # call after it, so a cut below 54 272 points takes at most two
-        # calls, as the guessed bound's grids did: the rows here, explore's
-        # kind and rows that bound refused, at both searches
+        # a one-problem cut search probes 256 indices per call, which splits
+        # its bracket, up to the closed-form end, into 257, so an end below
+        # 257^2 = 66 049 points takes at most two calls, as the guessed
+        # bound's grids did: the rows here, explore's kind and rows that
+        # bound refused, at both searches
         counts = []
         envelope = _envelope_shapes(monkeypatch)
         original = analysis._cuts

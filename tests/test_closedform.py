@@ -1,8 +1,11 @@
 """Closed forms: reductions, symmetries, asymptotics, oracle agreement."""
 
 import dataclasses
+import functools
 import re
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -39,6 +42,10 @@ from udwharvest.closedform import (
     _scaled_gm, _scaled_probability, _scaled_x_envelope, _scaled_x_floor, _x_abs, _x_abs_slope,
     _x_bracket, _x_terms,
 )
+
+# the benchmark's 50-digit reference, imported by path
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference  # noqa: E402
 
 FOUR_PI = 4.0 * np.pi
 SQRT_PI = np.sqrt(np.pi)
@@ -480,6 +487,47 @@ class TestAsymptotics:
         assert approx5 > 0.0
         assert approx5 == pytest.approx(exact5, rel=0.10)
 
+    # RuntimeWarnings are errors in these tests: the gm form raised
+    # "RuntimeWarning: divide by zero" at the first two rows and
+    # ZeroDivisionError at (1e-300, 0.5), returned -inf at (1e-160, 0.5) and
+    # warned of an overflow at (1e-120, 0); the concurrence form raised
+    # ZeroDivisionError at the first three
+    @pytest.mark.parametrize("a, d, regime", [
+        *((a, d, GapRegime.LARGE_GAPS) for a, d in (
+            (0.0, 0.0), (0.0, 0.5), (5e-324, 0.0), (1e-300, 0.5), (1e-160, 0.5), (1e-120, 0.0))),
+        *((a, d, ConcurrenceRegime.LARGE_SEPARATION_LARGE_GAPS) for a, d in (
+            (0.0, 0.0), (0.0, 0.5), (5e-324, 0.0)))])
+    def test_large_gap_forms_refuse_where_they_have_no_value(self, a, d, regime):
+        cfg = DetectorPairConfig(a, d, 3.0, 0.1)
+        form = (asymptotic_gm_probability if isinstance(regime, GapRegime)
+                else asymptotic_concurrence)
+        message = ("the large-gap forms divide by omega_a_sigma*omega_b_sigma, and the gm form "
+                   f"also by omega_a_sigma^2: at omega_a_sigma={a!r}, omega_b_sigma={a + d!r} "
+                   "they have no finite value")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            form(cfg, regime)
+
+    @pytest.mark.parametrize("a", [0.5, 3.0, 5.0, 30.0, closedform._MAX_OMEGA_A])
+    @pytest.mark.parametrize("d", [0.0, 0.5, 35.0])
+    def test_large_gap_forms_keep_their_bits(self, a, d):
+        # the forms as they were written on Python floats
+        cfg = DetectorPairConfig(a, d, 3.0, 0.1)
+        b, lam2 = a + d, 0.1**2
+        gauss = np.exp(-(a * a + b * b) / 2.0)
+        gm = lam2 / (8.0 * np.pi) * gauss / (a * b) * (1.0 - 3.0 / (4.0 * a * a)
+                                                          - 3.0 / (4.0 * b * b))
+        c = max(0.0, lam2 / (2.0 * np.pi) * gauss * (2.0 / 9.0 - 1.0 / (2.0 * a * b)))
+        assert _bits(asymptotic_gm_probability(cfg, GapRegime.LARGE_GAPS)) == _bits(gm)
+        assert _bits(asymptotic_concurrence(
+            cfg, ConcurrenceRegime.LARGE_SEPARATION_LARGE_GAPS)) == _bits(c)
+
+    @pytest.mark.parametrize("a, d", [(5e-324, 0.5), (1e-300, 0.5), (1e-160, 0.0),
+                                      (1e-120, 0.0)])
+    def test_large_gap_concurrence_keeps_its_clamped_zero(self, a, d):
+        # 1/(2 a b) is finite or overflows to inf here, and the clamp gave 0
+        cfg = DetectorPairConfig(a, d, 3.0, 0.1)
+        assert asymptotic_concurrence(cfg, ConcurrenceRegime.LARGE_SEPARATION_LARGE_GAPS) == 0.0
+
 
 class TestEstimates:
     def test_lmax_estimate_equal_gaps(self):
@@ -724,12 +772,16 @@ class TestIngredientCaches:
         assert ((product > 0.0) & (product < tiny)).any()
 
 
+@functools.cache
+def _reference(lam):
+    """The 50-digit textbook P and X at coupling ``lam``, one instance per
+    coupling."""
+    return reference.Reference(lam)
+
+
 def _textbook_x_abs(a, d, l, lam):
-    """|X| from the textbook expression in Erfi, at mpmath's precision."""
-    a, d, l, lam = (mp.mpf(v) for v in (a, d, l, lam))
-    bracket = mp.mpc(mp.re(mp.exp(mp.mpc(0, -d * l / 2)) * mp.erfi(mp.mpc(l, d) / 2)),
-                     mp.cos(d * l / 2))
-    return lam**2 / (4 * mp.sqrt(mp.pi) * l) * mp.exp(-((2 * a + d) ** 2 + l * l) / 4) * abs(bracket)
+    """|X| from the textbook expression in Erfi, at 50 digits."""
+    return _reference(lam).x_abs(a, d, l)
 
 
 class TestXAbsSlope:
@@ -747,7 +799,9 @@ class TestXAbsSlope:
                 return _textbook_x_abs(a, d, s, 1.0) / _textbook_scale(a, d)
 
             assert abs(x_abs - want(l)) <= 1e-12 * want(l)
-            derivative = mp.diff(want, mp.mpf(l))
+            # the reference works at a fixed 50 digits, where mp.diff's
+            # default step rounds away
+            derivative = mp.diff(want, mp.mpf(l), h=mp.mpf("1e-20"))
             assert abs(slope - derivative) <= 1e-12 * abs(derivative)
         assert x_abs == _x_abs(d, l)
 
@@ -770,14 +824,15 @@ class TestXAbsSlope:
 
 
 def _textbook_scale(a, d):
-    """E = exp(-(a^2 + b^2)/2) at mpmath's precision."""
+    """E = exp(-(a^2 + b^2)/2) at 50 digits, in the reference's context."""
+    mp = _reference(1.0).mp
     a, d = mp.mpf(a), mp.mpf(d)
     return mp.exp(-(a * a + (a + d) ** 2) / 2)
 
 
 def _textbook_p(x, lam):
-    x, lam = mp.mpf(x), mp.mpf(lam)
-    return lam**2 / (4 * mp.pi) * (mp.exp(-x * x) - mp.sqrt(mp.pi) * x * mp.erfc(x))
+    """P from the textbook expression in erfc, at 50 digits."""
+    return _reference(lam).p(x)
 
 
 class TestScaledExcess:
@@ -810,7 +865,9 @@ class TestScaledExcess:
                 return _textbook_x_abs(a, d, s, 1.0) / _textbook_scale(a, d)
 
             assert abs(x_abs - want(l)) <= 1e-12 * want(l)
-            derivative = mp.diff(want, mp.mpf(l))
+            # the reference works at a fixed 50 digits, where mp.diff's
+            # default step rounds away
+            derivative = mp.diff(want, mp.mpf(l), h=mp.mpf("1e-20"))
             assert abs(slope - derivative) <= 1e-11 * abs(derivative)
 
     def test_scaled_envelope_bounds_scaled_x_across_the_domain(self):

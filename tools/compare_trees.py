@@ -33,12 +33,17 @@ The set covers what the package reports:
   separation searches' longer paths:
   - (22.100854834257316, 0.08112977215348849): a crossover walk of 4 428
     points from the grid's first point;
-  - (1e3, 1) and (3e4, 0): find_lmax cut searches of four envelope calls;
+  - (1e3, 1) and (3e4, 0): find_lmax cut searches of three envelope calls;
   - (2000, 1e-3): a crossover walk of more than 40 calls, each capped
     at 8 192 points;
   - (0.01, 0.01): a crossover refinement of 58 Newton steps;
   - (4.5088116955865685, 34.61449538201831): a crossover where the ratio
     of the pairs' scales underflows;
+* separation searches on grids whose closed-form end lies far from their
+  first point, at scan steps 0.4 and 0.001: one-problem ``find_lmax`` and
+  ``find_crossover`` calls at (1e6, 0), (1e8, 3) and (0, 35), and a
+  200-row ``find_lmax_many`` batch with a log-uniform in [1, 1e8] and d in
+  [0, 35];
 * one-problem calls of each search at 40 stratified rows (seed 26) over
   explore's domain: a in [0, 40], d in [0, 35] (in (0, 35] for crossovers), and l
   from 0.05 to max(4a, 4) for the gap search;
@@ -89,6 +94,9 @@ DOMAINS = (("wide", (0.0, 40.0), 35.0, (0.05, 120.0)),
            ("small", (0.0, 3.0), 8.0, (0.05, 12.0)))
 # rows of the bounded and of the large find_lmax_many batch over a, d in [0, 3]
 BOUNDED_ROWS, LARGE_ROWS = 40, 10_000
+# one-problem rows and rows of the batch whose grids end far from their
+# first point, at each of the scan steps
+FAR_ROWS, FAR_BATCH_ROWS, FAR_STEPS = ((1e6, 0.0), (1e8, 3.0), (0.0, 35.0)), 200, (0.4, 0.001)
 
 
 def _encode(value):
@@ -208,6 +216,15 @@ def _outputs():
     out["bounded-batch/find_lmax_many"] = analysis.find_lmax_many(a, d, scan_bound=bound)
     a, d = (rng_batches.uniform(0.0, 3.0, LARGE_ROWS) for _ in range(2))
     out["large-batch/find_lmax_many"] = analysis.find_lmax_many(a, d)
+
+    a = np.exp(rng_batches.uniform(0.0, np.log(1e8), FAR_BATCH_ROWS))
+    d = rng_batches.uniform(0.0, 35.0, FAR_BATCH_ROWS)
+    for step in FAR_STEPS:
+        out[f"far-end/find_lmax_many/{step!r}"] = analysis.find_lmax_many(a, d, scan_step=step)
+        for x, y in FAR_ROWS:
+            for search in (analysis.find_lmax, analysis.find_crossover):
+                out[f"far-end/{search.__name__}/{x!r}/{y!r}/{step!r}"] = _outcome(
+                    search, x, y, scan_step=step)
 
     for x, y in ROWS + NAMED_ROWS:
         for search in (analysis.find_lmax, analysis.find_crossover, analysis.find_optimal_gap):
