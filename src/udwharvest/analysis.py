@@ -357,11 +357,20 @@ def _cuts(step, n, gm, d):
         envelope = _scaled_x_envelope(d[rows, None], step + i * step)
         return envelope * (1.0 + _ENVELOPE_MARGIN) < gm[rows, None]
 
-    usable = _normal(gm)
-    # an unusable row's gm may be 0 or NaN; the index may overflow or pass 2^63
-    with np.errstate(all="ignore"):
-        end = np.minimum(_cut_bound(d, gm) / step + 1.0, n)
-    cut = _edges(np.where(usable, 0, n), np.where(usable, end, n).astype(np.int64), hit)
+    if gm.size == 1:
+        # one problem: the set-up on numpy scalars, on which ufuncs cost a
+        # fraction of their calls on one-element arrays
+        lo, hi = n.copy(), n.copy()
+        if _normal(gm[0]):
+            with np.errstate(over="ignore"):  # the index may overflow
+                lo[0], hi[0] = 0, min(_cut_bound(d[0], gm[0]) / step + 1.0, n[0])
+    else:
+        usable = _normal(gm)
+        # an unusable row's gm may be 0 or NaN; the index may overflow or pass 2^63
+        with np.errstate(all="ignore"):
+            end = np.minimum(_cut_bound(d, gm) / step + 1.0, n)
+        lo, hi = np.where(usable, 0, n), np.where(usable, end, n).astype(np.int64)
+    cut = _edges(lo, hi, hit)
     if (cut == _GRID_POINTS).any():
         raise ValueError("the envelope certifies no separation below scan_step*2^52, and past "
                          "it the grid points stop being distinct doubles")

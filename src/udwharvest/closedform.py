@@ -288,6 +288,49 @@ def _where(condition, x, y):
     return np.where(condition, x, y)
 
 
+def _any(condition):
+    """condition.any(), at a fraction of its cost on a numpy bool."""
+    return bool(condition) if condition.ndim == 0 else condition.any()
+
+
+# numpy's vector exp keeps to its fast loop for arguments from about -707.7
+# up and falls back to a scalar one below, where its result nears or leaves
+# the normal range (numpy 2.4 on AVX-512; :func:`_exp` is exact on any)
+_EXP_FAST = -707.0
+# exp rounds to zero below about -745.13, half the smallest subnormal
+_EXP_ZERO = -746.0
+# Points from which :func:`_exp` guards numpy's exp: the guard's dozen ufunc
+# calls cost about 10 us, which the fallback's 15 to 175 ns a point repays
+# on arrays of a few thousand points that underflow in part
+_EXP_GUARDED = 2048
+
+
+def _exp(x):
+    """np.exp(x) for a number or a numpy array x, bit for bit and with the
+    same floating-point warnings, at numpy's vector speed.
+
+    numpy's vector exp falls back to a scalar loop, 10 to 100 times slower,
+    wherever the result leaves the normal range, and every Gaussian factor
+    of the closed forms underflows at large gaps or separations.  So where
+    an array of ``_EXP_GUARDED`` points or more holds an argument below
+    ``_EXP_FAST``, exp is taken of the arguments clipped there, the result
+    is set to zero below it, and the few arguments between it and
+    ``_EXP_ZERO``, where exp is subnormal or tiny, are evaluated again on
+    their own.  numpy ignores underflow unless told otherwise;
+    where it is told to warn or raise, np.exp itself is called, so that
+    every underflow is flagged."""
+    if (getattr(x, "size", 1) < _EXP_GUARDED or x.min() >= _EXP_FAST
+            or np.geterr()["under"] != "ignore"):
+        return np.exp(x)
+    kept = x >= _EXP_FAST
+    y = np.maximum(x, _EXP_FAST)
+    np.exp(y, out=y)
+    y *= kept  # a NaN argument keeps its NaN
+    between = np.flatnonzero((x > _EXP_ZERO) & ~kept)
+    y.flat[between] = np.exp(x.flat[between])
+    return y
+
+
 def _probability_bracket(x):
     """1 - sqrt(pi)|x| erfcx(|x|) at gaps x: the bracket that P
     (:func:`_probability`) and the scaled P~ (:func:`_scaled_probability`)
@@ -301,9 +344,13 @@ def _probability(x, bracket, coupling):
     bracket (:func:`_probability_bracket`)."""
     x = np.asarray(x, dtype=float)[()]
     ax = np.abs(x)
-    core = np.exp(-ax * ax) * bracket
-    # erfc(-x) = 2 - erfc(x) adds a linear term for inverted gaps
-    return coupling**2 * (core / (4.0 * np.pi) + _where(x < 0, ax / (2.0 * _SQRT_PI), 0.0))
+    core = _exp(-ax * ax) * bracket / (4.0 * np.pi)
+    # erfc(-x) = 2 - erfc(x) adds a linear term for inverted gaps; adding
+    # zero elsewhere turns the -0 of a bracket rounded below zero (at gaps
+    # above about 4e307, where the exp is 0) into +0
+    inverted = x < 0
+    linear = _where(inverted, ax / (2.0 * _SQRT_PI), 0.0) if _any(inverted) else 0.0
+    return coupling**2 * (core + linear)
 
 
 def _scaled_probability(x, bracket, coupling):
@@ -311,17 +358,27 @@ def _scaled_probability(x, bracket, coupling):
     x from their bracket (:func:`_probability_bracket`): of order 1/x^2
     where P underflows.  The bracket loses about 1e-12 relative at x = 100
     and 3e-8 at 1e4, so from x = 50 on P~ is the 7-term series sum_m
-    (-1)^(m+1) (2m-1)!!/(2x^2)^m (DLMF 7.12.1), exact to rounding there.
-    The scaled excess takes no inverted gap x < 0, and P~ is NaN there."""
+    (-1)^(m+1) (2m-1)!!/(2x^2)^m (DLMF 7.12.1), exact to rounding there,
+    evaluated at those gaps only.  The scaled excess takes no inverted gap
+    x < 0, and P~ is NaN there."""
     x = np.asarray(x, dtype=float)[()]
-    if (x >= 50.0).any():
-        t = 0.5 / np.maximum(x * x, 2500.0)
-        series = t * (1.0 - t * (3.0 - t * (15.0 - t * (105.0 - t * (945.0 - t * (
-            10395.0 - t * 135135.0))))))
-        bracket = _where(x >= 50.0, series, bracket)
-    if (x < 0).any():
+    large = x >= 50.0
+    if _any(large):
+        if large.ndim:
+            bracket = bracket.copy()
+            bracket[large] = _bracket_series(x[large])
+        else:
+            bracket = _bracket_series(x)
+    if _any(x < 0):
         bracket = _where(x < 0, np.nan, bracket)
     return coupling**2 / (4.0 * np.pi) * bracket
+
+
+def _bracket_series(x):
+    """The bracket's 7-term series at gaps x >= 50 (:func:`_scaled_probability`)."""
+    t = 0.5 / (x * x)
+    return t * (1.0 - t * (3.0 - t * (15.0 - t * (105.0 - t * (945.0 - t * (
+        10395.0 - t * 135135.0))))))
 
 
 def _scaled_gm(a, d, coupling, brackets=(None, None)):
@@ -384,8 +441,8 @@ def _x_bracket(d, l):
     for arrays d and l."""
     w = faddeeva_w(0.5 * (l + 1j * d))
     phase = np.exp(-0.5j * l * d)
-    gauss_l = 2.0 * np.exp(-l * l / 4.0)
-    gauss_d = np.exp(-d * d / 4.0)
+    gauss_l = 2.0 * _exp(-l * l / 4.0)
+    gauss_d = _exp(-d * d / 4.0)
     swing = gauss_l * phase.imag
     return gauss_l * phase.real, gauss_d * (-2.0 * w.imag) + swing, w, gauss_d, swing
 
@@ -397,7 +454,7 @@ def _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, x_bracket
     a = np.asarray(omega_a_sigma, dtype=float)[()]
     d = np.asarray(delta_omega_sigma, dtype=float)[()]
     l = np.asarray(l_over_sigma, dtype=float)[()]
-    if (l <= 0).any():
+    if _any(l <= 0):
         raise ValueError("l_over_sigma must be > 0 (zero separation diverges)")
     # X is assembled from real parts around a real prefactor.  Real
     # arithmetic, and ufuncs called by name (np.exp, np.abs, np.hypot), give
@@ -408,7 +465,7 @@ def _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, x_bracket
     # only.  _x_bracket's two complex expressions multiply by a real or an
     # imaginary factor, whose cross products are exact zeros.
     s = 2.0 * a + d
-    pref = coupling**2 / (8.0 * _SQRT_PI * l) * np.exp(-(s * s) / 4.0)
+    pref = coupling**2 / (8.0 * _SQRT_PI * l) * _exp(-(s * s) / 4.0)
     b_re, b_im = _x_bracket(d, l)[:2] if x_bracket is None else x_bracket
     x_re = pref * b_im  # X = -i * pref * bracket
     x = np.empty(x_re.shape, dtype=complex)
@@ -517,7 +574,7 @@ def _scaled_x_envelope(d, l):
         cube = cube * cube * cube
         third = (2.0 / _SQRT_PI) * l / rho2 + _ZW3_BOUND * cube
         w_bound = np.minimum(np.minimum(1.0, _ZW_BOUND * inv), third)
-        return (w_bound + np.exp((dd - ll) / 4.0)) / (4.0 * _SQRT_PI) / l
+        return (w_bound + _exp((dd - ll) / 4.0)) / (4.0 * _SQRT_PI) / l
 
 
 def _scaled_x_floor(l):
@@ -574,18 +631,13 @@ def _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, p_a=N
     x, b_re, b_im = _x_terms(a, d, l_over_sigma, coupling, x_bracket)
     excess = np.abs(x) - gm
     scaled = gm < _SCALED_BELOW
-    if scaled.any():
+    if _any(scaled):
         l = np.asarray(l_over_sigma, dtype=float)[()]
         # outside the domain, S may overflow (and is then not used)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             s = (_over_scale(b_re, b_im, d, l, coupling)[0]
                  - _scaled_gm(a, d, coupling, (bracket_a, bracket_b)))
-            log_excess = np.log(np.abs(s)) - (a * a + b * b) / 2.0
-            # exp is evaluated only where it does not underflow to zero: its
-            # vector loop falls back to a scalar one, 10 to 100 times slower,
-            # where it underflows
-            magnitude = np.zeros(log_excess.shape)
-            np.exp(log_excess, out=magnitude, where=log_excess > -746.0)
+            magnitude = _exp(np.log(np.abs(s)) - (a * a + b * b) / 2.0)
             excess = _where(scaled & np.isfinite(s), np.copysign(magnitude, s) + 0.0, excess)
     return _scalar(p_a), _scalar(p_b), _scalar(x), excess
 

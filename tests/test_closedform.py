@@ -571,10 +571,130 @@ def _outputs(values):
     return values if isinstance(values, tuple) else (values,)
 
 
+def _exp_outcome(exp, x):
+    """exp(x) as its type, dtype, shape and bits, or the class and message
+    of the floating-point warning or error it raised."""
+    try:
+        y = exp(x)
+    except (RuntimeWarning, FloatingPointError) as exc:
+        return type(exc).__name__, str(exc)
+    return type(y), y.dtype, y.shape, _bits(y)
+
+
+class TestExp:
+    """_exp is np.exp, bit for bit and warning for warning, on every input:
+    arrays large enough for its guard, across exp's range and around the
+    edges of its fast loop, its subnormal range and its zero."""
+
+    # exp is subnormal from -708.3964 down and rounds to 0 below -745.1332
+    EDGES = (closedform._EXP_FAST, -707.7, -708.3964185322641, -745.1332191019411,
+             closedform._EXP_ZERO)
+
+    def _arguments(self):
+        rng = np.random.default_rng(32)
+        dense = [np.linspace(edge - 1e-3, edge + 1e-3, 2001) for edge in self.EDGES]
+        ulps = [edge + np.arange(-64, 65) * np.spacing(edge) for edge in self.EDGES]
+        return np.concatenate([rng.uniform(-760.0, 710.0, 100_000),
+                               np.linspace(-760.0, 710.0, 1471),
+                               np.linspace(-745.2, -708.3, 4001), *dense, *ulps])
+
+    def test_same_bits_across_the_range(self):
+        x = self._arguments()
+        assert x.size >= closedform._EXP_GUARDED and x.min() < closedform._EXP_FAST
+        # exp overflows past 709.78: the same warning, then the same bits
+        assert _exp_outcome(closedform._exp, x)[0] == "RuntimeWarning"
+        assert _exp_outcome(closedform._exp, x) == _exp_outcome(np.exp, x)
+        with np.errstate(over="ignore"):
+            y = closedform._exp(x)
+            assert _exp_outcome(closedform._exp, x) == _exp_outcome(np.exp, x)
+            # shuffled, so that every lane of the vector loop meets every kind
+            x = np.random.default_rng(1).permutation(x)
+            assert _exp_outcome(closedform._exp, x) == _exp_outcome(np.exp, x)
+        assert (y == 0.0).any() and ((y > 0.0) & (y < np.finfo(float).tiny)).any()
+        assert np.isinf(y).any()
+
+    @pytest.mark.parametrize("special", [0.0, -0.0, np.inf, -np.inf, np.nan])
+    def test_signed_zeros_infinities_and_nan(self, special):
+        x = np.linspace(-800.0, 0.0, 4096)
+        x[::7] = special
+        assert _exp_outcome(closedform._exp, x) == _exp_outcome(np.exp, x)
+        for value in (float(special), np.float64(special), np.array(special)):
+            assert _exp_outcome(closedform._exp, value) == _exp_outcome(np.exp, value)
+
+    @pytest.mark.parametrize("shape", ["numpy scalar", "0-d", "empty", "empty 2-D", "broadcast 2-D",
+                                       "transposed", "strided"])
+    def test_shapes(self, shape):
+        rng = np.random.default_rng(3)
+        base = rng.uniform(-760.0, 5.0, 6000)
+        x = {"numpy scalar": np.float64(-720.0), "0-d": np.array(-720.0),
+             "empty": np.empty(0), "empty 2-D": np.empty((3, 0)),
+             "broadcast 2-D": np.broadcast_to(base[:3000], (2, 3000)),
+             "transposed": base.reshape(2, 3000).T, "strided": base[::2]}[shape]
+        assert _exp_outcome(closedform._exp, x) == _exp_outcome(np.exp, x)
+
+    @pytest.mark.parametrize("mode", ["warn", "raise"])
+    def test_underflow_is_flagged_where_numpy_is_told_to(self, mode):
+        x = np.linspace(-800.0, 0.0, 4096)
+        with np.errstate(under=mode):
+            got, want = _exp_outcome(closedform._exp, x), _exp_outcome(np.exp, x)
+        assert got == want and got[0] in ("RuntimeWarning", "FloatingPointError")
+
+
 class TestScalarArrayBitwise:
     """A point's closed-form values do not depend on the shape of the call:
     scalar calls, one array call over scattered points, and one-axis
     broadcast calls of the kind sweeps make give the same bits."""
+
+    # where each Gaussian factor underflows: P_A's exp(-a^2) from a = 27.3,
+    # X's prefactor exp(-(2a + d)^2/4) from 2a + d = 54.6 and its bracket's
+    # exp(-l^2/4) from l = 54.6; (lows, highs) of (a, d, l), the factor's
+    # variable and its edge, with about half of the rows past the edge
+    UNDERFLOWING = {
+        "a": ((20.0, 0.0, 0.05), (40.0, 35.0, 20.0), lambda a, d, l: a, 27.3),
+        "2a + d": ((15.0, 0.0, 0.05), (25.0, 35.0, 20.0), lambda a, d, l: 2.0 * a + d, 54.6),
+        "l": ((0.0, 0.0, 0.05), (10.0, 35.0, 110.0), lambda a, d, l: l, 54.6),
+    }
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    @pytest.mark.parametrize("where", list(UNDERFLOWING))
+    def test_underflowing_gaussians_keep_their_bits(self, where, lam):
+        # arrays past _exp's guard size, against one scalar call per point
+        lows, highs, variable, edge = self.UNDERFLOWING[where]
+        a, d, l = np.random.default_rng(32).uniform(lows, highs, (2100, 3)).T
+        assert 0.3 < (variable(a, d, l) > edge).mean() < 0.7
+        assert a.size >= closedform._EXP_GUARDED
+        pts = np.stack([a, d, l], axis=1).tolist()
+        assert _bits(transition_probability(a, lam)) == _bits(
+            [transition_probability(v, lam) for v in a.tolist()])
+        assert _bits(correlation_x_values(a, d, l, lam)) == _bits(
+            [correlation_x_values(*p, lam) for p in pts])
+        assert _bits(correlation_excess(a, d, l, lam)) == _bits(
+            [correlation_excess(*p, lam) for p in pts])
+        assert _bits(concurrence_values(a, d, l, lam)) == _bits(
+            [concurrence_values(*p, lam) for p in pts])
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    def test_every_kind_of_gap_keeps_its_bits(self, lam):
+        # transition_probability adds the inverted-gap term only where a gap
+        # is negative, and _scaled_gm takes the series only at gaps of 50 or
+        # more: arrays that mix negative, zero, smaller and larger gaps, and
+        # gaps past 4e307, where the bracket may round below zero (and the
+        # gap's square overflows), against one scalar call per point
+        rng = np.random.default_rng(33)
+        gaps = np.concatenate([rng.uniform(-30.0, 0.0, 700), [0.0, -0.0] * 50,
+                               rng.uniform(0.0, 50.0, 700), [50.0, np.nextafter(50.0, 0.0)] * 50,
+                               rng.uniform(50.0, 1e4, 700), rng.uniform(4e307, 1e308, 200)])
+        gaps = rng.permutation(gaps)
+        assert gaps.size >= closedform._EXP_GUARDED
+        assert (_probability_bracket(gaps) < 0.0).any()
+        d = rng.uniform(0.0, 35.0, gaps.size)
+        with np.errstate(over="ignore"):
+            p = transition_probability(gaps, lam)
+            assert _bits(p) == _bits([transition_probability(v, lam) for v in gaps.tolist()])
+            gm = _scaled_gm(gaps, d, lam)
+            assert _bits(gm) == _bits([_scaled_gm(x, y, lam) for x, y in zip(gaps, d)])
+        assert not np.signbit(p).any()
+        assert np.isnan(gm[gaps < 0.0]).all() and not np.isnan(gm[gaps >= 0.0]).any()
 
     @pytest.mark.parametrize("lam", [0.1, 1.0])
     def test_scalar_calls_equal_array_calls(self, lam):
@@ -730,6 +850,17 @@ class TestPublicTypes:
         report = concurrence(DetectorPairConfig(a, d, l, 0.1))
         assert [type(v) for v in (report.p_a, report.p_b, report.x, report.concurrence)] == [
             float, float, complex, float]
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_size_zero_inputs_give_size_zero_results(self, shape):
+        e = np.empty(shape)
+        for form, args, dtype in ((concurrence_values, (e, e, e), float),
+                                  (correlation_excess, (e, e, e), float),
+                                  (correlation_x_values, (e, e, e), complex),
+                                  (transition_probability, (e,), float)):
+            value = form(*args, 0.1)
+            assert isinstance(value, np.ndarray) and value.shape == shape, form.__name__
+            assert value.dtype == dtype, form.__name__
 
     def test_report_fields(self):
         assert tuple(f.name for f in dataclasses.fields(HarvestReport)) == (

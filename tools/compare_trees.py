@@ -56,6 +56,15 @@ The set covers what the package reports:
   output with the name of its type;
 * a sweep per axis, 2 000 ``concurrence_values`` and ``correlation_excess``
   rows per coupling, and 50 ``concurrence`` reports;
+* arrays of 10 000 points, where the closed forms' Gaussian factors
+  underflow in part: ``transition_probability`` over gaps in [-30, 80]
+  (zero, 50 and the edges of exp's underflow among them), and
+  ``correlation_x_values``, ``correlation_excess`` and
+  ``concurrence_values`` per coupling over a in [0, 40], d in [0, 35] and
+  l in [0.05, 150], so that l and 2a + d pass 54.6;
+* the same four closed forms on 4 096-point arrays with one NaN, +inf or
+  -inf in one input, called with ``RuntimeWarning`` as an error, so that a
+  warning gained or lost shows as a differing key;
 * the data sections (all but the manifest, which carries a timestamp) of
   ``eval`` at six scenarios and of ``verify --format record``, at the
   default oracle settings and at 48 nodes per panel with the four-regulator
@@ -97,6 +106,9 @@ BOUNDED_ROWS, LARGE_ROWS = 40, 10_000
 # one-problem rows and rows of the batch whose grids end far from their
 # first point, at each of the scan steps
 FAR_ROWS, FAR_BATCH_ROWS, FAR_STEPS = ((1e6, 0.0), (1e8, 3.0), (0.0, 35.0)), 200, (0.4, 0.001)
+# points of the closed-form arrays that underflow in part, and of those
+# with one non-finite input
+UNDERFLOW_POINTS, SPECIAL_POINTS = 10_000, 4096
 
 
 def _encode(value):
@@ -146,6 +158,17 @@ def _outcome(call, *args, **kwargs):
         return call(*args, **kwargs)
     except (NoHarvestingRegion, BracketingFailure, NoCrossover, ValueError) as exc:
         return f"raises {type(exc).__name__}: {exc}"
+
+
+def _warned(call, *args):
+    """A call's result with ``RuntimeWarning`` as an error, or the class and
+    message of the warning or domain error raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return call(*args)
+        except (RuntimeWarning, ValueError) as exc:
+            return f"raises {type(exc).__name__}: {exc}"
 
 
 def _stratified_rows(rng, n):
@@ -273,6 +296,29 @@ def _outputs():
         for i in range(25):
             cfg = closedform.DetectorPairConfig(*(float(v[i]) for v in (a, d, l)), coupling)
             out[f"report/{coupling}/{i}"] = closedform.concurrence(cfg)
+
+    gaps = np.concatenate([np.linspace(-30.0, 80.0, UNDERFLOW_POINTS - 8),
+                           [-0.0, 0.0, 26.6, 27.3, 49.99, 50.0, 707.0 ** 0.5, 746.0 ** 0.5]])
+    out["underflow/transition_probability"] = closedform.transition_probability(gaps, 0.1)
+    for coupling in COUPLINGS:
+        a, d = rng.uniform(0.0, 40.0, UNDERFLOW_POINTS), rng.uniform(0.0, 35.0, UNDERFLOW_POINTS)
+        l = rng.uniform(0.05, 150.0, UNDERFLOW_POINTS)
+        for form in (closedform.correlation_x_values, closedform.correlation_excess,
+                     closedform.concurrence_values):
+            out[f"underflow/{coupling}/{form.__name__}"] = form(a, d, l, coupling)
+    a, d = rng.uniform(0.0, 40.0, SPECIAL_POINTS), rng.uniform(0.0, 35.0, SPECIAL_POINTS)
+    l = rng.uniform(0.05, 150.0, SPECIAL_POINTS)
+    for special in (np.nan, np.inf, -np.inf):
+        for i, name in enumerate(("a", "d", "l")):
+            args = [a.copy(), d.copy(), l.copy()]
+            args[i][SPECIAL_POINTS // 2] = special
+            key = f"special/{special!r}/{name}"
+            if name == "a":
+                out[f"{key}/transition_probability"] = _warned(
+                    closedform.transition_probability, args[0], 0.1)
+            for form in (closedform.correlation_x_values, closedform.correlation_excess,
+                         closedform.concurrence_values):
+                out[f"{key}/{form.__name__}"] = _warned(form, *args, 0.1)
 
     for x, y in ROWS:
         out[f"eval/{x!r}/{y!r}"] = _cli_data(

@@ -1,4 +1,5 @@
-"""Time the searches of two checkouts of udwharvest side by side.
+"""Time the searches, explore's batches and the figures of two checkouts
+of udwharvest side by side.
 
     python tools/search_latency.py PARENT_CHECKOUT CHANGE_CHECKOUT
 
@@ -17,15 +18,20 @@ batched searches are timed too, each as one row: ``figure fig5``'s
 ratios ``np.linspace(0, 3, 400)``, coupling 1), and 400-row batches of
 ``find_lmax_many`` and ``find_crossover_many`` over a in [0, 40], d in (0,
 35] ("wide") and over a in [0, 3], d in (0, 8] ("small"), at coupling 0.1.
-Every row is called once per tree to warm up, and the two outcomes (the
-repr of the result's fields, arrays as lists, or the class and message
-raised) must be equal.  Then each row is timed 9 times per tree, one call
+The closed-form layer is timed on explore's 32 ``concurrence_values``
+batches of 10 000 scenarios for each of seeds 1-3, one row per batch, and
+the figure layer on the seven survey figures (``cli.build_figure`` at 400
+points), one row each.  Every row is called once per tree to warm up, and
+the two outcomes (the repr of the result, its arrays as lists and a
+search's fields as a list, or the class and message raised) must be
+equal.  Then each row is timed 9 times per tree, one call
 at a time, the trees alternating and their order flipping at each repeat,
 so that the machine's drift falls on both alike.  A row's time is the
 minimum of its repeats, a raised search error included.
 
 Prints, per explore search, over all of explore's searches, for survey's
-crossovers and per batch, the median of the rows' times for each tree and
+crossovers, per batched search, over explore's batches and per figure,
+the median of the rows' times for each tree and
 the change/parent ratio of those medians.  Exits 1 if an outcome differs,
 else 0.
 """
@@ -53,20 +59,36 @@ BATCHES = (("wide lmax batch", "find_lmax_many", (0.0, 40.0), 35.0),
 
 
 def _import(tree, name, tmp):
-    """The checkout ``tree``'s package, copied to ``tmp`` as ``name``."""
+    """The checkout ``tree``'s package, copied to ``tmp`` as ``name``, with
+    its ``cli`` module."""
     shutil.copytree(os.path.join(tree, "src", "udwharvest"), os.path.join(tmp, name),
                     ignore=shutil.ignore_patterns("__pycache__"))
+    importlib.import_module(f"{name}.cli")
     return importlib.import_module(name)
 
 
+def _plain(value):
+    """``value`` with each array as a list and a search result's fields as a
+    list."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 def _outcome(call):
-    """A search's result as the repr of its fields, arrays as lists, or the
-    class and message of what it raised."""
+    """A call's result as the repr of :func:`_plain`, or the class and
+    message of what it raised."""
     try:
-        fields = dataclasses.astuple(call())
+        value = call()
     except Exception as exc:  # every outcome is compared, raised or returned
         return f"raises {type(exc).__name__}: {exc}"
-    return repr([f.tolist() if hasattr(f, "tolist") else f for f in fields])
+    return repr(_plain(value))
 
 
 def _batches(pkgs):
@@ -90,15 +112,17 @@ def main(argv):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    from perfbench.workloads import CROSSOVER_GAPS, CROSSOVER_RATIOS, Explore
+    from perfbench.workloads import (
+        COUPLING, CROSSOVER_GAPS, CROSSOVER_RATIOS, FIGURE_POINTS, FIGURES, Explore,
+    )
 
     warnings.simplefilter("ignore")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         pkgs = [_import(tree, f"udwharvest_{name}", tmp) for tree, name in zip(argv, TREES)]
+        workloads = [Explore(seed, pkgs[0], tmp) for seed in SEEDS]
         # (group, search, x, y)
-        problems = [(kind, kind, x, y)
-                    for seed in SEEDS for kind, x, y in Explore(seed, pkgs[0], tmp).searches]
+        problems = [(kind, kind, x, y) for ex in workloads for kind, x, y in ex.searches]
         problems += [("survey crossover", "find_crossover", a, a * r)
                      for a in CROSSOVER_GAPS for r in CROSSOVER_RATIOS]
         # (group, label, one call per tree)
@@ -106,6 +130,14 @@ def main(argv):
                  [lambda f=getattr(pkg.analysis, kind), x=x, y=y: f(x, y) for pkg in pkgs])
                 for group, kind, x, y in problems]
         rows += list(_batches(pkgs))
+        rows += [("explore batch", f"concurrence_values(seed {seed}, batch {i})",
+                  [lambda f=pkg.closedform.concurrence_values, b=b: f(*b, COUPLING)
+                   for pkg in pkgs])
+                 for seed, ex in zip(SEEDS, workloads) for i, b in enumerate(ex.batches)]
+        rows += [(f"figure {name}", f"build_figure({name!r})",
+                  [lambda f=pkg.cli.build_figure, name=name: f(name, FIGURE_POINTS)
+                   for pkg in pkgs])
+                 for name in FIGURES]
         calls = [pair for _, _, pair in rows]
         differ = 0
         for _, label, pair in rows:
@@ -125,11 +157,11 @@ def main(argv):
                     except Exception:  # a raised search error is an outcome too
                         pass
                     best[t][i] = min(best[t][i], clock() - start)
-    print(f"{len(rows)} rows (explore seeds {SEEDS[0]}-{SEEDS[-1]}, survey, batches), minimum of "
-          f"{REPEATS} calls per row and tree; median over rows in ms")
+    print(f"{len(rows)} rows (explore seeds {SEEDS[0]}-{SEEDS[-1]}, survey, batches, figures), "
+          f"minimum of {REPEATS} calls per row and tree; median over rows in ms")
     print(f"{'search':22s} {'rows':>5s} {'parent':>9s} {'change':>9s} {'ratio':>7s}")
     explore = sorted({group for group, kind, _, _ in problems if group == kind})
-    batches = [group for group, _, _ in rows[len(problems):]]
+    batches = list(dict.fromkeys(group for group, _, _ in rows[len(problems):]))
     for group in explore + ["all", "survey crossover"] + batches:
         index = [i for i, row in enumerate(rows)
                  if row[0] == group or (group == "all" and row[0] in explore)]
