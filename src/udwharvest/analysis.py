@@ -75,7 +75,7 @@ bisection to floating-point resolution would take about 46, and never
 more than bisection's count to 8 ulps plus 9.  The roots are those of
 bisection to within a few ulps, except where the function rounds to
 exactly zero over a stretch, either end of which is a sign change.  The
-gap search keeps its golden section.
+gap search's golden section (:func:`_golden`) runs in a loop of that shape.
 
 Each search has a batched form, :func:`find_lmax_many`,
 :func:`find_optimal_gap_many` and :func:`find_crossover_many`, which takes
@@ -91,10 +91,11 @@ scans search the cuts of all rows in one envelope call per step, then
 walk all rows in one lockstep: a round is one closed-form call over the
 rows that have not found their answer yet, each row walking its own next
 block, and the blocks double while the call stays within the cap.  Then
-all rows are refined in lockstep: one closed-form
-array call per Newton or golden-section step (two for a crossover's
-Newton step, one per pair), with each finished row's bracket frozen in
-place.  A row where the one-problem search would raise
+all rows are refined in lockstep, a gap search's interior rows alone: one
+closed-form array call per Newton or golden-section step (two for a
+crossover's Newton step, one per pair) over every row until the last
+finishes, each finished row's bracket frozen in place.  A row where the
+one-problem search would raise
 carries NaN and the exception's class name in ``error``, so one failing
 problem cannot abort a grid; gaps, a separation or a coupling outside the
 scenario domain raise ValueError, for the whole batch.  The one-problem
@@ -537,42 +538,34 @@ def _refine(f, lo, hi, positive_at_lo):
     return lo, hi, iterations
 
 
-def _golden(c, lo, hi, *args):
-    """Golden-section maximization of ``c(d, *args)`` on every row's
-    [lo, hi] down to width 1e-8, one call of c per step.  ``args`` are
-    arrays of the rows' shape, passed to c for the rows still wider than
-    1e-8, the only rows evaluated; while every row is, the arrays keep
-    their shape.  Rows narrower than that from the start keep their
-    bracket."""
-    shape = np.shape(lo)
-    brackets = np.ravel(lo).copy(), np.ravel(hi).copy()
-    iterations = np.zeros(np.size(lo), dtype=int)
-    rows = np.arange(np.size(lo)).reshape(shape)
+def _golden(c, lo, hi):
+    """Golden-section maximization of ``c(d)`` on every row's [lo, hi] down
+    to width 1e-8: two calls of c at entry, then one per step but the last,
+    each over every row.  A row narrower than 1e-8, from the start or from
+    a step on, keeps its bracket and its count of steps.  The loop is
+    :func:`_refine`'s, on numpy scalars for 0-d inputs as there."""
+    lo, hi = np.asarray(lo)[()], np.asarray(hi)[()]
     live = hi - lo > 1e-8
-    if not live.all():
-        rows, lo, hi, *args = (x[live] for x in (rows, lo, hi, *args))
-    u = hi - _GOLDEN * (hi - lo)
-    v = lo + _GOLDEN * (hi - lo)
-    fu, fv = c(u, *args), c(v, *args)
-    step = 0
-    while np.size(rows):
-        step += 1
+    iterations = np.zeros(np.shape(lo), dtype=int)[()]
+    inner = _GOLDEN * (hi - lo)
+    u, v = hi - inner, lo + inner
+    fu, fv = c(u), c(v)
+    while True:
+        iterations += live
         left = fu > fv  # the maximum lies below v
-        lo, hi = np.where(left, lo, u), np.where(left, v, hi)
-        live = hi - lo > 1e-8
-        if not live.all():
-            done = rows[~live]
-            brackets[0][done], brackets[1][done], iterations[done] = lo[~live], hi[~live], step
-            rows, lo, hi, left, u, v, fu, fv, *args = (
-                x[live] for x in (rows, lo, hi, left, u, v, fu, fv, *args)
-            )
-            if not rows.size:
-                break
-        p = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
-        fp = c(p, *args)
-        u, v = np.where(left, p, v), np.where(left, u, p)
-        fu, fv = np.where(left, fp, fv), np.where(left, fu, fp)
-    return brackets[0].reshape(shape), brackets[1].reshape(shape), iterations.reshape(shape)
+        to_hi = live & left
+        lo = _where(live ^ to_hi, u, lo)
+        hi = _where(to_hi, v, hi)
+        # a finished row's bracket stays narrower than 1e-8
+        width = hi - lo
+        live = width > 1e-8
+        if not np.count_nonzero(live):
+            return lo, hi, iterations
+        inner = _GOLDEN * width
+        p = _where(left, hi - inner, lo + inner)
+        fp = c(p)
+        u, v = _where(left, p, v), _where(left, u, p)
+        fu, fv = _where(left, fp, fv), _where(left, fu, fp)
 
 
 def _blank(shape):
@@ -712,9 +705,10 @@ def find_optimal_gap_many(
     Each row is scanned on its own grid of 256 samples, 32 rows per
     closed-form call (8 k points); rows of a call with the same separation
     and gap bound share the grid, and the Faddeeva evaluation of X's
-    bracket on it, which do not depend on the smaller gap.  Then
-    all interior rows are refined by golden section in lockstep.  No row
-    fails: every ``error`` is empty.
+    bracket on it, which do not depend on the smaller gap.  Then the
+    interior rows alone are refined by golden section in lockstep, until
+    the last finishes (:func:`_golden`).  No row fails: every ``error`` is
+    empty.
     """
     a, l = np.broadcast_arrays(
         np.asarray(omega_a_sigma, dtype=float), np.asarray(l_over_sigma, dtype=float)
@@ -767,11 +761,14 @@ def find_optimal_gap_many(
     interior = hi > lo
     if interior.any():
         # P_A does not depend on the gap difference: one evaluation serves
-        # every step
+        # every step.  The golden section takes the interior rows alone, one
+        # problem's as numpy scalars
         p_a = np.asarray(transition_probability(a, coupling))
-        lo, hi, iterations = _golden(
-            lambda d, p_a, a, l: _clamp(_ingredients(a, d, l, coupling, p_a)[3]),
-            lo, hi, p_a, a, l)
+        pick = interior if a.ndim else ()
+        a_in, l_in, p_a_in = a[pick], l[pick], p_a[pick]
+        lo[pick], hi[pick], iterations[pick] = _golden(
+            lambda d: _clamp(_ingredients(a_in, d, l_in, coupling, p_a_in)[3]),
+            lo[pick], hi[pick])
         peak = _clamp(_ingredients(a, 0.5 * (lo + hi), l, coupling, p_a)[3])
         value = np.where(interior, peak, value)
     return _batch(0.5 * (lo + hi), value, lo, hi, iterations, note, _blank(a.shape))

@@ -280,6 +280,19 @@ def _closed_form_calls(monkeypatch):
     return calls
 
 
+def _golden_calls(monkeypatch):
+    """Record every (d, value) pair of the gap search's golden section, in
+    order."""
+    calls = []
+    golden = analysis._golden
+
+    def spy(c, lo, hi):
+        return golden(lambda d: calls.append((d, c(d))) or calls[-1][1], lo, hi)
+
+    monkeypatch.setattr(analysis, "_golden", spy)
+    return calls
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
@@ -992,31 +1005,38 @@ class TestBatchedSearches:
         assert rows[4][-1] == "boundary maximum at zero gap difference"
         assert all(r[-2] for r in rows)
 
-    def test_golden_section_evaluates_only_open_rows(self, monkeypatch):
+    def test_golden_section_evaluates_every_interior_row_at_each_call(self, monkeypatch):
         # row 0 is a boundary maximum (lo = hi = 0): the golden section never
-        # evaluates it, and an open row is evaluated at its two first probes
-        # and at each step that leaves it open; every row keeps the bits of
-        # its one-row call
+        # evaluates it.  Every call holds the interior rows, finished or not,
+        # two at entry and one per step that leaves a row open; every row
+        # keeps the bits of its one-row call
         a, l = np.array([0.5, 0.5, 0.2]), np.array([0.5, 2.0, 4.0])
-        sizes = []
-        golden = analysis._golden
-
-        def spy(c, lo, hi, *args):
-            def recording(d, *row_args):
-                sizes.append(np.size(d))
-                assert all(np.size(x) == np.size(d) for x in row_args)
-                return c(d, *row_args)
-
-            return golden(recording, lo, hi, *args)
-
-        monkeypatch.setattr(analysis, "_golden", spy)
+        calls = _golden_calls(monkeypatch)
         batch = find_optimal_gap_many(a, l, 0.1)
         assert batch.note[0] == "boundary maximum at zero gap difference"
         assert batch.iterations[0] == 0 and min(batch.iterations[1:]) > 20
-        assert sizes[:2] == [2, 2] and sum(sizes) == np.sum(batch.iterations[1:] + 1)
+        assert [np.size(d) for d, _ in calls] == [2] * (batch.iterations.max() + 1)
         monkeypatch.undo()
         assert [_row(batch, i) for i in range(3)] == [
             _outcome(find_optimal_gap, x, y, 0.1) for x, y in zip(a, l)
+        ]
+
+    def test_gap_rows_leaving_the_golden_section_on_different_steps_match_scalar_bitwise(
+            self, monkeypatch):
+        # one peak under four gap bounds: the 1e-7 row's bracket starts
+        # narrower than 1e-8 and keeps it with 0 iterations, the others
+        # finish after 29, 32 and 37 steps and keep their brackets from
+        # there while the rest go on; the boundary row is never evaluated
+        l = np.array([2.0, 2.0, 2.0, 2.0, 0.5])
+        bound = np.array([1e-7, 1.0, 4.0, 60.0, 4.0])
+        calls = _golden_calls(monkeypatch)
+        batch = find_optimal_gap_many(0.5, l, 0.1, gap_bound=bound)
+        assert batch.iterations.tolist() == [0, 29, 32, 37, 0]
+        assert batch.note[-1] == "boundary maximum at zero gap difference"
+        assert [np.size(d) for d, _ in calls] == [4] * 38
+        monkeypatch.undo()
+        assert [_row(batch, i) for i in range(l.size)] == [
+            _outcome(find_optimal_gap, 0.5, y, 0.1, gap_bound=b) for y, b in zip(l, bound)
         ]
 
     def test_crossover_rows_match_scalar_bitwise(self):
@@ -1396,9 +1416,10 @@ class TestChunkedScanCalls:
     def test_fig4_scans_in_one_call_per_chunk(self, monkeypatch):
         # fig4's 1600 gap scans take ceil(1600 * 256 / chunk) calls over
         # (rows, samples) grids, then the golden section takes two and one
-        # per step that leaves a row open, each over the open rows alone:
-        # the boundary maxima are never evaluated, and an open row is
-        # evaluated once per step plus once more; one call takes the peaks
+        # per step that leaves a row open, each over the interior rows: the
+        # boundary maxima are never evaluated, and the interior rows all
+        # finish on the same step, so each is evaluated once per step plus
+        # once more; one call takes the peaks
         calls = _closed_form_calls(monkeypatch)
         gaps = np.array([0.2, 0.5, 1.0, 1.2])[:, None]
         batch = find_optimal_gap_many(gaps, np.linspace(0.5, 4.1, 400), 1.0)
@@ -1681,6 +1702,14 @@ class TestOneProblemPath:
                             lambda *x: args.extend(x) or original(*x))
         assert search(a, d).iterations > 0
         assert args and not any(isinstance(x, np.ndarray) for x in args)
+
+    @pytest.mark.parametrize("a, l", [(0.5, 2.0), (3.9, 13.75)])
+    def test_the_golden_section_runs_on_numpy_scalars(self, monkeypatch, a, l):
+        # as the separation searches' refinement does: every probe and
+        # every value of a one-problem gap search is a numpy scalar
+        calls = _golden_calls(monkeypatch)
+        assert find_optimal_gap(a, l).iterations > 0
+        assert calls and all(isinstance(x, np.float64) for call in calls for x in call)
 
     # the public fields stay Python numbers, whatever form the inputs take
     @pytest.mark.parametrize("form", [float, np.float64, np.array])

@@ -28,6 +28,10 @@ The set covers what the package reports:
   bracketing failure) and 1.1 times it on the rest (a capped grid);
 * a 10 000-row ``find_lmax_many`` batch over a, d in [0, 3], where more
   rows walk than a scan call holds points;
+* a 60-row ``find_optimal_gap_many`` batch with per-row gap bounds
+  log-spaced from 1e-7 to 60, so that its rows leave the golden section
+  on different steps, from the start to the 37th, beside boundary maxima,
+  and the same rows as one-problem calls;
 * one-problem calls of each search at six rows, among them the row of
   explore seed 1's failed check, and at six named rows that take the
   separation searches' longer paths:
@@ -106,6 +110,12 @@ BOUNDED_ROWS, LARGE_ROWS = 40, 10_000
 # one-problem rows and rows of the batch whose grids end far from their
 # first point, at each of the scan steps
 FAR_ROWS, FAR_BATCH_ROWS, FAR_STEPS = ((1e6, 0.0), (1e8, 3.0), (0.0, 35.0)), 200, (0.4, 0.001)
+# (a, l) of the gap searches under per-row gap bounds: four rows whose
+# concurrence rises from zero gap difference, which leave the golden section
+# after 0 to 37 steps as the bound grows, and two boundary maxima, one of
+# which turns interior at the largest bound
+GAP_BOUND_ROWS = ((0.5, 2.0), (0.9, 2.65), (1.9, 4.5), (2.85, 6.25), (0.5, 0.5), (3.0, 12.0))
+GAP_BOUNDS = (1e-7, 60.0, 10)  # first, last and count of the log-spaced bounds
 # points of the closed-form arrays that underflow in part, and of those
 # with one non-finite input
 UNDERFLOW_POINTS, SPECIAL_POINTS = 10_000, 4096
@@ -248,6 +258,14 @@ def _outputs():
             for search in (analysis.find_lmax, analysis.find_crossover):
                 out[f"far-end/{search.__name__}/{x!r}/{y!r}/{step!r}"] = _outcome(
                     search, x, y, scan_step=step)
+
+    a, l = np.repeat(np.array(GAP_BOUND_ROWS), GAP_BOUNDS[-1], axis=0).T
+    bound = np.tile(np.geomspace(*GAP_BOUNDS), len(GAP_BOUND_ROWS))
+    out["gap-bounds/find_optimal_gap_many"] = analysis.find_optimal_gap_many(
+        a, l, gap_bound=bound)
+    for x, y, b in zip(a.tolist(), l.tolist(), bound.tolist()):
+        out[f"gap-bounds/find_optimal_gap/{x!r}/{y!r}/{b!r}"] = _outcome(
+            analysis.find_optimal_gap, x, y, gap_bound=b)
 
     for x, y in ROWS + NAMED_ROWS:
         for search in (analysis.find_lmax, analysis.find_crossover, analysis.find_optimal_gap):

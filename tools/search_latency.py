@@ -24,20 +24,33 @@ the figure layer on the seven survey figures (``cli.build_figure`` at 400
 points), one row each.  Every row is called once per tree to warm up, and
 the two outcomes (the repr of the result, its arrays as lists and a
 search's fields as a list, or the class and message raised) must be
-equal.  Then each row is timed 9 times per tree, one call
-at a time, the trees alternating and their order flipping at each repeat,
-so that the machine's drift falls on both alike.  A row's time is the
-minimum of its repeats, a raised search error included.
+equal.  Then each row is timed 9 times per tree, and each row that is a
+group of its own (a batched search or a figure) 200 times, one call at a
+time, the trees alternating and their order flipping at each repeat, so
+that the machine's drift falls on both alike.  A row's time is the
+minimum of its repeats, a raised search error included.  A group of one
+row takes the median of its repeats instead, and as its ratio the
+geometric mean of two medians of the change/parent ratio of a repeat's
+two calls: one over the repeats that call the parent first, one over
+those that call the change first.  The minimum of one row moves by up to
+4 % between runs of the same two trees, even over 63 repeats, and no
+median over other rows evens it out; the second call of a repeat runs up
+to 20 % faster than the first (``figure fig1a``), which the two medians
+cancel.  The ratio moves by less than 1 % between runs.
 
 Prints, per explore search, over all of explore's searches, for survey's
 crossovers, per batched search, over explore's batches and per figure,
-the median of the rows' times for each tree and
-the change/parent ratio of those medians.  Exits 1 if an outcome differs,
-else 0.
+the median of the rows' times for each tree and the change/parent ratio
+of those medians (or the ratio above for a group of one row); and the
+same for the explore gap searches that refine (the parent's result has
+``iterations`` > 0), which the boundary maxima, about seven in eight of
+them, hide in their group's median.  Exits 1 if an outcome differs, else
+0.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import importlib
 import os
@@ -50,6 +63,9 @@ import warnings
 
 SEEDS = (1, 2, 3)
 REPEATS = 9
+# repeats of a row that is a group of its own; even, so that each tree is
+# called first as often
+ONE_ROW_REPEATS = 200
 TREES = ("parent", "change")
 # (group, search, a range, upper end of d's range) of the 400-row batches
 BATCHES = (("wide lmax batch", "find_lmax_many", (0.0, 40.0), 35.0),
@@ -138,35 +154,49 @@ def main(argv):
                   [lambda f=pkg.cli.build_figure, name=name: f(name, FIGURE_POINTS)
                    for pkg in pkgs])
                  for name in FIGURES]
-        calls = [pair for _, _, pair in rows]
         differ = 0
         for _, label, pair in rows:
             parent, change = (_outcome(call) for call in pair)
             if parent != change:
                 differ += 1
                 print(f"differs: {label}")
-        best = [[float("inf")] * len(rows) for _ in TREES]
+        refined = [i for i, (group, _, pair) in enumerate(rows)
+                   if group == "find_optimal_gap" and pair[0]().iterations > 0]
+        sizes = collections.Counter(group for group, _, _ in rows)
+        repeats = [ONE_ROW_REPEATS if sizes[group] == 1 else REPEATS for group, _, _ in rows]
+        times = [[[] for _ in rows] for _ in TREES]
         clock = time.perf_counter
-        for rep in range(REPEATS):
+        for rep in range(max(repeats)):
             order = (0, 1) if rep % 2 == 0 else (1, 0)
-            for i, pair in enumerate(calls):
+            for i, (_, _, pair) in enumerate(rows):
+                if rep >= repeats[i]:
+                    continue
                 for t in order:
                     start = clock()
                     try:
                         pair[t]()
                     except Exception:  # a raised search error is an outcome too
                         pass
-                    best[t][i] = min(best[t][i], clock() - start)
+                    times[t][i].append(clock() - start)
     print(f"{len(rows)} rows (explore seeds {SEEDS[0]}-{SEEDS[-1]}, survey, batches, figures), "
-          f"minimum of {REPEATS} calls per row and tree; median over rows in ms")
-    print(f"{'search':22s} {'rows':>5s} {'parent':>9s} {'change':>9s} {'ratio':>7s}")
+          f"minimum of {REPEATS} calls per row and tree, median over rows in ms; a one-row "
+          f"group: median of {ONE_ROW_REPEATS} calls, ratio from both call orders")
+    print(f"{'search':26s} {'rows':>5s} {'parent':>9s} {'change':>9s} {'ratio':>7s}")
     explore = sorted({group for group, kind, _, _ in problems if group == kind})
     batches = list(dict.fromkeys(group for group, _, _ in rows[len(problems):]))
-    for group in explore + ["all", "survey crossover"] + batches:
-        index = [i for i, row in enumerate(rows)
-                 if row[0] == group or (group == "all" and row[0] in explore)]
-        parent, change = (statistics.median(best[t][i] for i in index) * 1e3 for t in (0, 1))
-        print(f"{group:22s} {len(index):5d} {parent:9.4f} {change:9.4f} {change / parent:7.3f}")
+    merged = {"find_optimal_gap (refined)": refined,
+              "all": [i for i, row in enumerate(rows) if row[0] in explore]}
+    for group in explore + list(merged) + ["survey crossover"] + batches:
+        index = merged.get(group, [i for i, row in enumerate(rows) if row[0] == group])
+        if sizes[group] == 1:
+            parent, change = (statistics.median(times[t][index[0]]) * 1e3 for t in (0, 1))
+            ratios = [c / p for p, c in zip(*(times[t][index[0]] for t in (0, 1)))]
+            ratio = (statistics.median(ratios[::2]) * statistics.median(ratios[1::2])) ** 0.5
+        else:
+            parent, change = (statistics.median(min(times[t][i]) for i in index) * 1e3
+                              for t in (0, 1))
+            ratio = change / parent
+        print(f"{group:26s} {len(index):5d} {parent:9.4f} {change:9.4f} {ratio:7.3f}")
     return 1 if differ else 0
 
 
