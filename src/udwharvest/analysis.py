@@ -227,9 +227,10 @@ class NoCrossover(RuntimeError):
 class SearchResult:
     """Outcome of a one-dimensional search.
 
-    ``location`` lies inside ``bracket``; ``converged`` means the bracket
-    was narrowed below the advertised tolerance.  ``note`` flags special
-    outcomes such as boundary maxima.
+    ``location`` lies inside ``bracket``.  ``converged`` is True on every
+    returned result and certifies neither the answer nor a narrowed bracket
+    (a crossover ahead from the first scanned separation l_1 has (0, l_1]).
+    ``note`` flags special outcomes such as boundary maxima.
     """
 
     location: float
@@ -248,7 +249,8 @@ class SearchBatch:
     A row where the one-problem search would raise carries the
     exception's class name in ``error``, NaN ``location``, ``value`` and
     ``bracket``, zero ``iterations`` and ``converged`` False; every other
-    row has an empty ``error`` and the fields of :class:`SearchResult`.
+    row has an empty ``error`` and the fields of :class:`SearchResult`, so
+    ``converged`` is exactly ``error == ""``.
     """
 
     location: np.ndarray
@@ -786,10 +788,10 @@ def find_optimal_gap(
     A coarse scan of 256 samples locates the best one; an interior best is
     refined by golden-section to bracket width 1e-8.  A best sample at zero
     means the concurrence is decreasing from the start -- the
-    small-separation regime -- and is reported as a converged boundary
-    maximum.  The default bound grows with the separation, which is where
-    the optimum migrates.  One problem per call;
-    :func:`find_optimal_gap_many` solves arrays of them.
+    small-separation regime -- and is reported as a boundary maximum.  Every
+    result is ``converged``, which certifies no peak.  The default bound
+    grows with the separation, which is where the optimum migrates.  One
+    problem per call; :func:`find_optimal_gap_many` solves arrays of them.
     """
     return _single(find_optimal_gap_many(omega_a_sigma, l_over_sigma, coupling, gap_bound))
 

@@ -116,6 +116,7 @@ _MAX_OMEGA_A = float(np.sqrt(_LARGEST) / 2.0)
 # The largest separation l whose square l*l, in X's exp(-l^2/4) and the
 # terms built on it, is a finite double
 _MAX_SEPARATION = float(np.sqrt(_LARGEST))
+_NONPOSITIVE_SEPARATION = "l_over_sigma must be > 0 (zero separation diverges)"
 _DOMAIN = (
     ("omega_a_sigma", 0.0, _MAX_OMEGA_A, "omega_a_sigma must be >= 0 (A has the smaller gap)",
      f"omega_a_sigma={{}} exceeds {_MAX_OMEGA_A!r} = sqrt(largest double)/2; "
@@ -124,8 +125,7 @@ _DOMAIN = (
      "delta_omega_sigma must be >= 0 (A has the smaller gap)",
      f"delta_omega_sigma={{}} exceeds {MAX_DELTA_OMEGA_SIGMA}; "
      "scaled intermediates would overflow double precision"),
-    ("l_over_sigma", _SMALLEST, _MAX_SEPARATION,
-     "l_over_sigma must be > 0 (zero separation diverges)",
+    ("l_over_sigma", _SMALLEST, _MAX_SEPARATION, _NONPOSITIVE_SEPARATION,
      f"l_over_sigma={{}} exceeds {_MAX_SEPARATION!r} = sqrt(largest double); "
      "l_over_sigma^2 would overflow double precision"),
     ("coupling", _SMALLEST, _MAX_COUPLING, "coupling must be > 0",
@@ -165,6 +165,12 @@ def _domain_error(values):
         if v > high:
             return above.format(v)
     return ""
+
+
+def _check_separation(l):
+    """Raise the domain's ValueError where a separation (numpy scalar or array) is <= 0."""
+    if _any(l <= 0):
+        raise ValueError(_NONPOSITIVE_SEPARATION)
 
 
 def _warn_strong_coupling(coupling):
@@ -216,11 +222,7 @@ class DetectorPairConfig:
 
     @classmethod
     def with_omega_b(cls, omega_a_sigma, omega_b_sigma, l_over_sigma, coupling=0.1):
-        """Build from both gaps; requires omega_b_sigma >= omega_a_sigma."""
-        if omega_b_sigma < omega_a_sigma:
-            raise ValueError(
-                "omega_b_sigma must be >= omega_a_sigma (A carries the smaller gap)"
-            )
+        """Build from both gaps (the domain refuses omega_b_sigma < omega_a_sigma)."""
         return cls(omega_a_sigma, omega_b_sigma - omega_a_sigma, l_over_sigma, coupling)
 
     @property
@@ -454,8 +456,7 @@ def _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, x_bracket
     a = np.asarray(omega_a_sigma, dtype=float)[()]
     d = np.asarray(delta_omega_sigma, dtype=float)[()]
     l = np.asarray(l_over_sigma, dtype=float)[()]
-    if _any(l <= 0):
-        raise ValueError("l_over_sigma must be > 0 (zero separation diverges)")
+    _check_separation(l)
     # X is assembled from real parts around a real prefactor.  Real
     # arithmetic, and ufuncs called by name (np.exp, np.abs, np.hypot), give
     # the same bits on a numpy scalar, a 0-d array and an array element.

@@ -52,16 +52,15 @@ half is summed against the conjugate kernel.  The outer phase depends on
 neither the regulator nor the kernel, so the outer time sum is taken
 first: one product of the matrix with the phase weights of an outer
 frequency, forward and reversed, gives both halves' outer sums, and per
-regulator there remains one sum over the offsets per problem.  The
-double-integral routes are therefore row-vectorized: a call of
-:func:`pd_double_integral` or :func:`x_double_integral` on broadcast arrays
-builds one matrix per pole, graded for the smallest regulator, multiplies
-it once per distinct outer frequency and applies it to every regulator and
-every problem with that pole.  The principal-value routes are
-row-vectorized the same way: their panels depend on the separation alone,
-so :func:`x_single_integral_pv` makes one panel sum per separation and
-order.  A call on scalars is a one-row batch and returns a Python number.
-No matrix outlives the call that builds it.
+regulator there remains one sum over the offsets per problem.  Every
+route therefore takes broadcast arrays: a double integral builds one matrix
+per pole, graded for the smallest regulator, multiplies it once per
+distinct outer frequency and applies it to every regulator and every
+problem with that pole.  The principal-value routes' panels depend on the
+separation alone, so they make one panel sum per separation and order, on
+a window no wider than [-_HALFWIDTH, _HALFWIDTH] at any separation.  A
+call on scalars is a one-row batch and returns a Python number.  No matrix
+outlives the call that builds it.
 
 Trust: a double-integral value is a sum of terms of fixed size, while
 the value falls exponentially with the gaps (P like exp(-gap^2), X like
@@ -81,6 +80,7 @@ import numpy as np
 
 from .closedform import (
     DetectorPairConfig,
+    _check_separation,
     _scalar,
     correlation_x,
     transition_probability,
@@ -196,22 +196,23 @@ def _fill_edges(anchors, max_width):
     return np.asarray(out)
 
 
-def _graded_edges(lo, hi, poles, eps, max_width=_MAX_PANEL_WIDTH):
-    """Panel edges on [lo, hi]: geometric refinement to width ~eps around
-    each pole abscissa, uniform fill at most max_width elsewhere."""
-    edges = {float(lo), float(hi)}
-    for p in poles:
-        if lo < p < hi:
-            edges.add(float(p))
-        w = eps
-        x = w
-        while x < 2.0 * max_width:
-            for s in (p - x, p + x):
-                if lo < s < hi:
-                    edges.add(float(s))
-            w *= 2.0
-            x += w
-    return _fill_edges(edges, max_width)
+def _graded_edges(pole, eps):
+    """Offset panel edges on [0, _HALFWIDTH + 2]: geometric refinement to
+    width ~eps around the pole, uniform fill at most _MAX_PANEL_WIDTH elsewhere."""
+    # offsets beyond this only enter through exp(-o^2/4) tails < 1e-21
+    span = _HALFWIDTH + 2.0
+    edges = {0.0, span}
+    if 0.0 < pole < span:
+        edges.add(float(pole))
+    w = eps
+    x = w
+    while x < 2.0 * _MAX_PANEL_WIDTH:
+        for s in (pole - x, pole + x):
+            if 0.0 < s < span:
+                edges.add(float(s))
+        w *= 2.0
+        x += w
+    return _fill_edges(edges, _MAX_PANEL_WIDTH)
 
 
 def extrapolate_to_zero(eps_values, samples):
@@ -311,10 +312,10 @@ def _regulated_double_integral(
         g(k, o) = exp(i k o) / ((o + i eps)^2 - pole^2),
 
     with the inner time t +- o and panels graded toward the lightcone pole
-    at o = pole.  The earlier half's kernel h is g(-later_k, o) where
-    ``time_ordered`` (the time-ordered correlation's second triangle), its
-    phases the conjugates of the later half's, or else conj(g(later_k, o)),
-    the o -> -o image of a whole-line integral.
+    at o = pole.  The earlier half's kernel h is conj(exp(i later_k o)) over
+    the denominator where ``time_ordered`` (g(-later_k, o), the time-ordered
+    correlation's second triangle), or else over its conjugate
+    (conj(g(later_k, o)), the o -> -o image of a whole-line integral).
 
     ``pole``, ``outer_freq``, ``prefactor`` and ``later_k`` are 1-D arrays
     over the rows.  Rows with the same pole share the nodes
@@ -349,13 +350,10 @@ def _regulated_double_integral(
     """
     schedule = settings.epsilon_schedule
     t, w = _outer_rule(_HALFWIDTH, _OUTER_ORDER)
-    # offsets beyond this only enter through exp(-o^2/4) tails < 1e-21
-    span = _HALFWIDTH + 2.0
     samples = np.empty((pole.size, len(schedule)), dtype=complex)
     sample_error = np.empty((pole.size, len(schedule)))
     poles = np.unique(pole)
-    nodes = [_panelize(_graded_edges(0.0, span, [p], schedule[-1]), settings.quadrature_nodes)
-             for p in poles]
+    nodes = [_panelize(_graded_edges(p, schedule[-1]), settings.quadrature_nodes) for p in poles]
     # one buffer holds each pole's matrix in turn
     buffer = np.empty(t.size * max((o.size for o, _ in nodes), default=0))
     for p, (o, w_in) in zip(poles, nodes):
@@ -374,9 +372,8 @@ def _regulated_double_integral(
         cos_col, sin_col, abs_col = probe @ m
         # each column's time integral at frequency f is known in closed form
         col_err = np.abs(cos_col - 1j * sin_col - _SQRT_PI * np.exp(-f * f / 4.0 + 0.5j * f * o))
-        phases = [window * np.exp(1j * later_k[rows, None] * o)]
-        if time_ordered:  # the earlier half's, exp(-i later_k o), as conjugates
-            phases.append(phases[0].conj())
+        phase = window * np.exp(1j * later_k[rows, None] * o)
+        earlier_phase = phase.conj()
         # The outer time sums: the phase weights of each distinct outer
         # frequency times the matrix, and the reversed weights times it for
         # the earlier half.  The weights' real and imaginary parts are the
@@ -403,10 +400,8 @@ def _regulated_double_integral(
                     f"outer quadrature not certified at {_OUTER_ORDER} nodes per panel "
                     f"for outer frequency {f:.3e}"
                 )
-            q = [phase / denom for phase in phases]
-            # the earlier half's kernel: g(-later_k, o), or else conj(g(later_k, o))
-            h = q[1] if time_ordered else q[0].conj()
-            total = np.sum(later * q[0] + earlier * h, axis=1)
+            h = earlier_phase / (denom if time_ordered else denom.conj())
+            total = np.sum(later * (phase / denom) + earlier * h, axis=1)
             samples[rows, j] = prefactor[rows] * total
             per_half = np.finfo(float).eps * absolute + outer_err
             sample_error[rows, j] = 2.0 * np.abs(prefactor[rows]) * per_half
@@ -516,17 +511,18 @@ def pv_gaussian_pole_integral(kappa, l_over_sigma, order: int = 64):
 
     for a scalar or an array of ``kappa`` at one separation l, with
     ``order`` Gauss-Legendre nodes per panel; the panels depend on l alone,
-    so an array is one panel sum.
+    so an array is one panel sum.  A non-finite or non-positive l raises ValueError.
 
     Writes g(v) for the numerator and subtracts
     [g(l)/(2l)] h(v-l) - [g(-l)/(2l)] h(v+l) with h(u) = exp(-u^2)/u, an
     odd kernel of exactly zero principal value; the remainder extends to an
-    entire function, so panel quadrature (edges pinned at the poles) is
-    spectrally accurate.
+    entire function, so unit panels on [-_HALFWIDTH, _HALFWIDTH], with
+    edges pinned at the poles inside it, are spectrally accurate.
     """
     l = float(l_over_sigma)
-    if l <= 0:
-        raise ValueError("l_over_sigma must be > 0")
+    if not np.isfinite(l):
+        raise ValueError(f"l_over_sigma must be finite, got {l!r}")
+    _check_separation(np.float64(l))
     kappa = np.asarray(kappa, dtype=float)[..., None]
 
     def g(v):
@@ -534,7 +530,8 @@ def pv_gaussian_pole_integral(kappa, l_over_sigma, order: int = 64):
 
     cp = g(l) / (2.0 * l)
     cm = g(-l) / (2.0 * l)
-    edges = _fill_edges([-_HALFWIDTH, -l, l, _HALFWIDTH], max_width=1.0)
+    poles = (-l, l) if l < _HALFWIDTH else ()
+    edges = _fill_edges([-_HALFWIDTH, *poles, _HALFWIDTH], max_width=1.0)
     v, w = _panelize(edges, order)
     u_p = v - l
     u_m = v + l
@@ -569,8 +566,7 @@ def x_single_integral_pv(
     one-row call.
     """
     shape, (a, b, l, lam) = _problems(omega_a_sigma, omega_b_sigma, l_over_sigma, coupling)
-    if (l <= 0).any():
-        raise ValueError("l_over_sigma must be > 0 (zero separation diverges)")
+    _check_separation(l)
     lam2 = lam**2
     d = b - a
     pref = lam2 / (4.0 * np.pi**1.5) * np.exp(-((a + b) ** 2) / 4.0)
@@ -618,8 +614,7 @@ def x_double_integral(
     raises :exc:`NonConvergence` with the message of its one-row call.
     """
     shape, (a, b, l, lam) = _problems(omega_a_sigma, omega_b_sigma, l_over_sigma, coupling)
-    if (l <= 0).any():
-        raise ValueError("l_over_sigma must be > 0 (zero separation diverges)")
+    _check_separation(l)
     lam2 = lam**2
     # inner time = outer +- o; the later half is the later-B triangle
     values, extrapolants = _regulated_double_integral(
@@ -634,7 +629,8 @@ def x_double_integral(
     return _shaped(values, extrapolants, shape, return_extrapolants)
 
 
-def c_quadrature(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SETTINGS):
+def c_quadrature(omega_a_sigma, omega_b_sigma, l_over_sigma, coupling,
+                 settings: OracleSettings = DEFAULT_SETTINGS):
     """Exchange correlation (the amplitude linking the two singly-excited
     states), for which no closed form exists.
 
@@ -642,32 +638,31 @@ def c_quadrature(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SET
     integrates analytically, the difference-time integral is the same
     principal-value-plus-residue machinery as the single-integral
     correlation route (both lightcone poles now sit on the same side of the
-    contour, so the residue enters through a sine), run as a one-row batch.
-    Self-checks by panel order doubling at 1e-8.
+    contour, so the residue enters through a sine).  Self-checks by panel
+    order doubling at 1e-8.  Takes, shares and refuses as
+    :func:`x_single_integral_pv` does.
     """
-    a, d, l = (
-        np.atleast_1d(float(v))
-        for v in (cfg.omega_a_sigma, cfg.delta_omega_sigma, cfg.l_over_sigma)
-    )
-    kappa = 2.0 * a + d
-    pref = -cfg.coupling**2 * _SQRT_PI / (4.0 * np.pi**2) * np.exp(-d * d / 4.0)
+    shape, (a, b, l, lam) = _problems(omega_a_sigma, omega_b_sigma, l_over_sigma, coupling)
+    _check_separation(l)
+    d = b - a
+    kappa = a + b
+    pref = -lam**2 * _SQRT_PI / (4.0 * np.pi**2) * np.exp(-d * d / 4.0)
     residue = np.pi / l * np.exp(-l * l / 4.0) * np.sin(0.5 * kappa * l)
     values = _order_doubled(kappa, l, lambda pv: pref * (pv + residue),
                             settings.quadrature_nodes, "exchange-correlation")
-    return complex(values[0])
+    return _scalar(values.reshape(shape))
 
 
-def c_double_integral(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SETTINGS):
+def c_double_integral(omega_a_sigma, omega_b_sigma, l_over_sigma, coupling,
+                      settings: OracleSettings = DEFAULT_SETTINGS):
     """Exchange correlation by direct double integration with the regulator
     schedule; the independent cross-check of :func:`c_quadrature`.  No time
     ordering here, so the kernel's two poles are offset to the same side
     and the offset runs over the whole line, its o < 0 half the conjugate
-    of the o > 0 half's product."""
-    a, b, l, lam = (
-        np.atleast_1d(float(v))
-        for v in (cfg.omega_a_sigma, cfg.omega_b_sigma, cfg.l_over_sigma, cfg.coupling)
-    )
-    lam2 = lam**2
+    of the o > 0 half's product.  Takes, shares and refuses as
+    :func:`x_double_integral` does, and returns no extrapolants."""
+    shape, (a, b, l, lam) = _problems(omega_a_sigma, omega_b_sigma, l_over_sigma, coupling)
+    _check_separation(l)
     # inner time = outer + o, so the kernel argument is -o; its square is
     # the same, and the regulated poles sit at o = +-l - i eps
     values, _ = _regulated_double_integral(
@@ -675,10 +670,10 @@ def c_double_integral(cfg: DetectorPairConfig, settings: OracleSettings = DEFAUL
         pole=l,
         outer_freq=a - b,
         later_k=b,
-        prefactor=-lam2 / (4.0 * np.pi**2),
+        prefactor=-lam**2 / (4.0 * np.pi**2),
         rel_tol=1e-3,
     )
-    return complex(values[0])
+    return _scalar(values.reshape(shape))
 
 
 @dataclass
@@ -723,7 +718,8 @@ def assemble_rho(cfg: DetectorPairConfig, settings: OracleSettings = DEFAULT_SET
     p_a = transition_probability(cfg.omega_a_sigma, cfg.coupling)
     p_b = transition_probability(cfg.omega_b_sigma, cfg.coupling)
     x = correlation_x(cfg)
-    c = c_quadrature(cfg, settings)
+    c = c_quadrature(cfg.omega_a_sigma, cfg.omega_b_sigma, cfg.l_over_sigma, cfg.coupling,
+                     settings)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = 1.0 - p_a - p_b
     m[1, 1] = p_b

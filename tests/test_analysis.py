@@ -731,6 +731,52 @@ def _mp_difference(a, d, l, coupling=0.1):
     return 2 * (max(_mp_excess(a, d, l, coupling), 0) - max(_mp_excess(a, 0.0, l, coupling), 0))
 
 
+class TestKnownWrongAnswers:
+    """Rows where a search answers wrongly without a note, each asserting
+    the right answer at 50 digits.  Each is a strict xfail naming the
+    ROADMAP item that fixes it, so the change that fixes a row must drop
+    its mark."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    def test_gap_search_finds_the_higher_of_two_peaks(self):
+        # returned 13.478220, where C is 1.6431e-74, against 2.3914e-74 at 13.17792
+        res = find_optimal_gap(3.9, 13.75)
+        assert _mp_excess(3.9, res.location, 13.75) >= _mp_excess(3.9, 13.17792, 13.75)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    def test_gap_search_finds_a_peak_inside_the_first_cell(self):
+        # returned a boundary maximum, C(0) = 3.0575049e-4 < C(0.005) = 3.0575977e-4
+        res = find_optimal_gap(0.70, 1.94)
+        assert _mp_excess(0.70, res.location, 1.94) >= _mp_excess(0.70, 0.005, 1.94)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+    def test_lmax_reaches_past_a_harvesting_island(self):
+        # returned 3.39113, a true sign change below an island between grid
+        # points, where the excess is +8.087e-18 at 4.5775
+        a, d = 1.4290443694101, 2.5
+        assert _mp_excess(a, d, 4.5775) > 0
+        res = find_lmax(a, d)
+        _assert_exact_sign_change(lambda l: _mp_excess(a, d, l), res.bracket, True)
+        assert res.bracket[0] > 4.5775
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+    def test_crossover_finds_a_harvesting_island(self):
+        # raised NoCrossover, where the difference is +1.7148e-15 at 4.577
+        a, d = 1.4290443694101, 2.5
+        assert _mp_difference(a, d, 4.577) > 0
+        res = find_crossover(a, d)
+        _assert_exact_sign_change(lambda l: _mp_difference(a, d, l), res.bracket, False)
+        assert res.location <= 4.577
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_crossover_below_the_resolution_of_the_difference(self):
+        # returned 1.3738390825, where the d -> 0 limit root is 1.3742260909367279
+        # and the root moves by about 0.76 d from it
+        res = find_crossover(0.5, 1e-12)
+        _assert_exact_sign_change(lambda l: _mp_difference(0.5, 1e-12, l), res.bracket, False)
+        assert res.location == pytest.approx(1.3742260909367279, rel=1e-9)
+
+
 class TestLargeGaps:
     """Rows whose P_A P_B is not a normal double are searched in scaled
     form, and their answers change sign in 50-digit arithmetic.  The

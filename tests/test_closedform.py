@@ -190,8 +190,12 @@ class TestConfig:
         cfg = DetectorPairConfig.with_omega_b(0.5, 0.75, 2.0)
         assert cfg.delta_omega_sigma == 0.25
         assert cfg.omega_b_sigma == 0.75
-        with pytest.raises(ValueError):
+        # the domain's own refusal of a negative gap difference
+        with pytest.raises(ValueError) as domain:
+            DetectorPairConfig(0.75, -0.25, 2.0)
+        with pytest.raises(ValueError) as refused:
             DetectorPairConfig.with_omega_b(0.75, 0.5, 2.0)
+        assert str(refused.value) == str(domain.value)
 
 
 class TestTransitionProbability:

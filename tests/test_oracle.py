@@ -13,6 +13,8 @@ from udwharvest import (
     c_double_integral,
     c_quadrature,
     concurrence,
+    concurrence_values,
+    correlation_excess,
     correlation_x,
     correlation_x_values,
     pd_double_integral,
@@ -35,6 +37,53 @@ GRID = [
     for r in (0.0, 0.5, 1.2)
     for l in (0.5, 2.0, 6.0)
 ]
+
+
+# c_quadrature(cfg) and c_double_integral(cfg) at verify's scenarios, when
+# both routes took a DetectorPairConfig of coupling 0.1
+C_CONFIG_CALLS = [
+    ((0.00014123484490590797-0j), (0.00014123475229168732+0j)),
+    ((0.0005266497301176134-1.2461359869345613e-20j), (0.0005266484242886489+0j)),
+    ((0.0003245570575758228-0j), (0.00032455680450326727+0j)),
+    ((4.509742401595889e-05-0j), (4.509742779241927e-05+0j)),
+    ((0.00047505343611722715-6.215122689495327e-21j), (0.00047505232558268457+0j)),
+    ((0.00029884182904948905-6.215122689495327e-21j), (0.0002988415986659327+0j)),
+    ((4.381423863404818e-05-0j), (4.381424261269898e-05+0j)),
+    ((0.0004055516665478203-2.45664042034192e-20j), (0.00040555079308602336+0j)),
+    ((0.00026210955394742255+6.1416010508548e-21j), (0.0002621093561108168+0j)),
+    ((4.1325428256383984e-05-0j), (4.132543232126713e-05+0j)),
+    ((0.0002741031019080706-2.4922719738691226e-20j), (0.00027410262234189457+0j)),
+    ((0.00018831855848878824-0j), (0.00018831842668259126+0j)),
+    ((3.5331408786562195e-05-0j), (3.5331412580791815e-05+0j)),
+    ((0.00019824308532915414-0j), (0.00019824278428822977+0j)),
+    ((2.9587504312209116e-05-1.5335205489516173e-21j), (2.958750747701747e-05+0j)),
+    ((0.00011507608261715394-1.1388825395482353e-20j), (0.00011507593871156729+0j)),
+    ((8.565284907586128e-05+2.2777650790964706e-20j), (8.565279839840938e-05+0j)),
+    ((2.0659845456170554e-05-0j), (2.0659847529186253e-05+0j)),
+    ((3.6175094083639715e-05-4.984543947738245e-20j), (3.617506449148098e-05+0j)),
+    ((2.9056283187354023e-05-0j), (2.9056269982032943e-05+0j)),
+    ((9.18250997152912e-06-3.1153399673364032e-21j), (9.182510641328614e-06+0j)),
+    ((1.097706317336573e-05+1.1388825395482353e-20j), (1.0977056518885284e-05+0j)),
+    ((9.187523503948545e-06-0j), (9.187520117267977e-06+0j)),
+    ((3.416613130337062e-06-0j), (3.4166133037284455e-06+0j)),
+    ((1.1863418613670114e-06+7.420397641157647e-20j), (1.1863413755447701e-06+0j)),
+    ((1.0356928950636482e-06-0j), (1.0356926108728458e-06+0j)),
+    ((4.6235211616786277e-07-0j), (4.623521276206984e-07+0j)),
+]
+
+
+# pv_gaussian_pole_integral at kappa 0, 1.5 and 10 when its panels spanned
+# [-l, l]
+PV_WIDE_PANELS = {
+    12.5: [-0.022989745695409437, -0.012900406935527289,
+           -1.9123076151826649e-13 - 4.336808689942018e-19j],
+    13.0: [-0.021233402403611264, -0.011929409325413268, -1.8231130803233027e-13],
+    20.0: [-0.008907262497047635, -0.005046087339247228,
+           -9.853604456979861e-14 - 1.0842021724855044e-19j],
+    1e3: [-3.5449147916689753e-06, -2.0198270187713413e-06 - 4.235164736271502e-22j,
+          -4.9225899597744996e-17 + 2.6469779601696886e-23j],
+    1e4: [-3.544907772709191e-08, -2.0198275186987236e-08, -4.923063198977259e-19],
+}
 
 
 def _pair(cfg):
@@ -69,7 +118,7 @@ def test_settings_validation():
 @pytest.mark.parametrize("route", [
     lambda s: pd_double_integral(0.5, 0.1, s),
     lambda s: x_double_integral(*_pair(DetectorPairConfig(0.5, 0.25, 0.5)), s),
-    lambda s: c_double_integral(DetectorPairConfig(0.5, 0.25, 0.5), s),
+    lambda s: c_double_integral(*_pair(DetectorPairConfig(0.5, 0.25, 0.5)), s),
 ], ids=["pd", "x", "c"])
 def test_underflowed_regulator_limit_is_not_certified(route):
     # at these regulators every sample underflows to zero, which the
@@ -100,6 +149,27 @@ def test_extrapolate_to_zero_polynomial_exact():
     f = lambda e: 3.0 - 2.0 * e + 5.0 * e * e
     diag = extrapolate_to_zero(eps, [f(e) for e in eps])
     assert diag[-1] == pytest.approx(3.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("l", [0.0, -0.0, -1.0])
+@pytest.mark.parametrize("route", [
+    lambda l: x_single_integral_pv(0.5, 0.75, [2.0, l], 0.1),
+    lambda l: x_double_integral(0.5, 0.75, [2.0, l], 0.1),
+    lambda l: c_quadrature(0.5, 0.75, [2.0, l], 0.1),
+    lambda l: c_double_integral(0.5, 0.75, [2.0, l], 0.1),
+    lambda l: pv_gaussian_pole_integral(0.5, l),
+    lambda l: correlation_x_values(0.5, 0.25, l, 0.1),
+    lambda l: correlation_excess(0.5, 0.25, l, 0.1),
+    lambda l: concurrence_values(0.5, 0.25, [2.0, l], 0.1),
+], ids=["x_pv", "x_double", "c_pv", "c_double", "pole_integral", "x_values", "excess",
+        "concurrence_values"])
+def test_a_nonpositive_separation_is_refused_with_the_domain_message(route, l):
+    # the routes stated the rule apart from the domain, in two other texts
+    with pytest.raises(ValueError) as domain:
+        DetectorPairConfig(0.5, 0.25, l)
+    with pytest.raises(ValueError) as refused:
+        route(l)
+    assert str(refused.value) == str(domain.value)
 
 
 class TestTransitionProbabilityOracle:
@@ -160,6 +230,32 @@ class TestCorrelationPVOracle:
         pv_even = pv_gaussian_pole_integral(0.0, l)
         assert abs(pv_even.imag) < 1e-14
 
+    # the panels spanned [-l, l] at unit width: 20 000 at l = 1e4, and at
+    # 1e300 numpy refused the array
+    @pytest.mark.parametrize("l", [12.5, 13.0, 20.0, 1e3, 1e4])
+    def test_panels_stay_in_the_window_past_it(self, l, monkeypatch):
+        panelize = oracle._panelize
+        panels = []
+
+        def counting_panelize(edges, order):
+            panels.append(edges.size - 1)
+            return panelize(edges, order)
+
+        monkeypatch.setattr(oracle, "_panelize", counting_panelize)
+        pv = pv_gaussian_pole_integral(np.array([0.0, 1.5, 10.0]), l)
+        assert panels == [24]
+        # the values of the wide panels, within 5e-16 of the integral's scale
+        # 2 sqrt(pi)/l^2; the rows at kappa = 10 have cancelled to about 1e-11
+        # of it
+        scale = 2.0 * np.sqrt(np.pi) / l**2
+        assert np.all(np.abs(pv - PV_WIDE_PANELS[l]) <= 5e-16 * scale)
+
+    @pytest.mark.parametrize("l", [np.nan, np.inf, -np.inf])
+    def test_pole_integral_refuses_a_separation_that_is_not_finite(self, l):
+        # these ran into RuntimeWarnings and returned NaN
+        with pytest.raises(ValueError, match="l_over_sigma must be finite"):
+            pv_gaussian_pole_integral(0.5, l)
+
 
 class TestCorrelationDoubleIntegralOracle:
     def test_matches_closed_form(self):
@@ -190,13 +286,13 @@ class TestCorrelationDoubleIntegralOracle:
 class TestExchangeCorrelation:
     def test_stable_under_node_doubling(self):
         cfg = DetectorPairConfig(0.5, 0.0, 2.0, 0.1)
-        c64 = c_quadrature(cfg, OracleSettings(quadrature_nodes=64))
-        c128 = c_quadrature(cfg, OracleSettings(quadrature_nodes=128))
+        c64 = c_quadrature(*_pair(cfg), OracleSettings(quadrature_nodes=64))
+        c128 = c_quadrature(*_pair(cfg), OracleSettings(quadrature_nodes=128))
         assert abs(c64 - c128) <= 1e-8 * abs(c64)
 
     def test_quadratic_coupling_scaling(self):
-        c1 = c_quadrature(DetectorPairConfig(0.5, 0.25, 2.0, 0.1))
-        c2 = c_quadrature(DetectorPairConfig(0.5, 0.25, 2.0, 0.2))
+        c1 = c_quadrature(*_pair(DetectorPairConfig(0.5, 0.25, 2.0, 0.1)))
+        c2 = c_quadrature(*_pair(DetectorPairConfig(0.5, 0.25, 2.0, 0.2)))
         assert abs(c2 - 4.0 * c1) <= 1e-12 * abs(c2)
 
     @pytest.mark.parametrize(
@@ -207,9 +303,18 @@ class TestExchangeCorrelation:
         # the double integral's earlier half is the conjugate of its later
         # half; c_quadrature shares none of that route
         cfg = DetectorPairConfig(a, d, l, 0.1)
-        c_pv = c_quadrature(cfg)
-        c_direct = c_double_integral(cfg)
+        c_pv = c_quadrature(*_pair(cfg))
+        c_direct = c_double_integral(*_pair(cfg))
         assert abs(c_pv - c_direct) <= 1e-3 * abs(c_pv)
+
+    def test_verify_scenarios_keep_the_values_of_the_config_calls(self):
+        # the routes took a DetectorPairConfig and read its gap difference;
+        # from both gaps, b = a + d rounded, the principal-value route moves
+        # by round-off and the double integral keeps its bits
+        for (a, r, l), (c_pv, c_direct) in zip(VERIFICATION_GRID, C_CONFIG_CALLS, strict=True):
+            args = _pair(DetectorPairConfig(a, a * r, l, 0.1))
+            assert abs(c_quadrature(*args) - c_pv) <= 1e-13 * abs(c_pv)
+            assert c_double_integral(*args) == c_direct
 
 
 class TestAssembledState:
@@ -298,6 +403,14 @@ class TestBatchedOracles:
             x1, diag1 = x_double_integral(a, a + d, l, lam, return_extrapolants=True)
             assert x == x1 and np.array_equal(diag, diag1)
 
+    @pytest.mark.parametrize("route", [c_quadrature, c_double_integral])
+    def test_c_rows_match_0d_calls(self, route):
+        a, d, l = np.transpose(GRID)
+        values = route(a, a + d, l, self.COUPLINGS)
+        assert values.shape == (len(GRID),) and values.dtype == complex
+        for (a, d, l), lam, c in zip(GRID, self.COUPLINGS, values):
+            assert c == route(a, a + d, l, lam)
+
     def test_pd_rows_match_0d_calls(self):
         gaps = sorted({g for a, d, _ in GRID for g in (a, a + d)}) + [0.0]
         lams = np.resize(self.COUPLINGS, len(gaps))
@@ -321,6 +434,8 @@ class TestBatchedOracles:
             assert type(pd_double_integral(gap, 0.1)) is float
             assert type(x_double_integral(gap, 0.75, 2.0, 0.1)) is complex
             assert type(x_single_integral_pv(gap, 0.75, 2.0, 0.1)) is complex
+            assert type(c_quadrature(gap, 0.75, 2.0, 0.1)) is complex
+            assert type(c_double_integral(gap, 0.75, 2.0, 0.1)) is complex
         p, p_diag = pd_double_integral(0.5, 0.1, fine, return_extrapolants=True)
         x, x_diag = x_double_integral(0.5, 0.75, 2.0, 0.1, fine, return_extrapolants=True)
         assert type(p) is float and type(x) is complex
@@ -328,6 +443,7 @@ class TestBatchedOracles:
         assert p_diag.dtype == x_diag.dtype == complex
         assert pd_double_integral([0.5], 0.1).shape == (1,)
         assert x_single_integral_pv([0.5], 0.75, 2.0, 0.1).shape == (1,)
+        assert c_quadrature([0.5], 0.75, 2.0, 0.1).shape == (1,)
 
     def test_extrapolants_take_one_more_axis(self):
         fine = OracleSettings(epsilon_schedule=(0.04, 0.02, 0.01, 0.005))
@@ -490,8 +606,7 @@ class TestBatchedOracles:
         t, _ = oracle._outer_rule(oracle._HALFWIDTH, oracle._OUTER_ORDER)
         smallest = DEFAULT_SETTINGS.epsilon_schedule[-1]
         half_line = [
-            (t.size, oracle._panelize(oracle._graded_edges(0.0, oracle._HALFWIDTH + 2.0, [p],
-                                                           smallest),
+            (t.size, oracle._panelize(oracle._graded_edges(p, smallest),
                                       DEFAULT_SETTINGS.quadrature_nodes)[0].size)
             for p in (0.5, 2.0, 6.0, 0.0)
         ]
@@ -513,7 +628,7 @@ def _product_first_samples(settings, pole, outer_freq, later_k, earlier_k, prefa
     then the outer time sum."""
     schedule = settings.epsilon_schedule
     t, w = oracle._outer_rule(oracle._HALFWIDTH, oracle._OUTER_ORDER)
-    edges = oracle._graded_edges(0.0, oracle._HALFWIDTH + 2.0, [pole], schedule[-1])
+    edges = oracle._graded_edges(pole, schedule[-1])
     o, w_in = oracle._panelize(edges, settings.quadrature_nodes)
     m = np.exp(-((t[:, None] + 0.5 * o[None, :]) ** 2))
     window = w_in * np.exp(-o * o / 4.0)
@@ -613,8 +728,7 @@ class TestOuterRule:
         a, b, l, lam = np.array([0.2, 1.2, 0.5]), np.array([0.2, 2.64, 1.1]), 2.0, 0.1
         t, w = oracle._outer_rule(oracle._HALFWIDTH, oracle._OUTER_ORDER)
         # one node set for every regulator, graded for the smallest
-        edges = oracle._graded_edges(0.0, oracle._HALFWIDTH + 2.0, [l],
-                                     settings.epsilon_schedule[-1])
+        edges = oracle._graded_edges(l, settings.epsilon_schedule[-1])
         o, w_in = oracle._panelize(edges, settings.quadrature_nodes)
         sign_minus = np.exp(-((t[:, None] - 0.5 * o[None, :]) ** 2))
         matrices = []

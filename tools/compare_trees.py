@@ -69,6 +69,9 @@ The set covers what the package reports:
 * the same four closed forms on 4 096-point arrays with one NaN, +inf or
   -inf in one input, called with ``RuntimeWarning`` as an error, so that a
   warning gained or lost shows as a differing key;
+* the principal-value kernel ``pv_gaussian_pole_integral`` on 71 values
+  of kappa in [-5, 30] at separations 0.5, 2, 6 and 11.9, at panel orders
+  64 and 128;
 * the data sections (all but the manifest, which carries a timestamp) of
   ``eval`` at six scenarios and of ``verify --format record``, at the
   default oracle settings and at 48 nodes per panel with the four-regulator
@@ -119,6 +122,9 @@ GAP_BOUNDS = (1e-7, 60.0, 10)  # first, last and count of the log-spaced bounds
 # points of the closed-form arrays that underflow in part, and of those
 # with one non-finite input
 UNDERFLOW_POINTS, SPECIAL_POINTS = 10_000, 4096
+# the principal-value kernel's separations (all with the poles inside its
+# window), panel orders, and first, last and count of its kappa values
+PV_SEPARATIONS, PV_ORDERS, PV_KAPPA = (0.5, 2.0, 6.0, 11.9), (64, 128), (-5.0, 30.0, 71)
 
 
 def _encode(value):
@@ -214,7 +220,7 @@ def _outputs():
     """Every compared output of the tree on the path, by key."""
     import numpy as np
 
-    from udwharvest import analysis, cli, closedform
+    from udwharvest import analysis, cli, closedform, oracle
 
     out = {}
     for name in cli.FIGURE_NAMES:
@@ -337,6 +343,11 @@ def _outputs():
             for form in (closedform.correlation_x_values, closedform.correlation_excess,
                          closedform.concurrence_values):
                 out[f"{key}/{form.__name__}"] = _warned(form, *args, 0.1)
+
+    kappa = np.linspace(*PV_KAPPA)
+    for l in PV_SEPARATIONS:
+        for order in PV_ORDERS:
+            out[f"pv/{l!r}/{order}"] = oracle.pv_gaussian_pole_integral(kappa, l, order)
 
     for x, y in ROWS:
         out[f"eval/{x!r}/{y!r}"] = _cli_data(
