@@ -227,17 +227,24 @@ class NoCrossover(RuntimeError):
 class SearchResult:
     """Outcome of a one-dimensional search.
 
-    ``location`` lies inside ``bracket``.  ``converged`` is True on every
-    returned result and certifies neither the answer nor a narrowed bracket
-    (a crossover ahead from the first scanned separation l_1 has (0, l_1]).
-    ``note`` flags special outcomes such as boundary maxima.
+    ``location`` lies inside ``bracket``; ``iterations`` counts the
+    refinement's steps.  ``note`` is "" or one of four strings:
+
+    * "boundary maximum at zero gap difference" (:func:`find_optimal_gap`):
+      the best scanned sample is d = 0, returned in the bracket (0, 0);
+    * "maximum at the scan bound; enlarge gap_bound to be sure" (the same):
+      the best sample is the last, at ``gap_bound``; the peak may lie above;
+    * "non-identical pair ahead from the first scanned separation"
+      (:func:`find_crossover`): the difference is already positive at the
+      grid's first point l_1, returned in the bracket (0, l_1];
+    * "identical-pair concurrence already zero here" (the same): the
+      identical pair no longer harvests at the bracket's upper end.
     """
 
     location: float
     value: float
     bracket: tuple[float, float]
     iterations: int
-    converged: bool
     note: str = ""
 
 
@@ -248,16 +255,14 @@ class SearchBatch:
 
     A row where the one-problem search would raise carries the
     exception's class name in ``error``, NaN ``location``, ``value`` and
-    ``bracket``, zero ``iterations`` and ``converged`` False; every other
-    row has an empty ``error`` and the fields of :class:`SearchResult`, so
-    ``converged`` is exactly ``error == ""``.
+    ``bracket``, zero ``iterations`` and an empty ``note``; every other row
+    has an empty ``error`` and the fields of :class:`SearchResult`.
     """
 
     location: np.ndarray
     value: np.ndarray
     bracket: np.ndarray
     iterations: np.ndarray
-    converged: np.ndarray
     note: np.ndarray
     error: np.ndarray
 
@@ -576,14 +581,13 @@ def _blank(shape):
 
 def _batch(location, value, lo, hi, iterations, note, error):
     """Assemble a :class:`SearchBatch`, blanking the rows with an error."""
-    ok = error == ""
+    failed = error != ""
     location, value, iterations, note = (np.array(x) for x in (location, value, iterations, note))
     bracket = np.stack([lo, hi], axis=-1)
-    failed = ~ok
     if failed.any():
         location[failed] = value[failed] = bracket[failed] = np.nan
         iterations[failed], note[failed] = 0, ""
-    return SearchBatch(location, value, bracket, iterations, ok, note, error)
+    return SearchBatch(location, value, bracket, iterations, note, error)
 
 
 def _single(batch):
@@ -594,7 +598,6 @@ def _single(batch):
         value=float(batch.value),
         bracket=(float(batch.bracket[0]), float(batch.bracket[1])),
         iterations=int(batch.iterations),
-        converged=bool(batch.converged),
         note=batch.note[()],
     )
 
@@ -788,10 +791,10 @@ def find_optimal_gap(
     A coarse scan of 256 samples locates the best one; an interior best is
     refined by golden-section to bracket width 1e-8.  A best sample at zero
     means the concurrence is decreasing from the start -- the
-    small-separation regime -- and is reported as a boundary maximum.  Every
-    result is ``converged``, which certifies no peak.  The default bound
-    grows with the separation, which is where the optimum migrates.  One
-    problem per call; :func:`find_optimal_gap_many` solves arrays of them.
+    small-separation regime -- and is reported as a boundary maximum.  The
+    default bound grows with the separation, which is where the optimum
+    migrates.  One problem per call; :func:`find_optimal_gap_many` solves
+    arrays of them.
     """
     return _single(find_optimal_gap_many(omega_a_sigma, l_over_sigma, coupling, gap_bound))
 
@@ -885,23 +888,21 @@ def find_crossover(
     then safeguarded Newton steps to a certified bracket of at most 8 ulps
     (``iterations`` counts the steps).
 
-    If the identical pair no longer harvests at the bracket's upper end
-    (its scaled excess is not positive there), the result is flagged with
-    the note "identical-pair concurrence already zero here": it is then
-    the point where only the non-identical pair still harvests, not a
-    crossing of two positive curves.  The note is read at the bracket's
-    end, not from the concurrences at the location, which lie within ulps
-    of zero where the crossover is the identical pair's own lmax.  The
-    grid ends at its first point that the envelope of |X|/E certifies
-    non-harvesting for the non-identical pair, or at ``scan_bound`` where
-    one is given and lies below: from there on the difference cannot turn
-    positive.  The scan starts at the first grid point where a lower bound
-    on the identical pair's |X|/E (through Dawson's integral, no Faddeeva
-    evaluation) no longer certifies that pair ahead of the non-identical
-    pair's envelope; from there a positive first point is a sign change.
-    A difference already positive at the grid's first point l_1 is
-    returned there, in the bracket (0, l_1], with 0 iterations and the note
-    "non-identical pair ahead from the first scanned separation".  The
+    The note "identical-pair concurrence already zero here" marks the point
+    where only the non-identical pair still harvests, not a crossing of two
+    positive curves.  It is read from the identical pair's scaled excess at
+    the bracket's upper end, not from the concurrences at the location,
+    which lie within ulps of zero where the crossover is the identical
+    pair's own lmax.  The grid ends at its first point that the envelope of
+    |X|/E certifies non-harvesting for the non-identical pair, or at
+    ``scan_bound`` where one is given and lies below: from there on the
+    difference cannot turn positive.  The scan starts at the first grid
+    point where a lower bound on the identical pair's |X|/E (through
+    Dawson's integral, no Faddeeva evaluation) no longer certifies that pair
+    ahead of the non-identical pair's envelope; from there a positive first
+    point is a sign change.  A difference already positive at the grid's
+    first point l_1 is returned there, in the bracket (0, l_1], with 0
+    iterations and the note that the non-identical pair is ahead.  The
     answer is that of the full scan bit for bit.  Both pairs are compared
     through their scaled excesses at unit coupling, as :func:`find_lmax`
     follows one, and the ratio of their scales; only ``value``, the
@@ -948,7 +949,7 @@ class SweepGrid:
             raise ValueError("value/error arrays must match axis_values in shape")
 
     def concurrences(self) -> np.ndarray:
-        """Concurrence per point, NaN where the point failed."""
+        """``concurrence``, which the benchmark's sweep op reads through this method."""
         return self.concurrence
 
 

@@ -390,7 +390,7 @@ def cmd_sweep(parser, args):
             **{k: v for k, v in fixed.items() if k != axis},
         },
     )
-    conc = grid.concurrences()
+    conc = grid.concurrence
     columns = [axis, "concurrence", "concurrence_over_lambda2", "abs_x", "sqrt_pa_pb"]
     arrays = [
         grid.axis_values,
@@ -411,7 +411,6 @@ def _search_fields(result):
         "bracket_lo": result.bracket[0],
         "bracket_hi": result.bracket[1],
         "iterations": result.iterations,
-        "converged": result.converged,
         "note": result.note or "-",
     }
 

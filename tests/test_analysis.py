@@ -41,7 +41,7 @@ import reference  # noqa: E402
 class TestFindLmax:
     def test_large_gap_agrees_with_estimate(self):
         result = find_lmax(4.0, 0.0)
-        assert result.converged
+        _assert_exact_sign_change(lambda l: _mp_excess(4.0, 0.0, l), result.bracket, True)
         assert abs(result.location - 8.0) <= 0.10 * result.location
 
     def test_gap_difference_enlarges_range_at_small_gap(self):
@@ -91,7 +91,7 @@ class TestFindOptimalGap:
     def test_boundary_maximum_at_small_separation(self):
         res = find_optimal_gap(0.5, 0.5)
         assert res.location == 0.0
-        assert res.converged
+        assert res.bracket == (0.0, 0.0)
         assert res.note != ""
 
     def test_interior_peak_matches_excess_maximizer(self):
@@ -218,7 +218,7 @@ class TestFindCrossover:
     def test_pair_ahead_from_the_first_scanned_separation(self, a, d):
         res = find_crossover(a, d)
         value = concurrence_values(a, d, 0.01, 0.1) - concurrence_values(a, 0.0, 0.01, 0.1)
-        assert res == analysis.SearchResult(0.01, value, (0.0, 0.01), 0, True, _AHEAD)
+        assert res == analysis.SearchResult(0.01, value, (0.0, 0.01), 0, _AHEAD)
         assert value > 0 and _mp_difference(a, d, 0.01) > 0
 
     def test_batched_pairs_ahead_from_the_first_point_match_one_problem_calls(self):
@@ -248,18 +248,18 @@ def _outcome(search, *args, **kwargs):
     except (NoHarvestingRegion, BracketingFailure, NoCrossover) as exc:
         return type(exc).__name__
     return (r.location.hex(), r.value.hex(), r.bracket[0].hex(), r.bracket[1].hex(),
-            r.iterations, r.converged, r.note)
+            r.iterations, r.note)
 
 
 def _row(batch, i):
     """One row of a batched search in the form of :func:`_outcome`."""
     if batch.error[i]:
         assert np.isnan(batch.location[i]) and np.isnan(batch.bracket[i]).all()
-        assert batch.iterations[i] == 0 and not batch.converged[i]
+        assert batch.iterations[i] == 0 and batch.note[i] == ""
         return batch.error[i]
     return (float(batch.location[i]).hex(), float(batch.value[i]).hex(),
             float(batch.bracket[i][0]).hex(), float(batch.bracket[i][1]).hex(),
-            int(batch.iterations[i]), bool(batch.converged[i]), batch.note[i])
+            int(batch.iterations[i]), batch.note[i])
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -310,7 +310,7 @@ def _bisect_loop(f, lo, hi, positive_at_lo):
 
 def _as_outcome(loc, value, lo, hi, iterations, note=""):
     return (float(loc).hex(), float(value).hex(), float(lo).hex(), float(hi).hex(),
-            iterations, True, note)
+            iterations, note)
 
 
 @dataclass
@@ -412,7 +412,6 @@ def _assert_refines(got, want, ulps=64):
         assert got == want
         return
     if isinstance(want, tuple):  # the whole outcome, as _as_outcome gives it
-        assert got.converged
         assert _as_outcome(got.location, got.value, *got.bracket, got.iterations,
                            got.note) == want
         return
@@ -425,7 +424,7 @@ def _assert_refines(got, want, ulps=64):
     assert abs(got.location - want.bisected) <= ulps * np.spacing(want.bisected)
     assert got.value == want.value(got.location)
     assert got.note == want.note(got.bracket)
-    assert 0 < got.iterations <= _step_bound(want.cell) and got.converged
+    assert 0 < got.iterations <= _step_bound(want.cell)
 
 
 def _lmax_loop(a, d, coupling, bound=None, step=0.01):
@@ -617,9 +616,9 @@ class TestAgainstScalarLoops:
                                       (21.03844208924844, 7.056636712663124)])
     def test_find_crossover_walks_one_block_from_the_lower_cut(self, monkeypatch, a, d):
         calls = _closed_form_calls(monkeypatch)
-        result = find_crossover(a, d)
+        find_crossover(a, d)
         walked = [np.size(l) for name, _, l in calls if name == "_x_abs"]
-        assert result.converged and walked == [analysis._CUT_BLOCK]
+        assert walked == [analysis._CUT_BLOCK]
 
     def test_find_lmax_evaluates_under_half_its_grid(self, monkeypatch):
         # bound 10, 1000 points; the root near 2.63 lies just below the
@@ -627,7 +626,7 @@ class TestAgainstScalarLoops:
         calls = _closed_form_calls(monkeypatch)
         result = find_lmax(0.5, 0.25)
         points = [np.size(l) for name, _, l in calls if name != "_x_abs_slope"]
-        assert result.converged and 2.0 < result.location < 3.0
+        assert 2.0 < result.location < 3.0
         assert sum(points) < 500
 
 
@@ -777,6 +776,33 @@ class TestKnownWrongAnswers:
         assert res.location == pytest.approx(1.3742260909367279, rel=1e-9)
 
 
+class TestNotes:
+    """A search's note is "" or one of the four strings that
+    :class:`~udwharvest.analysis.SearchResult`'s docstring lists."""
+
+    DOCUMENTED = re.findall(r'^\s*\* "([^"]+)"', analysis.SearchResult.__doc__, re.MULTILINE)
+
+    def test_each_documented_note_at_its_row(self):
+        rows = {"boundary maximum at zero gap difference": find_optimal_gap(0.5, 0.5),
+                "maximum at the scan bound; enlarge gap_bound to be sure":
+                    find_optimal_gap(0.0, 4.75),
+                _AHEAD: find_crossover(0.0, 0.01),
+                "identical-pair concurrence already zero here": find_crossover(0.8407, 22.574)}
+        assert list(rows) == self.DOCUMENTED
+        assert [r.note for r in rows.values()] == self.DOCUMENTED
+
+    def test_batches_emit_no_other_note(self):
+        # fig4's grid, and 400-row batches of each search over the whole domain
+        gaps = np.array([0.2, 0.5, 1.0, 1.2])[:, None]
+        rng = np.random.default_rng(2025)
+        a, d = rng.uniform(0.0, 40.0, 400), 35.0 - rng.uniform(0.0, 35.0, 400)
+        l = rng.uniform(0.05, 120.0, 400)
+        batches = (find_optimal_gap_many(gaps, np.linspace(0.5, 4.1, 400), 1.0),
+                   find_lmax_many(a, d), find_crossover_many(a, d), find_optimal_gap_many(a, l))
+        notes = set().union(*(b.note.ravel().tolist() for b in batches))
+        assert notes <= {"", *self.DOCUMENTED}
+
+
 class TestLargeGaps:
     """Rows whose P_A P_B is not a normal double are searched in scaled
     form, and their answers change sign in 50-digit arithmetic.  The
@@ -840,8 +866,8 @@ class TestLargeGaps:
         original = closedform.faddeeva_w
         monkeypatch.setattr(closedform, "faddeeva_w",
                             lambda z: points.append(np.size(z)) or original(z))
-        res = find_lmax(a, d)
-        assert res.converged and sum(points) <= analysis._CUT_BLOCK + 6
+        find_lmax(a, d)
+        assert sum(points) <= analysis._CUT_BLOCK + 6
         assert points[0] == analysis._CUT_BLOCK and points[1:] == [1] * (len(points) - 1)
 
     def test_a_batch_over_large_gaps_matches_one_problem_calls(self):
@@ -860,7 +886,7 @@ class TestLargeGaps:
         above = float(np.nextafter(bound, np.inf))
         past = re.escape(f"omega_a_sigma={above!r} exceeds")
         res = find_optimal_gap(bound, 1.0)
-        assert res.converged and res.location == 0.0 and res.value == 0.0
+        assert res.location == 0.0 and res.value == 0.0
         with pytest.raises(ValueError, match=past):
             find_optimal_gap(above, 1.0)
         # the separation searches refuse at the bound with the envelope's
@@ -896,7 +922,7 @@ class TestLargeGaps:
         past = re.escape(f"l_over_sigma={above!r} exceeds")
         for kwargs in ({}, {"gap_bound": 10.0}):
             res = find_optimal_gap(0.5, bound, **kwargs)
-            assert res.converged and res.location == 0.0 and res.value == 0.0
+            assert res.location == 0.0 and res.value == 0.0
             with pytest.raises(ValueError, match=past):
                 find_optimal_gap(0.5, above, **kwargs)
 
@@ -1049,7 +1075,7 @@ class TestBatchedSearches:
                         for i, j in np.ndindex(3, 4)]
         assert rows[4][0] == (0.0).hex()  # a boundary maximum at zero
         assert rows[4][-1] == "boundary maximum at zero gap difference"
-        assert all(r[-2] for r in rows)
+        assert (batch.error == "").all()
 
     def test_golden_section_evaluates_every_interior_row_at_each_call(self, monkeypatch):
         # row 0 is a boundary maximum (lo = hi = 0): the golden section never
@@ -1124,7 +1150,7 @@ class TestBatchedSearches:
             assert type(r.location) is float and type(r.value) is float
             assert all(type(b) is float for b in r.bracket)
             assert type(r.iterations) is int
-            assert type(r.converged) is bool and type(r.note) is str
+            assert type(r.note) is str
 
     def test_empty_batches_return_empty_rows(self):
         for many in (find_lmax_many, find_optimal_gap_many, find_crossover_many):
@@ -1714,7 +1740,7 @@ class TestOneProblemPath:
         rng = np.random.default_rng(26)
         for a, d in zip(rng.uniform(0.0, 40.0, 12), rng.uniform(1e-3, 35.0, 12)):
             calls.clear()
-            assert _result(search, a, d).converged
+            search(a, d)
             walked = [np.size(l) for name, _, l in calls if name == "_x_abs"]
             assert 0 < walked[0] <= analysis._CUT_BLOCK
         assert all(floor > 0 for floor in floors)
@@ -1764,8 +1790,7 @@ class TestOneProblemPath:
         res = search(form(0.5), form(0.25 if search is not find_optimal_gap else 2.0))
         fields = (res.location, res.value, *res.bracket)
         assert all(type(x) is float for x in fields)
-        assert type(res.iterations) is int and type(res.converged) is bool
-        assert type(res.note) is str
+        assert type(res.iterations) is int and type(res.note) is str
 
 
 class TestLastEvaluation:

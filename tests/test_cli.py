@@ -223,6 +223,21 @@ class TestSearchCommands:
         # nothing at the threshold itself (a UserWarning fails this suite)
         assert run(argv + ["--lambda", "0.3", "--out", out]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["lmax", "--omega-a", "0.5", "--delta-omega", "0.25"],
+        ["peak", "--omega-a", "0.5", "--l", "2"],
+        ["crossover", "--omega-a", "0.5", "--delta-omega", "0.25"],
+    ])
+    def test_search_result_fields(self, argv, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        assert run(argv + ["--format", "record", "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())["result"]) == {
+            "location", "value", "bracket_lo", "bracket_hi", "iterations", "note"}
+        assert run(argv) == 0
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                if line and not line.startswith("#")]
+        assert rows == ["location", "value", "bracket_lo", "bracket_hi", "iterations", "note"]
+
     def test_lmax_no_harvest_exit(self):
         code = run(
             [
@@ -242,6 +257,7 @@ class TestSearchCommands:
         )
         assert code == 0
         rec = json.loads(out.read_text())["result"]
+        assert set(rec) == {"location", "note"}
         assert rec["location"] == 1.0
         assert "lower bound" in rec["note"]
 
