@@ -53,7 +53,6 @@ from .oracle import (
     x_single_integral_pv,
 )
 from .analysis import (
-    BracketingFailure,
     NoCrossover,
     NoHarvestingRegion,
     SearchBatch,
@@ -102,7 +101,6 @@ __all__ = [
     "pv_gaussian_pole_integral",
     "x_double_integral",
     "x_single_integral_pv",
-    "BracketingFailure",
     "NoCrossover",
     "NoHarvestingRegion",
     "SearchBatch",

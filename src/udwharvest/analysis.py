@@ -34,10 +34,9 @@ which the envelope certifies every point (:func:`_cuts`), at most about
 2.3 times the cut for gaps up to 40 and 35.  The envelope bounds the
 Faddeeva term to third order in 1/|z|
 (:func:`~udwharvest.closedform._scaled_x_envelope`), which puts the cut a
-few grid points above the root at large separations.  A ``scan_bound``
-only caps the grid; past scan_step*2^52 the points stop being distinct
-doubles, so a larger bound, or a grid certified nowhere below it, raises
-ValueError.
+few grid points above the root at large separations.  Past
+scan_step*2^52 the points stop being distinct doubles, so a grid certified
+nowhere below it raises ValueError.
 :func:`find_lmax` starts its downward walk below the cut, and
 :func:`find_crossover` ends its upward walk there, because from it on the
 non-identical concurrence is exactly zero and the difference cannot turn
@@ -145,7 +144,6 @@ from .closedform import (
 
 __all__ = [
     "NoHarvestingRegion",
-    "BracketingFailure",
     "NoCrossover",
     "SearchResult",
     "SearchBatch",
@@ -208,15 +206,8 @@ class NoHarvestingRegion(RuntimeError):
 
 
 class BracketingFailure(RuntimeError):
-    """Harvesting persists where ``scan_bound`` caps the grid; the boundary lies above.
-
-    The ``lower_bound`` attribute carries the grid's last point, which
-    harvests: a certified lower bound on the boundary rather than a root.
-    """
-
-    def __init__(self, msg, lower_bound):
-        super().__init__(msg)
-        self.lower_bound = lower_bound
+    """Raised by no search: every separation grid ends at a certified cut.
+    It stays because the benchmark's search checks look it up here by name."""
 
 
 class NoCrossover(RuntimeError):
@@ -275,28 +266,15 @@ def _check_domain(a, d, l, coupling):
         raise ValueError(bad[0])
 
 
-def _separation_problems(omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step):
-    """Broadcast (a, d), numpy scalars for one problem, and each row's grid
-    size, uncapped ``_GRID_POINTS``."""
+def _separation_problems(omega_a_sigma, delta_omega_sigma, coupling, scan_step):
+    """Broadcast (a, d), numpy scalars for one problem."""
     a, d = np.broadcast_arrays(
         np.asarray(omega_a_sigma, dtype=float), np.asarray(delta_omega_sigma, dtype=float)
     )
     _check_domain(a, d, 1.0, coupling)  # the scanned separation is not checked
-    limit = scan_step * _GRID_POINTS
-    if not 0.0 < limit < np.inf:
+    if not 0.0 < scan_step * _GRID_POINTS < np.inf:
         raise ValueError("need scan_step > 0 with scan_step*2^52 finite")
-    if scan_bound is None:
-        return a[()], d[()], np.full(a.shape, _GRID_POINTS)
-    a, d, bound = np.broadcast_arrays(a, d, np.asarray(scan_bound, dtype=float))
-    if not np.all((bound > scan_step) & (bound <= limit)):
-        raise ValueError(f"scan_bound must be finite, above scan_step and at most scan_step*2^52"
-                         f" = {limit:.6g}: past it the grid points stop being distinct doubles")
-    return a[()], d[()], _grid_size(bound, scan_step)
-
-
-def _grid_size(bound, step):
-    """np.arange's count of the points step + i*step below bound + step/2."""
-    return np.ceil((bound + 0.5 * step - step) / step).astype(np.int64)
+    return a[()], d[()]
 
 
 def _normal(gm):
@@ -349,17 +327,17 @@ def _cut_bound(d, gm):
     return np.sqrt(np.maximum(4.0 * _ZW_BOUND / t, d * d - 4.0 * np.log(0.5 * t)))
 
 
-def _cuts(step, n, gm, d):
-    """Each row's first grid index below n whose point the envelope
-    certifies, n where there is none: the end of the row's grid.  The
-    scaled envelope of |X|/E, widened by the margin that covers the
-    kernel's and the roundings' relative error, certifies the scaled
-    excess |X|/E - gm, gm = sqrt(P~_A P~_B), non-positive where it lies
-    below gm, and every larger separation with it: it does not increase in
-    l.  Where gm is normal, :func:`_edges` finds the cut below the index
-    of :func:`_cut_bound`'s separation, or below n where that is less: on
-    one problem in one call for an index below 257, and in two below 257^2.
-    A grid of 2^52 points certified nowhere raises ValueError."""
+def _cuts(step, gm, d):
+    """Each row's first grid index whose point the envelope certifies: the
+    end of the row's grid.  The scaled envelope of |X|/E, widened by the
+    margin that covers the kernel's and the roundings' relative error,
+    certifies the scaled excess |X|/E - gm, gm = sqrt(P~_A P~_B),
+    non-positive where it lies below gm, and every larger separation with
+    it: it does not increase in l.  Where gm is normal, :func:`_edges`
+    finds the cut below the index of :func:`_cut_bound`'s separation, or
+    below ``_GRID_POINTS`` where that is less: on one problem in one call
+    for an index below 257, and in two below 257^2.  A grid of 2^52 points
+    certified nowhere raises ValueError."""
 
     def hit(rows, i):
         envelope = _scaled_x_envelope(d[rows, None], step + i * step)
@@ -368,16 +346,17 @@ def _cuts(step, n, gm, d):
     if gm.size == 1:
         # one problem: the set-up on numpy scalars, on which ufuncs cost a
         # fraction of their calls on one-element arrays
-        lo, hi = n.copy(), n.copy()
+        lo, hi = np.full(1, _GRID_POINTS), np.full(1, _GRID_POINTS)
         if _normal(gm[0]):
             with np.errstate(over="ignore"):  # the index may overflow
-                lo[0], hi[0] = 0, min(_cut_bound(d[0], gm[0]) / step + 1.0, n[0])
+                lo[0], hi[0] = 0, min(_cut_bound(d[0], gm[0]) / step + 1.0, _GRID_POINTS)
     else:
         usable = _normal(gm)
         # an unusable row's gm may be 0 or NaN; the index may overflow or pass 2^63
         with np.errstate(all="ignore"):
-            end = np.minimum(_cut_bound(d, gm) / step + 1.0, n)
-        lo, hi = np.where(usable, 0, n), np.where(usable, end, n).astype(np.int64)
+            end = np.minimum(_cut_bound(d, gm) / step + 1.0, _GRID_POINTS)
+        lo = np.where(usable, 0, _GRID_POINTS)
+        hi = np.where(usable, end, _GRID_POINTS).astype(np.int64)
     cut = _edges(lo, hi, hit)
     if (cut == _GRID_POINTS).any():
         raise ValueError("the envelope certifies no separation below scan_step*2^52, and past "
@@ -606,39 +585,35 @@ def find_lmax_many(
     omega_a_sigma,
     delta_omega_sigma,
     coupling=0.1,
-    scan_bound=None,
     scan_step=0.01,
 ) -> SearchBatch:
-    """:func:`find_lmax` for broadcast arrays of gaps (and scan bounds).
-    ``coupling`` and ``scan_step`` are shared by all rows.
+    """:func:`find_lmax` for broadcast arrays of gaps.  ``coupling`` and
+    ``scan_step`` are shared by all rows.
 
     Each row is scanned on its own grid; then all rows are refined by
     Newton steps in lockstep.  A row where :func:`find_lmax` would raise
     carries the exception's class name in ``error``.
     """
-    a, d, n = _separation_problems(
-        omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
-    )
+    a, d = _separation_problems(omega_a_sigma, delta_omega_sigma, coupling, scan_step)
     # every row is scanned and refined in scaled form at unit coupling:
     # |X|/E against sqrt(P~_A P~_B), E = exp(-(a^2 + b^2)/2); the gaps'
     # brackets serve the value too
     brackets = tuple(_probability_bracket(np.array([a, a + d])))
     scaled_gm = _scaled_gm(a, d, 1.0, brackets)
-    row_d, row_gm, row_n = (x.ravel() for x in (d, scaled_gm, n))
+    row_d, row_gm = d.ravel(), scaled_gm.ravel()
 
     def positive(rows, l):
         return _x_abs(row_d[rows, None], l) - row_gm[rows, None] > 0.0
 
     # the walk runs down from below the grid's end, its first certified point,
-    # to the first positive point: a bracketing failure at a capped grid's last
-    cut = _cuts(scan_step, row_n, row_gm, row_d)
+    # to the first positive point
+    cut = _cuts(scan_step, row_gm, row_d)
     k = _separation_scan(scan_step, cut - 1, np.full(cut.shape, -1), positive).reshape(a.shape)
+    ok = k >= 0
     error = _blank(a.shape)
-    error[k < 0] = NoHarvestingRegion.__name__
-    error[k == n - 1] = BracketingFailure.__name__
+    error[~ok] = NoHarvestingRegion.__name__
     # a failed row sits at lo = hi = scan_step (point 0), where the
     # refinement leaves it alone; f(lo) > 0 >= f(hi) on every other row
-    ok = error == ""
     k = np.where(ok, k, 0)
     lo = scan_step + k * scan_step
     hi = np.where(ok, scan_step + (k + 1) * scan_step, lo)
@@ -657,7 +632,6 @@ def find_lmax(
     omega_a_sigma,
     delta_omega_sigma,
     coupling=0.1,
-    scan_bound=None,
     scan_step=0.01,
 ) -> SearchResult:
     """Largest separation (units of the switching length) with nonzero
@@ -665,9 +639,8 @@ def find_lmax(
     grid of points ``scan_step`` apart.
 
     The grid ends where an envelope of |X|/E certifies every larger
-    separation non-harvesting, or at ``scan_bound`` where one is given and
-    lies below that end.  The scan walks downward from the grid's end in
-    steps of ``scan_step`` and refines the first bracket whose
+    separation non-harvesting.  The scan walks downward from the grid's
+    end in steps of ``scan_step`` and refines the first bracket whose
     smaller-separation side still harvests, by safeguarded Newton steps to
     a certified bracket of at most 8 ulps (``iterations`` counts the
     steps); downward scanning is what makes the *largest* root the one
@@ -680,21 +653,12 @@ def find_lmax(
     every grid point.  One problem per call; :func:`find_lmax_many` solves
     arrays of them.
 
-    Raises :exc:`NoHarvestingRegion` if no grid point harvests, and
-    :exc:`BracketingFailure` if a given ``scan_bound`` lies below the
-    boundary: harvesting persists at the capped grid's last point.
+    Raises :exc:`NoHarvestingRegion` if no grid point harvests.
     """
-    batch = find_lmax_many(omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step)
-    error = batch.error[()]
-    if error == BracketingFailure.__name__:
-        top = scan_step + float(_grid_size(scan_bound, scan_step) - 1) * scan_step
-        raise BracketingFailure(f"excess still positive at {top!r}, the last grid point below "
-                                f"scan bound {scan_bound}; the harvesting boundary lies above it",
-                                lower_bound=top)
-    if error == NoHarvestingRegion.__name__:
-        raise NoHarvestingRegion("no positive concurrence on the scan grid " + (
-            "nor past its end, where the envelope certifies none" if scan_bound is None
-            else f"up to {scan_bound}"))
+    batch = find_lmax_many(omega_a_sigma, delta_omega_sigma, coupling, scan_step)
+    if batch.error[()] == NoHarvestingRegion.__name__:
+        raise NoHarvestingRegion("no positive concurrence on the scan grid nor past its end, "
+                                 "where the envelope certifies none")
     return _single(batch)
 
 
@@ -803,11 +767,10 @@ def find_crossover_many(
     omega_a_sigma,
     delta_omega_sigma,
     coupling=0.1,
-    scan_bound=None,
     scan_step=0.01,
 ) -> SearchBatch:
-    """:func:`find_crossover` for broadcast arrays of gaps (and scan
-    bounds).  ``coupling`` and ``scan_step`` are shared by all rows.
+    """:func:`find_crossover` for broadcast arrays of gaps.  ``coupling``
+    and ``scan_step`` are shared by all rows.
 
     Each row is scanned on its own grid; then all rows are refined by
     Newton steps in lockstep.  A row without a crossover carries
@@ -815,9 +778,7 @@ def find_crossover_many(
     """
     if (np.asarray(delta_omega_sigma) <= 0).any():
         raise ValueError("delta_omega_sigma must be > 0 to compare against identical")
-    a, d, n = _separation_problems(
-        omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step
-    )
+    a, d = _separation_problems(omega_a_sigma, delta_omega_sigma, coupling, scan_step)
     # both pairs' sqrt(P~_A P~_B) at unit coupling, along a leading axis of
     # two (leading, so that numpy's inner loops run along the points), from
     # one bracket per gap, which serves the values too; the pairs' scales E
@@ -827,7 +788,7 @@ def find_crossover_many(
     brackets = bracket_a, np.array([bracket_b, bracket_a])
     scaled_gms = _scaled_gm(a, ds, 1.0, brackets)
     ratio = np.exp(-d * (2.0 * a + d) / 2.0)
-    row_d, row_ratio, row_n = (x.ravel() for x in (d, ratio, n))
+    row_d, row_ratio = d.ravel(), ratio.ravel()
     row_gms, row_ds = scaled_gms.reshape(2, -1), ds.reshape(2, -1)
 
     def positive(rows, l):
@@ -837,7 +798,7 @@ def find_crossover_many(
     # the walk runs from the first point where the identical pair is not
     # certified ahead to the grid's end, from which on the envelope
     # certifies the non-identical concurrence 0: no sign change is left
-    cut = _cuts(scan_step, row_n, row_gms[0], row_d)
+    cut = _cuts(scan_step, row_gms[0], row_d)
     floor = _floors(scan_step, cut, row_gms, row_ratio, row_d)
     k = _separation_scan(scan_step, floor, cut, positive).reshape(a.shape)
     error = _blank(a.shape)
@@ -879,7 +840,6 @@ def find_crossover(
     omega_a_sigma,
     delta_omega_sigma,
     coupling=0.1,
-    scan_bound=None,
     scan_step=0.01,
 ) -> SearchResult:
     """Smallest separation at which the non-identical pair overtakes the
@@ -894,9 +854,8 @@ def find_crossover(
     the bracket's upper end, not from the concurrences at the location,
     which lie within ulps of zero where the crossover is the identical
     pair's own lmax.  The grid ends at its first point that the envelope of
-    |X|/E certifies non-harvesting for the non-identical pair, or at
-    ``scan_bound`` where one is given and lies below: from there on the
-    difference cannot turn positive.  The scan starts at the first grid
+    |X|/E certifies non-harvesting for the non-identical pair: from there on
+    the difference cannot turn positive.  The scan starts at the first grid
     point where a lower bound on the identical pair's |X|/E (through
     Dawson's integral, no Faddeeva evaluation) no longer certifies that pair
     ahead of the non-identical pair's envelope; from there a positive first
@@ -911,11 +870,10 @@ def find_crossover(
     the grid.  One problem per call; :func:`find_crossover_many` solves
     arrays of them.
     """
-    batch = find_crossover_many(omega_a_sigma, delta_omega_sigma, coupling, scan_bound, scan_step)
+    batch = find_crossover_many(omega_a_sigma, delta_omega_sigma, coupling, scan_step)
     if batch.error[()] == NoCrossover.__name__:
-        raise NoCrossover("non-identical concurrence never exceeds identical " + (
-            "on the scan grid, past whose end the envelope certifies it zero"
-            if scan_bound is None else f"below separation {scan_bound}"))
+        raise NoCrossover("non-identical concurrence never exceeds identical on the scan grid, "
+                          "past whose end the envelope certifies it zero")
     return _single(batch)
 
 

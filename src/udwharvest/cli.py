@@ -61,7 +61,6 @@ from .oracle import (
     x_single_integral_pv,
 )
 from .analysis import (
-    BracketingFailure,
     NoCrossover,
     NoHarvestingRegion,
     find_crossover,
@@ -423,7 +422,6 @@ def _separation_manifest(args):
             "omega_a_sigma": args.omega_a,
             "delta_omega_sigma": args.delta_omega,
             "coupling": args.coupling,
-            "scan_bound": args.scan_bound,
             "scan_step": args.scan_step,
         },
     )
@@ -431,19 +429,8 @@ def _separation_manifest(args):
 
 def cmd_lmax(parser, args):
     manifest = _separation_manifest(args)
-    try:
-        result = find_lmax(
-            args.omega_a, args.delta_omega, args.coupling,
-            scan_bound=args.scan_bound, scan_step=args.scan_step,
-        )
-        fields = _search_fields(result)
-    except BracketingFailure as exc:
-        # a certified lower bound is a result, not a failure
-        fields = {
-            "location": exc.lower_bound,
-            "note": "lower bound only: harvesting persists at the scan bound",
-        }
-    _single_record(args, manifest, fields)
+    result = find_lmax(args.omega_a, args.delta_omega, args.coupling, scan_step=args.scan_step)
+    _single_record(args, manifest, _search_fields(result))
     return EXIT_OK
 
 
@@ -464,10 +451,8 @@ def cmd_peak(parser, args):
 
 def cmd_crossover(parser, args):
     manifest = _separation_manifest(args)
-    result = find_crossover(
-        args.omega_a, args.delta_omega, args.coupling,
-        scan_bound=args.scan_bound, scan_step=args.scan_step,
-    )
+    result = find_crossover(args.omega_a, args.delta_omega, args.coupling,
+                            scan_step=args.scan_step)
     _single_record(args, manifest, _search_fields(result))
     return EXIT_OK
 
@@ -651,8 +636,6 @@ def _build_parser():
     _add_format(p, "table", "record")
     p.add_argument("--omega-a", type=float, required=True)
     p.add_argument("--delta-omega", type=float, required=True)
-    p.add_argument("--scan-bound", type=float, default=None,
-                   help="cap on the scan (default: none; it ends where harvesting certifiably ends)")
     p.add_argument("--scan-step", type=float, default=0.01)
 
     p = add_parser("peak", parents=[common], help="concurrence-maximizing gap difference")
@@ -667,8 +650,6 @@ def _build_parser():
     _add_format(p, "table", "record")
     p.add_argument("--omega-a", type=float, required=True)
     p.add_argument("--delta-omega", type=float, required=True)
-    p.add_argument("--scan-bound", type=float, default=None,
-                   help="cap on the scan (default: none; it ends where harvesting certifiably ends)")
     p.add_argument("--scan-step", type=float, default=0.01)
 
     p = add_parser("figure", help="regenerate survey-figure data")

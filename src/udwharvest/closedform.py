@@ -95,7 +95,6 @@ class SeparationRegime(enum.Enum):
 
 class ConcurrenceRegime(enum.Enum):
     SMALL_SEPARATION = "small-separation"
-    LARGE_SEPARATION_SMALL_GAPS = "large-separation-small-gaps"
     LARGE_SEPARATION_LARGE_GAPS = "large-separation-large-gaps"
 
 
@@ -116,7 +115,17 @@ _MAX_OMEGA_A = float(np.sqrt(_LARGEST) / 2.0)
 # The largest separation l whose square l*l, in X's exp(-l^2/4) and the
 # terms built on it, is a finite double
 _MAX_SEPARATION = float(np.sqrt(_LARGEST))
-_NONPOSITIVE_SEPARATION = "l_over_sigma must be > 0 (zero separation diverges)"
+# The smallest separation at which the concurrence of every admitted
+# scenario is a finite double.  As l -> 0, X's bracket tends to 2 (its
+# Faddeeva difference is O(l)), so the concurrence tends to coupling^2
+# exp(-(2a + d)^2/4)/(2 sqrt(pi) l): largest at zero gaps and the largest
+# coupling, whose square is 4 pi sqrt(largest double), where it is the
+# largest double at l = 2 sqrt(pi)/sqrt(largest double)
+_MIN_SEPARATION = float(2.0 * _SQRT_PI / np.sqrt(_LARGEST))
+_SEPARATION_BELOW = (
+    f"l_over_sigma must be >= {_MIN_SEPARATION!r} = 2 sqrt(pi)/sqrt(largest double); the "
+    "concurrence, coupling^2/(2 sqrt(pi) l_over_sigma) at zero gaps as the separation tends to "
+    "zero, would overflow double precision below it at the largest coupling")
 _DOMAIN = (
     ("omega_a_sigma", 0.0, _MAX_OMEGA_A, "omega_a_sigma must be >= 0 (A has the smaller gap)",
      f"omega_a_sigma={{}} exceeds {_MAX_OMEGA_A!r} = sqrt(largest double)/2; "
@@ -125,7 +134,7 @@ _DOMAIN = (
      "delta_omega_sigma must be >= 0 (A has the smaller gap)",
      f"delta_omega_sigma={{}} exceeds {MAX_DELTA_OMEGA_SIGMA}; "
      "scaled intermediates would overflow double precision"),
-    ("l_over_sigma", _SMALLEST, _MAX_SEPARATION, _NONPOSITIVE_SEPARATION,
+    ("l_over_sigma", _MIN_SEPARATION, _MAX_SEPARATION, _SEPARATION_BELOW,
      f"l_over_sigma={{}} exceeds {_MAX_SEPARATION!r} = sqrt(largest double); "
      "l_over_sigma^2 would overflow double precision"),
     ("coupling", _SMALLEST, _MAX_COUPLING, "coupling must be > 0",
@@ -168,9 +177,10 @@ def _domain_error(values):
 
 
 def _check_separation(l):
-    """Raise the domain's ValueError where a separation (numpy scalar or array) is <= 0."""
-    if _any(l <= 0):
-        raise ValueError(_NONPOSITIVE_SEPARATION)
+    """Raise the domain's ValueError where a separation (numpy scalar or
+    array) lies below ``_MIN_SEPARATION``."""
+    if _any(l < _MIN_SEPARATION):
+        raise ValueError(_SEPARATION_BELOW)
 
 
 def _warn_strong_coupling(coupling):
@@ -203,8 +213,9 @@ class DetectorPairConfig:
 
     Conventions: detector A carries the smaller gap, so the gap difference
     is non-negative; the separation must be positive (the point-detector
-    correlation amplitude diverges at zero separation); the coupling must
-    be positive and should be small.
+    correlation amplitude diverges at zero separation), and at least
+    ``_MIN_SEPARATION``, below which the concurrence may overflow; the
+    coupling must be positive and should be small.
     """
 
     omega_a_sigma: float
@@ -736,19 +747,16 @@ def asymptotic_x(cfg: DetectorPairConfig, regime: SeparationRegime) -> complex:
 
 
 def asymptotic_concurrence(cfg: DetectorPairConfig, regime: ConcurrenceRegime) -> float:
-    """Approximate concurrence in the three tractable corners of parameter
-    space.  The large-separation branches carry the same max(0, .) clamp as
-    the exact expression; the small-gap branch is clamped to zero as soon
-    as the separation exceeds sqrt(2) switching lengths."""
+    """Approximate concurrence at small separation, and at large separation
+    with large gaps, where it carries the same max(0, .) clamp as the exact
+    expression."""
     a, d, l = cfg.omega_a_sigma, cfg.delta_omega_sigma, cfg.l_over_sigma
     b = a + d
     lam2 = cfg.coupling**2
     if regime is ConcurrenceRegime.SMALL_SEPARATION:
         return lam2 / (2.0 * l * _SQRT_PI) * np.exp(-((2.0 * a + d) ** 2) / 4.0)
-    gauss = np.exp(-(a * a + b * b) / 2.0)
-    if regime is ConcurrenceRegime.LARGE_SEPARATION_SMALL_GAPS:
-        return max(0.0, lam2 / (2.0 * np.pi) * gauss * (2.0 / (l * l) - 1.0))
     if regime is ConcurrenceRegime.LARGE_SEPARATION_LARGE_GAPS:
+        gauss = np.exp(-(a * a + b * b) / 2.0)
         return _large_gap(lambda a, b: max(
             0.0, lam2 / (2.0 * np.pi) * gauss * (2.0 / (l * l) - 1.0 / (2.0 * a * b))), a, b)
     raise TypeError(f"unknown concurrence regime {regime!r}")

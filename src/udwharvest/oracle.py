@@ -511,7 +511,8 @@ def pv_gaussian_pole_integral(kappa, l_over_sigma, order: int = 64):
 
     for a scalar or an array of ``kappa`` at one separation l, with
     ``order`` Gauss-Legendre nodes per panel; the panels depend on l alone,
-    so an array is one panel sum.  A non-finite or non-positive l raises ValueError.
+    so an array is one panel sum.  A non-finite l, or one below the
+    domain's floor on the separation, raises ValueError.
 
     Writes g(v) for the numerator and subtracts
     [g(l)/(2l)] h(v-l) - [g(-l)/(2l)] h(v+l) with h(u) = exp(-u^2)/u, an
@@ -560,10 +561,10 @@ def x_single_integral_pv(
     Takes broadcast arrays of both gaps, the separation and the coupling
     and returns a complex array of the broadcast shape, a Python complex
     for scalars.  Rows with the same separation share the panels, and one
-    panel sum per order.  A non-finite argument or a separation <= 0 raises
-    ValueError for the whole batch; otherwise the first row whose order
-    doubling fails raises :exc:`NonConvergence` with the message of its
-    one-row call.
+    panel sum per order.  A non-finite argument or a separation below the
+    domain's floor raises ValueError for the whole batch; otherwise the first row
+    whose order doubling fails raises :exc:`NonConvergence` with the
+    message of its one-row call.
     """
     shape, (a, b, l, lam) = _problems(omega_a_sigma, omega_b_sigma, l_over_sigma, coupling)
     _check_separation(l)
@@ -608,10 +609,11 @@ def x_double_integral(
     one more axis.  The result does not depend on which detector carries
     which gap.  Rows with the same separation share one cross-Gaussian
     matrix and one outer-rule certificate per regulator, taken at their
-    largest gap sum.  A non-finite argument or a separation <= 0 raises
-    ValueError for the whole batch, and so does a failed certificate, as
-    :exc:`NonConvergence`; otherwise the first row whose self-check fails
-    raises :exc:`NonConvergence` with the message of its one-row call.
+    largest gap sum.  A non-finite argument or a separation below the
+    domain's floor raises ValueError for the whole batch, and so does a failed
+    certificate, as :exc:`NonConvergence`; otherwise the first row whose
+    self-check fails raises :exc:`NonConvergence` with the message of its
+    one-row call.
     """
     shape, (a, b, l, lam) = _problems(omega_a_sigma, omega_b_sigma, l_over_sigma, coupling)
     _check_separation(l)

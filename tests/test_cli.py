@@ -241,25 +241,18 @@ class TestSearchCommands:
     def test_lmax_no_harvest_exit(self):
         code = run(
             [
-                "lmax", "--omega-a", "0.2", "--delta-omega", "0",
-                "--scan-bound", "20", "--scan-step", "5",
+                "lmax", "--omega-a", "0.2", "--delta-omega", "0", "--scan-step", "5",
             ]
         )
         assert code == 4
 
-    def test_lmax_lower_bound_report(self, tmp_path):
-        out = tmp_path / "lmax.json"
-        code = run(
-            [
-                "lmax", "--omega-a", "0.5", "--delta-omega", "0", "--scan-bound", "1",
-                "--format", "record", "--out", str(out),
-            ]
-        )
-        assert code == 0
-        rec = json.loads(out.read_text())["result"]
-        assert set(rec) == {"location", "note"}
-        assert rec["location"] == 1.0
-        assert "lower bound" in rec["note"]
+    # every grid ends at its certified cut: the searches take no cap
+    @pytest.mark.parametrize("command", ["lmax", "crossover"])
+    def test_a_scan_bound_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            run([command, "--omega-a", "0.5", "--delta-omega", "0.25", "--scan-bound", "5"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --scan-bound 5" in capsys.readouterr().err
 
     def test_peak_boundary_flag(self, tmp_path):
         out = tmp_path / "peak.json"
@@ -288,7 +281,7 @@ class TestSearchCommands:
 
     def test_crossover_not_found_exit(self):
         code = run(
-            ["crossover", "--omega-a", "0.5", "--delta-omega", "0.25", "--scan-bound", "1"]
+            ["crossover", "--omega-a", "1.1", "--delta-omega", "2.7"]
         )
         assert code == 5
 
@@ -368,37 +361,35 @@ class TestSearchCommands:
         assert err == f"error: l_over_sigma={above!r} exceeds {_MAX_SEPARATION!r} = sqrt(" \
             "largest double); l_over_sigma^2 would overflow double precision\n"
 
+    # below the separation floor the concurrence overflowed at the largest
+    # coupling: eval --l 1e-312, peak --l 1e-320 and sweep exited 1 with a
+    # RuntimeWarning traceback even at coupling 0.1; at the floor itself the
+    # concurrence at zero gaps is the largest double
+    @pytest.mark.filterwarnings("ignore:coupling=.*weak-coupling:UserWarning")
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--omega-a", "0", "--delta-omega", "0"],
+        ["sweep", "--axis", "delta-omega", "--start", "0", "--stop", "1", "--points", "3",
+         "--omega-a", "0"],
+        ["peak", "--omega-a", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_separation_below_the_floor_exits_3(self, argv, tmp_path, capsys):
+        from udwharvest.closedform import _MAX_COUPLING, _MIN_SEPARATION, _SEPARATION_BELOW
+        below = float(np.nextafter(_MIN_SEPARATION, 0.0))
+        out = tmp_path / "o.json"
+        assert run(argv + ["--l", repr(_MIN_SEPARATION), "--lambda", repr(_MAX_COUPLING),
+                           "--format", "record", "--out", str(out)]) == 0
+        if argv[0] == "eval":
+            assert json.loads(out.read_text())["result"]["concurrence"] == np.finfo(float).max
+        for coupling in (_MAX_COUPLING, 0.1):
+            assert run(argv + ["--l", repr(below), "--lambda", repr(coupling)]) == 3
+            assert capsys.readouterr().err == f"error: {_SEPARATION_BELOW}\n"
+
     # a NaN or infinite gap bound printed "value nan" and "converged True"
     @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
     def test_non_finite_gap_bound_exits_3(self, bound, capsys):
         assert run(["peak", "--omega-a", "0.5", "--l", "2", f"--gap-bound={bound}"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "gap_bound must be finite" in err
-
-    # a bound must be finite, and past scan_step*2^52 (4.5e13 at the default
-    # step) the grid points stop being distinct doubles; both exit like a
-    # domain error
-    @pytest.mark.parametrize("command", ["lmax", "crossover"])
-    @pytest.mark.parametrize("bound, message", [("inf", "scan_bound must be finite"),
-                                                ("1e14", "distinct doubles")])
-    def test_scan_grids_that_cannot_be_built_exit_3(self, command, bound, message, capsys):
-        argv = [command, "--omega-a", "0.5", "--delta-omega", "0.25", "--scan-bound", bound]
-        assert run(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-
-    # the grid ends at its certified cut, so a bound far above it answers as
-    # the default does; the 1e7-point limit refused it
-    @pytest.mark.parametrize("command", ["lmax", "crossover"])
-    def test_a_bound_far_above_the_certified_end_answers(self, command, tmp_path):
-        results = []
-        for extra in ([], ["--scan-bound", "1e12"]):
-            out = tmp_path / f"{command}{len(extra)}.json"
-            argv = [command, "--omega-a", "0.5", "--delta-omega", "0.25", "--format", "record",
-                    "--out", str(out)]
-            assert run(argv + extra) == 0
-            results.append(json.loads(out.read_text())["result"])
-        assert results[0] == results[1]
 
 
 class TestFigure:

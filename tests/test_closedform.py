@@ -164,6 +164,46 @@ class TestConfig:
             assert np.isfinite(asymptotic_concurrence(cfg, regime))
         assert np.isfinite(concurrence_gap_derivative_estimate(cfg))
 
+    # below the floor the concurrence overflowed: concurrence_values(0.5,
+    # 0.25, 1e-312, 0.1) raised "RuntimeWarning: overflow encountered in
+    # scalar divide".  At the floor, at zero gaps and the largest coupling,
+    # it is the largest double; one ulp below, its arithmetic overflows
+    @pytest.mark.filterwarnings("ignore:coupling=.*weak-coupling:UserWarning")
+    def test_separation_floor_is_where_the_largest_concurrence_overflows(self):
+        floor, coupling = closedform._MIN_SEPARATION, closedform._MAX_COUPLING
+        below = float(np.nextafter(floor, 0.0))
+        assert floor == 2.0 * SQRT_PI / np.sqrt(np.finfo(float).max)
+        report = concurrence(DetectorPairConfig(0.0, 0.0, floor, coupling))
+        assert report.concurrence == np.finfo(float).max
+        assert concurrence_values(0.0, 0.0, floor, coupling) == report.concurrence
+        gm = transition_probability(0.0, coupling)
+        for l in (floor, below):
+            b_re, b_im = _x_bracket(np.float64(0.0), np.float64(l))[:2]
+            x_abs = coupling**2 / (8.0 * SQRT_PI * l) * np.hypot(b_re, b_im)
+            if l == floor:
+                assert np.isfinite(_clamp(x_abs - gm))
+            else:
+                with pytest.raises(RuntimeWarning, match="overflow"):
+                    _clamp(x_abs - gm)
+        with pytest.raises(ValueError, match=re.escape(closedform._SEPARATION_BELOW)):
+            DetectorPairConfig(0.0, 0.0, below, coupling)
+        assert closedform._SEPARATION_BELOW.startswith(
+            f"l_over_sigma must be >= {floor!r} = 2 sqrt(pi)/sqrt(largest double); ")
+
+    # the raw closed forms check the separation alone, against the same floor
+    @pytest.mark.parametrize("coupling", [0.1, closedform._MAX_COUPLING])
+    @pytest.mark.parametrize("form", [correlation_x_values, correlation_excess,
+                                      concurrence_values])
+    def test_closed_forms_answer_at_the_separation_floor_and_refuse_below(self, form, coupling):
+        floor = closedform._MIN_SEPARATION
+        below = float(np.nextafter(floor, 0.0))
+        for a, d in ((0.0, 0.0), (0.5, 0.25), (30.0, 35.0)):
+            assert np.isfinite(form(a, d, floor, coupling))
+            assert np.isfinite(form(a, d, np.array([floor, 1.0]), coupling)).all()
+            for l in (below, 1e-312, 5e-324, np.array([1.0, below])):
+                with pytest.raises(ValueError, match=re.escape(closedform._SEPARATION_BELOW)):
+                    form(a, d, l, coupling)
+
     def test_warns_on_strong_coupling(self):
         with pytest.warns(UserWarning):
             DetectorPairConfig(0.5, 0.0, 1.0, coupling=0.5)
@@ -455,17 +495,36 @@ class TestAsymptotics:
         exact = correlation_x(cfg)
         assert abs(approx - exact) <= 0.02 * abs(exact)
 
-    def test_concurrence_small_gap_branch_clamps(self):
-        for l in (1.5, 5.0):
-            cfg = DetectorPairConfig(0.1, 0.1, l, 0.1)
-            assert (
-                asymptotic_concurrence(cfg, ConcurrenceRegime.LARGE_SEPARATION_SMALL_GAPS)
-                == 0.0
-            )
-        cfg = DetectorPairConfig(0.1, 0.1, 1.2, 0.1)
-        assert (
-            asymptotic_concurrence(cfg, ConcurrenceRegime.LARGE_SEPARATION_SMALL_GAPS) > 0.0
-        )
+    # each form's relative error against the closed form falls as its
+    # regime's parameter grows, by at least the factor ``rate`` a step, to
+    # at most ``last``; the rows are (a, d, l) at coupling 0.1
+    @pytest.mark.parametrize("regime, rows, rate, last", [
+        (GapRegime.SMALL_GAPS, [(t, t, 1.0) for t in (0.1, 0.01, 0.001)], 0.15, 3e-3),
+        (GapRegime.LARGE_GAPS, [(t, t / 2.0, 1.0) for t in (2.0, 5.0, 10.0)], 0.1, 3e-4),
+        (SeparationRegime.SMALL_SEPARATION, [(0.5, 0.25, t) for t in (0.1, 0.01, 0.001)],
+         0.02, 3e-7),
+        (SeparationRegime.LARGE_SEPARATION, [(0.5, 0.25, t) for t in (10.0, 20.0, 40.0)],
+         0.3, 1.5e-3),
+        (ConcurrenceRegime.SMALL_SEPARATION, [(0.5, 0.25, t) for t in (0.1, 0.01, 0.001)],
+         0.15, 3e-4),
+        (ConcurrenceRegime.LARGE_SEPARATION_LARGE_GAPS,
+         [(t, 0.5, t) for t in (2.0, 4.0, 8.0, 16.0)], 0.75, 0.015),
+    ], ids=["gm-small-gaps", "gm-large-gaps", "x-small-separation", "x-large-separation",
+            "c-small-separation", "c-large-separation-large-gaps"])
+    def test_error_falls_deeper_in_the_regime(self, regime, rows, rate, last):
+        errors = []
+        for row in rows:
+            cfg = DetectorPairConfig(*row, 0.1)
+            if isinstance(regime, GapRegime):
+                approx = asymptotic_gm_probability(cfg, regime)
+                exact = geometric_mean_probability(*row[:2], 0.1)
+            elif isinstance(regime, SeparationRegime):
+                approx, exact = asymptotic_x(cfg, regime), correlation_x(cfg)
+            else:
+                approx, exact = asymptotic_concurrence(cfg, regime), concurrence(cfg).concurrence
+            errors.append(abs(approx - exact) / abs(exact))
+        assert all(e < rate * before for before, e in zip(errors, errors[1:])), errors
+        assert errors[-1] <= last, errors
 
     def test_concurrence_small_separation_accuracy(self):
         for d in (0.0, 0.25):

@@ -529,7 +529,7 @@ class TestBatchedOracles:
         assert str(err.value) == messages[0] != messages[1]
 
     def test_pv_argument_errors_raise_for_the_whole_batch(self):
-        with pytest.raises(ValueError, match="> 0"):
+        with pytest.raises(ValueError, match="l_over_sigma must be >= "):
             x_single_integral_pv(0.5, 1.0, [2.0, 0.0], 0.1)
         with pytest.raises(ValueError, match="finite"):
             x_single_integral_pv(0.5, [1.0, np.nan], 2.0, 0.1)

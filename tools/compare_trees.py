@@ -23,9 +23,6 @@ The set covers what the package reports:
 * a batch of each separation search that walks the named rows below
   (those with d > 0 for crossovers) beside 40 short stratified rows, so
   that long and short walks share the lockstep's calls;
-* a 40-row ``find_lmax_many`` batch over a, d in [0, 3] with an array
-  ``scan_bound``: 0.9 times each row's lmax on every other row (a
-  bracketing failure) and 1.1 times it on the rest (a capped grid);
 * a 10 000-row ``find_lmax_many`` batch over a, d in [0, 3], where more
   rows walk than a scan call holds points;
 * a 60-row ``find_optimal_gap_many`` batch with per-row gap bounds
@@ -52,9 +49,7 @@ The set covers what the package reports:
   explore's domain: a in [0, 40], d in [0, 35] (in (0, 35] for crossovers), and l
   from 0.05 to max(4a, 4) for the gap search;
 * one-problem calls of each search at the six rows at couplings 1e-160
-  and 10, and of the separation searches at five of them with a
-  ``scan_bound`` 0.05 below the row's lmax (a bracketing failure) and one
-  1 above it (a capped grid);
+  and 10;
 * ``transition_probability``, ``correlation_x_values`` and ``concurrence``
   at the six rows on Python floats, numpy scalars and 0-d arrays, each
   output with the name of its type;
@@ -108,8 +103,8 @@ ROW_COUPLINGS = (1e-160, 10.0)
 # (name, a range, upper end of d's range, l range) of the batches
 DOMAINS = (("wide", (0.0, 40.0), 35.0, (0.05, 120.0)),
            ("small", (0.0, 3.0), 8.0, (0.05, 12.0)))
-# rows of the bounded and of the large find_lmax_many batch over a, d in [0, 3]
-BOUNDED_ROWS, LARGE_ROWS = 40, 10_000
+# rows of the large find_lmax_many batch over a, d in [0, 3]
+LARGE_ROWS = 10_000
 # one-problem rows and rows of the batch whose grids end far from their
 # first point, at each of the scan steps
 FAR_ROWS, FAR_BATCH_ROWS, FAR_STEPS = ((1e6, 0.0), (1e8, 3.0), (0.0, 35.0)), 200, (0.4, 0.001)
@@ -168,11 +163,11 @@ def _typed(value):
 def _outcome(call, *args, **kwargs):
     """A call's result, or the class and message of the search or domain error
     it raised."""
-    from udwharvest.analysis import BracketingFailure, NoCrossover, NoHarvestingRegion
+    from udwharvest.analysis import NoCrossover, NoHarvestingRegion
 
     try:
         return call(*args, **kwargs)
-    except (NoHarvestingRegion, BracketingFailure, NoCrossover, ValueError) as exc:
+    except (NoHarvestingRegion, NoCrossover, ValueError) as exc:
         return f"raises {type(exc).__name__}: {exc}"
 
 
@@ -249,10 +244,6 @@ def _outputs():
         a, d = np.array([row for row in NAMED_ROWS + tuple(short[search])
                          if search == "find_lmax" or row[1] > 0.0]).T
         out[f"mixed/{many.__name__}"] = many(a, d)
-    a, d = (rng_batches.uniform(0.0, 3.0, BOUNDED_ROWS) for _ in range(2))
-    lmax = analysis.find_lmax_many(a, d).location
-    bound = lmax * np.resize([0.9, 1.1], BOUNDED_ROWS)
-    out["bounded-batch/find_lmax_many"] = analysis.find_lmax_many(a, d, scan_bound=bound)
     a, d = (rng_batches.uniform(0.0, 3.0, LARGE_ROWS) for _ in range(2))
     out["large-batch/find_lmax_many"] = analysis.find_lmax_many(a, d)
 
@@ -285,13 +276,6 @@ def _outputs():
                            analysis.find_optimal_gap):
                 out[f"coupling/{search.__name__}/{x!r}/{y!r}/{coupling!r}"] = _outcome(
                     search, x, y, coupling)
-        lmax = _outcome(analysis.find_lmax, x, y)
-        if isinstance(lmax, str):  # (21.87..., 43.83...) lies outside the domain
-            continue
-        for bound in (lmax.location - 0.05, lmax.location + 1.0):
-            for search in (analysis.find_lmax, analysis.find_crossover):
-                out[f"bounded/{search.__name__}/{x!r}/{y!r}/{bound!r}"] = _outcome(
-                    search, x, y, scan_bound=bound)
 
     for name, form in (("float", float), ("float64", np.float64), ("0-d", np.array)):
         for x, y in ROWS:

@@ -22,12 +22,14 @@ The closed-form layer is timed on explore's 32 ``concurrence_values``
 batches of 10 000 scenarios for each of seeds 1-3, one row per batch, and
 the figure layer on the seven survey figures (``cli.build_figure`` at 400
 points), one row each.  Every row is called once per tree to warm up, and
-the two outcomes (the repr of the result, its arrays as lists and a
-search's fields as a list, or the class and message raised) must be
-equal.  Then each row is timed 9 times per tree, and each row that is a
-group of its own (a batched search or a figure) 200 times, one call at a
-time, the trees alternating and their order flipping at each repeat, so
-that the machine's drift falls on both alike.  A row's time is the
+the two outcomes (the repr of the result with its arrays as lists, a
+search's result as the fields that both trees' results have, by name, or
+the class and message raised) must be equal, so that a field one tree
+adds or drops does not flag every search.  Then each row is timed 9
+times per tree, and each row that is a group of its own (a batched
+search or a figure) 200 times, one call at a time, the trees alternating
+and their order flipping at each repeat, so that the machine's drift
+falls on both alike.  A row's time is the
 minimum of its repeats, a raised search error included.  A group of one
 row takes the median of its repeats instead, and as its ratio the
 geometric mean of two medians of the change/parent ratio of a repeat's
@@ -84,10 +86,7 @@ def _import(tree, name, tmp):
 
 
 def _plain(value):
-    """``value`` with each array as a list and a search result's fields as a
-    list."""
-    if dataclasses.is_dataclass(value):
-        value = dataclasses.astuple(value)
+    """``value`` with each array as a list."""
     if hasattr(value, "tolist"):
         return value.tolist()
     if isinstance(value, dict):
@@ -97,14 +96,20 @@ def _plain(value):
     return value
 
 
-def _outcome(call):
-    """A call's result as the repr of :func:`_plain`, or the class and
-    message of what it raised."""
-    try:
-        value = call()
-    except Exception as exc:  # every outcome is compared, raised or returned
-        return f"raises {type(exc).__name__}: {exc}"
-    return repr(_plain(value))
+def _outcomes(pair):
+    """The outcomes of a row's two calls: each result as the repr of
+    :func:`_plain`, a search's result as a dict of the fields that both
+    results have, or the class and message of what a call raised."""
+    values = []
+    for call in pair:
+        try:
+            values.append(call())
+        except Exception as exc:  # every outcome is compared, raised or returned
+            values.append(f"raises {type(exc).__name__}: {exc}")
+    if all(dataclasses.is_dataclass(v) for v in values):
+        names = [[f.name for f in dataclasses.fields(v)] for v in values]
+        values = [{n: getattr(v, n) for n in names[0] if n in names[1]} for v in values]
+    return [v if isinstance(v, str) else repr(_plain(v)) for v in values]
 
 
 def _batches(pkgs):
@@ -156,7 +161,7 @@ def main(argv):
                  for name in FIGURES]
         differ = 0
         for _, label, pair in rows:
-            parent, change = (_outcome(call) for call in pair)
+            parent, change = _outcomes(pair)
             if parent != change:
                 differ += 1
                 print(f"differs: {label}")
