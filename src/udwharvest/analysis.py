@@ -35,8 +35,8 @@ which the envelope certifies every point (:func:`_cuts`), at most about
 Faddeeva term to third order in 1/|z|
 (:func:`~udwharvest.closedform._scaled_x_envelope`), which puts the cut a
 few grid points above the root at large separations.  Past
-scan_step*2^52 the points stop being distinct doubles, so a grid certified
-nowhere below it raises ValueError.
+scan_step*2^52 the points stop being distinct doubles, so a row whose grid
+is certified nowhere below it fails with ValueError.
 :func:`find_lmax` starts its downward walk below the cut, and
 :func:`find_crossover` ends its upward walk there, because from it on the
 non-identical concurrence is exactly zero and the difference cannot turn
@@ -81,11 +81,18 @@ Each search has a batched form, :func:`find_lmax_many`,
 broadcast arrays of problems and returns a :class:`SearchBatch` of arrays
 of their shape.  Every row is scanned on its own grid, and no scan call
 holds more than 8 k points, or one per row where more rows share it, so
-memory stays that of one such call.  The gap scans take 32 rows per
-closed-form call over a (rows, 256) grid.  The grid, and X's bracket on
-it, depend on a row's separation and gap bound alone, so the gap scans
-visit the rows in (separation, bound) order, and each run of equal keys
-in a call shares one Faddeeva evaluation of the bracket.  The separation
+memory stays that of one such call.  A gap scan's grid of 256 gap
+differences depends on the row's gap bound alone, so the excess on it
+splits into a separation half, X's bracket with its one Faddeeva
+evaluation, which depends on the row's (separation, bound), and a gap
+half, P_A, P_B and X's Gaussian prefactor with their erfcx, which depends
+on its (smaller gap, bound) (:func:`~udwharvest.closedform._gap_half`,
+:func:`~udwharvest.closedform._separation_half`).  The gap scans visit
+the rows in (separation, bound) order, in blocks of at most 32 keys of
+either kind: a block evaluates each half once per key, each in one call
+of at most 8 k points, and assembles its rows' excesses 32 rows, 8 k
+points, per call (:func:`~udwharvest.closedform._ingredients`).  A batch
+of one row is one block, without sorting.  The separation
 scans search the cuts of all rows in one envelope call per step, then
 walk all rows in one lockstep: a round is one closed-form call over the
 rows that have not found their answer yet, each row walking its own next
@@ -129,16 +136,20 @@ from .closedform import (
     DetectorPairConfig,
     _clamp,
     _domain_errors,
+    _gap_half,
+    _halves,
     _ingredients,
     _over_scale,
     _probability_bracket,
     _scaled_gm,
     _scaled_x_envelope,
     _scaled_x_floor,
+    _separation_half,
     _where,
     _x_abs,
     _x_abs_slope,
     _x_bracket,
+    _x_scale,
     transition_probability,
 )
 
@@ -183,11 +194,18 @@ _SCAN_BLOCK = 256
 _CUT_BLOCK = 32
 
 # Points of one scan call, each row padded to the longest: it bounds the
-# memory of a call.  A gap scan call takes _SCAN_CHUNK // _GAP_SCAN_POINTS
-# rows (at least one); a separation scan's blocks stop doubling where a
+# memory of a call.  A gap scan block takes _SCAN_CHUNK // _GAP_SCAN_POINTS
+# keys of either kind, and each of its assembly calls as many rows (at
+# least one); a separation scan's blocks stop doubling where a
 # call over the rows still walking would hold more, or hold one point per
 # row where more rows walk.
 _SCAN_CHUNK = 8192
+
+# Why a separation search fails on a row whose grid the envelope certifies
+# nowhere (:func:`_cuts`): a one-problem search raises ValueError with it, a
+# batch gives the row the error name ValueError
+_UNCERTIFIED = ("the envelope certifies no separation below scan_step*2^52, and past it the "
+                "grid points stop being distinct doubles")
 
 # Relative margin of the envelope certificate: it covers the Faddeeva
 # kernel's relative error (below 1e-10) and the roundings of |X| many times
@@ -336,8 +354,9 @@ def _cuts(step, gm, d):
     it: it does not increase in l.  Where gm is normal, :func:`_edges`
     finds the cut below the index of :func:`_cut_bound`'s separation, or
     below ``_GRID_POINTS`` where that is less: on one problem in one call
-    for an index below 257, and in two below 257^2.  A grid of 2^52 points
-    certified nowhere raises ValueError."""
+    for an index below 257, and in two below 257^2.  A row whose grid of
+    2^52 points is certified nowhere gets the index 2^52: the searches give
+    it ValueError (``_UNCERTIFIED``)."""
 
     def hit(rows, i):
         envelope = _scaled_x_envelope(d[rows, None], step + i * step)
@@ -357,11 +376,7 @@ def _cuts(step, gm, d):
             end = np.minimum(_cut_bound(d, gm) / step + 1.0, _GRID_POINTS)
         lo = np.where(usable, 0, _GRID_POINTS)
         hi = np.where(usable, end, _GRID_POINTS).astype(np.int64)
-    cut = _edges(lo, hi, hit)
-    if (cut == _GRID_POINTS).any():
-        raise ValueError("the envelope certifies no separation below scan_step*2^52, and past "
-                         "it the grid points stop being distinct doubles")
-    return cut
+    return _edges(lo, hi, hit)
 
 
 def _floors(step, cut, gms, ratio, d):
@@ -608,14 +623,19 @@ def find_lmax_many(
     # the walk runs down from below the grid's end, its first certified point,
     # to the first positive point
     cut = _cuts(scan_step, row_gm, row_d)
-    k = _separation_scan(scan_step, cut - 1, np.full(cut.shape, -1), positive).reshape(a.shape)
+    # a row certified nowhere walks nothing
+    uncertified = cut == _GRID_POINTS
+    none = np.full(cut.shape, -1)
+    k = _separation_scan(scan_step, np.where(uncertified, none, cut - 1), none,
+                         positive).reshape(a.shape)
     ok = k >= 0
     error = _blank(a.shape)
     error[~ok] = NoHarvestingRegion.__name__
-    # a failed row sits at lo = hi = scan_step (point 0), where the
-    # refinement leaves it alone; f(lo) > 0 >= f(hi) on every other row
-    k = np.where(ok, k, 0)
-    lo = scan_step + k * scan_step
+    error[uncertified.reshape(a.shape)] = ValueError.__name__
+    # a failed row sits at lo = hi = 1, where every closed form is finite
+    # whatever the scan step, and the refinement leaves it alone; f(lo) > 0
+    # >= f(hi) on every other row
+    lo = np.where(ok, scan_step + k * scan_step, 1.0)
     hi = np.where(ok, scan_step + (k + 1) * scan_step, lo)
 
     def f(l):
@@ -624,7 +644,7 @@ def find_lmax_many(
 
     lo, hi, iterations = _refine(f, lo, hi, positive_at_lo=True)
     loc = 0.5 * (lo + hi)
-    return _batch(loc, _ingredients(a, d, loc, coupling, brackets=brackets)[3], lo, hi,
+    return _batch(loc, _ingredients(*_halves(a, d, loc, coupling, brackets=brackets))[3], lo, hi,
                   iterations, _blank(a.shape), error)
 
 
@@ -656,10 +676,60 @@ def find_lmax(
     Raises :exc:`NoHarvestingRegion` if no grid point harvests.
     """
     batch = find_lmax_many(omega_a_sigma, delta_omega_sigma, coupling, scan_step)
+    if batch.error[()] == ValueError.__name__:
+        raise ValueError(_UNCERTIFIED)
     if batch.error[()] == NoHarvestingRegion.__name__:
         raise NoHarvestingRegion("no positive concurrence on the scan grid nor past its end, "
                                  "where the envelope certifies none")
     return _single(batch)
+
+
+def _gap_scan_blocks(row_a, row_l, row_bound, keys):
+    """The gap scans' blocks: runs of the rows in (l, bound) order, each up
+    to its (keys + 1)-th distinct (l, bound) or (a, bound) key.  Yields per
+    block (rows, seps, sep_of, gaps, gap_of): its rows, the positions in
+    the block of each separation key's first row and each row's key among
+    them, and the same for the gap keys, both numbered in order of first
+    appearance.  One row is its own block, and is not sorted; no row makes
+    no block."""
+    n = row_a.size
+    if n <= 1:
+        if n:
+            zero = np.zeros(1, dtype=int)
+            yield zero, zero, zero, zero, zero
+        return
+    order = np.lexsort((row_bound, row_l))
+    a, l, bound = row_a[order], row_l[order], row_bound[order]
+    sep = np.cumsum(np.concatenate([[True], (l[1:] != l[:-1]) | (bound[1:] != bound[:-1])])) - 1
+    # each row's gap key, and the position of the key's previous row (-1
+    # for its first); the sort is stable, so a key's rows keep their order
+    by = np.lexsort((bound, a))
+    same = (a[by[1:]] == a[by[:-1]]) & (bound[by[1:]] == bound[by[:-1]])
+    gap = np.empty(n, dtype=int)
+    gap[by] = np.cumsum(np.concatenate([[True], ~same])) - 1
+    previous = np.full(n, -1)
+    previous[by[1:][same]] = by[:-1][same]
+    number = np.empty(gap[by[-1]] + 1, dtype=int)  # a gap key's number in its block
+    start = 0
+    while start < n:
+        # the block ends before its (keys + 1)-th separation key, the keys
+        # being runs in this order, and before its (keys + 1)-th gap key: a
+        # row whose key's previous row lies before the block
+        stop = np.searchsorted(sep, sep[start] + keys)
+        stop = start + np.searchsorted(np.cumsum(previous[start:stop] < start), keys, "right")
+        block = slice(start, stop)
+        sep_of = sep[block] - sep[start]
+        new = previous[block] < start
+        number[gap[block][new]] = np.arange(np.count_nonzero(new))
+        yield (order[block], np.flatnonzero(np.diff(sep_of, prepend=-1)), sep_of,
+               np.flatnonzero(new), number[gap[block]])
+        start = stop
+
+
+def _take(half, at):
+    """The rows ``at`` (an index array or a slice) of each field of a half
+    of the excess."""
+    return tuple(None if f is None else f[at] for f in half)
 
 
 def find_optimal_gap_many(
@@ -671,13 +741,15 @@ def find_optimal_gap_many(
     """:func:`find_optimal_gap` for broadcast arrays of smaller gaps and
     separations (and gap bounds).  ``coupling`` is shared by all rows.
 
-    Each row is scanned on its own grid of 256 samples, 32 rows per
-    closed-form call (8 k points); rows of a call with the same separation
-    and gap bound share the grid, and the Faddeeva evaluation of X's
-    bracket on it, which do not depend on the smaller gap.  Then the
-    interior rows alone are refined by golden section in lockstep, until
-    the last finishes (:func:`_golden`).  No row fails: every ``error`` is
-    empty.
+    Each row is scanned on its own grid of 256 samples over [0, bound].
+    The rows are visited in (separation, bound) order, in blocks of at most
+    32 (separation, bound) keys and 32 (smaller gap, bound) keys
+    (:func:`_gap_scan_blocks`): a block evaluates the excess's separation
+    half, with X's Faddeeva evaluation, once per (separation, bound) and its
+    gap half, with P_B's erfcx, once per (smaller gap, bound), and
+    assembles the rows 32 per call (8 k points).  Then the interior rows
+    alone are refined by golden section in lockstep, until the last
+    finishes (:func:`_golden`).  No row fails: every ``error`` is empty.
     """
     a, l = np.broadcast_arrays(
         np.asarray(omega_a_sigma, dtype=float), np.asarray(l_over_sigma, dtype=float)
@@ -690,32 +762,37 @@ def find_optimal_gap_many(
         raise ValueError("gap_bound must be finite")
     if np.any(bound <= 0):
         raise ValueError("gap_bound must be > 0")
-    # every row's scan is _GAP_SCAN_POINTS samples; a call takes as many
-    # rows as fit in _SCAN_CHUNK points, over a (rows, samples) grid.  The
-    # grid, and X's bracket on it, depend on the row's separation and gap
-    # bound alone, so the rows are visited in (l, bound) order and each run
-    # of equal keys in a call shares one bracket evaluation
+    # every row's scan is _GAP_SCAN_POINTS samples over [0, bound], a grid
+    # that depends on the bound alone: the excess's separation half on it
+    # depends on (l, bound), its gap half on (a, bound).  Each block of
+    # rows evaluates either half once per key, and assembles the rows'
+    # values in calls of _SCAN_CHUNK points
     n, last = a.size, _GAP_SCAN_POINTS - 1
     best, first = np.empty(n, dtype=int), np.empty(n)
     lo, hi = np.empty(n), np.empty(n)
     row_a, row_l, row_bound = (x.ravel() for x in (a, l, bound))
-    order = np.lexsort((row_bound, row_l))
     per_call = max(1, _SCAN_CHUNK // _GAP_SCAN_POINTS)
-    for start in range(0, n, per_call):
-        rows = order[start:start + per_call]
-        ls, bounds = row_l[rows], row_bound[rows]
-        starts = np.concatenate([[True], (ls[1:] != ls[:-1]) | (bounds[1:] != bounds[:-1])])
-        run, heads = np.cumsum(starts) - 1, np.flatnonzero(starts)
-        grid = np.linspace(0.0, bounds[heads], _GAP_SCAN_POINTS, axis=-1)
-        b_re, b_im = _x_bracket(grid, ls[heads, None])[:2]
-        grid = grid[run]
-        values = _clamp(_ingredients(row_a[rows, None], grid, ls[:, None], coupling,
-                                     x_bracket=(b_re[run], b_im[run]))[3])
-        k = np.argmax(values, axis=-1)
-        r = np.arange(k.size)
-        best[rows], first[rows] = k, values[:, 0]
-        lo[rows] = grid[r, np.maximum(k - 1, 0)]
-        hi[rows] = grid[r, np.minimum(k + 1, last)]
+    for rows, seps, sep_of, gaps, gap_of in _gap_scan_blocks(row_a, row_l, row_bound, per_call):
+        grid = np.linspace(0.0, row_bound[rows[seps]], _GAP_SCAN_POINTS, axis=-1)
+        # a gap key's grid is that of its first row's separation key
+        gap = _gap_half(row_a[rows[gaps], None], grid[sep_of[gaps]], coupling)
+        b_re, b_im, scale, _, x_over_scale = _separation_half(
+            grid, row_l[rows[seps], None], coupling, scaled=gap[4] is not None)
+        # the half holds |X|/E wherever the gap half needs it, so the rows
+        # gather no d to form it from
+        separation = b_re, b_im, scale, None, x_over_scale
+        for start in range(0, rows.size, per_call):
+            part = slice(start, start + per_call)
+            # a block whose rows are each their own key holds its halves in
+            # row order
+            values = _clamp(_ingredients(
+                _take(gap, part if gaps.size == rows.size else gap_of[part]),
+                _take(separation, part if seps.size == rows.size else sep_of[part]))[3])
+            k = np.argmax(values, axis=-1)
+            at, key = rows[part], sep_of[part]
+            best[at], first[at] = k, values[:, 0]
+            lo[at] = grid[key, np.maximum(k - 1, 0)]
+            hi[at] = grid[key, np.minimum(k + 1, last)]
     best = best.reshape(a.shape)
     # a boundary maximum sits at lo = hi = 0, where the golden section
     # leaves it alone
@@ -736,9 +813,9 @@ def find_optimal_gap_many(
         pick = interior if a.ndim else ()
         a_in, l_in, p_a_in = a[pick], l[pick], p_a[pick]
         lo[pick], hi[pick], iterations[pick] = _golden(
-            lambda d: _clamp(_ingredients(a_in, d, l_in, coupling, p_a_in)[3]),
+            lambda d: _clamp(_ingredients(*_halves(a_in, d, l_in, coupling, p_a_in))[3]),
             lo[pick], hi[pick])
-        peak = _clamp(_ingredients(a, 0.5 * (lo + hi), l, coupling, p_a)[3])
+        peak = _clamp(_ingredients(*_halves(a, 0.5 * (lo + hi), l, coupling, p_a))[3])
         value = np.where(interior, peak, value)
     return _batch(0.5 * (lo + hi), value, lo, hi, iterations, note, _blank(a.shape))
 
@@ -799,14 +876,19 @@ def find_crossover_many(
     # certified ahead to the grid's end, from which on the envelope
     # certifies the non-identical concurrence 0: no sign change is left
     cut = _cuts(scan_step, row_gms[0], row_d)
-    floor = _floors(scan_step, cut, row_gms, row_ratio, row_d)
+    # a row certified nowhere walks nothing
+    uncertified = cut == _GRID_POINTS
+    cut[uncertified] = 0
+    floor = np.where(uncertified, 0, _floors(scan_step, cut, row_gms, row_ratio, row_d))
     k = _separation_scan(scan_step, floor, cut, positive).reshape(a.shape)
     error = _blank(a.shape)
     error[k < 0] = NoCrossover.__name__
-    # a failed row, and one ahead from the grid's first point (k = 0), sits
-    # at lo = hi, where the refinement leaves it alone; g(lo) <= 0 < g(hi)
-    # on every other row
-    hi = scan_step + np.maximum(k, 0) * scan_step
+    error[uncertified.reshape(a.shape)] = ValueError.__name__
+    # a failed row sits at lo = hi = 1, where every closed form is finite
+    # whatever the scan step, and one ahead from the grid's first point (k =
+    # 0) at lo = hi = that point: the refinement leaves both alone; g(lo) <=
+    # 0 < g(hi) on every other row
+    hi = np.where(k >= 0, scan_step + k * scan_step, 1.0)
     lo = np.where(k > 0, scan_step + (k - 1) * scan_step, hi)
 
     gm_u, gm_e = scaled_gms
@@ -825,9 +907,9 @@ def find_crossover_many(
     # one Faddeeva evaluation for both pairs at the location and for the
     # identical pair at the bracket's upper end, where the note is decided
     b_re, b_im = _x_bracket(np.concatenate([ds, ds[1:]]), np.array([loc, loc, hi]))[:2]
-    unequal, equal = _clamp(_ingredients(a, ds, loc, coupling, brackets=brackets,
-                                         x_bracket=(b_re[:2], b_im[:2]))[3])
-    identical_at_hi = _over_scale(b_re[2], b_im[2], ds[1], hi, 1.0)[0] - scaled_gms[1]
+    unequal, equal = _clamp(_ingredients(*_halves(a, ds, loc, coupling, brackets=brackets,
+                                                  x_bracket=(b_re[:2], b_im[:2])))[3])
+    identical_at_hi = _over_scale(b_re[2], b_im[2], ds[1], _x_scale(hi, 1.0))[0] - scaled_gms[1]
     note = np.where(identical_at_hi > 0.0, "",
                     "identical-pair concurrence already zero here").astype(object)
     # the grid's first point leads: the crossover lies in (0, that point]
@@ -871,6 +953,8 @@ def find_crossover(
     arrays of them.
     """
     batch = find_crossover_many(omega_a_sigma, delta_omega_sigma, coupling, scan_step)
+    if batch.error[()] == ValueError.__name__:
+        raise ValueError(_UNCERTIFIED)
     if batch.error[()] == NoCrossover.__name__:
         raise NoCrossover("non-identical concurrence never exceeds identical on the scan grid, "
                           "past whose end the envelope certifies it zero")
@@ -928,6 +1012,7 @@ def sweep(
     ok = errors == ""
     p_a, p_b, conc = (np.full(axis_values.shape, np.nan) for _ in range(3))
     x = np.full(axis_values.shape, complex(np.nan, np.nan))
-    p_a[ok], p_b[ok], x[ok], excess = _ingredients(a[ok], d[ok], l[ok], fixed_params.coupling)
+    p_a[ok], p_b[ok], x[ok], excess = _ingredients(*_halves(a[ok], d[ok], l[ok],
+                                                            fixed_params.coupling))
     conc[ok] = _clamp(excess)
     return SweepGrid(axis_name, axis_values, fixed_params, conc, x, p_a, p_b, errors)

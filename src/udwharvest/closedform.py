@@ -42,6 +42,7 @@ expressions and for seeding searches.
 from __future__ import annotations
 
 import enum
+import functools
 import sys
 import warnings
 from dataclasses import dataclass
@@ -291,7 +292,7 @@ _SCALED_BELOW = 2.0**-511
 # A 0-d value flows through the private helpers as a numpy scalar, which
 # np.asarray(x, dtype=float)[()] gives (an array it leaves as it is): numpy
 # computes on a scalar without its array machinery, in a fraction of the
-# time, and with the bits of a 0-d array (see _x_terms).  Python floats
+# time, and with the bits of a 0-d array (see _x).  Python floats
 # would leave numpy's exp and complex loops, and raise where numpy warns.
 def _where(condition, x, y):
     """np.where(condition, x, y), and for a scalar condition the chosen
@@ -444,7 +445,9 @@ def correlation_x_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, couplin
     overflow.  Since (-l+id)/2 = -conj((l+id)/2) and w(-conj z) = conj w(z),
     the Faddeeva difference is -2i Im w((l+id)/2): one evaluation per point.
     """
-    return _scalar(_x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)[0])
+    separation = _separation_half(delta_omega_sigma, l_over_sigma, coupling)
+    a = np.asarray(omega_a_sigma, dtype=float)[()]
+    return _scalar(_x(_x_gauss(a, separation[3]), separation))
 
 
 def _x_bracket(d, l):
@@ -460,14 +463,16 @@ def _x_bracket(d, l):
     return gauss_l * phase.real, gauss_d * (-2.0 * w.imag) + swing, w, gauss_d, swing
 
 
-def _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, x_bracket=None):
-    """X, and the real and imaginary parts of its bracket;
-    ``x_bracket`` is (Re B, Im B) from :func:`_x_bracket` where the caller
-    has it (the bracket depends on d and l alone)."""
-    a = np.asarray(omega_a_sigma, dtype=float)[()]
-    d = np.asarray(delta_omega_sigma, dtype=float)[()]
-    l = np.asarray(l_over_sigma, dtype=float)[()]
-    _check_separation(l)
+def _x_gauss(a, d):
+    """X's Gaussian prefactor exp(-(2a + d)^2/4) at gaps a and a + d."""
+    s = 2.0 * a + d
+    return _exp(-(s * s) / 4.0)
+
+
+def _x(gauss, separation):
+    """X = -i pref B, pref = coupling^2 exp(-(2a + d)^2/4)/(8 sqrt(pi) l),
+    from its Gaussian prefactor (:func:`_x_gauss`) and the separation half
+    (:func:`_separation_half`): the one assembly of X."""
     # X is assembled from real parts around a real prefactor.  Real
     # arithmetic, and ufuncs called by name (np.exp, np.abs, np.hypot), give
     # the same bits on a numpy scalar, a 0-d array and an array element.
@@ -476,23 +481,30 @@ def _x_terms(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, x_bracket
     # multiply-adds; complex division rounds differently on Python scalars
     # only.  _x_bracket's two complex expressions multiply by a real or an
     # imaginary factor, whose cross products are exact zeros.
-    s = 2.0 * a + d
-    pref = coupling**2 / (8.0 * _SQRT_PI * l) * _exp(-(s * s) / 4.0)
-    b_re, b_im = _x_bracket(d, l)[:2] if x_bracket is None else x_bracket
+    b_re, b_im, scale = separation[:3]
+    pref = scale * gauss
     x_re = pref * b_im  # X = -i * pref * bracket
     x = np.empty(x_re.shape, dtype=complex)
     x.real, x.imag = x_re, -(pref * b_re)
-    return x[()], b_re, b_im
+    return x[()]
 
 
-def _over_scale(b_re, b_im, d, l, coupling):
+def _x_scale(l, coupling):
+    """coupling^2/(8 sqrt(pi) l): the part of X's prefactor that depends on
+    the separation alone (:func:`correlation_x_values`)."""
+    return coupling**2 / (8.0 * _SQRT_PI * l)
+
+
+def _over_scale(b_re, b_im, d, scale):
     """(|X|/E, X's prefactor over E) for E = exp(-(a^2 + b^2)/2), from the
-    terms of X's bracket (:func:`_x_bracket`).  Since (2a+d)^2/4 + d^2/4 =
-    (a^2 + b^2)/2, the prefactor over E is coupling^2 exp(d^2/4)/(8 sqrt(pi)
-    l), of order one where X underflows, and neither depends on a.  Inside
-    the domain that :class:`DetectorPairConfig` admits both are finite at
-    any separation above 1e-170; beyond it they may overflow."""
-    pref = coupling**2 / (8.0 * _SQRT_PI * l) * np.exp(d * d / 4.0)
+    terms of X's bracket (:func:`_x_bracket`) and ``scale``, coupling^2/(8
+    sqrt(pi) l) (:func:`_x_scale`).  Since (2a+d)^2/4 + d^2/4 = (a^2 +
+    b^2)/2, the prefactor over E is coupling^2 exp(d^2/4)/(8 sqrt(pi) l),
+    of order one where X underflows, and neither depends on a.  Inside the
+    domain that :class:`DetectorPairConfig` admits both are finite at any
+    separation above 1e-170 and unit coupling; at larger couplings and
+    small separations they may overflow."""
+    pref = scale * np.exp(d * d / 4.0)
     # the bracket's terms are at most 4, and one is above 1e-134 for d <= 35,
     # so the squares neither overflow nor lose it
     return pref * np.sqrt(b_re * b_re + b_im * b_im), pref
@@ -505,7 +517,7 @@ def _x_abs(d, l):
     d = np.asarray(d, dtype=float)[()]
     l = np.asarray(l, dtype=float)[()]
     b_re, b_im = _x_bracket(d, l)[:2]
-    return _over_scale(b_re, b_im, d, l, 1.0)[0]
+    return _over_scale(b_re, b_im, d, _x_scale(l, 1.0))[0]
 
 
 def _x_abs_slope(d, l):
@@ -532,7 +544,7 @@ def _x_abs_slope(d, l):
     dw_imag = 1.0 / _SQRT_PI - 0.5 * (l * w.imag + d * w.real)
     db_im = gauss_d * (-2.0 * dw_imag) + d_swing
     b_abs = np.hypot(b_re, b_im)
-    x_abs, pref = _over_scale(b_re, b_im, d, l, 1.0)
+    x_abs, pref = _over_scale(b_re, b_im, d, _x_scale(l, 1.0))
     return x_abs, pref * ((b_re * db_re + b_im * db_im) / b_abs - b_abs / l)
 
 
@@ -612,22 +624,14 @@ def correlation_x(cfg: DetectorPairConfig) -> complex:
     )
 
 
-def _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, p_a=None,
-                 brackets=(None, None), x_bracket=None):
-    """(P_A, P_B, X, |X| - sqrt(P_A P_B)) for raw parameter arrays, from one
-    Faddeeva evaluation per point: every excess the package reports is
-    assembled here.  ``p_a`` is P_A as an array where the caller has it,
-    ``brackets`` the brackets of the gaps a and b = a + d
-    (:func:`_probability_bracket`) that it has, None for the others, and
-    ``x_bracket`` (Re B, Im B) as :func:`_x_terms` takes it.  Where P_A P_B
-    is not a normal double (sqrt(P_A P_B) below ``_SCALED_BELOW``) the
-    excess is E S, for the scaled excess S = |X|/E - sqrt(P~_A P~_B)
-    (:func:`_scaled_gm`), formed as sign(S) exp(log|S| - (a^2 + b^2)/2): E
-    alone underflows where |X| may still be normal, while this has the sign
-    of S and underflows only where E S does (to +0: adding 0 turns -0 into
-    +0, which the clamp of the concurrence would keep).  Where S is not
-    finite, which takes a gap difference or a separation outside the
-    admitted domain, the excess stays |X| - sqrt(P_A P_B)."""
+def _gap_half(omega_a_sigma, delta_omega_sigma, coupling, p_a=None, brackets=(None, None)):
+    """The terms of the excess that depend on the gaps a and b = a + d
+    alone, for arrays a and d: (P_A, P_B, sqrt(P_A P_B), X's Gaussian
+    prefactor exp(-(2a + d)^2/4), sqrt(P~_A P~_B), (a^2 + b^2)/2).  The last
+    two serve the scaled excess (:func:`_ingredients`) and are None where
+    P_A P_B is a normal double at every point.  ``p_a`` is P_A where the
+    caller has it, ``brackets`` the brackets of a and b
+    (:func:`_probability_bracket`) that it has, None for the others."""
     a = np.asarray(omega_a_sigma, dtype=float)[()]
     d = np.asarray(delta_omega_sigma, dtype=float)[()]
     b = a + d
@@ -640,16 +644,75 @@ def _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, p_a=N
         bracket_b = _probability_bracket(b)
     p_b = _probability(b, bracket_b, coupling)
     gm = np.sqrt(p_a * p_b)
-    x, b_re, b_im = _x_terms(a, d, l_over_sigma, coupling, x_bracket)
+    gauss = _x_gauss(a, d)
+    scaled_gm = half_square = None
+    if _any(gm < _SCALED_BELOW):
+        # inside the domain neither overflows: sqrt(P~_A P~_B) is at most
+        # the largest sqrt(P_A P_B), at zero gaps, and a^2 + b^2 at most
+        # (2a + d)^2, which X's prefactor has squared
+        scaled_gm = _scaled_gm(a, d, coupling, (bracket_a, bracket_b))
+        half_square = (a * a + b * b) / 2.0
+    return p_a, p_b, gm, gauss, scaled_gm, half_square
+
+
+def _separation_half(delta_omega_sigma, l_over_sigma, coupling, scaled=False, x_bracket=None):
+    """The terms of the excess that depend on the gap difference d and the
+    separation l alone, for arrays d and l: (Re B, Im B, coupling^2/(8
+    sqrt(pi) l), d, |X|/E) for X's bracket B and E = exp(-(a^2 + b^2)/2)
+    (:func:`_over_scale`).  |X|/E is evaluated here where ``scaled``, for a
+    caller whose half serves many gaps, and is None elsewhere: the assembly
+    (:func:`_ingredients`) then forms it from d where it needs it.
+    ``x_bracket`` is (Re B, Im B) from :func:`_x_bracket` where the caller
+    has it."""
+    d = np.asarray(delta_omega_sigma, dtype=float)[()]
+    l = np.asarray(l_over_sigma, dtype=float)[()]
+    _check_separation(l)
+    b_re, b_im = _x_bracket(d, l)[:2] if x_bracket is None else x_bracket
+    scale = _x_scale(l, coupling)
+    x_over_scale = None
+    if scaled:
+        # it may overflow at large couplings and small separations (and is
+        # then not used)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_over_scale = _over_scale(b_re, b_im, d, scale)[0]
+    return b_re, b_im, scale, d, x_over_scale
+
+
+def _halves(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling, p_a=None,
+            brackets=(None, None), x_bracket=None):
+    """The gap half (:func:`_gap_half`, which takes ``p_a`` and
+    ``brackets``) and the separation half (:func:`_separation_half`, which
+    takes ``x_bracket``) of the excess at raw parameter arrays."""
+    return (_gap_half(omega_a_sigma, delta_omega_sigma, coupling, p_a, brackets),
+            _separation_half(delta_omega_sigma, l_over_sigma, coupling, x_bracket=x_bracket))
+
+
+def _ingredients(gap, separation):
+    """(P_A, P_B, X, |X| - sqrt(P_A P_B)) from the gap half
+    (:func:`_gap_half`) and the separation half (:func:`_separation_half`)
+    of the same points, broadcast against each other: every excess the
+    package reports is assembled here, from one Faddeeva evaluation per
+    point of the separation half.  Where P_A P_B is not a normal double
+    (sqrt(P_A P_B) below ``_SCALED_BELOW``) the excess is E S, for the
+    scaled excess S = |X|/E - sqrt(P~_A P~_B) (:func:`_scaled_gm`), formed
+    as sign(S) exp(log|S| - (a^2 + b^2)/2): E alone underflows where |X| may
+    still be normal, while this has the sign of S and underflows only where
+    E S does (to +0: adding 0 turns -0 into +0, which the clamp of the
+    concurrence would keep).  Where S is not finite, which takes a gap
+    difference or a separation outside the admitted domain, the excess
+    stays |X| - sqrt(P_A P_B)."""
+    p_a, p_b, gm, gauss, scaled_gm, half_square = gap
+    b_re, b_im, scale, d, x_over_scale = separation
+    x = _x(gauss, separation)
     excess = np.abs(x) - gm
-    scaled = gm < _SCALED_BELOW
-    if _any(scaled):
-        l = np.asarray(l_over_sigma, dtype=float)[()]
+    if scaled_gm is not None:
+        scaled = gm < _SCALED_BELOW
         # outside the domain, S may overflow (and is then not used)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            s = (_over_scale(b_re, b_im, d, l, coupling)[0]
-                 - _scaled_gm(a, d, coupling, (bracket_a, bracket_b)))
-            magnitude = _exp(np.log(np.abs(s)) - (a * a + b * b) / 2.0)
+            if x_over_scale is None:
+                x_over_scale = _over_scale(b_re, b_im, d, scale)[0]
+            s = x_over_scale - scaled_gm
+            magnitude = _exp(np.log(np.abs(s)) - half_square)
             excess = _where(scaled & np.isfinite(s), np.copysign(magnitude, s) + 0.0, excess)
     return _scalar(p_a), _scalar(p_b), _scalar(x), excess
 
@@ -668,7 +731,7 @@ def correlation_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
     :func:`_ingredients`): it keeps the sign of S, and rounds to zero only
     where the true excess is below the double range.
     """
-    return _ingredients(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)[3]
+    return _ingredients(*_halves(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling))[3]
 
 
 def concurrence_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
@@ -679,12 +742,32 @@ def concurrence_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
 
 def concurrence(cfg: DetectorPairConfig) -> HarvestReport:
     """Full closed-form report for a scenario."""
-    p_a, p_b, x, excess = _ingredients(
-        cfg.omega_a_sigma, cfg.delta_omega_sigma, cfg.l_over_sigma, cfg.coupling
-    )
+    p_a, p_b, x, excess = _ingredients(*_halves(
+        cfg.omega_a_sigma, cfg.delta_omega_sigma, cfg.l_over_sigma, cfg.coupling))
     return HarvestReport(p_a, p_b, x, float(_clamp(excess)))
 
 
+def _finite(form):
+    """A regime form or estimate ``form(cfg, *regime)``, computed with its
+    floating-point errors ignored, where its value is finite; where it is
+    not, ValueError names the value.  Such a form may leave the double
+    range inside the admitted domain, e.g. its 1/l^2 terms times
+    coupling^2 at the separation floor and the largest coupling."""
+
+    @functools.wraps(form)
+    def finite(cfg, *regime, **by_name):
+        with np.errstate(all="ignore"):
+            value = form(cfg, *regime, **by_name)
+        if not np.isfinite(value):
+            where = "".join(f" in the {r.value} regime" for r in (*regime, *by_name.values()))
+            raise ValueError(f"{form.__name__}{where} is {np.asarray(value).item()!r} at {cfg}: "
+                             "not a finite double")
+        return value
+
+    return finite
+
+
+@_finite
 def asymptotic_gm_probability(cfg: DetectorPairConfig, regime: GapRegime) -> float:
     """Approximate sqrt(P_A P_B) in the small- or large-gap regime.
 
@@ -705,22 +788,19 @@ def asymptotic_gm_probability(cfg: DetectorPairConfig, regime: GapRegime) -> flo
 
 
 def _large_gap(form, a, b):
-    """``form(a, b)``, a large-gap form, on numpy doubles with their
-    floating-point errors ignored, where it has a value.  Both large-gap
+    """``form(a, b)``, a large-gap form, on numpy doubles.  Both large-gap
     forms divide by a b, and the gm form also by a^2: where 2 a b is zero
-    (a = 0 among them), or where a quotient leaves the double range so that
-    the form is not finite, ValueError says so.  The concurrence form's
-    clamp keeps its 0 where 1/(2 a b) overflows to inf."""
+    (a = 0 among them), ValueError says so.  The concurrence form's clamp
+    keeps its 0 where 1/(2 a b) overflows to inf."""
     a, b = np.float64(a), np.float64(b)
-    with np.errstate(all="ignore"):
-        value = form(a, b)
-    if not (2.0 * a * b and np.isfinite(value)):
+    if not 2.0 * a * b:
         raise ValueError(f"the large-gap forms divide by omega_a_sigma*omega_b_sigma, and the gm "
                          f"form also by omega_a_sigma^2: at omega_a_sigma={float(a)!r}, "
-                         f"omega_b_sigma={float(b)!r} they have no finite value")
-    return value
+                         f"omega_b_sigma={float(b)!r} 2 omega_a_sigma omega_b_sigma is zero")
+    return form(a, b)
 
 
+@_finite
 def asymptotic_x(cfg: DetectorPairConfig, regime: SeparationRegime) -> complex:
     """Approximate X at small or large separation."""
     a, d, l = cfg.omega_a_sigma, cfg.delta_omega_sigma, cfg.l_over_sigma
@@ -746,6 +826,7 @@ def asymptotic_x(cfg: DetectorPairConfig, regime: SeparationRegime) -> complex:
     raise TypeError(f"unknown separation regime {regime!r}")
 
 
+@_finite
 def asymptotic_concurrence(cfg: DetectorPairConfig, regime: ConcurrenceRegime) -> float:
     """Approximate concurrence at small separation, and at large separation
     with large gaps, where it carries the same max(0, .) clamp as the exact
@@ -771,6 +852,7 @@ def lmax_large_gap_estimate(omega_a_sigma, delta_omega_sigma) -> float:
     return _scalar(2.0 * np.sqrt(a * (a + d)))
 
 
+@_finite
 def concurrence_gap_derivative_estimate(cfg: DetectorPairConfig) -> float:
     """Rough derivative of the concurrence with respect to the gap
     difference (in units of 1/sigma), valid where harvesting occurs:

@@ -174,7 +174,7 @@ class TestFindCrossover:
         res = find_crossover(0.5, 0.25)
         assert res.iterations <= 8
         assert [name for name, _, _ in calls] == (
-            ["_x_abs"] + ["_x_abs_slope"] * 2 * res.iterations + ["_ingredients"])
+            ["_x_abs"] + ["_x_abs_slope"] * 2 * res.iterations + ["_halves"])
         pairs = [d for name, d, _ in calls if name == "_x_abs_slope"]
         assert pairs == [0.25, 0.0] * res.iterations
 
@@ -188,7 +188,7 @@ class TestFindCrossover:
         assert all(np.shape(d)[0] == 2 for name, d, _ in calls if name == "_x_abs")
         whole = [(name, np.shape(d)) for name, d, l in calls if np.shape(l) == (3,)]
         assert whole == ([("_x_abs_slope", (3,)), ("_x_abs_slope", ())] * batch.iterations.max()
-                         + [("_ingredients", (2, 3))])
+                         + [("_halves", (2, 3))])
 
     @pytest.mark.parametrize("coupling", [0.1, 0.3])
     def test_pair_concurrences_are_the_two_separate_calls(self, coupling):
@@ -200,8 +200,8 @@ class TestFindCrossover:
         ds = np.stack([d, np.zeros(3)])
         b_re, b_im = closedform._x_bracket(np.concatenate([ds, ds[1:]]),
                                            np.stack([l, l, 2.0 * l]))[:2]
-        unequal, equal = analysis._clamp(analysis._ingredients(
-            a, ds, l, coupling, x_bracket=(b_re[:2], b_im[:2]))[3])
+        unequal, equal = analysis._clamp(analysis._ingredients(*analysis._halves(
+            a, ds, l, coupling, x_bracket=(b_re[:2], b_im[:2])))[3])
         assert (unequal > 0).all() and (equal > 0).all()
         assert np.array_equal(unequal, concurrence_values(a, d, l, coupling))
         assert np.array_equal(equal, concurrence_values(a, 0.0, l, coupling))
@@ -255,13 +255,13 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _closed_form_calls(monkeypatch):
-    """Record every closed-form call of the searches, in order, as (name,
-    d, l): the separation scans call _x_abs, each refinement step
-    _x_abs_slope (both take d, l first), and the gap scans, the golden
-    steps and the final evaluation _ingredients (which takes a, d, l, and
-    its caches by keyword)."""
+    """Record every closed-form call of the searches but the gap scans', in
+    order, as (name, d, l): the separation scans call _x_abs, each
+    refinement step _x_abs_slope (both take d, l first), and the golden
+    steps and the final evaluation _halves (which takes a, d, l, and the
+    terms its caller has by keyword) for the assembly in _ingredients."""
     calls = []
-    for name, skip in (("_x_abs", 0), ("_x_abs_slope", 0), ("_ingredients", 1)):
+    for name, skip in (("_x_abs", 0), ("_x_abs_slope", 0), ("_halves", 1)):
         def spy(*args, name=name, skip=skip, original=getattr(analysis, name), **kwargs):
             calls.append((name, *args[skip:skip + 2]))
             return original(*args, **kwargs)
@@ -1184,11 +1184,26 @@ class TestBatchedSearches:
         with pytest.raises(ValueError, match="certifies no separation"):
             find_lmax(1e14, 0.0)
         with pytest.raises(ValueError, match="certifies no separation"):
-            find_crossover_many([0.5, 1e100], 0.25, scan_step=1e90)
+            find_crossover(1e100, 0.25, scan_step=1e90)
         with pytest.raises(ValueError, match="scan_step"):
             find_lmax(0.5, 0.25, scan_step=0.0)
         with pytest.raises(ValueError, match="scan_step"):
             find_crossover(0.5, 0.25, scan_step=1e300)
+
+    # a row whose grid is certified nowhere carries ValueError: it aborted the
+    # whole batch.  At a = 1e100, P~_A P~_B is not a normal double at unit
+    # coupling; at d = 0.25 the cut of a above 2.2518e13 lies past the 0.01
+    # grid's last point, near lmax = 2a
+    @pytest.mark.parametrize("many, search", [(find_lmax_many, find_lmax),
+                                              (find_crossover_many, find_crossover)])
+    @pytest.mark.parametrize("gap", [1e100, 2.2519e13])
+    def test_a_row_certified_nowhere_carries_value_error(self, many, search, gap):
+        batch = many([0.5, gap], [0.25, 0.25])
+        assert _row(batch, 0) == _outcome(search, 0.5, 0.25)
+        assert _row(batch, 1) == "ValueError"
+        with pytest.raises(ValueError, match="certifies no separation below scan_step"):
+            search(gap, 0.25)
+        assert many([0.5, 1e100], 0.25, scan_step=1e90).error[1] == "ValueError"
 
     # at separations below about 1e-176 the envelope overflows to +inf, and
     # l^2 + d^2 underflows to 0 at d = 0: bounds that certify nothing.  Both
@@ -1250,32 +1265,48 @@ class TestBatchedSearches:
         assert {r[-1] for r in rows} == {"", "boundary maximum at zero gap difference",
                                         "maximum at the scan bound; enlarge gap_bound to be sure"}
 
+    # the second and third sets reach the scaled form, where P_A P_B is not
+    # a normal double: the gap half's scaled terms per (a, bound) key and
+    # |X|/E in the separation half per (l, bound) key
+    @pytest.mark.parametrize("gap_hi, l_hi, explicit, coupling", [
+        (3.0, 6.0, (1.0, 4.0), 0.1), (40.0, 120.0, (12.0, 35.0), 0.1),
+        (40.0, 120.0, (12.0, 35.0), 1.0)])
     @pytest.mark.parametrize("explicit_bound", [False, True])
     def test_shuffled_gap_rows_sharing_separation_and_bound_match_scalar_bitwise(
-            self, explicit_bound):
+            self, explicit_bound, gap_hi, l_hi, explicit, coupling):
         # a shuffled (gaps x separations) batch: the 6 rows of each (l,
-        # bound) key share one bracket evaluation of their scan, in runs
-        # that straddle chunks of 32 rows; every field keeps its bits
+        # bound) key share one evaluation of the separation half, and the
+        # rows of each (a, bound) key one of the gap half, in blocks whose
+        # keys straddle the assembly's calls of 32 rows; every field keeps
+        # its bits
         rng = np.random.default_rng(12)
-        gaps, ls = rng.uniform(0.0, 3.0, 6)[:, None], rng.uniform(0.3, 6.0, 30)
-        bounds = rng.choice([1.0, 4.0], 30) if explicit_bound else np.maximum(4.0, ls)
+        gaps, ls = rng.uniform(0.0, gap_hi, 6)[:, None], rng.uniform(0.3, l_hi, 30)
+        bounds = rng.choice(explicit, 30) if explicit_bound else np.maximum(4.0, ls)
         order = rng.permutation(180)
         a, l, bound = (np.broadcast_to(x, (6, 30)).ravel()[order] for x in (gaps, ls, bounds))
-        batch = find_optimal_gap_many(a, l, 0.1, gap_bound=bound if explicit_bound else None)
+        batch = find_optimal_gap_many(a, l, coupling,
+                                      gap_bound=bound if explicit_bound else None)
         rows = [_row(batch, i) for i in range(a.size)]
-        assert rows == [_outcome(find_optimal_gap, x, y, 0.1, gap_bound=b)
+        assert rows == [_outcome(find_optimal_gap, x, y, coupling, gap_bound=b)
                         for x, y, b in zip(a, l, bound)]
         assert len({r[-1] for r in rows}) > 1
+        scaled = transition_probability(gaps, coupling) < closedform._SCALED_BELOW
+        assert scaled.any() == (gap_hi == 40.0) and not scaled.all()
 
     def test_rows_do_not_depend_on_the_chunk_and_block_sizes(self, monkeypatch):
-        # tiny caps and blocks: a gap scan call takes 2 rows, and every
-        # walk runs many later blocks, capped at 700 points a call; every
-        # row keeps the bits of the search at the module's sizes
+        # tiny caps and blocks: a gap scan block takes 2 keys of each kind
+        # and an assembly call 2 rows, and every walk runs many later
+        # blocks, capped at 700 points a call; every row keeps the bits of
+        # the search at the module's sizes
         a, d = _lmax_rows()
         lmax = find_lmax_many(a, d, 0.1, scan_step=0.001)
         a2, d2 = _crossover_rows()
         crossover = find_crossover_many(a2, d2, 0.1)
         peak = find_optimal_gap_many(a, d + 0.3, 0.1)
+        # rows that share their keys, in scaled form too
+        gaps, ls = (x.ravel() for x in np.broadcast_arrays(
+            np.array([0.2, 0.5, 1.0, 20.0])[:, None], np.linspace(0.5, 30.0, 25)))
+        shared = find_optimal_gap_many(gaps, ls, 0.1, gap_bound=12.0)
         # at step 0.4 these differences are positive from the grid's first
         # point: the pairs are ahead from there
         coarse = find_crossover_many([0.0, 0.05, 0.1], [0.5, 0.5, 0.2], 0.1, scan_step=0.4)
@@ -1285,6 +1316,7 @@ class TestBatchedSearches:
                 (lmax, find_lmax_many(a, d, 0.1, scan_step=0.001)),
                 (crossover, find_crossover_many(a2, d2, 0.1)),
                 (peak, find_optimal_gap_many(a, d + 0.3, 0.1)),
+                (shared, find_optimal_gap_many(gaps, ls, 0.1, gap_bound=12.0)),
                 (coarse, find_crossover_many([0.0, 0.05, 0.1], [0.5, 0.5, 0.2], 0.1,
                                              scan_step=0.4))):
             assert [_row(got, i) for i in range(got.error.size)] == \
@@ -1457,24 +1489,70 @@ class TestChunkedScanCalls:
     call per round of blocks, each call capped at _SCAN_CHUNK points or one
     per row where more rows walk."""
 
-    def test_fig4_scans_in_one_call_per_chunk(self, monkeypatch):
-        # fig4's 1600 gap scans take ceil(1600 * 256 / chunk) calls over
-        # (rows, samples) grids, then the golden section takes two and one
-        # per step that leaves a row open, each over the interior rows: the
-        # boundary maxima are never evaluated, and the interior rows all
-        # finish on the same step, so each is evaluated once per step plus
-        # once more; one call takes the peaks
-        calls = _closed_form_calls(monkeypatch)
+    def test_fig4_scans_evaluate_each_half_once_per_key_in_a_block(self, monkeypatch):
+        # fig4's 1600 gap scans, 4 smaller gaps x 400 separations under 13
+        # gap bounds: in (l, bound) order, blocks of at most 32 (l, bound)
+        # keys and 32 (a, bound) keys evaluate the separation half once per
+        # (l, bound) and the gap half, with its erfcx, once per (a, bound) in
+        # the block; the rows are assembled in calls of at most _SCAN_CHUNK
+        # points.  Then the golden section takes two calls and one per step
+        # that leaves a row open, each over the interior rows: the boundary
+        # maxima are never evaluated, and the interior rows all finish on the
+        # same step, so each is evaluated once per step plus once more; one
+        # call takes the peaks
         gaps = np.array([0.2, 0.5, 1.0, 1.2])[:, None]
-        batch = find_optimal_gap_many(gaps, np.linspace(0.5, 4.1, 400), 1.0)
+        ls = np.linspace(0.5, 4.1, 400)
+        erfcx, scan_erfcx = [], []
+        original_erfcx = closedform.erfcx_real
+        monkeypatch.setattr(closedform, "erfcx_real",
+                            lambda x: erfcx.append(np.size(x)) or original_erfcx(x))
+        halves = {"_gap_half": [], "_separation_half": []}
+        for name, shapes in halves.items():
+            def spy(*args, name=name, shapes=shapes, original=getattr(analysis, name), **kwargs):
+                before = len(erfcx)
+                half = original(*args, **kwargs)
+                # the gap half's P_B, the separation half's Re B
+                shapes.append(np.shape(half[1] if name == "_gap_half" else half[0]))
+                scan_erfcx.append(sum(erfcx[before:]))
+                return half
+            monkeypatch.setattr(analysis, name, spy)
+        assembled = []
+        original = analysis._ingredients
+        monkeypatch.setattr(analysis, "_ingredients", lambda gap, separation: assembled.append(
+            np.broadcast_shapes(np.shape(gap[2]), np.shape(separation[0])))
+            or original(gap, separation))
+        calls = _closed_form_calls(monkeypatch)
+        batch = find_optimal_gap_many(gaps, ls, 1.0)
+        # the blocks, counted on the rows in (l, bound) order
+        rows = sorted((x, float(g), max(4.0, x)) for x in ls for g in gaps[:, 0])
+        blocks, seps, gap_keys, size = [], set(), set(), 0
+        for x, g, b in rows:
+            if (x, b) not in seps and len(seps) == 32 or (g, b) not in gap_keys and len(
+                    gap_keys) == 32:
+                blocks.append((len(seps), len(gap_keys), size))
+                seps, gap_keys, size = set(), set(), 0
+            seps.add((x, b))
+            gap_keys.add((g, b))
+            size += 1
+        blocks.append((len(seps), len(gap_keys), size))
+        points = analysis._GAP_SCAN_POINTS
+        assert halves["_gap_half"] == [(g, points) for _, g, _ in blocks]
+        assert halves["_separation_half"] == [(k, points) for k, _, _ in blocks]
+        per_call = analysis._SCAN_CHUNK // points
+        assert assembled[:-1 - batch.iterations.max() - 1] == [
+            (min(per_call, n - start), points) for _, _, n in blocks
+            for start in range(0, n, per_call)]
+        assert all(np.prod(s) <= analysis._SCAN_CHUNK for s in assembled)
+        # erfcx at each gap key's smaller gap and grid: 25 700 points, where
+        # a call per 32 rows evaluated 1600 * 257 = 411 200
+        assert len(blocks) == 14 and sum(g for _, g, _ in blocks) == 100
+        assert sum(scan_erfcx) == 100 * (points + 1) == 25_700
+        # the golden section and the peaks
         shapes = [np.shape(d) for _, d, _ in calls]
-        scans = [len(s) for s in shapes].index(1)
-        assert scans <= -(-1600 * analysis._GAP_SCAN_POINTS // analysis._SCAN_CHUNK)
-        assert all(len(s) == 2 and np.prod(s) <= analysis._SCAN_CHUNK for s in shapes[:scans])
         interior = batch.iterations > 0
         assert 0 < interior.sum() < 1600
-        assert len(shapes) == scans + 2 + batch.iterations.max()
-        golden = [s[0] for s in shapes[scans:-1]]
+        assert len(shapes) == 2 + batch.iterations.max()
+        golden = [s[0] for s in shapes[:-1]]
         assert golden[:2] == [interior.sum()] * 2 and shapes[-1] == (4, 400)
         assert golden == sorted(golden, reverse=True)
         assert sum(golden) == np.sum(batch.iterations[interior] + 1)
@@ -1650,12 +1728,13 @@ class TestChunkedScanCalls:
         # nor where gm is normal but its square P~_A P~_B subnormal (1e-320),
         # which the margin does not cover; at l = 1e150 the envelope is 1e-301
         assert analysis._cuts(1e150, np.array([1e-150]), d[:1]).tolist() == [0]
-        # where no row may certify, no envelope is evaluated
+        # where no row may certify, no envelope is evaluated, and each row
+        # gets the grid's size, from which the searches give it ValueError
         envelope = _envelope_shapes(monkeypatch)
         for step, unusable in ((100.0, [1e-310, 0.0, np.inf, np.nan]), (1e150, [1e-160])):
             for rows in [np.array(unusable)] + [np.array([g]) for g in unusable]:
-                with pytest.raises(ValueError, match="certifies no separation"):
-                    analysis._cuts(step, rows, d[:rows.size])
+                cut = analysis._cuts(step, rows, d[:rows.size])
+                assert cut.tolist() == [analysis._GRID_POINTS] * rows.size
         assert envelope == []
 
 
@@ -1724,6 +1803,16 @@ class TestOneProblemPath:
         calls = _closed_form_calls(monkeypatch)
         find_crossover(0.5, 0.25)
         assert [np.size(l) for name, _, l in calls if name == "_x_abs"] == [analysis._SCAN_BLOCK]
+
+    def test_a_one_row_gap_scan_sorts_no_keys(self, monkeypatch):
+        # one row is its own key; two rows are sorted into blocks
+        sorts = []
+        original = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(keys) or original(keys))
+        find_optimal_gap(0.5, 2.0)
+        assert sorts == []
+        find_optimal_gap_many([0.5, 1.0], 2.0)
+        assert len(sorts) == 2
 
     @pytest.mark.parametrize("search", [find_lmax, find_crossover])
     @pytest.mark.parametrize("a, d", [(0.5, 0.25), (20.0, 5.0)])
@@ -1851,8 +1940,8 @@ class TestSweep:
     def test_one_closed_form_call_per_sweep(self, monkeypatch):
         # one call of the closed forms' one Faddeeva evaluation
         calls = []
-        original = closedform._x_terms
-        monkeypatch.setattr(closedform, "_x_terms",
+        original = closedform._x_bracket
+        monkeypatch.setattr(closedform, "_x_bracket",
                             lambda *args: calls.append(args) or original(*args))
         sweep("l_over_sigma", np.linspace(0.3, 5.0, 101), self.BASE)
         assert len(calls) == 1

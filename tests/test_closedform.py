@@ -38,9 +38,9 @@ from udwharvest import (
 )
 from udwharvest import analysis, closedform
 from udwharvest.closedform import (
-    _SCALED_BELOW, _ZW3_BOUND, _ZW_BOUND, _clamp, _ingredients, _probability, _probability_bracket,
-    _scaled_gm, _scaled_probability, _scaled_x_envelope, _scaled_x_floor, _x_abs, _x_abs_slope,
-    _x_bracket, _x_terms,
+    _SCALED_BELOW, _ZW3_BOUND, _ZW_BOUND, _clamp, _gap_half, _halves, _ingredients, _probability,
+    _probability_bracket, _scaled_gm, _scaled_probability, _scaled_x_envelope, _scaled_x_floor,
+    _separation_half, _x, _x_abs, _x_abs_slope, _x_bracket, _x_gauss,
 )
 
 # the benchmark's 50-digit reference, imported by path
@@ -554,7 +554,8 @@ class TestAsymptotics:
     # "RuntimeWarning: divide by zero" at the first two rows and
     # ZeroDivisionError at (1e-300, 0.5), returned -inf at (1e-160, 0.5) and
     # warned of an overflow at (1e-120, 0); the concurrence form raised
-    # ZeroDivisionError at the first three
+    # ZeroDivisionError at the first three.  Where 2 a b is zero the message
+    # says so; elsewhere it names the value that is not finite
     @pytest.mark.parametrize("a, d, regime", [
         *((a, d, GapRegime.LARGE_GAPS) for a, d in (
             (0.0, 0.0), (0.0, 0.5), (5e-324, 0.0), (1e-300, 0.5), (1e-160, 0.5), (1e-120, 0.0))),
@@ -564,11 +565,44 @@ class TestAsymptotics:
         cfg = DetectorPairConfig(a, d, 3.0, 0.1)
         form = (asymptotic_gm_probability if isinstance(regime, GapRegime)
                 else asymptotic_concurrence)
-        message = ("the large-gap forms divide by omega_a_sigma*omega_b_sigma, and the gm form "
-                   f"also by omega_a_sigma^2: at omega_a_sigma={a!r}, omega_b_sigma={a + d!r} "
-                   "they have no finite value")
+        if 2.0 * a * (a + d) == 0.0:
+            message = ("the large-gap forms divide by omega_a_sigma*omega_b_sigma, and the gm "
+                       f"form also by omega_a_sigma^2: at omega_a_sigma={a!r}, "
+                       f"omega_b_sigma={a + d!r} 2 omega_a_sigma omega_b_sigma is zero")
+        else:
+            message = (f"{form.__name__} in the {regime.value} regime is -inf at {cfg}: not a "
+                       "finite double")
         with pytest.raises(ValueError, match=re.escape(message)):
             form(cfg, regime)
+
+    # at the separation floor and the largest coupling the 1/l^2 terms times
+    # coupling^2 overflow: the large-separation X and the gap-derivative
+    # estimate raised "RuntimeWarning: overflow encountered in scalar
+    # multiply", and the large-gap concurrence blamed a 2 a b that is 0.75.
+    # Each names its value; the other forms answer, and at coupling 0.1 all
+    @pytest.mark.filterwarnings("ignore:coupling=.*weak-coupling:UserWarning")
+    @pytest.mark.parametrize("coupling", [0.1, closedform._MAX_COUPLING])
+    def test_regime_forms_answer_or_name_their_value_at_the_separation_floor(self, coupling):
+        cfg = DetectorPairConfig(0.5, 0.25, closedform._MIN_SEPARATION, coupling)
+        failing = {("asymptotic_x", SeparationRegime.LARGE_SEPARATION): "(-inf-6.08190010030",
+                   ("asymptotic_concurrence", ConcurrenceRegime.LARGE_SEPARATION_LARGE_GAPS):
+                       "inf",
+                   ("concurrence_gap_derivative_estimate", None): "-inf"}
+        calls = [(form, regime) for form, regimes in (
+            (asymptotic_gm_probability, GapRegime), (asymptotic_x, SeparationRegime),
+            (asymptotic_concurrence, ConcurrenceRegime)) for regime in regimes]
+        calls.append((concurrence_gap_derivative_estimate, None))
+        for form, regime in calls:
+            args = (cfg,) if regime is None else (cfg, regime)
+            value = failing.get((form.__name__, regime))
+            if coupling == 0.1 or value is None:
+                assert np.isfinite(form(*args)), (form.__name__, regime)
+                continue
+            where = "" if regime is None else f" in the {regime.value} regime"
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{form.__name__}{where} is {value}")) as exc:
+                form(*args)
+            assert str(exc.value).endswith(f" at {cfg}: not a finite double")
 
     @pytest.mark.parametrize("a", [0.5, 3.0, 5.0, 30.0, closedform._MAX_OMEGA_A])
     @pytest.mark.parametrize("d", [0.0, 0.5, 35.0])
@@ -810,7 +844,7 @@ class TestScalarArrayBitwise:
         gaps = np.sort(rng.uniform(0.0, 35.0, (rows, points)), axis=-1)
         p_b = transition_probability(a[:, None] + gaps, lam)
         x = correlation_x_values(a[:, None], gaps, l[:, None], lam)
-        conc = _clamp(_ingredients(a[:, None], gaps, l[:, None], lam)[3])
+        conc = _clamp(_ingredients(*_halves(a[:, None], gaps, l[:, None], lam))[3])
         for i in range(rows):
             assert _bits(p_b[i]) == _bits(transition_probability(a[i] + gaps[i], lam))
             assert _bits(x[i]) == _bits(correlation_x_values(a[i], gaps[i], l[i], lam))
@@ -818,7 +852,7 @@ class TestScalarArrayBitwise:
         # separation scans: the separation runs along the rows
         seps = np.sort(rng.uniform(0.01, 120.0, (rows, points)), axis=-1)
         x = correlation_x_values(a[:, None], d[:, None], seps, lam)
-        conc = _clamp(_ingredients(a[:, None], d[:, None], seps, lam)[3])
+        conc = _clamp(_ingredients(*_halves(a[:, None], d[:, None], seps, lam))[3])
         for i in range(rows):
             assert _bits(x[i]) == _bits(correlation_x_values(a[i], d[i], seps[i], lam))
             assert _bits(conc[i]) == _bits(concurrence_values(a[i], d[i], seps[i], lam))
@@ -836,8 +870,11 @@ class TestScalarArrayBitwise:
         "_probability": lambda a, d, l, ba, bb, lam: _probability(a + d, bb, lam),
         "_scaled_probability": lambda a, d, l, ba, bb, lam: _scaled_probability(a + d, bb, lam),
         "_scaled_gm": lambda a, d, l, ba, bb, lam: _scaled_gm(a, d, lam, (ba, bb)),
-        "_x_terms": lambda a, d, l, ba, bb, lam: _x_terms(a, d, l, lam),
-        "_ingredients": lambda a, d, l, ba, bb, lam: _ingredients(a, d, l, lam),
+        "_x": lambda a, d, l, ba, bb, lam: _x(_x_gauss(a, d), _separation_half(d, l, lam)),
+        "_ingredients": lambda a, d, l, ba, bb, lam: _ingredients(*_halves(a, d, l, lam)),
+        # |X|/E from the separation half, as the gap scans evaluate it
+        "_ingredients, |X|/E in its half": lambda a, d, l, ba, bb, lam: _ingredients(
+            _gap_half(a, d, lam), _separation_half(d, l, lam, scaled=True)),
     }
 
     @pytest.mark.parametrize("lam", [None, 0.1, 1.0])
@@ -930,36 +967,46 @@ class TestPublicTypes:
             "p_a", "p_b", "x", "concurrence")
 
 
-class TestIngredientCaches:
-    """The caches _ingredients takes, a row's P_A, the gaps' probability
-    brackets and X's bracket gathered from a grid shared by rows with equal
-    (separation, gap bound), change none of its four fields' bits, wherever
-    P_A P_B is a normal double, is subnormal or underflows to zero."""
+class TestIngredientHalves:
+    """The halves _ingredients assembles give every field the bits of the
+    halves built from the raw parameters, wherever P_A P_B is a normal
+    double, is subnormal or underflows to zero: a gap half from a row's P_A
+    or from the gaps' probability brackets, a separation half from X's
+    bracket, and halves evaluated once per key and gathered to the rows, as
+    the gap scans do: the gap half per (smaller gap, gap bound), the
+    separation half, with |X|/E, per (separation, gap bound)."""
 
-    @pytest.mark.parametrize("cache", ["p_a", "x_bracket", "both", "brackets",
-                                       "brackets+x_bracket"])
+    @pytest.mark.parametrize("halves", ["p_a", "brackets", "x_bracket", "gathered"])
     @pytest.mark.parametrize("lam", [0.1, 1.0])
-    def test_caches_keep_every_bit(self, lam, cache):
+    def test_halves_keep_every_bit(self, lam, halves):
         rng = np.random.default_rng(25)
         rows = 48
-        a = np.sort(rng.uniform(0.0, 40.0, rows))[:, None]
-        # the gap scan's shared grids: one per (separation, bound) key, each
-        # row gathering its key's grid and bracket
+        # one grid of gap differences per gap bound, shared by the keys of
+        # that bound; each row takes a separation key and a smaller gap
         ls, bounds = np.array([0.3, 2.5, 9.0, 60.0]), np.array([4.0, 12.0, 35.0, 35.0])
-        run = rng.integers(0, ls.size, rows)
+        gaps = np.sort(rng.uniform(0.0, 40.0, 6))
+        sep_of, gap_of = rng.integers(0, ls.size, rows), rng.integers(0, gaps.size, rows)
         grid = np.linspace(0.0, bounds, 256, axis=-1)
-        b_re, b_im = _x_bracket(grid, ls[:, None])[:2]
-        d, l = grid[run], ls[run, None]
-        p_a = transition_probability(a[:, 0], lam)[:, None]
-        brackets = _probability_bracket(a), _probability_bracket(a + d)
-        kwargs = {"p_a": p_a, "brackets": brackets, "x_bracket": (b_re[run], b_im[run])}
-        keys = ["p_a", "x_bracket"] if cache == "both" else cache.split("+")
-        kwargs = {key: kwargs[key] for key in keys}
-        want = _ingredients(a, d, l, lam)
-        got = _ingredients(a, d, l, lam, **kwargs)
-        for field, value, expected in zip(("p_a", "p_b", "x", "excess"), got, want):
-            assert np.shape(value) == np.shape(expected), field
-            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes(), field
+        a, d, l = gaps[gap_of, None], grid[sep_of], ls[sep_of, None]
+        if halves == "p_a":
+            got = (_gap_half(a, d, lam, p_a=transition_probability(a, lam)),
+                   _separation_half(d, l, lam))
+        elif halves == "brackets":
+            got = (_gap_half(a, d, lam, brackets=(_probability_bracket(a),
+                                                  _probability_bracket(a + d))),
+                   _separation_half(d, l, lam))
+        elif halves == "x_bracket":
+            x_bracket = tuple(b[sep_of] for b in _x_bracket(grid, ls[:, None])[:2])
+            got = _gap_half(a, d, lam), _separation_half(d, l, lam, x_bracket=x_bracket)
+        else:
+            # the gap keys: every smaller gap at every bound
+            gap = _gap_half(np.repeat(gaps, ls.size)[:, None], np.tile(grid, (gaps.size, 1)), lam)
+            separation = _separation_half(grid, ls[:, None], lam, scaled=True)
+            got = (analysis._take(gap, gap_of * ls.size + sep_of),
+                   analysis._take(separation, sep_of))
+        want = _ingredients(*_halves(a, d, l, lam))
+        for field, value, expected in zip(("p_a", "p_b", "x", "excess"), _ingredients(*got), want):
+            assert np.shape(value) == np.shape(expected) and _bits(value) == _bits(expected), field
         product = want[0] * want[1]
         tiny = np.finfo(float).tiny
         assert (product >= tiny).any() and (product == 0.0).any()

@@ -29,6 +29,11 @@ The set covers what the package reports:
   log-spaced from 1e-7 to 60, so that its rows leave the golden section
   on different steps, from the start to the 37th, beside boundary maxima,
   and the same rows as one-problem calls;
+* ``find_optimal_gap_many`` over the product grid of 8 smaller gaps in
+  [0, 40] and 60 separations in [0.05, 120], at couplings 0.1 and 1, with
+  the default gap bounds and with one shared bound, each in grid order and
+  shuffled: rows that share a smaller gap and a gap bound, many of them
+  in scaled form;
 * one-problem calls of each search at six rows, among them the row of
   explore seed 1's failed check, and at six named rows that take the
   separation searches' longer paths:
@@ -114,6 +119,9 @@ FAR_ROWS, FAR_BATCH_ROWS, FAR_STEPS = ((1e6, 0.0), (1e8, 3.0), (0.0, 35.0)), 200
 # which turns interior at the largest bound
 GAP_BOUND_ROWS = ((0.5, 2.0), (0.9, 2.65), (1.9, 4.5), (2.85, 6.25), (0.5, 0.5), (3.0, 12.0))
 GAP_BOUNDS = (1e-7, 60.0, 10)  # first, last and count of the log-spaced bounds
+# the product grid of gap searches: smaller gaps and separations (first,
+# last, count), and the shared gap bound beside the default ones
+GRID_GAPS, GRID_SEPARATIONS, GRID_BOUND = (0.0, 40.0, 8), (0.05, 120.0, 60), 12.0
 # points of the closed-form arrays that underflow in part, and of those
 # with one non-finite input
 UNDERFLOW_POINTS, SPECIAL_POINTS = 10_000, 4096
@@ -263,6 +271,16 @@ def _outputs():
     for x, y, b in zip(a.tolist(), l.tolist(), bound.tolist()):
         out[f"gap-bounds/find_optimal_gap/{x!r}/{y!r}/{b!r}"] = _outcome(
             analysis.find_optimal_gap, x, y, gap_bound=b)
+
+    a, l = np.linspace(*GRID_GAPS)[:, None], np.linspace(*GRID_SEPARATIONS)
+    a, l = (x.ravel() for x in np.broadcast_arrays(a, l))
+    shuffled = np.random.default_rng(38).permutation(a.size)
+    for coupling in COUPLINGS:
+        for name, bound in (("default", None), ("shared", GRID_BOUND)):
+            key = f"product-grid/{coupling}/{name}"
+            out[key] = analysis.find_optimal_gap_many(a, l, coupling, bound)
+            out[f"{key}/shuffled"] = analysis.find_optimal_gap_many(
+                a[shuffled], l[shuffled], coupling, bound)
 
     for x, y in ROWS + NAMED_ROWS:
         for search in (analysis.find_lmax, analysis.find_crossover, analysis.find_optimal_gap):
