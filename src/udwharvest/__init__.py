@@ -20,97 +20,11 @@ All quantities are dimensionless: energies are multiplied by the switching
 duration, lengths divided by it.
 """
 
-from .closedform import (
-    ConcurrenceRegime,
-    DetectorPairConfig,
-    GapRegime,
-    HarvestReport,
-    SeparationRegime,
-    asymptotic_concurrence,
-    asymptotic_gm_probability,
-    asymptotic_x,
-    concurrence,
-    concurrence_gap_derivative_estimate,
-    concurrence_values,
-    correlation_excess,
-    correlation_x,
-    correlation_x_values,
-    geometric_mean_probability,
-    lmax_large_gap_estimate,
-    transition_probability,
-)
-from .oracle import (
-    DEFAULT_SETTINGS,
-    DensityMatrix4,
-    NonConvergence,
-    OracleSettings,
-    assemble_rho,
-    c_double_integral,
-    c_quadrature,
-    pd_double_integral,
-    pv_gaussian_pole_integral,
-    x_double_integral,
-    x_single_integral_pv,
-)
-from .analysis import (
-    NoCrossover,
-    NoHarvestingRegion,
-    SearchBatch,
-    SearchResult,
-    SweepGrid,
-    find_crossover,
-    find_crossover_many,
-    find_lmax,
-    find_lmax_many,
-    find_optimal_gap,
-    find_optimal_gap_many,
-    sweep,
-)
-from . import specfun
+from . import analysis, closedform, oracle, specfun
+from .analysis import *
+from .closedform import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "specfun",
-    "ConcurrenceRegime",
-    "DetectorPairConfig",
-    "GapRegime",
-    "HarvestReport",
-    "SeparationRegime",
-    "asymptotic_concurrence",
-    "asymptotic_gm_probability",
-    "asymptotic_x",
-    "concurrence",
-    "concurrence_gap_derivative_estimate",
-    "concurrence_values",
-    "correlation_excess",
-    "correlation_x",
-    "correlation_x_values",
-    "geometric_mean_probability",
-    "lmax_large_gap_estimate",
-    "transition_probability",
-    "DEFAULT_SETTINGS",
-    "DensityMatrix4",
-    "NonConvergence",
-    "OracleSettings",
-    "assemble_rho",
-    "c_double_integral",
-    "c_quadrature",
-    "pd_double_integral",
-    "pv_gaussian_pole_integral",
-    "x_double_integral",
-    "x_single_integral_pv",
-    "NoCrossover",
-    "NoHarvestingRegion",
-    "SearchBatch",
-    "SearchResult",
-    "SweepGrid",
-    "find_crossover",
-    "find_crossover_many",
-    "find_lmax",
-    "find_lmax_many",
-    "find_optimal_gap",
-    "find_optimal_gap_many",
-    "sweep",
-]
+__all__ = ["__version__", "specfun", *closedform.__all__, *oracle.__all__, *analysis.__all__]

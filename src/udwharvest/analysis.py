@@ -106,7 +106,8 @@ carries NaN and the exception's class name in ``error``, so one failing
 problem cannot abort a grid; gaps, a separation or a coupling outside the
 scenario domain raise ValueError, for the whole batch.  The one-problem
 functions run the same core on 0-d inputs, as batches of one row, and
-raise as before.  Their gaps are numpy scalars from the start, so the
+leave through one exit, :func:`_single`, which returns the row or raises
+its error.  Their gaps are numpy scalars from the start, so the
 refinement, each of its closed-form calls and the final value run on
 numpy scalars, which keep the bits of 0-d arrays at a fraction of their
 cost (:mod:`~udwharvest.closedform`'s rule for 0-d values); the cut
@@ -134,6 +135,7 @@ from .closedform import (
     _SQRT_PI,
     _ZW_BOUND,
     DetectorPairConfig,
+    _check_domain,
     _clamp,
     _domain_errors,
     _gap_half,
@@ -202,8 +204,8 @@ _CUT_BLOCK = 32
 _SCAN_CHUNK = 8192
 
 # Why a separation search fails on a row whose grid the envelope certifies
-# nowhere (:func:`_cuts`): a one-problem search raises ValueError with it, a
-# batch gives the row the error name ValueError
+# nowhere (:func:`_cuts`): a batch gives the row the error name ValueError,
+# and a one-problem search raises ValueError with it (:func:`_single`)
 _UNCERTIFIED = ("the envelope certifies no separation below scan_step*2^52, and past it the "
                 "grid points stop being distinct doubles")
 
@@ -274,14 +276,6 @@ class SearchBatch:
     iterations: np.ndarray
     note: np.ndarray
     error: np.ndarray
-
-
-def _check_domain(a, d, l, coupling):
-    """Raise ValueError with the message of the first row outside the
-    domain :class:`DetectorPairConfig` admits."""
-    bad = [e for e in _domain_errors(a, d, l, coupling) if e]
-    if bad:
-        raise ValueError(bad[0])
 
 
 def _separation_problems(omega_a_sigma, delta_omega_sigma, coupling, scan_step):
@@ -584,9 +578,16 @@ def _batch(location, value, lo, hi, iterations, note, error):
     return SearchBatch(location, value, bracket, iterations, note, error)
 
 
-def _single(batch):
+def _single(batch, failure=None, message=""):
     """The one row of a 0-d batch as a :class:`SearchResult` of Python
-    scalars."""
+    scalars, or the one-problem search's exception for a failed row:
+    ValueError (``_UNCERTIFIED``) where the envelope certifies no
+    separation, else ``failure`` with ``message``."""
+    error = batch.error[()]
+    if error == ValueError.__name__:
+        raise ValueError(_UNCERTIFIED)
+    if error:
+        raise failure(message)
     return SearchResult(
         location=float(batch.location),
         value=float(batch.value),
@@ -675,13 +676,9 @@ def find_lmax(
 
     Raises :exc:`NoHarvestingRegion` if no grid point harvests.
     """
-    batch = find_lmax_many(omega_a_sigma, delta_omega_sigma, coupling, scan_step)
-    if batch.error[()] == ValueError.__name__:
-        raise ValueError(_UNCERTIFIED)
-    if batch.error[()] == NoHarvestingRegion.__name__:
-        raise NoHarvestingRegion("no positive concurrence on the scan grid nor past its end, "
-                                 "where the envelope certifies none")
-    return _single(batch)
+    return _single(find_lmax_many(omega_a_sigma, delta_omega_sigma, coupling, scan_step),
+                   NoHarvestingRegion, "no positive concurrence on the scan grid nor past its "
+                   "end, where the envelope certifies none")
 
 
 def _gap_scan_blocks(row_a, row_l, row_bound, keys):
@@ -952,13 +949,9 @@ def find_crossover(
     the grid.  One problem per call; :func:`find_crossover_many` solves
     arrays of them.
     """
-    batch = find_crossover_many(omega_a_sigma, delta_omega_sigma, coupling, scan_step)
-    if batch.error[()] == ValueError.__name__:
-        raise ValueError(_UNCERTIFIED)
-    if batch.error[()] == NoCrossover.__name__:
-        raise NoCrossover("non-identical concurrence never exceeds identical on the scan grid, "
-                          "past whose end the envelope certifies it zero")
-    return _single(batch)
+    return _single(find_crossover_many(omega_a_sigma, delta_omega_sigma, coupling, scan_step),
+                   NoCrossover, "non-identical concurrence never exceeds identical on the scan "
+                   "grid, past whose end the envelope certifies it zero")
 
 
 SWEEPABLE_AXES = ("l_over_sigma", "delta_omega_sigma", "omega_a_sigma")

@@ -184,7 +184,7 @@ def read_data_file(path):
                         meta[key.strip()] = value.strip()
                 continue
             rows.append([float(tok) for tok in line.split(",")])
-    return meta, columns, np.array(rows)
+    return meta, columns, np.array(rows) if rows else np.empty((0, len(columns)))
 
 
 def _single_record(args, manifest, fields):
@@ -535,8 +535,8 @@ def _fig_lmax(points):
     arrays = [ratios]
     notes = []
     gaps = np.array(_FIG45_GAPS)[:, None]
-    # rows where the search fails (no harvesting, or none found below the
-    # scan bound) come back as NaN
+    # rows where the search fails (NoHarvestingRegion, or ValueError where
+    # the envelope certifies no separation) come back as NaN
     lmax = find_lmax_many(gaps, gaps * ratios, 1.0).location
     for a, vals in zip(_FIG45_GAPS, lmax):
         columns.append(f"lmax_a_{a:g}")

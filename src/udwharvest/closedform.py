@@ -177,6 +177,15 @@ def _domain_error(values):
     return ""
 
 
+def _check_domain(a, d, l, coupling):
+    """Raise ValueError with the message of the first scenario outside the
+    domain :class:`DetectorPairConfig` admits: the one check that the
+    config and the batch searches make."""
+    bad = [e for e in _domain_errors(a, d, l, coupling) if e]
+    if bad:
+        raise ValueError(bad[0])
+
+
 def _check_separation(l):
     """Raise the domain's ValueError where a separation (numpy scalar or
     array) lies below ``_MIN_SEPARATION``."""
@@ -225,11 +234,8 @@ class DetectorPairConfig:
     coupling: float = 0.1
 
     def __post_init__(self):
-        error = _domain_errors(
-            self.omega_a_sigma, self.delta_omega_sigma, self.l_over_sigma, self.coupling
-        )[0]
-        if error:
-            raise ValueError(error)
+        _check_domain(self.omega_a_sigma, self.delta_omega_sigma, self.l_over_sigma,
+                      self.coupling)
         _warn_strong_coupling(self.coupling)
 
     @classmethod

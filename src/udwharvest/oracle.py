@@ -79,6 +79,7 @@ from functools import lru_cache
 import numpy as np
 
 from .closedform import (
+    _SQRT_PI,
     DetectorPairConfig,
     _check_separation,
     _scalar,
@@ -100,8 +101,6 @@ __all__ = [
     "DensityMatrix4",
     "assemble_rho",
 ]
-
-_SQRT_PI = np.sqrt(np.pi)
 
 # Smallest regulator the settings admit.  The panels beside the pole are as
 # wide as the regulator; far below this they run out of distinct doubles

@@ -446,6 +446,11 @@ class TestFigure:
         _, columns, data = read_data_file(out)
         assert columns == build_figure(name, 2)[2] and data.size == 0
 
+    def test_zero_points_keep_the_column_count(self, tmp_path):
+        out = tmp_path / "fig1a.csv"
+        assert run(["figure", "fig1a", "--points", "0", "--out", str(out)]) == 0
+        assert read_data_file(out)[2].shape == (0, 6)
+
     def test_byte_identical_data_sections(self, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(["figure", "fig2a", "--points", "40", "--out", str(f1)]) == 0
@@ -471,6 +476,12 @@ class TestSweepCommand:
         # the sweep is one array call over the axis: the same call on the
         # emitted axis reproduces the concurrence column bit for bit
         assert concurrence_values(0.5, 0.25, data[:, 0], 0.1).tolist() == data[:, 1].tolist()
+
+    def test_zero_points_keep_the_column_count(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--axis", "l", "--start", "0.5", "--stop", "3.0", "--points", "0",
+                    "--omega-a", "0.5", "--delta-omega", "0.25", "--out", str(out)]) == 0
+        assert read_data_file(out)[2].shape == (0, 5)
 
     def test_sqrt_pa_pb_where_the_product_underflows(self, tmp_path):
         # P_A = P_B = 1.9e-180 at (20, 0): their product underflows to 0, and

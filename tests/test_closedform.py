@@ -967,6 +967,20 @@ class TestPublicTypes:
             "p_a", "p_b", "x", "concurrence")
 
 
+class TestPackageSurface:
+    def test_the_package_exports_each_modules_all_once(self):
+        import udwharvest
+        from udwharvest import oracle
+
+        names = udwharvest.__all__
+        assert len(set(names)) == len(names)
+        modules = (closedform, oracle, analysis)
+        assert names == ["__version__", "specfun", *(n for m in modules for n in m.__all__)]
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(udwharvest, name) is getattr(module, name), name
+
+
 class TestIngredientHalves:
     """The halves _ingredients assembles give every field the bits of the
     halves built from the raw parameters, wherever P_A P_B is a normal

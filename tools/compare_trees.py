@@ -15,6 +15,9 @@ status is 1 on any difference and 0 when every bit is kept.
 
 The set covers what the package reports:
 
+* the public surface: the package's sorted ``__all__``, each name with
+  the module whose ``__all__`` lists it (the package itself for
+  ``__version__`` and ``specfun``);
 * the seven survey figures at 400 points, and the survey's 16 crossovers
   through ``cli.main`` (smaller gaps and gap ratios 0.2, 0.5, 1.0, 1.2);
 * 400-row batches of each search over a in [0, 40], d in (0, 35] and
@@ -223,9 +226,13 @@ def _outputs():
     """Every compared output of the tree on the path, by key."""
     import numpy as np
 
+    import udwharvest
     from udwharvest import analysis, cli, closedform, oracle
 
-    out = {}
+    out = {"surface": {
+        name: next((m.__name__ for m in (closedform, oracle, analysis) if name in m.__all__),
+                   udwharvest.__name__)
+        for name in sorted(udwharvest.__all__)}}
     for name in cli.FIGURE_NAMES:
         out[f"figure/{name}"] = cli.build_figure(name, 400)
     for a in SURVEY_GAPS:
