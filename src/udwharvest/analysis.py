@@ -131,7 +131,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import (
-    _SCALED_BELOW,
+    _ENVELOPE_MARGIN,
     _SQRT_PI,
     _ZW_BOUND,
     DetectorPairConfig,
@@ -141,6 +141,7 @@ from .closedform import (
     _gap_half,
     _halves,
     _ingredients,
+    _normal,
     _over_scale,
     _probability_bracket,
     _scaled_gm,
@@ -208,11 +209,6 @@ _SCAN_CHUNK = 8192
 # and a one-problem search raises ValueError with it (:func:`_single`)
 _UNCERTIFIED = ("the envelope certifies no separation below scan_step*2^52, and past it the "
                 "grid points stop being distinct doubles")
-
-# Relative margin of the envelope certificate: it covers the Faddeeva
-# kernel's relative error (below 1e-10) and the roundings of |X| many times
-# over, and costs a factor of about 1 + 5e-7 on the certified separation.
-_ENVELOPE_MARGIN = 1e-6
 
 # Steps a root refinement may take beyond bisection's count to a bracket of
 # 8 ulps (bisection to one ulp takes 3 more): Newton converges from one
@@ -287,12 +283,6 @@ def _separation_problems(omega_a_sigma, delta_omega_sigma, coupling, scan_step):
     if not 0.0 < scan_step * _GRID_POINTS < np.inf:
         raise ValueError("need scan_step > 0 with scan_step*2^52 finite")
     return a[()], d[()]
-
-
-def _normal(gm):
-    """Where gm is finite and gm^2 = P~_A P~_B a normal double, as a
-    relative margin needs: at unit coupling, for gaps below about 1e76."""
-    return np.isfinite(gm) & (gm >= _SCALED_BELOW)
 
 
 def _edges(lo, hi, hit, guess=None):

@@ -30,7 +30,12 @@ Faddeeva evaluation, and from the slope of |X|/E in the separation
 :func:`_x_abs_slope`).  The upper bound takes
 w(z) to third order in 1/|z|, with a remainder bounded by
 Phragmen-Lindelof, and lies within about 0.1 % of |X|/E at large
-separations.
+separations.  :func:`concurrence_values` takes the same bound on calls of
+``_CERTIFIED_FROM`` points or more, where every row lies in the admitted
+domain, the coupling is at most 1 and underflow is ignored: a row it
+certifies past the harvesting range is +0.0 without a Faddeeva
+evaluation, as the full evaluation gives it (:func:`_certified`).  It
+certifies about half the rows of the benchmark's explore batches.
 
 Asymptotic approximations (small/large gaps, small/large separations) and
 two back-of-envelope estimates (the maximum harvesting-achievable
@@ -75,9 +80,12 @@ __all__ = [
 
 _SQRT_PI = np.sqrt(np.pi)
 
-# Largest admitted gap difference (in units of 1/sigma).  Beyond this even
-# the residual exp(d^2/4) factors that appear in intermediate scaled-Erfi
-# values would leave the double-precision range.
+# Largest admitted gap difference (in units of 1/sigma).  It is measured,
+# not derived: exp(d^2/4) in the scaled prefactor is e^306 here, far from
+# overflow, but against 50-digit references at coupling 1 the scaled excess
+# keeps 3e-13 relative only up to d = 37 at separations of 50 and 120, is
+# off by about 1e-9 at d = 38 and by 3e-2 to 3e-1 at d = 40 and 45, and
+# exp(d^2/4) overflows near d = 53.3.
 MAX_DELTA_OMEGA_SIGMA = 35.0
 
 # Couplings above this are outside any reasonable perturbative regime.
@@ -565,6 +573,22 @@ _ZW_BOUND = 0.7489
 _ZW3_BOUND = 0.5142
 
 
+# Relative margin of the envelope certificate, for the separation searches
+# and :func:`_certified`: it covers the error of X's bracket against the
+# sum of its terms' magnitudes (below 1e-12 over 0 <= d <= 35, 0.05 <= l <=
+# 240 against 50 digits, from the Faddeeva kernel's; see
+# :func:`~udwharvest.specfun.faddeeva_w`) and the roundings of |X| many
+# times over, and costs a factor of about 1 + 5e-7 on a separation the
+# searches certify.
+_ENVELOPE_MARGIN = 1e-6
+
+
+def _normal(gm):
+    """Where gm is finite and gm^2 = P~_A P~_B a normal double, as a
+    relative margin needs: at unit coupling, for gaps below about 1e76."""
+    return np.isfinite(gm) & (gm >= _SCALED_BELOW)
+
+
 def _scaled_x_envelope(d, l):
     """Upper bound on |X|/E at unit coupling, E = exp(-(a^2 + b^2)/2), from
     :func:`_x_abs`, non-increasing in l:
@@ -630,14 +654,16 @@ def correlation_x(cfg: DetectorPairConfig) -> complex:
     )
 
 
-def _gap_half(omega_a_sigma, delta_omega_sigma, coupling, p_a=None, brackets=(None, None)):
+def _gap_half(omega_a_sigma, delta_omega_sigma, coupling, p_a=None, brackets=(None, None),
+              scaled_gm=None):
     """The terms of the excess that depend on the gaps a and b = a + d
     alone, for arrays a and d: (P_A, P_B, sqrt(P_A P_B), X's Gaussian
     prefactor exp(-(2a + d)^2/4), sqrt(P~_A P~_B), (a^2 + b^2)/2).  The last
     two serve the scaled excess (:func:`_ingredients`) and are None where
     P_A P_B is a normal double at every point.  ``p_a`` is P_A where the
     caller has it, ``brackets`` the brackets of a and b
-    (:func:`_probability_bracket`) that it has, None for the others."""
+    (:func:`_probability_bracket`) that it has, None for the others, and
+    ``scaled_gm`` sqrt(P~_A P~_B) where it has it."""
     a = np.asarray(omega_a_sigma, dtype=float)[()]
     d = np.asarray(delta_omega_sigma, dtype=float)[()]
     b = a + d
@@ -651,14 +677,15 @@ def _gap_half(omega_a_sigma, delta_omega_sigma, coupling, p_a=None, brackets=(No
     p_b = _probability(b, bracket_b, coupling)
     gm = np.sqrt(p_a * p_b)
     gauss = _x_gauss(a, d)
-    scaled_gm = half_square = None
+    scaled = half_square = None
     if _any(gm < _SCALED_BELOW):
         # inside the domain neither overflows: sqrt(P~_A P~_B) is at most
         # the largest sqrt(P_A P_B), at zero gaps, and a^2 + b^2 at most
         # (2a + d)^2, which X's prefactor has squared
-        scaled_gm = _scaled_gm(a, d, coupling, (bracket_a, bracket_b))
+        scaled = (_scaled_gm(a, d, coupling, (bracket_a, bracket_b)) if scaled_gm is None
+                  else scaled_gm)
         half_square = (a * a + b * b) / 2.0
-    return p_a, p_b, gm, gauss, scaled_gm, half_square
+    return p_a, p_b, gm, gauss, scaled, half_square
 
 
 def _separation_half(delta_omega_sigma, l_over_sigma, coupling, scaled=False, x_bracket=None):
@@ -740,10 +767,95 @@ def correlation_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
     return _ingredients(*_halves(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling))[3]
 
 
+# Points from which :func:`concurrence_values` certifies rows before it
+# evaluates them.  On prefixes of explore's batches, about half of whose
+# rows are certified, a certified call takes 1.18 times the full one's time
+# at 256 points, 1.03 at 512, 0.95 at 768 and 0.90 at 1024 (minimum of 150
+# calls each, numpy 2.4): the certificate and the gathers cost about as
+# much as the skipped rows save near 600 points, and more where fewer rows
+# are certified
+_CERTIFIED_FROM = 1024
+
+
 def concurrence_values(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
     """Concurrence 2*max(0, |X| - sqrt(P_A P_B)) for raw parameter arrays,
-    from :func:`correlation_excess`."""
+    with the bits and warnings of 2*max(0, :func:`correlation_excess`).
+
+    Past the harvesting-achievable separation the concurrence is exactly
+    zero, and an array call of ``_CERTIFIED_FROM`` points or more skips the
+    Faddeeva evaluation, the phase and the rest of the excess on each row
+    that the envelope certifies there (:func:`_certified`): such a row is
+    +0.0, as the full evaluation gives it.  The other rows are gathered,
+    evaluated and scattered back.  On explore's batches (a in [0, 40], d in
+    [0, 35], l up to twice the large-gap estimate of the range) about half
+    the rows are certified.  The certificate needs every row inside the
+    domain :class:`DetectorPairConfig` admits, a scalar coupling in (0, 1]
+    and underflow ignored (as :func:`_exp` does); any other call takes the
+    full evaluation, with its warnings and errors."""
+    # the product of the inputs' sizes bounds their broadcast size from
+    # above, at a fraction of its cost
+    if (getattr(omega_a_sigma, "size", 1) * getattr(delta_omega_sigma, "size", 1)
+            * getattr(l_over_sigma, "size", 1) >= _CERTIFIED_FROM):
+        values = _skipping_certified(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling)
+        if values is not None:
+            return values
     return _clamp(correlation_excess(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling))
+
+
+def _skipping_certified(omega_a_sigma, delta_omega_sigma, l_over_sigma, coupling):
+    """:func:`concurrence_values` with the rows :func:`_certified` skipped,
+    or None where the call does not admit the certificate."""
+    args = omega_a_sigma, delta_omega_sigma, l_over_sigma
+    try:
+        shape = np.broadcast(*args).shape
+    except ValueError:  # the full evaluation raises its own error
+        return None
+    if (np.prod(shape) < _CERTIFIED_FROM or np.ndim(coupling) or not 0.0 < coupling <= 1.0
+            or np.geterr()["under"] != "ignore"):
+        return None
+    a, d, l = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in args)
+    if not _admitted(a, d, l).all():
+        return None
+    brackets = _probability_bracket(a), _probability_bracket(a + d)
+    scaled_gm = _scaled_gm(a, d, coupling, brackets)
+    live = np.flatnonzero(~_certified(d, l, coupling, scaled_gm))
+    out = np.zeros(a.size)
+    if live.size:
+        a, d = a[live], d[live]
+        gap = _gap_half(a, d, coupling, brackets=tuple(b[live] for b in brackets),
+                        scaled_gm=scaled_gm[live])
+        out[live] = _clamp(_ingredients(gap, _separation_half(d, l[live], coupling))[3])
+    return out.reshape(shape)
+
+
+def _admitted(a, d, l):
+    """Where the gaps a, a + d and the separation l lie in the domain
+    :class:`DetectorPairConfig` admits."""
+    admitted = np.ones(a.shape, dtype=bool)
+    for v, (_, low, high, *_) in zip((a, d, l), _DOMAIN):
+        admitted &= (v >= low) & (v <= high)  # a NaN fails both
+    return admitted
+
+
+def _certified(d, l, coupling, scaled_gm):
+    """Where the concurrence of admitted rows at a coupling in (0, 1] is
+    certified zero without a Faddeeva evaluation: where gm =
+    ``scaled_gm``, sqrt(P~_A P~_B) at the coupling (:func:`_scaled_gm`), is
+    normal and the envelope of |X|/E (:func:`_scaled_x_envelope`), times
+    the coupling's square and widened by ``_ENVELOPE_MARGIN``, lies below
+    it, as in the separation searches.
+
+    The envelope bounds the sum of the magnitudes of the terms of X's
+    bracket, so the margin covers the kernel's error and every rounding of
+    |X|, and the evaluated excess, which compares |X| with this very gm
+    where P_A P_B is not normal, is negative: the concurrence is +0.0.  The
+    roundings are relative where gm is normal: a term of |X| that is
+    subnormal errs by less than 2^-1074 e^306 4, far below 1e-6 gm.  A
+    coupling of at most 1 keeps P_A and P_B below 1/(4 pi), so that where
+    P_A P_B is normal, and the excess is |X| - sqrt(P_A P_B), both are too.
+    The envelope's bound on w holds in the upper half-plane, d >= 0."""
+    return _normal(scaled_gm) & (
+        _scaled_x_envelope(d, l) * ((1.0 + _ENVELOPE_MARGIN) * coupling**2) < scaled_gm)
 
 
 def concurrence(cfg: DetectorPairConfig) -> HarvestReport:

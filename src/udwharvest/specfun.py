@@ -41,8 +41,11 @@ def erfcx_real(x):
 def faddeeva_w(z):
     """Faddeeva function w(z) = exp(-z^2) * erfc(-i z).
 
-    Bounded by 1 in modulus for Im(z) >= 0.  Relative accuracy is well
-    below 1e-10 across |Re z|, |Im z| <= 10.
+    Bounded by 1 in modulus for Im(z) >= 0.  Its relative error against
+    50-digit values is below 1e-12 (about 2e-15) over 0 <= Re z <= 120,
+    0 <= Im z <= 17.5, where the closed forms evaluate it: z = (l + id)/2
+    for gap differences d <= 35 and separations l up to 240, past twice
+    the harvesting range at gaps up to 40 (``tests/test_specfun.py``).
     """
     return _sp.wofz(z)
 

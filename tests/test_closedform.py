@@ -357,6 +357,29 @@ class TestXEnvelope:
         assert far.sum() > 5000 and ratio[far].max() < 1.01
         assert (_first_order_envelope(d, l) / _x_abs(d, l))[far].min() > 1.3
 
+    def test_bracket_against_50_digits_where_explore_evaluates_it(self):
+        # X's bracket B = t1 + t2, t1 = exp(-d^2/4) (w((-l+id)/2) -
+        # w((l+id)/2)), t2 = 2 exp(-l^2/4) exp(-ild/2), for d in [0, 35] and
+        # l in [0.05, 240]: its error against |t1| + |t2|, which the envelope
+        # bounds, is what the envelope's margin of 1e-6 has to cover
+        rng = np.random.default_rng(41)
+        n = 256
+        d, l = ((rng.permutation(n) + rng.random(n)) / n * hi for hi in (35.0, 240.0))
+        d = np.concatenate([d, [0.0, 0.0, 35.0, 35.0]])
+        l = np.concatenate([0.05 + l, [0.05, 240.0, 0.05, 240.0]])
+        b_re, b_im = _x_bracket(d, l)[:2]
+        worst = 0.0
+        with mp.workdps(50):
+            for x, y, re, im in zip(l.tolist(), d.tolist(), b_re.tolist(), b_im.tolist()):
+                z = mp.mpc(x, y) / 2
+                w_plus = mp.exp(-z * z) * mp.erfc(-1j * z)
+                w_minus = mp.exp(-z.conjugate() ** 2) * mp.erfc(1j * z.conjugate())
+                t1 = mp.exp(-mp.mpf(y) ** 2 / 4) * (w_minus - w_plus)
+                t2 = 2 * mp.exp(-mp.mpf(x) ** 2 / 4) * mp.expj(-mp.mpf(x) * y / 2)
+                worst = max(worst, abs(mp.mpc(re, im) - (t1 + t2)) / (abs(t1) + abs(t2)))
+        # about 4e-14 with scipy 1.17
+        assert worst < 1e-12
+
     def test_envelope_raises_no_warning_far_out(self):
         # (1/|z|)^3 underflows to 0 at large |z| rather than overflowing,
         # and is capped at small |z| (tier-1 runs RuntimeWarnings as errors)
@@ -1184,6 +1207,168 @@ class TestScaledExcess:
         # E underflows at (30, 0), and E S is -0 past the root
         assert concurrence_values(30.0, 0.0, 100.0, 0.1) == 0.0
         assert np.signbit(concurrence_values(np.array([30.0, 40.0]), 0.0, 100.0, 0.1)).sum() == 0
+
+
+def _explore_batch(seed, n=10_000):
+    """n rows in the layout of the benchmark's explore batches: a in [0,
+    40], d in [0, 35] and l from 0.05 to max(4 sqrt(a (a + d)), 4)."""
+    rng = np.random.default_rng(seed)
+    a, d, u = rng.uniform((0.0, 0.0, 0.0), (40.0, 35.0, 1.0), (n, 3)).T
+    return a, d, 0.05 + u * (np.maximum(4.0 * np.sqrt(a * (a + d)), 4.0) - 0.05)
+
+
+def _full(a, d, l, lam):
+    """The concurrence from the full evaluation of every row."""
+    return _clamp(correlation_excess(a, d, l, lam))
+
+
+def _certificate(a, d, l, lam):
+    """Where the envelope certifies a row: sqrt(P~_A P~_B) at the coupling
+    is normal and lies above lam^2 (1 + margin) times the envelope."""
+    gm = _scaled_gm(a, d, lam)
+    envelope = _scaled_x_envelope(d, l) * (1.0 + closedform._ENVELOPE_MARGIN) * lam**2
+    return (gm >= _SCALED_BELOW) & (envelope < gm)
+
+
+def _warned_outcome(call, *args):
+    """A call's result as its shape and bits, or the class and message of
+    the warning or error it raised, with RuntimeWarning as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            y = call(*args)
+        except (RuntimeWarning, FloatingPointError, ValueError) as exc:
+            return type(exc).__name__, str(exc)
+    return np.shape(y), _bits(y)
+
+
+class TestCertifiedZeros:
+    """concurrence_values skips the Faddeeva evaluation on the rows of a
+    large call that the envelope certifies non-harvesting, and keeps the
+    bits and warnings of the full evaluation of every row."""
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_explore_batches_keep_their_bits(self, seed, lam):
+        a, d, l = _explore_batch(seed)
+        got = concurrence_values(a, d, l, lam)
+        assert 0.3 < _certificate(a, d, l, lam).mean() < 0.7
+        assert (got > 0.0).any()
+        assert _bits(got) == _bits(_full(a, d, l, lam))
+        sample = np.random.default_rng(seed).choice(a.size, 200, replace=False)
+        assert _bits(got[sample]) == _bits(
+            [concurrence_values(x, y, z, lam) for x, y, z in zip(a[sample], d[sample], l[sample])])
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    def test_rows_at_the_certificate_edge_keep_their_bits(self, lam):
+        # for 16 rows (a, d), the separations within 64 ulps of the first
+        # double the envelope certifies
+        rng = np.random.default_rng(40)
+        rows = np.concatenate([rng.uniform((0.0, 0.0), (40.0, 35.0), (14, 2)),
+                               [[0.0, 0.0], [40.0, 35.0]]])
+        a, d, l = [], [], []
+        for x, y in rows:
+            # bisection on the bit patterns of positive doubles, which
+            # increase with them
+            lo, hi = np.array([1e-3, 1e4]).view(np.int64).tolist()
+            assert not _certificate(x, y, 1e-3, lam) and _certificate(x, y, 1e4, lam)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                certified = _certificate(x, y, np.int64(mid).view(float), lam)
+                lo, hi = (lo, mid) if certified else (mid, hi)
+            edge = (hi + np.arange(-64, 65)).view(float)
+            a += [x] * edge.size
+            d += [y] * edge.size
+            l += list(edge)
+        a, d, l = map(np.array, (a, d, l))
+        certified = _certificate(a, d, l, lam)
+        assert a.size >= closedform._CERTIFIED_FROM and 0.45 < certified.mean() < 0.55
+        got = concurrence_values(a, d, l, lam)
+        assert _bits(got) == _bits(_full(a, d, l, lam))
+        assert _bits(got[::9]) == _bits(
+            [concurrence_values(x, y, z, lam) for x, y, z in zip(a[::9], d[::9], l[::9])])
+
+    @pytest.mark.parametrize("lam", [1e-160, 1e-100, 1e-77])
+    def test_small_couplings_keep_the_full_bits(self, lam):
+        # sqrt(P~_A P~_B) at these couplings is zero or not normal, so no
+        # row is certified: at 1e-100 the full evaluation's product P~_A
+        # P~_B underflows, and it reports a positive concurrence at rows far
+        # past the harvesting range
+        a, d, l = _explore_batch(7)
+        assert not _certificate(a, d, l, lam).any()
+        got = concurrence_values(a, d, l, lam)
+        assert _bits(got) == _bits(_full(a, d, l, lam))
+        if lam == 1e-100:
+            assert (got[_certificate(a, d, l, 0.1)] > 0.0).any()
+
+    @pytest.mark.parametrize("value", [-1.0, -np.inf, np.inf, np.nan, 3e154])
+    @pytest.mark.parametrize("variable", ["a", "d", "l"])
+    def test_a_row_outside_the_domain_gets_the_full_outcome(self, variable, value):
+        a, d, l = _explore_batch(3, 4096)
+        args = {"a": a, "d": d, "l": l}
+        args[variable] = args[variable].copy()
+        args[variable][2048] = value
+        got = _warned_outcome(concurrence_values, *args.values(), 0.1)
+        assert got == _warned_outcome(_full, *args.values(), 0.1)
+
+    @pytest.mark.parametrize("d_row", [-1e-300, np.nextafter(35.0, np.inf), 37.5, 53.0, 60.0])
+    def test_a_gap_difference_outside_the_domain_gets_the_full_outcome(self, d_row):
+        a, d, l = _explore_batch(3, 4096)
+        d = d.copy()
+        d[::97] = d_row
+        got = _warned_outcome(concurrence_values, a, d, l, 0.1)
+        assert got == _warned_outcome(_full, a, d, l, 0.1)
+
+    @pytest.mark.parametrize("mode", ["warn", "raise"])
+    def test_underflow_flagged_gets_the_full_outcome(self, mode):
+        a, d, l = _explore_batch(4)
+        with np.errstate(under=mode):
+            got = _warned_outcome(concurrence_values, a, d, l, 0.1)
+            want = _warned_outcome(_full, a, d, l, 0.1)
+        assert got == want and got[0] in ("RuntimeWarning", "FloatingPointError")
+
+    def test_underflow_warned_gives_every_warning_of_the_full_evaluation(self):
+        a, d, l = _explore_batch(4)
+        outcomes = []
+        for form in (concurrence_values, _full):
+            with warnings.catch_warnings(record=True) as caught, np.errstate(under="warn"):
+                warnings.simplefilter("always")
+                y = form(a, d, l, 0.1)
+            outcomes.append((_bits(y), [(w.category, str(w.message), w.filename, w.lineno)
+                                        for w in caught]))
+        assert outcomes[0] == outcomes[1] and outcomes[0][1]
+
+    def test_broadcast_calls_keep_their_shape_and_bits(self):
+        a, d, l = _explore_batch(5, 2000)
+        for args in ((a[:40, None], d[:40, None], l[None, :50]), (12.5, 3.0, l),
+                     (a, 0.0, 60.0), (a.reshape(40, 50), d.reshape(40, 50), l.reshape(40, 50))):
+            got = concurrence_values(*args, 0.1)
+            assert got.shape == np.broadcast(*args).shape
+            assert _bits(got) == _bits(_full(*args, 0.1))
+
+    def test_faddeeva_sees_only_the_uncertified_points(self, monkeypatch):
+        points, faddeeva_w = [], closedform.faddeeva_w
+
+        def spy(z):
+            points.append(np.size(z))
+            return faddeeva_w(z)
+
+        monkeypatch.setattr(closedform, "faddeeva_w", spy)
+        a, d, l = _explore_batch(6)
+        certified = _certificate(a, d, l, 0.1)
+        want = concurrence_values(a, d, l, 0.1)
+        assert points == [np.count_nonzero(~certified)] and points[0] < 0.6 * a.size
+        # below the size where certifying pays, at coupling above 1 and at
+        # an array coupling, every point is evaluated
+        n = closedform._CERTIFIED_FROM
+        for args in ((a[:n - 1], d[:n - 1], l[:n - 1], 0.1), (a, d, l, 1.5),
+                     (a, d, l, np.full(a.size, 0.1))):
+            points.clear()
+            concurrence_values(*args)
+            assert points == [args[0].size]
+        points.clear()
+        assert _bits(concurrence_values(a[:n], d[:n], l[:n], 0.1)) == _bits(want[:n])
+        assert points == [np.count_nonzero(~certified[:n])]
 
 
 class TestProperties:

@@ -72,6 +72,14 @@ The set covers what the package reports:
 * the same four closed forms on 4 096-point arrays with one NaN, +inf or
   -inf in one input, called with ``RuntimeWarning`` as an error, so that a
   warning gained or lost shows as a differing key;
+* ``concurrence_values`` at coupling 0.1 on 10 000 points whose
+  separations straddle the edge where the envelope certifies the rows
+  non-harvesting (40 rows over a in [0, 40], d in [0, 35], each at the 129
+  doubles within 64 ulps of the edge and at 121 separations from half the
+  edge to 1.5 times it), called with ``RuntimeWarning`` as an error: as
+  they are, with one point in 500 moved outside the domain (a or d
+  negative, d = 40, a NaN or an infinity), and as they are under
+  ``np.errstate(under="warn")``;
 * the principal-value kernel ``pv_gaussian_pole_integral`` on 71 values
   of kappa in [-5, 30] at separations 0.5, 2, 6 and 11.9, at panel orders
   64 and 128;
@@ -128,6 +136,10 @@ GRID_GAPS, GRID_SEPARATIONS, GRID_BOUND = (0.0, 40.0, 8), (0.05, 120.0, 60), 12.
 # points of the closed-form arrays that underflow in part, and of those
 # with one non-finite input
 UNDERFLOW_POINTS, SPECIAL_POINTS = 10_000, 4096
+# (a, d) rows and separations per row of the arrays that straddle the
+# certificate's edge, and the values put outside the domain one point in 500
+EDGE_ROWS, EDGE_POINTS = 40, 250
+EDGE_OUTSIDE = (("a", -1.0), ("d", -1.0), ("d", 40.0), ("a", float("nan")), ("l", float("inf")))
 # the principal-value kernel's separations (all with the poles inside its
 # window), panel orders, and first, last and count of its kappa values
 PV_SEPARATIONS, PV_ORDERS, PV_KAPPA = (0.5, 2.0, 6.0, 11.9), (64, 128), (-5.0, 30.0, 71)
@@ -208,6 +220,33 @@ def _stratified_rows(rng, n):
     a = stratified(0.0, 40.0)
     l = 0.05 + stratified(0.0, 1.0) * (np.maximum(4.0 * a, 4.0) - 0.05)
     yield "find_optimal_gap", list(zip(a.tolist(), l.tolist()))
+
+
+def _edge_points(closedform, rng):
+    """(a, d, l) of the arrays that straddle the edge where the scaled
+    envelope of |X|/E, widened by 1e-6, meets sqrt(P~_A P~_B) at coupling
+    0.1: per row the first double it lies below (found by bisection on the
+    bit patterns of positive doubles) and its neighbours."""
+    import numpy as np
+
+    a, d = rng.uniform((0.0, 0.0), (40.0, 35.0), (EDGE_ROWS, 2)).T
+    spread = np.linspace(0.5, 1.5, EDGE_POINTS - 129)
+    points = []
+    for x, y in zip(a.tolist(), d.tolist()):
+        gm = closedform._scaled_gm(x, y, 0.1)
+
+        def certified(bits):
+            l = np.int64(bits).view(float)
+            return closedform._scaled_x_envelope(y, l) * (1.0 + 1e-6) * 0.01 < gm
+
+        lo, hi = np.array([1e-3, 1e4]).view(np.int64).tolist()
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if certified(mid) else (mid, hi)
+        edge = np.int64(hi).view(float)
+        l = np.concatenate([(hi + np.arange(-64, 65)).view(float), edge * spread])
+        points.append(np.array([np.full(l.size, x), np.full(l.size, y), l]))
+    return np.concatenate(points, axis=1)
 
 
 def _cli_data(argv):
@@ -352,6 +391,16 @@ def _outputs():
             for form in (closedform.correlation_x_values, closedform.correlation_excess,
                          closedform.concurrence_values):
                 out[f"{key}/{form.__name__}"] = _warned(form, *args, 0.1)
+
+    a, d, l = _edge_points(closedform, np.random.default_rng(40))
+    out["certified/edge"] = _warned(closedform.concurrence_values, a, d, l, 0.1)
+    mixed = {"a": a.copy(), "d": d.copy(), "l": l.copy()}
+    for i, point in enumerate(range(250, a.size, 500)):
+        name, value = EDGE_OUTSIDE[i % len(EDGE_OUTSIDE)]
+        mixed[name][point] = value
+    out["certified/mixed"] = _warned(closedform.concurrence_values, *mixed.values(), 0.1)
+    with np.errstate(under="warn"):
+        out["certified/under-warn"] = _warned(closedform.concurrence_values, a, d, l, 0.1)
 
     kappa = np.linspace(*PV_KAPPA)
     for l in PV_SEPARATIONS:
